@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -71,13 +72,23 @@ def rotation_matrix(roll: float, pitch: float, yaw: float) -> np.ndarray:
     return rz @ ry @ rx
 
 
-def rotated_half_extents(half_extents, roll: float, pitch: float, yaw: float) -> np.ndarray:
-    """Half extents of the axis-aligned hull of a rotated box.
+def rotated_half_extents(half_extents, roll: float, pitch: float,
+                         yaw: float) -> tuple[float, float, float]:
+    """Half extents of the axis-aligned hull of a rotated box, as a 3-tuple.
 
-    Equals |R| @ h, which matches the max over the 8 rotated corners.
+    Equals |R| @ h for R = Rz(yaw) @ Ry(pitch) @ Rx(roll), which matches the
+    max over the 8 rotated corners.  Written out in scalar float math; it
+    can differ from numpy's matmul (`rotation_matrix`) in the last bit,
+    where the BLAS fuses multiply-adds.
     """
-    r = np.abs(rotation_matrix(roll, pitch, yaw))
-    return r @ np.asarray(half_extents, dtype=float)
+    h0, h1, h2 = half_extents
+    cr, sr = math.cos(roll), math.sin(roll)
+    cp, sp = math.cos(pitch), math.sin(pitch)
+    cy, sy = math.cos(yaw), math.sin(yaw)
+    cysp, sysp = cy * sp, sy * sp
+    return (abs(cy * cp) * h0 + abs(cysp * sr - sy * cr) * h1 + abs(cysp * cr + sy * sr) * h2,
+            abs(sy * cp) * h0 + abs(sysp * sr + cy * cr) * h1 + abs(sysp * cr - cy * sr) * h2,
+            abs(sp) * h0 + abs(cp * sr) * h1 + abs(cp * cr) * h2)
 
 
 @dataclass(frozen=True)
@@ -97,9 +108,8 @@ class Aabb:
 
     @staticmethod
     def from_center(center, half_extents) -> "Aabb":
-        c = np.asarray(center, dtype=float)
-        h = np.asarray(half_extents, dtype=float)
-        return Aabb(tuple(c - h), tuple(c + h))
+        (c0, c1, c2), (h0, h1, h2) = center, half_extents
+        return Aabb((c0 - h0, c1 - h1, c2 - h2), (c0 + h0, c1 + h1, c2 + h2))
 
     @property
     def center(self) -> tuple[float, float, float]:
@@ -133,7 +143,23 @@ class Aabb:
         return Aabb(tuple(l - margin for l in self.lower), tuple(u + margin for u in self.upper))
 
 
+# Hull reuse is local to the world of the action being refined, so a small
+# LRU catches nearly every repeat.
+HULL_CACHE_SIZE = 256
+
+
 def box_at_pose(pose: Pose6, half_extents) -> Aabb:
-    """Axis-aligned hull of a box with canonical half extents at a pose."""
+    """Axis-aligned hull of a box with canonical half extents at a pose.
+
+    Pure and cached: Pose6 and Aabb are frozen, so a cached hull equals a
+    fresh one.  Half extents may be any 3-sequence (tuple, list, array).
+    """
+    if type(half_extents) is not tuple:
+        half_extents = tuple(float(v) for v in half_extents)
+    return _cached_box_at_pose(pose, half_extents)
+
+
+@lru_cache(maxsize=HULL_CACHE_SIZE)
+def _cached_box_at_pose(pose: Pose6, half_extents: tuple[float, float, float]) -> Aabb:
     h = rotated_half_extents(half_extents, pose.roll, pose.pitch, pose.yaw)
     return Aabb.from_center(pose.position, h)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .geometry import Aabb, Pose6, box_at_pose, rotated_half_extents
 
@@ -62,12 +62,15 @@ class Scene:
     workspace: Aabb
     table: str = "table_surface"
     aliases: tuple[tuple[str, str], ...] = (("table", "table_surface"),)
+    _alias_map: dict[str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         surfaces = [m for m in self.models.values()
                     if m.kind == "surface" and m.name == self.table]
         if len(surfaces) != 1:
             raise WorldError(f"scene needs exactly one surface named {self.table!r}")
+        # Reversed so that the first entry for an alias wins.
+        object.__setattr__(self, "_alias_map", dict(reversed(self.aliases)))
 
     def model(self, name: str) -> ObjectModel:
         resolved = self.resolve(name)
@@ -77,10 +80,7 @@ class Scene:
             raise UnknownObjectError(f"unknown object {name!r}") from None
 
     def resolve(self, name: str) -> str:
-        for alias, target in self.aliases:
-            if name == alias:
-                return target
-        return name
+        return self._alias_map.get(name, name)
 
 
 @dataclass(frozen=True)
@@ -139,13 +139,8 @@ def _fail(w: WorldState, reason: str) -> SkillOutcome:
 
 def aabb_of(w: WorldState, name: str) -> Aabb:
     """Axis-aligned hull of the object's rotated box at its current pose."""
-    name = w.scene.resolve(name)
-    model = w.scene.model(name)
-    return box_at_pose(w.pose(name), model.half_extents)
-
-
-def aabb_at(w: WorldState, name: str, pose: Pose6) -> Aabb:
-    return box_at_pose(pose, w.scene.model(name).half_extents)
+    half = w.scene.model(name).half_extents
+    return box_at_pose(w.pose(name), half)
 
 
 def interior_box(w: WorldState, name: str) -> Aabb:

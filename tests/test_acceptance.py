@@ -4,6 +4,7 @@ The expensive suites (manual across all tasks and seeds, the ablation rows)
 run once per session and are shared across criteria.
 """
 
+import hashlib
 import math
 import pathlib
 import time
@@ -78,6 +79,15 @@ def test_criterion_1_manual_end_to_end(manual_cells):
     verdict("criterion 1 (manual-mode success >= 9/10 per task, suite < 5 min)",
             ok, f"per-task successes {per_task}, suite {elapsed:.0f}s")
     assert worst >= 0.9
+
+
+def test_manual_fingerprint_is_pinned(manual_cells):
+    # ROADMAP's manual behaviour fingerprint, hashed in run_suite order
+    # (task, then seed); guards last-bit changes to the geometry kernel.
+    cells, _ = manual_cells
+    lines = [cells[(t, s)][0].stable_json() for t in TASK_IDS for s in SEEDS]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+    assert digest == "c27555b98caa5c22"
 
 
 def test_criterion_2_ablation_ordering(ablation_records):

@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from owltamp.geometry import (
     Aabb, Pose6, box_at_pose, rotation_matrix, rotated_half_extents, wrap_angle,
 )
+
+ANGLES = st.floats(-math.pi, math.pi)
+HALF = st.floats(1e-3, 1.0)
 
 
 def test_wrap_angle_into_range():
@@ -80,3 +85,45 @@ def test_box_at_pose_translates():
     box = box_at_pose(Pose6(1, 2, 3), (0.1, 0.2, 0.3))
     assert np.allclose(box.center, (1, 2, 3))
     assert np.allclose(box.half_extents, (0.1, 0.2, 0.3))
+
+
+@settings(max_examples=500, deadline=None)
+@given(ANGLES, ANGLES, ANGLES, HALF, HALF, HALF)
+def test_scalar_kernel_matches_numpy_reference(roll, pitch, yaw, h0, h1, h2):
+    # A tolerance, not equality: the BLAS matmul may fuse multiply-adds.
+    half = (h0, h1, h2)
+    got = rotated_half_extents(half, roll, pitch, yaw)
+    want = np.abs(rotation_matrix(roll, pitch, yaw)) @ np.array(half)
+    assert type(got) is tuple and len(got) == 3
+    for g, w in zip(got, want):
+        assert math.isclose(g, w, rel_tol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-1, 1), st.floats(-1, 1), st.floats(0, 1),
+       ANGLES, ANGLES, ANGLES, HALF, HALF, HALF)
+def test_box_at_pose_equals_uncached_hull(x, y, z, roll, pitch, yaw, h0, h1, h2):
+    pose = Pose6(x, y, z, roll, pitch, yaw)
+    half = (h0, h1, h2)
+    fresh = Aabb.from_center(pose.position, rotated_half_extents(half, *pose.rpy))
+    assert box_at_pose(pose, half) == fresh
+    assert box_at_pose(pose, half) == fresh  # now a cache hit
+
+
+def test_repeated_box_at_pose_is_an_equal_frozen_box():
+    pose = Pose6(0.3, -0.2, 0.1, 0.4, -0.5, 2.0)
+    first = box_at_pose(pose, (0.05, 0.04, 0.03))
+    again = box_at_pose(Pose6(*pose.as_tuple()), (0.05, 0.04, 0.03))
+    assert again == first
+    assert again is first  # an equal pose is served from the hull cache
+    with pytest.raises(AttributeError):
+        again.lower = (0.0, 0.0, 0.0)
+
+
+def test_box_at_pose_accepts_list_and_array_half_extents():
+    pose = Pose6(0.3, -0.2, 0.1, 0.4, -0.5, 2.0)
+    want = box_at_pose(pose, (0.05, 0.04, 0.03))
+    for half in ([0.05, 0.04, 0.03], np.array([0.05, 0.04, 0.03])):
+        got = box_at_pose(pose, half)
+        assert got == want
+        assert all(type(v) is float for v in got.lower + got.upper)
