@@ -218,6 +218,13 @@ class SuiteResult:
     def stable_lines(self) -> list[str]:
         return [r.stable_json() for r in self.records]
 
+    def fingerprint(self) -> str:
+        """The behaviour fingerprint: the first 16 hex digits of the sha256
+        of the stable lines joined by newlines."""
+        import hashlib  # loads OpenSSL (~3 MB resident); only callers pay for it
+
+        return hashlib.sha256("\n".join(self.stable_lines()).encode()).hexdigest()[:16]
+
 
 def run_suite(task_ids, seeds, modes, budgets: Budgets,
               out_dir: str | None = None, progress=None,

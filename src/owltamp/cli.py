@@ -13,14 +13,20 @@ from .lang import LangError, eval_constraint, parse_constraint_block
 from .solver import Budgets
 
 
-def _cmd_run(args) -> int:
-    ids = tasks.task_ids() if args.task == "all" else [args.task]
-    modes = args.mode.split(",")
+def _unknown_mode(modes: list[str]) -> bool:
     for mode in modes:
         if mode not in bench.MODE_TABLE:
             print(f"unknown mode {mode!r}; choose from "
                   f"{sorted(bench.MODE_TABLE)}", file=sys.stderr)
-            return 2
+            return True
+    return False
+
+
+def _cmd_run(args) -> int:
+    ids = tasks.task_ids() if args.task == "all" else [args.task]
+    modes = args.mode.split(",")
+    if _unknown_mode(modes):
+        return 2
     budgets = Budgets(args.samples, args.backtracks)
     seeds = list(range(args.seeds))
     oracle_factory = None
@@ -53,6 +59,16 @@ def _cmd_run(args) -> int:
     print(bench.render_tables(result, ids, modes))
     if args.out:
         print(f"records written to {args.out}")
+    return 1 if result.errors else 0
+
+
+def _cmd_fingerprint(args) -> int:
+    ids = tasks.task_ids() if args.task == "all" else [args.task]
+    modes = args.modes.split(",")
+    if _unknown_mode(modes):
+        return 2
+    result = bench.run_suite(ids, range(args.rounds), modes, Budgets(500, 5))
+    print(result.fingerprint())
     return 1 if result.errors else 0
 
 
@@ -113,6 +129,15 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", default=None, help="directory for records and tables")
     run.add_argument("--verbose", action="store_true")
     run.set_defaults(fn=_cmd_run)
+
+    fingerprint = sub.add_parser(
+        "fingerprint", help="print the behaviour fingerprint of a grid at the paper's budgets")
+    fingerprint.add_argument("--modes", default="manual",
+                             help="comma-separated ablation modes")
+    fingerprint.add_argument("--rounds", type=int, default=10,
+                             help="number of scene seeds (0..N-1)")
+    fingerprint.add_argument("--task", default="all", help="task id or 'all'")
+    fingerprint.set_defaults(fn=_cmd_fingerprint)
 
     ground = sub.add_parser("ground", help="grounding utilities")
     gsub = ground.add_subparsers(dest="ground_command", required=True)

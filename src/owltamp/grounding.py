@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 from .model import (
-    ActionSchema, GroundAction, Literal, SemanticType, State, Value,
+    ActionSchema, GroundAction, Literal, LiteralIndex, SemanticType, State, Value,
     instantiate, literal_holds,
 )
 
@@ -81,7 +81,7 @@ def ground_actions(s0: State, schemas: list[ActionSchema], objects: list[str],
     def relevant(lit: Literal) -> bool:
         return predicate_allow is None or lit.predicate.name in predicate_allow
 
-    reached = set(lit for lit in s0.true_literals if relevant(lit))
+    reached = LiteralIndex(lit for lit in s0.true_literals if relevant(lit))
     grounded: list[GroundAction] = []
     pending = list(candidates)
     progress = True

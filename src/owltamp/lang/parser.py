@@ -39,6 +39,13 @@ _FRAMEWORK_ARGS = {"init_state", "state", "env", "initial", "curr_state", "self"
 
 _KEYWORDS = {"and", "or", "not", "abs", "return", "def", "True", "False"}
 
+# Limits on untrusted programs.  Parsing, type checking and evaluation recurse
+# over the expression tree, so bounding its nesting and its operand count
+# keeps every pass far below Python's recursion limit.
+MAX_SOURCE_CHARS = 20_000  # one file or oracle reply
+MAX_NESTING = 32           # parenthesized groups, abs(), call arguments and `not`
+MAX_OPERANDS = 128         # terms in the expression of one statement
+
 _TOKEN_RE = re.compile(
     r"""(?P<ws>[ \t]+)
       | (?P<comment>\#[^\n]*)
@@ -90,6 +97,8 @@ class _Parser:
         self.i = 0
         self.assigned = assigned
         self.objects: set[str] = set()
+        self.depth = 0
+        self.operands = 0
 
     def peek(self, ahead: int = 0) -> Token:
         return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
@@ -114,8 +123,17 @@ class _Parser:
 
     # expression grammar -------------------------------------------------
 
+    def _descend(self, tok: Token) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"expression nested deeper than {MAX_NESTING} levels",
+                             tok.line, tok.column)
+
     def parse_expr(self) -> Expr:
-        return self._or()
+        self._descend(self.peek())
+        expr = self._or()
+        self.depth -= 1
+        return expr
 
     def _or(self) -> Expr:
         first = self._and()
@@ -137,7 +155,9 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "kw" and tok.text == "not":
             self.advance()
+            self._descend(tok)
             operand = self._not()
+            self.depth -= 1
             return BoolOp(tok.line, tok.column, "not", (operand,))
         return self._comparison()
 
@@ -168,6 +188,10 @@ class _Parser:
 
     def _term(self) -> Expr:
         tok = self.peek()
+        self.operands += 1
+        if self.operands > MAX_OPERANDS:
+            raise ParseError(f"expression has more than {MAX_OPERANDS} operands",
+                             tok.line, tok.column)
         if tok.kind == "op" and tok.text == "-":
             self.advance()
             num = self.expect("num")
@@ -264,6 +288,11 @@ def _flatten(op: str, parts: list[Expr], first: Expr) -> Expr:
     return BoolOp(first.line, first.column, op, tuple(flat))
 
 
+def _check_length(source: str) -> None:
+    if len(source) > MAX_SOURCE_CHARS:
+        raise ParseError(f"program longer than {MAX_SOURCE_CHARS} characters", 1, 1)
+
+
 _DEF_RE = re.compile(r"^def\s+([A-Za-z_][A-Za-z0-9_]*)\s*\(([^)]*)\)\s*(?:->\s*bool\s*)?:\s*$")
 
 
@@ -273,6 +302,7 @@ def parse_constraint(source: str) -> ConstraintFn:
     Accepts an optional `def name(...) -> bool:` header followed by
     assignment lines and a final `return <bool expr>` line.
     """
+    _check_length(source)
     name = "constraint"
     assigns: list[Assign] = []
     result: Expr | None = None
@@ -327,6 +357,7 @@ def parse_constraint(source: str) -> ConstraintFn:
 
 def parse_constraint_block(source: str) -> list[ConstraintFn]:
     """Parse a file or oracle reply containing several def blocks."""
+    _check_length(source)
     chunks: list[list[str]] = []
     current: list[str] = []
     for raw in source.splitlines():

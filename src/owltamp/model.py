@@ -5,14 +5,27 @@ not stored in states), fluent preconditions, and fluent effects.  Continuous
 parameters may be bound to optimistic placeholders, which act as unification
 wildcards during symbolic search and are replaced by real values during
 refinement.
+
+Truth checks look literals up in a `LiteralIndex` instead of scanning a
+state: literals are bucketed by predicate and first argument, and also sit
+in a set for exact hits.  A `State` builds its index on first use and keeps
+it.  `Value`, `Predicate` and `Literal` are hashed on every set and dict
+operation of the search, so each computes its hash once, into a slot, from
+the same field tuple the generated hash would use; slots also keep these
+many small objects smaller than plain dataclass instances.  String hashes
+differ between processes, so these classes pickle by their fields and
+rehash on load.
 """
 
 from __future__ import annotations
 
+import functools
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
+from types import MappingProxyType
 
 
 class SemanticType(Enum):
@@ -36,18 +49,26 @@ class ModelError(Exception):
     """Raised for malformed domains, bindings, or state transitions."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Value:
     """A parameter value: symbol, numeric vector, description text, or optimistic id."""
 
     kind: str  # "sym" | "vec" | "text" | "opt"
     payload: object
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("sym", "vec", "text", "opt"):
             raise ModelError(f"unknown value kind {self.kind!r}")
         if self.kind == "vec":
             object.__setattr__(self, "payload", tuple(float(v) for v in self.payload))
+        object.__setattr__(self, "_hash", hash((self.kind, self.payload)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return Value, (self.kind, self.payload)
 
     @staticmethod
     def sym(name: str) -> "Value":
@@ -92,25 +113,34 @@ class Value:
         return "(" + ", ".join(f"{v:.4g}" for v in self.payload) + ")"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Predicate:
     name: str
     param_types: tuple[SemanticType, ...]
     kind: str  # "fluent" | "static"
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("fluent", "static"):
             raise ModelError(f"predicate kind must be fluent/static, got {self.kind!r}")
+        object.__setattr__(self, "_hash", hash((self.name, self.param_types, self.kind)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return Predicate, (self.name, self.param_types, self.kind)
 
     def __call__(self, *args: Value, positive: bool = True) -> "Literal":
         return Literal(self, tuple(args), positive)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Literal:
     predicate: Predicate
     args: tuple[Value, ...]
     positive: bool = True
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.args) != len(self.predicate.param_types):
@@ -120,6 +150,13 @@ class Literal:
         for a, t in zip(self.args, self.predicate.param_types):
             if not a.check_type(t):
                 raise ModelError(f"bad arg {a} for {self.predicate.name}:{t.value}")
+        object.__setattr__(self, "_hash", hash((self.predicate, self.args, self.positive)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return Literal, (self.predicate, self.args, self.positive)
 
     def negate(self) -> "Literal":
         return Literal(self.predicate, self.args, not self.positive)
@@ -129,17 +166,76 @@ class Literal:
         return s if self.positive else "!" + s
 
 
-def args_unify(a: Value, b: Value) -> bool:
-    """Optimistic values match anything; everything else matches by equality."""
-    return a == b or a.is_optimistic or b.is_optimistic
+def args_unify(xs: tuple[Value, ...], ys: tuple[Value, ...]) -> bool:
+    """Pairwise over two argument tuples: optimistic values match anything;
+    everything else matches by equality."""
+    return all(x == y or x.kind == "opt" or y.kind == "opt" for x, y in zip(xs, ys))
 
 
-def literal_holds(state: frozenset[Literal], lit: Literal) -> bool:
-    """Closed-world check with optimistic-wildcard matching on either side."""
-    found = any(
-        sl.predicate == lit.predicate and all(args_unify(x, y) for x, y in zip(sl.args, lit.args))
-        for sl in state)
-    return found if lit.positive else not found
+_WILD = object()  # bucket key of literals whose first argument is optimistic
+
+
+class LiteralIndex:
+    """Positive literals, bucketed for lookups that unify optimistic arguments.
+
+    Every literal sits in a set, which answers exact hits and drops
+    duplicates, and in a bucket keyed by (predicate, first argument), or by
+    (predicate, _WILD) when its first argument is optimistic.  A query
+    with a concrete first argument scans only its own bucket and the
+    wildcard bucket; a query with an optimistic first argument scans every
+    literal of its predicate.  Matches are exactly those of `args_unify`
+    applied to the argument tuples.
+    """
+
+    __slots__ = ("_members", "_buckets", "_by_pred")
+
+    def __init__(self, literals=()):
+        self._members: set[Literal] = set()
+        self._buckets: dict[tuple, list[Literal]] = {}
+        self._by_pred: dict[Predicate, list[Literal]] = {}
+        for lit in literals:
+            self.add(lit)
+
+    def add(self, lit: Literal) -> None:
+        if lit in self._members:
+            return
+        self._members.add(lit)
+        first = lit.args[0] if lit.args else None
+        key = (lit.predicate, _WILD if first is not None and first.kind == "opt" else first)
+        self._buckets.setdefault(key, []).append(lit)
+        self._by_pred.setdefault(lit.predicate, []).append(lit)
+
+    def _pool(self, lit: Literal):
+        """The indexed literals that can unify with `lit`'s first argument."""
+        pred, args = lit.predicate, lit.args
+        if args and args[0].kind == "opt":
+            return self._by_pred.get(pred, ())
+        return (*self._buckets.get((pred, args[0] if args else None), ()),
+                *self._buckets.get((pred, _WILD), ()))
+
+    def matches(self, lit: Literal) -> list[Literal]:
+        """Every indexed literal that unifies with `lit`, whatever its sign."""
+        return [sl for sl in self._pool(lit) if args_unify(sl.args, lit.args)]
+
+    def holds(self, lit: Literal) -> bool:
+        # A negative literal is never a member, so its check is the scan alone.
+        found = (lit in self._members
+                 or any(args_unify(sl.args, lit.args) for sl in self._pool(lit)))
+        return found if lit.positive else not found
+
+
+def literal_holds(state: "State | LiteralIndex", lit: Literal) -> bool:
+    """Closed-world check with optimistic-wildcard matching on either side.
+
+    A state literal matches when it has the same predicate and every argument
+    pair unifies (`args_unify`).  The check is a `LiteralIndex` lookup: an
+    exact set hit for a literal the state holds verbatim, otherwise a scan of
+    the few literals that share its predicate and first argument (or carry
+    an optimistic first argument).  Pass a `State`, whose index is built on
+    first use and kept, or an index being grown in place.
+    """
+    index = state.index if isinstance(state, State) else state
+    return index.holds(lit)
 
 
 @dataclass(frozen=True)
@@ -153,8 +249,17 @@ class State:
             if not lit.positive:
                 raise ModelError(f"state may only contain positive literals: {lit}")
 
+    @property
+    def index(self) -> LiteralIndex:
+        """The state's literal index, built on first use and cached."""
+        index = self.__dict__.get("_index")
+        if index is None:
+            index = LiteralIndex(self.true_literals)
+            object.__setattr__(self, "_index", index)
+        return index
+
     def holds(self, lit: Literal) -> bool:
-        return literal_holds(self.true_literals, lit)
+        return literal_holds(self, lit)
 
     def __contains__(self, lit: Literal) -> bool:
         return self.holds(lit)
@@ -478,11 +583,8 @@ def apply(state: State, action: GroundAction,
                                          if not static_eval.evaluate(lit)])
     result = set(state.true_literals)
     for lit in action.effects:
-        if lit.positive:
-            continue
-        result -= {sl for sl in result
-                   if sl.predicate == lit.predicate
-                   and all(args_unify(x, y) for x, y in zip(sl.args, lit.args))}
+        if not lit.positive:
+            result.difference_update(state.index.matches(lit))
     for lit in action.effects:
         if lit.positive:
             result.add(lit)
@@ -500,8 +602,14 @@ class DomainParseError(ModelError):
 
 @dataclass(frozen=True)
 class Domain:
-    predicates: dict[str, Predicate]
-    schemas: dict[str, ActionSchema]
+    """Predicate and schema tables; read-only, since one parse is shared."""
+
+    predicates: Mapping[str, Predicate]
+    schemas: Mapping[str, ActionSchema]
+
+    def __post_init__(self):
+        object.__setattr__(self, "predicates", MappingProxyType(dict(self.predicates)))
+        object.__setattr__(self, "schemas", MappingProxyType(dict(self.schemas)))
 
     def predicate(self, name: str) -> Predicate:
         return self.predicates[name]
@@ -668,7 +776,9 @@ def parse_domain(text: str) -> Domain:
     return Domain(predicates, schemas)
 
 
+@functools.lru_cache(maxsize=1)
 def load_default_domain() -> Domain:
-    """The tabletop manipulation domain shipped with the package."""
+    """The tabletop manipulation domain shipped with the package, parsed once
+    per process and shared (`Domain` is frozen and its tables read-only)."""
     text = resources.files("owltamp.data").joinpath("domain.txt").read_text(encoding="utf-8")
     return parse_domain(text)

@@ -114,6 +114,19 @@ def parse_constraint_response(raw: str) -> list[ConstraintFn]:
         raise OracleParseError(f"constraint program rejected: {e}", raw) from None
 
 
+def parse_goal_literals(raw: str) -> tuple[tuple[str, tuple[str, ...]], ...]:
+    """Pull `Predicate(arg, ...)` lines out of a direct goal translation."""
+    out = []
+    for line in raw.splitlines():
+        m = re.match(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\(([^)]*)\)\s*$", line)
+        if m:
+            args = tuple(a.strip() for a in m.group(2).split(",") if a.strip())
+            out.append((m.group(1), args))
+    if not out:
+        raise OracleParseError("no literals in reply", raw)
+    return tuple(out)
+
+
 class ScriptedOracle:
     """Fixture-backed oracle; deterministic and instantaneous."""
 
@@ -276,15 +289,7 @@ class ExternalOracle:
             "Which of these reachable literals must hold to satisfy the goal "
             f"{req.goal_text!r}?  Answer one literal per line.\n{req.literal_listing}",
             "goal_literals")
-        out = []
-        for line in raw.splitlines():
-            m = re.match(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\(([^)]*)\)\s*$", line)
-            if m:
-                args = tuple(a.strip() for a in m.group(2).split(",") if a.strip())
-                out.append((m.group(1), args))
-        if not out:
-            raise OracleParseError("no literals in reply", raw)
-        return tuple(out)
+        return self._parse(raw, parse_goal_literals)
 
 
 class ReplayOracle:
@@ -321,3 +326,7 @@ class ReplayOracle:
     def propose_action_constraints(self, req: OracleRequest) -> list[ConstraintFn]:
         self.calls += 1
         return parse_constraint_response(self._next("action_constraints"))
+
+    def translate_goal_direct(self, req: OracleRequest):
+        self.calls += 1
+        return parse_goal_literals(self._next("goal_literals"))

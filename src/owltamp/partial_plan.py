@@ -117,10 +117,6 @@ def transform(problem: GroundedProblem, pp: PartialPlan) -> TransformedProblem:
                               tuple(step_indices), pp)
 
 
-def strip_executed(literals) -> frozenset[Literal]:
-    return frozenset(l for l in literals if l.predicate.name != "Executed")
-
-
 def verify_subsequence(full: list[GroundAction], pp: PartialPlan) -> bool:
     """True iff the steps appear in order within the plan (gaps allowed)."""
     i = 0

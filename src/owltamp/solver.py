@@ -21,8 +21,8 @@ from . import world as W
 from .geometry import Pose6
 from .lang import ConstraintFn, eval_constraint
 from .model import (
-    GroundAction, Literal, OptimisticEvaluator, SemanticType, State, Value,
-    apply, applicable, literal_holds,
+    GroundAction, Literal, LiteralIndex, OptimisticEvaluator, SemanticType, State,
+    Value, apply, applicable, literal_holds,
 )
 from .partial_plan import PartialPlan, TransformedProblem, verify_subsequence
 
@@ -110,22 +110,37 @@ def plan_task(s0: State, actions: tuple[GroundAction, ...],
     chain_target = _executed_level(goal)
     plain_goals = tuple(g for g in goal if g.predicate.name != "Executed")
 
+    # Every literal of a reachable state is in s0 or is a positive effect, so
+    # the literals that can match a goal literal are known up front.  The
+    # heuristic tests them by set membership: a generated node is indexed
+    # only if it is expanded.
+    goal_preds = {g.predicate for g in plain_goals}
+    possible = LiteralIndex(
+        lit for lit in itertools.chain(
+            s0.true_literals,
+            (eff for a in ordered for eff in a.effects if eff.positive))
+        if lit.predicate in goal_preds)
+    goal_matches = tuple((g.positive, frozenset(possible.matches(g))) for g in plain_goals)
+
     def h(literals: frozenset[Literal]) -> int:
         chain = max(0, chain_target - _executed_level(literals))
-        unmet = sum(1 for g in plain_goals if not literal_holds(literals, g))
+        unmet = sum(1 for positive, matches in goal_matches
+                    if positive == literals.isdisjoint(matches))
         return max(chain, unmet)
 
-    def satisfied(literals: frozenset[Literal]) -> bool:
-        return all(literal_holds(literals, g) for g in goal)
+    def satisfied(state: State) -> bool:
+        return all(literal_holds(state, g) for g in goal)
 
-    start = s0.true_literals
-    if satisfied(start):
+    if satisfied(s0):
         return []
 
+    start = s0.true_literals
     counter = itertools.count()
     frontier: list[tuple[int, int, int]] = []
     heapq.heappush(frontier, (h(start), next(counter), 0))
-    payloads = {0: (start, None, None)}  # id -> (literals, parent id, action)
+    # id -> (literals, parent id, action).  Frontier nodes keep bare literal
+    # sets; a node becomes an indexed State only when it is expanded.
+    payloads = {0: (start, None, None)}
     best_g = {start: 0}
     g_of = {0: 0}
     expansions = 0
@@ -136,7 +151,8 @@ def plan_task(s0: State, actions: tuple[GroundAction, ...],
         g = g_of[node_id]
         if g > best_g.get(literals, math.inf):
             continue
-        if satisfied(literals):
+        state = State(literals)
+        if satisfied(state):
             plan = []
             cur = node_id
             while payloads[cur][1] is not None:
@@ -146,7 +162,6 @@ def plan_task(s0: State, actions: tuple[GroundAction, ...],
         expansions += 1
         if expansions > node_cap:
             raise PlanningError("node-cap-exceeded")
-        state = State(literals)
         for action in ordered:
             if not applicable(state, action, evaluator):
                 continue
@@ -551,8 +566,7 @@ def solve(scene: W.WorldState, problem: TransformedProblem, domain,
         actions = tuple(filtered)
 
     try:
-        plan = plan_task(State(frozenset(problem.s0.true_literals)), actions,
-                         problem.goal, node_cap=node_cap)
+        plan = plan_task(problem.s0, actions, problem.goal, node_cap=node_cap)
     except PlanningError as e:
         wall = time.perf_counter() - t0
         return SolveReport(Infeasible(e.reason, 0, 0, wall), False, problem.plan)

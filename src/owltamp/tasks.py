@@ -204,11 +204,6 @@ def initial_state(domain: Domain, w: W.WorldState) -> State:
     return State(frozenset(literals))
 
 
-def movable_objects(spec: TaskSpec) -> list[str]:
-    """Objects enumerated during grounding: everything but the table."""
-    return sorted(spec.objects)
-
-
 def default_domain() -> Domain:
     return load_default_domain()
 

@@ -90,6 +90,13 @@ def test_manual_fingerprint_is_pinned(manual_cells):
     assert digest == "c27555b98caa5c22"
 
 
+def test_no_sample_fingerprint_is_pinned():
+    # One sample per action leaves grounding and A* as most of each cell, so
+    # this pins the symbolic layer (50 cells, about a second).
+    result = bench.run_suite(TASK_IDS, range(5), ["no_sample"], BUDGETS)
+    assert result.fingerprint() == "b96a87921ded4e67"
+
+
 def test_criterion_2_ablation_ordering(ablation_records):
     rows = ablation_records
     checks = {}

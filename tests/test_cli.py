@@ -1,7 +1,10 @@
+import hashlib
 import json
 
+from owltamp import bench
 from owltamp import world as W
 from owltamp.cli import main
+from owltamp.solver import Budgets
 from owltamp.tasks import load_task
 
 
@@ -18,6 +21,18 @@ def test_run_subcommand_writes_outputs(tmp_path, capsys):
 
 def test_run_rejects_unknown_mode(capsys):
     assert main(["run", "--task", "berry1", "--mode", "clairvoyant"]) == 2
+
+
+def test_fingerprint_prints_the_grid_hash(capsys):
+    code = main(["fingerprint", "--modes", "manual", "--rounds", "1", "--task", "berry1"])
+    assert code == 0
+    lines = bench.run_suite(["berry1"], range(1), ["manual"], Budgets(500, 5)).stable_lines()
+    want = hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+    assert capsys.readouterr().out.strip() == want
+
+
+def test_fingerprint_rejects_unknown_mode(capsys):
+    assert main(["fingerprint", "--modes", "manual,clairvoyant"]) == 2
 
 
 def test_ground_dump(capsys):

@@ -152,3 +152,35 @@ def test_multi_function_block_parsing():
 def test_pose_field_validation():
     with pytest.raises(ParseError, match="pose field"):
         parse_constraint("return mug.pose.wobble < 1")
+
+
+DEEP_PARENS = "def f(mug):\n    return " + "(" * 400 + "1 < 2" + ")" * 400 + "\n"
+LONG_SUM = "def f(mug):\n    return " + " + ".join(["1"] * 3000) + " < 2\n"
+
+
+@pytest.mark.parametrize("source, message", [
+    (DEEP_PARENS, "nested deeper"),
+    ("def f():\n    return " + "not " * 400 + "True\n", "nested deeper"),
+    (LONG_SUM, "operands"),
+    ("def f():\n    return True\n" + "#" * 20_000 + "\n", "longer than"),
+])
+def test_limits_reject_oversized_programs(source, message):
+    with pytest.raises(ParseError, match=message):
+        parse_constraint_block(source)
+    with pytest.raises(ParseError, match=message):
+        parse_constraint(source)
+
+
+def test_programs_at_the_limits_parse_and_evaluate():
+    from owltamp.lang import eval_constraint
+    from owltamp.lang.parser import MAX_NESTING, MAX_OPERANDS
+    from owltamp.tasks import load_task
+
+    _, w = load_task("berry1", 0)
+    depth = MAX_NESTING - 1  # the return expression itself is one level
+    nested = "(" * depth + "1 < 2" + ")" * depth
+    summed = " + ".join(["1"] * (MAX_OPERANDS - 1)) + " < 200"
+    negated = "not " * depth + "False"
+    for expr in (nested, summed, negated):
+        fn = parse_constraint(f"def f():\n    return {expr}\n")
+        assert eval_constraint(fn, w) is True

@@ -223,6 +223,6 @@ def test_domain_rejects_unbound_variables():
 def test_literal_holds_wildcards():
     d = load_default_domain()
     grasp = d.predicate("AtGrasp")
-    state = frozenset({grasp(sym("apple"), Value.opt(1, "g"))})
+    state = State(frozenset({grasp(sym("apple"), Value.opt(1, "g"))}))
     assert literal_holds(state, grasp(sym("apple"), Value.opt(2, "g")))
     assert not literal_holds(state, grasp(sym("pear"), Value.opt(2, "g")))

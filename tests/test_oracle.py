@@ -6,7 +6,8 @@ from owltamp.fixtures import VARIANTS
 from owltamp.oracle import (
     ExternalOracle, OracleParseError, OracleRequest, OracleServiceError,
     ReplayOracle, ScriptedOracle, UnknownOperatorError, parse_constraint_response,
-    parse_plan_response, render_discrete_prompt, render_goal_constraint_prompt,
+    parse_goal_literals, parse_plan_response, render_discrete_prompt,
+    render_goal_constraint_prompt,
 )
 from owltamp.tasks import task_ids
 
@@ -208,3 +209,34 @@ def test_oracle_response_invariant_and_bookkeeping(tmp_path):
         oracle.propose_partial_plan(req("partial_plan", listing=MUG1_LISTING))
     assert oracle.last_response.payload is None
     assert oracle.last_response.diagnostics
+
+
+@pytest.mark.parametrize("raw", [
+    "def f(mug):\n    return " + "(" * 400 + "1 < 2" + ")" * 400 + "\n",
+    "def f(mug):\n    return " + " + ".join(["1"] * 3000) + " < 2\n",
+])
+def test_oversized_constraint_programs_are_parse_errors(raw):
+    with pytest.raises(OracleParseError, match="constraint program rejected"):
+        parse_constraint_response(raw)
+
+
+GOAL_LITERALS_REPLY = "These must hold:\nSupporting(strawberry, bowl)\nHandEmpty()\n"
+
+
+def test_replay_translates_direct_goals_like_the_external_path(tmp_path):
+    transcript = tmp_path / "t.jsonl"
+    live = ExternalOracle(url="http://oracle.test/v1",
+                          post_fn=FakeTransport([GOAL_LITERALS_REPLY]),
+                          transcript_path=str(transcript), backoff=0.0)
+    live_specs = live.translate_goal_direct(req("goal_literals", "berrycook"))
+    assert live_specs == parse_goal_literals(GOAL_LITERALS_REPLY) == (
+        ("Supporting", ("strawberry", "bowl")), ("HandEmpty", ()))
+
+    replay = ReplayOracle(str(transcript))
+    assert replay.translate_goal_direct(req("goal_literals", "berrycook")) == live_specs
+    assert replay.calls == 1
+
+
+def test_parse_goal_literals_rejects_replies_without_literals():
+    with pytest.raises(OracleParseError, match="no literals"):
+        parse_goal_literals("I am not sure.")
