@@ -19,8 +19,8 @@ from .grounding import (
     format_action_listing, format_literal_listing, format_state_listing,
     ground_problem,
 )
-from .model import Value
-from .oracle import OracleError, OracleRequest, ScriptedOracle
+from .model import ModelError, Value
+from .oracle import OracleError, OracleParseError, OracleRequest, ScriptedOracle
 from .partial_plan import (
     PartialPlan, PartialPlanError, transform, verify_subsequence,
 )
@@ -88,11 +88,32 @@ class RunRecord:
 
 
 def _direct_goal_literals(domain, specs):
+    """Goal literals of a direct translation.  A literal with an unknown
+    predicate, the wrong arity or an argument of the wrong type is an
+    oracle parse error."""
     out = []
     for pred_name, args in specs:
-        pred = domain.predicate(pred_name)
-        out.append(pred(*(Value.sym(a) for a in args)))
+        pred = domain.predicates.get(pred_name)
+        if pred is None:
+            raise OracleParseError(f"unknown goal predicate {pred_name!r}")
+        try:
+            out.append(pred(*(Value.sym(a) for a in args)))
+        except ModelError as e:
+            raise OracleParseError(f"bad goal literal: {e}") from None
     return tuple(out)
+
+
+def _check_scene_objects(world, *fn_groups) -> None:
+    """Reject constraint programs that name objects missing from the scene,
+    which would otherwise fail only when refinement evaluates them."""
+    scene = world.scene
+    for fn in (fn for fns in fn_groups for fn in fns):
+        missing = sorted(o for o in fn.referenced_objects
+                         if scene.resolve(o) not in scene.models)
+        if missing:
+            raise OracleParseError(
+                f"constraint program {fn.name} names objects missing from the "
+                f"scene: {', '.join(missing)}")
 
 
 def run_cell(task_id: str, seed: int, mode: str, budgets: Budgets,
@@ -152,6 +173,7 @@ def run_cell_detailed(task_id: str, seed: int, mode: str, budgets: Budgets,
                     base_req, kind="action_constraints", step_index=i, step=step,
                     prior_goal_sources=tuple(f.source_text for f in goal_fns)))
                 step_cons[i] = tuple(fns)
+            _check_scene_objects(world0, goal_fns, *step_cons.values())
         transformed = transform(problem, pp)
     except (OracleError, PartialPlanError) as e:
         return fail_record(f"oracle:{type(e).__name__}:{e}")

@@ -1,10 +1,13 @@
 """Symbolic planning substrate: predicates, literals, states, and parameterized actions.
 
-Actions carry three literal lists: static constraints (checked by an evaluator,
-not stored in states), fluent preconditions, and fluent effects.  Continuous
-parameters may be bound to optimistic placeholders, which act as unification
-wildcards during symbolic search and are replaced by real values during
-refinement.
+Actions carry three literal lists: static constraints, fluent preconditions,
+and fluent effects.  Static constraints (`con`) type and tie together an
+action's parameters; they are never stored in states and never checked here.
+Symbolic search treats them as satisfiable, and the manipulation constraints
+they name are checked only by the world model's skills (`world.exec_*`)
+during refinement and replay.  Continuous parameters may be bound to
+optimistic placeholders, which act as unification wildcards during symbolic
+search and are replaced by real values during refinement.
 
 Truth checks look literals up in a `LiteralIndex` instead of scanning a
 state: literals are bucketed by predicate and first argument, and also sit
@@ -41,8 +44,6 @@ class SemanticType(Enum):
 # Expected vector dimension per type; traj is free-length (flattened waypoints,
 # and a 4-vector (x, y, z, tilt) for pour motions).
 _VECTOR_DIMS = {SemanticType.POSE: 6, SemanticType.GRASP: 6, SemanticType.CONF: 3}
-
-_DISCRETE_TYPES = {SemanticType.OBJ, SemanticType.INDEX}
 
 
 class ModelError(Exception):
@@ -157,9 +158,6 @@ class Literal:
 
     def __reduce__(self):
         return Literal, (self.predicate, self.args, self.positive)
-
-    def negate(self) -> "Literal":
-        return Literal(self.predicate, self.args, not self.positive)
 
     def __str__(self):
         s = f"{self.predicate.name}({', '.join(str(a) for a in self.args)})"
@@ -287,19 +285,6 @@ class SchemaLiteral:
 
 
 @dataclass(frozen=True)
-class CollisionGuard:
-    """Compiled form of: no placed object may collide with `obj` put at `pose`.
-
-    `exclude` names parameters whose bound objects are exempt (the support or
-    container the object is being placed onto/into).
-    """
-
-    obj: str
-    pose: str
-    exclude: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
 class ActionSchema:
     name: str
     params: tuple[Param, ...]
@@ -307,7 +292,6 @@ class ActionSchema:
     pre: tuple[SchemaLiteral, ...]
     eff: tuple[SchemaLiteral, ...]
     nl_description_template: str = ""
-    collision_guard: CollisionGuard | None = None
 
     def __post_init__(self):
         names = [p.name for p in self.params]
@@ -319,11 +303,6 @@ class ActionSchema:
                 for a in lit.args:
                     if a != "*" and a not in known:
                         raise ModelError(f"{self.name}: unbound variable {a!r}")
-        if self.collision_guard is not None:
-            for a in (self.collision_guard.obj, self.collision_guard.pose,
-                      *self.collision_guard.exclude):
-                if a not in known:
-                    raise ModelError(f"{self.name}: unbound guard variable {a!r}")
         d_params = [p for p in self.params if p.type is SemanticType.DESCRIPTION]
         if len(d_params) > 1:
             raise ModelError(f"{self.name}: at most one description parameter allowed")
@@ -338,10 +317,6 @@ class ActionSchema:
             if p.name == name:
                 return p.type
         raise ModelError(f"{self.name}: no parameter {name!r}")
-
-    @property
-    def discrete_params(self) -> tuple[Param, ...]:
-        return tuple(p for p in self.params if p.type in _DISCRETE_TYPES)
 
     @property
     def description_param(self) -> str | None:
@@ -475,90 +450,9 @@ def instantiate(schema: ActionSchema, binding: dict[str, Value],
                         inst(schema.eff), extra_pre, extra_eff)
 
 
-class StaticEvaluator:
-    """Decides the truth of static constraint literals and collision guards."""
-
-    def evaluate(self, lit: Literal) -> bool:
-        raise NotImplementedError
-
-    def guard_ok(self, state: State, action: GroundAction) -> bool:
-        raise NotImplementedError
-
-
-class OptimisticEvaluator(StaticEvaluator):
-    """Treats every static constraint as satisfiable (symbolic search mode)."""
-
-    def evaluate(self, lit: Literal) -> bool:
-        return True
-
-    def guard_ok(self, state: State, action: GroundAction) -> bool:
-        return True
-
-
-class GeometricEvaluator(StaticEvaluator):
-    """Concrete evaluation of Kin/Motion/Collision against a world model.
-
-    VLMPose literals delegate to a caller-provided test (defaults to true;
-    refinement checks those via attached constraint programs instead).
-    """
-
-    def __init__(self, scene, vlm_pose_test=None):
-        self.scene = scene
-        self._vlm_pose_test = vlm_pose_test
-
-    def evaluate(self, lit: Literal) -> bool:
-        from . import world as _world
-        name = lit.predicate.name
-        if any(a.is_optimistic for a in lit.args):
-            return lit.positive
-        if name == "Motion":
-            result = True
-        elif name == "Kin":
-            pose = lit.args[3]
-            result = self.scene.workspace.contains_point(pose.payload[:3])
-        elif name == "Collision":
-            o1, p1, o2, p2 = lit.args
-            result = _world.boxes_collide(self.scene, str(o1), p1.payload, str(o2), p2.payload)
-        elif name == "VLMPose":
-            result = True if self._vlm_pose_test is None else self._vlm_pose_test(lit)
-        else:
-            raise ModelError(f"unknown static predicate {name}")
-        return result if lit.positive else not result
-
-    def guard_ok(self, state: State, action: GroundAction) -> bool:
-        guard = action.schema.collision_guard
-        if guard is None:
-            return True
-        bmap = action.binding_map
-        obj_v, pose_v = bmap[guard.obj], bmap[guard.pose]
-        if obj_v.is_optimistic or pose_v.is_optimistic:
-            return True
-        excluded = {str(bmap[e]) for e in guard.exclude}
-        return self._guard_scan(state, str(obj_v), pose_v, excluded)
-
-    def _guard_scan(self, state: State, obj: str, pose_v: Value, excluded: set[str]) -> bool:
-        from . import world as _world
-        at_pose = [lit for lit in state if lit.predicate.name == "AtPose"]
-        for lit in at_pose:
-            other = str(lit.args[0])
-            if other == obj or other in excluded:
-                continue
-            other_pose = lit.args[1]
-            if other_pose.is_optimistic:
-                continue
-            if _world.boxes_collide(self.scene, obj, pose_v.payload,
-                                    other, other_pose.payload):
-                return False
-        return True
-
-
-def applicable(state: State, action: GroundAction, static_eval: StaticEvaluator) -> bool:
-    """True iff all fluent preconditions hold and static constraints pass."""
-    if not all(state.holds(lit) for lit in action.preconditions):
-        return False
-    if not all(static_eval.evaluate(lit) for lit in action.con):
-        return False
-    return static_eval.guard_ok(state, action)
+def applicable(state: State, action: GroundAction) -> bool:
+    """True iff all fluent preconditions hold."""
+    return all(state.holds(lit) for lit in action.preconditions)
 
 
 class PreconditionError(ModelError):
@@ -568,19 +462,14 @@ class PreconditionError(ModelError):
         super().__init__(f"{action}: unmet preconditions {[str(u) for u in unmet]}")
 
 
-def apply(state: State, action: GroundAction,
-          static_eval: StaticEvaluator | None = None) -> State:
+def apply(state: State, action: GroundAction) -> State:
     """Apply effects to a state, returning a new state; the input is unmodified.
 
-    Fluent preconditions are always enforced; pass an evaluator to also
-    enforce static constraints.
+    Raises PreconditionError when a fluent precondition does not hold.
     """
     unmet = [lit for lit in action.preconditions if not state.holds(lit)]
     if unmet:
         raise PreconditionError(action, unmet)
-    if static_eval is not None and not applicable(state, action, static_eval):
-        raise PreconditionError(action, [lit for lit in action.con
-                                         if not static_eval.evaluate(lit)])
     result = set(state.true_literals)
     for lit in action.effects:
         if not lit.positive:
@@ -619,22 +508,13 @@ class Domain:
 
 
 _LIT_RE = re.compile(r"^(!?)\s*([A-Za-z_][A-Za-z0-9_]*)\s*\(([^)]*)\)$")
-_GUARD_RE = re.compile(
-    r"^collision-free\s*\(\s*([A-Za-z0-9_]+)\s*,\s*([A-Za-z0-9_]+)\s*"
-    r"(?:\|\s*([A-Za-z0-9_,\s]+))?\)$")
 _FORALL_RE = re.compile(r"^forall\s+([a-z]+)\s*:\s*(!?)([A-Za-z_][A-Za-z0-9_]*)"
                         r"\s*\(([^)]*)\)$")
 
 
-def _parse_literal_spec(text: str, predicates: dict[str, Predicate], lineno: int,
-                        allow_guard: bool = False):
+def _parse_literal_spec(text: str, predicates: dict[str, Predicate],
+                        lineno: int) -> SchemaLiteral:
     text = text.strip()
-    guard = _GUARD_RE.match(text)
-    if guard:
-        if not allow_guard:
-            raise DomainParseError("collision-free guard only allowed in pre", lineno)
-        exclude = tuple(e.strip() for e in (guard.group(3) or "").split(",") if e.strip())
-        return CollisionGuard(guard.group(1), guard.group(2), exclude)
     forall = _FORALL_RE.match(text)
     if forall:
         star_type, neg, pname, argtext = forall.groups()
@@ -718,7 +598,6 @@ def parse_domain(text: str) -> Domain:
             params = typed_params(param_spec, header_line)
             fields: dict[str, list] = {"con": [], "pre": [], "eff": []}
             desc = ""
-            guard = None
             i += 1
             while i < len(lines):
                 sub = lines[i].split("#", 1)[0].rstrip()
@@ -751,23 +630,19 @@ def parse_domain(text: str) -> Domain:
                     if piece.strip():
                         pieces.append(piece)
                     for piece in pieces:
-                        item = _parse_literal_spec(piece, predicates, i + 1,
-                                                   allow_guard=(key == "pre"))
-                        if isinstance(item, CollisionGuard):
-                            guard = item
-                        else:
-                            if key == "con" and item.predicate.kind != "static":
-                                raise DomainParseError(
-                                    f"{item.predicate.name} is not static", i + 1)
-                            if key in ("pre", "eff") and item.predicate.kind != "fluent":
-                                raise DomainParseError(
-                                    f"{item.predicate.name} is not fluent", i + 1)
-                            fields[key].append(item)
+                        item = _parse_literal_spec(piece, predicates, i + 1)
+                        if key == "con" and item.predicate.kind != "static":
+                            raise DomainParseError(
+                                f"{item.predicate.name} is not static", i + 1)
+                        if key in ("pre", "eff") and item.predicate.kind != "fluent":
+                            raise DomainParseError(
+                                f"{item.predicate.name} is not fluent", i + 1)
+                        fields[key].append(item)
                 i += 1
             try:
                 schemas[name] = ActionSchema(
                     name, params, tuple(fields["con"]), tuple(fields["pre"]),
-                    tuple(fields["eff"]), desc, guard)
+                    tuple(fields["eff"]), desc)
             except ModelError as e:
                 raise DomainParseError(str(e), header_line) from None
             continue

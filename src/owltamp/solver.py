@@ -5,6 +5,10 @@ Refinement is greedy-commit: each action draws continuous parameters until
 one draw survives the skill simulation, the symbolic-effect check, and its
 attached constraint programs; cross-action coupling is handled by trying new
 skeletons, never by intra-skeleton backjumping.
+
+`SKILLS` maps each action schema to the world-model skill that runs it:
+refinement, replay and backtracking read that table and never dispatch on
+action names themselves.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import heapq
 import itertools
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,10 +26,10 @@ from . import world as W
 from .geometry import Pose6
 from .lang import ConstraintFn, eval_constraint
 from .model import (
-    GroundAction, Literal, LiteralIndex, OptimisticEvaluator, SemanticType, State,
-    Value, apply, applicable, literal_holds,
+    GroundAction, Literal, LiteralIndex, SemanticType, State, Value, apply,
+    applicable, literal_holds,
 )
-from .partial_plan import PartialPlan, TransformedProblem, verify_subsequence
+from .partial_plan import PartialPlan, TransformedProblem
 
 
 class PlanningError(Exception):
@@ -102,10 +107,10 @@ def _executed_level(literals) -> int:
 
 def plan_task(s0: State, actions: tuple[GroundAction, ...],
               goal: tuple[Literal, ...], node_cap: int = 100_000) -> list[GroundAction]:
-    """Minimum-length applicable sequence reaching the goal under optimistic
-    static evaluation.  Unit costs; admissible heuristic combining the
-    remaining bookkeeping-chain depth with the count of unmet goal literals."""
-    evaluator = OptimisticEvaluator()
+    """Minimum-length applicable sequence reaching the goal; static
+    constraints are left to refinement.  Unit costs; admissible heuristic
+    combining the remaining bookkeeping-chain depth with the count of unmet
+    goal literals."""
     ordered = sorted(actions, key=lambda a: a.discrete_signature())
     chain_target = _executed_level(goal)
     plain_goals = tuple(g for g in goal if g.predicate.name != "Executed")
@@ -163,7 +168,7 @@ def plan_task(s0: State, actions: tuple[GroundAction, ...],
         if expansions > node_cap:
             raise PlanningError("node-cap-exceeded")
         for action in ordered:
-            if not applicable(state, action, evaluator):
+            if not applicable(state, action):
                 continue
             nxt = apply(state, action).true_literals
             ng = g + 1
@@ -272,14 +277,93 @@ def _action_objects(action: GroundAction) -> dict[str, str]:
     return out
 
 
-def _geometric_effects_hold(action: GroundAction, w2: W.WorldState) -> bool:
-    name = action.name
-    objs = _action_objects(action)
-    if name == "place_ontop":
-        return W.supported_by(w2, objs["o"]) == w2.scene.resolve(objs["s"])
-    if name == "place_inside":
-        return objs["o"] in W.contents(w2, objs["s"])
-    return True
+# --- Skills ------------------------------------------------------------------------
+#
+# A draw samples continuous parameters for one action, runs its skill on the
+# world and returns (outcome, parameter updates), or None when the world does
+# not meet the skill's precondition.  It looks up the orientation bands, then
+# checks that precondition, then samples, then simulates.  Samplers and skills
+# are called by their module-level names so that they can be wrapped.  A
+# re-run executes a bound action again from its parameter values.
+
+
+def _holding(world: W.WorldState, obj: str) -> bool:
+    return world.held is not None and world.held.name == world.scene.resolve(obj)
+
+
+def _draw_pick(world, name, objs, rng, restrictions, hint):
+    spec = restrictions.lookup(name, objs["o"])
+    if objs["o"] not in world.poses:
+        return None
+    grasp = sample_grasp(world, objs["o"], rng, spec)
+    prior_pose = world.pose(objs["o"])
+    outcome = W.exec_pick(world, objs["o"], grasp)
+    return outcome, {"g": _vec(grasp), "p": _vec(prior_pose),
+                     "q": Value.vec(grasp.position)}
+
+
+def _rerun_pick(world, action, objs):
+    grasp = Pose6.from_sequence(action.value("g").payload)
+    return W.exec_pick(world, objs["o"], grasp)
+
+
+def _draw_place(world, name, objs, rng, restrictions, hint):
+    spec = restrictions.lookup(name, objs["o"])
+    if not _holding(world, objs["o"]):
+        return None
+    drop = sample_place(world, objs["o"], objs["s"], rng, spec, hint)
+    outcome = W.exec_place(world, objs["o"], objs["s"], drop)
+    updates = {"g": _vec(world.held.grasp), "q": Value.vec(drop.position)}
+    if outcome.success:
+        updates["p"] = _vec(outcome.new_world.pose(objs["o"]))
+    return outcome, updates
+
+
+def _rerun_place(world, action, objs):
+    drop = Pose6.from_sequence(action.value("p").payload)
+    return W.exec_place(world, objs["o"], objs["s"], drop)
+
+
+def _draw_pour(world, name, objs, rng, restrictions, hint):
+    if not _holding(world, objs["o"]):
+        return None
+    params = sample_pour(world, objs["o"], objs["s"], rng)
+    outcome = W.exec_pour(world, objs["o"], objs["s"], params)
+    updates = {"g": _vec(world.held.grasp), "t": Value.vec(params),
+               "q": Value.vec(params[:3])}
+    if outcome.success:
+        updates["p"] = _vec(outcome.new_world.pose(objs["o"]))
+    return outcome, updates
+
+
+def _rerun_pour(world, action, objs):
+    return W.exec_pour(world, objs["o"], objs["s"], action.value("t").payload)
+
+
+def _rests_on_target(world: W.WorldState, objs: dict[str, str]) -> bool:
+    return W.supported_by(world, objs["o"]) == world.scene.resolve(objs["s"])
+
+
+def _inside_target(world: W.WorldState, objs: dict[str, str]) -> bool:
+    return objs["o"] in W.contents(world, objs["s"])
+
+
+@dataclass(frozen=True)
+class Skill:
+    """How one action schema runs through the world model."""
+
+    draw: Callable       # (world, action name, objects, rng, restrictions, hint)
+    rerun: Callable      # (world, bound action, objects) -> SkillOutcome
+    effect: Callable | None  # (world after, objects) -> symbolic effect holds
+    holds_after: bool    # the hand holds the object once the skill is done
+
+
+SKILLS: dict[str, Skill] = {
+    "pick": Skill(_draw_pick, _rerun_pick, None, True),
+    "place_ontop": Skill(_draw_place, _rerun_place, _rests_on_target, False),
+    "place_inside": Skill(_draw_place, _rerun_place, _inside_target, False),
+    "pour": Skill(_draw_pour, _rerun_pour, None, False),
+}
 
 
 def _constraints_pass(fns, w2: W.WorldState) -> bool:
@@ -308,6 +392,9 @@ def refine(sk: Skeleton, scene: W.WorldState, goal_fns: tuple[ConstraintFn, ...]
     last = len(sk.actions) - 1
 
     for i, action in enumerate(sk.actions):
+        skill = SKILLS.get(action.name)
+        if skill is None:
+            raise PlanningError(f"no skill for action {action.name!r}")
         objs = {k: scene.scene.resolve(v) for k, v in _action_objects(action).items()}
         fns = sk.constraints[i]
         hint = sk.hints[i]
@@ -315,43 +402,15 @@ def refine(sk: Skeleton, scene: W.WorldState, goal_fns: tuple[ConstraintFn, ...]
         reason = "sampling-exhausted"
         for _ in range(budgets.samples_per_action):
             samples_used += 1
-            if action.name == "pick":
-                spec = restrictions.lookup("pick", objs["o"])
-                if objs["o"] not in world.poses:
-                    reason = "precondition"
-                    break
-                grasp = sample_grasp(world, objs["o"], rng, spec)
-                prior_pose = world.pose(objs["o"])
-                outcome = W.exec_pick(world, objs["o"], grasp)
-                updates = {"g": _vec(grasp), "p": _vec(prior_pose),
-                           "q": Value.vec(grasp.position)}
-            elif action.name in ("place_ontop", "place_inside"):
-                spec = restrictions.lookup(action.name, objs["o"])
-                if world.held is None or world.held.name != world.scene.resolve(objs["o"]):
-                    reason = "precondition"
-                    break
-                drop = sample_place(world, objs["o"], objs["s"], rng, spec, hint)
-                outcome = W.exec_place(world, objs["o"], objs["s"], drop)
-                updates = {"g": _vec(world.held.grasp), "q": Value.vec(drop.position)}
-                if outcome.success:
-                    updates["p"] = _vec(outcome.new_world.pose(objs["o"]))
-            elif action.name == "pour":
-                if world.held is None or world.held.name != world.scene.resolve(objs["o"]):
-                    reason = "precondition"
-                    break
-                params = sample_pour(world, objs["o"], objs["s"], rng)
-                outcome = W.exec_pour(world, objs["o"], objs["s"], params)
-                updates = {"g": _vec(world.held.grasp), "t": Value.vec(params),
-                           "q": Value.vec(params[:3])}
-                if outcome.success:
-                    updates["p"] = _vec(outcome.new_world.pose(objs["o"]))
-            else:
-                raise PlanningError(f"no skill for action {action.name!r}")
-
+            drawn = skill.draw(world, action.name, objs, rng, restrictions, hint)
+            if drawn is None:
+                reason = "precondition"
+                break
+            outcome, updates = drawn
             if not outcome.success:
                 reason = outcome.failure_reason
                 continue
-            if not _geometric_effects_hold(action, outcome.new_world):
+            if skill.effect is not None and not skill.effect(outcome.new_world, objs):
                 reason = "effects-unsatisfied"
                 continue
             if not _constraints_pass(fns, outcome.new_world):
@@ -360,8 +419,7 @@ def refine(sk: Skeleton, scene: W.WorldState, goal_fns: tuple[ConstraintFn, ...]
             if i == last and not _constraints_pass(goal_fns, outcome.new_world):
                 reason = "goal-constraint-unsatisfied"
                 continue
-            accepted = (action.with_values(_typed_updates(action, updates)),
-                        outcome.new_world)
+            accepted = (action.with_values(updates), outcome.new_world)
             break
         if accepted is None:
             return RefinementFailure(i, reason, samples_used)
@@ -372,28 +430,13 @@ def refine(sk: Skeleton, scene: W.WorldState, goal_fns: tuple[ConstraintFn, ...]
     return Solution(tuple(bound), tuple(trace), world, samples_used, 1)
 
 
-def _typed_updates(action: GroundAction, updates: dict[str, Value]) -> dict[str, Value]:
-    known = {p.name for p in action.schema.params}
-    return {k: v for k, v in updates.items() if k in known}
-
-
 # --- Backtracking ------------------------------------------------------------------
-
-
-def _hand_empty_before(sk: Skeleton, index: int) -> bool:
-    empty = True
-    for action in sk.actions[:index]:
-        if action.name == "pick":
-            empty = False
-        elif action.name in ("place_ontop", "place_inside", "pour"):
-            empty = True
-    return empty
 
 
 def _insertion_point(sk: Skeleton, index: int) -> int:
     """Earliest position at or before `index` where the hand is free."""
     j = index
-    while j > 0 and not _hand_empty_before(sk, j):
+    while j > 0 and SKILLS[sk.actions[j - 1].name].holds_after:
         j -= 1
     return j
 
@@ -454,7 +497,7 @@ def backtrack_strategy(fail: RefinementFailure, sk: Skeleton, scene: W.WorldStat
     if 0 <= fail.index < len(sk.actions):
         action = sk.actions[fail.index]
         objs = _action_objects(action)
-        if action.name in ("place_ontop", "place_inside", "pour"):
+        if not SKILLS[action.name].holds_after:
             target = objs["s"]
             ignore = {scene.scene.resolve(objs["o"])}
             blockers = _footprint_blockers(scene, target, ignore)
@@ -610,37 +653,12 @@ def replay(scene: W.WorldState, actions: tuple[GroundAction, ...]):
     world = scene
     trace = [scene]
     for action in actions:
-        objs = _action_objects(action)
-        if action.name == "pick":
-            grasp = Pose6.from_sequence(action.value("g").payload)
-            outcome = W.exec_pick(world, objs["o"], grasp)
-        elif action.name in ("place_ontop", "place_inside"):
-            drop = Pose6.from_sequence(action.value("p").payload)
-            outcome = W.exec_place(world, objs["o"], objs["s"], drop)
-        elif action.name == "pour":
-            outcome = W.exec_pour(world, objs["o"], objs["s"], action.value("t").payload)
-        else:
+        skill = SKILLS.get(action.name)
+        if skill is None:
             return False, trace
+        outcome = skill.rerun(world, action, _action_objects(action))
         if not outcome.success:
             return False, trace
         world = outcome.new_world
         trace.append(world)
     return True, trace
-
-
-def solution_is_sound(scene: W.WorldState, report: SolveReport,
-                      goal_fns: tuple[ConstraintFn, ...],
-                      goal_literals: tuple[Literal, ...] = ()) -> bool:
-    """Replay + goal re-check, plus the subsequence property."""
-    sol = report.solution
-    if sol is None:
-        return False
-    ok, trace = replay(scene, sol.actions)
-    if not ok:
-        return False
-    final = trace[-1]
-    if not all(eval_constraint(fn, final) for fn in goal_fns):
-        return False
-    if not verify_subsequence(list(sol.actions), report.partial_plan):
-        return False
-    return True

@@ -2,8 +2,8 @@
 
 Each task file defines the objects, which poses are fixed versus randomized,
 the obstruction setup, sampler orientation restrictions, the success detector
-id, and the optimal skill count.  Scenes are rejection-sampled to be
-collision-free and deterministic in (task, seed).
+id, and the optimal skill count.  Scenes are rejection-sampled until no two
+objects collide, and are deterministic in (task, seed).
 """
 
 from __future__ import annotations
@@ -124,18 +124,10 @@ def _build_scene(spec: TaskSpec) -> W.Scene:
     return W.Scene(models, WORKSPACE, TABLE)
 
 
-def _scene_collision_free(w: W.WorldState, name: str, pose: Pose6) -> bool:
-    for other in w.poses:
-        if other == name or w.scene.model(other).kind == "surface":
-            continue
-        if W.boxes_collide(w.scene, name, pose, other, w.pose(other)):
-            return False
-    return True
-
-
 def load_task(task_id: str, seed: int) -> tuple[TaskSpec, W.WorldState]:
     """Deterministic scene for (task, seed); randomized poses are upright with
-    random yaw, rejection-sampled collision-free and clear of avoid regions."""
+    random yaw, rejection-sampled free of collisions (`world.collision`) and
+    clear of avoid regions."""
     spec = load_task_spec(task_id)
     scene = _build_scene(spec)
     rng = np.random.default_rng([seed, zlib.crc32(task_id.encode("utf-8"))])
@@ -172,7 +164,7 @@ def load_task(task_id: str, seed: int) -> tuple[TaskSpec, W.WorldState]:
                             and box.overlap_extent(avoid_box)[1] > 0):
                         clear = False
                         break
-            if clear and _scene_collision_free(world, name, pose):
+            if clear and not W.collision(world, name, pose):
                 poses[name] = pose
                 world = W.WorldState(scene, dict(poses))
                 placed = True
@@ -209,5 +201,5 @@ def default_domain() -> Domain:
 
 
 def bench_schemas(domain: Domain) -> list:
-    """The schemas the benchmark grounds over; `move` is implicit."""
+    """The schemas the benchmark grounds over, one per entry of `solver.SKILLS`."""
     return [domain.schema(n) for n in ("pick", "place_ontop", "place_inside", "pour")]

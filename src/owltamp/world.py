@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .geometry import Aabb, Pose6, box_at_pose, rotated_half_extents
 
@@ -19,7 +19,6 @@ POUR_TILT_MIN = 1.2         # radians of tilt needed for contents to fall out
 GRASP_MARGIN = 0.02         # grasp point may lie this far outside the object box
 GRASP_TILT_TOL = 0.2        # roll/pitch distance from level (0 or pi) for a valid grasp
 GRIPPER_CLEARANCE = 0.08    # narrower container openings block grasps inside them
-UPRIGHT_TOL = 0.1           # |roll|,|pitch| below this counts as upright
 WALL_THICKNESS = 0.008      # container wall, shrinks the interior footprint
 FLOOR_THICKNESS = 0.01      # container floor height above its box bottom
 SPILL_GAP = 0.01            # gap between poured-out contents and the container
@@ -117,9 +116,6 @@ class WorldState:
 
     def all_objects(self) -> list[str]:
         return sorted(self.scene.models)
-
-    def _replace(self, **kw) -> "WorldState":
-        return replace(self, **kw)
 
 
 @dataclass(frozen=True)
@@ -485,10 +481,6 @@ def exec_pour(w: WorldState, name: str, target: str, params) -> SkillOutcome:
         return _fail(w, "collision")
     poses[name] = pose
     return SkillOutcome(WorldState(w.scene, poses, None, (x, y, z)), True)
-
-
-def is_upright(pose: Pose6, tol: float = UPRIGHT_TOL) -> bool:
-    return abs(pose.roll) < tol and abs(pose.pitch) < tol
 
 
 # --- Scene files --------------------------------------------------------------

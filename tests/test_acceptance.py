@@ -19,9 +19,7 @@ from owltamp.lang import (
     InfeasibleBoundsError, default_bounds, parse_constraint, sample_pose_uniform,
 )
 from owltamp.lang import helpers as H
-from owltamp.model import (
-    OptimisticEvaluator, State, Value, applicable, apply, load_default_domain,
-)
+from owltamp.model import State, Value, applicable, apply, load_default_domain
 from owltamp.partial_plan import PartialPlan, PlanStep, transform
 from owltamp.solver import Budgets, plan_task
 from owltamp.tasks import TABLE, bench_schemas, initial_state, load_task
@@ -175,7 +173,6 @@ def _make_micro_s0(domain, objects):
 
 def test_criterion_5_grounding_superset():
     domain = load_default_domain()
-    opt = OptimisticEvaluator()
 
     def canonical(lit):
         return (lit.predicate.name,
@@ -197,7 +194,7 @@ def test_criterion_5_grounding_superset():
             nxt = []
             for state in frontier:
                 for a in actions:
-                    if not applicable(state, a, opt):
+                    if not applicable(state, a):
                         continue
                     s2 = apply(state, a)
                     for lit in s2:
@@ -214,7 +211,6 @@ def test_criterion_5_grounding_superset():
 
 def test_criterion_6_transform_exactness():
     domain = load_default_domain()
-    opt = OptimisticEvaluator()
     from owltamp.grounding import ground_problem
     objects = ["banana", "bowl", "table_surface"]
     s0 = _make_micro_s0(domain, objects)
@@ -234,7 +230,7 @@ def test_criterion_6_transform_exactness():
             if len(prefix) == max_len:
                 return
             for a in actions:
-                if applicable(state, a, opt):
+                if applicable(state, a):
                     walk(apply(state, a), prefix + [a.discrete_signature()])
 
         walk(s0_, [])

@@ -5,11 +5,7 @@ import pytest
 from owltamp.grounding import (
     format_action_listing, ground_actions, ground_problem, reachable_literals,
 )
-from owltamp.model import (
-    OptimisticEvaluator, State, Value, applicable, apply, load_default_domain,
-)
-
-OPT = OptimisticEvaluator()
+from owltamp.model import State, Value, applicable, apply, load_default_domain
 
 
 @pytest.fixture(scope="module")
@@ -134,7 +130,7 @@ def exhaustive_superset_check(domain, objects, max_len=5):
         nxt = []
         for state in frontier:
             for a in actions:
-                if not applicable(state, a, OPT):
+                if not applicable(state, a):
                     continue
                 s2 = apply(state, a)
                 for lit in s2:

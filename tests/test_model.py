@@ -1,12 +1,9 @@
 import pytest
 
 from owltamp.model import (
-    DomainParseError, GeometricEvaluator, ModelError, OptimisticEvaluator,
-    PreconditionError, State, Value, applicable, apply, instantiate,
-    literal_holds, load_default_domain, parse_domain,
+    DomainParseError, ModelError, PreconditionError, State, Value, applicable,
+    apply, instantiate, literal_holds, load_default_domain, parse_domain,
 )
-
-OPT = OptimisticEvaluator()
 
 
 @pytest.fixture(scope="module")
@@ -84,18 +81,18 @@ def test_applicable_missing_precondition(domain):
     s0 = make_s0(domain)
     action = ground_pick(domain, "apple")
     no_hand = State(frozenset(l for l in s0 if l.predicate.name != "HandEmpty"))
-    assert applicable(s0, action, OPT)
-    assert not applicable(no_hand, action, OPT)
+    assert applicable(s0, action)
+    assert not applicable(no_hand, action)
 
 
 def test_optimistic_values_unify_with_anything(domain):
     s0 = make_s0(domain)
     # the pick precondition AtPose(apple, #p) matches the concrete initial pose
     action = ground_pick(domain, "apple")
-    assert applicable(s0, action, OPT)
+    assert applicable(s0, action)
     # but a different object does not
     other = ground_pick(domain, "pear")
-    assert not applicable(s0, other, OPT)
+    assert not applicable(s0, other)
 
 
 def test_optimistic_identity():
@@ -123,11 +120,15 @@ def test_apply_empty_effects_identity():
     assert apply(s0, instantiate(d.schema("check"), {})) == s0
 
 
-def test_apply_move_swaps_conf(domain):
-    at_conf = domain.predicate("AtConf")
+def test_apply_move_swaps_conf():
+    d = parse_domain(
+        "predicates:\n  fluent AtConf(conf)\n  static Motion(conf, traj, conf)\n\n"
+        "action move(q1: conf, q2: conf, t: traj)\n  con: Motion(q1, t, q2)\n"
+        "  pre: AtConf(q1)\n  eff: AtConf(q2), !AtConf(q1)\n")
+    at_conf = d.predicate("AtConf")
     q1, q2 = Value.vec((0, 0, 0)), Value.vec((1, 1, 1))
     s0 = State(frozenset({at_conf(q1)}))
-    action = instantiate(domain.schema("move"),
+    action = instantiate(d.schema("move"),
                          {"q1": q1, "q2": q2, "t": Value.opt(9, "t")})
     s1 = apply(s0, action)
     assert at_conf(q2) in s1
@@ -158,7 +159,7 @@ def test_state_invariants_over_all_short_executions(domain):
         nxt = []
         for state in frontier:
             for a in actions:
-                if not applicable(state, a, OPT):
+                if not applicable(state, a):
                     continue
                 s2 = apply(state, a)
                 if s2.true_literals in seen:
@@ -174,37 +175,6 @@ def test_state_invariants_over_all_short_executions(domain):
         frontier = nxt
         depth += 1
     assert seen  # the walk explored something
-
-
-def test_collision_guard_concrete_evaluation(domain):
-    """A release blocked by an occupying object is inapplicable under the
-    geometric evaluator, and fine once the blocker is out of the way."""
-    from owltamp.tasks import OBJECT_LIBRARY, WORKSPACE
-    from owltamp import world as W
-
-    models = {name: W.ObjectModel(name, OBJECT_LIBRARY[name][0], OBJECT_LIBRARY[name][1])
-              for name in ("table_surface", "apple", "orange")}
-    scene = W.Scene(models, WORKSPACE)
-    apple_pose = Value.vec((0.5, 0.0, 0.035, 0, 0, 0))
-    far_pose = Value.vec((0.2, 0.3, 0.035, 0, 0, 0))
-    at_pose = domain.predicate("AtPose")
-    at_conf = domain.predicate("AtConf")
-    grasp = domain.predicate("AtGrasp")
-    state = State(frozenset({
-        at_conf(Value.vec((0.2, 0, 0.3))),
-        at_pose(sym("apple"), apple_pose),
-        grasp(sym("orange"), Value.opt(5, "g")),
-    }))
-    place = instantiate(domain.schema("place_ontop"), {
-        "d": Value.text("place it"), "o": sym("orange"), "s": sym("table_surface"),
-        "g": Value.opt(5, "g"), "p": apple_pose, "q": Value.opt(6, "q")},
-        objects=("apple", "orange", "table_surface"))
-    evaluator = GeometricEvaluator(scene)
-    assert not applicable(state, place, evaluator)
-    clear = place.with_values({"p": far_pose})
-    assert applicable(state, clear, evaluator)
-    # the optimistic evaluator never blocks on geometry
-    assert applicable(state, place, OPT)
 
 
 def test_domain_parse_error_reports_position():

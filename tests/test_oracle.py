@@ -1,10 +1,12 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from owltamp.fixtures import VARIANTS
 from owltamp.oracle import (
-    ExternalOracle, OracleParseError, OracleRequest, OracleServiceError,
+    ExternalOracle, OracleError, OracleParseError, OracleRequest, OracleServiceError,
     ReplayOracle, ScriptedOracle, UnknownOperatorError, parse_constraint_response,
     parse_goal_literals, parse_plan_response, render_discrete_prompt,
     render_goal_constraint_prompt,
@@ -240,3 +242,28 @@ def test_replay_translates_direct_goals_like_the_external_path(tmp_path):
 def test_parse_goal_literals_rejects_replies_without_literals():
     with pytest.raises(OracleParseError, match="no literals"):
         parse_goal_literals("I am not sure.")
+
+
+# Pieces of well-formed replies, so that generated text also reaches the
+# plan, program and literal grammars, not only their first token.
+REPLY_FRAGMENTS = [
+    "Plan:\n", "pick(mug)", "place_inside(fork, mug)", "; ", "\n", "Goal:",
+    "def f() -> bool:\n", "    return ", "    x = ", "mug.pose.z", "'mug'", "(", ")",
+    " < ", " <= ", " + ", " - ", " and ", " or ", "not ", "abs(", "1.5", "-2",
+    "True", "init_bounds", "on_top_of(", "inside(", ", ", "```python\n", "```",
+    "Supporting(", "strawberry", "bowl", "HandEmpty()", ":", "#", "\t", "\\",
+]
+REPLIES = st.one_of(st.text(), st.lists(st.sampled_from(REPLY_FRAGMENTS)).map("".join))
+
+
+@settings(max_examples=300, deadline=None)
+@given(REPLIES)
+def test_reply_parsers_raise_only_oracle_errors(raw):
+    parsers = (parse_plan_response,
+               lambda r: parse_plan_response(r, MUG1_LISTING),
+               parse_constraint_response, parse_goal_literals)
+    for parse in parsers:
+        try:
+            parse(raw)
+        except OracleError:
+            pass

@@ -3,15 +3,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from owltamp.grounding import ground_problem
-from owltamp.model import (
-    OptimisticEvaluator, State, Value, applicable, apply, load_default_domain,
-)
+from owltamp.model import State, Value, applicable, apply, load_default_domain
 from owltamp.partial_plan import (
     IllegalGoalLiteralError, PartialPlan, PlanStep, UnmatchedStepError,
     parse_partial_plan_text, transform, verify_subsequence,
 )
-
-OPT = OptimisticEvaluator()
 
 
 @pytest.fixture(scope="module")
@@ -164,7 +160,7 @@ def _solutions(s0, actions, goal, max_len):
         if len(prefix) == max_len:
             return
         for a in actions:
-            if applicable(state, a, OPT):
+            if applicable(state, a):
                 walk(apply(state, a), prefix + [a.discrete_signature()])
 
     walk(s0, [])

@@ -4,11 +4,11 @@ import pytest
 from owltamp import world as W
 from owltamp.geometry import Pose6
 from owltamp.grounding import ground_problem
-from owltamp.lang import parse_constraint
+from owltamp.lang import eval_constraint, parse_constraint
 from owltamp.model import Value, load_default_domain
-from owltamp.partial_plan import PartialPlan, PlanStep, transform
+from owltamp.partial_plan import PartialPlan, PlanStep, transform, verify_subsequence
 from owltamp.solver import (
-    Budgets, PlanningError, RefinementFailure, RestrictionTable, Skeleton,
+    SKILLS, Budgets, PlanningError, RefinementFailure, RestrictionTable, Skeleton,
     Solution, backtrack_strategy, plan_task, refine, replay, solve,
 )
 from owltamp.tasks import TABLE, initial_state, load_task, bench_schemas
@@ -267,18 +267,18 @@ def test_solution_determinism(domain):
 
 
 def test_replay_matches_solver_final_world(domain):
+    from owltamp.fixtures import MANUAL
+    from owltamp.oracle import parse_constraint_response
     spec, w0, report = _manual_solve("berrycook", 2)
     sol = report.solution
     ok, trace = replay(w0, sol.actions)
     assert ok
     assert trace[-1].poses == sol.final_world.poses
+    goal_fns = parse_constraint_response("\n".join(MANUAL["berrycook"].goal_constraints))
+    assert goal_fns
+    assert all(eval_constraint(fn, trace[-1]) for fn in goal_fns)
+    assert verify_subsequence(list(sol.actions), report.partial_plan)
 
 
-def test_solution_is_sound_roundtrip(domain):
-    from owltamp.solver import solution_is_sound
-    from owltamp.oracle import parse_constraint_response
-    from owltamp.fixtures import MANUAL
-    spec, w0, report = _manual_solve("coffee", 1)
-    goal_fns = tuple(parse_constraint_response(
-        "\n".join(MANUAL["coffee"].goal_constraints)))
-    assert solution_is_sound(w0, report, goal_fns)
+def test_every_benchmark_schema_has_a_skill(domain):
+    assert set(SKILLS) == {schema.name for schema in bench_schemas(domain)}

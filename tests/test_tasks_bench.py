@@ -5,6 +5,7 @@ import pytest
 from owltamp import bench, detectors, tasks
 from owltamp import world as W
 from owltamp.geometry import Pose6
+from owltamp.oracle import ScriptedOracle, parse_constraint_response
 from owltamp.solver import Budgets
 
 
@@ -166,3 +167,59 @@ def test_rate_arithmetic_matches_definitions():
     cells = [r for r in result.records]
     fp = sum(1 for r in cells if r.claimed and not r.success)
     assert math.isclose(result.soundness("no_cont", "coffee"), 1 - fp / len(cells))
+
+
+class _DirectGoalOracle(ScriptedOracle):
+    """Recorded fixtures, except for a fixed direct goal translation."""
+
+    def __init__(self, literals):
+        super().__init__("recorded")
+        self.literals = literals
+
+    def translate_goal_direct(self, req):
+        self.calls += 1
+        return self.literals
+
+
+@pytest.mark.parametrize("literals", [
+    (("Nope", ("apple",)),),              # unknown predicate
+    (("Supporting", ("apple",)),),        # wrong arity
+    (("AtPose", ("apple", "plate")),),    # an object where a pose belongs
+])
+def test_bad_direct_goal_literals_fail_the_cell_as_oracle_errors(literals):
+    result = bench.run_suite(["berry1"], [0], ["no_vlm"], Budgets(10, 1),
+                             oracle_factory=lambda m, t, s: _DirectGoalOracle(literals))
+    assert result.errors == 0
+    assert result.records[0].reason.startswith("oracle:OracleParseError:")
+
+
+class _UnknownObjectOracle(ScriptedOracle):
+    """Manual fixtures, plus one program naming an object not in the scene."""
+
+    PROGRAM = "def unicorn_left() -> bool:\n    return unicorn.pose.x < 5\n"
+
+    def __init__(self, where):
+        super().__init__("manual")
+        self.where = where
+
+    def propose_goal_constraints(self, req):
+        fns = super().propose_goal_constraints(req)
+        if self.where == "goal":
+            fns = [*fns, *parse_constraint_response(self.PROGRAM)]
+        return fns
+
+    def propose_action_constraints(self, req):
+        fns = super().propose_action_constraints(req)
+        if self.where == "step":
+            fns = [*fns, *parse_constraint_response(self.PROGRAM)]
+        return fns
+
+
+@pytest.mark.parametrize("where", ["goal", "step"])
+def test_programs_naming_missing_objects_fail_the_cell_as_oracle_errors(where):
+    result = bench.run_suite(["berry1"], [0], ["manual"], Budgets(500, 5),
+                             oracle_factory=lambda m, t, s: _UnknownObjectOracle(where))
+    assert result.errors == 0
+    reason = result.records[0].reason
+    assert reason.startswith("oracle:OracleParseError:")
+    assert "unicorn" in reason
