@@ -5,10 +5,18 @@ parameters receive fresh optimistic placeholders, one per parameter
 occurrence, so constraints never alias across ground actions.  Forward
 chaining ignores delete effects, giving an over-approximation of the
 reachable literal set.
+
+Grounding runs in two parts.  The candidate actions and their placeholders
+depend only on the schemas, the objects and the action allowlist, never on
+the scene, so `candidate_actions` builds them once per distinct input and
+keeps them in a small LRU cache shared by every problem of the process;
+candidates are frozen, so sharing them is safe.  The relaxed fixpoint from
+the problem's initial state then runs over those candidates in every call.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -16,6 +24,10 @@ from .model import (
     ActionSchema, GroundAction, Literal, LiteralIndex, SemanticType, State, Value,
     instantiate, literal_holds,
 )
+
+# Candidate sets kept by `candidate_actions`.  The benchmark's ten tasks have
+# one each, 2.7 MB together under tracemalloc.
+CANDIDATE_CACHE_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -25,16 +37,21 @@ class GroundedProblem:
     s0: State
 
     def find_action(self, name: str, objs: tuple[str, ...]) -> GroundAction | None:
-        want = (name.lower(), *(o.lower() for o in objs))
-        for a in self.actions:
-            sig = a.discrete_signature()
-            if (sig[0].lower(), *(s.lower() for s in sig[1:])) == want:
-                return a
-        return None
+        """The action with this discrete signature, compared case-insensitively;
+        the first such action in `actions` wins.  The lookup table is built on
+        first use and kept."""
+        table = self.__dict__.get("_by_signature")
+        if table is None:
+            table = {}
+            for a in self.actions:
+                table.setdefault(tuple(s.lower() for s in a.discrete_signature()), a)
+            object.__setattr__(self, "_by_signature", table)
+        return table.get((name.lower(), *(o.lower() for o in objs)))
 
 
 class _PlaceholderFactory:
-    """Deterministic optimistic ids: one counter per grounding run."""
+    """Deterministic optimistic ids: one counter per cached candidate set, so
+    ids run from 1 in schema-name order, then binding order."""
 
     _HINTS = {SemanticType.POSE: "p", SemanticType.GRASP: "g", SemanticType.CONF: "q",
               SemanticType.TRAJ: "t", SemanticType.DESCRIPTION: "d"}
@@ -46,7 +63,7 @@ class _PlaceholderFactory:
         return Value.opt(next(self._counter), self._HINTS.get(t, "v"))
 
 
-def _discrete_bindings(schema: ActionSchema, objects: list[str]):
+def _discrete_bindings(schema: ActionSchema, objects: tuple[str, ...]):
     discrete = [p for p in schema.params if p.type is SemanticType.OBJ]
     pools = [objects] * len(discrete)
     for combo in itertools.product(*pools):
@@ -55,18 +72,20 @@ def _discrete_bindings(schema: ActionSchema, objects: list[str]):
         yield dict(zip((p.name for p in discrete), combo))
 
 
-def ground_actions(s0: State, schemas: list[ActionSchema], objects: list[str],
-                   action_allow: set[str] | None = None,
-                   predicate_allow: set[str] | None = None) -> tuple[GroundAction, ...]:
-    """Fixpoint of relaxed forward chaining from s0.
+@functools.lru_cache(maxsize=CANDIDATE_CACHE_SIZE)
+def candidate_actions(schemas: tuple[ActionSchema, ...], objects: tuple[str, ...],
+                      action_allow: frozenset[str] | None) -> tuple[GroundAction, ...]:
+    """Every instantiation of the allowed schemas over distinct objects.
 
-    Optional allowlists restrict which schemas instantiate and which
-    predicates participate (useful for keeping oracle listings small).
+    Pass the schemas sorted by name and the objects sorted, as
+    `ground_actions` does: the arguments are the cache key, and the
+    placeholders are numbered in that order.  The candidates then come out
+    sorted by `discrete_signature`, which is unique per candidate: schema
+    name first, then the product of the sorted objects in parameter order.
     """
-    objects = sorted(objects)
     factory = _PlaceholderFactory()
     candidates: list[GroundAction] = []
-    for schema in sorted(schemas, key=lambda s: s.name):
+    for schema in schemas:
         if action_allow is not None and schema.name not in action_allow:
             continue
         for discrete in _discrete_bindings(schema, objects):
@@ -76,33 +95,48 @@ def ground_actions(s0: State, schemas: list[ActionSchema], objects: list[str],
                     binding[p.name] = Value.sym(discrete[p.name])
                 else:
                     binding[p.name] = factory.fresh(p.type)
-            candidates.append(instantiate(schema, binding, objects=tuple(objects)))
+            candidates.append(instantiate(schema, binding, objects=objects))
+    return tuple(candidates)
+
+
+def ground_actions(s0: State, schemas: list[ActionSchema], objects: list[str],
+                   action_allow: set[str] | None = None,
+                   predicate_allow: set[str] | None = None) -> tuple[GroundAction, ...]:
+    """Fixpoint of relaxed forward chaining from s0, in `discrete_signature`
+    order.
+
+    Optional allowlists restrict which schemas instantiate and which
+    predicates participate (useful for keeping oracle listings small).
+    """
+    candidates = candidate_actions(
+        tuple(sorted(schemas, key=lambda s: s.name)), tuple(sorted(objects)),
+        None if action_allow is None else frozenset(action_allow))
 
     def relevant(lit: Literal) -> bool:
         return predicate_allow is None or lit.predicate.name in predicate_allow
 
     reached = LiteralIndex(lit for lit in s0.true_literals if relevant(lit))
-    grounded: list[GroundAction] = []
-    pending = list(candidates)
+    grounded = [False] * len(candidates)
+    pending = range(len(candidates))
     progress = True
     while progress and pending:
         progress = False
         still_pending = []
-        for action in pending:
+        for i in pending:
+            action = candidates[i]
             # Negative preconditions are optimistically satisfiable here.
             pre = [lit for lit in action.preconditions if lit.positive and relevant(lit)]
             if all(literal_holds(reached, lit) for lit in pre):
-                grounded.append(action)
+                grounded[i] = True
                 progress = True
                 for eff in action.effects:
                     if eff.positive and relevant(eff):
                         reached.add(eff)
             else:
-                still_pending.append(action)
+                still_pending.append(i)
         pending = still_pending
 
-    grounded.sort(key=lambda a: a.discrete_signature())
-    return tuple(grounded)
+    return tuple(a for a, ok in zip(candidates, grounded) if ok)
 
 
 def reachable_literals(s0: State, actions: tuple[GroundAction, ...]) -> frozenset[Literal]:

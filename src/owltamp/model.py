@@ -366,10 +366,18 @@ class GroundAction:
         return tuple(k for k, v in self.binding if v.is_optimistic)
 
     def discrete_signature(self) -> tuple[str, ...]:
-        """Action name plus object arguments, the form used in oracle listings."""
-        objs = [str(v) for k, v in self.binding
-                if self.schema.param_type(k) is SemanticType.OBJ]
-        return (self.name, *objs)
+        """Action name plus object arguments, the form used in oracle listings.
+
+        Computed on first call and kept; not at construction, because
+        refinement's `with_values` builds many actions whose signature is
+        never read."""
+        sig = self.__dict__.get("_signature")
+        if sig is None:
+            objs = [str(v) for k, v in self.binding
+                    if self.schema.param_type(k) is SemanticType.OBJ]
+            sig = (self.name, *objs)
+            object.__setattr__(self, "_signature", sig)
+        return sig
 
     def with_values(self, updates: dict[str, Value]) -> "GroundAction":
         """Rebind parameters, substituting the old values wherever they occur.

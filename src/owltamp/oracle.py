@@ -9,6 +9,7 @@ never executed by the host interpreter.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import re
@@ -127,6 +128,14 @@ def parse_goal_literals(raw: str) -> tuple[tuple[str, tuple[str, ...]], ...]:
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=None)
+def _parse_fixture_constraints(text: str) -> tuple[ConstraintFn, ...]:
+    """Fixture constraint text parsed once per process: fixtures are constant
+    and a finite set, and `ConstraintFn` is frozen.  Replies from a live or
+    replayed oracle are untrusted and are parsed on every call instead."""
+    return tuple(parse_constraint_response(text))
+
+
 class ScriptedOracle:
     """Fixture-backed oracle; deterministic and instantaneous."""
 
@@ -155,13 +164,13 @@ class ScriptedOracle:
     def propose_goal_constraints(self, req: OracleRequest) -> list[ConstraintFn]:
         self.calls += 1
         fx = self._fixture(req.task_id)
-        return parse_constraint_response("\n".join(fx.goal_constraints))
+        return list(_parse_fixture_constraints("\n".join(fx.goal_constraints)))
 
     def propose_action_constraints(self, req: OracleRequest) -> list[ConstraintFn]:
         self.calls += 1
         fx = self._fixture(req.task_id)
         sources = fx.step_constraints.get(req.step_index, ())
-        return parse_constraint_response("\n".join(sources))
+        return list(_parse_fixture_constraints("\n".join(sources)))
 
     def translate_goal_direct(self, req: OracleRequest) -> tuple[tuple[str, tuple[str, ...]], ...]:
         self.calls += 1

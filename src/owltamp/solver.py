@@ -7,8 +7,8 @@ attached constraint programs; cross-action coupling is handled by trying new
 skeletons, never by intra-skeleton backjumping.
 
 `SKILLS` maps each action schema to the world-model skill that runs it:
-refinement, replay and backtracking read that table and never dispatch on
-action names themselves.
+refinement, replay, backtracking and the planning-set filter read that table
+and never dispatch on action names themselves.
 """
 
 from __future__ import annotations
@@ -348,6 +348,28 @@ def _inside_target(world: W.WorldState, objs: dict[str, str]) -> bool:
     return objs["o"] in W.contents(world, objs["s"])
 
 
+# Fillers: whether an action off the partial plan may stay in a pruned
+# planning set (see `planning_set`), given the scene, its objects and the
+# (object, support) pairs of the goal's Supporting literals.
+
+
+def _pick_fills(scene: W.WorldState, objs: dict[str, str], goal_pairs) -> bool:
+    return scene.scene.resolve(objs["o"]) != scene.scene.table
+
+
+def _place_ontop_fills(scene: W.WorldState, objs: dict[str, str], goal_pairs) -> bool:
+    """Hand-freeing places onto the table, and goal places onto non-containers."""
+    if scene.scene.resolve(objs["s"]) == scene.scene.table:
+        return True
+    return ((objs["o"], objs["s"]) in goal_pairs
+            and scene.scene.model(objs["s"]).kind != "container")
+
+
+def _place_inside_fills(scene: W.WorldState, objs: dict[str, str], goal_pairs) -> bool:
+    return ((objs["o"], objs["s"]) in goal_pairs
+            and scene.scene.model(objs["s"]).kind == "container")
+
+
 @dataclass(frozen=True)
 class Skill:
     """How one action schema runs through the world model."""
@@ -356,13 +378,17 @@ class Skill:
     rerun: Callable      # (world, bound action, objects) -> SkillOutcome
     effect: Callable | None  # (world after, objects) -> symbolic effect holds
     holds_after: bool    # the hand holds the object once the skill is done
+    fills: Callable | None   # (scene, objects, goal pairs) -> kept off the plan;
+                             # None: only as a partial-plan step
 
 
 SKILLS: dict[str, Skill] = {
-    "pick": Skill(_draw_pick, _rerun_pick, None, True),
-    "place_ontop": Skill(_draw_place, _rerun_place, _rests_on_target, False),
-    "place_inside": Skill(_draw_place, _rerun_place, _inside_target, False),
-    "pour": Skill(_draw_pour, _rerun_pour, None, False),
+    "pick": Skill(_draw_pick, _rerun_pick, None, True, _pick_fills),
+    "place_ontop": Skill(_draw_place, _rerun_place, _rests_on_target, False,
+                         _place_ontop_fills),
+    "place_inside": Skill(_draw_place, _rerun_place, _inside_target, False,
+                          _place_inside_fills),
+    "pour": Skill(_draw_pour, _rerun_pour, None, False, None),
 }
 
 
@@ -563,6 +589,32 @@ def _skeleton_from_plan(plan: list[GroundAction],
     return Skeleton(tuple(plan), tuple(cons), tuple(None for _ in plan), "initial")
 
 
+def planning_set(scene: W.WorldState, problem: TransformedProblem,
+                 relevant_objects: set[str]) -> tuple[GroundAction, ...]:
+    """The transformed steps plus the fillers a minimum-length embedding can
+    need, over the relevant objects and the table: each skill's `fills` rule
+    decides (picks, hand-freeing places onto the table, and places that
+    achieve a goal literal directly).  Obstacle clearing enters via skeleton
+    surgery, never via search, so this pruning preserves optimal plan
+    lengths."""
+    keep = {scene.scene.resolve(o) for o in relevant_objects}
+    keep.add(scene.scene.table)
+    goal_pairs = {tuple(str(a) for a in g.args) for g in problem.goal
+                  if g.predicate.name == "Supporting"}
+    out = []
+    for idx, a in enumerate(problem.actions):
+        if idx in problem.step_actions:
+            out.append(a)
+            continue
+        objs = _action_objects(a)
+        if not {scene.scene.resolve(v) for v in objs.values()} <= keep:
+            continue
+        skill = SKILLS.get(a.name)
+        if skill and skill.fills and skill.fills(scene, objs, goal_pairs):
+            out.append(a)
+    return tuple(out)
+
+
 def solve(scene: W.WorldState, problem: TransformedProblem, domain,
           step_constraints: dict[int, tuple[ConstraintFn, ...]],
           goal_fns: tuple[ConstraintFn, ...], budgets: Budgets, seed: int,
@@ -576,37 +628,7 @@ def solve(scene: W.WorldState, problem: TransformedProblem, domain,
 
     actions = problem.actions
     if relevant_objects is not None:
-        # Prune the planning set to transformed steps plus the fillers a
-        # minimum-length embedding can need: picks of relevant objects,
-        # hand-freeing places onto the table, and places that achieve a goal
-        # literal directly.  Obstacle clearing enters via skeleton surgery,
-        # never via search, so this preserves optimal plan lengths.
-        keep = {scene.scene.resolve(o) for o in relevant_objects}
-        keep.add(scene.scene.table)
-        goal_pairs = {tuple(str(a) for a in g.args) for g in problem.goal
-                      if g.predicate.name == "Supporting"}
-        table = scene.scene.table
-        filtered = []
-        for idx, a in enumerate(actions):
-            if idx in problem.step_actions:
-                filtered.append(a)
-                continue
-            objs = _action_objects(a)
-            resolved = {scene.scene.resolve(v) for v in objs.values()}
-            if not resolved <= keep:
-                continue
-            if a.name == "pick":
-                if scene.scene.resolve(objs["o"]) != table:
-                    filtered.append(a)
-            elif a.name in ("place_ontop", "place_inside"):
-                pair = (objs["o"], objs["s"])
-                target_kind = scene.scene.model(objs["s"]).kind
-                geometric_fit = (a.name == "place_inside") == (target_kind == "container")
-                if scene.scene.resolve(objs["s"]) == table and a.name == "place_ontop":
-                    filtered.append(a)
-                elif pair in goal_pairs and geometric_fit:
-                    filtered.append(a)
-        actions = tuple(filtered)
+        actions = planning_set(scene, problem, relevant_objects)
 
     try:
         plan = plan_task(problem.s0, actions, problem.goal, node_cap=node_cap)

@@ -95,6 +95,14 @@ def test_no_sample_fingerprint_is_pinned():
     assert result.fingerprint() == "b96a87921ded4e67"
 
 
+def test_no_disc_fingerprint_is_pinned():
+    # Direct goal literals with constraint programs: refinement rejects most
+    # samples, so this pins the skills, box hulls and constraint evaluation
+    # (the benchmark's no_disc grid, scene seed 0, 10 cells, about 3 s).
+    result = bench.run_suite(TASK_IDS, range(1), ["no_disc"], BUDGETS)
+    assert result.fingerprint() == "c9e2e85e3419cb5f"
+
+
 def test_criterion_2_ablation_ordering(ablation_records):
     rows = ablation_records
     checks = {}

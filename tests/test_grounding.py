@@ -3,7 +3,8 @@ import time
 import pytest
 
 from owltamp.grounding import (
-    format_action_listing, ground_actions, ground_problem, reachable_literals,
+    GroundedProblem, format_action_listing, ground_actions, ground_problem,
+    reachable_literals,
 )
 from owltamp.model import State, Value, applicable, apply, load_default_domain
 
@@ -153,3 +154,17 @@ def test_relaxation_superset_micro_domains(domain):
     elapsed = time.perf_counter() - start
     assert n1 > 1 and n2 > 1 and n3 > 1
     assert elapsed < 10.0
+
+
+def test_find_action_is_case_insensitive_and_first_match_wins(domain):
+    objects = ["Apple", "table_surface"]
+    s0 = make_s0(domain, objects)
+    schemas = [domain.schema(n) for n in ("pick", "place_ontop")]
+    actions = ground_actions(s0, schemas, objects)
+    pick = next(a for a in actions if a.name == "pick" and str(a.value("o")) == "Apple")
+    twin = pick.with_values({"g": Value.vec((0,) * 6)})
+    problem = GroundedProblem((*actions, twin), frozenset(), s0)
+    assert problem.find_action("PICK", ("apple",)) is pick
+    assert problem.find_action("place_ontop", ("APPLE", "Table_Surface")) is not None
+    assert problem.find_action("pick", ("pear",)) is None
+    assert problem.find_action("pick", ("apple", "table_surface")) is None

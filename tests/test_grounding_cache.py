@@ -1,0 +1,151 @@
+"""The cached candidate sets of grounding against a fresh, uncached build."""
+
+import itertools
+
+import pytest
+
+from owltamp import bench, grounding, tasks
+from owltamp.model import (
+    LiteralIndex, State, Value, instantiate, literal_holds, parse_domain,
+)
+from owltamp.solver import Budgets
+
+SEEDS = (0, 3, 7)
+ACTION_ALLOWS = (None, {"pick", "place_ontop"}, {"pour"})
+PREDICATE_ALLOWS = (None, {"AtPose", "AtGrasp", "HandEmpty"}, {"AtGrasp"})
+
+
+def reference_ground_actions(s0, schemas, objects, action_allow=None,
+                             predicate_allow=None):
+    """Grounding as one uncached run: fresh placeholders from 1, the relaxed
+    fixpoint over freshly built candidates, then a sort by signature."""
+    objects = sorted(objects)
+    factory = grounding._PlaceholderFactory()
+    candidates = []
+    for schema in sorted(schemas, key=lambda s: s.name):
+        if action_allow is not None and schema.name not in action_allow:
+            continue
+        for discrete in grounding._discrete_bindings(schema, tuple(objects)):
+            binding = {p.name: Value.sym(discrete[p.name]) if p.name in discrete
+                       else factory.fresh(p.type) for p in schema.params}
+            candidates.append(instantiate(schema, binding, objects=tuple(objects)))
+
+    def relevant(lit):
+        return predicate_allow is None or lit.predicate.name in predicate_allow
+
+    reached = LiteralIndex(lit for lit in s0.true_literals if relevant(lit))
+    grounded, pending, progress = [], candidates, True
+    while progress and pending:
+        progress, still_pending = False, []
+        for action in pending:
+            pre = [lit for lit in action.preconditions if lit.positive and relevant(lit)]
+            if all(literal_holds(reached, lit) for lit in pre):
+                grounded.append(action)
+                progress = True
+                for eff in action.effects:
+                    if eff.positive and relevant(eff):
+                        reached.add(eff)
+            else:
+                still_pending.append(action)
+        pending = still_pending
+    grounded.sort(key=lambda a: a.discrete_signature())
+    return tuple(grounded)
+
+
+def task_problem(task_id, seed):
+    spec, world = tasks.load_task(task_id, seed)
+    domain = tasks.default_domain()
+    return (tasks.initial_state(domain, world), tasks.bench_schemas(domain),
+            [*spec.objects, tasks.TABLE])
+
+
+@pytest.mark.parametrize("task_id", tasks.task_ids())
+def test_cached_grounding_equals_the_reference(task_id):
+    for seed in SEEDS:
+        s0, schemas, objects = task_problem(task_id, seed)
+        for action_allow, predicate_allow in itertools.product(ACTION_ALLOWS,
+                                                               PREDICATE_ALLOWS):
+            got = grounding.ground_actions(s0, schemas, objects, action_allow,
+                                           predicate_allow)
+            want = reference_ground_actions(s0, schemas, objects, action_allow,
+                                            predicate_allow)
+            # Equality covers the bindings, so the placeholder ids too.
+            assert got == want
+
+
+def test_actions_reached_in_a_later_pass_keep_signature_order():
+    # `consume` sorts first but is reached only after `grab` adds Held.
+    d = parse_domain(
+        "predicates:\n"
+        "  fluent Free(obj)\n"
+        "  fluent Held(obj)\n\n"
+        "action consume(o: obj)\n"
+        "  pre: Held(o)\n"
+        "  eff: !Held(o)\n\n"
+        "action grab(o: obj, p: pose)\n"
+        "  pre: Free(o)\n"
+        "  eff: Held(o), !Free(o)\n")
+    s0 = State(frozenset(d.predicate("Free")(Value.sym(o)) for o in ("b", "a")))
+    schemas = list(d.schemas.values())
+    got = grounding.ground_actions(s0, schemas, ["b", "a"])
+    assert got == reference_ground_actions(s0, schemas, ["b", "a"])
+    assert [str(a) for a in got] == ["consume(a)", "consume(b)", "grab(a)", "grab(b)"]
+
+
+def _mini_domain(pick_pre):
+    return parse_domain(
+        "predicates:\n"
+        "  fluent AtPose(obj, pose)\n"
+        "  fluent HandEmpty()\n"
+        "  fluent Blessed(obj)\n\n"
+        "action pick(o: obj, p: pose)\n"
+        f"  pre: {pick_pre}\n"
+        "  eff: !AtPose(o, p), !HandEmpty()\n")
+
+
+def test_schemas_alike_in_name_only_do_not_share_an_entry():
+    plain = _mini_domain("AtPose(o, p), HandEmpty()")
+    blessed = _mini_domain("AtPose(o, p), Blessed(o)")
+    assert plain.schema("pick").name == blessed.schema("pick").name
+    s0 = State(frozenset({
+        plain.predicate("HandEmpty")(),
+        plain.predicate("AtPose")(Value.sym("apple"), Value.vec((0,) * 6)),
+    }))
+    grounding.candidate_actions.cache_clear()
+    got_plain = grounding.ground_actions(s0, [plain.schema("pick")], ["apple"])
+    got_blessed = grounding.ground_actions(s0, [blessed.schema("pick")], ["apple"])
+    assert grounding.candidate_actions.cache_info().misses == 2
+    assert [a.name for a in got_plain] == ["pick"]
+    assert got_blessed == ()
+
+
+def test_reversed_schema_and_object_order_hit_one_entry():
+    s0, schemas, objects = task_problem("mug2", 0)
+    grounding.candidate_actions.cache_clear()
+    forward = grounding.ground_actions(s0, schemas, objects)
+    backward = grounding.ground_actions(s0, schemas[::-1], objects[::-1])
+    info = grounding.candidate_actions.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert forward == backward
+    assert all(a is b for a, b in zip(forward, backward))
+
+
+@pytest.mark.parametrize("task_id", tasks.task_ids())
+def test_candidate_signatures_are_unique_and_ordered(task_id):
+    _, schemas, objects = task_problem(task_id, 0)
+    candidates = grounding.candidate_actions(
+        tuple(sorted(schemas, key=lambda s: s.name)), tuple(sorted(objects)), None)
+    signatures = [a.discrete_signature() for a in candidates]
+    assert len(set(signatures)) == len(signatures)
+    assert signatures == sorted(signatures)
+
+
+@pytest.mark.parametrize("mode", ["manual", "no_sample"])
+def test_cell_records_do_not_depend_on_the_cache(mode):
+    budgets = Budgets(500, 5)
+    grounding.candidate_actions.cache_clear()
+    cold = bench.run_cell("mug2", 4, mode, budgets).stable_json()
+    for task_id in tasks.task_ids():
+        bench.run_cell(task_id, 1, mode, budgets)
+    warm = bench.run_cell("mug2", 4, mode, budgets).stable_json()
+    assert cold == warm

@@ -196,3 +196,14 @@ def test_literal_holds_wildcards():
     state = State(frozenset({grasp(sym("apple"), Value.opt(1, "g"))}))
     assert literal_holds(state, grasp(sym("apple"), Value.opt(2, "g")))
     assert not literal_holds(state, grasp(sym("pear"), Value.opt(2, "g")))
+
+
+def test_discrete_signature_is_computed_on_first_use(domain):
+    action = ground_pick(domain, "apple")
+    rebound = action.with_values({"g": vec6()})
+    assert "_signature" not in action.__dict__
+    assert "_signature" not in rebound.__dict__
+    assert action.discrete_signature() == ("pick", "apple")
+    assert action.discrete_signature() is action.discrete_signature()
+    assert rebound.discrete_signature() == ("pick", "apple")
+    assert rebound == action.with_values({"g": vec6()})

@@ -267,3 +267,30 @@ def test_reply_parsers_raise_only_oracle_errors(raw):
             parse(raw)
         except OracleError:
             pass
+
+
+def test_fixture_constraints_parse_once_and_replies_every_time(tmp_path, monkeypatch):
+    import owltamp.oracle as oracle_module
+    parses = []
+    real = oracle_module.parse_constraint_block
+    monkeypatch.setattr(oracle_module, "parse_constraint_block",
+                        lambda text: parses.append(text) or real(text))
+    oracle_module._parse_fixture_constraints.cache_clear()
+    scripted = ScriptedOracle("manual")
+    first = scripted.propose_goal_constraints(req("goal_constraints"))
+    first.clear()  # each call hands out its own list
+    second = scripted.propose_goal_constraints(req("goal_constraints"))
+    assert second and len(parses) == 1
+    assert second == parse_constraint_response(
+        "\n".join(VARIANTS["manual"]["mug1"].goal_constraints))
+
+    transcript = tmp_path / "t.jsonl"
+    with open(transcript, "w", encoding="utf-8") as fh:
+        for _ in range(2):
+            fh.write(json.dumps({"kind": "goal_constraints",
+                                 "response": CONSTRAINT_REPLY}) + "\n")
+    replay = ReplayOracle(str(transcript))
+    parses.clear()
+    replay.propose_goal_constraints(req("goal_constraints"))
+    replay.propose_goal_constraints(req("goal_constraints"))
+    assert len(parses) == 2

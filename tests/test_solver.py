@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from owltamp import world as W
+from owltamp.fixtures import DIRECT_GOALS, MANUAL
 from owltamp.geometry import Pose6
 from owltamp.grounding import ground_problem
 from owltamp.lang import eval_constraint, parse_constraint
@@ -9,9 +10,10 @@ from owltamp.model import Value, load_default_domain
 from owltamp.partial_plan import PartialPlan, PlanStep, transform, verify_subsequence
 from owltamp.solver import (
     SKILLS, Budgets, PlanningError, RefinementFailure, RestrictionTable, Skeleton,
-    Solution, backtrack_strategy, plan_task, refine, replay, solve,
+    Solution, _action_objects, backtrack_strategy, plan_task, planning_set, refine,
+    replay, solve,
 )
-from owltamp.tasks import TABLE, initial_state, load_task, bench_schemas
+from owltamp.tasks import TABLE, initial_state, load_task, bench_schemas, task_ids
 
 
 @pytest.fixture(scope="module")
@@ -280,5 +282,42 @@ def test_replay_matches_solver_final_world(domain):
     assert verify_subsequence(list(sol.actions), report.partial_plan)
 
 
+def _name_rule_fills(scene, name, objs, goal_pairs):
+    """The planning-set filter as it read before skills carried it: by name."""
+    table = scene.scene.table
+    if name == "pick":
+        return scene.scene.resolve(objs["o"]) != table
+    if name in ("place_ontop", "place_inside"):
+        fit = (name == "place_inside") == (scene.scene.model(objs["s"]).kind == "container")
+        if scene.scene.resolve(objs["s"]) == table and name == "place_ontop":
+            return True
+        return (objs["o"], objs["s"]) in goal_pairs and fit
+    return False
+
+
 def test_every_benchmark_schema_has_a_skill(domain):
     assert set(SKILLS) == {schema.name for schema in bench_schemas(domain)}
+    # Each skill's `fills` rule keeps the planning set the name rules kept,
+    # with a partial plan and with direct goal literals.
+    for task_id in task_ids():
+        spec, w0, domain, problem = build(task_id)
+        goal = tuple(domain.predicate(p)(*map(Value.sym, args))
+                     for p, args in DIRECT_GOALS[task_id])
+        for pp in (PartialPlan(tuple(PlanStep(*s) for s in MANUAL[task_id].steps)),
+                   PartialPlan((), goal)):
+            transformed = transform(problem, pp)
+            relevant = {o for step in pp.steps for o in step.objects}
+            relevant.update(str(a) for g in pp.goal_literals for a in g.args)
+            keep = {w0.scene.resolve(o) for o in relevant} | {w0.scene.table}
+            goal_pairs = {tuple(str(a) for a in g.args) for g in transformed.goal
+                          if g.predicate.name == "Supporting"}
+            want = []
+            for idx, a in enumerate(transformed.actions):
+                objs = _action_objects(a)
+                if idx in transformed.step_actions or (
+                        {w0.scene.resolve(v) for v in objs.values()} <= keep
+                        and _name_rule_fills(w0, a.name, objs, goal_pairs)):
+                    want.append(a)
+            got = planning_set(w0, transformed, relevant)
+            assert [id(a) for a in got] == [id(a) for a in want]
+            assert len(got) < len(transformed.actions)
