@@ -26,9 +26,6 @@ from .partial_plan import (
 )
 from .solver import Budgets, RestrictionTable, Solution
 
-ABLATION_MODES = ("full", "no_vlm", "no_disc", "no_cont", "no_back", "no_sample", "manual")
-EXTRA_MODES = ("flawed-discrete", "flawed-continuous")
-
 # Fields that vary run-to-run on the same inputs (timing only).
 VOLATILE_FIELDS = ("wall_time", "oracle_time_fraction")
 
@@ -178,9 +175,11 @@ def run_cell_detailed(task_id: str, seed: int, mode: str, budgets: Budgets,
     except (OracleError, PartialPlanError) as e:
         return fail_record(f"oracle:{type(e).__name__}:{e}")
 
-    relevant = {o for step in pp.steps for o in step.objects}
-    for lit in pp.goal_literals:
-        relevant.update(str(a) for a in lit.args)
+    # Scene names as matched, not as the oracle wrote them: steps match
+    # case-insensitively, and goal literals are checked reachable.
+    relevant = {o for i in transformed.step_actions
+                for o in transformed.actions[i].discrete_signature()[1:]}
+    relevant.update(str(a) for lit in pp.goal_literals for a in lit.args)
 
     restrictions = RestrictionTable(list(spec.sampler_restrictions))
     report = solver.solve(world0, transformed, domain, step_cons, goal_fns,

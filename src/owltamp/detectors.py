@@ -17,7 +17,6 @@ NEAR = 0.3
 
 
 def _box(w: WorldState, name: str):
-    name = w.scene.resolve(name)
     pose = w.poses.get(name)
     if pose is None:
         return None
@@ -51,24 +50,19 @@ def _center_inside(w: WorldState, obj: str, container: str) -> bool:
 
 
 def _upright(w: WorldState, obj: str) -> bool:
-    pose = w.poses.get(w.scene.resolve(obj))
+    pose = w.poses.get(obj)
     return pose is not None and abs(pose.roll) < UPRIGHT and abs(pose.pitch) < UPRIGHT
 
 
 def _near(w: WorldState, a: str, b: str, dist: float = NEAR) -> bool:
-    pa = w.poses.get(w.scene.resolve(a))
-    pb = w.poses.get(w.scene.resolve(b))
+    pa, pb = w.poses.get(a), w.poses.get(b)
     if pa is None or pb is None:
         return False
     return abs(pa.x - pb.x) <= dist and abs(pa.y - pb.y) <= dist
 
 
 def _poured(actions, source: str, target: str) -> bool:
-    for a in actions:
-        sig = a.discrete_signature()
-        if sig[0] == "pour" and sig[1] == source and sig[2] in (target, target + "_surface"):
-            return True
-    return False
+    return any(a.discrete_signature() == ("pour", source, target) for a in actions)
 
 
 def detect_berry1(w, trace, actions) -> bool:

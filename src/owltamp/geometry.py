@@ -126,10 +126,6 @@ class Aabb:
         return (self.lower[0] - slack <= x <= self.upper[0] + slack
                 and self.lower[1] - slack <= y <= self.upper[1] + slack)
 
-    def contains_box(self, other: "Aabb", slack: float = 0.0) -> bool:
-        return all(sl - slack <= ol and ou <= su + slack
-                   for sl, su, ol, ou in zip(self.lower, self.upper, other.lower, other.upper))
-
     def overlap_extent(self, other: "Aabb") -> tuple[float, float, float]:
         """Per-axis interval overlap length (negative when separated)."""
         return tuple(min(su, ou) - max(sl, ol)

@@ -162,14 +162,17 @@ def format_action_listing(problem: GroundedProblem) -> str:
     return "\n".join(lines)
 
 
-def format_literal_listing(problem: GroundedProblem) -> str:
-    """Reachable literals in a stable, readable order."""
-    keyed = sorted(problem.literals,
-                   key=lambda l: (l.predicate.name, tuple(str(a) for a in l.args)))
+def _literal_listing(literals) -> str:
+    """Literals in a stable, readable order, one per line."""
+    keyed = sorted(literals, key=lambda l: (l.predicate.name, tuple(str(a) for a in l.args)))
     return "\n".join(str(lit) for lit in keyed)
+
+
+def format_literal_listing(problem: GroundedProblem) -> str:
+    """The reachable literals, as shown to the oracle."""
+    return _literal_listing(problem.literals)
 
 
 def format_state_listing(state: State) -> str:
-    keyed = sorted(state.true_literals,
-                   key=lambda l: (l.predicate.name, tuple(str(a) for a in l.args)))
-    return "\n".join(str(lit) for lit in keyed)
+    """The literals true in a state, as shown to the oracle."""
+    return _literal_listing(state.true_literals)

@@ -39,13 +39,12 @@ def get_aabb_bounds(w: WorldState, name: str) -> BoundsBox:
 
 def get_obj_center(w: WorldState, name: str) -> Pose6:
     """Current pose of the named object."""
-    return w.pose(w.scene.resolve(name))
+    return w.pose(name)
 
 
 def _half_height(w: WorldState, name: str) -> float:
     """Vertical half extent of an object at its current rotation, or the
     conservative box bound when it is held or riding."""
-    name = w.scene.resolve(name)
     model = w.scene.model(name)
     try:
         pose = w.pose(name)

@@ -361,10 +361,6 @@ class GroundAction:
     def effects(self) -> tuple[Literal, ...]:
         return self.eff + self.extra_eff
 
-    @property
-    def optimistic_params(self) -> tuple[str, ...]:
-        return tuple(k for k, v in self.binding if v.is_optimistic)
-
     def discrete_signature(self) -> tuple[str, ...]:
         """Action name plus object arguments, the form used in oracle listings.
 

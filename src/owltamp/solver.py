@@ -222,7 +222,7 @@ def sample_place(w: W.WorldState, obj: str, target: str, rng: np.random.Generato
     box = W.aabb_of(w, target)
     lo, hi = W.DEFAULT_DROP_BAND
     avoid = (hint or {}).get("avoid_xy")
-    reach = max(w.scene.model(w.scene.resolve(obj)).half_extents)
+    reach = max(w.scene.model(obj).half_extents)
     for _ in range(100):
         x = rng.uniform(box.lower[0], box.upper[0])
         y = rng.uniform(box.lower[1], box.upper[1])
@@ -238,7 +238,7 @@ def sample_pour(w: W.WorldState, obj: str, target: str,
                 rng: np.random.Generator) -> tuple[float, float, float, float]:
     """A tipping position above the target plus a tilt angle."""
     box = W.aabb_of(w, target)
-    height = 2.0 * w.scene.model(w.scene.resolve(obj)).half_extents[2]
+    height = 2.0 * w.scene.model(obj).half_extents[2]
     x = rng.uniform(box.lower[0], box.upper[0])
     y = rng.uniform(box.lower[1], box.upper[1])
     z = rng.uniform(box.upper[2] + height, box.upper[2] + 2.0 * height)
@@ -288,7 +288,7 @@ def _action_objects(action: GroundAction) -> dict[str, str]:
 
 
 def _holding(world: W.WorldState, obj: str) -> bool:
-    return world.held is not None and world.held.name == world.scene.resolve(obj)
+    return world.held is not None and world.held.name == obj
 
 
 def _draw_pick(world, name, objs, rng, restrictions, hint):
@@ -341,7 +341,7 @@ def _rerun_pour(world, action, objs):
 
 
 def _rests_on_target(world: W.WorldState, objs: dict[str, str]) -> bool:
-    return W.supported_by(world, objs["o"]) == world.scene.resolve(objs["s"])
+    return W.supported_by(world, objs["o"]) == objs["s"]
 
 
 def _inside_target(world: W.WorldState, objs: dict[str, str]) -> bool:
@@ -354,12 +354,12 @@ def _inside_target(world: W.WorldState, objs: dict[str, str]) -> bool:
 
 
 def _pick_fills(scene: W.WorldState, objs: dict[str, str], goal_pairs) -> bool:
-    return scene.scene.resolve(objs["o"]) != scene.scene.table
+    return objs["o"] != scene.scene.table
 
 
 def _place_ontop_fills(scene: W.WorldState, objs: dict[str, str], goal_pairs) -> bool:
     """Hand-freeing places onto the table, and goal places onto non-containers."""
-    if scene.scene.resolve(objs["s"]) == scene.scene.table:
+    if objs["s"] == scene.scene.table:
         return True
     return ((objs["o"], objs["s"]) in goal_pairs
             and scene.scene.model(objs["s"]).kind != "container")
@@ -421,7 +421,7 @@ def refine(sk: Skeleton, scene: W.WorldState, goal_fns: tuple[ConstraintFn, ...]
         skill = SKILLS.get(action.name)
         if skill is None:
             raise PlanningError(f"no skill for action {action.name!r}")
-        objs = {k: scene.scene.resolve(v) for k, v in _action_objects(action).items()}
+        objs = _action_objects(action)
         fns = sk.constraints[i]
         hint = sk.hints[i]
         accepted = None
@@ -469,7 +469,6 @@ def _insertion_point(sk: Skeleton, index: int) -> int:
 
 def _footprint_blockers(scene: W.WorldState, target: str,
                         ignore: set[str]) -> list[str]:
-    target = scene.scene.resolve(target)
     if target not in scene.poses:
         return []
     footprint = W.aabb_of(scene, target)
@@ -525,7 +524,7 @@ def backtrack_strategy(fail: RefinementFailure, sk: Skeleton, scene: W.WorldStat
         objs = _action_objects(action)
         if not SKILLS[action.name].holds_after:
             target = objs["s"]
-            ignore = {scene.scene.resolve(objs["o"])}
+            ignore = {objs["o"]}
             blockers = _footprint_blockers(scene, target, ignore)
             order = list(rng.permutation(len(blockers)))
             table = scene.scene.table
@@ -597,8 +596,7 @@ def planning_set(scene: W.WorldState, problem: TransformedProblem,
     achieve a goal literal directly).  Obstacle clearing enters via skeleton
     surgery, never via search, so this pruning preserves optimal plan
     lengths."""
-    keep = {scene.scene.resolve(o) for o in relevant_objects}
-    keep.add(scene.scene.table)
+    keep = {*relevant_objects, scene.scene.table}
     goal_pairs = {tuple(str(a) for a in g.args) for g in problem.goal
                   if g.predicate.name == "Supporting"}
     out = []
@@ -607,7 +605,7 @@ def planning_set(scene: W.WorldState, problem: TransformedProblem,
             out.append(a)
             continue
         objs = _action_objects(a)
-        if not {scene.scene.resolve(v) for v in objs.values()} <= keep:
+        if not keep.issuperset(objs.values()):
             continue
         skill = SKILLS.get(a.name)
         if skill and skill.fills and skill.fills(scene, objs, goal_pairs):

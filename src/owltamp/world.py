@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .geometry import Aabb, Pose6, box_at_pose, rotated_half_extents
 
@@ -72,13 +74,14 @@ class Scene:
         object.__setattr__(self, "_alias_map", dict(reversed(self.aliases)))
 
     def model(self, name: str) -> ObjectModel:
-        resolved = self.resolve(name)
         try:
-            return self.models[resolved]
+            return self.models[name]
         except KeyError:
             raise UnknownObjectError(f"unknown object {name!r}") from None
 
     def resolve(self, name: str) -> str:
+        """The canonical name of an object name or alias.  Everything else in
+        the world model takes canonical names only."""
         return self._alias_map.get(name, name)
 
 
@@ -95,13 +98,18 @@ class HeldItem:
 
 @dataclass(frozen=True)
 class WorldState:
+    """Object poses and the hand.  `poses` is a read-only copy of the mapping
+    given, so a world never changes once built."""
+
     scene: Scene
-    poses: dict[str, Pose6]
+    poses: Mapping[str, Pose6]
     held: HeldItem | None = None
     robot_conf: tuple[float, float, float] = (0.2, 0.0, 0.3)
 
+    def __post_init__(self):
+        object.__setattr__(self, "poses", MappingProxyType(dict(self.poses)))
+
     def pose(self, name: str) -> Pose6:
-        name = self.scene.resolve(name)
         if self.held is not None and name == self.held.name:
             raise ObjectHeldError(f"{name!r} is held")
         try:
@@ -141,7 +149,6 @@ def aabb_of(w: WorldState, name: str) -> Aabb:
 
 def interior_box(w: WorldState, name: str) -> Aabb:
     """Open interior of a container: footprint shrunk by the wall, floor raised."""
-    name = w.scene.resolve(name)
     model = w.scene.model(name)
     if model.kind != "container":
         raise WorldError(f"{name!r} is not a container")
@@ -156,7 +163,6 @@ def interior_box(w: WorldState, name: str) -> Aabb:
 
 def contents(w: WorldState, container: str) -> list[str]:
     """Objects whose center currently lies in the container's interior."""
-    container = w.scene.resolve(container)
     if w.scene.model(container).kind != "container":
         return []
     if w.held is not None and w.held.name == container:
@@ -171,26 +177,6 @@ def contents(w: WorldState, container: str) -> list[str]:
     return sorted(out)
 
 
-def boxes_collide(scene: Scene, o1: str, pose1, o2: str, pose2) -> bool:
-    """Strict-overlap test between two objects at explicit poses.
-
-    Containers do not collide with objects that sit inside their open
-    interior (footprint within the walls and above the floor).
-    """
-    o1, o2 = scene.resolve(o1), scene.resolve(o2)
-    m1, m2 = scene.model(o1), scene.model(o2)
-    p1 = pose1 if isinstance(pose1, Pose6) else Pose6.from_sequence(pose1)
-    p2 = pose2 if isinstance(pose2, Pose6) else Pose6.from_sequence(pose2)
-    b1, b2 = box_at_pose(p1, m1.half_extents), box_at_pose(p2, m2.half_extents)
-    if not b1.overlaps(b2, CONTACT_TOL):
-        return False
-    if m2.kind == "container" and _inside_open_interior(b1, b2):
-        return False
-    if m1.kind == "container" and _inside_open_interior(b2, b1):
-        return False
-    return True
-
-
 def _inside_open_interior(box: Aabb, container_box: Aabb) -> bool:
     lo, up = container_box.lower, container_box.upper
     return (box.lower[0] >= lo[0] + WALL_THICKNESS - CONTACT_TOL
@@ -201,15 +187,27 @@ def _inside_open_interior(box: Aabb, container_box: Aabb) -> bool:
 
 
 def collision(w: WorldState, name: str, pose: Pose6, exclude: tuple[str, ...] = ()) -> bool:
-    """True iff `name` at `pose` interpenetrates any other placed non-surface object."""
-    name = w.scene.resolve(name)
-    w.scene.model(name)
-    skip = {name, *(w.scene.resolve(e) for e in exclude)}
+    """True iff `name` at `pose` interpenetrates any other placed non-surface object.
+
+    Containers do not collide with objects that sit inside their open
+    interior (footprint within the walls and above the floor).
+    """
+    model = w.scene.model(name)
+    box = box_at_pose(pose, model.half_extents)
     for other in w.poses:
-        if other in skip or w.scene.model(other).kind == "surface":
+        if other == name or other in exclude:
             continue
-        if boxes_collide(w.scene, name, pose, other, w.pose(other)):
-            return True
+        other_model = w.scene.model(other)
+        if other_model.kind == "surface":
+            continue
+        other_box = box_at_pose(w.pose(other), other_model.half_extents)
+        if not box.overlaps(other_box, CONTACT_TOL):
+            continue
+        if other_model.kind == "container" and _inside_open_interior(box, other_box):
+            continue
+        if model.kind == "container" and _inside_open_interior(other_box, box):
+            continue
+        return True
     return False
 
 
@@ -221,7 +219,6 @@ def reachable(w: WorldState, pose: Pose6) -> bool:
 def supported_by(w: WorldState, name: str) -> str | None:
     """The object directly supporting `name`: the containing container, or the
     body whose top face its bottom rests on at its center."""
-    name = w.scene.resolve(name)
     box = aabb_of(w, name)
     cx, cy = (box.lower[0] + box.upper[0]) / 2, (box.lower[1] + box.upper[1]) / 2
     bottom = box.lower[2]
@@ -251,7 +248,7 @@ def _support_height(w: WorldState, name: str, x: float, y: float,
     With `descend_into` set, that container's interior floor becomes a
     candidate instead of its rim.
     """
-    skip_set = {w.scene.resolve(s) for s in skip} | {w.scene.resolve(name)}
+    skip_set = {*skip, name}
     best = None
     for other in w.poses:
         if other in skip_set:
@@ -298,7 +295,6 @@ def grasp_level(angle: float) -> float:
 def exec_pick(w: WorldState, name: str, grasp: Pose6) -> SkillOutcome:
     """Grasp an object: the hand closes at `grasp`, contents ride along, and
     anything merely stacked on top cascades down onto the next support."""
-    name = w.scene.resolve(name)
     model = w.scene.model(name)
     if w.held is not None:
         return _fail(w, "hand-not-empty")
@@ -338,21 +334,19 @@ def exec_pick(w: WorldState, name: str, grasp: Pose6) -> SkillOutcome:
     rider_names = {r[0] for r in riders}
 
     new_poses = {k: v for k, v in w.poses.items() if k != name and k not in rider_names}
-    lifted = WorldState(w.scene, new_poses,
-                        HeldItem(name, grasp, tuple(riders), base_rpy),
-                        grasp.position)
+    held = HeldItem(name, grasp, tuple(riders), base_rpy)
+    lifted = WorldState(w.scene, new_poses, held, grasp.position)
 
-    # Objects that rested on the picked body drop straight down.
+    # Objects that rested on the picked body drop straight down, one at a
+    # time: each settles onto the world the earlier ones left.
     stacked = sorted(o for o in w.poses
                      if o not in rider_names and o != name and supported_by(w, o) == name)
     for obj in stacked:
-        cur = lifted.pose(obj)
-        settled = _settle(lifted, obj, cur)
+        settled = _settle(lifted, obj, lifted.pose(obj))
         if settled is None:
             return _fail(w, "cascade-unsupported")
         new_poses[obj] = settled[0]
-    if stacked:
-        lifted = WorldState(w.scene, new_poses, lifted.held, lifted.robot_conf)
+        lifted = WorldState(w.scene, new_poses, held, grasp.position)
     return SkillOutcome(lifted, True)
 
 
@@ -370,7 +364,7 @@ def _restore_riders(w: WorldState, held: HeldItem, poses: dict[str, Pose6]):
     inner_half = (model.half_extents[0] - WALL_THICKNESS,
                   model.half_extents[1] - WALL_THICKNESS)
     inner_floor = base.z - model.half_extents[2] + FLOOR_THICKNESS
-    for name, offset, rpy in riders_sorted(held.riders):
+    for name, offset, rpy in sorted(held.riders, key=lambda r: r[0]):
         new_rpy = (rpy[0], rpy[1], rpy[2] + dyaw)
         ext = rotated_half_extents(w.scene.model(name).half_extents, *new_rpy)
         ox = offset[0] * cd - offset[1] * sd
@@ -384,10 +378,6 @@ def _restore_riders(w: WorldState, held: HeldItem, poses: dict[str, Pose6]):
         poses[name] = Pose6(base.x + ox, base.y + oy, inner_floor + ext[2], *new_rpy)
 
 
-def riders_sorted(riders):
-    return sorted(riders, key=lambda r: r[0])
-
-
 def exec_place(w: WorldState, name: str, target: str, drop: Pose6) -> SkillOutcome:
     """Release the held object at `drop`, settling it onto/into `target`.
 
@@ -396,7 +386,6 @@ def exec_place(w: WorldState, name: str, target: str, drop: Pose6) -> SkillOutco
     support is whatever lies underneath - a mismatch with `target` is for the
     caller to detect.
     """
-    name, target = w.scene.resolve(name), w.scene.resolve(target)
     if w.held is None or w.held.name != name:
         return _fail(w, "not-holding")
     w.scene.model(target)
@@ -441,7 +430,6 @@ def exec_pour(w: WorldState, name: str, target: str, params) -> SkillOutcome:
 
     `params` is (x, y, z, tilt): the hand position and the tipping angle.
     """
-    name, target = w.scene.resolve(name), w.scene.resolve(target)
     if w.held is None or w.held.name != name:
         return _fail(w, "not-holding")
     params = tuple(float(v) for v in params)

@@ -100,8 +100,7 @@ def test_refine_binds_continuous_parameters(domain):
                     RestrictionTable(list(spec.sampler_restrictions)))
     assert isinstance(result, Solution)
     for action in result.actions:
-        assert not action.optimistic_params or all(
-            p == "d" for p in action.optimistic_params)
+        assert all(k == "d" for k, v in action.binding if v.is_optimistic)
     ok, trace = replay(w0, result.actions)
     assert ok
     assert W.supported_by(trace[-1], "strawberry") == "light_grey_region"

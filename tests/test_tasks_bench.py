@@ -6,6 +6,7 @@ from owltamp import bench, detectors, tasks
 from owltamp import world as W
 from owltamp.geometry import Pose6
 from owltamp.oracle import ScriptedOracle, parse_constraint_response
+from owltamp.partial_plan import PartialPlan, PlanStep
 from owltamp.solver import Budgets
 
 
@@ -223,3 +224,23 @@ def test_programs_naming_missing_objects_fail_the_cell_as_oracle_errors(where):
     reason = result.records[0].reason
     assert reason.startswith("oracle:OracleParseError:")
     assert "unicorn" in reason
+
+
+class _UpperCaseOracle(ScriptedOracle):
+    """Manual fixtures, with every partial-plan step written in upper case."""
+
+    def __init__(self):
+        super().__init__("manual")
+
+    def propose_partial_plan(self, req):
+        steps = super().propose_partial_plan(req).steps
+        return PartialPlan(tuple(
+            PlanStep(s.action.upper(), tuple(o.upper() for o in s.objects), s.description)
+            for s in steps))
+
+
+def test_plan_differing_only_in_case_solves_like_the_canonical_plan():
+    canonical = bench.run_cell("berry1", 0, "manual", Budgets(500, 5))
+    shouted = bench.run_cell("berry1", 0, "manual", Budgets(500, 5), _UpperCaseOracle())
+    assert canonical.success
+    assert shouted.stable_json() == canonical.stable_json()

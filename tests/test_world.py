@@ -247,6 +247,35 @@ def test_skills_do_not_mutate_input_world():
     assert w.poses == before and w.held is None
 
 
+def test_world_poses_are_read_only():
+    poses = {"table_surface": Pose6(0.5, 0.0, -0.01), "apple": Pose6(0.3, 0.0, 0.035)}
+    w = WorldState(tabletop().scene, poses)
+    with pytest.raises(TypeError):
+        w.poses["apple"] = Pose6(0.6, 0.0, 0.035)
+    poses["apple"] = Pose6(0.6, 0.0, 0.035)
+    assert w.pose("apple") == Pose6(0.3, 0.0, 0.035)
+
+
+def test_pick_cascades_everything_stacked_on_the_body():
+    tray = ObjectModel("tray", (0.15, 0.1, 0.01))
+    apple = ObjectModel("apple", (0.035, 0.035, 0.035))
+    berry = ObjectModel("strawberry", (0.015, 0.015, 0.018))
+    w = make_world([tray, apple, berry], {
+        "tray": Pose6(0.5, 0.0, 0.01),
+        "apple": Pose6(0.42, 0.0, 0.055),
+        "strawberry": Pose6(0.58, 0.0, 0.038),
+    })
+    before = dict(w.poses)
+    assert supported_by(w, "apple") == supported_by(w, "strawberry") == "tray"
+    out = exec_pick(w, "tray", level_grasp(w, "tray"))
+    assert out.success
+    after = out.new_world
+    for name in ("apple", "strawberry"):
+        assert supported_by(after, name) == "table_surface"
+        assert after.pose(name) == before[name].moved(z=w.scene.model(name).half_extents[2])
+    assert w.poses == before and w.held is None
+
+
 def test_replaying_skill_is_bit_identical():
     w = tabletop(("apple", 0.3, 0.0))
     g = level_grasp(w, "apple")
