@@ -6,8 +6,6 @@ import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
-import numpy as np
-
 TWO_PI = 2.0 * math.pi
 
 
@@ -61,24 +59,13 @@ class Pose6:
         return Pose6(*vals)
 
 
-def rotation_matrix(roll: float, pitch: float, yaw: float) -> np.ndarray:
-    """World-frame rotation R = Rz(yaw) @ Ry(pitch) @ Rx(roll)."""
-    cr, sr = math.cos(roll), math.sin(roll)
-    cp, sp = math.cos(pitch), math.sin(pitch)
-    cy, sy = math.cos(yaw), math.sin(yaw)
-    rx = np.array([[1, 0, 0], [0, cr, -sr], [0, sr, cr]])
-    ry = np.array([[cp, 0, sp], [0, 1, 0], [-sp, 0, cp]])
-    rz = np.array([[cy, -sy, 0], [sy, cy, 0], [0, 0, 1]])
-    return rz @ ry @ rx
-
-
 def rotated_half_extents(half_extents, roll: float, pitch: float,
                          yaw: float) -> tuple[float, float, float]:
     """Half extents of the axis-aligned hull of a rotated box, as a 3-tuple.
 
     Equals |R| @ h for R = Rz(yaw) @ Ry(pitch) @ Rx(roll), which matches the
     max over the 8 rotated corners.  Written out in scalar float math; it
-    can differ from numpy's matmul (`rotation_matrix`) in the last bit,
+    can differ from a numpy matmul of the same matrices in the last bit,
     where the BLAS fuses multiply-adds.
     """
     h0, h1, h2 = half_extents
@@ -106,10 +93,22 @@ class Aabb:
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", up)
 
+    @classmethod
+    def trusted(cls, lower: tuple[float, float, float],
+                upper: tuple[float, float, float]) -> "Aabb":
+        """A box from 3-tuples of Python floats that the caller has already
+        ordered lower <= upper: no conversion, no check."""
+        box = object.__new__(cls)
+        object.__setattr__(box, "lower", lower)
+        object.__setattr__(box, "upper", upper)
+        return box
+
     @staticmethod
     def from_center(center, half_extents) -> "Aabb":
+        """The box of non-negative `half_extents` around `center`."""
         (c0, c1, c2), (h0, h1, h2) = center, half_extents
-        return Aabb((c0 - h0, c1 - h1, c2 - h2), (c0 + h0, c1 + h1, c2 + h2))
+        return Aabb.trusted((float(c0 - h0), float(c1 - h1), float(c2 - h2)),
+                            (float(c0 + h0), float(c1 + h1), float(c2 + h2)))
 
     @property
     def center(self) -> tuple[float, float, float]:

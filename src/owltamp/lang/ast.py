@@ -59,10 +59,22 @@ class BoundsBox:
         return self.upper[:3]
 
     def with_axis(self, axis: int, lo: float, up: float) -> "BoundsBox":
+        """The bounds with one axis replaced; raises when it is empty.
+
+        The other axes are already valid, so only the new one is converted
+        and checked.
+        """
+        lo, up = float(lo), float(up)
+        if lo > up:
+            raise InfeasibleBoundsError(
+                "empty bounds: lower exceeds upper on some axis")
         lower = list(self.lower)
         upper = list(self.upper)
         lower[axis], upper[axis] = lo, up
-        return BoundsBox(tuple(lower), tuple(upper))
+        box = object.__new__(BoundsBox)
+        object.__setattr__(box, "lower", tuple(lower))
+        object.__setattr__(box, "upper", tuple(upper))
+        return box
 
     def clamp_axis(self, axis: int, lo: float, up: float) -> "BoundsBox":
         """Intersect one axis with [lo, up]; raises when the result is empty."""

@@ -15,7 +15,9 @@ from __future__ import annotations
 import math
 
 from ..geometry import Pose6, rotated_half_extents
-from ..world import CONTACT_TOL, FLOOR_THICKNESS, WorldState, aabb_of, interior_box
+from ..world import (
+    CONTACT_TOL, FLOOR_THICKNESS, WorldError, WorldState, aabb_of, interior_box,
+)
 from .ast import BoundsBox, InfeasibleBoundsError
 
 VERTICAL_BAND = 0.5     # how far above/below counts for the above/below helpers
@@ -48,7 +50,7 @@ def _half_height(w: WorldState, name: str) -> float:
     model = w.scene.model(name)
     try:
         pose = w.pose(name)
-    except Exception:
+    except WorldError:
         return max(model.half_extents)
     return rotated_half_extents(model.half_extents, *pose.rpy)[2]
 
@@ -126,7 +128,7 @@ def modify_bounds_inside(w: WorldState, b: BoundsBox, *args: str) -> BoundsBox:
     box = aabb_of(w, container)
     try:
         floor = interior_box(w, container).lower[Z]
-    except Exception:
+    except WorldError:
         floor = box.lower[Z] + FLOOR_THICKNESS
     return _clamp_footprint(b, box).clamp_axis(Z, floor, box.upper[Z])
 

@@ -99,15 +99,22 @@ class HeldItem:
 @dataclass(frozen=True)
 class WorldState:
     """Object poses and the hand.  `poses` is a read-only copy of the mapping
-    given, so a world never changes once built."""
+    given, so a world never changes once built.
+
+    `_geometry` is the world's own table of derived geometry, filled on first
+    use by `aabb_of`, `interior_box` and `contents` and keyed by (kind, name).
+    Immutability makes every entry valid for the world's lifetime.
+    """
 
     scene: Scene
     poses: Mapping[str, Pose6]
     held: HeldItem | None = None
     robot_conf: tuple[float, float, float] = (0.2, 0.0, 0.3)
+    _geometry: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "poses", MappingProxyType(dict(self.poses)))
+        object.__setattr__(self, "_geometry", {})
 
     def pose(self, name: str) -> Pose6:
         if self.held is not None and name == self.held.name:
@@ -141,14 +148,41 @@ def _fail(w: WorldState, reason: str) -> SkillOutcome:
     return SkillOutcome(w, False, reason)
 
 
+_HULL, _INTERIOR, _CONTENTS = "hull", "interior", "contents"
+
+
+def _inherit_geometry(child: WorldState, parent: WorldState) -> WorldState:
+    """Give `child`, a world a skill built from `parent` in the same scene,
+    the parent's hulls and interiors of every object it left at the very same
+    pose.  Contents depend on every pose and are never inherited."""
+    table, poses, parent_poses = child._geometry, child.poses, parent.poses
+    for key, value in parent._geometry.items():
+        kind, name = key
+        if kind != _CONTENTS and poses.get(name) is parent_poses[name]:
+            table[key] = value
+    return child
+
+
 def aabb_of(w: WorldState, name: str) -> Aabb:
     """Axis-aligned hull of the object's rotated box at its current pose."""
-    half = w.scene.model(name).half_extents
-    return box_at_pose(w.pose(name), half)
+    key = (_HULL, name)
+    box = w._geometry.get(key)
+    if box is None:
+        half = w.scene.model(name).half_extents
+        box = w._geometry[key] = box_at_pose(w.pose(name), half)
+    return box
 
 
 def interior_box(w: WorldState, name: str) -> Aabb:
     """Open interior of a container: footprint shrunk by the wall, floor raised."""
+    key = (_INTERIOR, name)
+    inner = w._geometry.get(key)
+    if inner is None:
+        inner = w._geometry[key] = _interior_box(w, name)
+    return inner
+
+
+def _interior_box(w: WorldState, name: str) -> Aabb:
     model = w.scene.model(name)
     if model.kind != "container":
         raise WorldError(f"{name!r} is not a container")
@@ -156,25 +190,30 @@ def interior_box(w: WorldState, name: str) -> Aabb:
     lo, up = outer.lower, outer.upper
     inner_lo = (lo[0] + WALL_THICKNESS, lo[1] + WALL_THICKNESS, lo[2] + FLOOR_THICKNESS)
     inner_up = (up[0] - WALL_THICKNESS, up[1] - WALL_THICKNESS, up[2])
-    if any(l >= u for l, u in zip(inner_lo[:2], inner_up[:2])):
+    if (inner_lo[0] >= inner_up[0] or inner_lo[1] >= inner_up[1]
+            or inner_lo[2] > inner_up[2]):
         raise WorldError(f"{name!r} interior collapsed; walls too thick")
-    return Aabb(inner_lo, inner_up)
+    return Aabb.trusted(inner_lo, inner_up)
 
 
 def contents(w: WorldState, container: str) -> list[str]:
     """Objects whose center currently lies in the container's interior."""
+    key = (_CONTENTS, container)
+    found = w._geometry.get(key)
+    if found is None:
+        found = w._geometry[key] = _contents(w, container)
+    return list(found)
+
+
+def _contents(w: WorldState, container: str) -> tuple[str, ...]:
     if w.scene.model(container).kind != "container":
-        return []
+        return ()
     if w.held is not None and w.held.name == container:
-        return [name for name, _, _ in w.held.riders]
+        return tuple(name for name, _, _ in w.held.riders)
     inner = interior_box(w, container)
-    out = []
-    for name in w.poses:
-        if name == container:
-            continue
-        if inner.contains_point(w.pose(name).position, slack=CONTACT_TOL):
-            out.append(name)
-    return sorted(out)
+    return tuple(sorted(name for name, pose in w.poses.items()
+                        if name != container
+                        and inner.contains_point(pose.position, slack=CONTACT_TOL)))
 
 
 def _inside_open_interior(box: Aabb, container_box: Aabb) -> bool:
@@ -200,7 +239,7 @@ def collision(w: WorldState, name: str, pose: Pose6, exclude: tuple[str, ...] = 
         other_model = w.scene.model(other)
         if other_model.kind == "surface":
             continue
-        other_box = box_at_pose(w.pose(other), other_model.half_extents)
+        other_box = aabb_of(w, other)
         if not box.overlaps(other_box, CONTACT_TOL):
             continue
         if other_model.kind == "container" and _inside_open_interior(box, other_box):
@@ -335,7 +374,7 @@ def exec_pick(w: WorldState, name: str, grasp: Pose6) -> SkillOutcome:
 
     new_poses = {k: v for k, v in w.poses.items() if k != name and k not in rider_names}
     held = HeldItem(name, grasp, tuple(riders), base_rpy)
-    lifted = WorldState(w.scene, new_poses, held, grasp.position)
+    lifted = _inherit_geometry(WorldState(w.scene, new_poses, held, grasp.position), w)
 
     # Objects that rested on the picked body drop straight down, one at a
     # time: each settles onto the world the earlier ones left.
@@ -346,7 +385,8 @@ def exec_pick(w: WorldState, name: str, grasp: Pose6) -> SkillOutcome:
         if settled is None:
             return _fail(w, "cascade-unsupported")
         new_poses[obj] = settled[0]
-        lifted = WorldState(w.scene, new_poses, held, grasp.position)
+        lifted = _inherit_geometry(WorldState(w.scene, new_poses, held, grasp.position),
+                                   lifted)
     return SkillOutcome(lifted, True)
 
 
@@ -417,7 +457,7 @@ def exec_place(w: WorldState, name: str, target: str, drop: Pose6) -> SkillOutco
     poses[name] = pose
     if w.held.riders:
         _restore_riders(w, w.held, poses)
-    after = WorldState(w.scene, poses, None, drop.position)
+    after = _inherit_geometry(WorldState(w.scene, poses, None, drop.position), w)
     for rider, _, _ in w.held.riders:
         if collision(after, rider, after.pose(rider), exclude=(name,)):
             return _fail(w, "contents-collision")
@@ -446,7 +486,7 @@ def exec_pour(w: WorldState, name: str, target: str, params) -> SkillOutcome:
 
     held_ext = rotated_half_extents(w.scene.model(name).half_extents, tilt, 0.0, 0.0)
     poses = dict(w.poses)
-    inter = WorldState(w.scene, poses, w.held, w.robot_conf)
+    inter = _inherit_geometry(WorldState(w.scene, poses, w.held, w.robot_conf), w)
     offset = held_ext[0] + SPILL_GAP
     for rider, _, rpy in w.held.riders:
         r_ext = rotated_half_extents(w.scene.model(rider).half_extents, *rpy)
@@ -458,7 +498,7 @@ def exec_pour(w: WorldState, name: str, target: str, params) -> SkillOutcome:
         if collision(inter, rider, rpose):
             return _fail(w, "spill-blocked")
         poses[rider] = rpose
-        inter = WorldState(w.scene, poses, w.held, w.robot_conf)
+        inter = _inherit_geometry(WorldState(w.scene, poses, w.held, w.robot_conf), inter)
         offset += r_ext[0] + SPILL_GAP
 
     settled = _settle(inter, name, Pose6(x, y, z, tilt, 0.0, 0.0))
@@ -468,7 +508,8 @@ def exec_pour(w: WorldState, name: str, target: str, params) -> SkillOutcome:
     if collision(inter, name, pose):
         return _fail(w, "collision")
     poses[name] = pose
-    return SkillOutcome(WorldState(w.scene, poses, None, (x, y, z)), True)
+    return SkillOutcome(_inherit_geometry(WorldState(w.scene, poses, None, (x, y, z)), inter),
+                        True)
 
 
 # --- Scene files --------------------------------------------------------------

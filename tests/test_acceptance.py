@@ -257,7 +257,7 @@ def test_criterion_6_transform_exactness():
 
 def _corner_box(model, pose):
     import numpy as _np
-    from owltamp.geometry import rotation_matrix
+    from test_geometry import rotation_matrix
     rot = rotation_matrix(*pose.rpy)
     h = model.half_extents
     corners = _np.array([[sx * h[0], sy * h[1], sz * h[2]]

@@ -5,12 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from owltamp.geometry import (
-    Aabb, Pose6, box_at_pose, rotation_matrix, rotated_half_extents, wrap_angle,
-)
+from owltamp.geometry import Aabb, Pose6, box_at_pose, rotated_half_extents, wrap_angle
 
 ANGLES = st.floats(-math.pi, math.pi)
 HALF = st.floats(1e-3, 1.0)
+
+
+def rotation_matrix(roll: float, pitch: float, yaw: float) -> np.ndarray:
+    """Numpy reference rotation R = Rz(yaw) @ Ry(pitch) @ Rx(roll)."""
+    cr, sr = math.cos(roll), math.sin(roll)
+    cp, sp = math.cos(pitch), math.sin(pitch)
+    cy, sy = math.cos(yaw), math.sin(yaw)
+    rx = np.array([[1, 0, 0], [0, cr, -sr], [0, sr, cr]])
+    ry = np.array([[cp, 0, sp], [0, 1, 0], [-sp, 0, cp]])
+    rz = np.array([[cy, -sy, 0], [sy, cy, 0], [0, 0, 1]])
+    return rz @ ry @ rx
 
 
 def test_wrap_angle_into_range():
@@ -68,6 +77,20 @@ def test_aabb_basics():
     assert not box.contains_point((0.51, 0, 0))
     with pytest.raises(ValueError):
         Aabb((1, 0, 0), (0, 1, 1))
+
+
+def test_from_center_gives_python_floats_equal_to_the_validating_box():
+    center = tuple(np.float64(v) for v in (0.3, -0.2, 0.1))
+    half = (0.05, np.float64(0.04), 0.03)
+    box = Aabb.from_center(center, half)
+    assert all(type(v) is float for v in box.lower + box.upper)
+    assert box == Aabb(tuple(c - h for c, h in zip(center, half)),
+                       tuple(c + h for c, h in zip(center, half)))
+
+
+def test_inverted_public_box_still_raises():
+    with pytest.raises(ValueError):
+        Aabb((0.0, 0.0, 0.2), (1.0, 1.0, 0.1))
 
 
 def test_aabb_overlap_convention():

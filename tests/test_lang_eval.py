@@ -92,6 +92,16 @@ def test_infeasible_intermediate_bounds_evaluate_false():
     assert eval_constraint(fn, w) is False
 
 
+def test_bounds_emptied_on_the_vertical_axis_evaluate_false():
+    w = mug_world(Pose6(0.5, 0.0, 0.05))
+    fn = parse_constraint(
+        "def impossible() -> bool:\n"
+        "    over = modify_bounds_above(init_bounds, 'mug')\n"
+        "    under = modify_bounds_below(over, 'mug')\n"
+        "    return position_within_bounds(fork.pose, under)\n")
+    assert eval_constraint(fn, w) is False
+
+
 def test_not_operator_and_pose_comparison():
     w = mug_world(Pose6(0.5, 0.0, 0.05))
     fn = parse_constraint(

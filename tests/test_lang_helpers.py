@@ -9,11 +9,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from owltamp.geometry import Pose6
-from owltamp.lang import InfeasibleBoundsError, default_bounds, sample_pose_uniform
+from owltamp.lang import (
+    BoundsBox, InfeasibleBoundsError, default_bounds, sample_pose_uniform,
+)
 from owltamp.lang import helpers as H
-from owltamp.world import Aabb, ObjectModel, Scene, WorldState
+from owltamp.world import FLOOR_THICKNESS, Aabb, ObjectModel, Scene, WorldState, aabb_of
 
 WORKSPACE = Aabb((-0.1, -0.6, -0.05), (1.1, 0.6, 0.8))
 N_SCENES = 20
@@ -259,3 +263,75 @@ def test_position_within_bounds_center_and_edges():
     assert H.position_within_bounds(center, b)
     outside = Pose6(b.xyz_upper[0] + 0.01, center.y, center.z)
     assert not H.position_within_bounds(outside, b)
+
+
+# --- BoundsBox fast path -----------------------------------------------------------
+
+FINITE = st.floats(-10, 10)
+BOUND = st.one_of(FINITE, st.sampled_from([-math.inf, math.inf]),
+                  FINITE.map(np.float64), st.integers(-10, 10))
+
+
+@st.composite
+def bounds_boxes(draw):
+    pairs = [sorted((draw(FINITE), draw(FINITE))) for _ in range(6)]
+    return BoundsBox(tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
+
+
+def _replaced(b, axis, lo, up):
+    """The same axis swap through the validating constructor."""
+    lower, upper = list(b.lower), list(b.upper)
+    lower[axis], upper[axis] = lo, up
+    return BoundsBox(tuple(lower), tuple(upper))
+
+
+@settings(max_examples=300, deadline=None)
+@given(bounds_boxes(), st.integers(0, 5), BOUND, BOUND)
+def test_axis_fast_path_equals_validating_constructor(b, axis, lo, up):
+    cases = ((b.with_axis, (lo, up)),
+             (b.clamp_axis, (max(b.lower[axis], lo), min(b.upper[axis], up))))
+    for method, (want_lo, want_up) in cases:
+        try:
+            want = _replaced(b, axis, want_lo, want_up)
+        except InfeasibleBoundsError:
+            with pytest.raises(InfeasibleBoundsError):
+                method(axis, lo, up)
+            continue
+        got = method(axis, lo, up)
+        assert got == want
+        assert all(type(v) is float for v in got.lower + got.upper)
+
+
+def test_emptied_clamp_raises():
+    b = BoundsBox.from_xyz((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+    with pytest.raises(InfeasibleBoundsError):
+        b.clamp_axis(2, 1.5, 2.0)
+    with pytest.raises(InfeasibleBoundsError):
+        b.with_axis(0, 0.5, 0.4)
+
+
+# --- Fallbacks catch world errors only ---------------------------------------------
+
+def _crate_world():
+    models = {
+        "table_surface": ObjectModel("table_surface", (0.5, 0.5, 0.01), "surface"),
+        "crate": ObjectModel("crate", (0.1, 0.1, 0.1)),
+    }
+    return WorldState(Scene(models, WORKSPACE),
+                      {"table_surface": Pose6(0.5, 0.0, -0.01),
+                       "crate": Pose6(0.5, 0.0, 0.1)})
+
+
+def test_inside_a_non_container_falls_back_to_the_box_floor():
+    w = _crate_world()
+    out = H.modify_bounds_inside(w, default_bounds(w), "crate")
+    assert out.lower[2] == aabb_of(w, "crate").lower[2] + FLOOR_THICKNESS
+
+
+def test_a_fault_in_interior_box_escapes_the_inside_helper(monkeypatch):
+    def broken(w, name):
+        raise RuntimeError("table fault")
+    monkeypatch.setattr(H, "interior_box", broken)
+    w = _crate_world()
+    with pytest.raises(RuntimeError):
+        H.modify_bounds_inside(w, default_bounds(w), "crate")

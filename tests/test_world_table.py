@@ -1,0 +1,280 @@
+"""The per-world geometry table against uncached reference copies.
+
+`aabb_of`, `interior_box` and `contents` fill a table on each frozen
+`WorldState`, and worlds a skill builds inherit the parent's hulls and
+interiors of the objects it did not move.  The reference functions below
+recompute everything from the poses on every call, with the validating
+`Aabb` constructor, and must agree with the cached ones on task scenes and on
+worlds reached by chains of skill draws.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from owltamp import solver, tasks
+from owltamp import world as W
+from owltamp.geometry import Aabb, Pose6, rotated_half_extents
+
+TASK_IDS = tasks.task_ids()
+LEVEL = solver.RestrictionTable([{"roll": [0, 0], "pitch": [0, 0]}])
+
+
+# --- Uncached reference copies ---------------------------------------------------
+
+def ref_aabb_of(w, name):
+    half = w.scene.model(name).half_extents
+    pose = w.pose(name)
+    h = rotated_half_extents(half, pose.roll, pose.pitch, pose.yaw)
+    return Aabb(tuple(c - e for c, e in zip(pose.position, h)),
+                tuple(c + e for c, e in zip(pose.position, h)))
+
+
+def ref_interior_box(w, name):
+    if w.scene.model(name).kind != "container":
+        raise W.WorldError(f"{name!r} is not a container")
+    outer = ref_aabb_of(w, name)
+    lo, up = outer.lower, outer.upper
+    inner_lo = (lo[0] + W.WALL_THICKNESS, lo[1] + W.WALL_THICKNESS, lo[2] + W.FLOOR_THICKNESS)
+    inner_up = (up[0] - W.WALL_THICKNESS, up[1] - W.WALL_THICKNESS, up[2])
+    if any(l >= u for l, u in zip(inner_lo[:2], inner_up[:2])):
+        raise W.WorldError(f"{name!r} interior collapsed; walls too thick")
+    return Aabb(inner_lo, inner_up)
+
+
+def ref_contents(w, container):
+    if w.scene.model(container).kind != "container":
+        return []
+    if w.held is not None and w.held.name == container:
+        return [name for name, _, _ in w.held.riders]
+    inner = ref_interior_box(w, container)
+    return sorted(name for name in w.poses if name != container
+                  and inner.contains_point(w.pose(name).position, slack=W.CONTACT_TOL))
+
+
+def ref_supported_by(w, name):
+    box = ref_aabb_of(w, name)
+    cx, cy = (box.lower[0] + box.upper[0]) / 2, (box.lower[1] + box.upper[1]) / 2
+    for other in w.poses:
+        if other != name and name in ref_contents(w, other):
+            return other
+    best, best_top = None, -math.inf
+    for other in w.poses:
+        if other == name:
+            continue
+        obox = ref_aabb_of(w, other)
+        if not obox.contains_xy(cx, cy, slack=W.CONTACT_TOL):
+            continue
+        top = obox.upper[2]
+        if abs(top - box.lower[2]) <= 0.02 + W.CONTACT_TOL and top > best_top:
+            best, best_top = other, top
+    return best
+
+
+def ref_collision(w, name, pose, exclude=()):
+    model = w.scene.model(name)
+    h = rotated_half_extents(model.half_extents, *pose.rpy)
+    box = Aabb(tuple(c - e for c, e in zip(pose.position, h)),
+               tuple(c + e for c, e in zip(pose.position, h)))
+    for other in w.poses:
+        if other == name or other in exclude:
+            continue
+        other_model = w.scene.model(other)
+        if other_model.kind == "surface":
+            continue
+        other_box = ref_aabb_of(w, other)
+        if not box.overlaps(other_box, W.CONTACT_TOL):
+            continue
+        if other_model.kind == "container" and W._inside_open_interior(box, other_box):
+            continue
+        if model.kind == "container" and W._inside_open_interior(other_box, box):
+            continue
+        return True
+    return False
+
+
+def _same(cached, reference, *args):
+    """Both calls return equal values, or both raise the same error type."""
+    try:
+        want = reference(*args)
+    except W.WorldError as err:
+        with pytest.raises(type(err)):
+            cached(*args)
+        return
+    assert cached(*args) == want
+
+
+def check_world(w, rng):
+    """Every cached query equals its reference, twice: filling, then hitting."""
+    for _ in range(2):
+        for name in w.all_objects():
+            _same(W.aabb_of, ref_aabb_of, w, name)
+            _same(W.interior_box, ref_interior_box, w, name)
+            _same(W.contents, ref_contents, w, name)
+        for name in w.placed_objects():
+            assert W.supported_by(w, name) == ref_supported_by(w, name)
+    for name in w.placed_objects():
+        if w.scene.model(name).kind == "surface":
+            continue
+        box = W.aabb_of(w, name)
+        pose = w.pose(name).moved(x=rng.uniform(box.lower[0] - 0.1, box.upper[0] + 0.1),
+                                  y=rng.uniform(box.lower[1] - 0.1, box.upper[1] + 0.1))
+        assert W.collision(w, name, pose) == ref_collision(w, name, pose)
+
+
+def _next_world(w, choice, rng):
+    """One skill drawn until success (or 20 tries) from `w`."""
+    if w.held is None:
+        movable = [o for o in w.placed_objects() if w.scene.model(o).kind != "surface"]
+        if not movable:
+            return w
+        name, objs = "pick", {"o": movable[choice % len(movable)]}
+    else:
+        name = ("place_ontop", "place_inside", "pour")[choice % 3]
+        targets = [o for o in w.placed_objects()
+                   if name != "place_inside" or w.scene.model(o).kind == "container"]
+        if not targets:
+            return w
+        objs = {"o": w.held.name, "s": targets[(choice // 3) % len(targets)]}
+    for _ in range(20):
+        drawn = solver.SKILLS[name].draw(w, name, objs, rng, LEVEL, None)
+        if drawn is None:
+            return w
+        if drawn[0].success:
+            return drawn[0].new_world
+    return w
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(TASK_IDS), st.integers(0, 9), st.integers(0, 2**32 - 1),
+       st.lists(st.integers(0, 1000), min_size=1, max_size=8))
+def test_cached_queries_match_reference_along_skill_chains(task_id, scene_seed, seed, choices):
+    _, w = tasks.load_task(task_id, scene_seed)
+    rng = np.random.default_rng(seed)
+    check_world(w, rng)
+    for choice in choices:
+        w = _next_world(w, choice, rng)
+        check_world(w, rng)
+
+
+@pytest.mark.parametrize("task_id", TASK_IDS)
+def test_cached_queries_match_reference_on_task_scenes(task_id):
+    for scene_seed in range(3):
+        _, w = tasks.load_task(task_id, scene_seed)
+        check_world(w, np.random.default_rng(scene_seed))
+
+
+# --- Inheritance ------------------------------------------------------------------
+
+def _bowl_scene():
+    """A bowl with a golf ball in it, an apple on the table, a plate."""
+    models = {
+        "table_surface": W.ObjectModel("table_surface", (0.5, 0.5, 0.01), "surface"),
+        "bowl": W.ObjectModel("bowl", (0.08, 0.08, 0.035), "container"),
+        "golf_ball": W.ObjectModel("golf_ball", (0.02, 0.02, 0.02)),
+        "apple": W.ObjectModel("apple", (0.035, 0.035, 0.035)),
+        "plate": W.ObjectModel("plate", (0.09, 0.09, 0.012), "surface"),
+    }
+    poses = {"table_surface": Pose6(0.5, 0.0, -0.01), "bowl": Pose6(0.5, 0.0, 0.035),
+             "golf_ball": Pose6(0.5, 0.0, 0.03), "apple": Pose6(0.3, 0.2, 0.035),
+             "plate": Pose6(0.7, -0.2, 0.012)}
+    workspace = Aabb((-0.1, -0.6, -0.05), (1.1, 0.6, 0.8))
+    return W.WorldState(W.Scene(models, workspace), poses)
+
+
+def _fill(w):
+    for name in w.placed_objects():
+        W.aabb_of(w, name)
+        W.contents(w, name)
+
+
+@pytest.fixture
+def hull_calls(monkeypatch):
+    """Poses whose hull `world.aabb_of` computes afresh."""
+    calls = []
+    real = W.box_at_pose
+
+    def counting(pose, half):
+        calls.append(pose)
+        return real(pose, half)
+    monkeypatch.setattr(W, "box_at_pose", counting)
+    return calls
+
+
+def test_child_shares_unmoved_hulls_and_recomputes_the_moved_one(hull_calls):
+    w = _bowl_scene()
+    picked = W.exec_pick(w, "apple", Pose6(0.3, 0.2, 0.035))
+    assert picked.success
+    held = picked.new_world
+    _fill(held)
+    before = dict(held._geometry)
+
+    placed = W.exec_place(held, "apple", "plate", Pose6(0.7, -0.2, 0.1))
+    assert placed.success
+    after = placed.new_world
+    assert held._geometry == before
+    assert all(held._geometry[key] is value for key, value in before.items())
+
+    hull_calls.clear()
+    for name in ("table_surface", "bowl", "golf_ball", "plate"):
+        assert W.aabb_of(after, name) is W.aabb_of(held, name)
+    assert W.interior_box(after, "bowl") is W.interior_box(held, "bowl")
+    assert hull_calls == []
+
+    moved = W.aabb_of(after, "apple")
+    assert hull_calls == [after.pose("apple")]
+    assert moved == ref_aabb_of(after, "apple")
+    assert W.supported_by(after, "apple") == "plate"
+
+
+def test_contents_are_never_inherited():
+    w = _bowl_scene()
+    assert W.contents(w, "bowl") == ["golf_ball"]
+    picked = W.exec_pick(w, "golf_ball", Pose6(0.5, 0.0, 0.03))
+    assert picked.success
+    assert W.contents(picked.new_world, "bowl") == []
+    assert W.contents(w, "bowl") == ["golf_ball"]
+
+
+def test_contents_returns_a_fresh_list_each_call():
+    w = _bowl_scene()
+    first = W.contents(w, "bowl")
+    first.append("apple")
+    assert W.contents(w, "bowl") == ["golf_ball"]
+
+
+def test_pick_cascade_and_pour_worlds_match_reference():
+    w = _bowl_scene()
+    stacked = W.WorldState(w.scene, {**w.poses, "apple": Pose6(0.7, -0.2, 0.059)})
+    _fill(stacked)
+    assert W.supported_by(stacked, "apple") == "plate"
+    lifted = W.exec_pick(stacked, "plate", Pose6(0.7, -0.2, 0.012))
+    assert lifted.success
+    assert lifted.new_world.pose("apple").z == pytest.approx(0.035)
+    check_world(lifted.new_world, np.random.default_rng(2))
+
+    _fill(w)
+    picked = W.exec_pick(w, "bowl", Pose6(0.5, 0.0, 0.06))
+    assert picked.success
+    check_world(picked.new_world, np.random.default_rng(0))
+    poured = W.exec_pour(picked.new_world, "bowl", "plate", (0.7, -0.2, 0.2, 2.0))
+    assert poured.success
+    check_world(poured.new_world, np.random.default_rng(1))
+    assert W.supported_by(poured.new_world, "golf_ball") is not None
+
+
+def test_errors_are_never_cached():
+    w = _bowl_scene()
+    held = W.exec_pick(w, "apple", Pose6(0.3, 0.2, 0.035)).new_world
+    for _ in range(2):
+        with pytest.raises(W.ObjectHeldError):
+            W.aabb_of(held, "apple")
+        with pytest.raises(W.UnknownObjectError):
+            W.aabb_of(held, "ghost")
+        with pytest.raises(W.WorldError):
+            W.interior_box(held, "plate")
+    for key in (("hull", "apple"), ("hull", "ghost"), ("interior", "plate")):
+        assert key not in held._geometry
