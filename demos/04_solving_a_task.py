@@ -34,8 +34,7 @@ t = transform(problem, pp)
 
 report = solve(world, t, domain, step_constraints={}, goal_fns=(),
                budgets=Budgets(500, 5), seed=1,
-               restrictions=RestrictionTable(list(spec.sampler_restrictions)),
-               relevant_objects={"strawberry", "light_grey_region"})
+               restrictions=RestrictionTable(list(spec.sampler_restrictions)))
 
 sol = report.solution
 print(f"solved: {sol is not None}")

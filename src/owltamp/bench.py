@@ -116,13 +116,6 @@ def _check_scene_objects(world, *fn_groups) -> None:
 def run_cell(task_id: str, seed: int, mode: str, budgets: Budgets,
              oracle=None) -> RunRecord:
     """Execute one benchmark cell and judge it independently."""
-    record, _, _ = run_cell_detailed(task_id, seed, mode, budgets, oracle)
-    return record
-
-
-def run_cell_detailed(task_id: str, seed: int, mode: str, budgets: Budgets,
-                      oracle=None):
-    """run_cell plus the solve report and initial world, for inspection."""
     if mode not in MODE_TABLE:
         raise ValueError(f"unknown mode {mode!r}")
     config = MODE_TABLE[mode]
@@ -142,12 +135,11 @@ def run_cell_detailed(task_id: str, seed: int, mode: str, budgets: Budgets,
         literal_listing=format_literal_listing(problem),
         scene_summary=format_state_listing(s0))
 
-    def fail_record(reason: str):
+    def fail_record(reason: str) -> RunRecord:
         wall = time.perf_counter() - t_start
         frac = _time_fraction(oracle, wall)
-        record = RunRecord(task_id, seed, mode, False, False, reason, 0, 0, 0,
-                           False, wall, getattr(oracle, "calls", 0), frac)
-        return record, None, world0
+        return RunRecord(task_id, seed, mode, False, False, reason, 0, 0, 0,
+                         False, wall, getattr(oracle, "calls", 0), frac)
 
     pp = PartialPlan(())
     goal_fns: tuple = ()
@@ -175,16 +167,9 @@ def run_cell_detailed(task_id: str, seed: int, mode: str, budgets: Budgets,
     except (OracleError, PartialPlanError) as e:
         return fail_record(f"oracle:{type(e).__name__}:{e}")
 
-    # Scene names as matched, not as the oracle wrote them: steps match
-    # case-insensitively, and goal literals are checked reachable.
-    relevant = {o for i in transformed.step_actions
-                for o in transformed.actions[i].discrete_signature()[1:]}
-    relevant.update(str(a) for lit in pp.goal_literals for a in lit.args)
-
     restrictions = RestrictionTable(list(spec.sampler_restrictions))
     report = solver.solve(world0, transformed, domain, step_cons, goal_fns,
-                          budgets, seed, restrictions,
-                          relevant_objects=relevant or None)
+                          budgets, seed, restrictions)
     wall = time.perf_counter() - t_start
 
     result = report.result
@@ -207,10 +192,9 @@ def run_cell_detailed(task_id: str, seed: int, mode: str, budgets: Budgets,
         reason = result.reason
 
     frac = _time_fraction(oracle, wall)
-    record = RunRecord(task_id, seed, mode, success, claimed, reason,
-                       result.samples_used, result.skeletons_tried, plan_length,
-                       subsequence_ok, wall, getattr(oracle, "calls", 0), frac)
-    return record, report, world0
+    return RunRecord(task_id, seed, mode, success, claimed, reason,
+                     result.samples_used, result.skeletons_tried, plan_length,
+                     subsequence_ok, wall, getattr(oracle, "calls", 0), frac)
 
 
 def _time_fraction(oracle, wall: float) -> float:
@@ -223,11 +207,11 @@ class SuiteResult:
     records: list[RunRecord] = field(default_factory=list)
     errors: int = 0
 
-    def rate(self, mode: str, task: str, attr: str = "success") -> float:
+    def rate(self, mode: str, task: str) -> float:
         cells = [r for r in self.records if r.mode == mode and r.task == task]
         if not cells:
             return math.nan
-        return sum(getattr(r, attr) for r in cells) / len(cells)
+        return sum(r.success for r in cells) / len(cells)
 
     def soundness(self, mode: str, task: str) -> float:
         cells = [r for r in self.records if r.mode == mode and r.task == task]

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 TWO_PI = 2.0 * math.pi
 
@@ -138,23 +137,10 @@ class Aabb:
         return Aabb(tuple(l - margin for l in self.lower), tuple(u + margin for u in self.upper))
 
 
-# Hull reuse is local to the world of the action being refined, so a small
-# LRU catches nearly every repeat.
-HULL_CACHE_SIZE = 256
-
-
 def box_at_pose(pose: Pose6, half_extents) -> Aabb:
     """Axis-aligned hull of a box with canonical half extents at a pose.
 
-    Pure and cached: Pose6 and Aabb are frozen, so a cached hull equals a
-    fresh one.  Half extents may be any 3-sequence (tuple, list, array).
+    Half extents may be any 3-sequence (tuple, list, array).
     """
-    if type(half_extents) is not tuple:
-        half_extents = tuple(float(v) for v in half_extents)
-    return _cached_box_at_pose(pose, half_extents)
-
-
-@lru_cache(maxsize=HULL_CACHE_SIZE)
-def _cached_box_at_pose(pose: Pose6, half_extents: tuple[float, float, float]) -> Aabb:
     h = rotated_half_extents(half_extents, pose.roll, pose.pitch, pose.yaw)
     return Aabb.from_center(pose.position, h)

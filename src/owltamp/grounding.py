@@ -7,10 +7,10 @@ chaining ignores delete effects, giving an over-approximation of the
 reachable literal set.
 
 Grounding runs in two parts.  The candidate actions and their placeholders
-depend only on the schemas, the objects and the action allowlist, never on
-the scene, so `candidate_actions` builds them once per distinct input and
-keeps them in a small LRU cache shared by every problem of the process;
-candidates are frozen, so sharing them is safe.  The relaxed fixpoint from
+depend only on the schemas and the objects, never on the scene, so
+`candidate_actions` builds them once per distinct input and keeps them in a
+small LRU cache shared by every problem of the process; candidates are
+frozen, so sharing them is safe.  The relaxed fixpoint from
 the problem's initial state then runs over those candidates in every call.
 """
 
@@ -73,9 +73,9 @@ def _discrete_bindings(schema: ActionSchema, objects: tuple[str, ...]):
 
 
 @functools.lru_cache(maxsize=CANDIDATE_CACHE_SIZE)
-def candidate_actions(schemas: tuple[ActionSchema, ...], objects: tuple[str, ...],
-                      action_allow: frozenset[str] | None) -> tuple[GroundAction, ...]:
-    """Every instantiation of the allowed schemas over distinct objects.
+def candidate_actions(schemas: tuple[ActionSchema, ...],
+                      objects: tuple[str, ...]) -> tuple[GroundAction, ...]:
+    """Every instantiation of the schemas over distinct objects.
 
     Pass the schemas sorted by name and the objects sorted, as
     `ground_actions` does: the arguments are the cache key, and the
@@ -86,8 +86,6 @@ def candidate_actions(schemas: tuple[ActionSchema, ...], objects: tuple[str, ...
     factory = _PlaceholderFactory()
     candidates: list[GroundAction] = []
     for schema in schemas:
-        if action_allow is not None and schema.name not in action_allow:
-            continue
         for discrete in _discrete_bindings(schema, objects):
             binding: dict[str, Value] = {}
             for p in schema.params:
@@ -99,23 +97,13 @@ def candidate_actions(schemas: tuple[ActionSchema, ...], objects: tuple[str, ...
     return tuple(candidates)
 
 
-def ground_actions(s0: State, schemas: list[ActionSchema], objects: list[str],
-                   action_allow: set[str] | None = None,
-                   predicate_allow: set[str] | None = None) -> tuple[GroundAction, ...]:
+def ground_actions(s0: State, schemas: list[ActionSchema],
+                   objects: list[str]) -> tuple[GroundAction, ...]:
     """Fixpoint of relaxed forward chaining from s0, in `discrete_signature`
-    order.
-
-    Optional allowlists restrict which schemas instantiate and which
-    predicates participate (useful for keeping oracle listings small).
-    """
+    order."""
     candidates = candidate_actions(
-        tuple(sorted(schemas, key=lambda s: s.name)), tuple(sorted(objects)),
-        None if action_allow is None else frozenset(action_allow))
-
-    def relevant(lit: Literal) -> bool:
-        return predicate_allow is None or lit.predicate.name in predicate_allow
-
-    reached = LiteralIndex(lit for lit in s0.true_literals if relevant(lit))
+        tuple(sorted(schemas, key=lambda s: s.name)), tuple(sorted(objects)))
+    reached = LiteralIndex(s0.true_literals)
     grounded = [False] * len(candidates)
     pending = range(len(candidates))
     progress = True
@@ -125,12 +113,12 @@ def ground_actions(s0: State, schemas: list[ActionSchema], objects: list[str],
         for i in pending:
             action = candidates[i]
             # Negative preconditions are optimistically satisfiable here.
-            pre = [lit for lit in action.preconditions if lit.positive and relevant(lit)]
+            pre = [lit for lit in action.preconditions if lit.positive]
             if all(literal_holds(reached, lit) for lit in pre):
                 grounded[i] = True
                 progress = True
                 for eff in action.effects:
-                    if eff.positive and relevant(eff):
+                    if eff.positive:
                         reached.add(eff)
             else:
                 still_pending.append(i)
@@ -147,9 +135,9 @@ def reachable_literals(s0: State, actions: tuple[GroundAction, ...]) -> frozense
     return frozenset(out)
 
 
-def ground_problem(s0: State, schemas: list[ActionSchema], objects: list[str],
-                   action_allow: set[str] | None = None) -> GroundedProblem:
-    actions = ground_actions(s0, schemas, objects, action_allow=action_allow)
+def ground_problem(s0: State, schemas: list[ActionSchema],
+                   objects: list[str]) -> GroundedProblem:
+    actions = ground_actions(s0, schemas, objects)
     return GroundedProblem(actions, reachable_literals(s0, actions), s0)
 
 

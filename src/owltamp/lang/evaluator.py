@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..world import WorldState
+from ..world import ObjectHeldError, WorldState
 from .ast import (
     Abs, Arith, BoolLit, BoolOp, Call, Compare, ConstraintFn, Expr,
     InfeasibleBoundsError, InitBounds, LangError, Num, ObjectRef, PoseAttr,
@@ -66,13 +66,15 @@ def _eval(e: Expr, env: dict[str, object], w: WorldState):
 
 
 def eval_constraint(fn: ConstraintFn, w: WorldState) -> bool:
-    """Run a constraint program; infeasible intermediate bounds make it false."""
+    """Run a constraint program.  Infeasible intermediate bounds make it
+    false, and so does reading the pose or hull of an object that has no pose
+    in `w` (held, or riding in a held container)."""
     env: dict[str, object] = {}
     try:
         for a in fn.assigns:
             env[a.name] = _eval(a.value, env, w)
         result = _eval(fn.result, env, w)
-    except InfeasibleBoundsError:
+    except (InfeasibleBoundsError, ObjectHeldError):
         return False
     if not isinstance(result, bool):
         raise EvalError(f"{fn.name} returned {type(result).__name__}, expected bool")

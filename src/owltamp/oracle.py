@@ -257,7 +257,11 @@ class ExternalOracle:
         raw = None
         for attempt in range(self.MAX_ATTEMPTS):
             try:
-                raw = self._post(self.url, headers, payload)
+                reply = self._post(self.url, headers, payload)
+                if not isinstance(reply, str):
+                    raise OracleServiceError(
+                        f"reply is {type(reply).__name__}, not text")
+                raw = reply
                 break
             except Exception as e:  # noqa: BLE001 - network layer is opaque
                 last_err = e
@@ -301,15 +305,30 @@ class ExternalOracle:
         return self._parse(raw, parse_goal_literals)
 
 
+def _transcript_entry(line: str, lineno: int) -> dict:
+    """One transcript line as an entry with a string `kind` and `response`."""
+    try:
+        entry = json.loads(line)
+    except json.JSONDecodeError as e:
+        raise OracleParseError(f"transcript line {lineno} is not JSON: {e}", line) from None
+    if not isinstance(entry, dict):
+        raise OracleParseError(f"transcript line {lineno} is not a JSON object", line)
+    for key in ("kind", "response"):
+        if not isinstance(entry.get(key), str):
+            raise OracleParseError(
+                f"transcript line {lineno} has no string {key!r}", line)
+    return entry
+
+
 class ReplayOracle:
     """Replays a persisted transcript through the same parsers."""
 
     def __init__(self, transcript_path: str):
         self._entries: list[dict] = []
         with open(transcript_path, encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 if line.strip():
-                    self._entries.append(json.loads(line))
+                    self._entries.append(_transcript_entry(line, lineno))
         self._cursor = 0
         self.calls = 0
         self.time_spent = 0.0

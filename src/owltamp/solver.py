@@ -96,6 +96,9 @@ class Infeasible:
 
 # --- Task planning (A*) --------------------------------------------------------
 
+# Node expansions after which A* gives up with "node-cap-exceeded".
+NODE_CAP = 100_000
+
 
 def _executed_level(literals) -> int:
     level = 0
@@ -106,7 +109,7 @@ def _executed_level(literals) -> int:
 
 
 def plan_task(s0: State, actions: tuple[GroundAction, ...],
-              goal: tuple[Literal, ...], node_cap: int = 100_000) -> list[GroundAction]:
+              goal: tuple[Literal, ...]) -> list[GroundAction]:
     """Minimum-length applicable sequence reaching the goal; static
     constraints are left to refinement.  Unit costs; admissible heuristic
     combining the remaining bookkeeping-chain depth with the count of unmet
@@ -165,7 +168,7 @@ def plan_task(s0: State, actions: tuple[GroundAction, ...],
                 cur = payloads[cur][1]
             return list(reversed(plan))
         expansions += 1
-        if expansions > node_cap:
+        if expansions > NODE_CAP:
             raise PlanningError("node-cap-exceeded")
         for action in ordered:
             if not applicable(state, action):
@@ -485,10 +488,6 @@ def _footprint_blockers(scene: W.WorldState, target: str,
     return out
 
 
-def _fresh_opt(counter: itertools.count, hint: str) -> Value:
-    return Value.opt(next(counter), hint)
-
-
 def _make_ground(domain, name: str, objs: dict[str, str], counter: itertools.count,
                  all_objects: tuple[str, ...]) -> GroundAction:
     from .model import instantiate
@@ -498,26 +497,23 @@ def _make_ground(domain, name: str, objs: dict[str, str], counter: itertools.cou
         if p.name in objs:
             binding[p.name] = Value.sym(objs[p.name])
         elif p.type is SemanticType.DESCRIPTION:
-            binding[p.name] = _fresh_opt(counter, "d")
+            binding[p.name] = Value.opt(next(counter), "d")
         else:
-            binding[p.name] = _fresh_opt(counter, p.type.value[0])
+            binding[p.name] = Value.opt(next(counter), p.type.value[0])
     return instantiate(schema, binding, objects=all_objects)
-
-
-_BACKTRACK_IDS = itertools.count(10_000_000)
 
 
 def backtrack_strategy(fail: RefinementFailure, sk: Skeleton, scene: W.WorldState,
                        domain, rng: np.random.Generator,
-                       ids: itertools.count | None = None) -> list[Skeleton]:
+                       ids: itertools.count) -> list[Skeleton]:
     """Candidate successor skeletons after a refinement failure.
 
     Primary: when a release-type step failed and other objects intrude on the
     target's footprint, insert a clearing sequence per blocker (pick+place to
     open table; containers holding a blocker are emptied by pouring).
     Secondary: retry the same skeleton with a fresh sample stream.
+    `ids` numbers the placeholders of inserted actions.
     """
-    ids = ids if ids is not None else _BACKTRACK_IDS
     candidates: list[Skeleton] = []
     if 0 <= fail.index < len(sk.actions):
         action = sk.actions[fail.index]
@@ -588,15 +584,21 @@ def _skeleton_from_plan(plan: list[GroundAction],
     return Skeleton(tuple(plan), tuple(cons), tuple(None for _ in plan), "initial")
 
 
-def planning_set(scene: W.WorldState, problem: TransformedProblem,
-                 relevant_objects: set[str]) -> tuple[GroundAction, ...]:
+def planning_set(scene: W.WorldState, problem: TransformedProblem) -> tuple[GroundAction, ...]:
     """The transformed steps plus the fillers a minimum-length embedding can
     need, over the relevant objects and the table: each skill's `fills` rule
     decides (picks, hand-freeing places onto the table, and places that
     achieve a goal literal directly).  Obstacle clearing enters via skeleton
     surgery, never via search, so this pruning preserves optimal plan
-    lengths."""
-    keep = {*relevant_objects, scene.scene.table}
+    lengths.
+
+    The relevant objects are those of the matched steps and of the plan's
+    goal literals, in scene names as matched: steps match case-insensitively,
+    and goal literals are checked reachable."""
+    keep = {o for i in problem.step_actions
+            for o in problem.actions[i].discrete_signature()[1:]}
+    keep.update(str(a) for lit in problem.plan.goal_literals for a in lit.args)
+    keep.add(scene.scene.table)
     goal_pairs = {tuple(str(a) for a in g.args) for g in problem.goal
                   if g.predicate.name == "Supporting"}
     out = []
@@ -616,20 +618,14 @@ def planning_set(scene: W.WorldState, problem: TransformedProblem,
 def solve(scene: W.WorldState, problem: TransformedProblem, domain,
           step_constraints: dict[int, tuple[ConstraintFn, ...]],
           goal_fns: tuple[ConstraintFn, ...], budgets: Budgets, seed: int,
-          restrictions: RestrictionTable | None = None,
-          relevant_objects: set[str] | None = None,
-          node_cap: int = 100_000) -> SolveReport:
+          restrictions: RestrictionTable | None = None) -> SolveReport:
     """Plan, refine, and backtrack until a solution or the budgets run out."""
     t0 = time.perf_counter()
     samples_total = 0
     tried = 0
 
-    actions = problem.actions
-    if relevant_objects is not None:
-        actions = planning_set(scene, problem, relevant_objects)
-
     try:
-        plan = plan_task(problem.s0, actions, problem.goal, node_cap=node_cap)
+        plan = plan_task(problem.s0, planning_set(scene, problem), problem.goal)
     except PlanningError as e:
         wall = time.perf_counter() - t0
         return SolveReport(Infeasible(e.reason, 0, 0, wall), False, problem.plan)

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from owltamp import bench, tasks
+from owltamp import bench, solver, tasks
 from owltamp import world as W
 from owltamp.grounding import ground_actions, reachable_literals
 from owltamp.lang import (
@@ -41,12 +41,24 @@ def verdict(criterion: str, ok: bool, detail: str = "") -> None:
 
 @pytest.fixture(scope="module")
 def manual_cells():
-    """Detailed manual-mode runs for every (task, seed), plus wall time."""
+    """Manual-mode records for every (task, seed), each with the solve report
+    its cell made (None when the cell failed before solving), plus wall time."""
+    reports = []
+    real_solve = solver.solve
+
+    def recording_solve(*args, **kwargs):
+        reports.append(real_solve(*args, **kwargs))
+        return reports[-1]
+
     start = time.perf_counter()
     cells = {}
-    for task in TASK_IDS:
-        for seed in SEEDS:
-            cells[(task, seed)] = bench.run_cell_detailed(task, seed, "manual", BUDGETS)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "solve", recording_solve)
+        for task in TASK_IDS:
+            for seed in SEEDS:
+                reports.clear()
+                record = bench.run_cell(task, seed, "manual", BUDGETS)
+                cells[(task, seed)] = (record, reports[-1] if reports else None)
     return cells, time.perf_counter() - start
 
 
@@ -103,6 +115,15 @@ def test_no_disc_fingerprint_is_pinned():
     assert result.fingerprint() == "c9e2e85e3419cb5f"
 
 
+def test_remaining_modes_fingerprint_is_pinned():
+    # The six modes no other pin covers, at scene seed 0 (60 cells, about
+    # 3 s); the planning set and the oracle wiring reach every one of them.
+    modes = ["full", "no_vlm", "no_cont", "no_back", "flawed-discrete",
+             "flawed-continuous"]
+    result = bench.run_suite(TASK_IDS, range(1), modes, BUDGETS)
+    assert result.fingerprint() == "a8a1ba5b936a2151"
+
+
 def test_criterion_2_ablation_ordering(ablation_records):
     rows = ablation_records
     checks = {}
@@ -122,7 +143,7 @@ def test_criterion_2_ablation_ordering(ablation_records):
 
 def test_criterion_3_soundness(manual_cells):
     cells, _ = manual_cells
-    false_positives = [(t, s) for (t, s), (rec, _, _) in cells.items()
+    false_positives = [(t, s) for (t, s), (rec, _) in cells.items()
                        if rec.claimed and not rec.success]
     flawed = bench.run_suite(["berrycook"], SEEDS[:5], ["flawed-continuous"], BUDGETS)
     berrycook_infeasible = all(not r.claimed for r in flawed.records)
@@ -151,7 +172,7 @@ def test_criterion_4_subsequence_invariant(manual_cells):
     cells, _ = manual_cells
     violations = []
     solutions = 0
-    for (task, seed), (rec, report, _) in cells.items():
+    for (task, seed), (rec, report) in cells.items():
         if report is None or report.solution is None:
             continue
         solutions += 1

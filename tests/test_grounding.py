@@ -103,14 +103,6 @@ def test_grounding_is_order_independent(domain):
     assert [x.discrete_signature() for x in a] == [y.discrete_signature() for y in b]
 
 
-def test_action_allowlist_filters(domain):
-    objects = ["apple", "table_surface"]
-    s0 = make_s0(domain, objects)
-    schemas = [domain.schema(n) for n in ("pick", "place_ontop", "place_inside")]
-    actions = ground_actions(s0, schemas, objects, action_allow={"pick"})
-    assert {a.name for a in actions} == {"pick"}
-
-
 def _canonical(lit):
     """Optimistic values collapse to a wildcard for set comparison."""
     args = tuple("*" if a.is_optimistic else str(a) for a in lit.args)

@@ -1,7 +1,5 @@
 """The cached candidate sets of grounding against a fresh, uncached build."""
 
-import itertools
-
 import pytest
 
 from owltamp import bench, grounding, tasks
@@ -11,39 +9,31 @@ from owltamp.model import (
 from owltamp.solver import Budgets
 
 SEEDS = (0, 3, 7)
-ACTION_ALLOWS = (None, {"pick", "place_ontop"}, {"pour"})
-PREDICATE_ALLOWS = (None, {"AtPose", "AtGrasp", "HandEmpty"}, {"AtGrasp"})
 
 
-def reference_ground_actions(s0, schemas, objects, action_allow=None,
-                             predicate_allow=None):
+def reference_ground_actions(s0, schemas, objects):
     """Grounding as one uncached run: fresh placeholders from 1, the relaxed
     fixpoint over freshly built candidates, then a sort by signature."""
     objects = sorted(objects)
     factory = grounding._PlaceholderFactory()
     candidates = []
     for schema in sorted(schemas, key=lambda s: s.name):
-        if action_allow is not None and schema.name not in action_allow:
-            continue
         for discrete in grounding._discrete_bindings(schema, tuple(objects)):
             binding = {p.name: Value.sym(discrete[p.name]) if p.name in discrete
                        else factory.fresh(p.type) for p in schema.params}
             candidates.append(instantiate(schema, binding, objects=tuple(objects)))
 
-    def relevant(lit):
-        return predicate_allow is None or lit.predicate.name in predicate_allow
-
-    reached = LiteralIndex(lit for lit in s0.true_literals if relevant(lit))
+    reached = LiteralIndex(s0.true_literals)
     grounded, pending, progress = [], candidates, True
     while progress and pending:
         progress, still_pending = False, []
         for action in pending:
-            pre = [lit for lit in action.preconditions if lit.positive and relevant(lit)]
+            pre = [lit for lit in action.preconditions if lit.positive]
             if all(literal_holds(reached, lit) for lit in pre):
                 grounded.append(action)
                 progress = True
                 for eff in action.effects:
-                    if eff.positive and relevant(eff):
+                    if eff.positive:
                         reached.add(eff)
             else:
                 still_pending.append(action)
@@ -63,14 +53,10 @@ def task_problem(task_id, seed):
 def test_cached_grounding_equals_the_reference(task_id):
     for seed in SEEDS:
         s0, schemas, objects = task_problem(task_id, seed)
-        for action_allow, predicate_allow in itertools.product(ACTION_ALLOWS,
-                                                               PREDICATE_ALLOWS):
-            got = grounding.ground_actions(s0, schemas, objects, action_allow,
-                                           predicate_allow)
-            want = reference_ground_actions(s0, schemas, objects, action_allow,
-                                            predicate_allow)
-            # Equality covers the bindings, so the placeholder ids too.
-            assert got == want
+        got = grounding.ground_actions(s0, schemas, objects)
+        want = reference_ground_actions(s0, schemas, objects)
+        # Equality covers the bindings, so the placeholder ids too.
+        assert got == want
 
 
 def test_actions_reached_in_a_later_pass_keep_signature_order():
@@ -134,7 +120,7 @@ def test_reversed_schema_and_object_order_hit_one_entry():
 def test_candidate_signatures_are_unique_and_ordered(task_id):
     _, schemas, objects = task_problem(task_id, 0)
     candidates = grounding.candidate_actions(
-        tuple(sorted(schemas, key=lambda s: s.name)), tuple(sorted(objects)), None)
+        tuple(sorted(schemas, key=lambda s: s.name)), tuple(sorted(objects)))
     signatures = [a.discrete_signature() for a in candidates]
     assert len(set(signatures)) == len(signatures)
     assert signatures == sorted(signatures)

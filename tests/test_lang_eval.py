@@ -6,7 +6,7 @@ from owltamp.geometry import Pose6
 from owltamp.lang import (
     UnboundObjectError, eval_constraint, parse_constraint,
 )
-from owltamp.world import Aabb, ObjectModel, Scene, WorldState, interior_box
+from owltamp.world import Aabb, ObjectModel, Scene, WorldState, exec_pick, interior_box
 
 WORKSPACE = Aabb((-0.1, -0.6, -0.05), (1.1, 0.6, 0.8))
 
@@ -100,6 +100,19 @@ def test_bounds_emptied_on_the_vertical_axis_evaluate_false():
         "    under = modify_bounds_below(over, 'mug')\n"
         "    return position_within_bounds(fork.pose, under)\n")
     assert eval_constraint(fn, w) is False
+
+
+@pytest.mark.parametrize("source", [
+    "return mug.pose.z > 0.1",
+    "return position_within_bounds(mug.pose, "
+    "modify_bounds_ontop(init_bounds, 'mug', 'table_surface'))",
+    "return position_within_bounds(fork.pose, get_aabb_bounds('mug'))",
+])
+def test_reading_a_held_object_evaluates_false(source):
+    w = mug_world(Pose6(0.5, 0.0, 0.05))
+    outcome = exec_pick(w, "mug", Pose6(0.5, 0.0, 0.05))
+    assert outcome.success
+    assert eval_constraint(parse_constraint(source), outcome.new_world) is False
 
 
 def test_not_operator_and_pose_comparison():

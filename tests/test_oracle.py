@@ -239,6 +239,31 @@ def test_replay_translates_direct_goals_like_the_external_path(tmp_path):
     assert replay.calls == 1
 
 
+@pytest.mark.parametrize("bad_line", [
+    "not json at all",
+    json.dumps(["partial_plan", PLAN_REPLY]),
+    json.dumps({"response": PLAN_REPLY}),
+    json.dumps({"kind": "partial_plan"}),
+    json.dumps({"kind": "partial_plan", "response": 5}),
+], ids=["not-json", "json-list", "no-kind", "no-response", "non-string-response"])
+def test_malformed_transcript_lines_are_oracle_errors_naming_the_line(tmp_path, bad_line):
+    transcript = tmp_path / "t.jsonl"
+    good = json.dumps({"kind": "goal_constraints", "response": CONSTRAINT_REPLY})
+    transcript.write_text(f"{good}\n\n{bad_line}\n", encoding="utf-8")
+    with pytest.raises(OracleError, match="line 3"):
+        ReplayOracle(str(transcript))
+
+
+def test_non_text_replies_are_failed_attempts(tmp_path):
+    calls = []
+    oracle = ExternalOracle(url="http://oracle.test/v1", backoff=0.0,
+                            post_fn=lambda *a: calls.append(a) or 5,
+                            transcript_path=str(tmp_path / "t.jsonl"))
+    with pytest.raises(OracleServiceError, match="3 attempts.*int, not text"):
+        oracle.propose_partial_plan(req("partial_plan"))
+    assert len(calls) == ExternalOracle.MAX_ATTEMPTS
+
+
 def test_parse_goal_literals_rejects_replies_without_literals():
     with pytest.raises(OracleParseError, match="no literals"):
         parse_goal_literals("I am not sure.")

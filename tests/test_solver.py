@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from owltamp import solver
 from owltamp import world as W
 from owltamp.fixtures import DIRECT_GOALS, MANUAL
 from owltamp.geometry import Pose6
@@ -67,14 +70,15 @@ def test_plan_task_unreachable(domain):
         plan_task(problem.s0, problem.actions, goal)
 
 
-def test_plan_task_node_cap(domain):
+def test_plan_task_node_cap(domain, monkeypatch):
     spec, w0, domain, problem = build("citrus")
     supporting = domain.predicate("Supporting")
     goal = (supporting(Value.sym("lemon"), Value.sym("plate")),
             supporting(Value.sym("orange"), Value.sym("plate")),
             supporting(Value.sym("pear"), Value.sym("plate")))
+    monkeypatch.setattr(solver, "NODE_CAP", 3)
     with pytest.raises(PlanningError, match="node-cap-exceeded"):
-        plan_task(problem.s0, problem.actions, goal, node_cap=3)
+        plan_task(problem.s0, problem.actions, goal)
 
 
 # --- refine ---------------------------------------------------------------------
@@ -163,7 +167,8 @@ def test_backtrack_inserts_blocker_clearing(domain):
         ("pick", "strawberry"),
         ("place_ontop", "strawberry", "light_grey_region")])
     fail = RefinementFailure(1, "effects-unsatisfied", 500)
-    candidates = backtrack_strategy(fail, sk, w0, domain, np.random.default_rng(0))
+    candidates = backtrack_strategy(fail, sk, w0, domain, np.random.default_rng(0),
+                                    itertools.count(10_000_000))
     tags = [c.provenance for c in candidates]
     assert "clear:potted_meat_can" in tags
     assert tags[-1] == "resample"
@@ -179,7 +184,8 @@ def test_backtrack_contained_blocker_gets_poured_out(domain):
     sk = _skeleton_for(domain, problem, [
         ("pick", "fork"), ("place_inside", "fork", "mug")])
     fail = RefinementFailure(1, "collision", 500)
-    candidates = backtrack_strategy(fail, sk, w0, domain, np.random.default_rng(0))
+    candidates = backtrack_strategy(fail, sk, w0, domain, np.random.default_rng(0),
+                                    itertools.count(10_000_000))
     cleared = next(c for c in candidates if c.provenance == "clear:golf_ball")
     sigs = [a.discrete_signature() for a in cleared.actions]
     assert sigs[:2] == [("pick", "mug"), ("pour", "mug", "table_surface")]
@@ -189,7 +195,8 @@ def test_backtrack_pick_failure_resamples_only(domain):
     spec, w0, domain, problem = build("berry1")
     sk = _skeleton_for(domain, problem, [("pick", "strawberry")])
     fail = RefinementFailure(0, "grasp-not-level", 10)
-    candidates = backtrack_strategy(fail, sk, w0, domain, np.random.default_rng(0))
+    candidates = backtrack_strategy(fail, sk, w0, domain, np.random.default_rng(0),
+                                    itertools.count(10_000_000))
     assert [c.provenance for c in candidates] == ["resample"]
 
 
@@ -208,10 +215,9 @@ def _manual_solve(task_id, seed, budgets=Budgets(500, 5)):
     step_cons = {i: tuple(parse_constraint_response("\n".join(srcs)))
                  for i, srcs in fx.step_constraints.items()}
     goal_fns = tuple(parse_constraint_response("\n".join(fx.goal_constraints)))
-    relevant = {o for s in pp.steps for o in s.objects}
     return spec, w0, solve(
         w0, t, domain, step_cons, goal_fns, budgets, seed,
-        RestrictionTable(list(spec.sampler_restrictions)), relevant)
+        RestrictionTable(list(spec.sampler_restrictions)))
 
 
 def test_solve_berry1_first_skeleton(domain):
@@ -235,8 +241,7 @@ def test_solve_zero_backtracks_fails_obstructed(domain):
     t = transform(problem, pp)
     fns = parse_constraint_response(MANUAL["berry2"].step_constraints[2][0])
     report = solve(w0, t, domain, {1: tuple(fns)}, (), Budgets(500, 0), 0,
-                   RestrictionTable(list(spec.sampler_restrictions)),
-                   {"strawberry", "light_grey_region"})
+                   RestrictionTable(list(spec.sampler_restrictions)))
     assert report.solution is None
 
 
@@ -249,8 +254,7 @@ def test_solve_backtracking_clears_berry2_obstruction(domain):
                                "straight onto the region"),))
     t = transform(problem, pp)
     report = solve(w0, t, domain, {}, (), Budgets(500, 5), 1,
-                   RestrictionTable(list(spec.sampler_restrictions)),
-                   {"strawberry", "light_grey_region"})
+                   RestrictionTable(list(spec.sampler_restrictions)))
     sol = report.solution
     assert sol is not None and sol.skeletons_tried >= 2
     sigs = [a.discrete_signature() for a in sol.actions]
@@ -302,8 +306,15 @@ def test_every_benchmark_schema_has_a_skill(domain):
         spec, w0, domain, problem = build(task_id)
         goal = tuple(domain.predicate(p)(*map(Value.sym, args))
                      for p, args in DIRECT_GOALS[task_id])
-        for pp in (PartialPlan(tuple(PlanStep(*s) for s in MANUAL[task_id].steps)),
-                   PartialPlan((), goal)):
+        manual = PartialPlan(tuple(PlanStep(*s) for s in MANUAL[task_id].steps))
+        # Steps match case-insensitively, so the planning set is drawn from
+        # the matched actions, never from the names as written.
+        shouted = PartialPlan(tuple(
+            PlanStep(a.upper(), tuple(o.upper() for o in objs), d)
+            for a, objs, d in MANUAL[task_id].steps))
+        assert (planning_set(w0, transform(problem, shouted))
+                == planning_set(w0, transform(problem, manual)))
+        for pp in (manual, PartialPlan((), goal)):
             transformed = transform(problem, pp)
             relevant = {o for step in pp.steps for o in step.objects}
             relevant.update(str(a) for g in pp.goal_literals for a in g.args)
@@ -317,6 +328,6 @@ def test_every_benchmark_schema_has_a_skill(domain):
                         {w0.scene.resolve(v) for v in objs.values()} <= keep
                         and _name_rule_fills(w0, a.name, objs, goal_pairs)):
                     want.append(a)
-            got = planning_set(w0, transformed, relevant)
+            got = planning_set(w0, transformed)
             assert [id(a) for a in got] == [id(a) for a in want]
             assert len(got) < len(transformed.actions)

@@ -226,6 +226,34 @@ def test_programs_naming_missing_objects_fail_the_cell_as_oracle_errors(where):
     assert "unicorn" in reason
 
 
+class _HeldMugOracle(ScriptedOracle):
+    """Coffee fixtures, but the plan only picks the mug and the goal program
+    reads the pose of the mug, which is then in the hand."""
+
+    def __init__(self):
+        super().__init__("manual")
+
+    def propose_partial_plan(self, req):
+        return PartialPlan((PlanStep("pick", ("mug",), "lift the mug"),))
+
+    def propose_goal_constraints(self, req):
+        self.calls += 1
+        return parse_constraint_response("return mug.pose.z > 0.1")
+
+    def propose_action_constraints(self, req):
+        self.calls += 1
+        return []
+
+
+def test_goal_program_reading_a_held_object_is_a_planning_failure():
+    result = bench.run_suite(["coffee"], [0], ["manual"], Budgets(500, 5),
+                             oracle_factory=lambda m, t, s: _HeldMugOracle())
+    assert result.errors == 0
+    record = result.records[0]
+    assert not record.success and not record.claimed
+    assert not record.reason.startswith("internal-error") and record.samples > 0
+
+
 class _UpperCaseOracle(ScriptedOracle):
     """Manual fixtures, with every partial-plan step written in upper case."""
 
