@@ -11,12 +11,10 @@ Berry2's grey region starts fully covered by a can, so the first skeleton
 cannot be refined; watch the backtracking strategy clear it.
 """
 
-import numpy as np
-
 from owltamp import ground_problem, transform
 from owltamp.oracle import OracleRequest, ScriptedOracle
 from owltamp.grounding import format_action_listing
-from owltamp.solver import Budgets, RestrictionTable, replay, solve
+from owltamp.solver import Budgets, RestrictionTable, Solution, replay, solve
 from owltamp.tasks import TABLE, bench_schemas, default_domain, initial_state, load_task
 from owltamp.detectors import success_detector
 from owltamp.partial_plan import PartialPlan, PlanStep
@@ -32,12 +30,12 @@ pp = PartialPlan((PlanStep("place_ontop", ("strawberry", "light_grey_region"),
                            "straight onto the grey region"),))
 t = transform(problem, pp)
 
-report = solve(world, t, domain, step_constraints={}, goal_fns=(),
-               budgets=Budgets(500, 5), seed=1,
-               restrictions=RestrictionTable(list(spec.sampler_restrictions)))
+# `solve` returns the bound plan as a Solution, or Infeasible with a reason.
+sol = solve(world, t, domain, step_constraints={}, goal_fns=(),
+            budgets=Budgets(500, 5), seed=1,
+            restrictions=RestrictionTable(list(spec.sampler_restrictions)))
 
-sol = report.solution
-print(f"solved: {sol is not None}")
+print(f"solved: {isinstance(sol, Solution)}")
 print(f"skeletons tried: {sol.skeletons_tried}, samples used: {sol.samples_used}")
 print("final plan:")
 for a in sol.actions:

@@ -168,17 +168,16 @@ def run_cell(task_id: str, seed: int, mode: str, budgets: Budgets,
         return fail_record(f"oracle:{type(e).__name__}:{e}")
 
     restrictions = RestrictionTable(list(spec.sampler_restrictions))
-    report = solver.solve(world0, transformed, domain, step_cons, goal_fns,
+    result = solver.solve(world0, transformed, domain, step_cons, goal_fns,
                           budgets, seed, restrictions)
     wall = time.perf_counter() - t_start
 
-    result = report.result
-    claimed = report.claimed
+    claimed = isinstance(result, Solution)
     success = False
     subsequence_ok = False
     plan_length = 0
     reason = ""
-    if isinstance(result, Solution):
+    if claimed:
         plan_length = len(result.actions)
         ok, trace = solver.replay(world0, result.actions)
         subsequence_ok = verify_subsequence(list(result.actions), pp)

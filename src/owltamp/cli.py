@@ -40,8 +40,7 @@ def _cmd_run(args) -> int:
             return 2
         transcript = None
         if args.out:
-            import os as _os
-            _os.makedirs(args.out, exist_ok=True)
+            os.makedirs(args.out, exist_ok=True)
             transcript = f"{args.out}/transcript.jsonl"
 
         def oracle_factory(mode, task_id, seed):

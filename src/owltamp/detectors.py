@@ -134,10 +134,10 @@ DETECTORS = {
 }
 
 
-def success_detector(detector_id: str, final_world: WorldState, trace=(),
+def success_detector(detector_id: str, world: WorldState, trace=(),
                      actions=()) -> bool:
     """Run the named detector; unknown ids fail closed."""
     fn = DETECTORS.get(detector_id)
     if fn is None:
         return False
-    return bool(fn(final_world, tuple(trace), tuple(actions)))
+    return bool(fn(world, tuple(trace), tuple(actions)))

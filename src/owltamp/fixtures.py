@@ -1,4 +1,4 @@
-"""Scripted oracle payloads for every benchmark task.
+"""Scripted oracle answers for every benchmark task.
 
 Variants:
   manual             ground-truth partial plans and constraint programs

@@ -1,13 +1,14 @@
 """Symbolic planning substrate: predicates, literals, states, and parameterized actions.
 
-Actions carry three literal lists: static constraints, fluent preconditions,
-and fluent effects.  Static constraints (`con`) type and tie together an
-action's parameters; they are never stored in states and never checked here.
-Symbolic search treats them as satisfiable, and the manipulation constraints
-they name are checked only by the world model's skills (`world.exec_*`)
-during refinement and replay.  Continuous parameters may be bound to
-optimistic placeholders, which act as unification wildcards during symbolic
-search and are replaced by real values during refinement.
+Action schemas carry three literal lists: static constraints, fluent
+preconditions, and fluent effects.  Static constraints (`con`) type and tie
+together a schema's parameters; they are never stored in states and never
+checked here.  Symbolic search treats them as satisfiable, and the
+manipulation constraints they name are checked only by the world model's
+skills (`world.exec_*`) during refinement and replay, so a ground action
+carries its preconditions and effects only.  Continuous parameters may be
+bound to optimistic placeholders, which act as unification wildcards during
+symbolic search and are replaced by real values during refinement.
 
 Truth checks look literals up in a `LiteralIndex` instead of scanning a
 state: literals are bucketed by predicate and first argument, and also sit
@@ -328,13 +329,13 @@ class ActionSchema:
 
 @dataclass(frozen=True)
 class GroundAction:
-    """An action schema with every parameter bound to a Value."""
+    """An action schema with every parameter bound to a Value; the schema's
+    static constraints are not instantiated."""
 
     schema: ActionSchema
     binding: tuple[tuple[str, Value], ...]
-    con: tuple[Literal, ...] = field(default=())
-    pre: tuple[Literal, ...] = field(default=())
-    eff: tuple[Literal, ...] = field(default=())
+    pre: tuple[Literal, ...] = ()
+    eff: tuple[Literal, ...] = ()
     # Extra effect/precondition literals injected by problem transformations.
     extra_pre: tuple[Literal, ...] = ()
     extra_eff: tuple[Literal, ...] = ()
@@ -348,10 +349,6 @@ class GroundAction:
             if k == param:
                 return v
         raise ModelError(f"{self.name}: no binding for {param!r}")
-
-    @property
-    def binding_map(self) -> dict[str, Value]:
-        return dict(self.binding)
 
     @property
     def preconditions(self) -> tuple[Literal, ...]:
@@ -381,7 +378,7 @@ class GroundAction:
         Safe for optimistic placeholders (unique identities); preserves
         injected extras and expanded wildcard effects.
         """
-        old = self.binding_map
+        old = dict(self.binding)
         for k, v in updates.items():
             if not v.check_type(self.schema.param_type(k)):
                 raise ModelError(f"{self.name}: bad rebinding for {k!r}: {v}")
@@ -393,7 +390,6 @@ class GroundAction:
 
         new_binding = tuple((k, updates.get(k, v)) for k, v in self.binding)
         return GroundAction(self.schema, new_binding,
-                            tuple(sub(l) for l in self.con),
                             tuple(sub(l) for l in self.pre),
                             tuple(sub(l) for l in self.eff),
                             tuple(sub(l) for l in self.extra_pre),
@@ -401,7 +397,7 @@ class GroundAction:
 
     def with_extras(self, extra_pre: tuple[Literal, ...] = (),
                     extra_eff: tuple[Literal, ...] = ()) -> "GroundAction":
-        return GroundAction(self.schema, self.binding, self.con, self.pre, self.eff,
+        return GroundAction(self.schema, self.binding, self.pre, self.eff,
                             self.extra_pre + extra_pre, self.extra_eff + extra_eff)
 
     def __str__(self):
@@ -427,7 +423,7 @@ def instantiate(schema: ActionSchema, binding: dict[str, Value],
                 objects: tuple[str, ...] = (),
                 extra_pre: tuple[Literal, ...] = (),
                 extra_eff: tuple[Literal, ...] = ()) -> GroundAction:
-    """Bind all parameters of a schema, substituting con/pre/eff.
+    """Bind all parameters of a schema, substituting pre/eff.
 
     `objects` supplies the expansion domain for universally-quantified
     wildcard effects; it may be empty when no schema literal uses '*'.
@@ -450,8 +446,8 @@ def instantiate(schema: ActionSchema, binding: dict[str, Value],
         return tuple(out)
 
     ordered = tuple((p.name, binding[p.name]) for p in schema.params)
-    return GroundAction(schema, ordered, inst(schema.con), inst(schema.pre),
-                        inst(schema.eff), extra_pre, extra_eff)
+    return GroundAction(schema, ordered, inst(schema.pre), inst(schema.eff),
+                        extra_pre, extra_eff)
 
 
 def applicable(state: State, action: GroundAction) -> bool:

@@ -1,7 +1,7 @@
 """Constraint providers: scripted fixtures and an external text-completion client.
 
 Both backends speak the same interface; the solver only ever sees parsed
-payloads, so a recorded external transcript replayed through the parser is
+replies, so a recorded external transcript replayed through the parser is
 indistinguishable from the scripted backend loaded with the same content.
 Generated constraint code is parsed into the closed expression language,
 never executed by the host interpreter.
@@ -53,17 +53,6 @@ class OracleRequest:
     step_index: int = 0
     step: PlanStep | None = None
     prior_goal_sources: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class OracleResponse:
-    raw_text: str
-    payload: object = None
-    diagnostics: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if self.payload is not None and self.diagnostics:
-            raise OracleError("a parsed payload cannot carry diagnostics")
 
 
 def _known_signatures(action_listing: str) -> set[str]:
@@ -224,16 +213,6 @@ class ExternalOracle:
         self._backoff = backoff
         self.calls = 0
         self.time_spent = 0.0
-        self.last_response: OracleResponse | None = None
-
-    def _parse(self, raw: str, parser):
-        try:
-            payload = parser(raw)
-        except OracleError as e:
-            self.last_response = OracleResponse(raw, None, (str(e),))
-            raise
-        self.last_response = OracleResponse(raw, payload)
-        return payload
 
     def _default_post(self, url: str, headers: dict, payload: dict) -> str:
         import requests
@@ -287,22 +266,22 @@ class ExternalOracle:
 
     def propose_partial_plan(self, req: OracleRequest) -> PartialPlan:
         raw = self._complete(render_discrete_prompt(req), "partial_plan")
-        return self._parse(raw, lambda r: parse_plan_response(r, req.action_listing))
+        return parse_plan_response(raw, req.action_listing)
 
     def propose_goal_constraints(self, req: OracleRequest) -> list[ConstraintFn]:
         raw = self._complete(render_goal_constraint_prompt(req), "goal_constraints")
-        return self._parse(raw, parse_constraint_response)
+        return parse_constraint_response(raw)
 
     def propose_action_constraints(self, req: OracleRequest) -> list[ConstraintFn]:
         raw = self._complete(render_action_constraint_prompt(req), "action_constraints")
-        return self._parse(raw, parse_constraint_response)
+        return parse_constraint_response(raw)
 
     def translate_goal_direct(self, req: OracleRequest):
         raw = self._complete(
             "Which of these reachable literals must hold to satisfy the goal "
             f"{req.goal_text!r}?  Answer one literal per line.\n{req.literal_listing}",
             "goal_literals")
-        return self._parse(raw, parse_goal_literals)
+        return parse_goal_literals(raw)
 
 
 def _transcript_entry(line: str, lineno: int) -> dict:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import time
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -29,7 +28,7 @@ from .model import (
     GroundAction, Literal, LiteralIndex, SemanticType, State, Value, apply,
     applicable, literal_holds,
 )
-from .partial_plan import PartialPlan, TransformedProblem
+from .partial_plan import TransformedProblem
 
 
 class PlanningError(Exception):
@@ -79,11 +78,8 @@ class RefinementFailure:
 @dataclass(frozen=True)
 class Solution:
     actions: tuple[GroundAction, ...]      # continuous parameters bound
-    trace: tuple[W.WorldState, ...]        # world before step i is trace[i]
-    final_world: W.WorldState
     samples_used: int
     skeletons_tried: int
-    wall_time: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -91,7 +87,6 @@ class Infeasible:
     reason: str
     samples_used: int
     skeletons_tried: int
-    wall_time: float = 0.0
 
 
 # --- Task planning (A*) --------------------------------------------------------
@@ -143,30 +138,26 @@ def plan_task(s0: State, actions: tuple[GroundAction, ...],
         return []
 
     start = s0.true_literals
-    counter = itertools.count()
-    frontier: list[tuple[int, int, int]] = []
-    heapq.heappush(frontier, (h(start), next(counter), 0))
-    # id -> (literals, parent id, action).  Frontier nodes keep bare literal
-    # sets; a node becomes an indexed State only when it is expanded.
-    payloads = {0: (start, None, None)}
+    tie = itertools.count()
+    # Entries are (f, tie, g, literals, path), where path is a nested
+    # (parent path, action) pair and None at the start; ties pop in push
+    # order.  Frontier nodes keep bare literal sets; a node becomes an
+    # indexed State only when it is expanded.
+    frontier = [(h(start), next(tie), 0, start, None)]
     best_g = {start: 0}
-    g_of = {0: 0}
     expansions = 0
 
     while frontier:
-        f, _, node_id = heapq.heappop(frontier)
-        literals, _, _ = payloads[node_id]
-        g = g_of[node_id]
+        _, _, g, literals, path = heapq.heappop(frontier)
         if g > best_g.get(literals, math.inf):
             continue
         state = State(literals)
         if satisfied(state):
             plan = []
-            cur = node_id
-            while payloads[cur][1] is not None:
-                plan.append(payloads[cur][2])
-                cur = payloads[cur][1]
-            return list(reversed(plan))
+            while path is not None:
+                path, action = path
+                plan.append(action)
+            return plan[::-1]
         expansions += 1
         if expansions > NODE_CAP:
             raise PlanningError("node-cap-exceeded")
@@ -178,10 +169,7 @@ def plan_task(s0: State, actions: tuple[GroundAction, ...],
             if ng >= best_g.get(nxt, math.inf):
                 continue
             best_g[nxt] = ng
-            nid = next(counter) + 1_000_000_000
-            payloads[nid] = (nxt, node_id, action)
-            g_of[nid] = ng
-            heapq.heappush(frontier, (ng + h(nxt), next(counter), nid))
+            heapq.heappush(frontier, (ng + h(nxt), next(tie), ng, nxt, (path, action)))
 
     raise PlanningError("unreachable-goal")
 
@@ -268,10 +256,6 @@ class RestrictionTable:
 # --- Refinement ------------------------------------------------------------------
 
 
-def _vec(pose: Pose6) -> Value:
-    return Value.vec(pose.as_tuple())
-
-
 def _action_objects(action: GroundAction) -> dict[str, str]:
     out = {}
     for param, value in action.binding:
@@ -283,11 +267,12 @@ def _action_objects(action: GroundAction) -> dict[str, str]:
 # --- Skills ------------------------------------------------------------------------
 #
 # A draw samples continuous parameters for one action, runs its skill on the
-# world and returns (outcome, parameter updates), or None when the world does
-# not meet the skill's precondition.  It looks up the orientation bands, then
-# checks that precondition, then samples, then simulates.  Samplers and skills
-# are called by their module-level names so that they can be wrapped.  A
-# re-run executes a bound action again from its parameter values.
+# world and returns (outcome, parameter updates as float tuples), or None when
+# the world does not meet the skill's precondition.  It looks up the
+# orientation bands, then checks that precondition, then samples, then
+# simulates.  Samplers and skills are called by their module-level names so
+# that they can be wrapped.  A re-run executes a bound action again from its
+# parameter values.
 
 
 def _holding(world: W.WorldState, obj: str) -> bool:
@@ -301,8 +286,8 @@ def _draw_pick(world, name, objs, rng, restrictions, hint):
     grasp = sample_grasp(world, objs["o"], rng, spec)
     prior_pose = world.pose(objs["o"])
     outcome = W.exec_pick(world, objs["o"], grasp)
-    return outcome, {"g": _vec(grasp), "p": _vec(prior_pose),
-                     "q": Value.vec(grasp.position)}
+    return outcome, {"g": grasp.as_tuple(), "p": prior_pose.as_tuple(),
+                     "q": grasp.position}
 
 
 def _rerun_pick(world, action, objs):
@@ -316,9 +301,9 @@ def _draw_place(world, name, objs, rng, restrictions, hint):
         return None
     drop = sample_place(world, objs["o"], objs["s"], rng, spec, hint)
     outcome = W.exec_place(world, objs["o"], objs["s"], drop)
-    updates = {"g": _vec(world.held.grasp), "q": Value.vec(drop.position)}
+    updates = {"g": world.held.grasp.as_tuple(), "q": drop.position}
     if outcome.success:
-        updates["p"] = _vec(outcome.new_world.pose(objs["o"]))
+        updates["p"] = outcome.new_world.pose(objs["o"]).as_tuple()
     return outcome, updates
 
 
@@ -332,10 +317,9 @@ def _draw_pour(world, name, objs, rng, restrictions, hint):
         return None
     params = sample_pour(world, objs["o"], objs["s"], rng)
     outcome = W.exec_pour(world, objs["o"], objs["s"], params)
-    updates = {"g": _vec(world.held.grasp), "t": Value.vec(params),
-               "q": Value.vec(params[:3])}
+    updates = {"g": world.held.grasp.as_tuple(), "t": params, "q": params[:3]}
     if outcome.success:
-        updates["p"] = _vec(outcome.new_world.pose(objs["o"]))
+        updates["p"] = outcome.new_world.pose(objs["o"]).as_tuple()
     return outcome, updates
 
 
@@ -404,18 +388,18 @@ def refine(sk: Skeleton, scene: W.WorldState, goal_fns: tuple[ConstraintFn, ...]
            restrictions: RestrictionTable | None = None):
     """Sample continuous parameters for each action in order.
 
-    Returns a Solution (with bound actions and the world trace) or a
-    RefinementFailure naming the index that exhausted its samples.  Goal
-    constraint programs are checked as part of accepting the final action.
+    Returns a Solution with the bound actions or a RefinementFailure naming
+    the index that exhausted its samples.  Goal constraint programs are
+    checked as part of accepting the final action.  Only the accepted draw's
+    parameters are bound as Values.
     """
     restrictions = restrictions or RestrictionTable()
     if not sk.actions:
         if _constraints_pass(goal_fns, scene):
-            return Solution((), (scene,), scene, 0, 1)
+            return Solution((), 0, 1)
         return RefinementFailure(-1, "goal-constraint-unsatisfied", 0)
 
     world = scene
-    trace = [scene]
     bound: list[GroundAction] = []
     samples_used = 0
     last = len(sk.actions) - 1
@@ -448,15 +432,15 @@ def refine(sk: Skeleton, scene: W.WorldState, goal_fns: tuple[ConstraintFn, ...]
             if i == last and not _constraints_pass(goal_fns, outcome.new_world):
                 reason = "goal-constraint-unsatisfied"
                 continue
-            accepted = (action.with_values(updates), outcome.new_world)
+            accepted = outcome.new_world
+            bound.append(action.with_values(
+                {k: Value.vec(v) for k, v in updates.items()}))
             break
         if accepted is None:
             return RefinementFailure(i, reason, samples_used)
-        bound.append(accepted[0])
-        world = accepted[1]
-        trace.append(world)
+        world = accepted
 
-    return Solution(tuple(bound), tuple(trace), world, samples_used, 1)
+    return Solution(tuple(bound), samples_used, 1)
 
 
 # --- Backtracking ------------------------------------------------------------------
@@ -564,17 +548,6 @@ def backtrack_strategy(fail: RefinementFailure, sk: Skeleton, scene: W.WorldStat
 # --- Top-level solve loop -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SolveReport:
-    result: Solution | Infeasible
-    claimed: bool
-    partial_plan: PartialPlan
-
-    @property
-    def solution(self) -> Solution | None:
-        return self.result if isinstance(self.result, Solution) else None
-
-
 def _skeleton_from_plan(plan: list[GroundAction],
                         step_constraints: dict[int, tuple[ConstraintFn, ...]]) -> Skeleton:
     cons = []
@@ -618,17 +591,15 @@ def planning_set(scene: W.WorldState, problem: TransformedProblem) -> tuple[Grou
 def solve(scene: W.WorldState, problem: TransformedProblem, domain,
           step_constraints: dict[int, tuple[ConstraintFn, ...]],
           goal_fns: tuple[ConstraintFn, ...], budgets: Budgets, seed: int,
-          restrictions: RestrictionTable | None = None) -> SolveReport:
+          restrictions: RestrictionTable | None = None) -> Solution | Infeasible:
     """Plan, refine, and backtrack until a solution or the budgets run out."""
-    t0 = time.perf_counter()
     samples_total = 0
     tried = 0
 
     try:
         plan = plan_task(problem.s0, planning_set(scene, problem), problem.goal)
     except PlanningError as e:
-        wall = time.perf_counter() - t0
-        return SolveReport(Infeasible(e.reason, 0, 0, wall), False, problem.plan)
+        return Infeasible(e.reason, 0, 0)
 
     queue: list[Skeleton] = [_skeleton_from_plan(plan, step_constraints)]
     failure_reason = "backtrack-budget-exhausted"
@@ -642,18 +613,13 @@ def solve(scene: W.WorldState, problem: TransformedProblem, domain,
         tried += 1
         result = refine(sk, scene, goal_fns, budgets, rng, restrictions)
         if isinstance(result, Solution):
-            wall = time.perf_counter() - t0
-            sol = Solution(result.actions, result.trace, result.final_world,
-                           samples_total + result.samples_used, tried, wall)
-            return SolveReport(sol, True, problem.plan)
+            return Solution(result.actions, samples_total + result.samples_used, tried)
         samples_total += result.samples_used
         failure_reason = result.reason
         candidates = backtrack_strategy(result, sk, scene, domain, rng, ids=insert_ids)
         queue = candidates + queue
 
-    wall = time.perf_counter() - t0
-    return SolveReport(Infeasible(failure_reason, samples_total, tried, wall),
-                       False, problem.plan)
+    return Infeasible(failure_reason, samples_total, tried)
 
 
 # --- Independent replay -------------------------------------------------------------

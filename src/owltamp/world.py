@@ -554,5 +554,12 @@ def save_scene(w: WorldState, path: str) -> None:
 
 
 def load_scene(path: str) -> WorldState:
+    """Read a scene file; one that is not a well-formed scene raises WorldError."""
     with open(path, encoding="utf-8") as fh:
-        return scene_from_json(json.load(fh))
+        try:
+            data = json.load(fh)
+            if not isinstance(data, dict):
+                raise WorldError(f"malformed scene {path}: not a JSON object")
+            return scene_from_json(data)
+        except (KeyError, TypeError, ValueError, AttributeError) as e:
+            raise WorldError(f"malformed scene {path}: {type(e).__name__}: {e}") from None

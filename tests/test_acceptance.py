@@ -21,7 +21,7 @@ from owltamp.lang import (
 from owltamp.lang import helpers as H
 from owltamp.model import State, Value, applicable, apply, load_default_domain
 from owltamp.partial_plan import PartialPlan, PlanStep, transform
-from owltamp.solver import Budgets, plan_task
+from owltamp.solver import Budgets, Solution, plan_task
 from owltamp.tasks import TABLE, bench_schemas, initial_state, load_task
 
 BUDGETS = Budgets(samples_per_action=500, backtracks=5)
@@ -41,14 +41,17 @@ def verdict(criterion: str, ok: bool, detail: str = "") -> None:
 
 @pytest.fixture(scope="module")
 def manual_cells():
-    """Manual-mode records for every (task, seed), each with the solve report
-    its cell made (None when the cell failed before solving), plus wall time."""
-    reports = []
+    """Manual-mode records for every (task, seed), each with the (solve result,
+    partial plan) its cell made (None when the cell failed before solving),
+    plus wall time.  The partial plan is that of the transformed problem
+    passed to `solve`."""
+    solves = []
     real_solve = solver.solve
 
     def recording_solve(*args, **kwargs):
-        reports.append(real_solve(*args, **kwargs))
-        return reports[-1]
+        result = real_solve(*args, **kwargs)
+        solves.append((result, args[1].plan))
+        return result
 
     start = time.perf_counter()
     cells = {}
@@ -56,9 +59,9 @@ def manual_cells():
         mp.setattr(solver, "solve", recording_solve)
         for task in TASK_IDS:
             for seed in SEEDS:
-                reports.clear()
+                solves.clear()
                 record = bench.run_cell(task, seed, "manual", BUDGETS)
-                cells[(task, seed)] = (record, reports[-1] if reports else None)
+                cells[(task, seed)] = (record, solves[-1] if solves else None)
     return cells, time.perf_counter() - start
 
 
@@ -172,13 +175,14 @@ def test_criterion_4_subsequence_invariant(manual_cells):
     cells, _ = manual_cells
     violations = []
     solutions = 0
-    for (task, seed), (rec, report) in cells.items():
-        if report is None or report.solution is None:
+    for (task, seed), (rec, solved) in cells.items():
+        if solved is None or not isinstance(solved[0], Solution):
             continue
+        result, pp = solved
         solutions += 1
-        plan = [a.discrete_signature() for a in report.solution.actions]
+        plan = [a.discrete_signature() for a in result.actions]
         steps = [(s.action.lower(), *(o.lower() for o in s.objects))
-                 for s in report.partial_plan.steps]
+                 for s in pp.steps]
         plan_lc = [(sig[0].lower(), *(x.lower() for x in sig[1:])) for sig in plan]
         if not (_dp_subsequence(plan_lc, steps) and rec.subsequence_ok):
             violations.append((task, seed))

@@ -1,6 +1,8 @@
 import hashlib
 import json
 
+import pytest
+
 from owltamp import bench
 from owltamp import world as W
 from owltamp.cli import main
@@ -68,3 +70,35 @@ def test_constraint_check_bad_file(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("def f() -> bool:\n    while True: pass\n")
     assert main(["constraint", "check", str(scene_path), str(bad)]) == 2
+
+
+def _scene_text(edit):
+    _, w = load_task("coffee", 0)
+    data = W.scene_to_json(w)
+    edit(data)
+    return json.dumps(data)
+
+
+def _short_pose(data):
+    data["poses"]["mug"] = data["poses"]["mug"][:5]
+
+
+def _inverted_workspace(data):
+    ws = data["workspace"]
+    ws["lower"], ws["upper"] = ws["upper"], ws["lower"]
+
+
+@pytest.mark.parametrize("text", [
+    '{"objects": []}',
+    "not json",
+    "[1,2]",
+    pytest.param(lambda: _scene_text(_short_pose), id="five-component-pose"),
+    pytest.param(lambda: _scene_text(_inverted_workspace), id="inverted-workspace"),
+])
+def test_constraint_check_rejects_malformed_scene(tmp_path, capsys, text):
+    scene_path = tmp_path / "scene.json"
+    scene_path.write_text(text() if callable(text) else text)
+    source = tmp_path / "checks.txt"
+    source.write_text("def f() -> bool:\n    return True\n")
+    assert main(["constraint", "check", str(scene_path), str(source)]) == 2
+    assert "cannot load scene" in capsys.readouterr().err

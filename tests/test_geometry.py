@@ -122,16 +122,6 @@ def test_scalar_kernel_matches_numpy_reference(roll, pitch, yaw, h0, h1, h2):
         assert math.isclose(g, w, rel_tol=1e-12)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.floats(-1, 1), st.floats(-1, 1), st.floats(0, 1),
-       ANGLES, ANGLES, ANGLES, HALF, HALF, HALF)
-def test_box_at_pose_equals_uncached_hull(x, y, z, roll, pitch, yaw, h0, h1, h2):
-    pose = Pose6(x, y, z, roll, pitch, yaw)
-    half = (h0, h1, h2)
-    fresh = Aabb.from_center(pose.position, rotated_half_extents(half, *pose.rpy))
-    assert box_at_pose(pose, half) == fresh
-
-
 def test_repeated_box_at_pose_is_an_equal_frozen_box():
     pose = Pose6(0.3, -0.2, 0.1, 0.4, -0.5, 2.0)
     first = box_at_pose(pose, (0.05, 0.04, 0.03))

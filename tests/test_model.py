@@ -72,9 +72,10 @@ def test_description_binding_flows_into_constraint(domain):
         "d": Value.text("put on plate"), "o": sym("apple"), "s": sym("plate"),
         "g": Value.opt(1), "p": Value.opt(2), "q": Value.opt(3)},
         objects=("apple", "plate"))
-    vlm = [lit for lit in action.con if lit.predicate.name == "VLMPose"]
-    assert len(vlm) == 1
-    assert vlm[0].args[0] == Value.text("put on plate")
+    assert action.value("d") == Value.text("put on plate")
+    # The description's constraint literal is declared on the schema.
+    vlm = [lit.args for lit in schema.con if lit.predicate.name == "VLMPose"]
+    assert vlm == [("d", "o", "p")]
 
 
 def test_applicable_missing_precondition(domain):

@@ -197,20 +197,13 @@ def test_replay_matches_scripted_payloads(tmp_path):
         [(f.name, f.assigns, f.result) for f in live_fns]
 
 
-def test_oracle_response_invariant_and_bookkeeping(tmp_path):
-    from owltamp.oracle import OracleError, OracleResponse
-    with pytest.raises(OracleError):
-        OracleResponse("raw", payload=object(), diagnostics=("also broken",))
+def test_external_oracle_malformed_reply_raises_parse_error():
     transport = FakeTransport([PLAN_REPLY, "Plan:\nnothing useful here\n"])
     oracle = ExternalOracle(url="http://oracle.test/v1", post_fn=transport,
                             backoff=0.0)
     oracle.propose_partial_plan(req("partial_plan", listing=MUG1_LISTING))
-    assert oracle.last_response.payload is not None
-    assert oracle.last_response.diagnostics == ()
     with pytest.raises(OracleParseError):
         oracle.propose_partial_plan(req("partial_plan", listing=MUG1_LISTING))
-    assert oracle.last_response.payload is None
-    assert oracle.last_response.diagnostics
 
 
 @pytest.mark.parametrize("raw", [

@@ -43,9 +43,8 @@ def test_transform_chains_executed(domain):
     assert [str(l) for l in second.extra_pre] == ["Executed(1)"]
     assert [str(l) for l in second.extra_eff] == ["Executed(2)"]
     assert [str(g) for g in t.goal] == ["Executed(2)"]
-    # descriptions flow into the constraint literal
-    vlm = [l for l in first.con if l.predicate.name == "VLMPose"]
-    assert vlm[0].args[0] == Value.text("into the pan first")
+    # descriptions are bound to the step's description parameter
+    assert first.value("d") == Value.text("into the pan first")
 
 
 def test_transform_replaces_matched_actions(domain):

@@ -12,9 +12,9 @@ from owltamp.lang import eval_constraint, parse_constraint
 from owltamp.model import Value, load_default_domain
 from owltamp.partial_plan import PartialPlan, PlanStep, transform, verify_subsequence
 from owltamp.solver import (
-    SKILLS, Budgets, PlanningError, RefinementFailure, RestrictionTable, Skeleton,
-    Solution, _action_objects, backtrack_strategy, plan_task, planning_set, refine,
-    replay, solve,
+    SKILLS, Budgets, Infeasible, PlanningError, RefinementFailure, RestrictionTable,
+    Skeleton, Solution, _action_objects, _executed_level, backtrack_strategy, plan_task,
+    planning_set, refine, replay, solve,
 )
 from owltamp.tasks import TABLE, initial_state, load_task, bench_schemas, task_ids
 
@@ -221,15 +221,14 @@ def _manual_solve(task_id, seed, budgets=Budgets(500, 5)):
 
 
 def test_solve_berry1_first_skeleton(domain):
-    spec, w0, report = _manual_solve("berry1", 3)
-    sol = report.solution
-    assert sol is not None
+    spec, w0, sol = _manual_solve("berry1", 3)
+    assert isinstance(sol, Solution)
     assert sol.skeletons_tried == 1
     assert len(sol.actions) == 2
 
 
 def test_solve_zero_backtracks_fails_obstructed(domain):
-    spec, w0, report = _manual_solve("berry2", 0, Budgets(500, 0))
+    spec, w0, _ = _manual_solve("berry2", 0, Budgets(500, 0))
     # ground truth clears the can, so give it a plan that cannot know that
     from owltamp.oracle import parse_constraint_response
     from owltamp.fixtures import MANUAL
@@ -240,9 +239,9 @@ def test_solve_zero_backtracks_fails_obstructed(domain):
                                "straight onto the region"),))
     t = transform(problem, pp)
     fns = parse_constraint_response(MANUAL["berry2"].step_constraints[2][0])
-    report = solve(w0, t, domain, {1: tuple(fns)}, (), Budgets(500, 0), 0,
+    result = solve(w0, t, domain, {1: tuple(fns)}, (), Budgets(500, 0), 0,
                    RestrictionTable(list(spec.sampler_restrictions)))
-    assert report.solution is None
+    assert isinstance(result, Infeasible)
 
 
 def test_solve_backtracking_clears_berry2_obstruction(domain):
@@ -253,36 +252,42 @@ def test_solve_backtracking_clears_berry2_obstruction(domain):
     pp = PartialPlan((PlanStep("place_ontop", ("strawberry", "light_grey_region"),
                                "straight onto the region"),))
     t = transform(problem, pp)
-    report = solve(w0, t, domain, {}, (), Budgets(500, 5), 1,
-                   RestrictionTable(list(spec.sampler_restrictions)))
-    sol = report.solution
-    assert sol is not None and sol.skeletons_tried >= 2
+    sol = solve(w0, t, domain, {}, (), Budgets(500, 5), 1,
+                RestrictionTable(list(spec.sampler_restrictions)))
+    assert isinstance(sol, Solution) and sol.skeletons_tried >= 2
     sigs = [a.discrete_signature() for a in sol.actions]
     assert ("pick", "potted_meat_can") in sigs
 
 
 def test_solution_determinism(domain):
-    a = _manual_solve("mug2", 5)[2]
-    b = _manual_solve("mug2", 5)[2]
-    sa, sb = a.solution, b.solution
-    assert sa is not None and sb is not None
+    sa = _manual_solve("mug2", 5)[2]
+    sb = _manual_solve("mug2", 5)[2]
+    assert isinstance(sa, Solution) and isinstance(sb, Solution)
     assert sa.samples_used == sb.samples_used
     assert sa.skeletons_tried == sb.skeletons_tried
     assert [x.binding for x in sa.actions] == [y.binding for y in sb.actions]
 
 
 def test_replay_matches_solver_final_world(domain):
-    from owltamp.fixtures import MANUAL
     from owltamp.oracle import parse_constraint_response
-    spec, w0, report = _manual_solve("berrycook", 2)
-    sol = report.solution
+    spec, w0, sol = _manual_solve("berrycook", 2)
     ok, trace = replay(w0, sol.actions)
     assert ok
-    assert trace[-1].poses == sol.final_world.poses
-    goal_fns = parse_constraint_response("\n".join(MANUAL["berrycook"].goal_constraints))
+    # Every step's constraint programs hold on the replayed world after it.
+    fx = MANUAL["berrycook"]
+    step_cons = {i: parse_constraint_response("\n".join(srcs))
+                 for i, srcs in fx.step_constraints.items()}
+    checked = 0
+    for action, after in zip(sol.actions, trace[1:]):
+        for fn in step_cons.get(_executed_level(action.extra_eff), ()):
+            assert eval_constraint(fn, after)
+            checked += 1
+    assert checked
+    goal_fns = parse_constraint_response("\n".join(fx.goal_constraints))
     assert goal_fns
     assert all(eval_constraint(fn, trace[-1]) for fn in goal_fns)
-    assert verify_subsequence(list(sol.actions), report.partial_plan)
+    pp = PartialPlan(tuple(PlanStep(a, o, d) for a, o, d in fx.steps))
+    assert verify_subsequence(list(sol.actions), pp)
 
 
 def _name_rule_fills(scene, name, objs, goal_pairs):
