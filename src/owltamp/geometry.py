@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 TWO_PI = 2.0 * math.pi
 
@@ -28,13 +28,17 @@ class Pose6:
     yaw: float = 0.0
 
     def __post_init__(self):
-        for name in ("x", "y", "z", "roll", "pitch", "yaw"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite pose component {name}={v!r}")
-        object.__setattr__(self, "roll", wrap_angle(self.roll))
-        object.__setattr__(self, "pitch", wrap_angle(self.pitch))
-        object.__setattr__(self, "yaw", wrap_angle(self.yaw))
+        isfinite = math.isfinite
+        roll, pitch, yaw = self.roll, self.pitch, self.yaw
+        if not (isfinite(self.x) and isfinite(self.y) and isfinite(self.z)
+                and isfinite(roll) and isfinite(pitch) and isfinite(yaw)):
+            for name in ("x", "y", "z", "roll", "pitch", "yaw"):
+                v = getattr(self, name)
+                if not isfinite(v):
+                    raise ValueError(f"non-finite pose component {name}={v!r}")
+        object.__setattr__(self, "roll", wrap_angle(roll))
+        object.__setattr__(self, "pitch", wrap_angle(pitch))
+        object.__setattr__(self, "yaw", wrap_angle(yaw))
 
     @property
     def position(self) -> tuple[float, float, float]:
@@ -47,8 +51,16 @@ class Pose6:
     def as_tuple(self) -> tuple[float, ...]:
         return (self.x, self.y, self.z, self.roll, self.pitch, self.yaw)
 
-    def moved(self, **kw) -> "Pose6":
-        return replace(self, **kw)
+    def moved(self, *, x=None, y=None, z=None, roll=None, pitch=None,
+              yaw=None) -> "Pose6":
+        """The pose with the given components replaced.  Built through the
+        constructor, so the angles are wrapped again, as `dataclasses.replace`
+        would do: a wrapped angle can change in its last bit."""
+        return Pose6(self.x if x is None else x, self.y if y is None else y,
+                     self.z if z is None else z,
+                     self.roll if roll is None else roll,
+                     self.pitch if pitch is None else pitch,
+                     self.yaw if yaw is None else yaw)
 
     @staticmethod
     def from_sequence(vals) -> "Pose6":
@@ -87,6 +99,8 @@ class Aabb:
     def __post_init__(self):
         lo = tuple(float(v) for v in self.lower)
         up = tuple(float(v) for v in self.upper)
+        if len(lo) != 3 or len(up) != 3:
+            raise ValueError(f"box needs 3 components per side: lower={lo} upper={up}")
         if any(l > u for l, u in zip(lo, up)):
             raise ValueError(f"inverted box: lower={lo} upper={up}")
         object.__setattr__(self, "lower", lo)
@@ -118,7 +132,11 @@ class Aabb:
         return tuple((u - l) / 2.0 for l, u in zip(self.lower, self.upper))
 
     def contains_point(self, p, slack: float = 0.0) -> bool:
-        return all(l - slack <= v <= u + slack for v, l, u in zip(p, self.lower, self.upper))
+        # A bool even for numpy coordinates, which grasp poses carry.
+        lo, up = self.lower, self.upper
+        return True if (lo[0] - slack <= p[0] <= up[0] + slack
+                        and lo[1] - slack <= p[1] <= up[1] + slack
+                        and lo[2] - slack <= p[2] <= up[2] + slack) else False
 
     def contains_xy(self, x: float, y: float, slack: float = 0.0) -> bool:
         return (self.lower[0] - slack <= x <= self.upper[0] + slack
@@ -131,7 +149,10 @@ class Aabb:
 
     def overlaps(self, other: "Aabb", tol: float = 0.0) -> bool:
         """True when boxes interpenetrate strictly more than tol on every axis."""
-        return all(o > tol for o in self.overlap_extent(other))
+        sl, su, ol, ou = self.lower, self.upper, other.lower, other.upper
+        return (min(su[0], ou[0]) - max(sl[0], ol[0]) > tol
+                and min(su[1], ou[1]) - max(sl[1], ol[1]) > tol
+                and min(su[2], ou[2]) - max(sl[2], ol[2]) > tol)
 
     def inflate(self, margin: float) -> "Aabb":
         return Aabb(tuple(l - margin for l in self.lower), tuple(u + margin for u in self.upper))

@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .model import (
     ActionSchema, GroundAction, Literal, LiteralIndex, SemanticType, State, Value,
@@ -151,9 +152,16 @@ def format_action_listing(problem: GroundedProblem) -> str:
 
 
 def _literal_listing(literals) -> str:
-    """Literals in a stable, readable order, one per line."""
-    keyed = sorted(literals, key=lambda l: (l.predicate.name, tuple(str(a) for a in l.args)))
-    return "\n".join(str(lit) for lit in keyed)
+    """Literals in a stable, readable order, one per line: sorted by predicate
+    name and argument strings, each line `str(lit)`.  Every argument is
+    stringified once, for both the key and the line."""
+    rows = []
+    for lit in literals:
+        name, args = lit.predicate.name, tuple([str(a) for a in lit.args])
+        line = f"{name}({', '.join(args)})"
+        rows.append(((name, args), line if lit.positive else "!" + line))
+    rows.sort(key=itemgetter(0))
+    return "\n".join([line for _, line in rows])
 
 
 def format_literal_listing(problem: GroundedProblem) -> str:

@@ -1,7 +1,7 @@
 """AST for the pose-constraint language.
 
-Programs are a sequence of single-assignment bindings followed by one
-returned boolean expression.  The language is closed and total: helper
+Programs are a sequence of bindings (a name may be bound again) followed by
+one returned boolean expression.  The language is closed and total: helper
 calls from a fixed registry, pose attribute reads, comparisons, abs,
 add/subtract by constants, and boolean connectives.  Nothing loops and
 nothing escapes into the host interpreter.
@@ -9,7 +9,6 @@ nothing escapes into the host interpreter.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 
@@ -44,11 +43,14 @@ class BoundsBox:
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", up)
 
-    @staticmethod
-    def from_xyz(xyz_lower, xyz_upper,
-                 ang_lower=(-math.pi,) * 3, ang_upper=(math.pi,) * 3) -> "BoundsBox":
-        return BoundsBox(tuple(xyz_lower) + tuple(ang_lower),
-                         tuple(xyz_upper) + tuple(ang_upper))
+    @classmethod
+    def trusted(cls, lower: tuple[float, ...], upper: tuple[float, ...]) -> "BoundsBox":
+        """Bounds from 6-tuples of Python floats that the caller has already
+        ordered lower <= upper: no conversion, no check."""
+        box = object.__new__(cls)
+        object.__setattr__(box, "lower", lower)
+        object.__setattr__(box, "upper", upper)
+        return box
 
     @property
     def xyz_lower(self):
@@ -71,18 +73,17 @@ class BoundsBox:
         lower = list(self.lower)
         upper = list(self.upper)
         lower[axis], upper[axis] = lo, up
-        box = object.__new__(BoundsBox)
-        object.__setattr__(box, "lower", tuple(lower))
-        object.__setattr__(box, "upper", tuple(upper))
-        return box
+        return BoundsBox.trusted(tuple(lower), tuple(upper))
 
     def clamp_axis(self, axis: int, lo: float, up: float) -> "BoundsBox":
         """Intersect one axis with [lo, up]; raises when the result is empty."""
         return self.with_axis(axis, max(self.lower[axis], lo), min(self.upper[axis], up))
 
     def contains_position(self, position) -> bool:
-        return all(l <= v <= u for v, l, u in
-                   zip(position[:3], self.lower[:3], self.upper[:3]))
+        # A bool even for numpy coordinates: programs must return a bool.
+        lo, up = self.lower, self.upper
+        return True if (lo[0] <= position[0] <= up[0] and lo[1] <= position[1] <= up[1]
+                        and lo[2] <= position[2] <= up[2]) else False
 
 
 # --- Expression nodes ---------------------------------------------------------
@@ -181,6 +182,12 @@ class ConstraintFn:
     result: Expr
     referenced_objects: frozenset[str]
     source_text: str = field(default="", compare=False)
+    # The program compiled to closures, set by `lang.evaluator` on first use.
+    _compiled: object = field(default=None, init=False, compare=False, repr=False)
+
+    def __reduce__(self):
+        return ConstraintFn, (self.name, self.assigns, self.result,
+                              self.referenced_objects, self.source_text)
 
     def pretty(self) -> str:
         lines = [f"def {self.name}() -> bool:"]

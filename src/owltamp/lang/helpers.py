@@ -25,18 +25,26 @@ ONTOP_SLACK = 0.01      # z slack above the exact resting height for "ontop"
 ANYWHERE_DROP_BAND = 0.35
 
 X, Y, Z = 0, 1, 2
+_ANGLES_LOWER = (-math.pi,) * 3
+_ANGLES_UPPER = (math.pi,) * 3
+
+
+def _any_orientation(lower: tuple[float, float, float],
+                     upper: tuple[float, float, float]) -> BoundsBox:
+    """Bounds over ordered float corners, such as an `Aabb`'s, all orientations."""
+    return BoundsBox.trusted(lower + _ANGLES_LOWER, upper + _ANGLES_UPPER)
 
 
 def default_bounds(w: WorldState) -> BoundsBox:
     """Broad starting bounds: the workspace box, all orientations."""
     ws = w.scene.workspace
-    return BoundsBox.from_xyz(ws.lower, ws.upper)
+    return _any_orientation(ws.lower, ws.upper)
 
 
 def get_aabb_bounds(w: WorldState, name: str) -> BoundsBox:
     """The object's axis-aligned box as pose bounds (orientation unconstrained)."""
     box = aabb_of(w, name)
-    return BoundsBox.from_xyz(box.lower, box.upper)
+    return _any_orientation(box.lower, box.upper)
 
 
 def get_obj_center(w: WorldState, name: str) -> Pose6:
@@ -142,7 +150,7 @@ def initialize_bounds_anywhere_on_object(w: WorldState, name: str) -> BoundsBox:
     """Positions over the object's footprint in a drop band above its top,
     any orientation."""
     box = aabb_of(w, name)
-    return BoundsBox.from_xyz(
+    return _any_orientation(
         (box.lower[X], box.lower[Y], box.upper[Z]),
         (box.upper[X], box.upper[Y], box.upper[Z] + ANYWHERE_DROP_BAND))
 

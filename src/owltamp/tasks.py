@@ -8,6 +8,7 @@ objects collide, and are deterministic in (task, seed).
 
 from __future__ import annotations
 
+import functools
 import json
 import zlib
 from dataclasses import dataclass
@@ -105,7 +106,10 @@ def task_ids() -> list[str]:
     return sorted(out)
 
 
+@functools.lru_cache(maxsize=None)
 def load_task_spec(task_id: str) -> TaskSpec:
+    """The catalog entry of a task, parsed once per process and shared: no
+    caller may mutate its dicts."""
     path = _catalog_dir().joinpath(f"{task_id}.json")
     try:
         data = json.loads(path.read_text(encoding="utf-8"))

@@ -88,12 +88,18 @@ def _inverted_workspace(data):
     ws["lower"], ws["upper"] = ws["upper"], ws["lower"]
 
 
+def _flat_workspace(data):
+    ws = data["workspace"]
+    ws["lower"], ws["upper"] = ws["lower"][:2], ws["upper"][:2]
+
+
 @pytest.mark.parametrize("text", [
     '{"objects": []}',
     "not json",
     "[1,2]",
     pytest.param(lambda: _scene_text(_short_pose), id="five-component-pose"),
     pytest.param(lambda: _scene_text(_inverted_workspace), id="inverted-workspace"),
+    pytest.param(lambda: _scene_text(_flat_workspace), id="two-component-workspace"),
 ])
 def test_constraint_check_rejects_malformed_scene(tmp_path, capsys, text):
     scene_path = tmp_path / "scene.json"

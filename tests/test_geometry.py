@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -37,6 +38,29 @@ def test_pose_normalizes_angles_and_rejects_nan():
     assert abs(p.yaw) < 1e-9
     with pytest.raises(ValueError):
         Pose6(float("nan"), 0, 0)
+
+
+@pytest.mark.parametrize("components, first_bad", [
+    ({"x": math.nan}, "x"),
+    ({"yaw": math.inf}, "yaw"),
+    ({"z": -math.inf, "roll": math.nan}, "z"),
+])
+def test_non_finite_pose_names_the_first_bad_component(components, first_bad):
+    with pytest.raises(ValueError, match=f"^non-finite pose component {first_bad}="):
+        Pose6(**components)
+
+
+POSE_FIELDS = ("x", "y", "z", "roll", "pitch", "yaw")
+WIDE = st.floats(-10.0, 10.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(*[WIDE] * 6), st.dictionaries(st.sampled_from(POSE_FIELDS), WIDE))
+def test_moved_equals_dataclasses_replace(components, changes):
+    pose = Pose6(*components)
+    got, want = pose.moved(**changes), dataclasses.replace(pose, **changes)
+    # Bit for bit: the angles are wrapped again either way.
+    assert [v.hex() for v in got.as_tuple()] == [v.hex() for v in want.as_tuple()]
 
 
 def _corner_hull(half, roll, pitch, yaw):
@@ -93,6 +117,11 @@ def test_inverted_public_box_still_raises():
         Aabb((0.0, 0.0, 0.2), (1.0, 1.0, 0.1))
 
 
+def test_box_without_three_components_raises():
+    with pytest.raises(ValueError, match="3 components"):
+        Aabb((0.0, 0.0), (1.0, 1.0))
+
+
 def test_aabb_overlap_convention():
     a = Aabb((0, 0, 0), (1, 1, 1))
     b = Aabb((2, 0, 0), (3, 1, 1))
@@ -138,3 +167,33 @@ def test_box_at_pose_accepts_list_and_array_half_extents():
         got = box_at_pose(pose, half)
         assert got == want
         assert all(type(v) is float for v in got.lower + got.upper)
+
+
+# --- Unrolled box checks against their genexpr forms ----------------------------
+
+# Coordinates drawn often from a small grid, so that faces touch and points
+# sit on faces.
+COORD = st.one_of(st.sampled_from([-0.5, 0.0, 0.25, 0.5, 1.0]), st.floats(-2.0, 2.0))
+POINT = st.tuples(COORD, COORD, COORD)
+SLACK = st.one_of(st.sampled_from([0.0, 1e-3, -1e-3, 0.25, -0.25]), st.floats(-0.5, 0.5))
+
+
+@st.composite
+def boxes(draw):
+    pairs = [sorted((draw(COORD), draw(COORD))) for _ in range(3)]
+    return Aabb(tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
+
+
+@settings(max_examples=500, deadline=None)
+@given(boxes(), boxes(), SLACK)
+def test_unrolled_overlaps_equals_the_genexpr(a, b, tol):
+    assert a.overlaps(b, tol) is all(o > tol for o in a.overlap_extent(b))
+
+
+@settings(max_examples=500, deadline=None)
+@given(boxes(), POINT, SLACK, st.booleans())
+def test_unrolled_contains_point_equals_the_genexpr(box, p, slack, as_numpy):
+    if as_numpy:
+        p = np.array(p)
+    want = all(l - slack <= v <= u + slack for v, l, u in zip(p, box.lower, box.upper))
+    assert box.contains_point(p, slack) is want

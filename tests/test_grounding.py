@@ -2,11 +2,12 @@ import time
 
 import pytest
 
+from owltamp import tasks
 from owltamp.grounding import (
-    GroundedProblem, format_action_listing, ground_actions, ground_problem,
-    reachable_literals,
+    GroundedProblem, _literal_listing, format_action_listing, format_literal_listing,
+    format_state_listing, ground_actions, ground_problem, reachable_literals,
 )
-from owltamp.model import State, Value, applicable, apply, load_default_domain
+from owltamp.model import Literal, State, Value, applicable, apply, load_default_domain
 
 
 @pytest.fixture(scope="module")
@@ -160,3 +161,27 @@ def test_find_action_is_case_insensitive_and_first_match_wins(domain):
     assert problem.find_action("place_ontop", ("APPLE", "Table_Surface")) is not None
     assert problem.find_action("pick", ("pear",)) is None
     assert problem.find_action("pick", ("apple", "table_surface")) is None
+
+
+def sorted_on_str_listing(literals):
+    """The reference listing: sorted on (predicate, str of every argument)."""
+    keyed = sorted(literals, key=lambda l: (l.predicate.name, tuple(str(a) for a in l.args)))
+    return "\n".join(str(lit) for lit in keyed)
+
+
+@pytest.mark.parametrize("task_id", tasks.task_ids())
+def test_literal_listing_is_byte_identical_to_the_reference(domain, task_id):
+    spec, w = tasks.load_task(task_id, 0)
+    s0 = tasks.initial_state(domain, w)
+    problem = ground_problem(s0, tasks.bench_schemas(domain), [*spec.objects, tasks.TABLE])
+    assert format_literal_listing(problem) == sorted_on_str_listing(problem.literals)
+    assert format_state_listing(s0) == sorted_on_str_listing(s0.true_literals)
+    # Literals with equal keys keep their input order: a literal beside its
+    # negation, and poses that print alike.
+    at_pose = domain.predicate("AtPose")
+    alike = [at_pose(Value.sym(spec.objects[0]), Value.vec((0.123451 + 1e-7 * i, 0, 0, 0, 0, 0)))
+             for i in range(3)]
+    for order in (1, -1):
+        tied = [l for lit in [*problem.literals, *alike]
+                for l in (lit, Literal(lit.predicate, lit.args, False))][::order]
+        assert _literal_listing(tied) == sorted_on_str_listing(tied)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from owltamp import tasks
 from owltamp.geometry import Pose6
 from owltamp.lang import (
     BoundsBox, InfeasibleBoundsError, default_bounds, sample_pose_uniform,
@@ -302,8 +303,42 @@ def test_axis_fast_path_equals_validating_constructor(b, axis, lo, up):
         assert all(type(v) is float for v in got.lower + got.upper)
 
 
+@settings(max_examples=500, deadline=None)
+@given(bounds_boxes(), st.tuples(*[st.one_of(FINITE, st.sampled_from([0.0, 1.0]))] * 3),
+       st.booleans())
+def test_unrolled_contains_position_equals_the_genexpr(b, position, as_numpy):
+    # Integer faces, and points often at 0 or 1, so that some lie on a face.
+    b = BoundsBox(tuple(round(v) for v in b.lower), tuple(round(v) for v in b.upper))
+    if as_numpy:
+        position = np.array(position)
+    want = all(l <= v <= u for v, l, u in zip(position[:3], b.lower[:3], b.upper[:3]))
+    assert b.contains_position(position) is want
+
+
+def _validated(lower, upper):
+    return BoundsBox(tuple(lower) + (-math.pi,) * 3, tuple(upper) + (math.pi,) * 3)
+
+
+@pytest.mark.parametrize("task_id", tasks.task_ids())
+def test_trusted_helper_bounds_equal_validated_boxes(task_id):
+    for seed in range(3):
+        _, w = tasks.load_task(task_id, seed)
+        ws = w.scene.workspace
+        pairs = [(default_bounds(w), _validated(ws.lower, ws.upper))]
+        for name in w.placed_objects():
+            box = aabb_of(w, name)
+            pairs.append((H.get_aabb_bounds(w, name), _validated(box.lower, box.upper)))
+            pairs.append((H.initialize_bounds_anywhere_on_object(w, name), _validated(
+                (box.lower[0], box.lower[1], box.upper[2]),
+                (box.upper[0], box.upper[1], box.upper[2] + H.ANYWHERE_DROP_BAND))))
+        for got, want in pairs:
+            assert got == want
+            assert all(type(v) is float for v in got.lower + got.upper)
+
+
 def test_emptied_clamp_raises():
-    b = BoundsBox.from_xyz((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+    b = BoundsBox((0.0, 0.0, 0.0, -math.pi, -math.pi, -math.pi),
+                  (1.0, 1.0, 1.0, math.pi, math.pi, math.pi))
     with pytest.raises(InfeasibleBoundsError):
         b.clamp_axis(2, 1.5, 2.0)
     with pytest.raises(InfeasibleBoundsError):

@@ -17,8 +17,16 @@ def test_catalog_lists_ten_tasks():
 
 
 def test_unknown_task_raises():
-    with pytest.raises(tasks.TaskError):
-        tasks.load_task("warp_core", 0)
+    for _ in range(2):  # a failed lookup is not cached
+        with pytest.raises(tasks.TaskError):
+            tasks.load_task("warp_core", 0)
+
+
+def test_task_specs_are_parsed_once_per_process():
+    for task_id in tasks.task_ids():
+        spec = tasks.load_task_spec(task_id)
+        assert tasks.load_task(task_id, 0)[0] is spec
+        assert tasks.load_task(task_id, 1)[0] is spec
 
 
 def test_scene_determinism():
