@@ -32,8 +32,9 @@ t = transform(problem, pp)
 print("\nafter the transformation:")
 for idx in t.step_actions:
     a = t.actions[idx]
-    print(f"  {a}  extra pre={[str(l) for l in a.extra_pre]}"
-          f" extra eff={[str(l) for l in a.extra_eff]}")
+    chain_pre = [str(l) for l in a.pre if l.predicate.name == "Executed"]
+    chain_eff = [str(l) for l in a.eff if l.predicate.name == "Executed"]
+    print(f"  {a}  Executed in pre={chain_pre} eff={chain_eff}")
 print("goal:", [str(g) for g in t.goal])
 
 # Any plan that reaches Executed(2) must have run step 1 first; the solver

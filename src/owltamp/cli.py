@@ -22,6 +22,13 @@ def _unknown_mode(modes: list[str]) -> bool:
     return False
 
 
+def _count(text: str) -> int:
+    """An argparse type: a nonnegative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _cmd_run(args) -> int:
     ids = tasks.task_ids() if args.task == "all" else [args.task]
     modes = args.mode.split(",")
@@ -116,13 +123,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run benchmark cells and render tables")
-    run.add_argument("--task", default="all", help="task id or 'all'")
-    run.add_argument("--seeds", type=int, default=10, help="number of seeds (0..N-1)")
+    run.add_argument("--task", default="all", choices=[*tasks.task_ids(), "all"],
+                     metavar="TASK", help="task id or 'all'")
+    run.add_argument("--seeds", type=_count, default=10, help="number of seeds (0..N-1)")
     run.add_argument("--mode", default="manual",
                      help="comma-separated ablation modes")
-    run.add_argument("--samples", type=int, default=500,
+    run.add_argument("--samples", type=_count, default=500,
                      help="continuous samples per action")
-    run.add_argument("--backtracks", type=int, default=5,
+    run.add_argument("--backtracks", type=_count, default=5,
                      help="total plan skeletons to attempt")
     run.add_argument("--oracle", choices=("scripted", "external"), default="scripted")
     run.add_argument("--out", default=None, help="directory for records and tables")
@@ -133,16 +141,17 @@ def build_parser() -> argparse.ArgumentParser:
         "fingerprint", help="print the behaviour fingerprint of a grid at the paper's budgets")
     fingerprint.add_argument("--modes", default="manual",
                              help="comma-separated ablation modes")
-    fingerprint.add_argument("--rounds", type=int, default=10,
+    fingerprint.add_argument("--rounds", type=_count, default=10,
                              help="number of scene seeds (0..N-1)")
-    fingerprint.add_argument("--task", default="all", help="task id or 'all'")
+    fingerprint.add_argument("--task", default="all", choices=[*tasks.task_ids(), "all"],
+                             metavar="TASK", help="task id or 'all'")
     fingerprint.set_defaults(fn=_cmd_fingerprint)
 
     ground = sub.add_parser("ground", help="grounding utilities")
     gsub = ground.add_subparsers(dest="ground_command", required=True)
     dump = gsub.add_parser("dump", help="print ground actions and reachable literals")
-    dump.add_argument("--task", required=True)
-    dump.add_argument("--seed", type=int, default=0)
+    dump.add_argument("--task", required=True, choices=tasks.task_ids(), metavar="TASK")
+    dump.add_argument("--seed", type=_count, default=0)
     dump.set_defaults(fn=_cmd_ground_dump)
 
     constraint = sub.add_parser("constraint", help="constraint-language utilities")

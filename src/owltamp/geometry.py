@@ -132,7 +132,7 @@ class Aabb:
         return tuple((u - l) / 2.0 for l, u in zip(self.lower, self.upper))
 
     def contains_point(self, p, slack: float = 0.0) -> bool:
-        # A bool even for numpy coordinates, which grasp poses carry.
+        # A bool even for numpy coordinates.
         lo, up = self.lower, self.upper
         return True if (lo[0] - slack <= p[0] <= up[0] + slack
                         and lo[1] - slack <= p[1] <= up[1] + slack
@@ -142,10 +142,12 @@ class Aabb:
         return (self.lower[0] - slack <= x <= self.upper[0] + slack
                 and self.lower[1] - slack <= y <= self.upper[1] + slack)
 
-    def overlap_extent(self, other: "Aabb") -> tuple[float, float, float]:
-        """Per-axis interval overlap length (negative when separated)."""
-        return tuple(min(su, ou) - max(sl, ol)
-                     for sl, su, ol, ou in zip(self.lower, self.upper, other.lower, other.upper))
+    def overlaps_xy(self, other: "Aabb") -> bool:
+        """True when the xy footprints overlap with positive area; boxes
+        that only touch do not."""
+        sl, su, ol, ou = self.lower, self.upper, other.lower, other.upper
+        return (min(su[0], ou[0]) - max(sl[0], ol[0]) > 0
+                and min(su[1], ou[1]) - max(sl[1], ol[1]) > 0)
 
     def overlaps(self, other: "Aabb", tol: float = 0.0) -> bool:
         """True when boxes interpenetrate strictly more than tol on every axis."""

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .model import (
-    ActionSchema, GroundAction, Literal, LiteralIndex, SemanticType, State, Value,
-    instantiate, literal_holds,
+    ActionSchema, GroundAction, Literal, LiteralIndex, SemanticType, State,
+    bind_placeholders, literal_holds,
 )
 
 # Candidate sets kept by `candidate_actions`.  The benchmark's ten tasks have
@@ -38,30 +38,22 @@ class GroundedProblem:
     s0: State
 
     def find_action(self, name: str, objs: tuple[str, ...]) -> GroundAction | None:
-        """The action with this discrete signature, compared case-insensitively;
+        """The action with this discrete signature, compared by `signature_key`;
         the first such action in `actions` wins.  The lookup table is built on
         first use and kept."""
         table = self.__dict__.get("_by_signature")
         if table is None:
             table = {}
             for a in self.actions:
-                table.setdefault(tuple(s.lower() for s in a.discrete_signature()), a)
+                table.setdefault(signature_key(a.discrete_signature()), a)
             object.__setattr__(self, "_by_signature", table)
-        return table.get((name.lower(), *(o.lower() for o in objs)))
+        return table.get(signature_key((name, *objs)))
 
 
-class _PlaceholderFactory:
-    """Deterministic optimistic ids: one counter per cached candidate set, so
-    ids run from 1 in schema-name order, then binding order."""
-
-    _HINTS = {SemanticType.POSE: "p", SemanticType.GRASP: "g", SemanticType.CONF: "q",
-              SemanticType.TRAJ: "t", SemanticType.DESCRIPTION: "d"}
-
-    def __init__(self):
-        self._counter = itertools.count(1)
-
-    def fresh(self, t: SemanticType) -> Value:
-        return Value.opt(next(self._counter), self._HINTS.get(t, "v"))
+def signature_key(signature: tuple[str, ...]) -> tuple[str, ...]:
+    """A discrete signature (action name, then object names) as compared
+    with oracle steps: case-insensitively."""
+    return tuple(s.lower() for s in signature)
 
 
 def _discrete_bindings(schema: ActionSchema, objects: tuple[str, ...]):
@@ -80,22 +72,14 @@ def candidate_actions(schemas: tuple[ActionSchema, ...],
 
     Pass the schemas sorted by name and the objects sorted, as
     `ground_actions` does: the arguments are the cache key, and the
-    placeholders are numbered in that order.  The candidates then come out
-    sorted by `discrete_signature`, which is unique per candidate: schema
-    name first, then the product of the sorted objects in parameter order.
+    placeholders are numbered from 1 in that order.  The candidates then
+    come out sorted by `discrete_signature`, which is unique per candidate:
+    schema name first, then the product of the sorted objects in parameter
+    order.
     """
-    factory = _PlaceholderFactory()
-    candidates: list[GroundAction] = []
-    for schema in schemas:
-        for discrete in _discrete_bindings(schema, objects):
-            binding: dict[str, Value] = {}
-            for p in schema.params:
-                if p.name in discrete:
-                    binding[p.name] = Value.sym(discrete[p.name])
-                else:
-                    binding[p.name] = factory.fresh(p.type)
-            candidates.append(instantiate(schema, binding, objects=objects))
-    return tuple(candidates)
+    ids = itertools.count(1)
+    return tuple(bind_placeholders(schema, discrete, ids, objects)
+                 for schema in schemas for discrete in _discrete_bindings(schema, objects))
 
 
 def ground_actions(s0: State, schemas: list[ActionSchema],
@@ -114,11 +98,11 @@ def ground_actions(s0: State, schemas: list[ActionSchema],
         for i in pending:
             action = candidates[i]
             # Negative preconditions are optimistically satisfiable here.
-            pre = [lit for lit in action.preconditions if lit.positive]
+            pre = [lit for lit in action.pre if lit.positive]
             if all(literal_holds(reached, lit) for lit in pre):
                 grounded[i] = True
                 progress = True
-                for eff in action.effects:
+                for eff in action.eff:
                     if eff.positive:
                         reached.add(eff)
             else:
@@ -132,7 +116,7 @@ def reachable_literals(s0: State, actions: tuple[GroundAction, ...]) -> frozense
     """Union of the initial state and every positive effect."""
     out = set(s0.true_literals)
     for a in actions:
-        out.update(eff for eff in a.effects if eff.positive)
+        out.update(eff for eff in a.eff if eff.positive)
     return frozenset(out)
 
 
@@ -144,11 +128,7 @@ def ground_problem(s0: State, schemas: list[ActionSchema],
 
 def format_action_listing(problem: GroundedProblem) -> str:
     """Discrete signatures, one per line, as shown to the oracle."""
-    lines = []
-    for a in problem.actions:
-        sig = a.discrete_signature()
-        lines.append(f"{sig[0]}({', '.join(sig[1:])})")
-    return "\n".join(lines)
+    return "\n".join([str(a) for a in problem.actions])
 
 
 def _literal_listing(literals) -> str:

@@ -52,14 +52,6 @@ class BoundsBox:
         object.__setattr__(box, "upper", upper)
         return box
 
-    @property
-    def xyz_lower(self):
-        return self.lower[:3]
-
-    @property
-    def xyz_upper(self):
-        return self.upper[:3]
-
     def with_axis(self, axis: int, lo: float, up: float) -> "BoundsBox":
         """The bounds with one axis replaced; raises when it is empty.
 
@@ -143,9 +135,6 @@ class Arith(Expr):
     op: str = "+"  # + | -
     lhs: Expr = None
     rhs: Expr = None
-
-
-COMPARE_OPS = ("<", "<=", ">", ">=", "==")
 
 
 @dataclass(frozen=True)

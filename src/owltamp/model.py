@@ -6,9 +6,11 @@ together a schema's parameters; they are never stored in states and never
 checked here.  Symbolic search treats them as satisfiable, and the
 manipulation constraints they name are checked only by the world model's
 skills (`world.exec_*`) during refinement and replay, so a ground action
-carries its preconditions and effects only.  Continuous parameters may be
-bound to optimistic placeholders, which act as unification wildcards during
-symbolic search and are replaced by real values during refinement.
+carries its preconditions and effects only, in one `pre` and one `eff`
+list; problem transformations append to them (`with_extras`).  Continuous
+parameters may be bound to optimistic placeholders (`bind_placeholders`),
+which act as unification wildcards during symbolic search and are replaced
+by real values during refinement.
 
 Truth checks look literals up in a `LiteralIndex` instead of scanning a
 state: literals are bucketed by predicate and first argument, and also sit
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import re
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
@@ -87,10 +89,6 @@ class Value:
     @staticmethod
     def opt(uid: int, hint: str = "") -> "Value":
         return Value("opt", (int(uid), str(hint)))
-
-    @property
-    def is_optimistic(self) -> bool:
-        return self.kind == "opt"
 
     def check_type(self, t: SemanticType) -> bool:
         if self.kind == "opt":
@@ -330,15 +328,14 @@ class ActionSchema:
 @dataclass(frozen=True)
 class GroundAction:
     """An action schema with every parameter bound to a Value; the schema's
-    static constraints are not instantiated."""
+    static constraints are not instantiated.  `pre` and `eff` are the whole
+    precondition and effect lists, including literals a problem
+    transformation appended (`with_extras`)."""
 
     schema: ActionSchema
     binding: tuple[tuple[str, Value], ...]
     pre: tuple[Literal, ...] = ()
     eff: tuple[Literal, ...] = ()
-    # Extra effect/precondition literals injected by problem transformations.
-    extra_pre: tuple[Literal, ...] = ()
-    extra_eff: tuple[Literal, ...] = ()
 
     @property
     def name(self) -> str:
@@ -350,33 +347,31 @@ class GroundAction:
                 return v
         raise ModelError(f"{self.name}: no binding for {param!r}")
 
-    @property
-    def preconditions(self) -> tuple[Literal, ...]:
-        return self.pre + self.extra_pre
+    @functools.cached_property
+    def objects(self) -> Mapping[str, str]:
+        """Object name per discrete parameter, in parameter order, read-only.
+        Built on first read, not at construction: refinement's `with_values`
+        builds many actions whose objects are never read."""
+        return MappingProxyType({k: str(v) for k, v in self.binding
+                                 if self.schema.param_type(k) is SemanticType.OBJ})
 
-    @property
-    def effects(self) -> tuple[Literal, ...]:
-        return self.eff + self.extra_eff
+    @functools.cached_property
+    def _signature(self) -> tuple[str, ...]:
+        return (self.name, *self.objects.values())
 
     def discrete_signature(self) -> tuple[str, ...]:
-        """Action name plus object arguments, the form used in oracle listings.
+        """Action name plus object arguments, the form used in oracle listings."""
+        return self._signature
 
-        Computed on first call and kept; not at construction, because
-        refinement's `with_values` builds many actions whose signature is
-        never read."""
-        sig = self.__dict__.get("_signature")
-        if sig is None:
-            objs = [str(v) for k, v in self.binding
-                    if self.schema.param_type(k) is SemanticType.OBJ]
-            sig = (self.name, *objs)
-            object.__setattr__(self, "_signature", sig)
-        return sig
+    def __getstate__(self):
+        # The fields only: the cached mapping proxy does not pickle.
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
     def with_values(self, updates: dict[str, Value]) -> "GroundAction":
         """Rebind parameters, substituting the old values wherever they occur.
 
         Safe for optimistic placeholders (unique identities); preserves
-        injected extras and expanded wildcard effects.
+        appended literals and expanded wildcard effects.
         """
         old = dict(self.binding)
         for k, v in updates.items():
@@ -391,18 +386,15 @@ class GroundAction:
         new_binding = tuple((k, updates.get(k, v)) for k, v in self.binding)
         return GroundAction(self.schema, new_binding,
                             tuple(sub(l) for l in self.pre),
-                            tuple(sub(l) for l in self.eff),
-                            tuple(sub(l) for l in self.extra_pre),
-                            tuple(sub(l) for l in self.extra_eff))
+                            tuple(sub(l) for l in self.eff))
 
-    def with_extras(self, extra_pre: tuple[Literal, ...] = (),
-                    extra_eff: tuple[Literal, ...] = ()) -> "GroundAction":
-        return GroundAction(self.schema, self.binding, self.pre, self.eff,
-                            self.extra_pre + extra_pre, self.extra_eff + extra_eff)
+    def with_extras(self, pre: tuple[Literal, ...] = (),
+                    eff: tuple[Literal, ...] = ()) -> "GroundAction":
+        """The action with literals appended to its preconditions and effects."""
+        return GroundAction(self.schema, self.binding, self.pre + pre, self.eff + eff)
 
     def __str__(self):
-        sig = self.discrete_signature()
-        return f"{sig[0]}({', '.join(sig[1:])})"
+        return f"{self.name}({', '.join(self.objects.values())})"
 
 
 def _substitute(lit: SchemaLiteral, binding: dict[str, Value],
@@ -420,9 +412,7 @@ def _substitute(lit: SchemaLiteral, binding: dict[str, Value],
 
 
 def instantiate(schema: ActionSchema, binding: dict[str, Value],
-                objects: tuple[str, ...] = (),
-                extra_pre: tuple[Literal, ...] = (),
-                extra_eff: tuple[Literal, ...] = ()) -> GroundAction:
+                objects: tuple[str, ...] = ()) -> GroundAction:
     """Bind all parameters of a schema, substituting pre/eff.
 
     `objects` supplies the expansion domain for universally-quantified
@@ -446,13 +436,29 @@ def instantiate(schema: ActionSchema, binding: dict[str, Value],
         return tuple(out)
 
     ordered = tuple((p.name, binding[p.name]) for p in schema.params)
-    return GroundAction(schema, ordered, inst(schema.pre), inst(schema.eff),
-                        extra_pre, extra_eff)
+    return GroundAction(schema, ordered, inst(schema.pre), inst(schema.eff))
+
+
+# Placeholder print hints per parameter type; any other type prints `#v<id>`.
+_PLACEHOLDER_HINTS = {SemanticType.POSE: "p", SemanticType.GRASP: "g",
+                      SemanticType.CONF: "q", SemanticType.TRAJ: "t",
+                      SemanticType.DESCRIPTION: "d"}
+
+
+def bind_placeholders(schema: ActionSchema, objs: Mapping[str, str], ids: Iterator[int],
+                      objects: tuple[str, ...] = ()) -> GroundAction:
+    """Instantiate a schema with the parameters in `objs` bound to those
+    object names and every other parameter, in parameter order, to a fresh
+    optimistic placeholder numbered by `ids`."""
+    binding = {p.name: Value.sym(objs[p.name]) if p.name in objs
+               else Value.opt(next(ids), _PLACEHOLDER_HINTS.get(p.type, "v"))
+               for p in schema.params}
+    return instantiate(schema, binding, objects)
 
 
 def applicable(state: State, action: GroundAction) -> bool:
     """True iff all fluent preconditions hold."""
-    return all(state.holds(lit) for lit in action.preconditions)
+    return all(state.holds(lit) for lit in action.pre)
 
 
 class PreconditionError(ModelError):
@@ -467,14 +473,14 @@ def apply(state: State, action: GroundAction) -> State:
 
     Raises PreconditionError when a fluent precondition does not hold.
     """
-    unmet = [lit for lit in action.preconditions if not state.holds(lit)]
+    unmet = [lit for lit in action.pre if not state.holds(lit)]
     if unmet:
         raise PreconditionError(action, unmet)
     result = set(state.true_literals)
-    for lit in action.effects:
+    for lit in action.eff:
         if not lit.positive:
             result.difference_update(state.index.matches(lit))
-    for lit in action.effects:
+    for lit in action.eff:
         if lit.positive:
             result.add(lit)
     return State(frozenset(result))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .grounding import GroundedProblem
+from .grounding import GroundedProblem, signature_key
 from .model import GroundAction, Literal, ModelError, Predicate, SemanticType, Value
 
 EXECUTED = Predicate("Executed", (SemanticType.INDEX,), "fluent")
@@ -102,9 +102,8 @@ def transform(problem: GroundedProblem, pp: PartialPlan) -> TransformedProblem:
         if step.description and action.schema.description_param:
             base = action.with_values(
                 {action.schema.description_param: Value.text(step.description)})
-        extra_pre = (executed(i - 1),) if i > 1 else ()
-        enhanced.append(base.with_extras(extra_pre=extra_pre,
-                                         extra_eff=(executed(i),)))
+        pre = (executed(i - 1),) if i > 1 else ()
+        enhanced.append(base.with_extras(pre=pre, eff=(executed(i),)))
 
     replaced_ids = {id(a) for a in matched}
     actions = [a for a in problem.actions if id(a) not in replaced_ids]
@@ -118,18 +117,16 @@ def transform(problem: GroundedProblem, pp: PartialPlan) -> TransformedProblem:
 
 
 def verify_subsequence(full: list[GroundAction], pp: PartialPlan) -> bool:
-    """True iff the steps appear in order within the plan (gaps allowed)."""
+    """True iff the steps appear in order within the plan (gaps allowed),
+    compared by `signature_key`, as steps are matched."""
+    keys = [signature_key((step.action, *step.objects)) for step in pp.steps]
     i = 0
     for action in full:
-        if i == len(pp.steps):
+        if i == len(keys):
             break
-        sig = action.discrete_signature()
-        step = pp.steps[i]
-        if (sig[0].lower() == step.action.lower()
-                and tuple(s.lower() for s in sig[1:])
-                == tuple(o.lower() for o in step.objects)):
+        if signature_key(action.discrete_signature()) == keys[i]:
             i += 1
-    return i == len(pp.steps)
+    return i == len(keys)
 
 
 # --- Text format ----------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +25,8 @@ from . import world as W
 from .geometry import Pose6
 from .lang import ConstraintFn, eval_constraint
 from .model import (
-    GroundAction, Literal, LiteralIndex, SemanticType, State, Value, apply,
-    applicable, literal_holds,
+    GroundAction, Literal, LiteralIndex, State, Value, apply, applicable,
+    bind_placeholders, literal_holds,
 )
 from .partial_plan import TransformedProblem
 
@@ -121,7 +121,7 @@ def plan_task(s0: State, actions: tuple[GroundAction, ...],
     possible = LiteralIndex(
         lit for lit in itertools.chain(
             s0.true_literals,
-            (eff for a in ordered for eff in a.effects if eff.positive))
+            (eff for a in ordered for eff in a.eff if eff.positive))
         if lit.predicate in goal_preds)
     goal_matches = tuple((g.positive, frozenset(possible.matches(g))) for g in plain_goals)
 
@@ -203,7 +203,7 @@ def sample_grasp(w: W.WorldState, obj: str, rng: np.random.Generator,
                  spec: SamplerSpec) -> Pose6:
     """Anywhere within the object's box, orientation from the given bands."""
     box = W.aabb_of(w, obj)
-    pos = rng.uniform(box.lower, box.upper)
+    pos = rng.uniform(box.lower, box.upper).tolist()
     return Pose6(*pos, *_draw_rpy(rng, spec))
 
 
@@ -251,17 +251,6 @@ class RestrictionTable:
             if act in ("*", action) and name in ("*", obj):
                 return spec
         return SamplerSpec()
-
-
-# --- Refinement ------------------------------------------------------------------
-
-
-def _action_objects(action: GroundAction) -> dict[str, str]:
-    out = {}
-    for param, value in action.binding:
-        if action.schema.param_type(param) is SemanticType.OBJ:
-            out[param] = str(value)
-    return out
 
 
 # --- Skills ------------------------------------------------------------------------
@@ -327,11 +316,11 @@ def _rerun_pour(world, action, objs):
     return W.exec_pour(world, objs["o"], objs["s"], action.value("t").payload)
 
 
-def _rests_on_target(world: W.WorldState, objs: dict[str, str]) -> bool:
+def _rests_on_target(world: W.WorldState, objs: Mapping[str, str]) -> bool:
     return W.supported_by(world, objs["o"]) == objs["s"]
 
 
-def _inside_target(world: W.WorldState, objs: dict[str, str]) -> bool:
+def _inside_target(world: W.WorldState, objs: Mapping[str, str]) -> bool:
     return objs["o"] in W.contents(world, objs["s"])
 
 
@@ -340,11 +329,11 @@ def _inside_target(world: W.WorldState, objs: dict[str, str]) -> bool:
 # (object, support) pairs of the goal's Supporting literals.
 
 
-def _pick_fills(scene: W.WorldState, objs: dict[str, str], goal_pairs) -> bool:
+def _pick_fills(scene: W.WorldState, objs: Mapping[str, str], goal_pairs) -> bool:
     return objs["o"] != scene.scene.table
 
 
-def _place_ontop_fills(scene: W.WorldState, objs: dict[str, str], goal_pairs) -> bool:
+def _place_ontop_fills(scene: W.WorldState, objs: Mapping[str, str], goal_pairs) -> bool:
     """Hand-freeing places onto the table, and goal places onto non-containers."""
     if objs["s"] == scene.scene.table:
         return True
@@ -352,7 +341,7 @@ def _place_ontop_fills(scene: W.WorldState, objs: dict[str, str], goal_pairs) ->
             and scene.scene.model(objs["s"]).kind != "container")
 
 
-def _place_inside_fills(scene: W.WorldState, objs: dict[str, str], goal_pairs) -> bool:
+def _place_inside_fills(scene: W.WorldState, objs: Mapping[str, str], goal_pairs) -> bool:
     return ((objs["o"], objs["s"]) in goal_pairs
             and scene.scene.model(objs["s"]).kind == "container")
 
@@ -408,7 +397,7 @@ def refine(sk: Skeleton, scene: W.WorldState, goal_fns: tuple[ConstraintFn, ...]
         skill = SKILLS.get(action.name)
         if skill is None:
             raise PlanningError(f"no skill for action {action.name!r}")
-        objs = _action_objects(action)
+        objs = action.objects
         fns = sk.constraints[i]
         hint = sk.hints[i]
         accepted = None
@@ -465,26 +454,9 @@ def _footprint_blockers(scene: W.WorldState, target: str,
             continue
         if scene.scene.model(name).kind == "surface":
             continue
-        box = W.aabb_of(scene, name)
-        overlap = footprint.overlap_extent(box)
-        if overlap[0] > 0 and overlap[1] > 0:
+        if footprint.overlaps_xy(W.aabb_of(scene, name)):
             out.append(name)
     return out
-
-
-def _make_ground(domain, name: str, objs: dict[str, str], counter: itertools.count,
-                 all_objects: tuple[str, ...]) -> GroundAction:
-    from .model import instantiate
-    schema = domain.schema(name)
-    binding: dict[str, Value] = {}
-    for p in schema.params:
-        if p.name in objs:
-            binding[p.name] = Value.sym(objs[p.name])
-        elif p.type is SemanticType.DESCRIPTION:
-            binding[p.name] = Value.opt(next(counter), "d")
-        else:
-            binding[p.name] = Value.opt(next(counter), p.type.value[0])
-    return instantiate(schema, binding, objects=all_objects)
 
 
 def backtrack_strategy(fail: RefinementFailure, sk: Skeleton, scene: W.WorldState,
@@ -501,7 +473,7 @@ def backtrack_strategy(fail: RefinementFailure, sk: Skeleton, scene: W.WorldStat
     candidates: list[Skeleton] = []
     if 0 <= fail.index < len(sk.actions):
         action = sk.actions[fail.index]
-        objs = _action_objects(action)
+        objs = action.objects
         if not SKILLS[action.name].holds_after:
             target = objs["s"]
             ignore = {objs["o"]}
@@ -510,6 +482,10 @@ def backtrack_strategy(fail: RefinementFailure, sk: Skeleton, scene: W.WorldStat
             table = scene.scene.table
             insert_at = _insertion_point(sk, fail.index)
             all_objs = tuple(scene.all_objects())
+
+            def ground(name: str, given: dict[str, str]) -> GroundAction:
+                return bind_placeholders(domain.schema(name), given, ids, all_objs)
+
             for k in order:
                 blocker = blockers[k]
                 container = W.supported_by(scene, blocker)
@@ -518,17 +494,11 @@ def backtrack_strategy(fail: RefinementFailure, sk: Skeleton, scene: W.WorldStat
                           and blocker in W.contents(scene, container))
                 if inside:
                     # Pouring sets the container back down by itself.
-                    seq = [
-                        _make_ground(domain, "pick", {"o": container}, ids, all_objs),
-                        _make_ground(domain, "pour", {"o": container, "s": table},
-                                     ids, all_objs),
-                    ]
+                    seq = [ground("pick", {"o": container}),
+                           ground("pour", {"o": container, "s": table})]
                 else:
-                    seq = [
-                        _make_ground(domain, "pick", {"o": blocker}, ids, all_objs),
-                        _make_ground(domain, "place_ontop", {"o": blocker, "s": table},
-                                     ids, all_objs),
-                    ]
+                    seq = [ground("pick", {"o": blocker}),
+                           ground("place_ontop", {"o": blocker, "s": table})]
                 avoid_box = W.aabb_of(scene, target)
                 hints: list[dict | None] = [None] * len(seq)
                 for idx, a in enumerate(seq):
@@ -552,7 +522,7 @@ def _skeleton_from_plan(plan: list[GroundAction],
                         step_constraints: dict[int, tuple[ConstraintFn, ...]]) -> Skeleton:
     cons = []
     for action in plan:
-        step_idx = _executed_level(action.extra_eff)
+        step_idx = _executed_level(action.eff)
         cons.append(tuple(step_constraints.get(step_idx, ())))
     return Skeleton(tuple(plan), tuple(cons), tuple(None for _ in plan), "initial")
 
@@ -569,7 +539,7 @@ def planning_set(scene: W.WorldState, problem: TransformedProblem) -> tuple[Grou
     goal literals, in scene names as matched: steps match case-insensitively,
     and goal literals are checked reachable."""
     keep = {o for i in problem.step_actions
-            for o in problem.actions[i].discrete_signature()[1:]}
+            for o in problem.actions[i].objects.values()}
     keep.update(str(a) for lit in problem.plan.goal_literals for a in lit.args)
     keep.add(scene.scene.table)
     goal_pairs = {tuple(str(a) for a in g.args) for g in problem.goal
@@ -579,7 +549,7 @@ def planning_set(scene: W.WorldState, problem: TransformedProblem) -> tuple[Grou
         if idx in problem.step_actions:
             out.append(a)
             continue
-        objs = _action_objects(a)
+        objs = a.objects
         if not keep.issuperset(objs.values()):
             continue
         skill = SKILLS.get(a.name)
@@ -638,7 +608,7 @@ def replay(scene: W.WorldState, actions: tuple[GroundAction, ...]):
         skill = SKILLS.get(action.name)
         if skill is None:
             return False, trace
-        outcome = skill.rerun(world, action, _action_objects(action))
+        outcome = skill.rerun(world, action, action.objects)
         if not outcome.success:
             return False, trace
         world = outcome.new_world

@@ -164,8 +164,7 @@ def load_task(task_id: str, seed: int) -> tuple[TaskSpec, W.WorldState]:
                 if avoided in poses:
                     avoid_box = W.box_at_pose(poses[avoided],
                                               OBJECT_LIBRARY[avoided][0])
-                    if (box.overlap_extent(avoid_box)[0] > 0
-                            and box.overlap_extent(avoid_box)[1] > 0):
+                    if box.overlaps_xy(avoid_box):
                         clear = False
                         break
             if clear and not W.collision(world, name, pose):

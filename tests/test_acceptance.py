@@ -209,7 +209,7 @@ def test_criterion_5_grounding_superset():
 
     def canonical(lit):
         return (lit.predicate.name,
-                tuple("*" if a.is_optimistic else str(a) for a in lit.args))
+                tuple("*" if a.kind == "opt" else str(a) for a in lit.args))
 
     start = time.perf_counter()
     checked_literals = 0

@@ -37,6 +37,24 @@ def test_fingerprint_rejects_unknown_mode(capsys):
     assert main(["fingerprint", "--modes", "manual,clairvoyant"]) == 2
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["run", "--task", "nosuch"], "--task"),
+    (["run", "--task", "berry1", "--samples", "-1"], "--samples"),
+    (["run", "--task", "berry1", "--backtracks", "-1"], "--backtracks"),
+    (["run", "--task", "berry1", "--seeds", "-1"], "--seeds"),
+    (["run", "--task", "berry1", "--seeds", "two"], "--seeds"),
+    (["fingerprint", "--task", "nosuch", "--rounds", "1"], "--task"),
+    (["fingerprint", "--task", "berry1", "--rounds", "-1"], "--rounds"),
+    (["ground", "dump", "--task", "nosuch"], "--task"),
+    (["ground", "dump", "--task", "berry1", "--seed", "-1"], "--seed"),
+])
+def test_bad_task_or_count_exits_2_with_a_message(argv, option, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {option}:" in capsys.readouterr().err
+
+
 def test_ground_dump(capsys):
     code = main(["ground", "dump", "--task", "berry1", "--seed", "0"])
     assert code == 0

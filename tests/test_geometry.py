@@ -178,6 +178,13 @@ POINT = st.tuples(COORD, COORD, COORD)
 SLACK = st.one_of(st.sampled_from([0.0, 1e-3, -1e-3, 0.25, -0.25]), st.floats(-0.5, 0.5))
 
 
+def overlap_extent(a, b):
+    """Per-axis interval overlap length of two boxes, negative when they
+    are apart on that axis: the reference for the unrolled box checks."""
+    return tuple(min(su, ou) - max(sl, ol)
+                 for sl, su, ol, ou in zip(a.lower, a.upper, b.lower, b.upper))
+
+
 @st.composite
 def boxes(draw):
     pairs = [sorted((draw(COORD), draw(COORD))) for _ in range(3)]
@@ -187,7 +194,33 @@ def boxes(draw):
 @settings(max_examples=500, deadline=None)
 @given(boxes(), boxes(), SLACK)
 def test_unrolled_overlaps_equals_the_genexpr(a, b, tol):
-    assert a.overlaps(b, tol) is all(o > tol for o in a.overlap_extent(b))
+    assert a.overlaps(b, tol) is all(o > tol for o in overlap_extent(a, b))
+
+
+@pytest.mark.parametrize("a, b, want", [
+    pytest.param(Aabb((0, 0, 0), (1, 1, 1)), Aabb((1, 0, 0), (2, 1, 1)), False,
+                 id="touching-in-x"),
+    pytest.param(Aabb((0, 0, 0), (1, 1, 1)), Aabb((0.5, 1, 0), (2, 2, 1)), False,
+                 id="touching-in-y"),
+    pytest.param(Aabb((0, 0, 0), (1, 1, 1)), Aabb((2, 0.5, 0), (3, 0.8, 1)), False,
+                 id="separated"),
+    pytest.param(Aabb((0, 0, 0), (1, 1, 1)), Aabb((0.2, 0.3, 0.1), (0.5, 0.6, 0.4)), True,
+                 id="nested"),
+    pytest.param(Aabb((0, 0, 0), (1, 1, 1)), Aabb((0.5, 0.5, 3), (2, 2, 4)), True,
+                 id="apart-in-z-only"),
+])
+def test_overlaps_xy_on_touching_separated_and_nested_boxes(a, b, want):
+    for x, y in ((a, b), (b, a)):
+        extent = overlap_extent(x, y)
+        assert (extent[0] > 0 and extent[1] > 0) is want
+        assert x.overlaps_xy(y) is want
+
+
+@settings(max_examples=500, deadline=None)
+@given(boxes(), boxes())
+def test_overlaps_xy_equals_the_overlap_extent_test(a, b):
+    extent = overlap_extent(a, b)
+    assert a.overlaps_xy(b) is (extent[0] > 0 and extent[1] > 0)
 
 
 @settings(max_examples=500, deadline=None)

@@ -106,7 +106,7 @@ def test_grounding_is_order_independent(domain):
 
 def _canonical(lit):
     """Optimistic values collapse to a wildcard for set comparison."""
-    args = tuple("*" if a.is_optimistic else str(a) for a in lit.args)
+    args = tuple("*" if a.kind == "opt" else str(a) for a in lit.args)
     return (lit.predicate.name, args)
 
 

@@ -1,38 +1,56 @@
 """The cached candidate sets of grounding against a fresh, uncached build."""
 
+import itertools
+
 import pytest
 
 from owltamp import bench, grounding, tasks
 from owltamp.model import (
-    LiteralIndex, State, Value, instantiate, literal_holds, parse_domain,
+    LiteralIndex, SemanticType, State, Value, instantiate, literal_holds, parse_domain,
 )
 from owltamp.solver import Budgets
 
 SEEDS = (0, 3, 7)
 
 
-def reference_ground_actions(s0, schemas, objects):
-    """Grounding as one uncached run: fresh placeholders from 1, the relaxed
-    fixpoint over freshly built candidates, then a sort by signature."""
-    objects = sorted(objects)
-    factory = grounding._PlaceholderFactory()
+PLACEHOLDER_HINTS = {SemanticType.POSE: "p", SemanticType.GRASP: "g",
+                     SemanticType.CONF: "q", SemanticType.TRAJ: "t",
+                     SemanticType.DESCRIPTION: "d"}
+
+
+def reference_candidates(schemas, objects):
+    """The candidate loop as grounding spelled it with its own placeholder
+    factory: one counter from 1, schemas by name, then binding order."""
+    counter = itertools.count(1)
     candidates = []
     for schema in sorted(schemas, key=lambda s: s.name):
         for discrete in grounding._discrete_bindings(schema, tuple(objects)):
-            binding = {p.name: Value.sym(discrete[p.name]) if p.name in discrete
-                       else factory.fresh(p.type) for p in schema.params}
+            binding = {}
+            for p in schema.params:
+                if p.name in discrete:
+                    binding[p.name] = Value.sym(discrete[p.name])
+                else:
+                    binding[p.name] = Value.opt(next(counter),
+                                                PLACEHOLDER_HINTS.get(p.type, "v"))
             candidates.append(instantiate(schema, binding, objects=tuple(objects)))
+    return candidates
+
+
+def reference_ground_actions(s0, schemas, objects):
+    """Grounding as one uncached run: fresh placeholders from 1, the relaxed
+    fixpoint over freshly built candidates, then a sort by signature."""
+    candidates = reference_candidates(schemas, sorted(objects))
 
     reached = LiteralIndex(s0.true_literals)
     grounded, pending, progress = [], candidates, True
     while progress and pending:
         progress, still_pending = False, []
         for action in pending:
-            pre = [lit for lit in action.preconditions if lit.positive]
+            pre = [lit for lit in action.pre if lit.positive]
             if all(literal_holds(reached, lit) for lit in pre):
                 grounded.append(action)
                 progress = True
-                for eff in action.effects:
+                for eff in action.eff:
                     if eff.positive:
                         reached.add(eff)
             else:
@@ -47,6 +65,16 @@ def task_problem(task_id, seed):
     domain = tasks.default_domain()
     return (tasks.initial_state(domain, world), tasks.bench_schemas(domain),
             [*spec.objects, tasks.TABLE])
+
+
+@pytest.mark.parametrize("task_id", tasks.task_ids())
+def test_candidates_equal_the_placeholder_loop(task_id):
+    # Equality covers every candidate's bindings, so each placeholder's id
+    # and hint.
+    _, schemas, objects = task_problem(task_id, 0)
+    got = grounding.candidate_actions(
+        tuple(sorted(schemas, key=lambda s: s.name)), tuple(sorted(objects)))
+    assert got == tuple(reference_candidates(schemas, sorted(objects)))
 
 
 @pytest.mark.parametrize("task_id", tasks.task_ids())

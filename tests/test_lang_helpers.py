@@ -248,8 +248,8 @@ def test_get_aabb_bounds_matches_independent_box():
     for scene in SCENES[:5]:
         lo, hi = _independent_box(scene.scene.model("obj0"), scene.pose("obj0"))
         got = H.get_aabb_bounds(scene, "obj0")
-        assert np.allclose(got.xyz_lower, lo, atol=1e-9)
-        assert np.allclose(got.xyz_upper, hi, atol=1e-9)
+        assert np.allclose(got.lower[:3], lo, atol=1e-9)
+        assert np.allclose(got.upper[:3], hi, atol=1e-9)
 
 
 def test_get_obj_center_returns_pose():
@@ -260,9 +260,9 @@ def test_get_obj_center_returns_pose():
 def test_position_within_bounds_center_and_edges():
     w = SCENES[0]
     b = H.get_aabb_bounds(w, "obj0")
-    center = Pose6(*(np.add(b.xyz_lower, b.xyz_upper) / 2))
+    center = Pose6(*(np.add(b.lower[:3], b.upper[:3]) / 2))
     assert H.position_within_bounds(center, b)
-    outside = Pose6(b.xyz_upper[0] + 0.01, center.y, center.z)
+    outside = Pose6(b.upper[0] + 0.01, center.y, center.z)
     assert not H.position_within_bounds(outside, b)
 
 

@@ -45,7 +45,7 @@ def scan_holds(state_literals, lit):
     """The reference: a linear scan with optimistic wildcards on either side."""
     found = any(
         sl.predicate == lit.predicate
-        and all(x == y or x.is_optimistic or y.is_optimistic
+        and all(x == y or x.kind == "opt" or y.kind == "opt"
                 for x, y in zip(sl.args, lit.args))
         for sl in state_literals)
     return found if lit.positive else not found

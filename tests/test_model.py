@@ -45,7 +45,7 @@ def test_instantiate_substitutes_preconditions(domain):
     assert names == ["AtPose", "HandEmpty", "AtConf"]
     assert action.pre[0].args == (sym("apple"), p0)
     # optimistic conf placeholder flows into the AtConf precondition
-    assert action.pre[2].args[0].is_optimistic
+    assert action.pre[2].args[0].kind == "opt"
 
 
 def test_instantiate_missing_and_extra_bindings(domain):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from owltamp.grounding import ground_problem
 from owltamp.model import State, Value, applicable, apply, load_default_domain
 from owltamp.partial_plan import (
-    IllegalGoalLiteralError, PartialPlan, PlanStep, UnmatchedStepError,
+    EXECUTED, IllegalGoalLiteralError, PartialPlan, PlanStep, UnmatchedStepError, executed,
     parse_partial_plan_text, transform, verify_subsequence,
 )
 
@@ -30,6 +30,10 @@ def make_problem(domain, objects=("strawberry", "skillet", "bowl", "table_surfac
     return ground_problem(s0, schemas, list(objects))
 
 
+def executed_literals(literals):
+    return [str(l) for l in literals if l.predicate is EXECUTED]
+
+
 def test_transform_chains_executed(domain):
     problem = make_problem(domain)
     pp = PartialPlan((
@@ -39,12 +43,18 @@ def test_transform_chains_executed(domain):
     t = transform(problem, pp)
     first = t.actions[t.step_actions[0]]
     second = t.actions[t.step_actions[1]]
-    assert [str(l) for l in first.extra_eff] == ["Executed(1)"]
-    assert [str(l) for l in second.extra_pre] == ["Executed(1)"]
-    assert [str(l) for l in second.extra_eff] == ["Executed(2)"]
+    assert executed_literals(first.pre) == []
+    assert executed_literals(first.eff) == ["Executed(1)"]
+    assert executed_literals(second.pre) == ["Executed(1)"]
+    assert executed_literals(second.eff) == ["Executed(2)"]
     assert [str(g) for g in t.goal] == ["Executed(2)"]
     # descriptions are bound to the step's description parameter
     assert first.value("d") == Value.text("into the pan first")
+    # The chain is appended after the matched action's own literals.
+    base = problem.find_action("place_inside", ("strawberry", "bowl")).with_values(
+        {"d": Value.text("then into the bowl")})
+    assert second.pre == base.pre + (executed(1),)
+    assert second.eff == base.eff + (executed(2),)
 
 
 def test_transform_replaces_matched_actions(domain):
@@ -54,7 +64,8 @@ def test_transform_replaces_matched_actions(domain):
     plain = [a for a in t.actions
              if a.discrete_signature() == ("place_inside", "strawberry", "bowl")]
     assert len(plain) == 1
-    assert plain[0].extra_eff  # only the enhanced copy remains
+    # only the enhanced copy remains
+    assert executed_literals(plain[0].eff) == ["Executed(1)"]
 
 
 def test_transform_empty_plan_keeps_problem(domain):

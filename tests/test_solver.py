@@ -13,7 +13,7 @@ from owltamp.model import Value, load_default_domain
 from owltamp.partial_plan import PartialPlan, PlanStep, transform, verify_subsequence
 from owltamp.solver import (
     SKILLS, Budgets, Infeasible, PlanningError, RefinementFailure, RestrictionTable,
-    Skeleton, Solution, _action_objects, _executed_level, backtrack_strategy, plan_task,
+    Skeleton, Solution, _executed_level, backtrack_strategy, plan_task,
     planning_set, refine, replay, solve,
 )
 from owltamp.tasks import TABLE, initial_state, load_task, bench_schemas, task_ids
@@ -104,7 +104,7 @@ def test_refine_binds_continuous_parameters(domain):
                     RestrictionTable(list(spec.sampler_restrictions)))
     assert isinstance(result, Solution)
     for action in result.actions:
-        assert all(k == "d" for k, v in action.binding if v.is_optimistic)
+        assert all(k == "d" for k, v in action.binding if v.kind == "opt")
     ok, trace = replay(w0, result.actions)
     assert ok
     assert W.supported_by(trace[-1], "strawberry") == "light_grey_region"
@@ -157,6 +157,26 @@ def test_refine_budget_accounting(domain):
     result = refine(sk, w0, (), budgets, np.random.default_rng(2))
     used = result.samples_used if isinstance(result, Solution) else result.samples_used
     assert used <= len(sk) * budgets.samples_per_action
+
+
+def test_sampled_grasps_hold_python_floats(domain):
+    spec, w0 = load_task("mug2", 0)
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    picked = 0
+    for _ in range(200):
+        obj = spec.objects[picked % len(spec.objects)]
+        grasp = solver.sample_grasp(w0, obj, rng, solver.SamplerSpec())
+        assert all(type(v) is float for v in grasp.as_tuple())
+        # The draw itself is unchanged.
+        box = W.aabb_of(w0, obj)
+        want = Pose6(*ref.uniform(box.lower, box.upper), *solver._draw_rpy(
+            ref, solver.SamplerSpec()))
+        assert grasp == want
+        outcome = W.exec_pick(w0, obj, grasp)
+        if outcome.success:
+            assert all(type(v) is float for v in outcome.new_world.robot_conf)
+            picked += 1
+    assert picked
 
 
 # --- backtracking ----------------------------------------------------------------
@@ -279,7 +299,7 @@ def test_replay_matches_solver_final_world(domain):
                  for i, srcs in fx.step_constraints.items()}
     checked = 0
     for action, after in zip(sol.actions, trace[1:]):
-        for fn in step_cons.get(_executed_level(action.extra_eff), ()):
+        for fn in step_cons.get(_executed_level(action.eff), ()):
             assert eval_constraint(fn, after)
             checked += 1
     assert checked
@@ -328,7 +348,7 @@ def test_every_benchmark_schema_has_a_skill(domain):
                           if g.predicate.name == "Supporting"}
             want = []
             for idx, a in enumerate(transformed.actions):
-                objs = _action_objects(a)
+                objs = a.objects
                 if idx in transformed.step_actions or (
                         {w0.scene.resolve(v) for v in objs.values()} <= keep
                         and _name_rule_fills(w0, a.name, objs, goal_pairs)):
