@@ -14,8 +14,12 @@ by real values during refinement.
 
 Truth checks look literals up in a `LiteralIndex` instead of scanning a
 state: literals are bucketed by predicate and first argument, and also sit
-in a set for exact hits.  A `State` builds its index on first use and keeps
-it.  `Value`, `Predicate` and `Literal` are hashed on every set and dict
+in a dict for exact hits.  A `State` builds its index on first use and keeps
+it.  The index also numbers its literals, so the symbolic layers that run
+many checks over one literal universe (A* search and the relaxed grounding
+fixpoint) compile them to int bitmasks: `LiteralIndex.mask` gives the bits
+of the members that unify with a literal, by the rule `holds` applies.
+`Value`, `Predicate` and `Literal` are hashed on every set and dict
 operation of the search, so each computes its hash once, into a slot, from
 the same field tuple the generated hash would use; slots also keep these
 many small objects smaller than plain dataclass instances.  String hashes
@@ -173,9 +177,13 @@ _WILD = object()  # bucket key of literals whose first argument is optimistic
 
 
 class LiteralIndex:
-    """Positive literals, bucketed for lookups that unify optimistic arguments.
+    """Positive literals, numbered and bucketed for lookups that unify
+    optimistic arguments.
 
-    Every literal sits in a set, which answers exact hits and drops
+    Each literal is numbered in the order it is first added and stands for
+    bit `1 << number`, so a set of indexed literals is a Python int mask;
+    `mask` gives the bits of every member that unifies with a query.  Every
+    literal sits in a dict of those bits, which answers exact hits and drops
     duplicates, and in a bucket keyed by (predicate, first argument), or by
     (predicate, _WILD) when its first argument is optimistic.  A query
     with a concrete first argument scans only its own bucket and the
@@ -184,23 +192,37 @@ class LiteralIndex:
     applied to the argument tuples.
     """
 
-    __slots__ = ("_members", "_buckets", "_by_pred")
+    __slots__ = ("_bits", "_buckets", "_by_pred")
 
     def __init__(self, literals=()):
-        self._members: set[Literal] = set()
+        self._bits: dict[Literal, int] = {}
         self._buckets: dict[tuple, list[Literal]] = {}
         self._by_pred: dict[Predicate, list[Literal]] = {}
         for lit in literals:
             self.add(lit)
 
-    def add(self, lit: Literal) -> None:
-        if lit in self._members:
-            return
-        self._members.add(lit)
+    def add(self, lit: Literal) -> int:
+        """Index `lit` unless it is a member already; either way, its bit."""
+        bit = self._bits.get(lit)
+        if bit is not None:
+            return bit
+        bit = self._bits[lit] = 1 << len(self._bits)
         first = lit.args[0] if lit.args else None
         key = (lit.predicate, _WILD if first is not None and first.kind == "opt" else first)
         self._buckets.setdefault(key, []).append(lit)
         self._by_pred.setdefault(lit.predicate, []).append(lit)
+        return bit
+
+    def bit(self, lit: Literal) -> int:
+        """`lit`'s bit, or 0 when it is not a member."""
+        return self._bits.get(lit, 0)
+
+    def __iter__(self) -> Iterator[Literal]:
+        """The members in number order."""
+        return iter(self._bits)
+
+    def __len__(self) -> int:
+        return len(self._bits)
 
     def _pool(self, lit: Literal):
         """The indexed literals that can unify with `lit`'s first argument."""
@@ -214,9 +236,19 @@ class LiteralIndex:
         """Every indexed literal that unifies with `lit`, whatever its sign."""
         return [sl for sl in self._pool(lit) if args_unify(sl.args, lit.args)]
 
+    def mask(self, lit: Literal) -> int:
+        """The bits of every indexed literal that unifies with `lit`,
+        whatever its sign."""
+        bits, args = self._bits, lit.args
+        out = 0
+        for sl in self._pool(lit):
+            if args_unify(sl.args, args):
+                out |= bits[sl]
+        return out
+
     def holds(self, lit: Literal) -> bool:
         # A negative literal is never a member, so its check is the scan alone.
-        found = (lit in self._members
+        found = (lit in self._bits
                  or any(args_unify(sl.args, lit.args) for sl in self._pool(lit)))
         return found if lit.positive else not found
 

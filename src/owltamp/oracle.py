@@ -55,13 +55,16 @@ class OracleRequest:
     prior_goal_sources: tuple[str, ...] = ()
 
 
-def _known_signatures(action_listing: str) -> set[str]:
-    out = set()
-    for line in action_listing.splitlines():
-        line = line.strip()
-        if line:
-            out.add(re.sub(r"\s+", "", line.lower()))
-    return out
+_SPACE = re.compile(r"\s+")
+
+
+@functools.lru_cache(maxsize=16)
+def _known_signatures(action_listing: str) -> frozenset[str]:
+    """The listing's signatures, lowercased and without whitespace.  Every
+    cell of a task shows the oracle one of a few listings, so the sets are
+    kept per listing text."""
+    return frozenset(_SPACE.sub("", line.lower())
+                     for line in action_listing.splitlines() if line.strip())
 
 
 def validate_steps(steps, action_listing: str) -> None:
@@ -70,7 +73,7 @@ def validate_steps(steps, action_listing: str) -> None:
     if not known:
         return
     for step in steps:
-        sig = re.sub(r"\s+", "", step.signature().lower())
+        sig = _SPACE.sub("", step.signature().lower())
         if sig not in known:
             raise UnknownOperatorError(step.signature())
 

@@ -24,10 +24,10 @@ import numpy as np
 from . import world as W
 from .geometry import Pose6
 from .lang import ConstraintFn, eval_constraint
-from .model import (
-    GroundAction, Literal, LiteralIndex, State, Value, apply, applicable,
-    bind_placeholders, literal_holds,
-)
+from .model import GroundAction, Literal, LiteralIndex, State, Value, bind_placeholders
+# Unused here since A* searches over bitmasks; bound so that the benchmark's
+# tracer (perfbench/tracer.py) still finds its wrap sites.
+from .model import apply, applicable, literal_holds  # noqa: F401
 from .partial_plan import TransformedProblem
 
 
@@ -103,56 +103,89 @@ def _executed_level(literals) -> int:
     return level
 
 
+def _executed_levels(universe: LiteralIndex) -> list[tuple[int, int]]:
+    """(level, mask of its Executed literals) for every level above 0 in the
+    universe, highest first: a state's chain level is the first level
+    whose mask it meets, else 0, as `_executed_level` reads a literal set."""
+    levels: dict[int, int] = {}
+    for lit in universe:
+        if lit.predicate.name == "Executed":
+            level = int(str(lit.args[0]))
+            if level > 0:
+                levels[level] = levels.get(level, 0) | universe.bit(lit)
+    return sorted(levels.items(), reverse=True)
+
+
 def plan_task(s0: State, actions: tuple[GroundAction, ...],
               goal: tuple[Literal, ...]) -> list[GroundAction]:
     """Minimum-length applicable sequence reaching the goal; static
     constraints are left to refinement.  Unit costs; admissible heuristic
     combining the remaining bookkeeping-chain depth with the count of unmet
-    goal literals."""
+    goal literals.
+
+    Every literal of a reachable state is in s0 or is a positive effect, so
+    that universe is numbered once and a state is the int mask of its
+    literals (the STRIPS bitset encoding).  A literal holds in a state iff
+    the state meets the mask of the universe's literals that unify with it,
+    and `apply`'s delete-then-add is `(state & keep) | add`."""
     ordered = sorted(actions, key=lambda a: a.discrete_signature())
+    universe = LiteralIndex(s0.true_literals)
+    start = (1 << len(universe)) - 1
+    for a in ordered:
+        for eff in a.eff:
+            if eff.positive:
+                universe.add(eff)
+    # Per action: the mask of each positive precondition, the OR of its
+    # negative preconditions' masks, a keep mask that clears every literal a
+    # negative effect matches, and the add mask.
+    compiled = []
+    for a in ordered:
+        pos = tuple(universe.mask(lit) for lit in a.pre if lit.positive)
+        neg = dels = add = 0
+        for lit in a.pre:
+            if not lit.positive:
+                neg |= universe.mask(lit)
+        for lit in a.eff:
+            if lit.positive:
+                add |= universe.bit(lit)
+            else:
+                dels |= universe.mask(lit)
+        compiled.append((a, pos, neg, ~dels, add))
+
     chain_target = _executed_level(goal)
-    plain_goals = tuple(g for g in goal if g.predicate.name != "Executed")
+    levels = _executed_levels(universe)
+    goal_masks = tuple((g.positive, universe.mask(g)) for g in goal)
+    goal_matches = tuple((g.positive, universe.mask(g)) for g in goal
+                         if g.predicate.name != "Executed")
 
-    # Every literal of a reachable state is in s0 or is a positive effect, so
-    # the literals that can match a goal literal are known up front.  The
-    # heuristic tests them by set membership: a generated node is indexed
-    # only if it is expanded.
-    goal_preds = {g.predicate for g in plain_goals}
-    possible = LiteralIndex(
-        lit for lit in itertools.chain(
-            s0.true_literals,
-            (eff for a in ordered for eff in a.eff if eff.positive))
-        if lit.predicate in goal_preds)
-    goal_matches = tuple((g.positive, frozenset(possible.matches(g))) for g in plain_goals)
+    def h(node: int) -> int:
+        level = 0
+        for lv, m in levels:
+            if node & m:
+                level = lv
+                break
+        unmet = sum(1 for positive, m in goal_matches if positive == (not node & m))
+        return max(chain_target - level, unmet)
 
-    def h(literals: frozenset[Literal]) -> int:
-        chain = max(0, chain_target - _executed_level(literals))
-        unmet = sum(1 for positive, matches in goal_matches
-                    if positive == literals.isdisjoint(matches))
-        return max(chain, unmet)
+    def satisfied(node: int) -> bool:
+        return all(positive == bool(node & m) for positive, m in goal_masks)
 
-    def satisfied(state: State) -> bool:
-        return all(literal_holds(state, g) for g in goal)
-
-    if satisfied(s0):
+    if satisfied(start):
         return []
 
-    start = s0.true_literals
     tie = itertools.count()
-    # Entries are (f, tie, g, literals, path), where path is a nested
+    # Entries are (f, tie, g, node, path), where path is a nested
     # (parent path, action) pair and None at the start; ties pop in push
-    # order.  Frontier nodes keep bare literal sets; a node becomes an
-    # indexed State only when it is expanded.
+    # order.
     frontier = [(h(start), next(tie), 0, start, None)]
     best_g = {start: 0}
     expansions = 0
 
     while frontier:
-        _, _, g, literals, path = heapq.heappop(frontier)
-        if g > best_g.get(literals, math.inf):
+        _, _, g, node, path = heapq.heappop(frontier)
+        if g > best_g.get(node, math.inf):
             continue
-        state = State(literals)
-        if satisfied(state):
+        if satisfied(node):
             plan = []
             while path is not None:
                 path, action = path
@@ -161,15 +194,19 @@ def plan_task(s0: State, actions: tuple[GroundAction, ...],
         expansions += 1
         if expansions > NODE_CAP:
             raise PlanningError("node-cap-exceeded")
-        for action in ordered:
-            if not applicable(state, action):
+        ng = g + 1
+        for action, pos, neg, keep, add in compiled:
+            if node & neg:
                 continue
-            nxt = apply(state, action).true_literals
-            ng = g + 1
-            if ng >= best_g.get(nxt, math.inf):
-                continue
-            best_g[nxt] = ng
-            heapq.heappush(frontier, (ng + h(nxt), next(tie), ng, nxt, (path, action)))
+            for m in pos:
+                if not node & m:
+                    break
+            else:
+                nxt = (node & keep) | add
+                if ng >= best_g.get(nxt, math.inf):
+                    continue
+                best_g[nxt] = ng
+                heapq.heappush(frontier, (ng + h(nxt), next(tie), ng, nxt, (path, action)))
 
     raise PlanningError("unreachable-goal")
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from owltamp import tasks
-from owltamp.grounding import candidate_actions, format_action_listing, ground_problem
+from owltamp.grounding import candidate_set, format_action_listing, ground_problem
 from owltamp.model import SemanticType, Value, instantiate
 from owltamp.partial_plan import PartialPlan, PlanStep, verify_subsequence
 from owltamp.solver import RefinementFailure, Skeleton, backtrack_strategy
@@ -50,9 +50,9 @@ def task_problem(task_id, seed=0):
 
 def task_candidates(task_id):
     _, domain, objects, _ = task_problem(task_id)
-    return candidate_actions(
+    return candidate_set(
         tuple(sorted(tasks.bench_schemas(domain), key=lambda s: s.name)),
-        tuple(sorted(objects)))
+        tuple(sorted(objects))).actions
 
 
 @pytest.mark.parametrize("task_id", tasks.task_ids())

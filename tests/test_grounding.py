@@ -156,7 +156,7 @@ def test_find_action_is_case_insensitive_and_first_match_wins(domain):
     actions = ground_actions(s0, schemas, objects)
     pick = next(a for a in actions if a.name == "pick" and str(a.value("o")) == "Apple")
     twin = pick.with_values({"g": Value.vec((0,) * 6)})
-    problem = GroundedProblem((*actions, twin), frozenset(), s0)
+    problem = GroundedProblem((*actions, twin), frozenset(), s0, ())
     assert problem.find_action("PICK", ("apple",)) is pick
     assert problem.find_action("place_ontop", ("APPLE", "Table_Surface")) is not None
     assert problem.find_action("pick", ("pear",)) is None
@@ -185,3 +185,26 @@ def test_literal_listing_is_byte_identical_to_the_reference(domain, task_id):
         tied = [l for lit in [*problem.literals, *alike]
                 for l in (lit, Literal(lit.predicate, lit.args, False))][::order]
         assert _literal_listing(tied) == sorted_on_str_listing(tied)
+
+
+def per_cell_listing(literals):
+    """The listing as every cell built it before the candidate set kept the
+    effects' rows: each literal's row rebuilt, then one stable sort."""
+    rows = []
+    for lit in literals:
+        name, args = lit.predicate.name, tuple([str(a) for a in lit.args])
+        line = f"{name}({', '.join(args)})"
+        rows.append(((name, args), line if lit.positive else "!" + line))
+    rows.sort(key=lambda row: row[0])
+    return "\n".join([line for _, line in rows])
+
+
+@pytest.mark.parametrize("task_id", tasks.task_ids())
+def test_listings_from_cached_rows_equal_the_per_cell_build(domain, task_id):
+    for seed in range(5):
+        spec, w = tasks.load_task(task_id, seed)
+        s0 = tasks.initial_state(domain, w)
+        problem = ground_problem(s0, tasks.bench_schemas(domain),
+                                 [*spec.objects, tasks.TABLE])
+        assert format_literal_listing(problem) == per_cell_listing(problem.literals)
+        assert format_state_listing(s0) == per_cell_listing(s0.true_literals)

@@ -72,8 +72,8 @@ def test_candidates_equal_the_placeholder_loop(task_id):
     # Equality covers every candidate's bindings, so each placeholder's id
     # and hint.
     _, schemas, objects = task_problem(task_id, 0)
-    got = grounding.candidate_actions(
-        tuple(sorted(schemas, key=lambda s: s.name)), tuple(sorted(objects)))
+    got = grounding.candidate_set(
+        tuple(sorted(schemas, key=lambda s: s.name)), tuple(sorted(objects))).actions
     assert got == tuple(reference_candidates(schemas, sorted(objects)))
 
 
@@ -125,20 +125,20 @@ def test_schemas_alike_in_name_only_do_not_share_an_entry():
         plain.predicate("HandEmpty")(),
         plain.predicate("AtPose")(Value.sym("apple"), Value.vec((0,) * 6)),
     }))
-    grounding.candidate_actions.cache_clear()
+    grounding.candidate_set.cache_clear()
     got_plain = grounding.ground_actions(s0, [plain.schema("pick")], ["apple"])
     got_blessed = grounding.ground_actions(s0, [blessed.schema("pick")], ["apple"])
-    assert grounding.candidate_actions.cache_info().misses == 2
+    assert grounding.candidate_set.cache_info().misses == 2
     assert [a.name for a in got_plain] == ["pick"]
     assert got_blessed == ()
 
 
 def test_reversed_schema_and_object_order_hit_one_entry():
     s0, schemas, objects = task_problem("mug2", 0)
-    grounding.candidate_actions.cache_clear()
+    grounding.candidate_set.cache_clear()
     forward = grounding.ground_actions(s0, schemas, objects)
     backward = grounding.ground_actions(s0, schemas[::-1], objects[::-1])
-    info = grounding.candidate_actions.cache_info()
+    info = grounding.candidate_set.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     assert forward == backward
     assert all(a is b for a, b in zip(forward, backward))
@@ -147,8 +147,8 @@ def test_reversed_schema_and_object_order_hit_one_entry():
 @pytest.mark.parametrize("task_id", tasks.task_ids())
 def test_candidate_signatures_are_unique_and_ordered(task_id):
     _, schemas, objects = task_problem(task_id, 0)
-    candidates = grounding.candidate_actions(
-        tuple(sorted(schemas, key=lambda s: s.name)), tuple(sorted(objects)))
+    candidates = grounding.candidate_set(
+        tuple(sorted(schemas, key=lambda s: s.name)), tuple(sorted(objects))).actions
     signatures = [a.discrete_signature() for a in candidates]
     assert len(set(signatures)) == len(signatures)
     assert signatures == sorted(signatures)
@@ -157,7 +157,7 @@ def test_candidate_signatures_are_unique_and_ordered(task_id):
 @pytest.mark.parametrize("mode", ["manual", "no_sample"])
 def test_cell_records_do_not_depend_on_the_cache(mode):
     budgets = Budgets(500, 5)
-    grounding.candidate_actions.cache_clear()
+    grounding.candidate_set.cache_clear()
     cold = bench.run_cell("mug2", 4, mode, budgets).stable_json()
     for task_id in tasks.task_ids():
         bench.run_cell(task_id, 1, mode, budgets)

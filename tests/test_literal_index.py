@@ -71,12 +71,21 @@ def test_lookups_match_the_linear_scan(state_literals, queries):
         grown.add(lit)  # duplicates are dropped
     for lit in state_literals:
         assert grown.matches(lit).count(lit) == 1
+    numbered = list(grown)
+    assert numbered == list(state_literals) and len(grown) == len(numbered)
     for lit in queries:
         want = scan_holds(state_literals, lit)
         assert literal_holds(state, lit) == want
         assert state.holds(lit) == want
         assert (lit in state) == want
         assert literal_holds(grown, lit) == want
+        # Bit i of a mask stands for the i-th literal added.
+        unifying = {sl for sl in state_literals if scan_holds({sl}, Literal(
+            lit.predicate, lit.args))}
+        mask = grown.mask(lit)
+        assert {sl for i, sl in enumerate(numbered) if mask >> i & 1} == unifying
+        assert sum(grown.bit(sl) for sl in unifying) == mask
+        assert grown.bit(lit) == (1 << numbered.index(lit) if lit in state_literals else 0)
 
 
 @settings(max_examples=300, deadline=None)

@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from owltamp import oracle as oracle_module
 from owltamp.fixtures import VARIANTS
+from owltamp.partial_plan import PlanStep
 from owltamp.oracle import (
     ExternalOracle, OracleError, OracleParseError, OracleRequest, OracleServiceError,
     ReplayOracle, ScriptedOracle, UnknownOperatorError, parse_constraint_response,
     parse_goal_literals, parse_plan_response, render_discrete_prompt,
-    render_goal_constraint_prompt,
+    render_goal_constraint_prompt, validate_steps,
 )
 from owltamp.tasks import task_ids
 
@@ -52,6 +54,29 @@ def test_scripted_unknown_operator_rejected():
     oracle = ScriptedOracle("manual")
     with pytest.raises(UnknownOperatorError):
         oracle.propose_partial_plan(req("partial_plan", listing="pick(mug)"))
+
+
+def test_every_step_is_checked_when_the_signature_set_is_cached():
+    oracle_module._known_signatures.cache_clear()
+    good = PlanStep("place_inside", ("fork", "mug"))
+    validate_steps((good,), MUG1_LISTING)
+    for steps in ((PlanStep("levitate", ("mug",)),),
+                  (good, PlanStep("pick", ("spoon",))),
+                  (good, good, PlanStep("PICK", ("mug", "fork")))):
+        with pytest.raises(UnknownOperatorError) as err:
+            validate_steps(steps, MUG1_LISTING)
+        assert err.value.operator == steps[-1].signature()
+    validate_steps((PlanStep("Pick", (" Mug ",)), good), MUG1_LISTING)
+    info = oracle_module._known_signatures.cache_info()
+    assert (info.misses, info.hits) == (1, 4)
+    # The cached set cannot be changed by a caller.
+    assert isinstance(oracle_module._known_signatures(MUG1_LISTING), frozenset)
+
+
+def test_an_empty_listing_accepts_any_step_on_every_call():
+    for listing in ("", "\n  \n"):
+        for _ in range(2):
+            validate_steps((PlanStep("levitate", ("mug",)),), listing)
 
 
 def test_direct_goal_translation():
