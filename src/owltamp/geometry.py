@@ -132,11 +132,10 @@ class Aabb:
         return tuple((u - l) / 2.0 for l, u in zip(self.lower, self.upper))
 
     def contains_point(self, p, slack: float = 0.0) -> bool:
-        # A bool even for numpy coordinates.
         lo, up = self.lower, self.upper
-        return True if (lo[0] - slack <= p[0] <= up[0] + slack
-                        and lo[1] - slack <= p[1] <= up[1] + slack
-                        and lo[2] - slack <= p[2] <= up[2] + slack) else False
+        return (lo[0] - slack <= p[0] <= up[0] + slack
+                and lo[1] - slack <= p[1] <= up[1] + slack
+                and lo[2] - slack <= p[2] <= up[2] + slack)
 
     def contains_xy(self, x: float, y: float, slack: float = 0.0) -> bool:
         return (self.lower[0] - slack <= x <= self.upper[0] + slack
@@ -155,9 +154,6 @@ class Aabb:
         return (min(su[0], ou[0]) - max(sl[0], ol[0]) > tol
                 and min(su[1], ou[1]) - max(sl[1], ol[1]) > tol
                 and min(su[2], ou[2]) - max(sl[2], ol[2]) > tol)
-
-    def inflate(self, margin: float) -> "Aabb":
-        return Aabb(tuple(l - margin for l in self.lower), tuple(u + margin for u in self.upper))
 
 
 def box_at_pose(pose: Pose6, half_extents) -> Aabb:

@@ -9,6 +9,12 @@ skeletons, never by intra-skeleton backjumping.
 `SKILLS` maps each action schema to the world-model skill that runs it:
 refinement, replay, backtracking and the planning-set filter read that table
 and never dispatch on action names themselves.
+
+Every refinement draw goes through one `DrawStream` per `refine` call, which
+hands out the skeleton generator's own doubles from a buffer and rewinds the
+generator over the unread ones when `refine` returns, so the values and the
+stream backtracking reads next are those of unbuffered `Generator.uniform`
+calls.
 """
 
 from __future__ import annotations
@@ -232,19 +238,67 @@ class SamplerSpec:
         return SamplerSpec(band("roll"), band("pitch"), band("yaw"))
 
 
-def _draw_rpy(rng: np.random.Generator, spec: SamplerSpec) -> tuple[float, float, float]:
-    return (rng.uniform(*spec.roll), rng.uniform(*spec.pitch), rng.uniform(*spec.yaw))
+# Doubles a DrawStream reads from its generator at a time.
+DRAW_BLOCK = 64
 
 
-def sample_grasp(w: W.WorldState, obj: str, rng: np.random.Generator,
+class DrawStream:
+    """Uniform draws from blocks of a PCG64 generator's own doubles.
+
+    `uniform(lo, hi)` is `lo + (hi - lo) * u` for the generator's next double
+    `u`, which is what `Generator.uniform(lo, hi)` computes, so the stream
+    gives that call's values bit for bit and raises its errors.  `close()`
+    rewinds the generator over the doubles read but not handed out; after it
+    the generator is where unbuffered `uniform` calls would have left it.
+    While a stream is open, read the generator through it only.
+
+    The samplers take a stream or a plain `Generator`, which has the same
+    `uniform(lo, hi)`.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        if not isinstance(rng.bit_generator, np.random.PCG64):
+            raise TypeError("DrawStream rewinds with PCG64.advance; got a "
+                            f"{type(rng.bit_generator).__name__} generator")
+        self._rng = rng
+        self._block: list[float] = []    # unread doubles, the next one last
+
+    def uniform(self, lo: float, hi: float) -> float:
+        span = hi - lo
+        if not 0.0 < span < math.inf:    # Generator.uniform's checks
+            if not math.isfinite(span):
+                raise OverflowError("high - low range exceeds valid bounds")
+            if math.copysign(1.0, span) < 0.0:
+                raise ValueError("high - low < 0")
+        block = self._block
+        if not block:
+            block = self._block = self._rng.random(DRAW_BLOCK)[::-1].tolist()
+        return lo + span * block.pop()
+
+    def close(self) -> None:
+        """Step the generator back over the unread doubles, one PCG64 step
+        each.  `advance` also drops the generator's buffered uint32, so
+        close a stream only where no uint32 draw came before its doubles."""
+        if self._block:
+            self._rng.bit_generator.advance((1 << 128) - len(self._block))
+            self._block = []
+
+
+def _draw_rpy(draws: DrawStream, spec: SamplerSpec) -> tuple[float, float, float]:
+    return (draws.uniform(*spec.roll), draws.uniform(*spec.pitch),
+            draws.uniform(*spec.yaw))
+
+
+def sample_grasp(w: W.WorldState, obj: str, draws: DrawStream,
                  spec: SamplerSpec) -> Pose6:
     """Anywhere within the object's box, orientation from the given bands."""
     box = W.aabb_of(w, obj)
-    pos = rng.uniform(box.lower, box.upper).tolist()
-    return Pose6(*pos, *_draw_rpy(rng, spec))
+    (x0, y0, z0), (x1, y1, z1) = box.lower, box.upper
+    return Pose6(draws.uniform(x0, x1), draws.uniform(y0, y1), draws.uniform(z0, z1),
+                 *_draw_rpy(draws, spec))
 
 
-def sample_place(w: W.WorldState, obj: str, target: str, rng: np.random.Generator,
+def sample_place(w: W.WorldState, obj: str, target: str, draws: DrawStream,
                  spec: SamplerSpec, hint: dict | None = None) -> Pose6:
     """A release pose broadly above the target's footprint."""
     box = W.aabb_of(w, target)
@@ -252,25 +306,25 @@ def sample_place(w: W.WorldState, obj: str, target: str, rng: np.random.Generato
     avoid = (hint or {}).get("avoid_xy")
     reach = max(w.scene.model(obj).half_extents)
     for _ in range(100):
-        x = rng.uniform(box.lower[0], box.upper[0])
-        y = rng.uniform(box.lower[1], box.upper[1])
+        x = draws.uniform(box.lower[0], box.upper[0])
+        y = draws.uniform(box.lower[1], box.upper[1])
         if avoid is not None and (avoid[0][0] - reach <= x <= avoid[1][0] + reach
                                   and avoid[0][1] - reach <= y <= avoid[1][1] + reach):
             continue
         break
-    z = rng.uniform(box.upper[2] + lo, box.upper[2] + hi)
-    return Pose6(x, y, z, *_draw_rpy(rng, spec))
+    z = draws.uniform(box.upper[2] + lo, box.upper[2] + hi)
+    return Pose6(x, y, z, *_draw_rpy(draws, spec))
 
 
 def sample_pour(w: W.WorldState, obj: str, target: str,
-                rng: np.random.Generator) -> tuple[float, float, float, float]:
+                draws: DrawStream) -> tuple[float, float, float, float]:
     """A tipping position above the target plus a tilt angle."""
     box = W.aabb_of(w, target)
     height = 2.0 * w.scene.model(obj).half_extents[2]
-    x = rng.uniform(box.lower[0], box.upper[0])
-    y = rng.uniform(box.lower[1], box.upper[1])
-    z = rng.uniform(box.upper[2] + height, box.upper[2] + 2.0 * height)
-    tilt = rng.uniform(-math.pi, math.pi)
+    x = draws.uniform(box.lower[0], box.upper[0])
+    y = draws.uniform(box.lower[1], box.upper[1])
+    z = draws.uniform(box.upper[2] + height, box.upper[2] + 2.0 * height)
+    tilt = draws.uniform(-math.pi, math.pi)
     return (x, y, z, tilt)
 
 
@@ -305,11 +359,11 @@ def _holding(world: W.WorldState, obj: str) -> bool:
     return world.held is not None and world.held.name == obj
 
 
-def _draw_pick(world, name, objs, rng, restrictions, hint):
+def _draw_pick(world, name, objs, draws, restrictions, hint):
     spec = restrictions.lookup(name, objs["o"])
     if objs["o"] not in world.poses:
         return None
-    grasp = sample_grasp(world, objs["o"], rng, spec)
+    grasp = sample_grasp(world, objs["o"], draws, spec)
     prior_pose = world.pose(objs["o"])
     outcome = W.exec_pick(world, objs["o"], grasp)
     return outcome, {"g": grasp.as_tuple(), "p": prior_pose.as_tuple(),
@@ -321,11 +375,11 @@ def _rerun_pick(world, action, objs):
     return W.exec_pick(world, objs["o"], grasp)
 
 
-def _draw_place(world, name, objs, rng, restrictions, hint):
+def _draw_place(world, name, objs, draws, restrictions, hint):
     spec = restrictions.lookup(name, objs["o"])
     if not _holding(world, objs["o"]):
         return None
-    drop = sample_place(world, objs["o"], objs["s"], rng, spec, hint)
+    drop = sample_place(world, objs["o"], objs["s"], draws, spec, hint)
     outcome = W.exec_place(world, objs["o"], objs["s"], drop)
     updates = {"g": world.held.grasp.as_tuple(), "q": drop.position}
     if outcome.success:
@@ -338,10 +392,10 @@ def _rerun_place(world, action, objs):
     return W.exec_place(world, objs["o"], objs["s"], drop)
 
 
-def _draw_pour(world, name, objs, rng, restrictions, hint):
+def _draw_pour(world, name, objs, draws, restrictions, hint):
     if not _holding(world, objs["o"]):
         return None
-    params = sample_pour(world, objs["o"], objs["s"], rng)
+    params = sample_pour(world, objs["o"], objs["s"], draws)
     outcome = W.exec_pour(world, objs["o"], objs["s"], params)
     updates = {"g": world.held.grasp.as_tuple(), "t": params, "q": params[:3]}
     if outcome.success:
@@ -387,7 +441,7 @@ def _place_inside_fills(scene: W.WorldState, objs: Mapping[str, str], goal_pairs
 class Skill:
     """How one action schema runs through the world model."""
 
-    draw: Callable       # (world, action name, objects, rng, restrictions, hint)
+    draw: Callable       # (world, action name, objects, draws, restrictions, hint)
     rerun: Callable      # (world, bound action, objects) -> SkillOutcome
     effect: Callable | None  # (world after, objects) -> symbolic effect holds
     holds_after: bool    # the hand holds the object once the skill is done
@@ -430,43 +484,51 @@ def refine(sk: Skeleton, scene: W.WorldState, goal_fns: tuple[ConstraintFn, ...]
     samples_used = 0
     last = len(sk.actions) - 1
 
-    for i, action in enumerate(sk.actions):
-        skill = SKILLS.get(action.name)
-        if skill is None:
-            raise PlanningError(f"no skill for action {action.name!r}")
-        objs = action.objects
-        fns = sk.constraints[i]
-        hint = sk.hints[i]
-        accepted = None
-        reason = "sampling-exhausted"
-        for _ in range(budgets.samples_per_action):
-            samples_used += 1
-            drawn = skill.draw(world, action.name, objs, rng, restrictions, hint)
-            if drawn is None:
-                reason = "precondition"
+    # One stream serves every step; closing it rewinds the doubles no draw
+    # used, so backtrack_strategy's permutation reads the generator where
+    # unbuffered draws would have left it.  That rewind is exact because
+    # nothing reads a uint32 from a skeleton's generator before refine.
+    draws = DrawStream(rng)
+    try:
+        for i, action in enumerate(sk.actions):
+            skill = SKILLS.get(action.name)
+            if skill is None:
+                raise PlanningError(f"no skill for action {action.name!r}")
+            objs = action.objects
+            fns = sk.constraints[i]
+            hint = sk.hints[i]
+            accepted = None
+            reason = "sampling-exhausted"
+            for _ in range(budgets.samples_per_action):
+                samples_used += 1
+                drawn = skill.draw(world, action.name, objs, draws, restrictions, hint)
+                if drawn is None:
+                    reason = "precondition"
+                    break
+                outcome, updates = drawn
+                if not outcome.success:
+                    reason = outcome.failure_reason
+                    continue
+                if skill.effect is not None and not skill.effect(outcome.new_world, objs):
+                    reason = "effects-unsatisfied"
+                    continue
+                if not _constraints_pass(fns, outcome.new_world):
+                    reason = "constraint-unsatisfied"
+                    continue
+                if i == last and not _constraints_pass(goal_fns, outcome.new_world):
+                    reason = "goal-constraint-unsatisfied"
+                    continue
+                accepted = outcome.new_world
+                bound.append(action.with_values(
+                    {k: Value.vec(v) for k, v in updates.items()}))
                 break
-            outcome, updates = drawn
-            if not outcome.success:
-                reason = outcome.failure_reason
-                continue
-            if skill.effect is not None and not skill.effect(outcome.new_world, objs):
-                reason = "effects-unsatisfied"
-                continue
-            if not _constraints_pass(fns, outcome.new_world):
-                reason = "constraint-unsatisfied"
-                continue
-            if i == last and not _constraints_pass(goal_fns, outcome.new_world):
-                reason = "goal-constraint-unsatisfied"
-                continue
-            accepted = outcome.new_world
-            bound.append(action.with_values(
-                {k: Value.vec(v) for k, v in updates.items()}))
-            break
-        if accepted is None:
-            return RefinementFailure(i, reason, samples_used)
-        world = accepted
+            if accepted is None:
+                return RefinementFailure(i, reason, samples_used)
+            world = accepted
 
-    return Solution(tuple(bound), samples_used, 1)
+        return Solution(tuple(bound), samples_used, 1)
+    finally:
+        draws.close()
 
 
 # --- Backtracking ------------------------------------------------------------------
@@ -611,12 +673,11 @@ def solve(scene: W.WorldState, problem: TransformedProblem, domain,
     queue: list[Skeleton] = [_skeleton_from_plan(plan, step_constraints)]
     failure_reason = "backtrack-budget-exhausted"
     master = np.random.default_rng(seed)
-    streams = master.spawn(budgets.skeleton_attempts)
     insert_ids = itertools.count(10_000_000)
 
     while queue and tried < budgets.skeleton_attempts:
         sk = queue.pop(0)
-        rng = streams[tried]
+        rng = master.spawn(1)[0]
         tried += 1
         result = refine(sk, scene, goal_fns, budgets, rng, restrictions)
         if isinstance(result, Solution):

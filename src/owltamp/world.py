@@ -340,7 +340,7 @@ def exec_pick(w: WorldState, name: str, grasp: Pose6) -> SkillOutcome:
     if name not in w.poses:
         raise UnknownObjectError(f"unknown or unplaced object {name!r}")
     box = aabb_of(w, name)
-    if not box.inflate(GRASP_MARGIN).contains_point(grasp.position):
+    if not box.contains_point(grasp.position, slack=GRASP_MARGIN):
         return _fail(w, "grasp-outside-object")
     if not reachable(w, grasp):
         return _fail(w, "unreachable")

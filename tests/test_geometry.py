@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from owltamp.geometry import Aabb, Pose6, box_at_pose, rotated_half_extents, wrap_angle
+from owltamp.world import GRASP_MARGIN
 
 ANGLES = st.floats(-math.pi, math.pi)
 HALF = st.floats(1e-3, 1.0)
@@ -229,4 +230,18 @@ def test_unrolled_contains_point_equals_the_genexpr(box, p, slack, as_numpy):
     if as_numpy:
         p = np.array(p)
     want = all(l - slack <= v <= u + slack for v, l, u in zip(p, box.lower, box.upper))
-    assert box.contains_point(p, slack) is want
+    got = box.contains_point(p, slack)
+    # Python-float coordinates give a bool; numpy ones a numpy bool.
+    assert (bool(got) if as_numpy else got) is want
+
+
+def inflate(box: Aabb, margin: float) -> Aabb:
+    """The grasp-margin box `world.exec_pick` used to build per draw: the
+    reference for checking a point with `slack=margin` instead."""
+    return Aabb(tuple(l - margin for l in box.lower), tuple(u + margin for u in box.upper))
+
+
+@settings(max_examples=500, deadline=None)
+@given(boxes(), POINT, st.one_of(st.sampled_from([0.0, GRASP_MARGIN]), st.floats(0.0, 0.5)))
+def test_contains_point_with_slack_equals_the_inflated_box(box, p, margin):
+    assert box.contains_point(p, slack=margin) is inflate(box, margin).contains_point(p)

@@ -179,6 +179,27 @@ def test_sampled_grasps_hold_python_floats(domain):
     assert picked
 
 
+def test_sampled_places_and_pours_hold_python_floats(domain):
+    spec, w0 = load_task("mug2", 0)
+    draws = solver.DrawStream(np.random.default_rng(5))
+    held = W.exec_pick(w0, "mug", Pose6(*W.aabb_of(w0, "mug").center)).new_world
+    placed = poured = 0
+    for _ in range(200):
+        drop = solver.sample_place(held, "mug", TABLE, draws, solver.SamplerSpec())
+        assert all(type(v) is float for v in drop.as_tuple())
+        outcome = W.exec_place(held, "mug", TABLE, drop)
+        if outcome.success:
+            assert all(type(v) is float for v in outcome.new_world.pose("mug").as_tuple())
+            placed += 1
+        params = solver.sample_pour(held, "mug", TABLE, draws)
+        assert all(type(v) is float for v in params)
+        outcome = W.exec_pour(held, "mug", TABLE, params)
+        if outcome.success:
+            assert all(type(v) is float for v in outcome.new_world.pose("mug").as_tuple())
+            poured += 1
+    assert placed and poured
+
+
 # --- backtracking ----------------------------------------------------------------
 
 def test_backtrack_inserts_blocker_clearing(domain):
