@@ -15,7 +15,9 @@ candidates are frozen, so sharing them is safe.  Each call then checks the
 few precondition patterns against its initial state and runs the relaxed
 fixpoint over ints; the reachable literals are s0 plus the decoded effect
 mask, and the listing shown to the oracle stringifies only s0's literals,
-since the candidate set keeps the rows of the effects.
+since the candidate set keeps the rows of the effects.  The action listing
+and `GroundedProblem.find_action` read each candidate's line and the
+case-folded signature lookup that the candidate set keeps as well.
 """
 
 from __future__ import annotations
@@ -35,6 +37,33 @@ from .model import (
 CANDIDATE_CACHE_SIZE = 16
 
 
+def signature_key(signature: tuple[str, ...]) -> tuple[str, ...]:
+    """A discrete signature (action name, then object names) as compared
+    with oracle steps: case-insensitively."""
+    return tuple(s.lower() for s in signature)
+
+
+@dataclass(frozen=True, eq=False)
+class ActionTable:
+    """Actions with each one's listing line, `str(a)`, and the indices of
+    the actions under each `signature_key`, in order."""
+
+    actions: tuple[GroundAction, ...]
+    lines: tuple[str, ...]
+    by_key: dict[tuple[str, ...], tuple[int, ...]]
+
+    @staticmethod
+    def of(actions) -> "ActionTable":
+        by_key: dict[tuple[str, ...], list[int]] = {}
+        for i, a in enumerate(actions):
+            sig = a.discrete_signature()
+            key = signature_key(sig)
+            # A signature already in lower case is its own key: kept once.
+            by_key.setdefault(sig if key == sig else key, []).append(i)
+        return ActionTable(tuple(actions), tuple([str(a) for a in actions]),
+                           {key: tuple(found) for key, found in by_key.items()})
+
+
 @dataclass(frozen=True)
 class GroundedProblem:
     actions: tuple[GroundAction, ...]
@@ -42,24 +71,18 @@ class GroundedProblem:
     s0: State
     # Listing rows (`_literal_rows`) of `literals` outside s0.
     effect_rows: tuple[tuple, ...] = field(repr=False, compare=False)
+    # The table `actions` were taken from, and the mask of their indices in it.
+    table: ActionTable = field(repr=False, compare=False)
+    members: int = field(repr=False, compare=False)
 
     def find_action(self, name: str, objs: tuple[str, ...]) -> GroundAction | None:
         """The action with this discrete signature, compared by `signature_key`;
-        the first such action in `actions` wins.  The lookup table is built on
-        first use and kept."""
-        table = self.__dict__.get("_by_signature")
-        if table is None:
-            table = {}
-            for a in self.actions:
-                table.setdefault(signature_key(a.discrete_signature()), a)
-            object.__setattr__(self, "_by_signature", table)
-        return table.get(signature_key((name, *objs)))
-
-
-def signature_key(signature: tuple[str, ...]) -> tuple[str, ...]:
-    """A discrete signature (action name, then object names) as compared
-    with oracle steps: case-insensitively."""
-    return tuple(s.lower() for s in signature)
+        the first such action in `actions` wins."""
+        table, members = self.table, self.members
+        for i in table.by_key.get(signature_key((name, *objs)), ()):
+            if members >> i & 1:
+                return table.actions[i]
+        return None
 
 
 def _discrete_bindings(schema: ActionSchema, objects: tuple[str, ...]):
@@ -84,15 +107,20 @@ class CandidateSet:
     mask of the effects that unify with it; per candidate, `needs` has bit
     i set for each pattern i of its positive preconditions and `adds` is
     the mask of its positive effects.  `rows` holds each effect's listing
-    row (`_literal_rows`), by number."""
+    row (`_literal_rows`), by number, and `table` the candidates with their
+    listing lines and signature lookup."""
 
-    actions: tuple[GroundAction, ...]
+    table: ActionTable
     effects: LiteralIndex
     patterns: tuple[Literal, ...]
     pattern_effects: tuple[int, ...]
     needs: tuple[int, ...]
     adds: tuple[int, ...]
     rows: tuple[tuple, ...]
+
+    @property
+    def actions(self) -> tuple[GroundAction, ...]:
+        return self.table.actions
 
 
 @functools.lru_cache(maxsize=CANDIDATE_CACHE_SIZE)
@@ -132,7 +160,7 @@ def candidate_set(schemas: tuple[ActionSchema, ...],
                 patterns.append(lit)
             need |= 1 << pattern_ids[key]
         needs.append(need)
-    return CandidateSet(actions, effects, tuple(patterns),
+    return CandidateSet(ActionTable.of(actions), effects, tuple(patterns),
                         tuple(effects.mask(lit) for lit in patterns), tuple(needs),
                         tuple(adds), tuple(_literal_rows(effects)))
 
@@ -196,12 +224,13 @@ def ground_problem(s0: State, schemas: list[ActionSchema],
         reached &= ~cs.effects.bit(lit)
     return GroundedProblem(tuple(_members(cs.actions, grounded)),
                            s0.true_literals.union(_members(cs.effects, reached)), s0,
-                           tuple(_members(cs.rows, reached)))
+                           tuple(_members(cs.rows, reached)), cs.table, grounded)
 
 
 def format_action_listing(problem: GroundedProblem) -> str:
-    """Discrete signatures, one per line, as shown to the oracle."""
-    return "\n".join([str(a) for a in problem.actions])
+    """Discrete signatures, one per line, as shown to the oracle: the kept
+    lines of the problem's actions."""
+    return "\n".join(_members(problem.table.lines, problem.members))
 
 
 def _literal_rows(literals) -> list[tuple]:

@@ -15,6 +15,15 @@ hands out the skeleton generator's own doubles from a buffer and rewinds the
 generator over the unread ones when `refine` returns, so the values and the
 stream backtracking reads next are those of unbuffered `Generator.uniform`
 calls.
+
+A skill may have a screen, which `refine` runs before each draw: it peeks at
+the doubles the next draws would read and skips those its skill's own rule
+refuses, each counted as one sample with its reason, so refused draws build
+no pose and run no skill.  Only pick has one: `world.pick_rejection` on the
+grasp computed from six doubles.  The screen declines where the draw path
+must decide (full hand, unplaced object, a band `uniform` would refuse), and
+everything refine returns or leaves in the generator is what it was without
+screens.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import world as W
-from .geometry import Pose6
+from .geometry import Pose6, wrap_angle
 from .lang import ConstraintFn, eval_constraint
 from .model import GroundAction, Literal, LiteralIndex, State, Value, bind_placeholders
 # Unused here since A* searches over bitmasks; bound so that the benchmark's
@@ -242,6 +251,16 @@ class SamplerSpec:
 DRAW_BLOCK = 64
 
 
+def span_error(span: float) -> Exception | None:
+    """The error `Generator.uniform(lo, hi)` raises for `span = hi - lo`, or
+    None when it draws."""
+    if not math.isfinite(span):
+        return OverflowError("high - low range exceeds valid bounds")
+    if math.copysign(1.0, span) < 0.0:
+        return ValueError("high - low < 0")
+    return None
+
+
 class DrawStream:
     """Uniform draws from blocks of a PCG64 generator's own doubles.
 
@@ -250,7 +269,9 @@ class DrawStream:
     gives that call's values bit for bit and raises its errors.  `close()`
     rewinds the generator over the doubles read but not handed out; after it
     the generator is where unbuffered `uniform` calls would have left it.
-    While a stream is open, read the generator through it only.
+    `peek(n)` shows the next n doubles without consuming them and `skip(n)`
+    consumes them unused.  While a stream is open, read the generator
+    through it only.
 
     The samplers take a stream or a plain `Generator`, which has the same
     `uniform(lo, hi)`.
@@ -265,15 +286,32 @@ class DrawStream:
 
     def uniform(self, lo: float, hi: float) -> float:
         span = hi - lo
-        if not 0.0 < span < math.inf:    # Generator.uniform's checks
-            if not math.isfinite(span):
-                raise OverflowError("high - low range exceeds valid bounds")
-            if math.copysign(1.0, span) < 0.0:
-                raise ValueError("high - low < 0")
+        if not 0.0 < span < math.inf:
+            error = span_error(span)
+            if error is not None:
+                raise error
         block = self._block
         if not block:
             block = self._block = self._rng.random(DRAW_BLOCK)[::-1].tolist()
         return lo + span * block.pop()
+
+    def _fill(self, n: int) -> list[float]:
+        """The unread doubles, topped up by whole blocks to at least n."""
+        block = self._block
+        while len(block) < n:
+            block = self._rng.random(DRAW_BLOCK)[::-1].tolist() + block
+        self._block = block
+        return block
+
+    def peek(self, n: int) -> list[float]:
+        """The next n doubles, the next one first, without consuming them."""
+        block = self._block if len(self._block) >= n else self._fill(n)
+        return block[:-n - 1:-1]
+
+    def skip(self, n: int) -> None:
+        """Consume the next n doubles unused."""
+        block = self._block if len(self._block) >= n else self._fill(n)
+        del block[len(block) - n:]
 
     def close(self) -> None:
         """Step the generator back over the unread doubles, one PCG64 step
@@ -329,15 +367,25 @@ def sample_pour(w: W.WorldState, obj: str, target: str,
 
 
 class RestrictionTable:
-    """Lookup of orientation bands keyed by action name and object."""
+    """Lookup of orientation bands keyed by action name and object: the
+    first entry that matches wins.  Each (action, object) pair is looked up
+    once and kept."""
 
     def __init__(self, entries: list[dict] | None = None):
         self._entries = []
         for e in entries or []:
             self._entries.append((e.get("action", "*"), e.get("object", "*"),
                                   SamplerSpec.from_dict(e)))
+        self._found: dict[tuple[str, str], SamplerSpec] = {}
 
     def lookup(self, action: str, obj: str) -> SamplerSpec:
+        key = (action, obj)
+        spec = self._found.get(key)
+        if spec is None:
+            spec = self._found[key] = self._first_match(action, obj)
+        return spec
+
+    def _first_match(self, action: str, obj: str) -> SamplerSpec:
         for act, name, spec in self._entries:
             if act in ("*", action) and name in ("*", obj):
                 return spec
@@ -347,12 +395,18 @@ class RestrictionTable:
 # --- Skills ------------------------------------------------------------------------
 #
 # A draw samples continuous parameters for one action, runs its skill on the
-# world and returns (outcome, parameter updates as float tuples), or None when
-# the world does not meet the skill's precondition.  It looks up the
-# orientation bands, then checks that precondition, then samples, then
-# simulates.  Samplers and skills are called by their module-level names so
-# that they can be wrapped.  A re-run executes a bound action again from its
-# parameter values.
+# world and returns (outcome, parameter updates as float tuples; None unless
+# the outcome succeeded), or None when the world does not meet the skill's
+# precondition.  It looks up the orientation bands, then checks that
+# precondition, then samples, then simulates.  Samplers and skills are called
+# by their module-level names so that they can be wrapped.  A re-run executes
+# a bound action again from its parameter values.
+#
+# A screen, where a skill has one, skips the draws its skill would refuse
+# without drawing them: given a step's world, action name, objects, stream and
+# restrictions it returns None, or a function that takes the step's samples
+# left and returns how many leading draws it skipped, each with the doubles
+# the draw would have read, and the reason of the last.
 
 
 def _holding(world: W.WorldState, obj: str) -> bool:
@@ -364,10 +418,49 @@ def _draw_pick(world, name, objs, draws, restrictions, hint):
     if objs["o"] not in world.poses:
         return None
     grasp = sample_grasp(world, objs["o"], draws, spec)
-    prior_pose = world.pose(objs["o"])
     outcome = W.exec_pick(world, objs["o"], grasp)
-    return outcome, {"g": grasp.as_tuple(), "p": prior_pose.as_tuple(),
+    if not outcome.success:
+        return outcome, None
+    return outcome, {"g": grasp.as_tuple(), "p": world.pose(objs["o"]).as_tuple(),
                      "q": grasp.position}
+
+
+def _screen_pick(world, name, objs, draws, restrictions):
+    """Skips the pick draws that `world.pick_rejection` refuses.  Declines
+    (None) where the draw path must run every draw: the hand is full, the
+    object is unplaced, or a band would make `uniform` raise.
+
+    A draw's grasp position and wrapped roll and pitch are computed from the
+    first five of its six doubles with `sample_grasp`'s and `Pose6`'s float
+    expressions, so the rule sees the values `exec_pick` would.  Bands that
+    `uniform` accepts are finite, and `lo + span * u` for `u < 1` does not
+    overflow, so `Pose6` would accept every draw the screen skips."""
+    o = objs["o"]
+    if world.held is not None or o not in world.poses:
+        return None
+    spec = restrictions.lookup(name, o)
+    box = W.aabb_of(world, o)
+    (x0, y0, z0), (x1, y1, z1) = box.lower, box.upper
+    (r0, r1), (p0, p1), (q0, q1) = spec.roll, spec.pitch, spec.yaw
+    spans = (x1 - x0, y1 - y0, z1 - z0, r1 - r0, p1 - p0, q1 - q0)
+    if any(span_error(span) is not None for span in spans):
+        return None
+    xs, ys, zs, rs, ps, _ = spans
+    peek, skip, rejection = draws.peek, draws.skip, W.pick_rejection
+
+    def screen(limit: int) -> tuple[int, str | None]:
+        skipped, reason = 0, None
+        while skipped < limit:
+            u0, u1, u2, u3, u4 = peek(5)
+            why = rejection(world, box, x0 + xs * u0, y0 + ys * u1, z0 + zs * u2,
+                            wrap_angle(r0 + rs * u3), wrap_angle(p0 + ps * u4))
+            if why is None:
+                break
+            skip(6)
+            skipped += 1
+            reason = why
+        return skipped, reason
+    return screen
 
 
 def _rerun_pick(world, action, objs):
@@ -381,10 +474,10 @@ def _draw_place(world, name, objs, draws, restrictions, hint):
         return None
     drop = sample_place(world, objs["o"], objs["s"], draws, spec, hint)
     outcome = W.exec_place(world, objs["o"], objs["s"], drop)
-    updates = {"g": world.held.grasp.as_tuple(), "q": drop.position}
-    if outcome.success:
-        updates["p"] = outcome.new_world.pose(objs["o"]).as_tuple()
-    return outcome, updates
+    if not outcome.success:
+        return outcome, None
+    return outcome, {"g": world.held.grasp.as_tuple(), "q": drop.position,
+                     "p": outcome.new_world.pose(objs["o"]).as_tuple()}
 
 
 def _rerun_place(world, action, objs):
@@ -397,10 +490,10 @@ def _draw_pour(world, name, objs, draws, restrictions, hint):
         return None
     params = sample_pour(world, objs["o"], objs["s"], draws)
     outcome = W.exec_pour(world, objs["o"], objs["s"], params)
-    updates = {"g": world.held.grasp.as_tuple(), "t": params, "q": params[:3]}
-    if outcome.success:
-        updates["p"] = outcome.new_world.pose(objs["o"]).as_tuple()
-    return outcome, updates
+    if not outcome.success:
+        return outcome, None
+    return outcome, {"g": world.held.grasp.as_tuple(), "t": params, "q": params[:3],
+                     "p": outcome.new_world.pose(objs["o"]).as_tuple()}
 
 
 def _rerun_pour(world, action, objs):
@@ -447,10 +540,12 @@ class Skill:
     holds_after: bool    # the hand holds the object once the skill is done
     fills: Callable | None   # (scene, objects, goal pairs) -> kept off the plan;
                              # None: only as a partial-plan step
+    screen: Callable | None = None  # (world, action name, objects, draws,
+                                    # restrictions) -> skipper or None
 
 
 SKILLS: dict[str, Skill] = {
-    "pick": Skill(_draw_pick, _rerun_pick, None, True, _pick_fills),
+    "pick": Skill(_draw_pick, _rerun_pick, None, True, _pick_fills, screen=_screen_pick),
     "place_ontop": Skill(_draw_place, _rerun_place, _rests_on_target, False,
                          _place_ontop_fills),
     "place_inside": Skill(_draw_place, _rerun_place, _inside_target, False,
@@ -499,7 +594,20 @@ def refine(sk: Skeleton, scene: W.WorldState, goal_fns: tuple[ConstraintFn, ...]
             hint = sk.hints[i]
             accepted = None
             reason = "sampling-exhausted"
-            for _ in range(budgets.samples_per_action):
+            left = budgets.samples_per_action
+            screen = None
+            if skill.screen is not None and left:
+                screen = skill.screen(world, action.name, objs, draws, restrictions)
+            while left:
+                if screen is not None:
+                    skipped, why = screen(left)
+                    if skipped:
+                        samples_used += skipped
+                        left -= skipped
+                        reason = why
+                        if not left:
+                            break
+                left -= 1
                 samples_used += 1
                 drawn = skill.draw(world, action.name, objs, draws, restrictions, hint)
                 if drawn is None:

@@ -102,7 +102,9 @@ class WorldState:
     given, so a world never changes once built.
 
     `_geometry` is the world's own table of derived geometry, filled on first
-    use by `aabb_of`, `interior_box` and `contents` and keyed by (kind, name).
+    use by `aabb_of`, `interior_box` and `contents` and keyed by (kind, name),
+    plus two whole-world entries keyed by (kind, None): every placed object's
+    hull (`_hulls`) and the non-surface obstacles (`_obstacles`).
     Immutability makes every entry valid for the world's lifetime.
     """
 
@@ -149,16 +151,18 @@ def _fail(w: WorldState, reason: str) -> SkillOutcome:
 
 
 _HULL, _INTERIOR, _CONTENTS = "hull", "interior", "contents"
+_HULLS, _OBSTACLES = ("hulls", None), ("obstacles", None)
 
 
 def _inherit_geometry(child: WorldState, parent: WorldState) -> WorldState:
     """Give `child`, a world a skill built from `parent` in the same scene,
     the parent's hulls and interiors of every object it left at the very same
-    pose.  Contents depend on every pose and are never inherited."""
+    pose.  Contents and the whole-world entries depend on every pose and are
+    never inherited."""
     table, poses, parent_poses = child._geometry, child.poses, parent.poses
     for key, value in parent._geometry.items():
         kind, name = key
-        if kind != _CONTENTS and poses.get(name) is parent_poses[name]:
+        if (kind == _HULL or kind == _INTERIOR) and poses.get(name) is parent_poses[name]:
             table[key] = value
     return child
 
@@ -171,6 +175,26 @@ def aabb_of(w: WorldState, name: str) -> Aabb:
         half = w.scene.model(name).half_extents
         box = w._geometry[key] = box_at_pose(w.pose(name), half)
     return box
+
+
+def _hulls(w: WorldState) -> tuple[tuple[str, Aabb], ...]:
+    """(name, hull) of every placed object, in `poses` order."""
+    hulls = w._geometry.get(_HULLS)
+    if hulls is None:
+        hulls = w._geometry[_HULLS] = tuple((name, aabb_of(w, name)) for name in w.poses)
+    return hulls
+
+
+def _obstacles(w: WorldState) -> tuple[tuple[str, str, Aabb], ...]:
+    """(name, kind, hull) of every placed object that is not a surface, in
+    `poses` order: what a body can collide with or be obstructed by."""
+    found = w._geometry.get(_OBSTACLES)
+    if found is None:
+        model = w.scene.model
+        found = w._geometry[_OBSTACLES] = tuple(
+            (name, kind, aabb_of(w, name)) for name in w.poses
+            if (kind := model(name).kind) != "surface")
+    return found
 
 
 def interior_box(w: WorldState, name: str) -> Aabb:
@@ -198,11 +222,15 @@ def _interior_box(w: WorldState, name: str) -> Aabb:
 
 def contents(w: WorldState, container: str) -> list[str]:
     """Objects whose center currently lies in the container's interior."""
+    return list(_contents_of(w, container))
+
+
+def _contents_of(w: WorldState, container: str) -> tuple[str, ...]:
     key = (_CONTENTS, container)
     found = w._geometry.get(key)
     if found is None:
         found = w._geometry[key] = _contents(w, container)
-    return list(found)
+    return found
 
 
 def _contents(w: WorldState, container: str) -> tuple[str, ...]:
@@ -225,26 +253,26 @@ def _inside_open_interior(box: Aabb, container_box: Aabb) -> bool:
             and box.lower[2] >= lo[2] + FLOOR_THICKNESS - CONTACT_TOL)
 
 
-def collision(w: WorldState, name: str, pose: Pose6, exclude: tuple[str, ...] = ()) -> bool:
+def collision(w: WorldState, name: str, pose: Pose6, exclude: tuple[str, ...] = (),
+              box: Aabb | None = None) -> bool:
     """True iff `name` at `pose` interpenetrates any other placed non-surface object.
 
     Containers do not collide with objects that sit inside their open
-    interior (footprint within the walls and above the floor).
+    interior (footprint within the walls and above the floor).  `box`, when
+    given, is the hull of `name` at `pose`, already computed.
     """
     model = w.scene.model(name)
-    box = box_at_pose(pose, model.half_extents)
-    for other in w.poses:
+    if box is None:
+        box = box_at_pose(pose, model.half_extents)
+    container = model.kind == "container"
+    for other, kind, other_box in _obstacles(w):
         if other == name or other in exclude:
             continue
-        other_model = w.scene.model(other)
-        if other_model.kind == "surface":
-            continue
-        other_box = aabb_of(w, other)
         if not box.overlaps(other_box, CONTACT_TOL):
             continue
-        if other_model.kind == "container" and _inside_open_interior(box, other_box):
+        if kind == "container" and _inside_open_interior(box, other_box):
             continue
-        if model.kind == "container" and _inside_open_interior(other_box, box):
+        if container and _inside_open_interior(other_box, box):
             continue
         return True
     return False
@@ -261,16 +289,13 @@ def supported_by(w: WorldState, name: str) -> str | None:
     box = aabb_of(w, name)
     cx, cy = (box.lower[0] + box.upper[0]) / 2, (box.lower[1] + box.upper[1]) / 2
     bottom = box.lower[2]
-    for other in w.poses:
-        if other == name or w.scene.model(other).kind != "container":
-            continue
-        if name in contents(w, other):
+    for other, kind, _ in _obstacles(w):
+        if kind == "container" and other != name and name in _contents_of(w, other):
             return other
     best, best_top = None, -math.inf
-    for other in w.poses:
+    for other, obox in _hulls(w):
         if other == name:
             continue
-        obox = aabb_of(w, other)
         if not obox.contains_xy(cx, cy, slack=CONTACT_TOL):
             continue
         top = obox.upper[2]
@@ -289,16 +314,15 @@ def _support_height(w: WorldState, name: str, x: float, y: float,
     """
     skip_set = {*skip, name}
     best = None
-    for other in w.poses:
+    for other, obox in _hulls(w):
         if other in skip_set:
             continue
-        obox = aabb_of(w, other)
         if descend_into is not None and other == descend_into:
             inner = interior_box(w, other)
             if not inner.contains_xy(x, y):
                 continue
             floor = inner.lower[2]
-            for member in contents(w, other):
+            for member in _contents_of(w, other):
                 if member in skip_set:
                     continue
                 mbox = aabb_of(w, member)
@@ -315,20 +339,38 @@ def _support_height(w: WorldState, name: str, x: float, y: float,
 
 
 def _settle(w: WorldState, name: str, drop: Pose6, descend_into: str | None = None,
-            skip: tuple[str, ...] = ()):
-    """Project a drop pose down onto its support; returns (pose, support) or None."""
+            skip: tuple[str, ...] = (), ext: tuple[float, float, float] | None = None):
+    """Project a drop pose down onto its support; returns (pose, support) or
+    None.  `ext`, when given, is the object's rotated half extents at the
+    drop's orientation, already computed."""
     support = _support_height(w, name, drop.x, drop.y, descend_into, skip)
     if support is None:
         return None
-    hz = rotated_half_extents(w.scene.model(name).half_extents,
-                              drop.roll, drop.pitch, drop.yaw)[2]
-    pose = drop.moved(z=support[1] + hz)
+    if ext is None:
+        ext = rotated_half_extents(w.scene.model(name).half_extents,
+                                   drop.roll, drop.pitch, drop.yaw)
+    pose = drop.moved(z=support[1] + ext[2])
     return pose, support[0]
 
 
 def grasp_level(angle: float) -> float:
     """Distance of a grasp roll/pitch from a level hand (0 or pi)."""
     return min(abs(angle), math.pi - abs(angle))
+
+
+def pick_rejection(w: WorldState, box: Aabb, x: float, y: float, z: float,
+                   roll: float, pitch: float) -> str | None:
+    """Why `exec_pick` refuses a grasp at (x, y, z) with wrapped `roll` and
+    `pitch` of an object whose hull is `box`, judged before any other
+    object is looked at; None when these checks pass."""
+    p = (x, y, z)
+    if not box.contains_point(p, slack=GRASP_MARGIN):
+        return "grasp-outside-object"
+    if not w.scene.workspace.contains_point(p):
+        return "unreachable"
+    if grasp_level(roll) > GRASP_TILT_TOL or grasp_level(pitch) > GRASP_TILT_TOL:
+        return "grasp-not-level"
+    return None
 
 
 def exec_pick(w: WorldState, name: str, grasp: Pose6) -> SkillOutcome:
@@ -339,20 +381,16 @@ def exec_pick(w: WorldState, name: str, grasp: Pose6) -> SkillOutcome:
         return _fail(w, "hand-not-empty")
     if name not in w.poses:
         raise UnknownObjectError(f"unknown or unplaced object {name!r}")
-    box = aabb_of(w, name)
-    if not box.contains_point(grasp.position, slack=GRASP_MARGIN):
-        return _fail(w, "grasp-outside-object")
-    if not reachable(w, grasp):
-        return _fail(w, "unreachable")
-    if grasp_level(grasp.roll) > GRASP_TILT_TOL or grasp_level(grasp.pitch) > GRASP_TILT_TOL:
-        return _fail(w, "grasp-not-level")
-    for other in w.poses:
-        if other == name or w.scene.model(other).kind == "surface":
+    rejection = pick_rejection(w, aabb_of(w, name), grasp.x, grasp.y, grasp.z,
+                               grasp.roll, grasp.pitch)
+    if rejection is not None:
+        return _fail(w, rejection)
+    for other, kind, obox in _obstacles(w):
+        if other == name:
             continue
-        obox = aabb_of(w, other)
         if not obox.contains_point(grasp.position, slack=-CONTACT_TOL):
             continue
-        if w.scene.model(other).kind == "container":
+        if kind == "container":
             # Reaching into an open container is fine when the opening admits
             # the gripper; narrow ones make their contents unreachable.
             inner = interior_box(w, other)
@@ -428,15 +466,18 @@ def exec_place(w: WorldState, name: str, target: str, drop: Pose6) -> SkillOutco
     """
     if w.held is None or w.held.name != name:
         return _fail(w, "not-holding")
-    w.scene.model(target)
+    target_kind = w.scene.model(target).kind
     if not reachable(w, drop):
         return _fail(w, "unreachable")
 
+    # The drop's rotated half extents serve the fit, the settle and the
+    # collision hull; the settled pose keeps the drop's angles unless
+    # `moved` re-wraps one to a different float.
+    half = w.scene.model(name).half_extents
+    ext = rotated_half_extents(half, drop.roll, drop.pitch, drop.yaw)
     descend = None
-    if w.scene.model(target).kind == "container" and target in w.poses:
+    if target_kind == "container" and target in w.poses:
         inner = interior_box(w, target)
-        ext = rotated_half_extents(w.scene.model(name).half_extents,
-                                   drop.roll, drop.pitch, drop.yaw)
         fits = (2 * ext[0] <= inner.upper[0] - inner.lower[0]
                 and 2 * ext[1] <= inner.upper[1] - inner.lower[1])
         if inner.contains_xy(drop.x, drop.y):
@@ -444,13 +485,16 @@ def exec_place(w: WorldState, name: str, target: str, drop: Pose6) -> SkillOutco
                 return _fail(w, "does-not-fit")
             descend = target
 
-    settled = _settle(w, name, drop, descend_into=descend)
+    settled = _settle(w, name, drop, descend_into=descend, ext=ext)
     if settled is None:
         return _fail(w, "no-support")
     pose, _support = settled
     if drop.z < pose.z - CONTACT_TOL:
         return _fail(w, "release-below-rest")
-    if collision(w, name, pose, exclude=(target,)):
+    if pose.rpy != drop.rpy:
+        ext = rotated_half_extents(half, pose.roll, pose.pitch, pose.yaw)
+    box = Aabb.from_center(pose.position, ext)
+    if collision(w, name, pose, exclude=(target,), box=box):
         return _fail(w, "collision")
 
     poses = dict(w.poses)
@@ -458,6 +502,7 @@ def exec_place(w: WorldState, name: str, target: str, drop: Pose6) -> SkillOutco
     if w.held.riders:
         _restore_riders(w, w.held, poses)
     after = _inherit_geometry(WorldState(w.scene, poses, None, drop.position), w)
+    after._geometry[_HULL, name] = box
     for rider, _, _ in w.held.riders:
         if collision(after, rider, after.pose(rider), exclude=(name,)):
             return _fail(w, "contents-collision")

@@ -55,6 +55,34 @@ def test_stream_equals_the_generator(seed, segments):
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
+# Uniform draws, peeks and skips, with counts that cross the block boundary.
+OPS = st.lists(st.one_of(
+    BAND.map(lambda band: ("uniform", band)),
+    st.tuples(st.sampled_from(["peek", "skip"]), st.integers(0, 2 * solver.DRAW_BLOCK + 3)),
+), max_size=40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.lists(OPS, min_size=1, max_size=3))
+def test_peek_and_skip_follow_the_generator(seed, segments):
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    draws = DrawStream(rng)
+    for ops in segments:
+        for op, arg in ops:
+            if op == "uniform":
+                assert _uniform(draws.uniform, *arg) == _uniform(ref.uniform, *arg)
+            elif op == "peek":
+                state = ref.bit_generator.state
+                want = ref.random(arg).tolist()
+                ref.bit_generator.state = state
+                assert draws.peek(arg) == want
+            else:
+                draws.skip(arg)
+                ref.random(arg)
+        draws.close()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 @pytest.mark.parametrize("bitgen", [np.random.MT19937, np.random.Philox,
                                     np.random.SFC64, np.random.PCG64DXSM])
 def test_stream_refuses_generators_it_cannot_rewind(bitgen):
@@ -67,15 +95,21 @@ def test_stream_refuses_generators_it_cannot_rewind(bitgen):
 
 @pytest.fixture
 def drawn(monkeypatch):
-    """Counts the values refine's draws take from their stream."""
+    """Counts the values refine's draws take from their stream, and the
+    doubles the pick screen skips."""
     count = [0]
-    uniform = DrawStream.uniform
+    uniform, skip = DrawStream.uniform, DrawStream.skip
 
     def counting(self, lo, hi):
         count[0] += 1
         return uniform(self, lo, hi)
 
+    def counting_skip(self, n):
+        count[0] += n
+        return skip(self, n)
+
     monkeypatch.setattr(DrawStream, "uniform", counting)
+    monkeypatch.setattr(DrawStream, "skip", counting_skip)
     return count
 
 
@@ -122,22 +156,46 @@ def test_refine_rewinds_after_a_precondition_break(drawn):
     assert_read_exactly(rng, 2, drawn[0])
 
 
-def test_refine_rewinds_when_a_skill_raises(drawn, monkeypatch):
-    spec, w0, sk = _berry1_skeleton([("pick", "strawberry")])
-    exec_pick, calls = W.exec_pick, [0]
+LEVEL = solver.RestrictionTable([{"roll": [0, 0], "pitch": [0, 0]}])
 
-    def failing_pick(*args):
+
+def test_refine_rewinds_when_a_skill_raises(drawn, monkeypatch):
+    # Level grasps inside the box pass the pick screen, so every draw reaches
+    # the skill: it refuses three and raises on the fourth.
+    spec, w0, sk = _berry1_skeleton([("pick", "strawberry")])
+    calls = [0]
+
+    def failing_pick(w, name, grasp):
         calls[0] += 1
         if calls[0] == 4:
             raise RuntimeError("skill failed")
-        return exec_pick(*args)
+        return W.SkillOutcome(w, False, "grasp-obstructed")
 
     monkeypatch.setattr(W, "exec_pick", failing_pick)
     rng = np.random.default_rng(3)
     with pytest.raises(RuntimeError, match="skill failed"):
-        refine(sk, w0, (), Budgets(500, 1), rng)
+        refine(sk, w0, (), Budgets(500, 1), rng, LEVEL)
     assert drawn[0] == 4 * 6
     assert_read_exactly(rng, 3, drawn[0])
+
+
+def test_refine_rewinds_when_a_skill_raises_after_screened_draws(drawn, monkeypatch):
+    # Full bands: the screen skips the draws it refuses, then the first draw
+    # that reaches the skill raises.
+    spec, w0, sk = _berry1_skeleton([("pick", "strawberry")])
+    at_skill = []
+
+    def raising_pick(w, name, grasp):
+        at_skill.append(drawn[0])
+        raise RuntimeError("skill failed")
+
+    monkeypatch.setattr(W, "exec_pick", raising_pick)
+    rng = np.random.default_rng(4)
+    with pytest.raises(RuntimeError, match="skill failed"):
+        refine(sk, w0, (), Budgets(500, 1), rng)
+    assert at_skill == [drawn[0]]
+    assert drawn[0] % 6 == 0 and drawn[0] > 6
+    assert_read_exactly(rng, 4, drawn[0])
 
 
 # --- solve spawns one skeleton stream per attempt ------------------------------
@@ -164,12 +222,13 @@ GENERATOR_READS = {name for name in dir(np.random.Generator)
 
 
 def direct_generator_reads(source: str) -> list[str]:
-    """`name:line` of every generator read in a sampler or `_draw_*` function
-    other than `uniform`: a read past an open stream would reorder it."""
+    """`name:line` of every generator read in a sampler, `_draw_*` or
+    `_screen_*` function other than `uniform`: a read past an open stream
+    would reorder it."""
     found = []
     for fn in ast.parse(source).body:
         if not (isinstance(fn, ast.FunctionDef)
-                and fn.name.startswith(("sample_", "_draw_"))):
+                and fn.name.startswith(("sample_", "_draw_", "_screen_"))):
             continue
         for node in ast.walk(fn):
             # `random` also catches `np.random`.
@@ -181,7 +240,8 @@ def direct_generator_reads(source: str) -> list[str]:
 def test_samplers_never_read_the_generator_directly():
     source = SOLVER_PY.read_text(encoding="utf-8")
     names = {fn.name for fn in ast.parse(source).body if isinstance(fn, ast.FunctionDef)}
-    assert {"sample_grasp", "sample_place", "sample_pour", "_draw_pick"} <= names
+    assert {"sample_grasp", "sample_place", "sample_pour", "_draw_pick",
+            "_screen_pick"} <= names
     assert direct_generator_reads(source) == []
     # The guard sees the reads it exists to catch.
     assert direct_generator_reads(

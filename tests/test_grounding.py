@@ -4,8 +4,9 @@ import pytest
 
 from owltamp import tasks
 from owltamp.grounding import (
-    GroundedProblem, _literal_listing, format_action_listing, format_literal_listing,
-    format_state_listing, ground_actions, ground_problem, reachable_literals,
+    ActionTable, GroundedProblem, _literal_listing, format_action_listing,
+    format_literal_listing, format_state_listing, ground_actions, ground_problem,
+    reachable_literals,
 )
 from owltamp.model import Literal, State, Value, applicable, apply, load_default_domain
 
@@ -156,7 +157,9 @@ def test_find_action_is_case_insensitive_and_first_match_wins(domain):
     actions = ground_actions(s0, schemas, objects)
     pick = next(a for a in actions if a.name == "pick" and str(a.value("o")) == "Apple")
     twin = pick.with_values({"g": Value.vec((0,) * 6)})
-    problem = GroundedProblem((*actions, twin), frozenset(), s0, ())
+    twins = (*actions, twin)
+    problem = GroundedProblem(twins, frozenset(), s0, (), ActionTable.of(twins),
+                              (1 << len(twins)) - 1)
     assert problem.find_action("PICK", ("apple",)) is pick
     assert problem.find_action("place_ontop", ("APPLE", "Table_Surface")) is not None
     assert problem.find_action("pick", ("pear",)) is None

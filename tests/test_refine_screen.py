@@ -1,0 +1,206 @@
+"""The screened refine loop against the unscreened loop it replaced.
+
+`refine` lets a skill's screen skip the draws its rule refuses: each skipped
+draw consumes its doubles and counts as one sample, and the reason of the
+last becomes the step's reason.  `ref_refine` below is the loop without
+screens, kept as the reference: `solve` through either loop must give the
+same records, refine results, skeletons and generator states, and so must a
+lone pick step over any bands, budget and object box.
+"""
+
+import itertools
+import math
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from owltamp import bench, solver, tasks
+from owltamp import world as W
+from owltamp.geometry import Aabb, Pose6
+from owltamp.lang import parse_constraint
+from owltamp.model import Value, bind_placeholders, load_default_domain
+from owltamp.solver import (
+    SKILLS, Budgets, DrawStream, PlanningError, RefinementFailure, RestrictionTable,
+    Skeleton, Solution, _constraints_pass,
+)
+
+BUDGETS = Budgets(500, 5)
+SCREENED = solver.refine
+
+
+# --- The reference loop ------------------------------------------------------------
+
+def ref_refine(sk, scene, goal_fns, budgets, rng, restrictions=None):
+    """`refine` as it was before screens: every sample goes through its
+    skill's draw."""
+    restrictions = restrictions or RestrictionTable()
+    if not sk.actions:
+        if _constraints_pass(goal_fns, scene):
+            return Solution((), 0, 1)
+        return RefinementFailure(-1, "goal-constraint-unsatisfied", 0)
+
+    world = scene
+    bound = []
+    samples_used = 0
+    last = len(sk.actions) - 1
+    draws = DrawStream(rng)
+    try:
+        for i, action in enumerate(sk.actions):
+            skill = SKILLS.get(action.name)
+            if skill is None:
+                raise PlanningError(f"no skill for action {action.name!r}")
+            objs = action.objects
+            fns = sk.constraints[i]
+            hint = sk.hints[i]
+            accepted = None
+            reason = "sampling-exhausted"
+            for _ in range(budgets.samples_per_action):
+                samples_used += 1
+                drawn = skill.draw(world, action.name, objs, draws, restrictions, hint)
+                if drawn is None:
+                    reason = "precondition"
+                    break
+                outcome, updates = drawn
+                if not outcome.success:
+                    reason = outcome.failure_reason
+                    continue
+                if skill.effect is not None and not skill.effect(outcome.new_world, objs):
+                    reason = "effects-unsatisfied"
+                    continue
+                if not _constraints_pass(fns, outcome.new_world):
+                    reason = "constraint-unsatisfied"
+                    continue
+                if i == last and not _constraints_pass(goal_fns, outcome.new_world):
+                    reason = "goal-constraint-unsatisfied"
+                    continue
+                accepted = outcome.new_world
+                bound.append(action.with_values(
+                    {k: Value.vec(v) for k, v in updates.items()}))
+                break
+            if accepted is None:
+                return RefinementFailure(i, reason, samples_used)
+            world = accepted
+        return Solution(tuple(bound), samples_used, 1)
+    finally:
+        draws.close()
+
+
+# --- solve through both loops ------------------------------------------------------
+
+def _cell(loop, task_id, seed, mode):
+    """The cell's stable record and, per refine call, the skeleton, the
+    result and the generator state it left."""
+    calls = []
+
+    def recording(sk, scene, goal_fns, budgets, rng, restrictions=None):
+        result = loop(sk, scene, goal_fns, budgets, rng, restrictions)
+        calls.append((sk.actions, sk.provenance, result, rng.bit_generator.state))
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "refine", recording)
+        record = bench.run_cell(task_id, seed, mode, BUDGETS)
+    return record.stable_json(), calls
+
+
+@pytest.mark.parametrize("mode", ["manual", "full", "no_back", "no_disc", "no_sample"])
+def test_solve_gives_what_the_unscreened_loop_gives(mode):
+    refined = 0
+    for task_id in tasks.task_ids():
+        for seed in range(3):
+            got = _cell(SCREENED, task_id, seed, mode)
+            assert got == _cell(ref_refine, task_id, seed, mode), (task_id, seed)
+            refined += len(got[1])
+    assert refined
+
+
+# --- A lone pick step over any bands -----------------------------------------------
+
+WORKSPACE = Aabb((-0.1, -0.6, -0.05), (1.1, 0.6, 0.8))
+DOMAIN = load_default_domain()
+ANGLE = st.floats(-7.0, 7.0)
+ORDERED = st.tuples(ANGLE, ANGLE).map(lambda band: tuple(sorted(band)))
+MAX = sys.float_info.max
+# Ordered, reversed, zero-width and non-finite bands; a reversed or
+# non-finite one makes the draw path raise, which the screen must leave to
+# it.  Ordered bands are weighted up so that most steps draw.  The widest
+# finite bands reach the largest doubles: the last one rounds its width up
+# at a tie, the closest `lo + span * u` comes to overflowing.
+BAND = st.one_of(
+    ORDERED, ORDERED, ORDERED,
+    st.tuples(ANGLE, ANGLE),
+    ANGLE.map(lambda v: (v, v)),
+    st.tuples(ANGLE, st.sampled_from([math.inf, -math.inf, math.nan])),
+    st.sampled_from([(-math.pi, math.pi), (-0.15, 0.15), (0.0, -0.0), (3.0, 3.3),
+                     (-MAX, 0.0), (0.0, MAX), (-MAX, MAX), (3 * 2.0**970, MAX)]),
+)
+HALF = st.floats(0.005, 0.3)
+# Centres reach past the workspace on every side, so boxes stick out of it.
+CENTER = st.tuples(st.floats(-0.4, 1.4), st.floats(-0.9, 0.9), st.floats(-0.2, 1.0))
+NEVER = parse_constraint("def never() -> bool:\n    return item.pose.x > 100\n")
+
+
+def _pick_world(half, center, lid_offset, case):
+    """A table, the item to pick and a lid that may cover part of it; the
+    hand holds the lid ("hand-full") or the item has no pose ("unplaced")."""
+    models = {
+        "table_surface": W.ObjectModel("table_surface", (0.6, 0.6, 0.01), "surface"),
+        "item": W.ObjectModel("item", half),
+        "lid": W.ObjectModel("lid", (0.05, 0.05, 0.02)),
+    }
+    poses = {"table_surface": Pose6(0.5, 0.0, -0.01), "item": Pose6(*center),
+             "lid": Pose6(*(c + o for c, o in zip(center, lid_offset)))}
+    held = None
+    if case == "hand-full":
+        held = W.HeldItem("lid", Pose6(*poses.pop("lid").position))
+    elif case == "unplaced":
+        del poses["item"]
+    return W.WorldState(W.Scene(models, WORKSPACE), poses, held)
+
+
+def _outcome(loop, sk, world, budget, seed, bands):
+    rng = np.random.default_rng(seed)
+    restrictions = RestrictionTable([{"action": "pick", **bands}])
+    try:
+        result = loop(sk, world, (), Budgets(budget, 1), rng, restrictions)
+    except Exception as err:  # noqa: BLE001 - the type is compared
+        result = type(err)
+    return result, rng.bit_generator.state
+
+
+@settings(max_examples=300, deadline=None)
+@given(BAND, BAND, BAND, st.sampled_from([0, 1, 3, 500]), st.tuples(HALF, HALF, HALF),
+       CENTER, st.tuples(*[st.floats(-0.1, 0.1)] * 3),
+       st.sampled_from(["free", "free", "hand-full", "unplaced"]), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_pick_step_gives_what_the_unscreened_loop_gives(roll, pitch, yaw, budget, half,
+                                                       center, lid_offset, case, never, seed):
+    world = _pick_world(half, center, lid_offset, case)
+    pick = bind_placeholders(DOMAIN.schema("pick"), {"o": "item"}, itertools.count(1),
+                             tuple(world.all_objects()))
+    sk = Skeleton((pick,), ((NEVER,) if never else (),), (None,))
+    bands = {"roll": roll, "pitch": pitch, "yaw": yaw}
+    got = _outcome(SCREENED, sk, world, budget, seed, bands)
+    want = _outcome(ref_refine, sk, world, budget, seed, bands)
+    assert got == want
+    result = got[0]
+    if isinstance(result, RefinementFailure):
+        assert (result.reason, result.samples_used) == (want[0].reason, want[0].samples_used)
+
+
+def test_screened_picks_count_as_samples_with_their_reason():
+    # Level grasps are rare under full bands: the screen skips the rest and
+    # an impossible constraint exhausts the budget on mixed reasons.
+    world = _pick_world((0.05, 0.05, 0.05), (0.5, 0.0, 0.05), (0.3, 0.3, 0.0), "free")
+    pick = bind_placeholders(DOMAIN.schema("pick"), {"o": "item"}, itertools.count(1),
+                             tuple(world.all_objects()))
+    sk = Skeleton((pick,), ((NEVER,),), (None,))
+    for budget in (1, 3, 500):
+        for seed in range(5):
+            got = _outcome(SCREENED, sk, world, budget, seed, {})
+            assert got == _outcome(ref_refine, sk, world, budget, seed, {})
+            assert got[0].samples_used == budget
+            assert got[0].reason in ("grasp-not-level", "constraint-unsatisfied")

@@ -241,6 +241,27 @@ def test_backtrack_pick_failure_resamples_only(domain):
     assert [c.provenance for c in candidates] == ["resample"]
 
 
+def test_restriction_lookup_keeps_the_first_match():
+    entries = [{"action": "pick", "object": "apple", "roll": [0, 0]},
+               {"object": "apple", "pitch": [0.1, 0.2]},
+               {"action": "place_ontop", "yaw": [1, 2]},
+               {"roll": [-1, 1]}]
+
+    def first_match(action, obj):
+        for e in entries:
+            if e.get("action", "*") in ("*", action) and e.get("object", "*") in ("*", obj):
+                return solver.SamplerSpec.from_dict(e)
+        return solver.SamplerSpec()
+
+    table = RestrictionTable(entries)
+    for _ in range(2):
+        for action in ("pick", "place_ontop", "pour"):
+            for obj in ("apple", "pear"):
+                assert table.lookup(action, obj) == first_match(action, obj)
+                assert table.lookup(action, obj) is table.lookup(action, obj)
+    assert RestrictionTable().lookup("pick", "apple") == solver.SamplerSpec()
+
+
 # --- solve ----------------------------------------------------------------------
 
 def _manual_solve(task_id, seed, budgets=Budgets(500, 5)):

@@ -186,9 +186,12 @@ def _bowl_scene():
 
 
 def _fill(w):
+    """Every per-object entry, and the whole-world entries through
+    `supported_by`, which reads both."""
     for name in w.placed_objects():
         W.aabb_of(w, name)
         W.contents(w, name)
+        W.supported_by(w, name)
 
 
 @pytest.fixture
@@ -224,10 +227,29 @@ def test_child_shares_unmoved_hulls_and_recomputes_the_moved_one(hull_calls):
     assert W.interior_box(after, "bowl") is W.interior_box(held, "bowl")
     assert hull_calls == []
 
+    # The place computed the moved object's hull from its settled pose and
+    # seeded it, so reading it computes nothing.
     moved = W.aabb_of(after, "apple")
-    assert hull_calls == [after.pose("apple")]
+    assert hull_calls == []
     assert moved == ref_aabb_of(after, "apple")
     assert W.supported_by(after, "apple") == "plate"
+
+
+def test_a_place_whose_settle_rewraps_an_angle_hulls_the_settled_pose():
+    # A roll given just below -pi wraps to pi; the settled pose wraps it
+    # again, to -pi, which moves the hull's y extent by one ulp at this
+    # pitch and yaw.
+    w = _bowl_scene()
+    held = W.exec_pick(w, "apple", Pose6(0.3, 0.2, 0.035)).new_world
+    drop = Pose6(0.7, -0.2, 0.15, -3.1415926535897936, -0.105, 0.265)
+    placed = W.exec_place(held, "apple", "plate", drop)
+    assert placed.success
+    after = placed.new_world
+    pose = after.pose("apple")
+    half = w.scene.model("apple").half_extents
+    assert (drop.roll, pose.roll) == (math.pi, -math.pi)
+    assert rotated_half_extents(half, *drop.rpy) != rotated_half_extents(half, *pose.rpy)
+    assert W.aabb_of(after, "apple") == ref_aabb_of(after, "apple")
 
 
 def test_contents_are_never_inherited():
