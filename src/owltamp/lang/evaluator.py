@@ -6,6 +6,20 @@ that checks it against thousands of sampled worlds dispatches on node types
 only once.  Helper functions, pose attributes and operators are bound when
 compiling; the closures keep the interpreter's left-to-right evaluation and
 short-circuit order.  No program text ever reaches the host interpreter.
+
+Step binding.  Refinement checks a step's programs against every world its
+draws produce, and those worlds share the step world's `Pose6` objects for
+every object the skill did not move.  A helper call (other than
+`position_within_bounds`) whose arguments are numbers, object names,
+`init_bounds`, other such calls or names bound to them is step-invariant:
+its result depends only on the scene and on the poses of the objects it
+names (see `helpers`).  The compiler marks these calls with their read sets
+once.  `eval_constraint(fn, w, step=world)` keeps one step's results per
+program: a call's entry fills the first time a world of the step whose scene
+is the step's and whose read-set poses are the step world's very objects
+evaluates it without raising, and every later world that passes the same
+identity check reuses it.  Any other world, and a call that raises, is
+evaluated as without `step`.
 """
 
 from __future__ import annotations
@@ -36,35 +50,53 @@ def _resolve_object(w: WorldState, name: str, node: Expr) -> str:
     return resolved
 
 
-def _compile_expr(e: Expr, slots: dict[str, int]):
-    """`e` as a closure `(env, w) -> value`; `slots` maps each name assigned
-    so far to its position in `env`."""
-    if isinstance(e, (Num, BoolLit)):
+def _compile_expr(e: Expr, slots: dict[str, tuple[int, frozenset | None]],
+                  memo: _Program | None):
+    """`e` as a closure `(env, w) -> value`, with its read set.
+
+    `slots` maps each name assigned so far to its position in `env` and the
+    read set of its value.  A read set is the frozenset of object names a
+    step-invariant value reaches, or None for a value that may depend on
+    anything else of the world.  With `memo` given, each invariant helper
+    call is wrapped to reuse its step's result (`_Program.memoised`).
+    """
+    if isinstance(e, Num):
         value = e.value
-        return lambda env, w: value
+        return (lambda env, w: value), _NO_OBJECTS
+    if isinstance(e, BoolLit):
+        value = e.value
+        return (lambda env, w: value), None
     if isinstance(e, ObjectRef):
         name = e.name
-        return lambda env, w: _resolve_object(w, name, e)
+        return (lambda env, w: _resolve_object(w, name, e)), frozenset((name,))
     if isinstance(e, InitBounds):
-        return lambda env, w: default_bounds(w)
+        return (lambda env, w: default_bounds(w)), _NO_OBJECTS
     if isinstance(e, VarRef):
-        slot = slots[e.name]
-        return lambda env, w: env[slot]
+        slot, reads = slots[e.name]
+        return (lambda env, w: env[slot]), reads
     if isinstance(e, PoseRef):
         name = e.obj
-        return lambda env, w: w.pose(_resolve_object(w, name, e))
+        return (lambda env, w: w.pose(_resolve_object(w, name, e))), None
     if isinstance(e, PoseAttr):
         name, get = e.obj, attrgetter(e.attr)
-        return lambda env, w: get(w.pose(_resolve_object(w, name, e)))
+        return (lambda env, w: get(w.pose(_resolve_object(w, name, e)))), None
     if isinstance(e, Abs):
-        operand = _compile_expr(e.operand, slots)
-        return lambda env, w: abs(operand(env, w))
+        operand, _ = _compile_expr(e.operand, slots, memo)
+        return (lambda env, w: abs(operand(env, w))), None
     if isinstance(e, (Arith, Compare)):
-        return _binary(e, _compile_expr(e.lhs, slots), _compile_expr(e.rhs, slots))
+        lhs, _ = _compile_expr(e.lhs, slots, memo)
+        rhs, _ = _compile_expr(e.rhs, slots, memo)
+        return _binary(e, lhs, rhs), None
     if isinstance(e, BoolOp):
-        return _bool_op(e.op, tuple(_compile_expr(x, slots) for x in e.operands))
+        operands = tuple(_compile_expr(x, slots, memo)[0] for x in e.operands)
+        return _bool_op(e.op, operands), None
     if isinstance(e, Call):
-        return _call(e.fn, tuple(_compile_expr(a, slots) for a in e.args))
+        args = [_compile_expr(a, slots, memo) for a in e.args]
+        call = _call(e.fn, tuple(closure for closure, _ in args))
+        if e.fn == "position_within_bounds" or any(reads is None for _, reads in args):
+            return call, None
+        reads = _NO_OBJECTS.union(*(reads for _, reads in args))
+        return (call if memo is None else memo.memoised(call, reads)), reads
     raise EvalError(f"cannot evaluate {type(e).__name__}", e.line, e.column)
 
 
@@ -120,16 +152,17 @@ def _call(fn: str, args):
     return lambda env, w: impl(w, *[a(env, w) for a in args])
 
 
-def _compile(fn: ConstraintFn):
+def _compile(fn: ConstraintFn, memo: _Program | None = None):
     """The program as a closure `w -> result`.  Assignment i fills `env[i]`;
     a name refers to its latest earlier assignment, since names may be
     reassigned."""
-    slots: dict[str, int] = {}
+    slots: dict[str, tuple[int, frozenset | None]] = {}
     steps = []
     for i, a in enumerate(fn.assigns):
-        steps.append(_compile_expr(a.value, slots))
-        slots[a.name] = i
-    result = _compile_expr(fn.result, slots)
+        step, reads = _compile_expr(a.value, slots, memo)
+        steps.append(step)
+        slots[a.name] = i, reads
+    result, _ = _compile_expr(fn.result, slots, memo)
 
     def run(w: WorldState):
         env: list = []
@@ -139,14 +172,100 @@ def _compile(fn: ConstraintFn):
     return run
 
 
-def eval_constraint(fn: ConstraintFn, w: WorldState) -> bool:
+_NO_OBJECTS: frozenset = frozenset()
+_NEVER = object()     # an entry whose read set has no pose in its step world
+_UNFILLED = object()  # an entry no draw has filled yet
+
+
+class _Program:
+    """A compiled program: `run(w)` evaluates it as written; `bound(w)`
+    evaluates it with each invariant call's result kept for the step world
+    `step` and reused on every world that leaves the call's read set at the
+    step world's very poses.  Each tree is compiled on first use."""
+
+    __slots__ = ("fn", "run", "bound", "step", "entries", "_empty")
+
+    def __init__(self, fn: ConstraintFn):
+        self.fn = fn
+        self.run = self.bound = self.step = None
+
+    def bind(self, step: WorldState) -> None:
+        """Drop the previous step's entries; they fill again as draws reach
+        them."""
+        if self.bound is None:
+            self.entries = []
+            self.bound = _compile(self.fn, self)
+            self._empty = (None,) * len(self.entries)
+        self.step = step
+        self.entries[:] = self._empty
+
+    def memoised(self, call, names: frozenset):
+        """`call`, whose result depends only on the scene and the poses of
+        the objects `names` names, reusing its step's result.
+
+        An entry is None until a draw first reaches the call in a step; then
+        `_NEVER`, or (scene, ((canonical name, step pose), ...), value) with
+        value `_UNFILLED` until a world that passes the identity check
+        evaluates the call without raising.
+        """
+        k = len(self.entries)
+        self.entries.append(None)
+        entries, names = self.entries, tuple(sorted(names))
+
+        def memo(env, w):
+            entry = entries[k]
+            if entry is None:
+                entry = entries[k] = self._key(names)
+            if entry is _NEVER:
+                return call(env, w)
+            scene, pairs, value = entry
+            if w.scene is not scene:
+                return call(env, w)
+            poses = w.poses
+            for name, pose in pairs:
+                if poses.get(name) is not pose:
+                    return call(env, w)
+            if value is _UNFILLED:
+                value = call(env, w)
+                entries[k] = scene, pairs, value
+            return value
+        return memo
+
+    def _key(self, names: tuple[str, ...]):
+        step = self.step
+        scene, poses = step.scene, step.poses
+        pairs = {}
+        for name in names:
+            canonical = scene.resolve(name)
+            pose = poses.get(canonical)
+            if pose is None:
+                return _NEVER
+            pairs[canonical] = pose
+        return scene, tuple(pairs.items()), _UNFILLED
+
+
+def eval_constraint(fn: ConstraintFn, w: WorldState, step: WorldState | None = None) -> bool:
     """Run a constraint program.  Infeasible intermediate bounds make it
     false, and so does reading the pose or hull of an object that has no pose
-    in `w` (held, or riding in a held container)."""
-    run = fn._compiled
-    if run is None:
-        run = _compile(fn)
-        object.__setattr__(fn, "_compiled", run)
+    in `w` (held, or riding in a held container).
+
+    `step`, when given, is the world a skill was applied to in order to get
+    `w`: the program's step-invariant calls are then evaluated once for
+    every world of that step that leaves their objects unmoved.  The verdict
+    and any error are the same as without it.
+    """
+    program = fn._compiled
+    if program is None:
+        program = _Program(fn)
+        object.__setattr__(fn, "_compiled", program)
+    if step is None:
+        run = program.run
+        if run is None:
+            run = program.run = _compile(fn)
+    else:
+        if program.step is not step:
+            program.bind(step)
+        run = program.bound
     try:
         result = run(w)
     except (InfeasibleBoundsError, ObjectHeldError):

@@ -8,6 +8,15 @@ translational axes; angular components pass through untouched.
 Directional convention: +x points away from the robot, so "behind" an object
 means larger x and "in front" smaller x; "left" means smaller y, "right"
 larger y.  Scene files share this convention.
+
+A helper reads nothing of a world but `w.scene` and the `w.pose`, `aabb_of`
+and `interior_box` of the objects it is given: never `w.poses`, the hand,
+`contents` or a whole-world table.  A skill's new world keeps the step
+world's `Pose6` objects, and inherited hulls, of every object it did not
+move (the placed object and its riders are new or absent, and a held object
+has no pose), so a call over objects at the very same `Pose6` objects gives
+the same result on both worlds.  The evaluator's step binding relies on this;
+`tests/test_helper_reads.py` checks it.
 """
 
 from __future__ import annotations

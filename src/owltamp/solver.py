@@ -554,8 +554,8 @@ SKILLS: dict[str, Skill] = {
 }
 
 
-def _constraints_pass(fns, w2: W.WorldState) -> bool:
-    return all(eval_constraint(fn, w2) for fn in fns)
+def _constraints_pass(fns, w2: W.WorldState, step: W.WorldState | None = None) -> bool:
+    return all(eval_constraint(fn, w2, step=step) for fn in fns)
 
 
 def refine(sk: Skeleton, scene: W.WorldState, goal_fns: tuple[ConstraintFn, ...],
@@ -620,10 +620,10 @@ def refine(sk: Skeleton, scene: W.WorldState, goal_fns: tuple[ConstraintFn, ...]
                 if skill.effect is not None and not skill.effect(outcome.new_world, objs):
                     reason = "effects-unsatisfied"
                     continue
-                if not _constraints_pass(fns, outcome.new_world):
+                if not _constraints_pass(fns, outcome.new_world, world):
                     reason = "constraint-unsatisfied"
                     continue
-                if i == last and not _constraints_pass(goal_fns, outcome.new_world):
+                if i == last and not _constraints_pass(goal_fns, outcome.new_world, world):
                     reason = "goal-constraint-unsatisfied"
                     continue
                 accepted = outcome.new_world

@@ -140,7 +140,7 @@ def load_task(task_id: str, seed: int) -> tuple[TaskSpec, W.WorldState]:
     for name, vals in spec.fixed_poses.items():
         poses[name] = Pose6.from_sequence(vals)
 
-    world = W.WorldState(scene, dict(poses))
+    world = W.WorldState(scene, poses)
     margin = 0.08
     for name in spec.randomized:
         half, _ = OBJECT_LIBRARY[name]
@@ -161,15 +161,11 @@ def load_task(task_id: str, seed: int) -> tuple[TaskSpec, W.WorldState]:
             box = W.box_at_pose(pose, half)
             clear = True
             for avoided in spec.avoid_regions.get(name, ()):
-                if avoided in poses:
-                    avoid_box = W.box_at_pose(poses[avoided],
-                                              OBJECT_LIBRARY[avoided][0])
-                    if box.overlaps_xy(avoid_box):
-                        clear = False
-                        break
-            if clear and not W.collision(world, name, pose):
-                poses[name] = pose
-                world = W.WorldState(scene, dict(poses))
+                if avoided in world.poses and box.overlaps_xy(W.aabb_of(world, avoided)):
+                    clear = False
+                    break
+            if clear and not W.collision(world, name, pose, box=box):
+                world = W.with_placed(world, name, pose, box)
                 placed = True
                 break
         if not placed:

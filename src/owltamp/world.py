@@ -167,6 +167,16 @@ def _inherit_geometry(child: WorldState, parent: WorldState) -> WorldState:
     return child
 
 
+def with_placed(w: WorldState, name: str, pose: Pose6, box: Aabb) -> WorldState:
+    """`w` with `name` set down at `pose`, whose hull is `box`; it keeps
+    `w`'s hulls and interiors of every other object, as a skill's world
+    does."""
+    placed = _inherit_geometry(
+        WorldState(w.scene, {**w.poses, name: pose}, w.held, w.robot_conf), w)
+    placed._geometry[_HULL, name] = box
+    return placed
+
+
 def aabb_of(w: WorldState, name: str) -> Aabb:
     """Axis-aligned hull of the object's rotated box at its current pose."""
     key = (_HULL, name)

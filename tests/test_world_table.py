@@ -9,6 +9,7 @@ worlds reached by chains of skill draws.
 """
 
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -164,6 +165,65 @@ def test_cached_queries_match_reference_along_skill_chains(task_id, scene_seed, 
 def test_cached_queries_match_reference_on_task_scenes(task_id):
     for scene_seed in range(3):
         _, w = tasks.load_task(task_id, scene_seed)
+        check_world(w, np.random.default_rng(scene_seed))
+
+
+def ref_load_task(task_id, seed):
+    """`tasks.load_task` with every hull, collision and avoid-region box
+    computed afresh by the references above."""
+    spec = tasks.load_task_spec(task_id)
+    scene = tasks._build_scene(spec)
+    rng = np.random.default_rng([seed, zlib.crc32(task_id.encode("utf-8"))])
+    poses = {tasks.TABLE: tasks.TABLE_POSE}
+    poses.update((name, Pose6.from_sequence(v)) for name, v in spec.fixed_poses.items())
+    for name in spec.randomized:
+        half = scene.model(name).half_extents
+        region = spec.random_regions.get(name)
+        (xlo, ylo), (xhi, yhi) = region or ((0.08, -0.42), (0.92, 0.42))
+        roll, pitch, fixed_yaw = spec.initial_rpy.get(name, (0.0, 0.0, None))
+        for _ in range(500):
+            x, y = rng.uniform(xlo, xhi), rng.uniform(ylo, yhi)
+            yaw = fixed_yaw if fixed_yaw is not None else rng.uniform(-np.pi, np.pi)
+            pose = Pose6(x, y, rotated_half_extents(half, roll, pitch, yaw)[2],
+                         roll, pitch, yaw)
+            world = W.WorldState(scene, poses)
+            box = W.box_at_pose(pose, half)
+            if any(avoided in poses and box.overlaps_xy(ref_aabb_of(world, avoided))
+                   for avoided in spec.avoid_regions.get(name, ())):
+                continue
+            if not ref_collision(world, name, pose):
+                poses[name] = pose
+                break
+    return W.WorldState(scene, poses)
+
+
+def _ref_entry(w, key):
+    kind, name = key
+    if kind == "hull":
+        return ref_aabb_of(w, name)
+    if kind == "interior":
+        return ref_interior_box(w, name)
+    if kind == "contents":
+        return tuple(ref_contents(w, name))
+    if kind == "hulls":
+        return tuple((o, ref_aabb_of(w, o)) for o in w.poses)
+    assert kind == "obstacles"
+    return tuple((o, w.scene.model(o).kind, ref_aabb_of(w, o)) for o in w.poses
+                 if w.scene.model(o).kind != "surface")
+
+
+@pytest.mark.parametrize("task_id", TASK_IDS)
+def test_load_task_matches_the_uncached_reference(task_id):
+    for scene_seed in range(10):
+        spec, w = tasks.load_task(task_id, scene_seed)
+        want = ref_load_task(task_id, scene_seed)
+        assert w == want, scene_seed
+        assert list(w.poses) == list(want.poses)
+        # The table carries the hull of every randomized object, seeded when
+        # it was placed, and every entry equals its reference.
+        assert {("hull", name) for name in spec.randomized} <= set(w._geometry)
+        for key, value in w._geometry.items():
+            assert value == _ref_entry(w, key), (scene_seed, key)
         check_world(w, np.random.default_rng(scene_seed))
 
 
