@@ -18,8 +18,9 @@ once.  `eval_constraint(fn, w, step=world)` keeps one step's results per
 program: a call's entry fills the first time a world of the step whose scene
 is the step's and whose read-set poses are the step world's very objects
 evaluates it without raising, and every later world that passes the same
-identity check reuses it.  Any other world, and a call that raises, is
-evaluated as without `step`.
+identity check reuses it.  Any other world runs the call itself, and a
+call that raises leaves its entry empty.  Without `step`, a world is its own
+step.
 """
 
 from __future__ import annotations
@@ -51,14 +52,14 @@ def _resolve_object(w: WorldState, name: str, node: Expr) -> str:
 
 
 def _compile_expr(e: Expr, slots: dict[str, tuple[int, frozenset | None]],
-                  memo: _Program | None):
+                  memo: _Program):
     """`e` as a closure `(env, w) -> value`, with its read set.
 
     `slots` maps each name assigned so far to its position in `env` and the
     read set of its value.  A read set is the frozenset of object names a
     step-invariant value reaches, or None for a value that may depend on
-    anything else of the world.  With `memo` given, each invariant helper
-    call is wrapped to reuse its step's result (`_Program.memoised`).
+    anything else of the world.  Each invariant helper call is wrapped to
+    reuse its step's result (`memo.memoised`).
     """
     if isinstance(e, Num):
         value = e.value
@@ -96,7 +97,7 @@ def _compile_expr(e: Expr, slots: dict[str, tuple[int, frozenset | None]],
         if e.fn == "position_within_bounds" or any(reads is None for _, reads in args):
             return call, None
         reads = _NO_OBJECTS.union(*(reads for _, reads in args))
-        return (call if memo is None else memo.memoised(call, reads)), reads
+        return memo.memoised(call, reads), reads
     raise EvalError(f"cannot evaluate {type(e).__name__}", e.line, e.column)
 
 
@@ -152,7 +153,7 @@ def _call(fn: str, args):
     return lambda env, w: impl(w, *[a(env, w) for a in args])
 
 
-def _compile(fn: ConstraintFn, memo: _Program | None = None):
+def _compile(fn: ConstraintFn, memo: _Program):
     """The program as a closure `w -> result`.  Assignment i fills `env[i]`;
     a name refers to its latest earlier assignment, since names may be
     reassigned."""
@@ -178,24 +179,21 @@ _UNFILLED = object()  # an entry no draw has filled yet
 
 
 class _Program:
-    """A compiled program: `run(w)` evaluates it as written; `bound(w)`
-    evaluates it with each invariant call's result kept for the step world
-    `step` and reused on every world that leaves the call's read set at the
-    step world's very poses.  Each tree is compiled on first use."""
+    """A compiled program: `run(w)` evaluates it with each invariant call's
+    result kept for the step world `step` and reused on every world that
+    leaves the call's read set at the step world's very poses."""
 
-    __slots__ = ("fn", "run", "bound", "step", "entries", "_empty")
+    __slots__ = ("run", "step", "entries", "_empty")
 
     def __init__(self, fn: ConstraintFn):
-        self.fn = fn
-        self.run = self.bound = self.step = None
+        self.entries = []
+        self.run = _compile(fn, self)
+        self._empty = (None,) * len(self.entries)
+        self.step = None
 
     def bind(self, step: WorldState) -> None:
         """Drop the previous step's entries; they fill again as draws reach
         them."""
-        if self.bound is None:
-            self.entries = []
-            self.bound = _compile(self.fn, self)
-            self._empty = (None,) * len(self.entries)
         self.step = step
         self.entries[:] = self._empty
 
@@ -249,25 +247,21 @@ def eval_constraint(fn: ConstraintFn, w: WorldState, step: WorldState | None = N
     false, and so does reading the pose or hull of an object that has no pose
     in `w` (held, or riding in a held container).
 
-    `step`, when given, is the world a skill was applied to in order to get
-    `w`: the program's step-invariant calls are then evaluated once for
-    every world of that step that leaves their objects unmoved.  The verdict
-    and any error are the same as without it.
+    `step` is the world a skill was applied to in order to get `w`, and `w`
+    itself when not given: the program's step-invariant calls are evaluated
+    once for every world of that step that leaves their objects unmoved.
+    The verdict and any error do not depend on `step`.
     """
     program = fn._compiled
     if program is None:
         program = _Program(fn)
         object.__setattr__(fn, "_compiled", program)
     if step is None:
-        run = program.run
-        if run is None:
-            run = program.run = _compile(fn)
-    else:
-        if program.step is not step:
-            program.bind(step)
-        run = program.bound
+        step = w
+    if program.step is not step:
+        program.bind(step)
     try:
-        result = run(w)
+        result = program.run(w)
     except (InfeasibleBoundsError, ObjectHeldError):
         return False
     if not isinstance(result, bool):

@@ -10,20 +10,23 @@ skeletons, never by intra-skeleton backjumping.
 refinement, replay, backtracking and the planning-set filter read that table
 and never dispatch on action names themselves.
 
-Every refinement draw goes through one `DrawStream` per `refine` call, which
-hands out the skeleton generator's own doubles from a buffer and rewinds the
-generator over the unread ones when `refine` returns, so the values and the
-stream backtracking reads next are those of unbuffered `Generator.uniform`
-calls.
+Each refinement step is prepared once: its skill looks up the step's
+bands, checks its precondition and builds a table of `(lo, hi - lo)` per
+double, and every draw of the step reads a fixed count of doubles from the
+`refine` call's one `DrawStream` and decodes them with `lo + span * u`, in
+one function (`_decode`).  The stream hands out the skeleton generator's own
+doubles from a buffer and rewinds the generator over the unread ones when
+`refine` returns, so the values, the errors and the stream backtracking
+reads next are those of unbuffered `Generator.uniform` calls.
 
-A skill may have a screen, which `refine` runs before each draw: it peeks at
-the doubles the next draws would read and skips those its skill's own rule
-refuses, each counted as one sample with its reason, so refused draws build
-no pose and run no skill.  Only pick has one: `world.pick_rejection` on the
-grasp computed from six doubles.  The screen declines where the draw path
-must decide (full hand, unplaced object, a band `uniform` would refuse), and
-everything refine returns or leaves in the generator is what it was without
-screens.
+A skill may also prepare a screen, which `refine` runs before each draw: it
+peeks at the doubles the next draws would read, decodes them as the draw
+does, and skips those its skill's own rule refuses, each counted as one
+sample with its reason, so refused draws build no pose and run no skill.
+Only pick has one: `world.pick_rejection` on the grasp decoded from five of
+a draw's six doubles.  The screen declines where the draw path must decide
+(full hand, a band `uniform` would refuse), and everything refine returns or
+leaves in the generator is what it was without screens.
 """
 
 from __future__ import annotations
@@ -251,30 +254,14 @@ class SamplerSpec:
 DRAW_BLOCK = 64
 
 
-def span_error(span: float) -> Exception | None:
-    """The error `Generator.uniform(lo, hi)` raises for `span = hi - lo`, or
-    None when it draws."""
-    if not math.isfinite(span):
-        return OverflowError("high - low range exceeds valid bounds")
-    if math.copysign(1.0, span) < 0.0:
-        return ValueError("high - low < 0")
-    return None
-
-
 class DrawStream:
-    """Uniform draws from blocks of a PCG64 generator's own doubles.
+    """The doubles of a PCG64 generator, read in blocks.
 
-    `uniform(lo, hi)` is `lo + (hi - lo) * u` for the generator's next double
-    `u`, which is what `Generator.uniform(lo, hi)` computes, so the stream
-    gives that call's values bit for bit and raises its errors.  `close()`
-    rewinds the generator over the doubles read but not handed out; after it
-    the generator is where unbuffered `uniform` calls would have left it.
-    `peek(n)` shows the next n doubles without consuming them and `skip(n)`
-    consumes them unused.  While a stream is open, read the generator
-    through it only.
-
-    The samplers take a stream or a plain `Generator`, which has the same
-    `uniform(lo, hi)`.
+    `read(n)` hands out the generator's next n doubles, `peek(n)` shows them
+    without consuming them and `skip(n)` consumes them unused.  `close()`
+    rewinds the generator over the doubles read from it but not handed out;
+    after it the generator is where unbuffered `random()` calls would have
+    left it.  While a stream is open, read the generator through it only.
     """
 
     def __init__(self, rng: np.random.Generator):
@@ -283,17 +270,6 @@ class DrawStream:
                             f"{type(rng.bit_generator).__name__} generator")
         self._rng = rng
         self._block: list[float] = []    # unread doubles, the next one last
-
-    def uniform(self, lo: float, hi: float) -> float:
-        span = hi - lo
-        if not 0.0 < span < math.inf:
-            error = span_error(span)
-            if error is not None:
-                raise error
-        block = self._block
-        if not block:
-            block = self._block = self._rng.random(DRAW_BLOCK)[::-1].tolist()
-        return lo + span * block.pop()
 
     def _fill(self, n: int) -> list[float]:
         """The unread doubles, topped up by whole blocks to at least n."""
@@ -313,6 +289,13 @@ class DrawStream:
         block = self._block if len(self._block) >= n else self._fill(n)
         del block[len(block) - n:]
 
+    def read(self, n: int) -> list[float]:
+        """Consume the next n doubles, the next one first."""
+        block = self._block if len(self._block) >= n else self._fill(n)
+        doubles = block[:-n - 1:-1]
+        del block[len(block) - n:]
+        return doubles
+
     def close(self) -> None:
         """Step the generator back over the unread doubles, one PCG64 step
         each.  `advance` also drops the generator's buffered uint32, so
@@ -322,70 +305,70 @@ class DrawStream:
             self._block = []
 
 
-def _draw_rpy(draws: DrawStream, spec: SamplerSpec) -> tuple[float, float, float]:
-    return (draws.uniform(*spec.roll), draws.uniform(*spec.pitch),
-            draws.uniform(*spec.yaw))
+def _band_table(*bands: tuple[float, float]):
+    """A step's table: `(lo, hi - lo)` of each band in read order, up to the
+    first band `Generator.uniform(lo, hi)` would refuse, and that band's
+    error (None when it accepts them all)."""
+    spans = []
+    for lo, hi in bands:
+        span = hi - lo
+        if not math.isfinite(span):
+            return tuple(spans), OverflowError("high - low range exceeds valid bounds")
+        if math.copysign(1.0, span) < 0.0:
+            return tuple(spans), ValueError("high - low < 0")
+        spans.append((lo, span))
+    return tuple(spans), None
 
 
-def sample_grasp(w: W.WorldState, obj: str, draws: DrawStream,
-                 spec: SamplerSpec) -> Pose6:
-    """Anywhere within the object's box, orientation from the given bands."""
-    box = W.aabb_of(w, obj)
-    (x0, y0, z0), (x1, y1, z1) = box.lower, box.upper
-    return Pose6(draws.uniform(x0, x1), draws.uniform(y0, y1), draws.uniform(z0, z1),
-                 *_draw_rpy(draws, spec))
+def _decode(spans, doubles) -> list[float]:
+    """`lo + span * u` for each `(lo, span)` and double `u`: the value
+    `Generator.uniform(lo, lo + span)` computes from `u`."""
+    return [lo + span * u for (lo, span), u in zip(spans, doubles)]
 
 
-def sample_place(w: W.WorldState, obj: str, target: str, draws: DrawStream,
-                 spec: SamplerSpec, hint: dict | None = None) -> Pose6:
-    """A release pose broadly above the target's footprint."""
-    box = W.aabb_of(w, target)
-    lo, hi = W.DEFAULT_DROP_BAND
-    avoid = (hint or {}).get("avoid_xy")
-    reach = max(w.scene.model(obj).half_extents)
+def _read(draws: DrawStream, table) -> list[float]:
+    """One value per band, from the stream's next doubles.  A refused band
+    raises its error once the bands before it are read, as a run of
+    `Generator.uniform` calls would."""
+    spans, error = table
+    doubles = draws.read(len(spans))
+    if error is not None:
+        raise error
+    return _decode(spans, doubles)
+
+
+def sample_grasp(table, draws: DrawStream) -> Pose6:
+    """A grasp from x, y, z bands within the object's hull and the roll,
+    pitch and yaw bands."""
+    return Pose6(*_read(draws, table))
+
+
+def sample_place(xy, rest, draws: DrawStream,
+                 avoid: tuple[float, float, float, float] | None = None) -> Pose6:
+    """A release pose: x and y from the target's footprint, drawn again (up
+    to 100 tries, keeping the last) while they fall inside the `avoid`
+    rectangle (x0, y0, x1, y1), then z and orientation from `rest`."""
     for _ in range(100):
-        x = draws.uniform(box.lower[0], box.upper[0])
-        y = draws.uniform(box.lower[1], box.upper[1])
-        if avoid is not None and (avoid[0][0] - reach <= x <= avoid[1][0] + reach
-                                  and avoid[0][1] - reach <= y <= avoid[1][1] + reach):
-            continue
-        break
-    z = draws.uniform(box.upper[2] + lo, box.upper[2] + hi)
-    return Pose6(x, y, z, *_draw_rpy(draws, spec))
+        x, y = _read(draws, xy)
+        if avoid is None or not (avoid[0] <= x <= avoid[2] and avoid[1] <= y <= avoid[3]):
+            break
+    return Pose6(x, y, *_read(draws, rest))
 
 
-def sample_pour(w: W.WorldState, obj: str, target: str,
-                draws: DrawStream) -> tuple[float, float, float, float]:
+def sample_pour(table, draws: DrawStream) -> tuple[float, float, float, float]:
     """A tipping position above the target plus a tilt angle."""
-    box = W.aabb_of(w, target)
-    height = 2.0 * w.scene.model(obj).half_extents[2]
-    x = draws.uniform(box.lower[0], box.upper[0])
-    y = draws.uniform(box.lower[1], box.upper[1])
-    z = draws.uniform(box.upper[2] + height, box.upper[2] + 2.0 * height)
-    tilt = draws.uniform(-math.pi, math.pi)
-    return (x, y, z, tilt)
+    return tuple(_read(draws, table))
 
 
 class RestrictionTable:
     """Lookup of orientation bands keyed by action name and object: the
-    first entry that matches wins.  Each (action, object) pair is looked up
-    once and kept."""
+    first entry that matches wins."""
 
     def __init__(self, entries: list[dict] | None = None):
-        self._entries = []
-        for e in entries or []:
-            self._entries.append((e.get("action", "*"), e.get("object", "*"),
-                                  SamplerSpec.from_dict(e)))
-        self._found: dict[tuple[str, str], SamplerSpec] = {}
+        self._entries = [(e.get("action", "*"), e.get("object", "*"), SamplerSpec.from_dict(e))
+                         for e in entries or []]
 
     def lookup(self, action: str, obj: str) -> SamplerSpec:
-        key = (action, obj)
-        spec = self._found.get(key)
-        if spec is None:
-            spec = self._found[key] = self._first_match(action, obj)
-        return spec
-
-    def _first_match(self, action: str, obj: str) -> SamplerSpec:
         for act, name, spec in self._entries:
             if act in ("*", action) and name in ("*", obj):
                 return spec
@@ -394,73 +377,63 @@ class RestrictionTable:
 
 # --- Skills ------------------------------------------------------------------------
 #
-# A draw samples continuous parameters for one action, runs its skill on the
-# world and returns (outcome, parameter updates as float tuples; None unless
-# the outcome succeeded), or None when the world does not meet the skill's
-# precondition.  It looks up the orientation bands, then checks that
-# precondition, then samples, then simulates.  Samplers and skills are called
-# by their module-level names so that they can be wrapped.  A re-run executes
-# a bound action again from its parameter values.
-#
-# A screen, where a skill has one, skips the draws its skill would refuse
-# without drawing them: given a step's world, action name, objects, stream and
-# restrictions it returns None, or a function that takes the step's samples
-# left and returns how many leading draws it skipped, each with the doubles
-# the draw would have read, and the reason of the last.
+# A skill prepares one refinement step from the step's world, action name,
+# objects, stream, restrictions and hint: it looks up the orientation bands,
+# then checks its precondition (None when the world fails it), then builds
+# the step's band tables and returns (draw, screen).  `draw()` samples
+# parameters, runs the skill and returns (outcome, parameter updates as float
+# tuples; None unless the outcome succeeded).  Samplers and skills are called
+# by their module-level names so that they can be wrapped.  A screen, where a
+# skill has one (else None), takes the step's samples left, skips the leading
+# draws its skill would refuse, each with the doubles the draw would have
+# read, and returns how many it skipped and the reason of the last.  A re-run
+# executes a bound action again from its parameter values.
 
 
 def _holding(world: W.WorldState, obj: str) -> bool:
     return world.held is not None and world.held.name == obj
 
 
-def _draw_pick(world, name, objs, draws, restrictions, hint):
-    spec = restrictions.lookup(name, objs["o"])
-    if objs["o"] not in world.poses:
-        return None
-    grasp = sample_grasp(world, objs["o"], draws, spec)
-    outcome = W.exec_pick(world, objs["o"], grasp)
-    if not outcome.success:
-        return outcome, None
-    return outcome, {"g": grasp.as_tuple(), "p": world.pose(objs["o"]).as_tuple(),
-                     "q": grasp.position}
-
-
-def _screen_pick(world, name, objs, draws, restrictions):
-    """Skips the pick draws that `world.pick_rejection` refuses.  Declines
-    (None) where the draw path must run every draw: the hand is full, the
-    object is unplaced, or a band would make `uniform` raise.
-
-    A draw's grasp position and wrapped roll and pitch are computed from the
-    first five of its six doubles with `sample_grasp`'s and `Pose6`'s float
-    expressions, so the rule sees the values `exec_pick` would.  Bands that
-    `uniform` accepts are finite, and `lo + span * u` for `u < 1` does not
-    overflow, so `Pose6` would accept every draw the screen skips."""
+def _prepare_pick(world, name, objs, draws, restrictions, hint):
     o = objs["o"]
-    if world.held is not None or o not in world.poses:
-        return None
     spec = restrictions.lookup(name, o)
-    box = W.aabb_of(world, o)
-    (x0, y0, z0), (x1, y1, z1) = box.lower, box.upper
-    (r0, r1), (p0, p1), (q0, q1) = spec.roll, spec.pitch, spec.yaw
-    spans = (x1 - x0, y1 - y0, z1 - z0, r1 - r0, p1 - p0, q1 - q0)
-    if any(span_error(span) is not None for span in spans):
+    if o not in world.poses:
         return None
-    xs, ys, zs, rs, ps, _ = spans
+    box = W.aabb_of(world, o)
+    table = _band_table(*zip(box.lower, box.upper), spec.roll, spec.pitch, spec.yaw)
+
+    def draw():
+        grasp = sample_grasp(table, draws)
+        outcome = W.exec_pick(world, o, grasp)
+        if not outcome.success:
+            return outcome, None
+        return outcome, {"g": grasp.as_tuple(), "p": world.pose(o).as_tuple(),
+                         "q": grasp.position}
+
+    # The screen leaves a full hand and a refused band to the draw.  Bands
+    # that `uniform` accepts are finite, and `lo + span * u` for `u < 1`
+    # does not overflow, so `Pose6` would accept every draw it skips.
+    spans, error = table
+    if world.held is not None or error is not None:
+        return draw, None
+    spans = spans[:5]
     peek, skip, rejection = draws.peek, draws.skip, W.pick_rejection
 
     def screen(limit: int) -> tuple[int, str | None]:
+        """Skips the leading draws `world.pick_rejection` refuses, judged
+        on the grasp position and the wrapped roll and pitch decoded from
+        the first five of each draw's six doubles."""
         skipped, reason = 0, None
         while skipped < limit:
-            u0, u1, u2, u3, u4 = peek(5)
-            why = rejection(world, box, x0 + xs * u0, y0 + ys * u1, z0 + zs * u2,
-                            wrap_angle(r0 + rs * u3), wrap_angle(p0 + ps * u4))
+            x, y, z, roll, pitch = _decode(spans, peek(5))
+            why = rejection(world, box, x, y, z, wrap_angle(roll), wrap_angle(pitch))
             if why is None:
                 break
             skip(6)
             skipped += 1
             reason = why
         return skipped, reason
-    return screen
+    return draw, screen
 
 
 def _rerun_pick(world, action, objs):
@@ -468,16 +441,30 @@ def _rerun_pick(world, action, objs):
     return W.exec_pick(world, objs["o"], grasp)
 
 
-def _draw_place(world, name, objs, draws, restrictions, hint):
-    spec = restrictions.lookup(name, objs["o"])
-    if not _holding(world, objs["o"]):
+def _prepare_place(world, name, objs, draws, restrictions, hint):
+    o, s = objs["o"], objs["s"]
+    spec = restrictions.lookup(name, o)
+    if not _holding(world, o):
         return None
-    drop = sample_place(world, objs["o"], objs["s"], draws, spec, hint)
-    outcome = W.exec_place(world, objs["o"], objs["s"], drop)
-    if not outcome.success:
-        return outcome, None
-    return outcome, {"g": world.held.grasp.as_tuple(), "q": drop.position,
-                     "p": outcome.new_world.pose(objs["o"]).as_tuple()}
+    box = W.aabb_of(world, s)
+    (x0, y0, _), (x1, y1, top) = box.lower, box.upper
+    lo, hi = W.DEFAULT_DROP_BAND
+    xy = _band_table((x0, x1), (y0, y1))
+    rest = _band_table((top + lo, top + hi), spec.roll, spec.pitch, spec.yaw)
+    avoid = (hint or {}).get("avoid_xy")
+    if avoid is not None:
+        reach = max(world.scene.model(o).half_extents)
+        avoid = (avoid[0][0] - reach, avoid[0][1] - reach,
+                 avoid[1][0] + reach, avoid[1][1] + reach)
+
+    def draw():
+        drop = sample_place(xy, rest, draws, avoid)
+        outcome = W.exec_place(world, o, s, drop)
+        if not outcome.success:
+            return outcome, None
+        return outcome, {"g": world.held.grasp.as_tuple(), "q": drop.position,
+                         "p": outcome.new_world.pose(o).as_tuple()}
+    return draw, None
 
 
 def _rerun_place(world, action, objs):
@@ -485,15 +472,23 @@ def _rerun_place(world, action, objs):
     return W.exec_place(world, objs["o"], objs["s"], drop)
 
 
-def _draw_pour(world, name, objs, draws, restrictions, hint):
-    if not _holding(world, objs["o"]):
+def _prepare_pour(world, name, objs, draws, restrictions, hint):
+    o, s = objs["o"], objs["s"]
+    if not _holding(world, o):
         return None
-    params = sample_pour(world, objs["o"], objs["s"], draws)
-    outcome = W.exec_pour(world, objs["o"], objs["s"], params)
-    if not outcome.success:
-        return outcome, None
-    return outcome, {"g": world.held.grasp.as_tuple(), "t": params, "q": params[:3],
-                     "p": outcome.new_world.pose(objs["o"]).as_tuple()}
+    box = W.aabb_of(world, s)
+    (x0, y0, _), (x1, y1, top) = box.lower, box.upper
+    height = 2.0 * world.scene.model(o).half_extents[2]
+    table = _band_table((x0, x1), (y0, y1), (top + height, top + 2.0 * height), FULL_ANGLE)
+
+    def draw():
+        params = sample_pour(table, draws)
+        outcome = W.exec_pour(world, o, s, params)
+        if not outcome.success:
+            return outcome, None
+        return outcome, {"g": world.held.grasp.as_tuple(), "t": params, "q": params[:3],
+                         "p": outcome.new_world.pose(o).as_tuple()}
+    return draw, None
 
 
 def _rerun_pour(world, action, objs):
@@ -534,23 +529,22 @@ def _place_inside_fills(scene: W.WorldState, objs: Mapping[str, str], goal_pairs
 class Skill:
     """How one action schema runs through the world model."""
 
-    draw: Callable       # (world, action name, objects, draws, restrictions, hint)
+    prepare: Callable    # (world, action name, objects, draws, restrictions, hint)
+                         # -> (draw, screen or None), or None
     rerun: Callable      # (world, bound action, objects) -> SkillOutcome
     effect: Callable | None  # (world after, objects) -> symbolic effect holds
     holds_after: bool    # the hand holds the object once the skill is done
     fills: Callable | None   # (scene, objects, goal pairs) -> kept off the plan;
                              # None: only as a partial-plan step
-    screen: Callable | None = None  # (world, action name, objects, draws,
-                                    # restrictions) -> skipper or None
 
 
 SKILLS: dict[str, Skill] = {
-    "pick": Skill(_draw_pick, _rerun_pick, None, True, _pick_fills, screen=_screen_pick),
-    "place_ontop": Skill(_draw_place, _rerun_place, _rests_on_target, False,
+    "pick": Skill(_prepare_pick, _rerun_pick, None, True, _pick_fills),
+    "place_ontop": Skill(_prepare_place, _rerun_place, _rests_on_target, False,
                          _place_ontop_fills),
-    "place_inside": Skill(_draw_place, _rerun_place, _inside_target, False,
+    "place_inside": Skill(_prepare_place, _rerun_place, _inside_target, False,
                           _place_inside_fills),
-    "pour": Skill(_draw_pour, _rerun_pour, None, False, None),
+    "pour": Skill(_prepare_pour, _rerun_pour, None, False, None),
 }
 
 
@@ -591,13 +585,16 @@ def refine(sk: Skeleton, scene: W.WorldState, goal_fns: tuple[ConstraintFn, ...]
                 raise PlanningError(f"no skill for action {action.name!r}")
             objs = action.objects
             fns = sk.constraints[i]
-            hint = sk.hints[i]
+            left = budgets.samples_per_action
+            if not left:
+                return RefinementFailure(i, "sampling-exhausted", samples_used)
+            prepared = skill.prepare(world, action.name, objs, draws, restrictions,
+                                     sk.hints[i])
+            if prepared is None:
+                return RefinementFailure(i, "precondition", samples_used + 1)
+            draw, screen = prepared
             accepted = None
             reason = "sampling-exhausted"
-            left = budgets.samples_per_action
-            screen = None
-            if skill.screen is not None and left:
-                screen = skill.screen(world, action.name, objs, draws, restrictions)
             while left:
                 if screen is not None:
                     skipped, why = screen(left)
@@ -609,11 +606,7 @@ def refine(sk: Skeleton, scene: W.WorldState, goal_fns: tuple[ConstraintFn, ...]
                             break
                 left -= 1
                 samples_used += 1
-                drawn = skill.draw(world, action.name, objs, draws, restrictions, hint)
-                if drawn is None:
-                    reason = "precondition"
-                    break
-                outcome, updates = drawn
+                outcome, updates = draw()
                 if not outcome.success:
                     reason = outcome.failure_reason
                     continue

@@ -1,8 +1,10 @@
-"""The refinement draw stream hands out the generator's own values and leaves
-the generator exactly where unbuffered `Generator.uniform` calls would."""
+"""The refinement draw stream hands out the generator's own doubles, band
+tables decode them into the values of `Generator.uniform`, and closing the
+stream leaves the generator exactly where unbuffered calls would."""
 
 import ast
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -20,22 +22,37 @@ from test_solver import _manual_solve, _skeleton_for, build
 SOLVER_PY = Path(solver.__file__)
 
 EDGE = st.floats(-10.0, 10.0)
-# Ordered, zero-width, reversed and non-finite bands: a reversed or
-# non-finite one makes both sides raise the same error without a draw.
+MAX = sys.float_info.max
+# Ordered, zero-width, reversed and non-finite bands, and the widest finite
+# ones: a reversed or non-finite band makes both sides raise the same error
+# once the bands before it are drawn.  The last one rounds its width up at
+# a tie, the closest `lo + span * u` comes to overflowing.
 BAND = st.one_of(
+    st.tuples(EDGE, EDGE).map(lambda band: tuple(sorted(band))),
     st.tuples(EDGE, EDGE),
     EDGE.map(lambda v: (v, v)),
     st.tuples(EDGE, st.sampled_from([math.inf, -math.inf, math.nan])),
-    st.sampled_from([(-math.pi, math.pi), (0.0, -0.0), (-0.0, 0.0)]),
+    st.sampled_from([(-math.pi, math.pi), (0.0, -0.0), (-0.0, 0.0), (-MAX, 0.0),
+                     (0.0, MAX), (-MAX, MAX), (MAX, -MAX), (3 * 2.0**970, MAX)]),
 )
-# Each segment is read through the stream and then closed; lengths cross
-# the block boundary, and a close mid-block rewinds the rest.
-SEGMENTS = st.lists(st.lists(BAND, max_size=3 * solver.DRAW_BLOCK), min_size=1, max_size=3)
+# Each segment reads band tables through the stream and is then closed; the
+# reads cross the block boundary, and a close mid-block rewinds the rest.
+TABLES = st.lists(st.lists(BAND, max_size=8), max_size=3 * solver.DRAW_BLOCK // 4)
+SEGMENTS = st.lists(TABLES, min_size=1, max_size=3)
 
 
-def _uniform(draw, lo, hi):
+def _table_draw(draws, bands):
+    """The hex of each value a table read gives, or the error it raises."""
     try:
-        return draw(lo, hi).hex()
+        return [v.hex() for v in solver._read(draws, solver._band_table(*bands))]
+    except (ValueError, OverflowError) as e:
+        return type(e).__name__
+
+
+def _uniform_draws(rng, bands):
+    """`Generator.uniform` over the bands in order, up to the first error."""
+    try:
+        return [rng.uniform(lo, hi).hex() for lo, hi in bands]
     except (ValueError, OverflowError) as e:
         return type(e).__name__
 
@@ -45,21 +62,18 @@ def _uniform(draw, lo, hi):
 def test_stream_equals_the_generator(seed, segments):
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     draws = DrawStream(rng)
-    for bands in segments:
-        got = [_uniform(draws.uniform, lo, hi) for lo, hi in bands]
-        want = [_uniform(ref.uniform, lo, hi) for lo, hi in bands]
-        assert got == want
+    for tables in segments:
+        for bands in tables:
+            assert _table_draw(draws, bands) == _uniform_draws(ref, bands)
         draws.close()
         assert rng.bit_generator.state == ref.bit_generator.state
     draws.close()
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
-# Uniform draws, peeks and skips, with counts that cross the block boundary.
-OPS = st.lists(st.one_of(
-    BAND.map(lambda band: ("uniform", band)),
-    st.tuples(st.sampled_from(["peek", "skip"]), st.integers(0, 2 * solver.DRAW_BLOCK + 3)),
-), max_size=40)
+# Reads, peeks and skips, with counts that cross the block boundary.
+OPS = st.lists(st.tuples(st.sampled_from(["read", "peek", "skip"]),
+                         st.integers(0, 2 * solver.DRAW_BLOCK + 3)), max_size=40)
 
 
 @settings(max_examples=150, deadline=None)
@@ -68,17 +82,17 @@ def test_peek_and_skip_follow_the_generator(seed, segments):
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     draws = DrawStream(rng)
     for ops in segments:
-        for op, arg in ops:
-            if op == "uniform":
-                assert _uniform(draws.uniform, *arg) == _uniform(ref.uniform, *arg)
+        for op, n in ops:
+            if op == "read":
+                assert draws.read(n) == ref.random(n).tolist()
             elif op == "peek":
                 state = ref.bit_generator.state
-                want = ref.random(arg).tolist()
+                want = ref.random(n).tolist()
                 ref.bit_generator.state = state
-                assert draws.peek(arg) == want
+                assert draws.peek(n) == want
             else:
-                draws.skip(arg)
-                ref.random(arg)
+                draws.skip(n)
+                ref.random(n)
         draws.close()
         assert rng.bit_generator.state == ref.bit_generator.state
 
@@ -95,20 +109,20 @@ def test_stream_refuses_generators_it_cannot_rewind(bitgen):
 
 @pytest.fixture
 def drawn(monkeypatch):
-    """Counts the values refine's draws take from their stream, and the
+    """Counts the doubles refine's draws take from their stream, and the
     doubles the pick screen skips."""
     count = [0]
-    uniform, skip = DrawStream.uniform, DrawStream.skip
+    read, skip = DrawStream.read, DrawStream.skip
 
-    def counting(self, lo, hi):
-        count[0] += 1
-        return uniform(self, lo, hi)
+    def counting(self, n):
+        count[0] += n
+        return read(self, n)
 
     def counting_skip(self, n):
         count[0] += n
         return skip(self, n)
 
-    monkeypatch.setattr(DrawStream, "uniform", counting)
+    monkeypatch.setattr(DrawStream, "read", counting)
     monkeypatch.setattr(DrawStream, "skip", counting_skip)
     return count
 
@@ -217,18 +231,19 @@ def test_solve_spawns_the_streams_of_one_spawn_call(monkeypatch, attempts):
 
 # --- Samplers read the generator through the stream only -----------------------
 
-GENERATOR_READS = {name for name in dir(np.random.Generator)
-                   if not name.startswith("_")} - {"uniform"}
+GENERATOR_READS = {name for name in dir(np.random.Generator) if not name.startswith("_")}
+# Functions that read doubles for a draw or a screen: the samplers, each
+# skill's step preparation with the draw and screen it defines, and the
+# read and decode helpers.
+DRAWING = ("sample_", "_prepare_", "_read", "_decode")
 
 
 def direct_generator_reads(source: str) -> list[str]:
-    """`name:line` of every generator read in a sampler, `_draw_*` or
-    `_screen_*` function other than `uniform`: a read past an open stream
-    would reorder it."""
+    """`name:line` of every generator read in a function that draws: a read
+    past an open stream would reorder it."""
     found = []
     for fn in ast.parse(source).body:
-        if not (isinstance(fn, ast.FunctionDef)
-                and fn.name.startswith(("sample_", "_draw_", "_screen_"))):
+        if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith(DRAWING)):
             continue
         for node in ast.walk(fn):
             # `random` also catches `np.random`.
@@ -240,12 +255,16 @@ def direct_generator_reads(source: str) -> list[str]:
 def test_samplers_never_read_the_generator_directly():
     source = SOLVER_PY.read_text(encoding="utf-8")
     names = {fn.name for fn in ast.parse(source).body if isinstance(fn, ast.FunctionDef)}
-    assert {"sample_grasp", "sample_place", "sample_pour", "_draw_pick",
-            "_screen_pick"} <= names
+    assert {"sample_grasp", "sample_place", "sample_pour", "_prepare_pick",
+            "_prepare_place", "_prepare_pour", "_read", "_decode"} <= names
     assert direct_generator_reads(source) == []
-    # The guard sees the reads it exists to catch.
+    # The guard sees the reads it exists to catch, in nested draws and
+    # screens too; `np.random.default_rng(0).uniform` is two reads.
     assert direct_generator_reads(
         "def sample_x(w, draws):\n    return draws.random()\n"
-        "def _draw_y(w, draws):\n    return draws.rng.bit_generator.advance(1)\n"
-        "def _draw_z(w, draws):\n    return np.random.default_rng(0).uniform(0, 1)\n"
-    ) == ["sample_x:2", "_draw_y:4", "_draw_z:6"]
+        "def _read(draws, table):\n    return draws.rng.bit_generator.advance(1)\n"
+        "def _decode(spans, doubles):\n    return np.random.default_rng(0).uniform(0, 1)\n"
+        "def _prepare_x(world, draws):\n"
+        "    def screen(limit):\n        return draws.uniform(0, 1)\n"
+        "    return None, screen\n"
+    ) == ["sample_x:2", "_read:4", "_decode:6", "_decode:6", "_prepare_x:9"]

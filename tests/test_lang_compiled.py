@@ -170,10 +170,15 @@ def _skill_world(w, choice, rng):
         if not targets:
             return w
         objs = {"o": w.held.name, "s": targets[(choice // 3) % len(targets)]}
-    for _ in range(20):
-        drawn = solver.SKILLS[name].draw(w, name, objs, rng, LEVEL, None)
-        if drawn is not None and drawn[0].success:
-            return drawn[0].new_world
+    draws = solver.DrawStream(rng)
+    try:
+        draw, _ = solver.SKILLS[name].prepare(w, name, objs, draws, LEVEL, None)
+        for _ in range(20):
+            outcome, _ = draw()
+            if outcome.success:
+                return outcome.new_world
+    finally:
+        draws.close()
     return w
 
 

@@ -5,7 +5,8 @@ draw consumes its doubles and counts as one sample, and the reason of the
 last becomes the step's reason.  `ref_refine` below is the loop without
 screens, kept as the reference: `solve` through either loop must give the
 same records, refine results, skeletons and generator states, and so must a
-lone pick step over any bands, budget and object box.
+lone pick step over any bands, budget and object box.  The screen judges
+the values `sample_grasp` would build from the same doubles.
 """
 
 import itertools
@@ -34,8 +35,8 @@ SCREENED = solver.refine
 # --- The reference loop ------------------------------------------------------------
 
 def ref_refine(sk, scene, goal_fns, budgets, rng, restrictions=None):
-    """`refine` as it was before screens: every sample goes through its
-    skill's draw."""
+    """`refine` as it was before screens: each step is prepared and every
+    sample goes through its skill's draw."""
     restrictions = restrictions or RestrictionTable()
     if not sk.actions:
         if _constraints_pass(goal_fns, scene):
@@ -54,16 +55,17 @@ def ref_refine(sk, scene, goal_fns, budgets, rng, restrictions=None):
                 raise PlanningError(f"no skill for action {action.name!r}")
             objs = action.objects
             fns = sk.constraints[i]
-            hint = sk.hints[i]
             accepted = None
             reason = "sampling-exhausted"
+            if budgets.samples_per_action:
+                prepared = skill.prepare(world, action.name, objs, draws, restrictions,
+                                         sk.hints[i])
+                if prepared is None:
+                    return RefinementFailure(i, "precondition", samples_used + 1)
+                draw = prepared[0]
             for _ in range(budgets.samples_per_action):
                 samples_used += 1
-                drawn = skill.draw(world, action.name, objs, draws, restrictions, hint)
-                if drawn is None:
-                    reason = "precondition"
-                    break
-                outcome, updates = drawn
+                outcome, updates = draw()
                 if not outcome.success:
                     reason = outcome.failure_reason
                     continue
@@ -204,3 +206,37 @@ def test_screened_picks_count_as_samples_with_their_reason():
             assert got == _outcome(ref_refine, sk, world, budget, seed, {})
             assert got[0].samples_used == budget
             assert got[0].reason in ("grasp-not-level", "constraint-unsatisfied")
+
+
+# Ordered bands whose width is not -0.0, which `uniform` accepts.
+ACCEPTED = ORDERED.filter(lambda band: math.copysign(1.0, band[1] - band[0]) > 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ACCEPTED, ACCEPTED, ACCEPTED, st.tuples(HALF, HALF, HALF), CENTER,
+       st.integers(0, 2**32 - 1))
+def test_the_screen_judges_the_grasp_sample_grasp_builds(roll, pitch, yaw, half, center,
+                                                        seed):
+    # The screen sees a draw that passes its rule, so it consumes nothing and
+    # the draw then builds its grasp from the same six doubles.
+    world = _pick_world(half, center, (0.3, 0.3, 0.0), "free")
+    judged, grasps = [], []
+
+    def passing(w, box, *values):
+        judged.append(values)
+
+    def picking(w, name, grasp):
+        grasps.append(grasp)
+        return W.SkillOutcome(w, False, "grasp-obstructed")
+
+    draws = DrawStream(np.random.default_rng(seed))
+    restrictions = RestrictionTable([{"roll": roll, "pitch": pitch, "yaw": yaw}])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(W, "pick_rejection", passing)
+        mp.setattr(W, "exec_pick", picking)
+        draw, screen = SKILLS["pick"].prepare(world, "pick", {"o": "item"}, draws,
+                                              restrictions, None)
+        assert screen(1) == (0, None)
+        draw()
+    g = grasps[0]
+    assert [v.hex() for v in judged[0]] == [v.hex() for v in (g.x, g.y, g.z, g.roll, g.pitch)]

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -159,44 +160,63 @@ def test_refine_budget_accounting(domain):
     assert used <= len(sk) * budgets.samples_per_action
 
 
-def test_sampled_grasps_hold_python_floats(domain):
+@pytest.fixture
+def sampled(monkeypatch):
+    """Every value the samplers return, in order."""
+    out = []
+    for name in ("sample_grasp", "sample_place", "sample_pour"):
+        def recording(*args, _sampler=getattr(solver, name)):
+            out.append(_sampler(*args))
+            return out[-1]
+        monkeypatch.setattr(solver, name, recording)
+    return out
+
+
+def test_sampled_grasps_hold_python_floats(sampled):
     spec, w0 = load_task("mug2", 0)
     rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    draws = solver.DrawStream(rng)
     picked = 0
     for _ in range(200):
         obj = spec.objects[picked % len(spec.objects)]
-        grasp = solver.sample_grasp(w0, obj, rng, solver.SamplerSpec())
+        draw, _ = SKILLS["pick"].prepare(w0, "pick", {"o": obj}, draws,
+                                         RestrictionTable(), None)
+        outcome, _ = draw()
+        grasp = sampled[-1]
         assert all(type(v) is float for v in grasp.as_tuple())
-        # The draw itself is unchanged.
+        # The draw is Generator.uniform's over the object's box and full angles.
         box = W.aabb_of(w0, obj)
-        want = Pose6(*ref.uniform(box.lower, box.upper), *solver._draw_rpy(
-            ref, solver.SamplerSpec()))
+        want = Pose6(*(ref.uniform(lo, hi) for lo, hi in zip(box.lower, box.upper)),
+                     *(ref.uniform(-math.pi, math.pi) for _ in range(3)))
         assert grasp == want
-        outcome = W.exec_pick(w0, obj, grasp)
         if outcome.success:
             assert all(type(v) is float for v in outcome.new_world.robot_conf)
             picked += 1
+    draws.close()
     assert picked
 
 
-def test_sampled_places_and_pours_hold_python_floats(domain):
+def test_sampled_places_and_pours_hold_python_floats(sampled):
     spec, w0 = load_task("mug2", 0)
     draws = solver.DrawStream(np.random.default_rng(5))
     held = W.exec_pick(w0, "mug", Pose6(*W.aabb_of(w0, "mug").center)).new_world
+    objs = {"o": "mug", "s": TABLE}
+    place, _ = SKILLS["place_ontop"].prepare(held, "place_ontop", objs, draws,
+                                             RestrictionTable(), None)
+    pour, _ = SKILLS["pour"].prepare(held, "pour", objs, draws, RestrictionTable(), None)
     placed = poured = 0
     for _ in range(200):
-        drop = solver.sample_place(held, "mug", TABLE, draws, solver.SamplerSpec())
-        assert all(type(v) is float for v in drop.as_tuple())
-        outcome = W.exec_place(held, "mug", TABLE, drop)
+        outcome, _ = place()
+        assert all(type(v) is float for v in sampled[-1].as_tuple())
         if outcome.success:
             assert all(type(v) is float for v in outcome.new_world.pose("mug").as_tuple())
             placed += 1
-        params = solver.sample_pour(held, "mug", TABLE, draws)
-        assert all(type(v) is float for v in params)
-        outcome = W.exec_pour(held, "mug", TABLE, params)
+        outcome, _ = pour()
+        assert all(type(v) is float for v in sampled[-1])
         if outcome.success:
             assert all(type(v) is float for v in outcome.new_world.pose("mug").as_tuple())
             poured += 1
+    draws.close()
     assert placed and poured
 
 
@@ -258,7 +278,6 @@ def test_restriction_lookup_keeps_the_first_match():
         for action in ("pick", "place_ontop", "pour"):
             for obj in ("apple", "pear"):
                 assert table.lookup(action, obj) == first_match(action, obj)
-                assert table.lookup(action, obj) is table.lookup(action, obj)
     assert RestrictionTable().lookup("pick", "apple") == solver.SamplerSpec()
 
 

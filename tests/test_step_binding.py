@@ -1,13 +1,13 @@
-"""Step-bound constraint evaluation against unbound evaluation.
+"""Step-bound constraint evaluation against the unbound reference interpreter.
 
 `refine` evaluates each step's programs, and the last step's goal programs,
 with `eval_constraint(fn, w, step=world)`: a step-invariant helper call's
 result is kept for the step and reused on every world that leaves the
-objects it reads at the step world's very poses.  Unbound evaluation,
-`eval_constraint(fn, w)`, is the reference: cells, refine results and
-generator states must be the same through either, and so must every verdict
-and error of the targeted cases below, which also count how often each
-helper really runs.
+objects it reads at the step world's very poses.  The tree-walking
+interpreter of `test_lang_compiled` is the reference: cells, refine results
+and generator states must be the same through either, and so must every
+verdict and error of the targeted cases below, which also count how often
+each helper really runs.
 """
 
 import itertools
@@ -21,7 +21,9 @@ from owltamp.geometry import Aabb, Pose6
 from owltamp.lang import LangError, eval_constraint, parse_constraint
 from owltamp.lang.helpers import HELPER_IMPLS
 from owltamp.model import bind_placeholders, load_default_domain
-from owltamp.solver import Budgets, RestrictionTable, Skeleton
+from owltamp.solver import Budgets, DrawStream, RestrictionTable, Skeleton
+
+from test_lang_compiled import ref_eval_constraint
 
 BUDGETS = Budgets(500, 5)
 DOMAIN = load_default_domain()
@@ -29,8 +31,8 @@ LEVEL = RestrictionTable([{"roll": [0, 0], "pitch": [0, 0]}])
 
 
 def unbound_eval(fn, w, step=None):
-    """The reference: every program evaluated as if no step were given."""
-    return eval_constraint(fn, w)
+    """The reference: every program interpreted on `w` alone."""
+    return ref_eval_constraint(fn, w)
 
 
 # --- Whole cells through both paths ------------------------------------------------
@@ -102,21 +104,22 @@ def helper_calls(monkeypatch):
     return counts
 
 
-def _verdict(fn, w, step=None):
+def _verdict(evaluate, fn, w, step=None):
     try:
-        return eval_constraint(fn, w, step=step)
+        return evaluate(fn, w, step=step)
     except LangError as err:
         return type(err), str(err)
 
 
 def _draw_worlds(step, name, objs, n, seed=0):
     """The worlds of up to `n` successful draws of one skill from `step`."""
-    rng = np.random.default_rng(seed)
+    draws = DrawStream(np.random.default_rng(seed))
+    draw, _ = solver.SKILLS[name].prepare(step, name, objs, draws, LEVEL, None)
     out = []
     for _ in range(20 * n):
-        drawn = solver.SKILLS[name].draw(step, name, objs, rng, LEVEL, None)
-        if drawn is not None and drawn[0].success:
-            out.append(drawn[0].new_world)
+        outcome, _ = draw()
+        if outcome.success:
+            out.append(outcome.new_world)
             if len(out) == n:
                 break
     assert len(out) == n
@@ -124,9 +127,9 @@ def _draw_worlds(step, name, objs, n, seed=0):
 
 
 def _same_verdicts(fn, step, worlds):
-    """Step-bound and unbound verdicts over `worlds`, which must agree."""
-    got = [_verdict(fn, w, step) for w in worlds]
-    assert got == [_verdict(fn, w) for w in worlds]
+    """Step-bound and reference verdicts over `worlds`, which must agree."""
+    got = [_verdict(eval_constraint, fn, w, step) for w in worlds]
+    assert got == [_verdict(unbound_eval, fn, w) for w in worlds]
     return got
 
 

@@ -140,12 +140,17 @@ def _next_world(w, choice, rng):
         if not targets:
             return w
         objs = {"o": w.held.name, "s": targets[(choice // 3) % len(targets)]}
-    for _ in range(20):
-        drawn = solver.SKILLS[name].draw(w, name, objs, rng, LEVEL, None)
-        if drawn is None:
+    draws = solver.DrawStream(rng)
+    try:
+        prepared = solver.SKILLS[name].prepare(w, name, objs, draws, LEVEL, None)
+        if prepared is None:
             return w
-        if drawn[0].success:
-            return drawn[0].new_world
+        for _ in range(20):
+            outcome, _ = prepared[0]()
+            if outcome.success:
+                return outcome.new_world
+    finally:
+        draws.close()
     return w
 
 
