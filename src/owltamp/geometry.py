@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -14,6 +16,12 @@ def wrap_angle(a: float) -> float:
     if a < 0.0:
         a += TWO_PI
     return a - math.pi
+
+
+def wrap_angles(a: np.ndarray) -> np.ndarray:
+    """`wrap_angle` of every element, in the same float operations."""
+    a = np.fmod(a + math.pi, TWO_PI)
+    return np.where(a < 0.0, a + TWO_PI, a) - math.pi
 
 
 @dataclass(frozen=True)
@@ -70,19 +78,21 @@ class Pose6:
         return Pose6(*vals)
 
 
-def rotated_half_extents(half_extents, roll: float, pitch: float,
-                         yaw: float) -> tuple[float, float, float]:
+def rotated_half_extents(half_extents, roll: float, pitch: float, yaw: float,
+                         cos=math.cos, sin=math.sin) -> tuple[float, float, float]:
     """Half extents of the axis-aligned hull of a rotated box, as a 3-tuple.
 
     Equals |R| @ h for R = Rz(yaw) @ Ry(pitch) @ Rx(roll), which matches the
     max over the 8 rotated corners.  Written out in scalar float math; it
     can differ from a numpy matmul of the same matrices in the last bit,
-    where the BLAS fuses multiply-adds.
+    where the BLAS fuses multiply-adds.  With `np.cos` and `np.sin` it takes
+    arrays of angles and gives arrays, whose cosines and sines may differ
+    from `math`'s in the last bit.
     """
     h0, h1, h2 = half_extents
-    cr, sr = math.cos(roll), math.sin(roll)
-    cp, sp = math.cos(pitch), math.sin(pitch)
-    cy, sy = math.cos(yaw), math.sin(yaw)
+    cr, sr = cos(roll), sin(roll)
+    cp, sp = cos(pitch), sin(pitch)
+    cy, sy = cos(yaw), sin(yaw)
     cysp, sysp = cy * sp, sy * sp
     return (abs(cy * cp) * h0 + abs(cysp * sr - sy * cr) * h1 + abs(cysp * cr + sy * sr) * h2,
             abs(sy * cp) * h0 + abs(sysp * sr + cy * cr) * h1 + abs(sysp * cr - cy * sr) * h2,

@@ -20,7 +20,9 @@ is the step's and whose read-set poses are the step world's very objects
 evaluates it without raising, and every later world that passes the same
 identity check reuses it.  Any other world runs the call itself, and a
 call that raises leaves its entry empty.  Without `step`, a world is its own
-step.
+step.  Binding a step also resolves the program's object names for the step
+world's scene, once per scene; a name that is not an object of it is left
+to `_resolve_object`, which raises at the evaluation that reads it.
 """
 
 from __future__ import annotations
@@ -44,9 +46,15 @@ class UnboundObjectError(EvalError):
     pass
 
 
+def _resolved(scene, name: str) -> str | None:
+    """The canonical name of an object of `scene`, else None."""
+    resolved = scene.resolve(name)
+    return resolved if resolved in scene.models else None
+
+
 def _resolve_object(w: WorldState, name: str, node: Expr) -> str:
-    resolved = w.scene.resolve(name)
-    if resolved not in w.scene.models:
+    resolved = _resolved(w.scene, name)
+    if resolved is None:
         raise UnboundObjectError(f"unknown object {name!r}", node.line, node.column)
     return resolved
 
@@ -68,19 +76,18 @@ def _compile_expr(e: Expr, slots: dict[str, tuple[int, frozenset | None]],
         value = e.value
         return (lambda env, w: value), None
     if isinstance(e, ObjectRef):
-        name = e.name
-        return (lambda env, w: _resolve_object(w, name, e)), frozenset((name,))
+        return memo.resolver(e.name, e), frozenset((e.name,))
     if isinstance(e, InitBounds):
         return (lambda env, w: default_bounds(w)), _NO_OBJECTS
     if isinstance(e, VarRef):
         slot, reads = slots[e.name]
         return (lambda env, w: env[slot]), reads
     if isinstance(e, PoseRef):
-        name = e.obj
-        return (lambda env, w: w.pose(_resolve_object(w, name, e))), None
+        resolve = memo.resolver(e.obj, e)
+        return (lambda env, w: w.pose(resolve(env, w))), None
     if isinstance(e, PoseAttr):
-        name, get = e.obj, attrgetter(e.attr)
-        return (lambda env, w: get(w.pose(_resolve_object(w, name, e)))), None
+        resolve, get = memo.resolver(e.obj, e), attrgetter(e.attr)
+        return (lambda env, w: get(w.pose(resolve(env, w)))), None
     if isinstance(e, Abs):
         operand, _ = _compile_expr(e.operand, slots, memo)
         return (lambda env, w: abs(operand(env, w))), None
@@ -181,21 +188,44 @@ _UNFILLED = object()  # an entry no draw has filled yet
 class _Program:
     """A compiled program: `run(w)` evaluates it with each invariant call's
     result kept for the step world `step` and reused on every world that
-    leaves the call's read set at the step world's very poses."""
+    leaves the call's read set at the step world's very poses.  Its object
+    names are resolved once for the step world's scene."""
 
-    __slots__ = ("run", "step", "entries", "_empty")
+    __slots__ = ("run", "step", "entries", "_empty", "scene", "names", "_refs")
 
     def __init__(self, fn: ConstraintFn):
         self.entries = []
+        self.names, self._refs = [], []
         self.run = _compile(fn, self)
         self._empty = (None,) * len(self.entries)
-        self.step = None
+        self.step = self.scene = None
 
     def bind(self, step: WorldState) -> None:
         """Drop the previous step's entries; they fill again as draws reach
-        them."""
+        them.  Resolve the names again for a new scene."""
         self.step = step
         self.entries[:] = self._empty
+        scene = step.scene
+        if scene is not self.scene:
+            self.scene = scene
+            self.names[:] = [_resolved(scene, name) for name in self._refs]
+
+    def resolver(self, name: str, node: Expr):
+        """`(env, w) -> _resolve_object(w, name, node)`, which reads the
+        name's resolution in the bound scene: None, for a name that is not
+        an object of it, raises through `_resolve_object`."""
+        k = len(self._refs)
+        self._refs.append(name)
+        self.names.append(None)
+        names = self.names
+
+        def resolve(env, w):
+            if w.scene is self.scene:
+                resolved = names[k]
+                if resolved is not None:
+                    return resolved
+            return _resolve_object(w, name, node)
+        return resolve
 
     def memoised(self, call, names: frozenset):
         """`call`, whose result depends only on the scene and the poses of

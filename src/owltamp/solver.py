@@ -21,12 +21,19 @@ reads next are those of unbuffered `Generator.uniform` calls.
 
 A skill may also prepare a screen, which `refine` runs before each draw: it
 peeks at the doubles the next draws would read, decodes them as the draw
-does, and skips those its skill's own rule refuses, each counted as one
-sample with its reason, so refused draws build no pose and run no skill.
-Only pick has one: `world.pick_rejection` on the grasp decoded from five of
-a draw's six doubles.  The screen declines where the draw path must decide
-(full hand, a band `uniform` would refuse), and everything refine returns or
-leaves in the generator is what it was without screens.
+does, and skips those the draw would reject, each counted as one sample
+with the reason the draw would give, so refused draws build no pose and run
+no skill.  Pick's screen runs `world.pick_rejection` on the grasp decoded
+from five of a draw's six doubles.  Place's screen judges blocks of drops in
+numpy (`world.PlaceTables`): `exec_place`'s checks and the effect, each
+comparison within `world.MARGIN` of its threshold leaving its drop
+undecided; a drop they pass is settled by the scalar code and the step's
+programs (and, on the last step, the goal's) run on the world it leaves.
+It stops at the first drop it cannot reject, which the draw then runs.  The
+screens decline where the draw path must decide (pick with a full hand;
+place with an `avoid_xy` hint, whose loop reads a varying count of doubles,
+or with riders; a band `uniform` would refuse), and everything refine
+returns or leaves in the generator is what it was without screens.
 """
 
 from __future__ import annotations
@@ -36,11 +43,12 @@ import itertools
 import math
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import world as W
-from .geometry import Pose6, wrap_angle
+from .geometry import Pose6, wrap_angle, wrap_angles
 from .lang import ConstraintFn, eval_constraint
 from .model import GroundAction, Literal, LiteralIndex, State, Value, bind_placeholders
 # Unused here since A* searches over bitmasks; bound so that the benchmark's
@@ -378,23 +386,28 @@ class RestrictionTable:
 # --- Skills ------------------------------------------------------------------------
 #
 # A skill prepares one refinement step from the step's world, action name,
-# objects, stream, restrictions and hint: it looks up the orientation bands,
-# then checks its precondition (None when the world fails it), then builds
-# the step's band tables and returns (draw, screen).  `draw()` samples
+# objects, stream, restrictions, hint, programs and goal programs (those of
+# the goal on the last step only): it looks up the orientation bands, then
+# checks its precondition (None when the world fails it), then builds the
+# step's band tables and returns (draw, screen).  `draw()` samples
 # parameters, runs the skill and returns (outcome, parameter updates as float
 # tuples; None unless the outcome succeeded).  Samplers and skills are called
 # by their module-level names so that they can be wrapped.  A screen, where a
 # skill has one (else None), takes the step's samples left, skips the leading
-# draws its skill would refuse, each with the doubles the draw would have
-# read, and returns how many it skipped and the reason of the last.  A re-run
-# executes a bound action again from its parameter values.
+# draws that the skill, the effect or the programs would reject, each with
+# the doubles the draw would have read, and returns how many it skipped and
+# the reason of the last.  Pick's screen checks the skill's own rule; place's
+# checks all three on blocks of up to DRAW_BLOCK drops, once the step's first
+# PLACE_UNSCREENED draws have run, and declines on an `avoid_xy` hint, riders
+# and a refused band.  A re-run executes a bound action again from its
+# parameter values.
 
 
 def _holding(world: W.WorldState, obj: str) -> bool:
     return world.held is not None and world.held.name == obj
 
 
-def _prepare_pick(world, name, objs, draws, restrictions, hint):
+def _prepare_pick(world, name, objs, draws, restrictions, hint, fns, goal_fns):
     o = objs["o"]
     spec = restrictions.lookup(name, o)
     if o not in world.poses:
@@ -441,7 +454,13 @@ def _rerun_pick(world, action, objs):
     return W.exec_pick(world, objs["o"], grasp)
 
 
-def _prepare_place(world, name, objs, draws, restrictions, hint):
+# Draws of a place step that run before its screen starts.  Most place steps
+# accept within them, and a step's tables and first block cost about as much
+# as ten draws.
+PLACE_UNSCREENED = 3
+
+
+def _prepare_place(world, name, objs, draws, restrictions, hint, fns, goal_fns, *, inside):
     o, s = objs["o"], objs["s"]
     spec = restrictions.lookup(name, o)
     if not _holding(world, o):
@@ -464,7 +483,79 @@ def _prepare_place(world, name, objs, draws, restrictions, hint):
             return outcome, None
         return outcome, {"g": world.held.grasp.as_tuple(), "q": drop.position,
                          "p": outcome.new_world.pose(o).as_tuple()}
-    return draw, None
+
+    # The screen leaves to the draw a hint (its loop reads a varying count
+    # of doubles), riders and a refused band.  Bands that `uniform` accepts
+    # are finite, so `Pose6` would accept every drop it skips.
+    if avoid is not None or world.held.riders or xy[1] is not None or rest[1] is not None:
+        return draw, None
+    spans = xy[0] + rest[0]
+    half = world.scene.model(o).half_extents
+    peek, skip = draws.peek, draws.skip
+    tables = columns = None
+    unscreened = PLACE_UNSCREENED
+
+    def screen(limit: int) -> tuple[int, str | None]:
+        """Skips the leading drops that `world.exec_place`, the effect or
+        the programs refuse: blocks of drops are judged in numpy
+        (`world.PlaceTables`), and each drop they pass is settled by
+        `world.rest_drop` and its programs run on the world it leaves.
+        Stops at an undecided drop, at one the programs pass, and at one
+        whose programs raise an error.  The step's first PLACE_UNSCREENED
+        calls skip nothing."""
+        nonlocal tables, columns, unscreened
+        skipped, reason = 0, None
+        if unscreened:
+            unscreened -= 1
+            return skipped, reason
+        if tables is None:
+            try:
+                tables = W.PlaceTables(world, o, s, inside)
+            except W.WorldError:
+                # A container's interior has collapsed: the draw path raises
+                # on it when a drop reaches it, if one does.
+                unscreened = math.inf
+                return skipped, reason
+            # The whole table as one (lo, span) pair of columns, one row per
+            # double of a drop.
+            columns = ((np.array([[lo] for lo, _ in spans]),
+                        np.array([[span] for _, span in spans])),)
+        while skipped < limit:
+            n = min(DRAW_BLOCK, limit - skipped)
+            doubles = peek(6 * n)
+            (values,) = _decode(columns, (np.reshape(doubles, (n, 6)).T,))
+            codes, tops = tables.judge(*values[:3], *wrap_angles(values[3:]))
+            for j, code in enumerate(codes):
+                if code == W.PLACE_UNDECIDED:
+                    return skipped, reason
+                if code == W.PLACE_PASSED:
+                    why = probe(doubles[6 * j:6 * j + 6], tops[j])
+                    if why is None:
+                        return skipped, reason
+                else:
+                    why = W.PLACE_REJECTIONS[code]
+                skip(6)
+                skipped += 1
+                reason = why
+        return skipped, reason
+
+    def probe(doubles, top):
+        """The reason the programs refuse a drop that the skill and the
+        effect pass, settled on a support whose top is at `top`, or None."""
+        drop = Pose6(*_decode(spans, doubles))
+        settled = W.rest_drop(half, drop, top)
+        if isinstance(settled, str):
+            return None
+        after = W.released(world, o, *settled, drop.position)
+        try:
+            if not _constraints_pass(fns, after, world):
+                return "constraint-unsatisfied"
+            if not _constraints_pass(goal_fns, after, world):
+                return "goal-constraint-unsatisfied"
+        except Exception:  # noqa: BLE001 - the draw raises it again
+            return None
+        return None
+    return draw, screen
 
 
 def _rerun_place(world, action, objs):
@@ -472,7 +563,7 @@ def _rerun_place(world, action, objs):
     return W.exec_place(world, objs["o"], objs["s"], drop)
 
 
-def _prepare_pour(world, name, objs, draws, restrictions, hint):
+def _prepare_pour(world, name, objs, draws, restrictions, hint, fns, goal_fns):
     o, s = objs["o"], objs["s"]
     if not _holding(world, o):
         return None
@@ -529,8 +620,8 @@ def _place_inside_fills(scene: W.WorldState, objs: Mapping[str, str], goal_pairs
 class Skill:
     """How one action schema runs through the world model."""
 
-    prepare: Callable    # (world, action name, objects, draws, restrictions, hint)
-                         # -> (draw, screen or None), or None
+    prepare: Callable    # (world, action name, objects, draws, restrictions, hint,
+                         # programs, goal programs) -> (draw, screen or None), or None
     rerun: Callable      # (world, bound action, objects) -> SkillOutcome
     effect: Callable | None  # (world after, objects) -> symbolic effect holds
     holds_after: bool    # the hand holds the object once the skill is done
@@ -540,10 +631,10 @@ class Skill:
 
 SKILLS: dict[str, Skill] = {
     "pick": Skill(_prepare_pick, _rerun_pick, None, True, _pick_fills),
-    "place_ontop": Skill(_prepare_place, _rerun_place, _rests_on_target, False,
-                         _place_ontop_fills),
-    "place_inside": Skill(_prepare_place, _rerun_place, _inside_target, False,
-                          _place_inside_fills),
+    "place_ontop": Skill(partial(_prepare_place, inside=False), _rerun_place,
+                         _rests_on_target, False, _place_ontop_fills),
+    "place_inside": Skill(partial(_prepare_place, inside=True), _rerun_place,
+                          _inside_target, False, _place_inside_fills),
     "pour": Skill(_prepare_pour, _rerun_pour, None, False, None),
 }
 
@@ -589,7 +680,7 @@ def refine(sk: Skeleton, scene: W.WorldState, goal_fns: tuple[ConstraintFn, ...]
             if not left:
                 return RefinementFailure(i, "sampling-exhausted", samples_used)
             prepared = skill.prepare(world, action.name, objs, draws, restrictions,
-                                     sk.hints[i])
+                                     sk.hints[i], fns, goal_fns if i == last else ())
             if prepared is None:
                 return RefinementFailure(i, "precondition", samples_used + 1)
             draw, screen = prepared

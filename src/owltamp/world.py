@@ -14,6 +14,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
+import numpy as np
+
 from .geometry import Aabb, Pose6, box_at_pose, rotated_half_extents
 
 CONTACT_TOL = 1e-4          # boxes collide only when interpenetrating beyond this
@@ -167,14 +169,27 @@ def _inherit_geometry(child: WorldState, parent: WorldState) -> WorldState:
     return child
 
 
+def _placed(w: WorldState, poses: Mapping[str, Pose6], name: str, box: Aabb,
+            held: HeldItem | None, robot_conf) -> WorldState:
+    """A world with `poses`, where `name`'s hull is `box`, that keeps `w`'s
+    hulls and interiors of every object it leaves at the same pose."""
+    placed = _inherit_geometry(WorldState(w.scene, poses, held, robot_conf), w)
+    placed._geometry[_HULL, name] = box
+    return placed
+
+
 def with_placed(w: WorldState, name: str, pose: Pose6, box: Aabb) -> WorldState:
     """`w` with `name` set down at `pose`, whose hull is `box`; it keeps
     `w`'s hulls and interiors of every other object, as a skill's world
     does."""
-    placed = _inherit_geometry(
-        WorldState(w.scene, {**w.poses, name: pose}, w.held, w.robot_conf), w)
-    placed._geometry[_HULL, name] = box
-    return placed
+    return _placed(w, {**w.poses, name: pose}, name, box, w.held, w.robot_conf)
+
+
+def released(w: WorldState, name: str, pose: Pose6, box: Aabb, at) -> WorldState:
+    """The world `exec_place` leaves when the hand, at position `at`, lets
+    go of `name` (carrying no riders) and it settles at `pose` with hull
+    `box`."""
+    return _placed(w, {**w.poses, name: pose}, name, box, None, at)
 
 
 def aabb_of(w: WorldState, name: str) -> Aabb:
@@ -315,17 +330,16 @@ def supported_by(w: WorldState, name: str) -> str | None:
 
 
 def _support_height(w: WorldState, name: str, x: float, y: float,
-                    descend_into: str | None, skip: tuple[str, ...] = ()):
+                    descend_into: str | None = None):
     """Resting height and supporting object for a drop at (x, y).
 
     Returns (support_name, top_z) or None when nothing lies underneath.
     With `descend_into` set, that container's interior floor becomes a
     candidate instead of its rim.
     """
-    skip_set = {*skip, name}
     best = None
     for other, obox in _hulls(w):
-        if other in skip_set:
+        if other == name:
             continue
         if descend_into is not None and other == descend_into:
             inner = interior_box(w, other)
@@ -333,7 +347,7 @@ def _support_height(w: WorldState, name: str, x: float, y: float,
                 continue
             floor = inner.lower[2]
             for member in _contents_of(w, other):
-                if member in skip_set:
+                if member == name:
                     continue
                 mbox = aabb_of(w, member)
                 if mbox.contains_xy(x, y):
@@ -348,17 +362,14 @@ def _support_height(w: WorldState, name: str, x: float, y: float,
     return best
 
 
-def _settle(w: WorldState, name: str, drop: Pose6, descend_into: str | None = None,
-            skip: tuple[str, ...] = (), ext: tuple[float, float, float] | None = None):
+def _settle(w: WorldState, name: str, drop: Pose6):
     """Project a drop pose down onto its support; returns (pose, support) or
-    None.  `ext`, when given, is the object's rotated half extents at the
-    drop's orientation, already computed."""
-    support = _support_height(w, name, drop.x, drop.y, descend_into, skip)
+    None."""
+    support = _support_height(w, name, drop.x, drop.y)
     if support is None:
         return None
-    if ext is None:
-        ext = rotated_half_extents(w.scene.model(name).half_extents,
-                                   drop.roll, drop.pitch, drop.yaw)
+    ext = rotated_half_extents(w.scene.model(name).half_extents,
+                               drop.roll, drop.pitch, drop.yaw)
     pose = drop.moved(z=support[1] + ext[2])
     return pose, support[0]
 
@@ -481,8 +492,7 @@ def exec_place(w: WorldState, name: str, target: str, drop: Pose6) -> SkillOutco
         return _fail(w, "unreachable")
 
     # The drop's rotated half extents serve the fit, the settle and the
-    # collision hull; the settled pose keeps the drop's angles unless
-    # `moved` re-wraps one to a different float.
+    # collision hull.
     half = w.scene.model(name).half_extents
     ext = rotated_half_extents(half, drop.roll, drop.pitch, drop.yaw)
     descend = None
@@ -495,28 +505,207 @@ def exec_place(w: WorldState, name: str, target: str, drop: Pose6) -> SkillOutco
                 return _fail(w, "does-not-fit")
             descend = target
 
-    settled = _settle(w, name, drop, descend_into=descend, ext=ext)
-    if settled is None:
+    support = _support_height(w, name, drop.x, drop.y, descend)
+    if support is None:
         return _fail(w, "no-support")
-    pose, _support = settled
-    if drop.z < pose.z - CONTACT_TOL:
-        return _fail(w, "release-below-rest")
-    if pose.rpy != drop.rpy:
-        ext = rotated_half_extents(half, pose.roll, pose.pitch, pose.yaw)
-    box = Aabb.from_center(pose.position, ext)
+    settled = rest_drop(half, drop, support[1], ext)
+    if isinstance(settled, str):
+        return _fail(w, settled)
+    pose, box = settled
     if collision(w, name, pose, exclude=(target,), box=box):
         return _fail(w, "collision")
 
-    poses = dict(w.poses)
-    poses[name] = pose
+    poses = {**w.poses, name: pose}
     if w.held.riders:
         _restore_riders(w, w.held, poses)
-    after = _inherit_geometry(WorldState(w.scene, poses, None, drop.position), w)
-    after._geometry[_HULL, name] = box
+    after = _placed(w, poses, name, box, None, drop.position)
     for rider, _, _ in w.held.riders:
         if collision(after, rider, after.pose(rider), exclude=(name,)):
             return _fail(w, "contents-collision")
     return SkillOutcome(after, True)
+
+
+def rest_drop(half, drop: Pose6, top: float, ext=None):
+    """A drop of a body of canonical half extents `half` settled onto a
+    support whose top is at height `top`: "release-below-rest", or its pose
+    and hull.  `ext`, when given, is the drop's rotated half extents.  The
+    pose keeps the drop's angles unless `moved` re-wraps one to a different
+    float."""
+    if ext is None:
+        ext = rotated_half_extents(half, drop.roll, drop.pitch, drop.yaw)
+    pose = drop.moved(z=top + ext[2])
+    if drop.z < pose.z - CONTACT_TOL:
+        return "release-below-rest"
+    if pose.rpy != drop.rpy:
+        ext = rotated_half_extents(half, pose.roll, pose.pitch, pose.yaw)
+    return pose, Aabb.from_center(pose.position, ext)
+
+
+# --- Place drops in blocks ----------------------------------------------------
+#
+# `PlaceTables` judges a block of drops at once, in numpy, as `exec_place`
+# and then the place effect would judge each.  Each test is scored as a
+# signed distance from its threshold (positive: it holds; `min` is and,
+# `max` is or), in float operations close to the scalar code's.  Scores
+# stray from the scalar values by rounding, and numpy's cosine and sine may
+# differ from `math`'s in the last bit, so a score within MARGIN of zero
+# leaves its drop undecided.
+
+MARGIN = 1e-9
+# What the codes of `PlaceTables.judge` name, in the order of the checks.
+PLACE_REJECTIONS = ("unreachable", "does-not-fit", "no-support", "release-below-rest",
+                    "collision", "effects-unsatisfied")
+PLACE_UNDECIDED, PLACE_PASSED = -1, len(PLACE_REJECTIONS)
+
+
+def _columns(boxes):
+    """Each coordinate of the boxes' corners as a column over the boxes:
+    two arrays of shape (3, boxes, 1)."""
+    boxes = list(boxes)
+    lower = np.array([b.lower for b in boxes], dtype=float).reshape(-1, 3)
+    upper = np.array([b.upper for b in boxes], dtype=float).reshape(-1, 3)
+    return lower.T[:, :, None], upper.T[:, :, None]
+
+
+def _inside_open_score(lo, up, clo, cup):
+    """Score of `_inside_open_interior` for the box `lo`..`up` in the
+    container box `clo`..`cup`."""
+    score = np.minimum(lo[0] - (clo[0] + WALL_THICKNESS - CONTACT_TOL),
+                       (cup[0] - WALL_THICKNESS + CONTACT_TOL) - up[0])
+    score = np.minimum(score, lo[1] - (clo[1] + WALL_THICKNESS - CONTACT_TOL))
+    score = np.minimum(score, (cup[1] - WALL_THICKNESS + CONTACT_TOL) - up[1])
+    return np.minimum(score, lo[2] - (clo[2] + FLOOR_THICKNESS - CONTACT_TOL))
+
+
+class PlaceTables:
+    """The step world's tables for judging drops of the held `name`, which
+    carries no riders, onto `target`: every hull, every container's
+    interior, the workspace and the obstacles.
+    `inside` picks the effect: `name` among the target's `contents`, else
+    the target as what `supported_by` finds under it."""
+
+    def __init__(self, w: WorldState, name: str, target: str, inside: bool):
+        model = w.scene.model
+        self.half = model(name).half_extents
+        self.container = model(name).kind == "container"
+        self.inside = inside
+        hulls = _hulls(w)
+        names = [other for other, _ in hulls]
+        self.target = names.index(target)
+        containers = [other for other, kind, _ in _obstacles(w) if kind == "container"]
+        self.interior = containers.index(target) if target in containers else -1
+        # Rows: the hulls, in `_hulls` order, the containers' interiors, in
+        # `_obstacles` order, then the workspace.
+        interiors = [interior_box(w, other) for other in containers]
+        lo, up = _columns([box for _, box in hulls] + interiors + [w.scene.workspace])
+        self.rows_lo, self.rows_up = lo[:2], up[:2]
+        k, c = len(hulls), len(containers)
+        self.hulls, self.interiors = slice(0, k), slice(k, k + c)
+        self.tops = up[2, :k]
+        self.floors, self.roofs = lo[2, k:k + c] - CONTACT_TOL, up[2, k:k + c] + CONTACT_TOL
+        self.reach_z = lo[2, -1], up[2, -1]
+        if self.interior >= 0:
+            inner = interiors[self.interior]
+            self.opening = inner.upper[0] - inner.lower[0], inner.upper[1] - inner.lower[1]
+            self.floor = inner.lower[2]
+        # The obstacles, containers first: a body inside one's open
+        # interior does not collide with it.
+        obstacles = sorted(((kind != "container", box) for other, kind, box in _obstacles(w)
+                            if other != name and other != target), key=lambda o: o[0])
+        self.obstacles = _columns(box for _, box in obstacles)
+        self.walls = slice(0, sum(not plain for plain, _ in obstacles))
+
+    def judge(self, x, y, z, roll, pitch, yaw) -> tuple[list[int], list[float]]:
+        """For each drop, given as arrays of decoded x, y, z and wrapped
+        roll, pitch and yaw: the index in PLACE_REJECTIONS of the first
+        check that refuses it, PLACE_PASSED when it would be placed with
+        the effect holding, or PLACE_UNDECIDED; and the top of its support,
+        which `_support_height` gives for a drop that reaches it decided."""
+        n = len(x)
+        e0, e1, e2 = rotated_half_extents(self.half, roll, pitch, yaw, np.cos, np.sin)
+        lo, up = self.rows_lo, self.rows_up
+        # `contains_xy` of every row at the drop's x and y.
+        xy = np.minimum(np.minimum(x - lo[0], up[0] - x), np.minimum(y - lo[1], up[1] - y))
+        reach = np.minimum(xy[-1], np.minimum(z - self.reach_z[0], self.reach_z[1] - z))
+
+        # `_support_height`: the highest top under the drop, where the
+        # target's floor stands in for its rim when the drop is over its
+        # opening and fits through it.  Contents raise that floor to their
+        # tops, which are hull tops under the drop anyway.
+        under, heights = xy[self.hulls], self.tops
+        unsure = (np.abs(under) <= MARGIN).any(axis=0)
+        misfit = np.full(n, -np.inf)
+        if self.interior >= 0:
+            into = xy[self.interiors][self.interior]
+            misfit = np.minimum(into, np.maximum(2 * e0 - self.opening[0],
+                                                 2 * e1 - self.opening[1]))
+            unsure |= np.abs(into) <= MARGIN
+            descend = into > MARGIN
+            if descend.any():
+                t = self.target
+                under, heights = under.copy(), np.broadcast_to(heights, under.shape).copy()
+                under[t] = np.where(descend, into, under[t])
+                heights[t] = np.where(descend, self.floor, heights[t])
+        supported = under > MARGIN
+        unsupported = np.where(unsure, 0.0, -under.max(axis=0))
+        height = np.max(np.where(supported, heights, -np.inf), axis=0)
+        height[height == -np.inf] = 0.0
+        pz = height + e2
+        below = (pz - CONTACT_TOL) - z
+
+        # `collision` of the settled hull with every obstacle but the target.
+        blo, bup = (x - e0, y - e1, pz - e2), (x + e0, y + e1, pz + e2)
+        olo, oup = self.obstacles
+        hit = np.minimum(np.minimum(bup[0], oup[0]) - np.maximum(blo[0], olo[0]),
+                         np.minimum(bup[1], oup[1]) - np.maximum(blo[1], olo[1]))
+        hit = np.minimum(hit, np.minimum(bup[2], oup[2]) - np.maximum(blo[2], olo[2]))
+        hit -= CONTACT_TOL
+        walls = self.walls
+        if walls.stop:
+            hit[walls] = np.minimum(hit[walls], -_inside_open_score(
+                blo, bup, olo[:, walls], oup[:, walls]))
+        if self.container:
+            hit = np.minimum(hit, -_inside_open_score(olo, oup, blo, bup))
+        hit = np.max(hit, axis=0, initial=-np.inf)
+
+        # `contents`: the settled position within an interior, with slack;
+        # `xy` is scored at the drop's x and y, which the hull's center
+        # matches to rounding.
+        held = np.minimum(xy[self.interiors] + CONTACT_TOL,
+                          np.minimum(pz - self.floors, self.roofs - pz))
+        if self.inside:
+            miss = -held[self.interior] if self.interior >= 0 else np.full(n, np.inf)
+        else:
+            miss = self._misses_support(xy[self.hulls], held, blo[2])
+
+        # The first check each drop does not surely pass decides its code.
+        fails = np.stack((-reach, misfit, unsupported, below, hit, miss))
+        open_ = fails >= -MARGIN
+        stage = open_.argmax(axis=0)
+        failed = fails[stage, np.arange(n)] > MARGIN
+        codes = np.where(open_.any(axis=0), np.where(failed, stage, PLACE_UNDECIDED),
+                         PLACE_PASSED)
+        return codes.tolist(), height.tolist()
+
+    def _misses_support(self, under, held, bottom):
+        """Score of `supported_by` not finding the target: it takes the
+        first container holding the object, else the first of the highest
+        hulls under the center whose top meets the bottom."""
+        n = len(bottom)
+        rests = np.minimum(under + CONTACT_TOL, (0.02 + CONTACT_TOL) - np.abs(self.tops - bottom))
+        unsure = (np.abs(rests) <= MARGIN).any(axis=0)
+        top = np.where(rests > MARGIN, self.tops, -np.inf)
+        best_top = top.max(axis=0)
+        found = (best_top > -np.inf) & (np.argmax(top == best_top, axis=0) == self.target)
+        if len(held):
+            # The first container the object is not surely outside of.
+            open_ = held >= -MARGIN
+            first = open_.argmax(axis=0)
+            free = ~open_.any(axis=0)
+            inside = held[first, np.arange(n)] > MARGIN
+            unsure = np.where(free, unsure, ~inside)
+            found = np.where(free, found, first == self.interior)
+        return np.where(unsure, 0.0, np.where(found, -1.0, 1.0))
 
 
 def exec_pour(w: WorldState, name: str, target: str, params) -> SkillOutcome:

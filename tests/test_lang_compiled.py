@@ -172,7 +172,7 @@ def _skill_world(w, choice, rng):
         objs = {"o": w.held.name, "s": targets[(choice // 3) % len(targets)]}
     draws = solver.DrawStream(rng)
     try:
-        draw, _ = solver.SKILLS[name].prepare(w, name, objs, draws, LEVEL, None)
+        draw, _ = solver.SKILLS[name].prepare(w, name, objs, draws, LEVEL, None, (), ())
         for _ in range(20):
             outcome, _ = draw()
             if outcome.success:

@@ -1,12 +1,13 @@
 """The screened refine loop against the unscreened loop it replaced.
 
-`refine` lets a skill's screen skip the draws its rule refuses: each skipped
-draw consumes its doubles and counts as one sample, and the reason of the
-last becomes the step's reason.  `ref_refine` below is the loop without
-screens, kept as the reference: `solve` through either loop must give the
-same records, refine results, skeletons and generator states, and so must a
-lone pick step over any bands, budget and object box.  The screen judges
-the values `sample_grasp` would build from the same doubles.
+`refine` lets a skill's screen skip the draws the draw path would reject:
+each skipped draw consumes its doubles and counts as one sample, and the
+reason of the last becomes the step's reason.  `ref_refine` below is the loop
+without screens, kept as the reference: `solve` through either loop must give
+the same records, refine results, skeletons and generator states, and so
+must a lone pick step over any bands, budget and object box.  The pick
+screen judges the values `sample_grasp` would build from the same doubles;
+`test_place_screen.py` holds the place screen's cases.
 """
 
 import itertools
@@ -59,7 +60,7 @@ def ref_refine(sk, scene, goal_fns, budgets, rng, restrictions=None):
             reason = "sampling-exhausted"
             if budgets.samples_per_action:
                 prepared = skill.prepare(world, action.name, objs, draws, restrictions,
-                                         sk.hints[i])
+                                         sk.hints[i], fns, goal_fns if i == last else ())
                 if prepared is None:
                     return RefinementFailure(i, "precondition", samples_used + 1)
                 draw = prepared[0]
@@ -108,7 +109,8 @@ def _cell(loop, task_id, seed, mode):
     return record.stable_json(), calls
 
 
-@pytest.mark.parametrize("mode", ["manual", "full", "no_back", "no_disc", "no_sample"])
+@pytest.mark.parametrize("mode", ["manual", "full", "no_back", "no_disc", "no_sample",
+                                  "flawed-continuous"])
 def test_solve_gives_what_the_unscreened_loop_gives(mode):
     refined = 0
     for task_id in tasks.task_ids():
@@ -235,7 +237,7 @@ def test_the_screen_judges_the_grasp_sample_grasp_builds(roll, pitch, yaw, half,
         mp.setattr(W, "pick_rejection", passing)
         mp.setattr(W, "exec_pick", picking)
         draw, screen = SKILLS["pick"].prepare(world, "pick", {"o": "item"}, draws,
-                                              restrictions, None)
+                                              restrictions, None, (), ())
         assert screen(1) == (0, None)
         draw()
     g = grasps[0]

@@ -180,7 +180,7 @@ def test_sampled_grasps_hold_python_floats(sampled):
     for _ in range(200):
         obj = spec.objects[picked % len(spec.objects)]
         draw, _ = SKILLS["pick"].prepare(w0, "pick", {"o": obj}, draws,
-                                         RestrictionTable(), None)
+                                         RestrictionTable(), None, (), ())
         outcome, _ = draw()
         grasp = sampled[-1]
         assert all(type(v) is float for v in grasp.as_tuple())
@@ -202,8 +202,9 @@ def test_sampled_places_and_pours_hold_python_floats(sampled):
     held = W.exec_pick(w0, "mug", Pose6(*W.aabb_of(w0, "mug").center)).new_world
     objs = {"o": "mug", "s": TABLE}
     place, _ = SKILLS["place_ontop"].prepare(held, "place_ontop", objs, draws,
-                                             RestrictionTable(), None)
-    pour, _ = SKILLS["pour"].prepare(held, "pour", objs, draws, RestrictionTable(), None)
+                                             RestrictionTable(), None, (), ())
+    pour, _ = SKILLS["pour"].prepare(held, "pour", objs, draws, RestrictionTable(), None,
+                                     (), ())
     placed = poured = 0
     for _ in range(200):
         outcome, _ = place()

@@ -114,7 +114,7 @@ def _verdict(evaluate, fn, w, step=None):
 def _draw_worlds(step, name, objs, n, seed=0):
     """The worlds of up to `n` successful draws of one skill from `step`."""
     draws = DrawStream(np.random.default_rng(seed))
-    draw, _ = solver.SKILLS[name].prepare(step, name, objs, draws, LEVEL, None)
+    draw, _ = solver.SKILLS[name].prepare(step, name, objs, draws, LEVEL, None, (), ())
     out = []
     for _ in range(20 * n):
         outcome, _ = draw()

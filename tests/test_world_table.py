@@ -142,7 +142,7 @@ def _next_world(w, choice, rng):
         objs = {"o": w.held.name, "s": targets[(choice // 3) % len(targets)]}
     draws = solver.DrawStream(rng)
     try:
-        prepared = solver.SKILLS[name].prepare(w, name, objs, draws, LEVEL, None)
+        prepared = solver.SKILLS[name].prepare(w, name, objs, draws, LEVEL, None, (), ())
         if prepared is None:
             return w
         for _ in range(20):
