@@ -14,7 +14,7 @@ from .lang import (
     BoundsBox, ConstraintFn, eval_constraint, parse_constraint,
     parse_constraint_block,
 )
-from .grounding import GroundedProblem, ground_actions, ground_problem, reachable_literals
+from .grounding import GroundedProblem, ground_problem
 from .partial_plan import PartialPlan, PlanStep, transform, verify_subsequence
 from .solver import (
     Budgets, Infeasible, RefinementFailure, Skeleton, Solution, plan_task,

@@ -129,7 +129,7 @@ def candidate_set(schemas: tuple[ActionSchema, ...],
     """Every instantiation of the schemas over distinct objects, compiled.
 
     Pass the schemas sorted by name and the objects sorted, as
-    `ground_actions` does: the arguments are the cache key, and the
+    `ground_problem` does: the arguments are the cache key, and the
     placeholders are numbered from 1 in that order.  The candidates then
     come out sorted by `discrete_signature`, which is unique per candidate:
     schema name first, then the product of the sorted objects in parameter
@@ -196,22 +196,6 @@ def _relaxed_fixpoint(s0: State, schemas, objects) -> tuple[CandidateSet, int, i
 def _members(items, mask: int) -> list:
     """The items whose bit is set in `mask`, in order."""
     return [item for item, bit in zip(items, reversed(bin(mask)[2:])) if bit == "1"]
-
-
-def ground_actions(s0: State, schemas: list[ActionSchema],
-                   objects: list[str]) -> tuple[GroundAction, ...]:
-    """Fixpoint of relaxed forward chaining from s0, in `discrete_signature`
-    order."""
-    cs, grounded, _ = _relaxed_fixpoint(s0, schemas, objects)
-    return tuple(_members(cs.actions, grounded))
-
-
-def reachable_literals(s0: State, actions: tuple[GroundAction, ...]) -> frozenset[Literal]:
-    """Union of the initial state and every positive effect."""
-    out = set(s0.true_literals)
-    for a in actions:
-        out.update(eff for eff in a.eff if eff.positive)
-    return frozenset(out)
 
 
 def ground_problem(s0: State, schemas: list[ActionSchema],

@@ -330,12 +330,13 @@ def supported_by(w: WorldState, name: str) -> str | None:
 
 
 def _support_height(w: WorldState, name: str, x: float, y: float,
-                    descend_into: str | None = None):
-    """Resting height and supporting object for a drop at (x, y).
+                    descend_into: str | None = None) -> float | None:
+    """Resting height for a drop at (x, y): the highest top under it, or
+    None when nothing lies underneath.
 
-    Returns (support_name, top_z) or None when nothing lies underneath.
     With `descend_into` set, that container's interior floor becomes a
-    candidate instead of its rim.
+    candidate instead of its rim.  Its contents need no scan of their own:
+    each has a pose, so it offers its own top in the loop.
     """
     best = None
     for other, obox in _hulls(w):
@@ -345,33 +346,25 @@ def _support_height(w: WorldState, name: str, x: float, y: float,
             inner = interior_box(w, other)
             if not inner.contains_xy(x, y):
                 continue
-            floor = inner.lower[2]
-            for member in _contents_of(w, other):
-                if member == name:
-                    continue
-                mbox = aabb_of(w, member)
-                if mbox.contains_xy(x, y):
-                    floor = max(floor, mbox.upper[2])
-            cand = (other, floor)
+            top = inner.lower[2]
         else:
             if not obox.contains_xy(x, y):
                 continue
-            cand = (other, obox.upper[2])
-        if best is None or cand[1] > best[1]:
-            best = cand
+            top = obox.upper[2]
+        if best is None or top > best:
+            best = top
     return best
 
 
-def _settle(w: WorldState, name: str, drop: Pose6):
-    """Project a drop pose down onto its support; returns (pose, support) or
-    None."""
-    support = _support_height(w, name, drop.x, drop.y)
-    if support is None:
+def _settle(w: WorldState, name: str, drop: Pose6) -> Pose6 | None:
+    """Project a drop pose down onto its support; None when nothing lies
+    underneath."""
+    height = _support_height(w, name, drop.x, drop.y)
+    if height is None:
         return None
     ext = rotated_half_extents(w.scene.model(name).half_extents,
                                drop.roll, drop.pitch, drop.yaw)
-    pose = drop.moved(z=support[1] + ext[2])
-    return pose, support[0]
+    return drop.moved(z=height + ext[2])
 
 
 def grasp_level(angle: float) -> float:
@@ -443,7 +436,7 @@ def exec_pick(w: WorldState, name: str, grasp: Pose6) -> SkillOutcome:
         settled = _settle(lifted, obj, lifted.pose(obj))
         if settled is None:
             return _fail(w, "cascade-unsupported")
-        new_poses[obj] = settled[0]
+        new_poses[obj] = settled
         lifted = _inherit_geometry(WorldState(w.scene, new_poses, held, grasp.position),
                                    lifted)
     return SkillOutcome(lifted, True)
@@ -505,10 +498,10 @@ def exec_place(w: WorldState, name: str, target: str, drop: Pose6) -> SkillOutco
                 return _fail(w, "does-not-fit")
             descend = target
 
-    support = _support_height(w, name, drop.x, drop.y, descend)
-    if support is None:
+    top = _support_height(w, name, drop.x, drop.y, descend)
+    if top is None:
         return _fail(w, "no-support")
-    settled = rest_drop(half, drop, support[1], ext)
+    settled = rest_drop(half, drop, top, ext)
     if isinstance(settled, str):
         return _fail(w, settled)
     pose, box = settled
@@ -630,8 +623,8 @@ class PlaceTables:
 
         # `_support_height`: the highest top under the drop, where the
         # target's floor stands in for its rim when the drop is over its
-        # opening and fits through it.  Contents raise that floor to their
-        # tops, which are hull tops under the drop anyway.
+        # opening and fits through it.  Contents offer their own hull tops,
+        # as every placed object does.
         under, heights = xy[self.hulls], self.tops
         unsure = (np.abs(under) <= MARGIN).any(axis=0)
         misfit = np.full(n, -np.inf)
@@ -735,20 +728,18 @@ def exec_pour(w: WorldState, name: str, target: str, params) -> SkillOutcome:
     for rider, _, rpy in w.held.riders:
         r_ext = rotated_half_extents(w.scene.model(rider).half_extents, *rpy)
         offset += r_ext[0]
-        settled = _settle(inter, rider, Pose6(x + offset, y, z, *rpy))
-        if settled is None:
+        rpose = _settle(inter, rider, Pose6(x + offset, y, z, *rpy))
+        if rpose is None:
             return _fail(w, "spill-unsupported")
-        rpose = settled[0]
         if collision(inter, rider, rpose):
             return _fail(w, "spill-blocked")
         poses[rider] = rpose
         inter = _inherit_geometry(WorldState(w.scene, poses, w.held, w.robot_conf), inter)
         offset += r_ext[0] + SPILL_GAP
 
-    settled = _settle(inter, name, Pose6(x, y, z, tilt, 0.0, 0.0))
-    if settled is None:
+    pose = _settle(inter, name, Pose6(x, y, z, tilt, 0.0, 0.0))
+    if pose is None:
         return _fail(w, "no-support")
-    pose = settled[0]
     if collision(inter, name, pose):
         return _fail(w, "collision")
     poses[name] = pose

@@ -14,7 +14,7 @@ import pytest
 
 from owltamp import bench, solver, tasks
 from owltamp import world as W
-from owltamp.grounding import ground_actions, reachable_literals
+from owltamp.grounding import ground_problem
 from owltamp.lang import (
     InfeasibleBoundsError, default_bounds, parse_constraint, sample_pose_uniform,
 )
@@ -218,8 +218,8 @@ def test_criterion_5_grounding_superset():
                     ["fork", "mug", "plate", "table_surface"]):
         s0 = _make_micro_s0(domain, objects)
         schemas = [domain.schema(n) for n in ("pick", "place_ontop", "place_inside")]
-        actions = ground_actions(s0, schemas, objects)
-        relaxed = {canonical(l) for l in reachable_literals(s0, actions)}
+        actions = ground_problem(s0, schemas, objects).actions
+        relaxed = {canonical(l) for l in ground_problem(s0, schemas, objects).literals}
         seen = {s0.true_literals}
         frontier = [s0]
         depth_cap = 5 if len(objects) < 4 else 4
@@ -282,7 +282,7 @@ def test_criterion_6_transform_exactness():
 
 def _corner_box(model, pose):
     import numpy as _np
-    from test_geometry import rotation_matrix
+    from reference import rotation_matrix
     rot = rotation_matrix(*pose.rpy)
     h = model.half_extents
     corners = _np.array([[sx * h[0], sy * h[1], sz * h[2]]

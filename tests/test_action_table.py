@@ -7,6 +7,8 @@ from owltamp import tasks
 from owltamp.grounding import format_action_listing, ground_problem, signature_key
 from owltamp.model import State, Value, load_default_domain
 
+from reference import build
+
 SEEDS = range(5)
 
 
@@ -28,17 +30,10 @@ def queries(problem):
     return out
 
 
-def task_problem(task_id, seed):
-    spec, world = tasks.load_task(task_id, seed)
-    domain = tasks.default_domain()
-    return ground_problem(tasks.initial_state(domain, world),
-                          tasks.bench_schemas(domain), [*spec.objects, tasks.TABLE])
-
-
 @pytest.mark.parametrize("task_id", tasks.task_ids())
 def test_find_action_equals_the_per_problem_table(task_id):
     for seed in SEEDS:
-        problem = task_problem(task_id, seed)
+        problem = build(task_id, seed)[3]
         for sig in queries(problem):
             assert problem.find_action(sig[0], sig[1:]) is ref_find_action(
                 problem, sig[0], sig[1:])
@@ -47,7 +42,7 @@ def test_find_action_equals_the_per_problem_table(task_id):
 @pytest.mark.parametrize("task_id", tasks.task_ids())
 def test_action_listing_equals_the_stringified_actions(task_id):
     for seed in SEEDS:
-        problem = task_problem(task_id, seed)
+        problem = build(task_id, seed)[3]
         assert format_action_listing(problem) == "\n".join(str(a) for a in problem.actions)
 
 

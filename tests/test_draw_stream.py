@@ -17,7 +17,7 @@ from owltamp import world as W
 from owltamp.lang import parse_constraint
 from owltamp.solver import Budgets, DrawStream, RefinementFailure, Solution, refine
 
-from test_solver import _manual_solve, _skeleton_for, build
+from reference import LEVEL, build, manual_solve, skeleton_for
 
 SOLVER_PY = Path(solver.__file__)
 
@@ -135,7 +135,7 @@ def assert_read_exactly(rng, seed, n):
 
 def _berry1_skeleton(steps, constraints=None):
     spec, w0, domain, problem = build("berry1")
-    return spec, w0, _skeleton_for(domain, problem, steps, constraints)
+    return spec, w0, skeleton_for(problem, steps, constraints)
 
 
 def test_refine_rewinds_after_an_accepted_skeleton(drawn):
@@ -168,9 +168,6 @@ def test_refine_rewinds_after_a_precondition_break(drawn):
     assert isinstance(result, RefinementFailure)
     assert (result.index, result.reason) == (1, "precondition")
     assert_read_exactly(rng, 2, drawn[0])
-
-
-LEVEL = solver.RestrictionTable([{"roll": [0, 0], "pitch": [0, 0]}])
 
 
 def test_refine_rewinds_when_a_skill_raises(drawn, monkeypatch):
@@ -224,7 +221,7 @@ def test_solve_spawns_the_streams_of_one_spawn_call(monkeypatch, attempts):
         return RefinementFailure(-1, "goal-constraint-unsatisfied", 0)
 
     monkeypatch.setattr(solver, "refine", failing_refine)
-    _manual_solve("berry1", seed, Budgets(500, attempts))
+    manual_solve("berry1", seed, Budgets(500, attempts))
     want = np.random.default_rng(seed).spawn(attempts)
     assert states == [g.bit_generator.state for g in want]
 

@@ -9,19 +9,10 @@ from hypothesis import strategies as st
 from owltamp.geometry import Aabb, Pose6, box_at_pose, rotated_half_extents, wrap_angle
 from owltamp.world import GRASP_MARGIN
 
+from reference import rotation_matrix
+
 ANGLES = st.floats(-math.pi, math.pi)
 HALF = st.floats(1e-3, 1.0)
-
-
-def rotation_matrix(roll: float, pitch: float, yaw: float) -> np.ndarray:
-    """Numpy reference rotation R = Rz(yaw) @ Ry(pitch) @ Rx(roll)."""
-    cr, sr = math.cos(roll), math.sin(roll)
-    cp, sp = math.cos(pitch), math.sin(pitch)
-    cy, sy = math.cos(yaw), math.sin(yaw)
-    rx = np.array([[1, 0, 0], [0, cr, -sr], [0, sr, cr]])
-    ry = np.array([[cp, 0, sp], [0, 1, 0], [-sp, 0, cp]])
-    rz = np.array([[cy, -sy, 0], [sy, cy, 0], [0, 0, 1]])
-    return rz @ ry @ rx
 
 
 def test_wrap_angle_into_range():

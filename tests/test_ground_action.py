@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 from owltamp import tasks
-from owltamp.grounding import candidate_set, format_action_listing, ground_problem
+from owltamp.grounding import candidate_set, format_action_listing
 from owltamp.model import SemanticType, Value, instantiate
 from owltamp.partial_plan import PartialPlan, PlanStep, verify_subsequence
 from owltamp.solver import RefinementFailure, Skeleton, backtrack_strategy
+
+from reference import build
 
 
 def reference_action_objects(action):
@@ -39,20 +41,11 @@ def reference_make_ground(domain, name, objs, counter, all_objects):
     return instantiate(schema, binding, objects=all_objects)
 
 
-def task_problem(task_id, seed=0):
-    spec, world = tasks.load_task(task_id, seed)
-    domain = tasks.default_domain()
-    objects = [*spec.objects, tasks.TABLE]
-    problem = ground_problem(tasks.initial_state(domain, world),
-                             tasks.bench_schemas(domain), objects)
-    return world, domain, objects, problem
-
-
 def task_candidates(task_id):
-    _, domain, objects, _ = task_problem(task_id)
+    spec, _, domain, _ = build(task_id)
     return candidate_set(
         tuple(sorted(tasks.bench_schemas(domain), key=lambda s: s.name)),
-        tuple(sorted(objects))).actions
+        tuple(sorted([*spec.objects, tasks.TABLE]))).actions
 
 
 @pytest.mark.parametrize("task_id", tasks.task_ids())
@@ -66,7 +59,7 @@ def test_objects_and_signatures_match_the_reference(task_id):
 
 @pytest.mark.parametrize("task_id", tasks.task_ids())
 def test_action_listing_equals_the_signature_loop(task_id):
-    problem = task_problem(task_id)[3]
+    problem = build(task_id)[3]
     lines = []
     for a in problem.actions:
         sig = a.discrete_signature()
@@ -94,7 +87,7 @@ def test_actions_pickle_after_their_caches_are_filled():
 
 
 def test_case_folding_is_shared_by_lookup_and_verification():
-    problem = task_problem("mug3")[3]
+    problem = build("mug3")[3]
     for a in problem.actions:
         shouted = PlanStep(a.name.upper(), tuple(o.upper() for o in a.objects.values()))
         assert problem.find_action(shouted.action, shouted.objects) is a
@@ -107,7 +100,7 @@ def test_case_folding_is_shared_by_lookup_and_verification():
     ("mug3", (("pick", "fork"), ("place_inside", "fork", "mug")), "collision"),
 ])
 def test_backtracking_inserts_actions_with_the_parents_placeholders(task_id, steps, reason):
-    world, domain, _, problem = task_problem(task_id)
+    _, world, domain, problem = build(task_id)
     actions = tuple(problem.find_action(s[0], s[1:]) for s in steps)
     sk = Skeleton(actions, ((),) * len(actions), (None,) * len(actions))
     candidates = backtrack_strategy(RefinementFailure(1, reason, 500), sk, world, domain,

@@ -5,28 +5,16 @@ import pytest
 from owltamp import tasks
 from owltamp.grounding import (
     ActionTable, GroundedProblem, _literal_listing, format_action_listing,
-    format_literal_listing, format_state_listing, ground_actions, ground_problem,
-    reachable_literals,
+    format_literal_listing, format_state_listing, ground_problem,
 )
 from owltamp.model import Literal, State, Value, applicable, apply, load_default_domain
+
+from reference import make_s0
 
 
 @pytest.fixture(scope="module")
 def domain():
     return load_default_domain()
-
-
-def make_s0(domain, objects):
-    at_conf = domain.predicate("AtConf")
-    hand = domain.predicate("HandEmpty")
-    at_pose = domain.predicate("AtPose")
-    supporting = domain.predicate("Supporting")
-    lits = {at_conf(Value.vec((0.2, 0.0, 0.3))), hand()}
-    for i, o in enumerate(objects):
-        lits.add(at_pose(Value.sym(o), Value.vec((0.1 * (i + 1), 0, 0, 0, 0, 0))))
-        if o != "table_surface":
-            lits.add(supporting(Value.sym(o), Value.sym("table_surface")))
-    return State(frozenset(lits))
 
 
 def test_two_object_enumeration_counts(domain):
@@ -35,7 +23,7 @@ def test_two_object_enumeration_counts(domain):
     objects = ["banana", "bowl", "table_surface"]
     s0 = make_s0(domain, objects)
     schemas = [domain.schema(n) for n in ("pick", "place_ontop", "place_inside")]
-    actions = ground_actions(s0, schemas, objects)
+    actions = ground_problem(s0, schemas, objects).actions
     by_name = {}
     for a in actions:
         by_name.setdefault(a.name, []).append(a)
@@ -50,7 +38,7 @@ def test_two_object_enumeration_counts(domain):
 
 def test_zero_schemas_empty_set(domain):
     s0 = make_s0(domain, ["banana"])
-    assert ground_actions(s0, [], ["banana"]) == ()
+    assert ground_problem(s0, [], ["banana"]).actions == ()
 
 
 def test_unreachable_precondition_adds_no_action(domain):
@@ -73,7 +61,7 @@ def test_unreachable_precondition_adds_no_action(domain):
         d.predicate("HandEmpty")(),
         d.predicate("AtPose")(Value.sym("banana"), Value.vec((0,) * 6)),
     }))
-    actions = ground_actions(s0, list(d.schemas.values()), ["banana"])
+    actions = ground_problem(s0, list(d.schemas.values()), ["banana"]).actions
     names = {a.name for a in actions}
     assert "pick" in names
     assert "consecrate" not in names
@@ -83,8 +71,7 @@ def test_reachable_literals_includes_grasps(domain):
     objects = ["apple", "table_surface"]
     s0 = make_s0(domain, objects)
     schemas = [domain.schema(n) for n in ("pick", "place_ontop")]
-    actions = ground_actions(s0, schemas, objects)
-    lits = reachable_literals(s0, actions)
+    lits = ground_problem(s0, schemas, objects).literals
     names = {l.predicate.name for l in lits}
     assert "AtGrasp" in names
     assert "HandEmpty" in names
@@ -93,15 +80,15 @@ def test_reachable_literals_includes_grasps(domain):
 
 def test_reachable_literals_empty_actions(domain):
     s0 = make_s0(domain, ["apple"])
-    assert reachable_literals(s0, ()) == s0.true_literals
+    assert ground_problem(s0, [], ["apple"]).literals == s0.true_literals
 
 
 def test_grounding_is_order_independent(domain):
     objects = ["apple", "bowl", "table_surface"]
     s0 = make_s0(domain, objects)
     schemas = [domain.schema(n) for n in ("pick", "place_ontop", "place_inside")]
-    a = ground_actions(s0, schemas, objects)
-    b = ground_actions(s0, list(reversed(schemas)), list(reversed(objects)))
+    a = ground_problem(s0, schemas, objects).actions
+    b = ground_problem(s0, list(reversed(schemas)), list(reversed(objects))).actions
     assert [x.discrete_signature() for x in a] == [y.discrete_signature() for y in b]
 
 
@@ -116,8 +103,9 @@ def exhaustive_superset_check(domain, objects, max_len=5):
     no visited literal falls outside the relaxed reachable set."""
     s0 = make_s0(domain, objects)
     schemas = [domain.schema(n) for n in ("pick", "place_ontop", "place_inside")]
-    actions = ground_actions(s0, schemas, objects)
-    reachable = {_canonical(l) for l in reachable_literals(s0, actions)}
+    problem = ground_problem(s0, schemas, objects)
+    actions = problem.actions
+    reachable = {_canonical(l) for l in problem.literals}
 
     seen_states = {s0.true_literals}
     frontier = [s0]
@@ -154,7 +142,7 @@ def test_find_action_is_case_insensitive_and_first_match_wins(domain):
     objects = ["Apple", "table_surface"]
     s0 = make_s0(domain, objects)
     schemas = [domain.schema(n) for n in ("pick", "place_ontop")]
-    actions = ground_actions(s0, schemas, objects)
+    actions = ground_problem(s0, schemas, objects).actions
     pick = next(a for a in actions if a.name == "pick" and str(a.value("o")) == "Apple")
     twin = pick.with_values({"g": Value.vec((0,) * 6)})
     twins = (*actions, twin)

@@ -1,70 +1,19 @@
 """The cached candidate sets of grounding against a fresh, uncached build."""
 
-import itertools
-
 import pytest
 
 from owltamp import bench, grounding, tasks
-from owltamp.model import (
-    LiteralIndex, SemanticType, State, Value, instantiate, literal_holds, parse_domain,
-)
+from owltamp.model import State, Value, parse_domain
 from owltamp.solver import Budgets
+
+from reference import build, reference_candidates, reference_ground_actions
 
 SEEDS = (0, 3, 7)
 
 
-PLACEHOLDER_HINTS = {SemanticType.POSE: "p", SemanticType.GRASP: "g",
-                     SemanticType.CONF: "q", SemanticType.TRAJ: "t",
-                     SemanticType.DESCRIPTION: "d"}
-
-
-def reference_candidates(schemas, objects):
-    """The candidate loop as grounding spelled it with its own placeholder
-    factory: one counter from 1, schemas by name, then binding order."""
-    counter = itertools.count(1)
-    candidates = []
-    for schema in sorted(schemas, key=lambda s: s.name):
-        for discrete in grounding._discrete_bindings(schema, tuple(objects)):
-            binding = {}
-            for p in schema.params:
-                if p.name in discrete:
-                    binding[p.name] = Value.sym(discrete[p.name])
-                else:
-                    binding[p.name] = Value.opt(next(counter),
-                                                PLACEHOLDER_HINTS.get(p.type, "v"))
-            candidates.append(instantiate(schema, binding, objects=tuple(objects)))
-    return candidates
-
-
-def reference_ground_actions(s0, schemas, objects):
-    """Grounding as one uncached run: fresh placeholders from 1, the relaxed
-    fixpoint over freshly built candidates, then a sort by signature."""
-    candidates = reference_candidates(schemas, sorted(objects))
-
-    reached = LiteralIndex(s0.true_literals)
-    grounded, pending, progress = [], candidates, True
-    while progress and pending:
-        progress, still_pending = False, []
-        for action in pending:
-            pre = [lit for lit in action.pre if lit.positive]
-            if all(literal_holds(reached, lit) for lit in pre):
-                grounded.append(action)
-                progress = True
-                for eff in action.eff:
-                    if eff.positive:
-                        reached.add(eff)
-            else:
-                still_pending.append(action)
-        pending = still_pending
-    grounded.sort(key=lambda a: a.discrete_signature())
-    return tuple(grounded)
-
-
 def task_problem(task_id, seed):
-    spec, world = tasks.load_task(task_id, seed)
-    domain = tasks.default_domain()
-    return (tasks.initial_state(domain, world), tasks.bench_schemas(domain),
-            [*spec.objects, tasks.TABLE])
+    spec, _, domain, problem = build(task_id, seed)
+    return problem.s0, tasks.bench_schemas(domain), [*spec.objects, tasks.TABLE]
 
 
 @pytest.mark.parametrize("task_id", tasks.task_ids())
@@ -81,7 +30,7 @@ def test_candidates_equal_the_placeholder_loop(task_id):
 def test_cached_grounding_equals_the_reference(task_id):
     for seed in SEEDS:
         s0, schemas, objects = task_problem(task_id, seed)
-        got = grounding.ground_actions(s0, schemas, objects)
+        got = grounding.ground_problem(s0, schemas, objects).actions
         want = reference_ground_actions(s0, schemas, objects)
         # Equality covers the bindings, so the placeholder ids too.
         assert got == want
@@ -101,7 +50,7 @@ def test_actions_reached_in_a_later_pass_keep_signature_order():
         "  eff: Held(o), !Free(o)\n")
     s0 = State(frozenset(d.predicate("Free")(Value.sym(o)) for o in ("b", "a")))
     schemas = list(d.schemas.values())
-    got = grounding.ground_actions(s0, schemas, ["b", "a"])
+    got = grounding.ground_problem(s0, schemas, ["b", "a"]).actions
     assert got == reference_ground_actions(s0, schemas, ["b", "a"])
     assert [str(a) for a in got] == ["consume(a)", "consume(b)", "grab(a)", "grab(b)"]
 
@@ -126,8 +75,8 @@ def test_schemas_alike_in_name_only_do_not_share_an_entry():
         plain.predicate("AtPose")(Value.sym("apple"), Value.vec((0,) * 6)),
     }))
     grounding.candidate_set.cache_clear()
-    got_plain = grounding.ground_actions(s0, [plain.schema("pick")], ["apple"])
-    got_blessed = grounding.ground_actions(s0, [blessed.schema("pick")], ["apple"])
+    got_plain = grounding.ground_problem(s0, [plain.schema("pick")], ["apple"]).actions
+    got_blessed = grounding.ground_problem(s0, [blessed.schema("pick")], ["apple"]).actions
     assert grounding.candidate_set.cache_info().misses == 2
     assert [a.name for a in got_plain] == ["pick"]
     assert got_blessed == ()
@@ -136,8 +85,8 @@ def test_schemas_alike_in_name_only_do_not_share_an_entry():
 def test_reversed_schema_and_object_order_hit_one_entry():
     s0, schemas, objects = task_problem("mug2", 0)
     grounding.candidate_set.cache_clear()
-    forward = grounding.ground_actions(s0, schemas, objects)
-    backward = grounding.ground_actions(s0, schemas[::-1], objects[::-1])
+    forward = grounding.ground_problem(s0, schemas, objects).actions
+    backward = grounding.ground_problem(s0, schemas[::-1], objects[::-1]).actions
     info = grounding.candidate_set.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     assert forward == backward

@@ -6,9 +6,8 @@ from owltamp.geometry import Pose6
 from owltamp.lang import (
     UnboundObjectError, eval_constraint, parse_constraint,
 )
-from owltamp.world import Aabb, ObjectModel, Scene, WorldState, exec_pick, interior_box
-
-WORKSPACE = Aabb((-0.1, -0.6, -0.05), (1.1, 0.6, 0.8))
+from owltamp.tasks import WORKSPACE
+from owltamp.world import ObjectModel, Scene, WorldState, exec_pick, interior_box
 
 COFFEE = parse_constraint(
     "def test_poses() -> bool:\n"

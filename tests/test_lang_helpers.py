@@ -18,9 +18,8 @@ from owltamp.lang import (
     BoundsBox, InfeasibleBoundsError, default_bounds, sample_pose_uniform,
 )
 from owltamp.lang import helpers as H
-from owltamp.world import FLOOR_THICKNESS, Aabb, ObjectModel, Scene, WorldState, aabb_of
+from owltamp.world import FLOOR_THICKNESS, ObjectModel, Scene, WorldState, aabb_of
 
-WORKSPACE = Aabb((-0.1, -0.6, -0.05), (1.1, 0.6, 0.8))
 N_SCENES = 20
 N_SAMPLES = 1000
 
@@ -54,7 +53,7 @@ def random_scene(seed: int) -> WorldState:
         rpy = rng.uniform(-math.pi, math.pi, size=3)
         poses[name] = Pose6(rng.uniform(0.1, 0.9), rng.uniform(-0.4, 0.4),
                             rng.uniform(0.0, 0.3), *rpy)
-    return WorldState(Scene(models, WORKSPACE), poses)
+    return WorldState(Scene(models, tasks.WORKSPACE), poses)
 
 
 def _scene_cases():
@@ -235,7 +234,7 @@ def test_empty_intersection_raises_not_clamps():
         "table_surface": ObjectModel("table_surface", (0.5, 0.5, 0.01), "surface"),
         "crate": ObjectModel("crate", (0.1, 0.1, 0.1)),
     }
-    w = WorldState(Scene(models, WORKSPACE),
+    w = WorldState(Scene(models, tasks.WORKSPACE),
                    {"table_surface": Pose6(0.5, 0.0, -0.01),
                     "crate": Pose6(0.5, 0.0, 0.1)})
     # within 5 cm of the crate center but also past its 10 cm far face: empty
@@ -352,7 +351,7 @@ def _crate_world():
         "table_surface": ObjectModel("table_surface", (0.5, 0.5, 0.01), "surface"),
         "crate": ObjectModel("crate", (0.1, 0.1, 0.1)),
     }
-    return WorldState(Scene(models, WORKSPACE),
+    return WorldState(Scene(models, tasks.WORKSPACE),
                       {"table_surface": Pose6(0.5, 0.0, -0.01),
                        "crate": Pose6(0.5, 0.0, 0.1)})
 

@@ -148,10 +148,10 @@ def test_apply_raises_on_unmet_precondition(domain):
 def test_state_invariants_over_all_short_executions(domain):
     """Every reachable state keeps one AtConf, at most one grasp, and
     HandEmpty exactly when nothing is grasped."""
-    from owltamp.grounding import ground_actions
+    from owltamp.grounding import ground_problem
     s0 = make_s0(domain, objects=("apple", "bowl"))
     schemas = [domain.schema(n) for n in ("pick", "place_ontop", "place_inside")]
-    actions = ground_actions(s0, schemas, ["apple", "bowl"])
+    actions = ground_problem(s0, schemas, ["apple", "bowl"]).actions
 
     seen = set()
     frontier = [s0]

@@ -3,11 +3,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from owltamp.grounding import ground_problem
-from owltamp.model import State, Value, applicable, apply, load_default_domain
+from owltamp.model import Value, applicable, apply, load_default_domain
 from owltamp.partial_plan import (
     EXECUTED, IllegalGoalLiteralError, PartialPlan, PlanStep, UnmatchedStepError, executed,
     parse_partial_plan_text, transform, verify_subsequence,
 )
+
+from reference import make_s0
 
 
 @pytest.fixture(scope="module")
@@ -16,16 +18,7 @@ def domain():
 
 
 def make_problem(domain, objects=("strawberry", "skillet", "bowl", "table_surface")):
-    at_conf = domain.predicate("AtConf")
-    hand = domain.predicate("HandEmpty")
-    at_pose = domain.predicate("AtPose")
-    supporting = domain.predicate("Supporting")
-    lits = {at_conf(Value.vec((0.2, 0.0, 0.3))), hand()}
-    for i, o in enumerate(objects):
-        lits.add(at_pose(Value.sym(o), Value.vec((0.1 * (i + 1), 0, 0, 0, 0, 0))))
-        if o != "table_surface":
-            lits.add(supporting(Value.sym(o), Value.sym("table_surface")))
-    s0 = State(frozenset(lits))
+    s0 = make_s0(domain, objects)
     schemas = [domain.schema(n) for n in ("pick", "place_ontop", "place_inside")]
     return ground_problem(s0, schemas, list(objects))
 

@@ -18,17 +18,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from owltamp import world as W
-from owltamp.geometry import Aabb, Pose6, rotated_half_extents, wrap_angle
-from owltamp.lang import UnboundObjectError, parse_constraint
-from owltamp.model import bind_placeholders, load_default_domain
+from owltamp.geometry import Pose6, rotated_half_extents, wrap_angle
+from owltamp.lang import UnboundObjectError
 from owltamp.solver import (
     PLACE_UNSCREENED, SKILLS, Budgets, DrawStream, RestrictionTable, Skeleton,
-    _constraints_pass,
+    _constraints_pass, refine,
 )
-from test_refine_screen import SCREENED, ref_refine
+from owltamp.tasks import WORKSPACE
 
-WORKSPACE = Aabb((-0.1, -0.6, -0.05), (1.1, 0.6, 0.8))
-DOMAIN = load_default_domain()
+from reference import program, ref_refine, refine_outcome, skeleton
+
 TARGETS = {"table_surface": (0.5, 0.0), "plate": (0.5, 0.25), "bowl": (0.5, -0.25)}
 REJECTIONS = {*W.PLACE_REJECTIONS, "constraint-unsatisfied", "goal-constraint-unsatisfied"}
 
@@ -59,15 +58,9 @@ def _place_world(target, held_half, held_kind, block_half, block_offset, berry, 
     return W.WorldState(W.Scene(models, WORKSPACE), poses, held)
 
 
-def _program(text):
-    return parse_constraint(f"def p() -> bool:\n    return {text}\n")
-
-
 def _step(world, target, inside):
     name = "place_inside" if inside else "place_ontop"
-    action = bind_placeholders(DOMAIN.schema(name), {"o": "item", "s": target},
-                               itertools.count(1), tuple(world.all_objects()))
-    return name, action
+    return name, skeleton(world, [(name, {"o": "item", "s": target})], ((),)).actions[0]
 
 
 def _stream(doubles, seed=0):
@@ -147,8 +140,8 @@ def place_cases(draw):
         draw(st.none() | BERRY | BERRY))
     bands = {"roll": draw(ANGLE_BANDS), "pitch": draw(ANGLE_BANDS), "yaw": draw(ANGLE_BANDS)}
     cx, cy = TARGETS[target]
-    fns = draw(st.sampled_from([(), (_program(f"item.pose.x < {cx}"),)]))
-    goal_fns = draw(st.sampled_from([(), (_program(f"item.pose.y > {cy - 0.02}"),)]))
+    fns = draw(st.sampled_from([(), (program(f"item.pose.x < {cx}"),)]))
+    goal_fns = draw(st.sampled_from([(), (program(f"item.pose.y > {cy - 0.02}"),)]))
 
     # The step's band table, to aim drops at the thresholds.
     box = W.aabb_of(world, target)
@@ -228,15 +221,6 @@ def test_every_skipped_drop_is_one_the_scalar_path_rejects(case):
             assert draws.peek(len(rest) - 6 * skipped - 6) == rest[6 * skipped + 6:]
 
 
-def _outcome(loop, sk, world, budget, seed, restrictions, goal_fns=()):
-    rng = np.random.default_rng(seed)
-    try:
-        result = loop(sk, world, goal_fns, Budgets(budget, 1), rng, restrictions)
-    except Exception as err:  # noqa: BLE001 - the type is compared
-        result = type(err)
-    return result, rng.bit_generator.state
-
-
 @settings(max_examples=150, deadline=None)
 @given(place_cases(), st.sampled_from([1, 4, 30, 500]), st.integers(0, 2**32 - 1))
 def test_a_place_step_gives_what_the_unscreened_loop_gives(case, budget, seed):
@@ -244,8 +228,8 @@ def test_a_place_step_gives_what_the_unscreened_loop_gives(case, budget, seed):
     name, action = _step(world, target, inside)
     sk = Skeleton((action,), (fns,), (None,))
     restrictions = RestrictionTable([{"action": name, **bands}])
-    got = _outcome(SCREENED, sk, world, budget, seed, restrictions, goal_fns)
-    assert got == _outcome(ref_refine, sk, world, budget, seed, restrictions, goal_fns)
+    got = refine_outcome(refine, sk, world, budget, seed, restrictions, goal_fns)
+    assert got == refine_outcome(ref_refine, sk, world, budget, seed, restrictions, goal_fns)
 
 
 # --- Where the screen declines ---------------------------------------------------
@@ -255,8 +239,8 @@ def _declining(world, name, action, restrictions, hints=None, fns=()):
     unscreened result, error and generator state over several seeds."""
     sk = Skeleton((action,), (fns,), (hints,))
     for budget, seed in itertools.product((1, 5, 200), range(3)):
-        got = _outcome(SCREENED, sk, world, budget, seed, restrictions)
-        assert got == _outcome(ref_refine, sk, world, budget, seed, restrictions)
+        got = refine_outcome(refine, sk, world, budget, seed, restrictions)
+        assert got == refine_outcome(ref_refine, sk, world, budget, seed, restrictions)
     draws = DrawStream(np.random.default_rng(0))
     return SKILLS[name].prepare(world, name, action.objects, draws, restrictions, hints,
                                 fns, ())[1]
@@ -303,14 +287,14 @@ def test_a_program_that_raises_on_every_drop_stops_the_screen():
     # on it, so the first drop reaches the program, which raises.
     world = _bare_world((0.005, 0.005, 0.005))
     name, action = _step(world, "table_surface", False)
-    ghost = _program("position_within_bounds(item.pose, get_aabb_bounds('ghost'))")
+    ghost = program("position_within_bounds(item.pose, get_aabb_bounds('ghost'))")
     screen = _declining(world, name, action, RestrictionTable(), fns=(ghost,))
     for _ in range(PLACE_UNSCREENED):
         assert screen(500) == (0, None)
     assert screen(500) == (0, None)
     rng = np.random.default_rng(0)
     with pytest.raises(UnboundObjectError):
-        SCREENED(Skeleton((action,), ((ghost,),), (None,)), world, (), Budgets(500, 1), rng)
+        refine(Skeleton((action,), ((ghost,),), (None,)), world, (), Budgets(500, 1), rng)
 
 
 # --- A drop at a threshold is left to the draw ----------------------------------

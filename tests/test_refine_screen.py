@@ -2,15 +2,14 @@
 
 `refine` lets a skill's screen skip the draws the draw path would reject:
 each skipped draw consumes its doubles and counts as one sample, and the
-reason of the last becomes the step's reason.  `ref_refine` below is the loop
-without screens, kept as the reference: `solve` through either loop must give
-the same records, refine results, skeletons and generator states, and so
-must a lone pick step over any bands, budget and object box.  The pick
+reason of the last becomes the step's reason.  `reference.ref_refine` is the
+loop without screens: a lone pick step over any bands, budget and object box
+must give the same result and generator state through either.  The pick
 screen judges the values `sample_grasp` would build from the same doubles;
-`test_place_screen.py` holds the place screen's cases.
+`test_place_screen.py` holds the place screen's cases, and
+`test_reference_cells.py` runs whole cells through both loops.
 """
 
-import itertools
 import math
 import sys
 
@@ -19,112 +18,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from owltamp import bench, solver, tasks
 from owltamp import world as W
-from owltamp.geometry import Aabb, Pose6
+from owltamp.geometry import Pose6
 from owltamp.lang import parse_constraint
-from owltamp.model import Value, bind_placeholders, load_default_domain
-from owltamp.solver import (
-    SKILLS, Budgets, DrawStream, PlanningError, RefinementFailure, RestrictionTable,
-    Skeleton, Solution, _constraints_pass,
-)
+from owltamp.solver import SKILLS, DrawStream, RefinementFailure, RestrictionTable, refine
+from owltamp.tasks import WORKSPACE
 
-BUDGETS = Budgets(500, 5)
-SCREENED = solver.refine
-
-
-# --- The reference loop ------------------------------------------------------------
-
-def ref_refine(sk, scene, goal_fns, budgets, rng, restrictions=None):
-    """`refine` as it was before screens: each step is prepared and every
-    sample goes through its skill's draw."""
-    restrictions = restrictions or RestrictionTable()
-    if not sk.actions:
-        if _constraints_pass(goal_fns, scene):
-            return Solution((), 0, 1)
-        return RefinementFailure(-1, "goal-constraint-unsatisfied", 0)
-
-    world = scene
-    bound = []
-    samples_used = 0
-    last = len(sk.actions) - 1
-    draws = DrawStream(rng)
-    try:
-        for i, action in enumerate(sk.actions):
-            skill = SKILLS.get(action.name)
-            if skill is None:
-                raise PlanningError(f"no skill for action {action.name!r}")
-            objs = action.objects
-            fns = sk.constraints[i]
-            accepted = None
-            reason = "sampling-exhausted"
-            if budgets.samples_per_action:
-                prepared = skill.prepare(world, action.name, objs, draws, restrictions,
-                                         sk.hints[i], fns, goal_fns if i == last else ())
-                if prepared is None:
-                    return RefinementFailure(i, "precondition", samples_used + 1)
-                draw = prepared[0]
-            for _ in range(budgets.samples_per_action):
-                samples_used += 1
-                outcome, updates = draw()
-                if not outcome.success:
-                    reason = outcome.failure_reason
-                    continue
-                if skill.effect is not None and not skill.effect(outcome.new_world, objs):
-                    reason = "effects-unsatisfied"
-                    continue
-                if not _constraints_pass(fns, outcome.new_world):
-                    reason = "constraint-unsatisfied"
-                    continue
-                if i == last and not _constraints_pass(goal_fns, outcome.new_world):
-                    reason = "goal-constraint-unsatisfied"
-                    continue
-                accepted = outcome.new_world
-                bound.append(action.with_values(
-                    {k: Value.vec(v) for k, v in updates.items()}))
-                break
-            if accepted is None:
-                return RefinementFailure(i, reason, samples_used)
-            world = accepted
-        return Solution(tuple(bound), samples_used, 1)
-    finally:
-        draws.close()
-
-
-# --- solve through both loops ------------------------------------------------------
-
-def _cell(loop, task_id, seed, mode):
-    """The cell's stable record and, per refine call, the skeleton, the
-    result and the generator state it left."""
-    calls = []
-
-    def recording(sk, scene, goal_fns, budgets, rng, restrictions=None):
-        result = loop(sk, scene, goal_fns, budgets, rng, restrictions)
-        calls.append((sk.actions, sk.provenance, result, rng.bit_generator.state))
-        return result
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "refine", recording)
-        record = bench.run_cell(task_id, seed, mode, BUDGETS)
-    return record.stable_json(), calls
-
-
-@pytest.mark.parametrize("mode", ["manual", "full", "no_back", "no_disc", "no_sample",
-                                  "flawed-continuous"])
-def test_solve_gives_what_the_unscreened_loop_gives(mode):
-    refined = 0
-    for task_id in tasks.task_ids():
-        for seed in range(3):
-            got = _cell(SCREENED, task_id, seed, mode)
-            assert got == _cell(ref_refine, task_id, seed, mode), (task_id, seed)
-            refined += len(got[1])
-    assert refined
+from reference import ref_refine, refine_outcome, skeleton
 
 
 # --- A lone pick step over any bands -----------------------------------------------
 
-WORKSPACE = Aabb((-0.1, -0.6, -0.05), (1.1, 0.6, 0.8))
-DOMAIN = load_default_domain()
 ANGLE = st.floats(-7.0, 7.0)
 ORDERED = st.tuples(ANGLE, ANGLE).map(lambda band: tuple(sorted(band)))
 MAX = sys.float_info.max
@@ -166,13 +70,8 @@ def _pick_world(half, center, lid_offset, case):
 
 
 def _outcome(loop, sk, world, budget, seed, bands):
-    rng = np.random.default_rng(seed)
     restrictions = RestrictionTable([{"action": "pick", **bands}])
-    try:
-        result = loop(sk, world, (), Budgets(budget, 1), rng, restrictions)
-    except Exception as err:  # noqa: BLE001 - the type is compared
-        result = type(err)
-    return result, rng.bit_generator.state
+    return refine_outcome(loop, sk, world, budget, seed, restrictions)
 
 
 @settings(max_examples=300, deadline=None)
@@ -183,11 +82,9 @@ def _outcome(loop, sk, world, budget, seed, bands):
 def test_pick_step_gives_what_the_unscreened_loop_gives(roll, pitch, yaw, budget, half,
                                                        center, lid_offset, case, never, seed):
     world = _pick_world(half, center, lid_offset, case)
-    pick = bind_placeholders(DOMAIN.schema("pick"), {"o": "item"}, itertools.count(1),
-                             tuple(world.all_objects()))
-    sk = Skeleton((pick,), ((NEVER,) if never else (),), (None,))
+    sk = skeleton(world, [("pick", {"o": "item"})], ((NEVER,) if never else (),))
     bands = {"roll": roll, "pitch": pitch, "yaw": yaw}
-    got = _outcome(SCREENED, sk, world, budget, seed, bands)
+    got = _outcome(refine, sk, world, budget, seed, bands)
     want = _outcome(ref_refine, sk, world, budget, seed, bands)
     assert got == want
     result = got[0]
@@ -199,12 +96,10 @@ def test_screened_picks_count_as_samples_with_their_reason():
     # Level grasps are rare under full bands: the screen skips the rest and
     # an impossible constraint exhausts the budget on mixed reasons.
     world = _pick_world((0.05, 0.05, 0.05), (0.5, 0.0, 0.05), (0.3, 0.3, 0.0), "free")
-    pick = bind_placeholders(DOMAIN.schema("pick"), {"o": "item"}, itertools.count(1),
-                             tuple(world.all_objects()))
-    sk = Skeleton((pick,), ((NEVER,),), (None,))
+    sk = skeleton(world, [("pick", {"o": "item"})], ((NEVER,),))
     for budget in (1, 3, 500):
         for seed in range(5):
-            got = _outcome(SCREENED, sk, world, budget, seed, {})
+            got = _outcome(refine, sk, world, budget, seed, {})
             assert got == _outcome(ref_refine, sk, world, budget, seed, {})
             assert got[0].samples_used == budget
             assert got[0].reason in ("grasp-not-level", "constraint-unsatisfied")

@@ -8,29 +8,23 @@ from owltamp import solver
 from owltamp import world as W
 from owltamp.fixtures import DIRECT_GOALS, MANUAL
 from owltamp.geometry import Pose6
-from owltamp.grounding import ground_problem
 from owltamp.lang import eval_constraint, parse_constraint
 from owltamp.model import Value, load_default_domain
+from owltamp.oracle import parse_constraint_response
 from owltamp.partial_plan import PartialPlan, PlanStep, transform, verify_subsequence
 from owltamp.solver import (
     SKILLS, Budgets, Infeasible, PlanningError, RefinementFailure, RestrictionTable,
-    Skeleton, Solution, _executed_level, backtrack_strategy, plan_task,
-    planning_set, refine, replay, solve,
+    Solution, _executed_level, backtrack_strategy, plan_task, planning_set, refine,
+    replay, solve,
 )
-from owltamp.tasks import TABLE, initial_state, load_task, bench_schemas, task_ids
+from owltamp.tasks import TABLE, load_task, bench_schemas, task_ids
+
+from reference import build, manual_solve, skeleton_for
 
 
 @pytest.fixture(scope="module")
 def domain():
     return load_default_domain()
-
-
-def build(task_id, seed=0):
-    spec, w0 = load_task(task_id, seed)
-    domain = load_default_domain()
-    s0 = initial_state(domain, w0)
-    problem = ground_problem(s0, bench_schemas(domain), [*spec.objects, TABLE])
-    return spec, w0, domain, problem
 
 
 # --- plan_task ------------------------------------------------------------------
@@ -84,20 +78,9 @@ def test_plan_task_node_cap(domain, monkeypatch):
 
 # --- refine ---------------------------------------------------------------------
 
-def _skeleton_for(domain, problem, steps, constraints=None):
-    actions = []
-    cons = []
-    for sig in steps:
-        match = problem.find_action(sig[0], sig[1:])
-        assert match is not None
-        actions.append(match)
-        cons.append(tuple(constraints.get(len(actions) - 1, ()) if constraints else ()))
-    return Skeleton(tuple(actions), tuple(cons), tuple(None for _ in actions))
-
-
 def test_refine_binds_continuous_parameters(domain):
     spec, w0, domain, problem = build("berry1")
-    sk = _skeleton_for(domain, problem, [
+    sk = skeleton_for(problem, [
         ("pick", "strawberry"),
         ("place_ontop", "strawberry", "light_grey_region")])
     rng = np.random.default_rng(0)
@@ -117,7 +100,7 @@ def test_refine_failure_reports_first_bad_index(domain):
     poses = dict(w0.poses)
     held_world = W.WorldState(w0.scene, poses,
                               W.HeldItem("light_grey_region", Pose6(0.5, 0, 0.0)))
-    sk = _skeleton_for(domain, problem, [("pick", "strawberry")])
+    sk = skeleton_for(problem, [("pick", "strawberry")])
     result = refine(sk, held_world, (), Budgets(10, 5), np.random.default_rng(0))
     assert isinstance(result, RefinementFailure)
     assert result.index == 0
@@ -138,7 +121,7 @@ def test_refine_empirical_acceptance_of_region_placement(domain):
     held = W.exec_pick(w0, "strawberry", grasp).new_world
     trials, hits = 100, 0
     for t in range(trials):
-        sk = _skeleton_for(domain, problem, [
+        sk = skeleton_for(problem, [
             ("place_ontop", "strawberry", "light_grey_region")],
             constraints={0: (fn,)})
         result = refine(sk, held, (), Budgets(50, 1), np.random.default_rng(1000 + t),
@@ -151,7 +134,7 @@ def test_refine_empirical_acceptance_of_region_placement(domain):
 
 def test_refine_budget_accounting(domain):
     spec, w0, domain, problem = build("berry1")
-    sk = _skeleton_for(domain, problem, [
+    sk = skeleton_for(problem, [
         ("pick", "strawberry"),
         ("place_ontop", "strawberry", "light_grey_region")])
     budgets = Budgets(40, 5)
@@ -225,7 +208,7 @@ def test_sampled_places_and_pours_hold_python_floats(sampled):
 
 def test_backtrack_inserts_blocker_clearing(domain):
     spec, w0, domain, problem = build("berry2")
-    sk = _skeleton_for(domain, problem, [
+    sk = skeleton_for(problem, [
         ("pick", "strawberry"),
         ("place_ontop", "strawberry", "light_grey_region")])
     fail = RefinementFailure(1, "effects-unsatisfied", 500)
@@ -243,7 +226,7 @@ def test_backtrack_inserts_blocker_clearing(domain):
 
 def test_backtrack_contained_blocker_gets_poured_out(domain):
     spec, w0, domain, problem = build("mug3")
-    sk = _skeleton_for(domain, problem, [
+    sk = skeleton_for(problem, [
         ("pick", "fork"), ("place_inside", "fork", "mug")])
     fail = RefinementFailure(1, "collision", 500)
     candidates = backtrack_strategy(fail, sk, w0, domain, np.random.default_rng(0),
@@ -255,7 +238,7 @@ def test_backtrack_contained_blocker_gets_poured_out(domain):
 
 def test_backtrack_pick_failure_resamples_only(domain):
     spec, w0, domain, problem = build("berry1")
-    sk = _skeleton_for(domain, problem, [("pick", "strawberry")])
+    sk = skeleton_for(problem, [("pick", "strawberry")])
     fail = RefinementFailure(0, "grasp-not-level", 10)
     candidates = backtrack_strategy(fail, sk, w0, domain, np.random.default_rng(0),
                                     itertools.count(10_000_000))
@@ -284,39 +267,16 @@ def test_restriction_lookup_keeps_the_first_match():
 
 # --- solve ----------------------------------------------------------------------
 
-def _manual_solve(task_id, seed, budgets=Budgets(500, 5)):
-    from owltamp.fixtures import MANUAL
-    from owltamp.oracle import parse_constraint_response
-    spec, w0 = load_task(task_id, seed)
-    domain = load_default_domain()
-    s0 = initial_state(domain, w0)
-    problem = ground_problem(s0, bench_schemas(domain), [*spec.objects, TABLE])
-    fx = MANUAL[task_id]
-    pp = PartialPlan(tuple(PlanStep(a, o, d) for a, o, d in fx.steps))
-    t = transform(problem, pp)
-    step_cons = {i: tuple(parse_constraint_response("\n".join(srcs)))
-                 for i, srcs in fx.step_constraints.items()}
-    goal_fns = tuple(parse_constraint_response("\n".join(fx.goal_constraints)))
-    return spec, w0, solve(
-        w0, t, domain, step_cons, goal_fns, budgets, seed,
-        RestrictionTable(list(spec.sampler_restrictions)))
-
-
 def test_solve_berry1_first_skeleton(domain):
-    spec, w0, sol = _manual_solve("berry1", 3)
+    spec, w0, sol = manual_solve("berry1", 3)
     assert isinstance(sol, Solution)
     assert sol.skeletons_tried == 1
     assert len(sol.actions) == 2
 
 
 def test_solve_zero_backtracks_fails_obstructed(domain):
-    spec, w0, _ = _manual_solve("berry2", 0, Budgets(500, 0))
+    spec, w0, domain, problem = build("berry2")
     # ground truth clears the can, so give it a plan that cannot know that
-    from owltamp.oracle import parse_constraint_response
-    from owltamp.fixtures import MANUAL
-    domain = load_default_domain()
-    s0 = initial_state(domain, w0)
-    problem = ground_problem(s0, bench_schemas(domain), [*spec.objects, TABLE])
     pp = PartialPlan((PlanStep("place_ontop", ("strawberry", "light_grey_region"),
                                "straight onto the region"),))
     t = transform(problem, pp)
@@ -327,10 +287,7 @@ def test_solve_zero_backtracks_fails_obstructed(domain):
 
 
 def test_solve_backtracking_clears_berry2_obstruction(domain):
-    spec, w0 = load_task("berry2", 1)
-    domain = load_default_domain()
-    s0 = initial_state(domain, w0)
-    problem = ground_problem(s0, bench_schemas(domain), [*spec.objects, TABLE])
+    spec, w0, domain, problem = build("berry2", 1)
     pp = PartialPlan((PlanStep("place_ontop", ("strawberry", "light_grey_region"),
                                "straight onto the region"),))
     t = transform(problem, pp)
@@ -342,8 +299,8 @@ def test_solve_backtracking_clears_berry2_obstruction(domain):
 
 
 def test_solution_determinism(domain):
-    sa = _manual_solve("mug2", 5)[2]
-    sb = _manual_solve("mug2", 5)[2]
+    sa = manual_solve("mug2", 5)[2]
+    sb = manual_solve("mug2", 5)[2]
     assert isinstance(sa, Solution) and isinstance(sb, Solution)
     assert sa.samples_used == sb.samples_used
     assert sa.skeletons_tried == sb.skeletons_tried
@@ -351,8 +308,7 @@ def test_solution_determinism(domain):
 
 
 def test_replay_matches_solver_final_world(domain):
-    from owltamp.oracle import parse_constraint_response
-    spec, w0, sol = _manual_solve("berrycook", 2)
+    spec, w0, sol = manual_solve("berrycook", 2)
     ok, trace = replay(w0, sol.actions)
     assert ok
     # Every step's constraint programs hold on the replayed world after it.

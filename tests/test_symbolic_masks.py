@@ -1,13 +1,10 @@
 """The bitmask A* search and relaxed fixpoint against their literal-set
-references: the search over frozensets of literals with `State`,
-`applicable` and `apply`, and the fixpoint that grows a `LiteralIndex`.
-Searches are compared push by push, so a heuristic value that differs
-fails even where the plan comes out the same."""
+references in `reference.py`: the search over frozensets of literals with
+`State`, `applicable` and `apply`, and the fixpoint that grows a
+`LiteralIndex`.  Searches are compared push by push, so a heuristic value
+that differs fails even where the plan comes out the same."""
 
 import heapq
-import itertools
-import math
-import sys
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -16,74 +13,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from owltamp import bench, solver, tasks
-from owltamp.grounding import (
-    format_action_listing, ground_actions, ground_problem, reachable_literals,
-)
+from owltamp.grounding import format_action_listing, ground_problem
 from owltamp.model import (
-    ActionSchema, GroundAction, Literal, LiteralIndex, Predicate, SemanticType, State,
-    Value, apply, applicable, literal_holds,
+    ActionSchema, GroundAction, Literal, Predicate, SemanticType, State, Value,
 )
 from owltamp.oracle import OracleError, OracleRequest, ScriptedOracle
 from owltamp.partial_plan import PartialPlan, PartialPlanError, executed, transform
 from owltamp.solver import PlanningError, plan_task, planning_set
 
-from test_grounding_cache import reference_ground_actions
-
-
-def reference_plan_task(s0, actions, goal):
-    """A* over literal sets: the search `plan_task` ran before states were
-    bitmasks.  Reads `solver.NODE_CAP` at call time, as `plan_task` does."""
-    ordered = sorted(actions, key=lambda a: a.discrete_signature())
-    chain_target = solver._executed_level(goal)
-    plain_goals = tuple(g for g in goal if g.predicate.name != "Executed")
-    goal_preds = {g.predicate for g in plain_goals}
-    possible = LiteralIndex(
-        lit for lit in itertools.chain(
-            s0.true_literals,
-            (eff for a in ordered for eff in a.eff if eff.positive))
-        if lit.predicate in goal_preds)
-    goal_matches = tuple((g.positive, frozenset(possible.matches(g))) for g in plain_goals)
-
-    def h(literals):
-        chain = max(0, chain_target - solver._executed_level(literals))
-        unmet = sum(1 for positive, matches in goal_matches
-                    if positive == literals.isdisjoint(matches))
-        return max(chain, unmet)
-
-    def satisfied(state):
-        return all(literal_holds(state, g) for g in goal)
-
-    if satisfied(s0):
-        return []
-    start = s0.true_literals
-    tie = itertools.count()
-    frontier = [(h(start), next(tie), 0, start, None)]
-    best_g = {start: 0}
-    expansions = 0
-    while frontier:
-        _, _, g, literals, path = heapq.heappop(frontier)
-        if g > best_g.get(literals, math.inf):
-            continue
-        state = State(literals)
-        if satisfied(state):
-            plan = []
-            while path is not None:
-                path, action = path
-                plan.append(action)
-            return plan[::-1]
-        expansions += 1
-        if expansions > solver.NODE_CAP:
-            raise PlanningError("node-cap-exceeded")
-        for action in ordered:
-            if not applicable(state, action):
-                continue
-            nxt = apply(state, action).true_literals
-            ng = g + 1
-            if ng >= best_g.get(nxt, math.inf):
-                continue
-            best_g[nxt] = ng
-            heapq.heappush(frontier, (ng + h(nxt), next(tie), ng, nxt, (path, action)))
-    raise PlanningError("unreachable-goal")
+import reference
+from reference import (
+    build, reachable_literals, reference_ground_actions, reference_plan_task,
+)
 
 
 def outcome(search, s0, actions, goal):
@@ -97,7 +38,7 @@ def outcome(search, s0, actions, goal):
 def traced_outcome(search, s0, actions, goal):
     """The outcome, and (f, g, action) of every frontier push in order, so
     that equal traces mean equal heuristic values and an equal pop order."""
-    owner = solver if search is plan_task else sys.modules[__name__]
+    owner = solver if search is plan_task else reference
     push, pop, pushes = heapq.heappush, heapq.heappop, []
 
     def recorded_push(heap, entry):
@@ -114,10 +55,7 @@ def transformed_problem(mode, task_id, seed):
     `bench.run_cell` builds them up to the solver; None when the cell ends
     on an oracle or partial-plan error before it."""
     config = bench.MODE_TABLE[mode]
-    spec, world = tasks.load_task(task_id, seed)
-    domain = tasks.default_domain()
-    s0 = tasks.initial_state(domain, world)
-    problem = ground_problem(s0, tasks.bench_schemas(domain), [*spec.objects, tasks.TABLE])
+    spec, world, domain, problem = build(task_id, seed)
     oracle = ScriptedOracle(config.variant)
     req = OracleRequest(kind="", task_id=task_id, goal_text=spec.goal_text,
                         action_listing=format_action_listing(problem))
@@ -156,16 +94,12 @@ def test_plans_equal_the_literal_set_search(mode, task_id):
 
 @pytest.mark.parametrize("task_id", tasks.task_ids())
 def test_grounded_actions_and_literals_equal_the_index_fixpoint(task_id):
-    domain = tasks.default_domain()
     for seed in range(3):
-        spec, world = tasks.load_task(task_id, seed)
-        s0 = tasks.initial_state(domain, world)
-        schemas, objects = tasks.bench_schemas(domain), [*spec.objects, tasks.TABLE]
-        want = reference_ground_actions(s0, schemas, objects)
-        problem = ground_problem(s0, schemas, objects)
+        spec, _, domain, problem = build(task_id, seed)
+        want = reference_ground_actions(problem.s0, tasks.bench_schemas(domain),
+                                        [*spec.objects, tasks.TABLE])
         assert problem.actions == want
-        assert ground_actions(s0, schemas, objects) == want
-        assert problem.literals == reachable_literals(s0, want)
+        assert problem.literals == reachable_literals(problem.s0, want)
 
 
 def test_goal_holding_in_s0_gives_the_empty_plan():

@@ -10,8 +10,7 @@ from owltamp.world import (
     exec_place, exec_pour, interior_box, reachable, scene_from_json,
     scene_to_json, supported_by,
 )
-
-WORKSPACE = W.Aabb((-0.1, -0.6, -0.05), (1.1, 0.6, 0.8))
+from owltamp.tasks import WORKSPACE
 
 
 def make_world(extra=None, poses=None):

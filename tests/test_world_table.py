@@ -16,12 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from owltamp import solver, tasks
+from owltamp import tasks
 from owltamp import world as W
 from owltamp.geometry import Aabb, Pose6, rotated_half_extents
 
+from reference import bowl_scene, skill_world
+
 TASK_IDS = tasks.task_ids()
-LEVEL = solver.RestrictionTable([{"roll": [0, 0], "pitch": [0, 0]}])
 
 
 # --- Uncached reference copies ---------------------------------------------------
@@ -126,34 +127,6 @@ def check_world(w, rng):
         assert W.collision(w, name, pose) == ref_collision(w, name, pose)
 
 
-def _next_world(w, choice, rng):
-    """One skill drawn until success (or 20 tries) from `w`."""
-    if w.held is None:
-        movable = [o for o in w.placed_objects() if w.scene.model(o).kind != "surface"]
-        if not movable:
-            return w
-        name, objs = "pick", {"o": movable[choice % len(movable)]}
-    else:
-        name = ("place_ontop", "place_inside", "pour")[choice % 3]
-        targets = [o for o in w.placed_objects()
-                   if name != "place_inside" or w.scene.model(o).kind == "container"]
-        if not targets:
-            return w
-        objs = {"o": w.held.name, "s": targets[(choice // 3) % len(targets)]}
-    draws = solver.DrawStream(rng)
-    try:
-        prepared = solver.SKILLS[name].prepare(w, name, objs, draws, LEVEL, None, (), ())
-        if prepared is None:
-            return w
-        for _ in range(20):
-            outcome, _ = prepared[0]()
-            if outcome.success:
-                return outcome.new_world
-    finally:
-        draws.close()
-    return w
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(TASK_IDS), st.integers(0, 9), st.integers(0, 2**32 - 1),
        st.lists(st.integers(0, 1000), min_size=1, max_size=8))
@@ -162,7 +135,7 @@ def test_cached_queries_match_reference_along_skill_chains(task_id, scene_seed, 
     rng = np.random.default_rng(seed)
     check_world(w, rng)
     for choice in choices:
-        w = _next_world(w, choice, rng)
+        w = skill_world(w, choice, rng)
         check_world(w, rng)
 
 
@@ -234,22 +207,6 @@ def test_load_task_matches_the_uncached_reference(task_id):
 
 # --- Inheritance ------------------------------------------------------------------
 
-def _bowl_scene():
-    """A bowl with a golf ball in it, an apple on the table, a plate."""
-    models = {
-        "table_surface": W.ObjectModel("table_surface", (0.5, 0.5, 0.01), "surface"),
-        "bowl": W.ObjectModel("bowl", (0.08, 0.08, 0.035), "container"),
-        "golf_ball": W.ObjectModel("golf_ball", (0.02, 0.02, 0.02)),
-        "apple": W.ObjectModel("apple", (0.035, 0.035, 0.035)),
-        "plate": W.ObjectModel("plate", (0.09, 0.09, 0.012), "surface"),
-    }
-    poses = {"table_surface": Pose6(0.5, 0.0, -0.01), "bowl": Pose6(0.5, 0.0, 0.035),
-             "golf_ball": Pose6(0.5, 0.0, 0.03), "apple": Pose6(0.3, 0.2, 0.035),
-             "plate": Pose6(0.7, -0.2, 0.012)}
-    workspace = Aabb((-0.1, -0.6, -0.05), (1.1, 0.6, 0.8))
-    return W.WorldState(W.Scene(models, workspace), poses)
-
-
 def _fill(w):
     """Every per-object entry, and the whole-world entries through
     `supported_by`, which reads both."""
@@ -273,7 +230,7 @@ def hull_calls(monkeypatch):
 
 
 def test_child_shares_unmoved_hulls_and_recomputes_the_moved_one(hull_calls):
-    w = _bowl_scene()
+    w = bowl_scene()
     picked = W.exec_pick(w, "apple", Pose6(0.3, 0.2, 0.035))
     assert picked.success
     held = picked.new_world
@@ -304,7 +261,7 @@ def test_a_place_whose_settle_rewraps_an_angle_hulls_the_settled_pose():
     # A roll given just below -pi wraps to pi; the settled pose wraps it
     # again, to -pi, which moves the hull's y extent by one ulp at this
     # pitch and yaw.
-    w = _bowl_scene()
+    w = bowl_scene()
     held = W.exec_pick(w, "apple", Pose6(0.3, 0.2, 0.035)).new_world
     drop = Pose6(0.7, -0.2, 0.15, -3.1415926535897936, -0.105, 0.265)
     placed = W.exec_place(held, "apple", "plate", drop)
@@ -318,7 +275,7 @@ def test_a_place_whose_settle_rewraps_an_angle_hulls_the_settled_pose():
 
 
 def test_contents_are_never_inherited():
-    w = _bowl_scene()
+    w = bowl_scene()
     assert W.contents(w, "bowl") == ["golf_ball"]
     picked = W.exec_pick(w, "golf_ball", Pose6(0.5, 0.0, 0.03))
     assert picked.success
@@ -327,14 +284,14 @@ def test_contents_are_never_inherited():
 
 
 def test_contents_returns_a_fresh_list_each_call():
-    w = _bowl_scene()
+    w = bowl_scene()
     first = W.contents(w, "bowl")
     first.append("apple")
     assert W.contents(w, "bowl") == ["golf_ball"]
 
 
 def test_pick_cascade_and_pour_worlds_match_reference():
-    w = _bowl_scene()
+    w = bowl_scene()
     stacked = W.WorldState(w.scene, {**w.poses, "apple": Pose6(0.7, -0.2, 0.059)})
     _fill(stacked)
     assert W.supported_by(stacked, "apple") == "plate"
@@ -354,7 +311,7 @@ def test_pick_cascade_and_pour_worlds_match_reference():
 
 
 def test_errors_are_never_cached():
-    w = _bowl_scene()
+    w = bowl_scene()
     held = W.exec_pick(w, "apple", Pose6(0.3, 0.2, 0.035)).new_world
     for _ in range(2):
         with pytest.raises(W.ObjectHeldError):
