@@ -13,12 +13,14 @@ reference:
   uncached run;
 - `rotation_matrix`, the rotation that box hulls are checked against.
 
-`cell` runs one benchmark cell through the shipped solver or through all
-three references.  The rest is scaffolding the tests share: building a
+`cell` runs one benchmark cell through the shipped solver, or with some of
+its functions replaced by their references; `assert_cells_agree` compares
+every task's cells both ways.  The rest is scaffolding the tests share: building a
 task's problem, initial states, skeletons and a small scene, walking chains
 of skill draws, and recording what a refine call gives.
 """
 
+import functools
 import heapq
 import itertools
 import math
@@ -26,7 +28,7 @@ import math
 import numpy as np
 import pytest
 
-from owltamp import bench, grounding, solver
+from owltamp import bench, grounding, solver, tasks
 from owltamp.fixtures import MANUAL
 from owltamp.geometry import Pose6
 from owltamp.grounding import ground_problem
@@ -332,13 +334,12 @@ def reachable_literals(s0, actions):
 
 # --- Whole cells -------------------------------------------------------------------
 
-def cell(task_id, seed, mode, reference=False):
+def cell(task_id, seed, mode, **references):
     """The cell's stable record and, per refine call, the skeleton's actions
-    and provenance, the result and the generator state it left; with
-    `reference`, through the unscreened loop, the tree-walking interpreter
-    and the literal-set search."""
+    and provenance, the result and the generator state it left; each keyword
+    names a `solver` function and the reference that replaces it."""
     calls = []
-    refine = ref_refine if reference else solver.refine
+    refine = references.get("refine", solver.refine)
 
     def recording(sk, scene, goal_fns, budgets, rng, restrictions=None):
         result = refine(sk, scene, goal_fns, budgets, rng, restrictions)
@@ -346,12 +347,29 @@ def cell(task_id, seed, mode, reference=False):
         return result
 
     with pytest.MonkeyPatch.context() as mp:
+        for name, function in references.items():
+            mp.setattr(solver, name, function)
         mp.setattr(solver, "refine", recording)
-        if reference:
-            mp.setattr(solver, "eval_constraint", ref_eval_constraint)
-            mp.setattr(solver, "plan_task", reference_plan_task)
         record = bench.run_cell(task_id, seed, mode, BUDGETS)
-    return record.stable_json(), calls
+    return record.stable_json(), tuple(calls)
+
+
+@functools.cache
+def shipped_cell(task_id, seed, mode):
+    """`cell` through the shipped solver, run once for every differential."""
+    return cell(task_id, seed, mode)
+
+
+def assert_cells_agree(mode, **references):
+    """Every task's cells for scene seeds 0-2 give through the `references`
+    what they give through the shipped solver, and at least one refines."""
+    refined = 0
+    for task_id in tasks.task_ids():
+        for seed in range(3):
+            got = shipped_cell(task_id, seed, mode)
+            assert got == cell(task_id, seed, mode, **references), (task_id, seed)
+            refined += len(got[1])
+    assert refined
 
 
 # --- Problems, skeletons and skill chains ----------------------------------------

@@ -6,8 +6,9 @@ reason of the last becomes the step's reason.  `reference.ref_refine` is the
 loop without screens: a lone pick step over any bands, budget and object box
 must give the same result and generator state through either.  The pick
 screen judges the values `sample_grasp` would build from the same doubles;
-`test_place_screen.py` holds the place screen's cases, and
-`test_reference_cells.py` runs whole cells through both loops.
+`test_place_screen.py` holds the place screen's cases.  Whole cells must
+give the same record, and every refine call the same result and generator
+state, through either loop.
 """
 
 import math
@@ -24,7 +25,15 @@ from owltamp.lang import parse_constraint
 from owltamp.solver import SKILLS, DrawStream, RefinementFailure, RestrictionTable, refine
 from owltamp.tasks import WORKSPACE
 
-from reference import ref_refine, refine_outcome, skeleton
+from reference import assert_cells_agree, ref_refine, refine_outcome, skeleton
+
+
+# --- Whole cells through both loops ------------------------------------------------
+
+@pytest.mark.parametrize("mode", ["manual", "full", "no_back", "no_disc", "no_sample",
+                                  "flawed-continuous"])
+def test_solve_gives_what_the_unscreened_loop_gives(mode):
+    assert_cells_agree(mode, refine=ref_refine)
 
 
 # --- A lone pick step over any bands -----------------------------------------------

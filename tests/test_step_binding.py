@@ -6,8 +6,8 @@ result is kept for the step and reused on every world that leaves the
 objects it reads at the step world's very poses.  The tree-walking
 interpreter of `reference.py` is the reference: the targeted cases below
 must give the same verdicts, errors, refine results and generator states
-through either, and they count how often each helper really runs.
-`test_reference_cells.py` compares whole cells.
+through either, and they count how often each helper really runs.  Whole
+cells must give the same record and refine calls through either.
 """
 
 import numpy as np
@@ -20,7 +20,17 @@ from owltamp.lang import eval_constraint
 from owltamp.lang.helpers import HELPER_IMPLS
 from owltamp.solver import Budgets, DrawStream
 
-from reference import LEVEL, bowl_scene, program, ref_eval_constraint, skeleton, verdict
+from reference import (
+    LEVEL, assert_cells_agree, bowl_scene, program, ref_eval_constraint, skeleton, verdict)
+
+
+# --- Whole cells through both paths ------------------------------------------------
+
+@pytest.mark.parametrize("mode", ["manual", "full", "no_disc", "no_back",
+                                  "flawed-continuous"])
+def test_cells_give_what_unbound_evaluation_gives(mode):
+    assert_cells_agree(mode, eval_constraint=ref_eval_constraint)
+
 
 # --- Targeted cases ----------------------------------------------------------------
 

@@ -1,37 +1,13 @@
-"""Whole benchmark cells through the shipped solver and through the reference.
+"""The layout of the test suite: no test module imports another.
 
-`bench.run_cell` runs as shipped, and again with `solver.refine`,
-`solver.eval_constraint` and `solver.plan_task` replaced by the references
-of `reference.py`: the loop without screens, the tree-walking interpreter
-and the literal-set A*.  Both must give the same stable record and, for
-every refine call, the same skeleton actions, provenance, result and
-generator state.  The targeted cases of each fast path are in its own
-module; every one of them imports its reference from `reference.py`, and
-no test module imports another.
+Every reference a differential test compares against, and the scaffolding
+the modules share, lives in `reference.py`.
 """
 
 import ast
 from pathlib import Path
 
-import pytest
-
-from owltamp import tasks
-
-from reference import cell
-
 TESTS = Path(__file__).parent
-
-
-@pytest.mark.parametrize("mode", ["manual", "full", "no_back", "no_disc", "no_sample",
-                                  "flawed-continuous"])
-def test_cells_give_what_the_reference_solver_gives(mode):
-    refined = 0
-    for task_id in tasks.task_ids():
-        for seed in range(3):
-            got = cell(task_id, seed, mode)
-            assert got == cell(task_id, seed, mode, reference=True), (task_id, seed)
-            refined += len(got[1])
-    assert refined
 
 
 def imported_test_modules(source: str) -> list[int]:
