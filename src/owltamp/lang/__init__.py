@@ -1,7 +1,7 @@
 """Constraint expression language: parser, bounds helpers, evaluator."""
 
 from .ast import BoundsBox, ConstraintFn, InfeasibleBoundsError, LangError, print_expr
-from .evaluator import EvalError, UnboundObjectError, eval_constraint
+from .evaluator import EvalError, UnboundObjectError, eval_constraint, eval_constraint_block
 from .helpers import (
     HELPER_ALIASES,
     HELPER_IMPLS,
@@ -22,6 +22,7 @@ from .parser import (
 __all__ = [
     "BoundsBox", "ConstraintFn", "InfeasibleBoundsError", "LangError",
     "print_expr", "EvalError", "UnboundObjectError", "eval_constraint",
+    "eval_constraint_block",
     "HELPER_ALIASES", "HELPER_IMPLS", "HELPER_SIGNATURES", "default_bounds",
     "sample_pose_uniform", "LexError", "ParseError", "TypeError_",
     "UnknownHelperError", "check_types", "parse_constraint",

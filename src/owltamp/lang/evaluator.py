@@ -23,19 +23,35 @@ call that raises leaves its entry empty.  Without `step`, a world is its own
 step.  Binding a step also resolves the program's object names for the step
 world's scene, once per scene; a name that is not an object of it is left
 to `_resolve_object`, which raises at the evaluation that reads it.
+
+Block evaluation.  `eval_constraint_block` judges a program on the worlds a
+block of place drops would leave, in numpy, from the columns of the settled
+poses and hulls (see the section below); a row it cannot decide is left to
+`eval_constraint` on the world the draw builds.
 """
 
 from __future__ import annotations
 
+import math
 from operator import attrgetter
 
-from ..world import ObjectHeldError, WorldState
+import numpy as np
+
+from ..geometry import Pose6
+from ..world import (
+    CONTACT_TOL, FLOOR_THICKNESS, MARGIN, ObjectHeldError, WorldError, WorldState,
+    aabb_of, interior_box,
+)
 from .ast import (
-    Abs, Arith, BoolLit, BoolOp, Call, Compare, ConstraintFn, Expr,
+    POSE_FIELDS, Abs, Arith, BoolLit, BoolOp, Call, Compare, ConstraintFn, Expr,
     InfeasibleBoundsError, InitBounds, LangError, Num, ObjectRef, PoseAttr,
     PoseRef, VarRef,
 )
-from .helpers import HELPER_IMPLS, default_bounds
+from .helpers import (
+    _ANGLES_LOWER, _ANGLES_UPPER, ANYWHERE_DROP_BAND, HELPER_IMPLS, ONTOP_SLACK,
+    VERTICAL_BAND, X, Y, Z, _half_height, default_bounds,
+)
+from .parser import check_types
 
 
 class EvalError(LangError):
@@ -67,8 +83,15 @@ def _compile_expr(e: Expr, slots: dict[str, tuple[int, frozenset | None]],
     read set of its value.  A read set is the frozenset of object names a
     step-invariant value reaches, or None for a value that may depend on
     anything else of the world.  Each invariant helper call is wrapped to
-    reuse its step's result (`memo.memoised`).
+    reuse its step's result (`memo.memoised`).  Every node's closure is kept
+    in `memo.closures`, for block evaluation.
     """
+    closure, reads = _compile_node(e, slots, memo)
+    memo.closures[id(e)] = closure
+    return closure, reads
+
+
+def _compile_node(e: Expr, slots, memo: _Program):
     if isinstance(e, Num):
         value = e.value
         return (lambda env, w: value), _NO_OBJECTS
@@ -191,14 +214,17 @@ class _Program:
     leaves the call's read set at the step world's very poses.  Its object
     names are resolved once for the step world's scene."""
 
-    __slots__ = ("run", "step", "entries", "_empty", "scene", "names", "_refs")
+    __slots__ = ("run", "step", "entries", "_empty", "scene", "names", "_refs",
+                 "closures", "block_key", "block")
 
     def __init__(self, fn: ConstraintFn):
         self.entries = []
         self.names, self._refs = [], []
+        self.closures = {}
         self.run = _compile(fn, self)
         self._empty = (None,) * len(self.entries)
         self.step = self.scene = None
+        self.block_key = self.block = None
 
     def bind(self, step: WorldState) -> None:
         """Drop the previous step's entries; they fill again as draws reach
@@ -272,6 +298,17 @@ class _Program:
         return scene, tuple(pairs.items()), _UNFILLED
 
 
+def _bound(fn: ConstraintFn, step: WorldState) -> _Program:
+    """The program compiled, on its first use, and bound to `step`."""
+    program = fn._compiled
+    if program is None:
+        program = _Program(fn)
+        object.__setattr__(fn, "_compiled", program)
+    if program.step is not step:
+        program.bind(step)
+    return program
+
+
 def eval_constraint(fn: ConstraintFn, w: WorldState, step: WorldState | None = None) -> bool:
     """Run a constraint program.  Infeasible intermediate bounds make it
     false, and so does reading the pose or hull of an object that has no pose
@@ -282,14 +319,7 @@ def eval_constraint(fn: ConstraintFn, w: WorldState, step: WorldState | None = N
     once for every world of that step that leaves their objects unmoved.
     The verdict and any error do not depend on `step`.
     """
-    program = fn._compiled
-    if program is None:
-        program = _Program(fn)
-        object.__setattr__(fn, "_compiled", program)
-    if step is None:
-        step = w
-    if program.step is not step:
-        program.bind(step)
+    program = _bound(fn, w if step is None else step)
     try:
         result = program.run(w)
     except (InfeasibleBoundsError, ObjectHeldError):
@@ -297,3 +327,358 @@ def eval_constraint(fn: ConstraintFn, w: WorldState, step: WorldState | None = N
     if not isinstance(result, bool):
         raise EvalError(f"{fn.name} returned {type(result).__name__}, expected bool")
     return result
+
+
+# --- Block evaluation ----------------------------------------------------------
+#
+# The place screen judges a block of drops of the held object at once.  The
+# world each drop leaves differs from the step world only in that object,
+# which is placed: `world.Settled` gives its pose and hull as columns over
+# the drops.  A node that does not read the moved object is row-invariant:
+# it runs once per block, through its scalar closure on the step world, so
+# an invariant helper call fills and reuses its step memo entry.  A node
+# that reads it (its pose, or a helper call given its name) gives a column.
+# Comparisons and `position_within_bounds` are scored as signed distances
+# from their thresholds, and so is the emptiness of bounds a helper builds;
+# a score within `world.MARGIN` of zero leaves its row undecided, as in
+# `world.PlaceTables`.  `and` and `or` evaluate an operand only on the rows
+# that reach it, and an error raised on some rows takes effect on those
+# rows where the scalar evaluation would raise it: infeasible bounds or a
+# read of a held object make a row false, and any other error leaves it
+# undecided, for the draw to raise again.
+
+
+class _Bounds:
+    """Pose bounds whose corners are floats or columns."""
+
+    __slots__ = ("lower", "upper")
+
+    def __init__(self, lower, upper):
+        self.lower, self.upper = lower, upper
+
+    def clamp_axis(self, axis: int, lo, up) -> _Bounds:
+        """`BoundsBox.clamp_axis`, leaving the emptiness check to `_Block.bound`."""
+        lower, upper = list(self.lower), list(self.upper)
+        lower[axis] = np.maximum(lower[axis], lo)
+        upper[axis] = np.minimum(upper[axis], up)
+        return _Bounds(lower, upper)
+
+
+def _bounds(b) -> _Bounds:
+    return b if isinstance(b, _Bounds) else _Bounds(b.lower, b.upper)
+
+
+class _Block:
+    """A program's evaluation over a block of drops of `name` from the step
+    world `world`.  `live` marks the rows still being evaluated; a row
+    leaves it for `false` (the program raised what makes it false), for
+    `holds` at the end, or undecided."""
+
+    __slots__ = ("world", "name", "pose", "lower", "upper", "height",
+                 "live", "false", "holds")
+
+    def __init__(self, world: WorldState, name: str, settled, rows: np.ndarray):
+        self.world, self.name = world, name
+        self.pose, self.lower, self.upper, self.height = settled
+        self.live = rows
+        self.false = self.holds = np.zeros_like(rows)
+
+    def abort(self, rows) -> None:
+        self.false = self.false | (rows & self.live)
+        self.live = self.live & ~rows
+
+    def doubt(self, rows) -> None:
+        self.live = self.live & ~rows
+
+    def decide(self, score, reach):
+        """`score >= 0` on the rows that reach it, doubting the rows within
+        MARGIN of the threshold."""
+        self.doubt(reach & (np.abs(score) <= MARGIN))
+        return score > MARGIN
+
+    def bound(self, b: _Bounds, reach) -> None:
+        """The rows that reach `b` raise InfeasibleBoundsError where it is
+        empty: its bounds only ever narrow, one axis at a time, so a helper
+        raises if and only if its result is empty on some axis."""
+        lo, up = b.lower, b.upper
+        gap = np.minimum(np.minimum(up[X] - lo[X], up[Y] - lo[Y]), up[Z] - lo[Z])
+        self.doubt(reach & (np.abs(gap) <= MARGIN))
+        self.abort(reach & (gap < 0.0))
+
+    # What the helpers read of an object in the world a drop leaves.
+
+    def box(self, name: str):
+        if name == self.name:
+            return self.lower, self.upper
+        box = aabb_of(self.world, name)
+        return box.lower, box.upper
+
+    def pose_of(self, name: str):
+        return self.pose if name == self.name else self.world.pose(name)
+
+    def half_height(self, name: str):
+        return self.height if name == self.name else _half_height(self.world, name)
+
+    def floor(self, name: str):
+        """`modify_bounds_inside`'s floor: the interior's, which is the
+        hull's bottom raised by FLOOR_THICKNESS, as is the fallback."""
+        if name == self.name:
+            return self.lower[Z] + FLOOR_THICKNESS
+        try:
+            return interior_box(self.world, name).lower[Z]
+        except WorldError:
+            return aabb_of(self.world, name).lower[Z] + FLOOR_THICKNESS
+
+
+def _footprint(b, lo, up) -> _Bounds:
+    return _bounds(b).clamp_axis(X, lo[X], up[X]).clamp_axis(Y, lo[Y], up[Y])
+
+
+def _b_aabb_bounds(blk, name):
+    lo, up = blk.box(name)
+    return _Bounds((*lo, *_ANGLES_LOWER), (*up, *_ANGLES_UPPER))
+
+
+def _b_behind(blk, b, name):
+    return _bounds(b).clamp_axis(X, blk.box(name)[1][X] + CONTACT_TOL, math.inf)
+
+
+def _b_in_front_of(blk, b, name):
+    return _bounds(b).clamp_axis(X, -math.inf, blk.box(name)[0][X] - CONTACT_TOL)
+
+
+def _b_left_of(blk, b, name):
+    return _bounds(b).clamp_axis(Y, -math.inf, blk.box(name)[0][Y] - CONTACT_TOL)
+
+
+def _b_right_of(blk, b, name):
+    return _bounds(b).clamp_axis(Y, blk.box(name)[1][Y] + CONTACT_TOL, math.inf)
+
+
+def _b_above(blk, b, name):
+    lo, up = blk.box(name)
+    return _footprint(b, lo, up).clamp_axis(Z, up[Z], up[Z] + VERTICAL_BAND)
+
+
+def _b_below(blk, b, name):
+    lo, up = blk.box(name)
+    return _footprint(b, lo, up).clamp_axis(Z, lo[Z] - VERTICAL_BAND, lo[Z])
+
+
+def _b_near(blk, b, name, closeness):
+    lo, up = blk.box(name)
+    out = _bounds(b)
+    for axis in (X, Y, Z):
+        center = (lo[axis] + up[axis]) / 2.0
+        out = out.clamp_axis(axis, center - closeness, center + closeness)
+    return out
+
+
+def _b_ontop(blk, b, obj1, obj2):
+    lo, up = blk.box(obj2)
+    hz = blk.half_height(obj1)
+    return _footprint(b, lo, up).clamp_axis(
+        Z, up[Z] - CONTACT_TOL, up[Z] + 2.0 * hz + ONTOP_SLACK)
+
+
+def _b_inside(blk, b, *args):
+    if not args or len(args) > 2:
+        raise InfeasibleBoundsError("inside expects one or two object arguments")
+    lo, up = blk.box(args[-1])
+    floor = blk.floor(args[-1])
+    return _footprint(b, lo, up).clamp_axis(Z, floor, up[Z])
+
+
+def _b_within(blk, pose, b):
+    """The score of `position_within_bounds`."""
+    position = pose.position if isinstance(pose, Pose6) else pose
+    lo, up = b.lower, b.upper
+    score = np.minimum(position[X] - lo[X], up[X] - position[X])
+    for axis in (Y, Z):
+        score = np.minimum(score, np.minimum(position[axis] - lo[axis],
+                                             up[axis] - position[axis]))
+    return score
+
+
+def _b_anywhere(blk, name):
+    lo, up = blk.box(name)
+    return _Bounds((lo[X], lo[Y], up[Z], *_ANGLES_LOWER),
+                   (up[X], up[Y], up[Z] + ANYWHERE_DROP_BAND, *_ANGLES_UPPER))
+
+
+# The helpers over a block, each as `helpers` computes it, in the same order.
+_BLOCK_HELPERS = {
+    "get_aabb_bounds": _b_aabb_bounds,
+    "get_obj_center": lambda blk, name: blk.pose_of(name),
+    "modify_bounds_behind": _b_behind,
+    "modify_bounds_in_front_of": _b_in_front_of,
+    "modify_bounds_left_of": _b_left_of,
+    "modify_bounds_right_of": _b_right_of,
+    "modify_bounds_above": _b_above,
+    "modify_bounds_below": _b_below,
+    "modify_bounds_near": _b_near,
+    "modify_bounds_ontop": _b_ontop,
+    "modify_bounds_inside": _b_inside,
+    "position_within_bounds": _b_within,
+    "initialize_bounds_anywhere_on_object": _b_anywhere,
+}
+
+# Each arithmetic operator's value, and each comparison's score.
+_BINARY = {
+    "+": lambda a, b: a + b, "-": lambda a, b: a - b,
+    "<": lambda a, b: b - a, "<=": lambda a, b: b - a,
+    ">": lambda a, b: a - b, ">=": lambda a, b: a - b,
+    "==": lambda a, b: -np.abs(a - b),
+}
+
+
+def _guarded(closure, env, blk: _Block, reach):
+    """`closure` on the rows `reach`; None when it raises, which it does on
+    every one of them."""
+    try:
+        return closure(env, blk, reach)
+    except (InfeasibleBoundsError, ObjectHeldError):
+        blk.abort(reach)
+    except (LangError, WorldError):  # the draw raises it again
+        blk.doubt(reach)
+    return None
+
+
+def _compile_block(fn: ConstraintFn, program: _Program, scene, moved: str):
+    """The program as a closure `blk -> None` over a block of drops of
+    `moved` in `scene`, which leaves its verdicts on `blk`.  A program that
+    does not type-check leaves every row undecided."""
+    try:
+        check_types(fn)
+    except LangError:
+        return lambda blk: blk.doubt(blk.live)
+
+    def compile_(e: Expr, slots):
+        """`e` as a closure `(env, blk, reach) -> value`, whether its value
+        varies over the rows, and whether it is the moved object's name."""
+        if isinstance(e, ObjectRef):
+            return invariant(e), False, _resolved(scene, e.name) == moved
+        if isinstance(e, VarRef):
+            slot, varies, names = slots[e.name]
+            return (lambda env, blk, reach: env[slot]), varies, names
+        if isinstance(e, (PoseRef, PoseAttr)) and _resolved(scene, e.obj) == moved:
+            if isinstance(e, PoseRef):
+                return (lambda env, blk, reach: blk.pose), True, False
+            k = POSE_FIELDS.index(e.attr)
+            return (lambda env, blk, reach: blk.pose[k]), True, False
+        if isinstance(e, Abs):
+            children = [e.operand]
+        elif isinstance(e, (Arith, Compare)):
+            children = [e.lhs, e.rhs]
+        elif isinstance(e, (BoolOp, Call)):
+            children = list(e.operands if isinstance(e, BoolOp) else e.args)
+        else:
+            return invariant(e), False, False
+        compiled = [compile_(child, slots) for child in children]
+        if not any(varies or names for _, varies, names in compiled):
+            return invariant(e), False, False
+        parts = tuple(closure for closure, _, _ in compiled)
+        if isinstance(e, Abs):
+            return _block_abs(*parts), True, False
+        if isinstance(e, (Arith, Compare)):
+            return _block_binary(e.op, *parts), True, False
+        if isinstance(e, BoolOp):
+            return _block_bool(e.op, parts), True, False
+        return _block_call(e.fn, parts), True, False
+
+    def invariant(e: Expr):
+        closure = program.closures[id(e)]
+        return lambda env, blk, reach: closure(env, blk.world)
+
+    slots: dict[str, tuple[int, bool, bool]] = {}
+    steps = []
+    for i, a in enumerate(fn.assigns):
+        step, varies, names = compile_(a.value, slots)
+        steps.append(step)
+        slots[a.name] = i, varies, names
+    result = compile_(fn.result, slots)[0]
+
+    def run(blk: _Block) -> None:
+        env: list = []
+        for step in steps:
+            env.append(_guarded(step, env, blk, blk.live))
+            if not blk.live.any():
+                return
+        value = _guarded(result, env, blk, blk.live)
+        if isinstance(value, bool) or (isinstance(value, np.ndarray) and value.dtype == bool):
+            blk.holds = blk.live & value
+        elif value is not None:  # a non-bool result raises EvalError
+            blk.doubt(blk.live)
+    return run
+
+
+def _block_abs(operand):
+    return lambda env, blk, reach: np.abs(operand(env, blk, reach))
+
+
+def _block_binary(op: str, lhs, rhs):
+    value = _BINARY[op]
+    if op in ("+", "-"):
+        return lambda env, blk, reach: value(lhs(env, blk, reach), rhs(env, blk, reach))
+    return lambda env, blk, reach: blk.decide(
+        value(lhs(env, blk, reach), rhs(env, blk, reach)), reach)
+
+
+def _block_bool(op: str, operands):
+    if op == "not":
+        (operand,) = operands
+        return lambda env, blk, reach: np.logical_not(operand(env, blk, reach))
+    if op == "and":
+        def run(env, blk, reach):
+            for operand in operands:
+                if not reach.any():
+                    break
+                value = _guarded(operand, env, blk, reach)
+                reach = reach & (False if value is None else value)
+            return reach
+        return run
+
+    def run(env, blk, reach):
+        held = np.zeros_like(reach)
+        for operand in operands:
+            if not reach.any():
+                break
+            value = _guarded(operand, env, blk, reach)
+            if value is None:
+                break
+            held = held | (reach & value)
+            reach = reach & np.logical_not(value)
+        return held
+    return run
+
+
+def _block_call(fn: str, args):
+    impl = _BLOCK_HELPERS[fn]
+
+    def run(env, blk, reach):
+        value = impl(blk, *[a(env, blk, reach) for a in args])
+        if fn == "position_within_bounds":
+            return blk.decide(value, reach)
+        if isinstance(value, _Bounds):
+            blk.bound(value, reach)
+        return value
+    return run
+
+
+def eval_constraint_block(fn: ConstraintFn, step: WorldState, name: str, settled,
+                          rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The program on the worlds that a block of drops of the held `name`
+    would leave, placed as `settled` (`world.Settled`) with no riders, from
+    the step world `step`: masks of the rows of `rows` where it surely holds
+    and where it surely does not.  A row in neither is undecided: a score
+    within MARGIN of its threshold, or an error `eval_constraint` would
+    raise.  Evaluating binds the program to `step`, as `eval_constraint`
+    with `step` does."""
+    program = _bound(fn, step)
+    key = program.block_key
+    if key is None or key[0] is not step.scene or key[1] != name:
+        program.block = _compile_block(fn, program, step.scene, name)
+        program.block_key = step.scene, name
+    blk = _Block(step, name, settled, rows)
+    program.block(blk)
+    return blk.holds, blk.false | (blk.live & ~blk.holds)

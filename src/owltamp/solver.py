@@ -25,11 +25,12 @@ does, and skips those the draw would reject, each counted as one sample
 with the reason the draw would give, so refused draws build no pose and run
 no skill.  Pick's screen runs `world.pick_rejection` on the grasp decoded
 from five of a draw's six doubles.  Place's screen judges blocks of drops in
-numpy (`world.PlaceTables`): `exec_place`'s checks and the effect, each
-comparison within `world.MARGIN` of its threshold leaving its drop
-undecided; a drop they pass is settled by the scalar code and the step's
-programs (and, on the last step, the goal's) run on the world it leaves.
-It stops at the first drop it cannot reject, which the draw then runs.  The
+numpy: `exec_place`'s checks and the effect (`world.PlaceTables`), then the
+step's programs and, on the last step, the goal's, on the columns of the
+poses and hulls the drops settle at (`lang.eval_constraint_block`).  Each
+comparison within `world.MARGIN` of its threshold leaves its drop
+undecided.  It stops at the first drop it cannot reject, which the draw
+then runs.  The
 screens decline where the draw path must decide (pick with a full hand;
 place with an `avoid_xy` hint, whose loop reads a varying count of doubles,
 or with riders; a band `uniform` would refuse), and everything refine
@@ -49,7 +50,7 @@ import numpy as np
 
 from . import world as W
 from .geometry import Pose6, wrap_angle, wrap_angles
-from .lang import ConstraintFn, eval_constraint
+from .lang import ConstraintFn, eval_constraint, eval_constraint_block
 from .model import GroundAction, Literal, LiteralIndex, State, Value, bind_placeholders
 # Unused here since A* searches over bitmasks; bound so that the benchmark's
 # tracer (perfbench/tracer.py) still finds its wrap sites.
@@ -490,19 +491,17 @@ def _prepare_place(world, name, objs, draws, restrictions, hint, fns, goal_fns, 
     if avoid is not None or world.held.riders or xy[1] is not None or rest[1] is not None:
         return draw, None
     spans = xy[0] + rest[0]
-    half = world.scene.model(o).half_extents
     peek, skip = draws.peek, draws.skip
     tables = columns = None
     unscreened = PLACE_UNSCREENED
 
     def screen(limit: int) -> tuple[int, str | None]:
         """Skips the leading drops that `world.exec_place`, the effect or
-        the programs refuse: blocks of drops are judged in numpy
-        (`world.PlaceTables`), and each drop they pass is settled by
-        `world.rest_drop` and its programs run on the world it leaves.
-        Stops at an undecided drop, at one the programs pass, and at one
-        whose programs raise an error.  The step's first PLACE_UNSCREENED
-        calls skip nothing."""
+        the programs refuse, judged in blocks in numpy: the skill and the
+        effect by `world.PlaceTables`, the programs by
+        `eval_constraint_block` on the settled columns.  Stops at the first
+        drop that is undecided or passes them all.  The step's first
+        PLACE_UNSCREENED calls skip nothing."""
         nonlocal tables, columns, unscreened
         skipped, reason = 0, None
         if unscreened:
@@ -522,40 +521,43 @@ def _prepare_place(world, name, objs, draws, restrictions, hint, fns, goal_fns, 
                         np.array([[span] for _, span in spans])),)
         while skipped < limit:
             n = min(DRAW_BLOCK, limit - skipped)
-            doubles = peek(6 * n)
-            (values,) = _decode(columns, (np.reshape(doubles, (n, 6)).T,))
-            codes, tops = tables.judge(*values[:3], *wrap_angles(values[3:]))
-            for j, code in enumerate(codes):
-                if code == W.PLACE_UNDECIDED:
-                    return skipped, reason
-                if code == W.PLACE_PASSED:
-                    why = probe(doubles[6 * j:6 * j + 6], tops[j])
-                    if why is None:
-                        return skipped, reason
-                else:
-                    why = W.PLACE_REJECTIONS[code]
-                skip(6)
-                skipped += 1
-                reason = why
+            (values,) = _decode(columns, (np.reshape(peek(6 * n), (n, 6)).T,))
+            codes, settled = tables.judge(*values[:3], *wrap_angles(values[3:]))
+            _judge_programs(codes, fns, goal_fns, world, o, settled)
+            stops = (codes == W.PLACE_UNDECIDED) | (codes == W.PLACE_PASSED)
+            k = int(stops.argmax()) if stops.any() else n
+            if k:
+                skip(6 * k)
+                skipped += k
+                reason = _PLACE_REASONS[codes[k - 1]]
+            if k < n:
+                break
         return skipped, reason
-
-    def probe(doubles, top):
-        """The reason the programs refuse a drop that the skill and the
-        effect pass, settled on a support whose top is at `top`, or None."""
-        drop = Pose6(*_decode(spans, doubles))
-        settled = W.rest_drop(half, drop, top)
-        if isinstance(settled, str):
-            return None
-        after = W.released(world, o, *settled, drop.position)
-        try:
-            if not _constraints_pass(fns, after, world):
-                return "constraint-unsatisfied"
-            if not _constraints_pass(goal_fns, after, world):
-                return "goal-constraint-unsatisfied"
-        except Exception:  # noqa: BLE001 - the draw raises it again
-            return None
-        return None
     return draw, screen
+
+
+# The reason of each code `_judge_programs` leaves on a rejected drop.
+_PLACE_REASONS = (*W.PLACE_REJECTIONS, None, "constraint-unsatisfied",
+                  "goal-constraint-unsatisfied")
+
+
+def _judge_programs(codes, fns, goal_fns, world, o, settled) -> None:
+    """Judge the programs on the drops of a block that `PlaceTables.judge`
+    passed, up to its first undecided one, in `refine`'s order: the step's,
+    then the goal's.  A drop one of them refuses gets that list's code in
+    `_PLACE_REASONS`; a drop one leaves undecided becomes undecided."""
+    undecided = codes == W.PLACE_UNDECIDED
+    rows = codes == W.PLACE_PASSED
+    if undecided.any():
+        rows[undecided.argmax():] = False
+    for code, programs in enumerate((fns, goal_fns), W.PLACE_PASSED + 1):
+        for fn in programs:
+            if not rows.any():
+                return
+            holds, fails = eval_constraint_block(fn, world, o, settled, rows)
+            codes[fails] = code
+            codes[rows & ~holds & ~fails] = W.PLACE_UNDECIDED
+            rows = holds
 
 
 def _rerun_place(world, action, objs):

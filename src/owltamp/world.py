@@ -13,10 +13,11 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import Aabb, Pose6, box_at_pose, rotated_half_extents
+from .geometry import Aabb, Pose6, box_at_pose, rotated_half_extents, wrap_angles
 
 CONTACT_TOL = 1e-4          # boxes collide only when interpenetrating beyond this
 POUR_TILT_MIN = 1.2         # radians of tilt needed for contents to fall out
@@ -183,13 +184,6 @@ def with_placed(w: WorldState, name: str, pose: Pose6, box: Aabb) -> WorldState:
     `w`'s hulls and interiors of every other object, as a skill's world
     does."""
     return _placed(w, {**w.poses, name: pose}, name, box, w.held, w.robot_conf)
-
-
-def released(w: WorldState, name: str, pose: Pose6, box: Aabb, at) -> WorldState:
-    """The world `exec_place` leaves when the hand, at position `at`, lets
-    go of `name` (carrying no riders) and it settles at `pose` with hull
-    `box`."""
-    return _placed(w, {**w.poses, name: pose}, name, box, None, at)
 
 
 def aabb_of(w: WorldState, name: str) -> Aabb:
@@ -485,7 +479,8 @@ def exec_place(w: WorldState, name: str, target: str, drop: Pose6) -> SkillOutco
         return _fail(w, "unreachable")
 
     # The drop's rotated half extents serve the fit, the settle and the
-    # collision hull.
+    # collision hull; the settled pose keeps the drop's angles unless
+    # `moved` re-wraps one to a different float.
     half = w.scene.model(name).half_extents
     ext = rotated_half_extents(half, drop.roll, drop.pitch, drop.yaw)
     descend = None
@@ -501,10 +496,12 @@ def exec_place(w: WorldState, name: str, target: str, drop: Pose6) -> SkillOutco
     top = _support_height(w, name, drop.x, drop.y, descend)
     if top is None:
         return _fail(w, "no-support")
-    settled = rest_drop(half, drop, top, ext)
-    if isinstance(settled, str):
-        return _fail(w, settled)
-    pose, box = settled
+    pose = drop.moved(z=top + ext[2])
+    if drop.z < pose.z - CONTACT_TOL:
+        return _fail(w, "release-below-rest")
+    if pose.rpy != drop.rpy:
+        ext = rotated_half_extents(half, pose.roll, pose.pitch, pose.yaw)
+    box = Aabb.from_center(pose.position, ext)
     if collision(w, name, pose, exclude=(target,), box=box):
         return _fail(w, "collision")
 
@@ -516,22 +513,6 @@ def exec_place(w: WorldState, name: str, target: str, drop: Pose6) -> SkillOutco
         if collision(after, rider, after.pose(rider), exclude=(name,)):
             return _fail(w, "contents-collision")
     return SkillOutcome(after, True)
-
-
-def rest_drop(half, drop: Pose6, top: float, ext=None):
-    """A drop of a body of canonical half extents `half` settled onto a
-    support whose top is at height `top`: "release-below-rest", or its pose
-    and hull.  `ext`, when given, is the drop's rotated half extents.  The
-    pose keeps the drop's angles unless `moved` re-wraps one to a different
-    float."""
-    if ext is None:
-        ext = rotated_half_extents(half, drop.roll, drop.pitch, drop.yaw)
-    pose = drop.moved(z=top + ext[2])
-    if drop.z < pose.z - CONTACT_TOL:
-        return "release-below-rest"
-    if pose.rpy != drop.rpy:
-        ext = rotated_half_extents(half, pose.roll, pose.pitch, pose.yaw)
-    return pose, Aabb.from_center(pose.position, ext)
 
 
 # --- Place drops in blocks ----------------------------------------------------
@@ -549,6 +530,18 @@ MARGIN = 1e-9
 PLACE_REJECTIONS = ("unreachable", "does-not-fit", "no-support", "release-below-rest",
                     "collision", "effects-unsatisfied")
 PLACE_UNDECIDED, PLACE_PASSED = -1, len(PLACE_REJECTIONS)
+
+
+class Settled(NamedTuple):
+    """Where each drop of a block comes to rest, as columns over the drops:
+    the pose `exec_place` gives it (x, y, z, roll, pitch, yaw), its hull's
+    corners and its rotated half height.  Only a drop judged `PLACE_PASSED`
+    is sure to come to rest there."""
+
+    pose: tuple
+    lower: tuple
+    upper: tuple
+    height: np.ndarray
 
 
 def _columns(boxes):
@@ -608,12 +601,13 @@ class PlaceTables:
         self.obstacles = _columns(box for _, box in obstacles)
         self.walls = slice(0, sum(not plain for plain, _ in obstacles))
 
-    def judge(self, x, y, z, roll, pitch, yaw) -> tuple[list[int], list[float]]:
+    def judge(self, x, y, z, roll, pitch, yaw) -> tuple[np.ndarray, Settled]:
         """For each drop, given as arrays of decoded x, y, z and wrapped
         roll, pitch and yaw: the index in PLACE_REJECTIONS of the first
         check that refuses it, PLACE_PASSED when it would be placed with
-        the effect holding, or PLACE_UNDECIDED; and the top of its support,
-        which `_support_height` gives for a drop that reaches it decided."""
+        the effect holding, or PLACE_UNDECIDED; and where the drops settle.
+        The settled angles are the drop's wrapped again, as `Pose6.moved`
+        wraps them."""
         n = len(x)
         e0, e1, e2 = rotated_half_extents(self.half, roll, pitch, yaw, np.cos, np.sin)
         lo, up = self.rows_lo, self.rows_up
@@ -678,7 +672,8 @@ class PlaceTables:
         failed = fails[stage, np.arange(n)] > MARGIN
         codes = np.where(open_.any(axis=0), np.where(failed, stage, PLACE_UNDECIDED),
                          PLACE_PASSED)
-        return codes.tolist(), height.tolist()
+        angles = wrap_angles(np.array((roll, pitch, yaw)))
+        return codes, Settled((x, y, pz, *angles), blo, bup, e2)
 
     def _misses_support(self, under, held, bottom):
         """Score of `supported_by` not finding the target: it takes the

@@ -398,6 +398,20 @@ def make_s0(domain, objects):
     return State(frozenset(lits))
 
 
+def dp_subsequence(full_sigs, step_sigs):
+    """Whether `step_sigs` is a subsequence of `full_sigs`, by dynamic
+    programming: an oracle independent of `partial_plan`'s check."""
+    n, m = len(full_sigs), len(step_sigs)
+    table = [[False] * (m + 1) for _ in range(n + 1)]
+    for i in range(n + 1):
+        table[i][0] = True
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            table[i][j] = table[i - 1][j] or (
+                table[i - 1][j - 1] and full_sigs[i - 1] == step_sigs[j - 1])
+    return table[n][m]
+
+
 def skeleton_for(problem, steps, constraints=None):
     """A skeleton of the problem's actions with the given signatures, and the
     programs `constraints` gives each step index."""

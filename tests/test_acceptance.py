@@ -19,10 +19,12 @@ from owltamp.lang import (
     InfeasibleBoundsError, default_bounds, parse_constraint, sample_pose_uniform,
 )
 from owltamp.lang import helpers as H
-from owltamp.model import State, Value, applicable, apply, load_default_domain
+from owltamp.model import Value, applicable, apply, load_default_domain
 from owltamp.partial_plan import PartialPlan, PlanStep, transform
 from owltamp.solver import Budgets, Solution, plan_task
 from owltamp.tasks import TABLE, bench_schemas, initial_state, load_task
+
+from reference import dp_subsequence, make_s0
 
 BUDGETS = Budgets(samples_per_action=500, backtracks=5)
 SEEDS = list(range(10))
@@ -159,18 +161,6 @@ def test_criterion_3_soundness(manual_cells):
                 f"{berrycook_infeasible}, flawed FPs {flawed_fp}")
 
 
-def _dp_subsequence(full_sigs, step_sigs):
-    n, m = len(full_sigs), len(step_sigs)
-    table = [[False] * (m + 1) for _ in range(n + 1)]
-    for i in range(n + 1):
-        table[i][0] = True
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            table[i][j] = table[i - 1][j] or (
-                table[i - 1][j - 1] and full_sigs[i - 1] == step_sigs[j - 1])
-    return table[n][m]
-
-
 def test_criterion_4_subsequence_invariant(manual_cells):
     cells, _ = manual_cells
     violations = []
@@ -184,24 +174,11 @@ def test_criterion_4_subsequence_invariant(manual_cells):
         steps = [(s.action.lower(), *(o.lower() for o in s.objects))
                  for s in pp.steps]
         plan_lc = [(sig[0].lower(), *(x.lower() for x in sig[1:])) for sig in plan]
-        if not (_dp_subsequence(plan_lc, steps) and rec.subsequence_ok):
+        if not (dp_subsequence(plan_lc, steps) and rec.subsequence_ok):
             violations.append((task, seed))
     ok = solutions > 0 and not violations
     verdict("criterion 4 (every solution embeds the partial plan; DP re-check)",
             ok, f"{solutions} solutions, violations {violations}")
-
-
-def _make_micro_s0(domain, objects):
-    at_conf = domain.predicate("AtConf")
-    hand = domain.predicate("HandEmpty")
-    at_pose = domain.predicate("AtPose")
-    supporting = domain.predicate("Supporting")
-    lits = {at_conf(Value.vec((0.2, 0.0, 0.3))), hand()}
-    for i, o in enumerate(objects):
-        lits.add(at_pose(Value.sym(o), Value.vec((0.1 * (i + 1), 0, 0, 0, 0, 0))))
-        if o != "table_surface":
-            lits.add(supporting(Value.sym(o), Value.sym("table_surface")))
-    return State(frozenset(lits))
 
 
 def test_criterion_5_grounding_superset():
@@ -216,7 +193,7 @@ def test_criterion_5_grounding_superset():
     for objects in (["apple", "table_surface"],
                     ["apple", "bowl", "table_surface"],
                     ["fork", "mug", "plate", "table_surface"]):
-        s0 = _make_micro_s0(domain, objects)
+        s0 = make_s0(domain, objects)
         schemas = [domain.schema(n) for n in ("pick", "place_ontop", "place_inside")]
         actions = ground_problem(s0, schemas, objects).actions
         relaxed = {canonical(l) for l in ground_problem(s0, schemas, objects).literals}
@@ -246,7 +223,7 @@ def test_criterion_6_transform_exactness():
     domain = load_default_domain()
     from owltamp.grounding import ground_problem
     objects = ["banana", "bowl", "table_surface"]
-    s0 = _make_micro_s0(domain, objects)
+    s0 = make_s0(domain, objects)
     schemas = [domain.schema(n) for n in ("pick", "place_ontop", "place_inside")]
     problem = ground_problem(s0, schemas, objects)
     supporting = domain.predicate("Supporting")
@@ -271,7 +248,7 @@ def test_criterion_6_transform_exactness():
 
     original = solutions(problem.s0, problem.actions, goal, 5)
     embedding = {seq for seq in original
-                 if _dp_subsequence(list(seq), [("place_ontop", "banana",
+                 if dp_subsequence(list(seq), [("place_ontop", "banana",
                                                  "table_surface")])}
     t = transform(problem, pp)
     transformed = solutions(t.s0, t.actions, t.goal, 5)

@@ -9,7 +9,7 @@ from owltamp.partial_plan import (
     parse_partial_plan_text, transform, verify_subsequence,
 )
 
-from reference import make_s0
+from reference import dp_subsequence, make_s0
 
 
 @pytest.fixture(scope="module")
@@ -117,19 +117,6 @@ def test_verify_subsequence_examples(domain):
     assert verify_subsequence(full, PartialPlan(()))
 
 
-def _dp_subsequence(full_sigs, step_sigs):
-    """Independent dynamic-programming subsequence oracle."""
-    n, m = len(full_sigs), len(step_sigs)
-    table = [[False] * (m + 1) for _ in range(n + 1)]
-    for i in range(n + 1):
-        table[i][0] = True
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            table[i][j] = table[i - 1][j] or (
-                table[i - 1][j - 1] and full_sigs[i - 1] == step_sigs[j - 1])
-    return table[n][m]
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_verify_subsequence_against_dp_oracle(data):
@@ -142,7 +129,7 @@ def test_verify_subsequence_against_dp_oracle(data):
         PlanStep(a.discrete_signature()[0], a.discrete_signature()[1:], "")
         for a in steps))
     got = verify_subsequence(full, pp)
-    want = _dp_subsequence([a.discrete_signature() for a in full],
+    want = dp_subsequence([a.discrete_signature() for a in full],
                            [a.discrete_signature() for a in steps])
     assert got == want
 
@@ -182,7 +169,7 @@ def test_transform_solution_set_equality(domain):
     max_len = 5
     original = _solutions(problem.s0, problem.actions, goal, max_len)
     step_sigs = [("place_ontop", "banana", "table_surface")]
-    embedding = {seq for seq in original if _dp_subsequence(list(seq), step_sigs)}
+    embedding = {seq for seq in original if dp_subsequence(list(seq), step_sigs)}
 
     t = transform(problem, pp)
     transformed = _solutions(t.s0, t.actions, t.goal, max_len)

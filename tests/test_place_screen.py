@@ -1,12 +1,15 @@
 """The place screen against the scalar path it skips draws for.
 
-A place step's screen judges blocks of drops in numpy (`world.PlaceTables`)
-and runs the step's programs on the world each drop that passes would leave.
-Every drop it skips must be one that `exec_place`, then the effect, then the
-programs reject, for the same reason, and the drop it stops at must read the
-doubles the draw would read.  Drops here are put at obstacle edges, at the
-walls and floor of a container's interior and at the release height, a few
-ulps either side, where a comparison made in numpy could fall the other way.
+A place step's screen judges blocks of drops in numpy: the skill and the
+effect with `world.PlaceTables`, then the step's and the goal's programs
+with `eval_constraint_block`.  Every drop it skips must be one that
+`exec_place`, then the effect, then the programs reject, for the same
+reason, and the drop it stops at must read the doubles the draw would read.
+Drops here are put at obstacle edges, at the walls and floor of a
+container's interior, at the release height and at the programs' edges (the
+ontop band, the near box, a pose coordinate, the upright checks' roll and
+pitch), a few ulps either side, where a comparison made in numpy could fall
+the other way.  The programs are the benchmark fixtures' shapes.
 """
 
 import itertools
@@ -17,16 +20,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from owltamp import fixtures
 from owltamp import world as W
-from owltamp.geometry import Pose6, rotated_half_extents, wrap_angle
-from owltamp.lang import UnboundObjectError
+from owltamp.geometry import Pose6, rotated_half_extents, wrap_angle, wrap_angles
+from owltamp.lang import (
+    ConstraintFn, EvalError, UnboundObjectError, eval_constraint, eval_constraint_block,
+    parse_constraint,
+)
+from owltamp.lang.ast import Arith, Num, PoseAttr
 from owltamp.solver import (
     PLACE_UNSCREENED, SKILLS, Budgets, DrawStream, RestrictionTable, Skeleton,
     _constraints_pass, refine,
 )
-from owltamp.tasks import WORKSPACE
+from owltamp.tasks import WORKSPACE, load_task
 
-from reference import program, ref_refine, refine_outcome, skeleton
+from reference import LEVEL, program, ref_refine, refine_outcome, skeleton
 
 TARGETS = {"table_surface": (0.5, 0.0), "plate": (0.5, 0.25), "bowl": (0.5, -0.25)}
 REJECTIONS = {*W.PLACE_REJECTIONS, "constraint-unsatisfied", "goal-constraint-unsatisfied"}
@@ -123,25 +131,90 @@ def _near(value, lo, span, ulps):
 
 
 ANGLE_BANDS = st.sampled_from([(0.0, 0.0), (math.pi / 2, math.pi / 2), (0.3, 0.3),
-                               (-0.2, 0.2), (-math.pi, math.pi), (3.0, 3.3)])
+                               (-0.2, 0.2), (-math.pi, math.pi), (3.0, 3.3),
+                               (0.1, 0.1), (-0.1, -0.1), (-0.15, 0.15)])
+# Roll and pitch bands that the upright checks pass, or meet at an edge.
+UPRIGHT = st.sampled_from([(0.0, 0.0), (-0.15, 0.15), (0.1, 0.1), (-0.1, -0.1)])
 HALF = st.floats(0.005, 0.09) | st.floats(0.005, 0.03)
+# Rotated half heights at which a drop the effect passes rests at the edge of
+# an ontop band: over the table from the plate (0.01) or the bowl's rim
+# (0.07), or over the bowl's rim from its floor (0.07 - CONTACT_TOL).
+EDGE_HEIGHTS = st.sampled_from([0.01, 0.07, 0.07 - W.CONTACT_TOL])
 BERRY = st.tuples(st.floats(-0.04, 0.04), st.floats(-0.04, 0.04))
+
+
+def _half_height_for(height, h0, h1, roll, pitch):
+    """The canonical half height that rotates to `height` at `roll` and
+    `pitch` (any yaw), with `h0` and `h1`, as `rotated_half_extents` rotates
+    it; None when there is none."""
+    cp = math.cos(pitch)
+    share = abs(cp * math.cos(roll))
+    if share < 0.1:
+        return None
+    h2 = (height - abs(math.sin(pitch)) * h0 - abs(cp * math.sin(roll)) * h1) / share
+    return h2 if 0.005 <= h2 <= 0.09 else None
+
+
+def _programs(target, held_kind, near):
+    """Programs over the held item: every helper given it, then the
+    benchmark fixtures' shapes."""
+    cx, cy = TARGETS[target]
+    shapes = [
+        # Every helper given the held item, and bounds that may come out
+        # empty on some drops and not on others.
+        program("position_within_bounds(block.pose, modify_bounds_near(init_bounds, 'item', 0.1))"
+                " or position_within_bounds(block.pose, initialize_bounds_anywhere_on_object"
+                "('item')) or position_within_bounds(plate.pose, modify_bounds_behind("
+                "init_bounds, 'item')) or position_within_bounds(block.pose, get_aabb_bounds"
+                "('item'))"),
+        program("position_within_bounds(block.pose, modify_bounds_left_of(init_bounds, 'item'))"
+                " and not position_within_bounds(plate.pose, modify_bounds_right_of(init_bounds,"
+                " 'item')) or position_within_bounds(plate.pose, modify_bounds_in_front_of("
+                "init_bounds, 'item')) or position_within_bounds(get_obj_center('item'),"
+                " modify_bounds_above(init_bounds, 'block')) or position_within_bounds("
+                "block.pose, modify_bounds_below(init_bounds, 'item'))"),
+        program("b = modify_bounds_inside(modify_bounds_near(init_bounds, 'item', 0.05), 'plate')",
+                "position_within_bounds(item.pose, b) or item.pose.z > 0.5"),
+        # The fixtures' shapes.
+        program(f"item.pose.x < {cx}"),
+        program(f"item.pose.y > {cy - 0.02}"),
+        program("item.pose.y < plate.pose.y"),
+        parse_constraint(fixtures._ontop("item", target, "on_target")),
+        parse_constraint(fixtures._inside("item", "bowl", "in_bowl")),
+        parse_constraint(fixtures._near("item", "block", near, "by_block")),
+        parse_constraint(fixtures._clear_of("item", "block", near, "clear_of_block")),
+    ]
+    if held_kind == "container":
+        shapes.append(program("inner = modify_bounds_inside(init_bounds, 'item')",
+                              "position_within_bounds(item.pose, inner) "
+                              "or position_within_bounds(berry.pose, inner)"))
+    return shapes
 
 
 @st.composite
 def place_cases(draw):
     target = draw(st.sampled_from(["bowl", "bowl", "plate", "table_surface"]))
     inside = draw(st.booleans()) if target == "bowl" else False
+    bands = {"roll": draw(ANGLE_BANDS | UPRIGHT), "pitch": draw(ANGLE_BANDS | UPRIGHT),
+             "yaw": draw(ANGLE_BANDS)}
+    angles = [wrap_angle(a) for a, _ in bands.values()]
+    h0, h1 = draw(HALF), draw(HALF)
+    h2 = draw(HALF | EDGE_HEIGHTS.map(lambda e: _half_height_for(e, h0, h1, *angles[:2])))
+    held_half, held_kind = (h0, h1, h2 or h1), draw(st.sampled_from(["item", "container"]))
+    ext = rotated_half_extents(held_half, *angles)
     world = _place_world(
-        target, draw(st.tuples(HALF, HALF, HALF)), draw(st.sampled_from(["item", "container"])),
+        target, held_half, held_kind,
         draw(st.tuples(HALF, HALF, st.floats(0.005, 0.2))),
         draw(st.tuples(st.floats(-0.15, 0.15), st.floats(-0.15, 0.15),
                        st.sampled_from([0.0, 0.0, 0.012, 0.05]))),
         draw(st.none() | BERRY | BERRY))
-    bands = {"roll": draw(ANGLE_BANDS), "pitch": draw(ANGLE_BANDS), "yaw": draw(ANGLE_BANDS)}
     cx, cy = TARGETS[target]
-    fns = draw(st.sampled_from([(), (program(f"item.pose.x < {cx}"),)]))
-    goal_fns = draw(st.sampled_from([(), (program(f"item.pose.y > {cy - 0.02}"),)]))
+    # The near box's faces, where a drop on the table rests at one in z.
+    bx, by, bz = W.aabb_of(world, "block").center
+    near = draw(st.sampled_from([0.13, 0.18, 0.25, abs(bz - ext[2]) or 0.1]))
+    shapes = st.sampled_from(_programs(target, held_kind, near))
+    fns = tuple(draw(st.lists(shapes, max_size=3)))
+    goal_fns = tuple(draw(st.lists(shapes, max_size=3)))
 
     # The step's band table, to aim drops at the thresholds.
     box = W.aabb_of(world, target)
@@ -149,17 +222,22 @@ def place_cases(draw):
     spans = [(box.lower[0], box.upper[0] - box.lower[0]),
              (box.lower[1], box.upper[1] - box.lower[1]),
              (box.upper[2] + lo, hi - lo)] + [(a, b - a) for a, b in bands.values()]
-    angles = [wrap_angle(a) for a, _ in bands.values()]
-    ext = rotated_half_extents(world.scene.model("item").half_extents, *angles)
     boxes = [W.aabb_of(world, name) for name in world.poses]
     boxes += [W.interior_box(world, "bowl"), WORKSPACE]
+    # Where the programs' x and y comparisons change their verdict: (axis,
+    # edge, and the center and half width of the other axis's range there).
+    program_edges = st.sampled_from([
+        (0, cx, None), (1, cy - 0.02, None), (1, 0.25, None),
+        (0, bx - near, (by, near)), (0, bx + near, (by, near)),
+        (1, by - near, (bx, near)), (1, by + near, (bx, near))])
     doubles = []
     for _ in range(draw(st.integers(1, 12))):
         # A drop near one box: at one of its edges along x or y, or over it
-        # at the release height onto its top or floor; else anywhere.
+        # at the release height onto its top or floor; at a program's edge;
+        # else anywhere.
         focus, scenario = draw(st.sampled_from(boxes)), draw(st.sampled_from(
-            ["edge", "edge", "release", "anywhere"]))
-        aim, offset = [None] * 3, None
+            ["edge", "edge", "release", "program", "anywhere"]))
+        aim, offset = [None] * 5, None
         if scenario != "anywhere":
             # Over the box, or beside it.
             reach = draw(st.sampled_from([1.0, 1.0, 2.5]))
@@ -167,9 +245,15 @@ def place_cases(draw):
                               for c, h in zip(focus.center[:2], focus.half_extents[:2]))
             ulps = draw(st.integers(-3, 3))
             if scenario == "edge":
-                # At an edge, a little way off one, or between two.
                 axis = draw(st.integers(0, 1))
                 edges = st.sampled_from(_edges(focus, axis, ext[axis]))
+            elif scenario == "program":
+                axis, edge, across = draw(program_edges)
+                edges = st.just(edge)
+                if across is not None:
+                    aim[1 - axis] = across[0] + across[1] * draw(st.floats(-1.0, 1.0))
+            if scenario in ("edge", "program"):
+                # At an edge, a little way off one, or between two.
                 aim[axis] = draw(edges)
                 offset = draw(st.sampled_from(["ulps", "near", "between"]))
                 if offset == "near":
@@ -180,9 +264,11 @@ def place_cases(draw):
             else:
                 height = draw(st.sampled_from([focus.upper[2], focus.lower[2]]))
                 aim[2] = height + ext[2] - W.CONTACT_TOL
+            # Roll and pitch at the upright checks' edges.
+            aim[3], aim[4] = (draw(st.sampled_from([None, -0.1, 0.1])) for _ in range(2))
         for axis, (band_lo, span) in enumerate(spans):
             u = None
-            if axis < 3 and aim[axis] is not None:
+            if axis < 5 and aim[axis] is not None:
                 u = _near(aim[axis], band_lo, span, ulps if axis == 2 or offset == "ulps" else 0)
             if u is None:
                 u = draw(st.floats(0.0, 1.0, exclude_max=True))
@@ -297,6 +383,21 @@ def test_a_program_that_raises_on_every_drop_stops_the_screen():
         refine(Skeleton((action,), ((ghost,),), (None,)), world, (), Budgets(500, 1), rng)
 
 
+def test_a_program_that_does_not_type_check_stops_the_screen():
+    # Built without the parser's type check, the program returns a number of
+    # the moved object's pose: the draw raises EvalError on every drop.
+    world = _bare_world((0.005, 0.005, 0.005))
+    name, action = _step(world, "table_surface", False)
+    number = ConstraintFn("number", (), Arith(op="+", lhs=PoseAttr(obj="item", attr="x"),
+                                              rhs=Num(value=1.0)), frozenset({"item"}))
+    screen = _declining(world, name, action, RestrictionTable(), fns=(number,))
+    for _ in range(PLACE_UNSCREENED + 1):
+        assert screen(500) == (0, None)
+    rng = np.random.default_rng(0)
+    with pytest.raises(EvalError):
+        refine(Skeleton((action,), ((number,),), (None,)), world, (), Budgets(500, 1), rng)
+
+
 # --- A drop at a threshold is left to the draw ----------------------------------
 
 def test_a_drop_at_the_release_height_is_undecided():
@@ -306,7 +407,164 @@ def test_a_drop_at_the_release_height_is_undecided():
     rest = top + 0.02
     z = np.array([rest - W.CONTACT_TOL, rest, rest - 2 * W.CONTACT_TOL, rest + 0.1])
     zero = np.zeros(4)
-    codes, tops = tables.judge(np.full(4, 0.5), np.full(4, 0.0), z, zero, zero, zero)
-    assert codes == [W.PLACE_UNDECIDED, W.PLACE_PASSED, 3, W.PLACE_PASSED]
-    assert tops[1] == tops[3] == top
+    codes, settled = tables.judge(np.full(4, 0.5), np.full(4, 0.0), z, zero, zero, zero)
+    assert codes.tolist() == [W.PLACE_UNDECIDED, W.PLACE_PASSED, 3, W.PLACE_PASSED]
+    assert settled.pose[2][1] == settled.pose[2][3] == rest
     assert W.PLACE_REJECTIONS[3] == "release-below-rest"
+
+
+def _edge_case(target, program_source, first, edge, half=(0.02, 0.02, 0.02), kind="item",
+               block=((0.03, 0.03, 0.05), (0.2, 0.0, 0.0)), inside=False, roll=0.0):
+    """A step placing `item` onto `target`, with a block beside it, and a
+    program; a first drop that the skill, the effect or the program
+    refuses, then a drop at an edge of the program, each given as the
+    (x, y, z) it decodes to."""
+    return dict(target=target, program=program_source, first=first, edge=edge, half=half,
+                kind=kind, block=block, inside=inside, roll=roll)
+
+
+EDGE_CASES = {
+    # The block floats over the plate with its top where a drop onto it rests
+    # at the upper edge of the ontop band over the plate, 2e-12 below or above.
+    "ontop-band-top-inside": _edge_case(
+        "block", fixtures._ontop("item", "plate", "on_plate"), (0.5, 0.25, 0.061),
+        (0.5, 0.25, 0.2), block=((0.03, 0.03, 0.01), (0.0, 0.0, 0.03 - 2e-12))),
+    "ontop-band-top-outside": _edge_case(
+        "block", fixtures._ontop("item", "plate", "on_plate"), (0.5, 0.25, 0.061),
+        (0.5, 0.25, 0.2), block=((0.03, 0.03, 0.01), (0.0, 0.0, 0.03 + 2e-12))),
+    # The first drop lands on the block, beside which the edge drop rests on
+    # the table on a face of the near box.
+    "near-box-face": _edge_case(
+        "table_surface", fixtures._near("item", "block", 0.15, "by_block"), (0.7, 0.0, 0.3),
+        (0.55, 0.0, 0.3)),
+    "clear-of-box-face": _edge_case(
+        "table_surface", fixtures._clear_of("item", "block", 0.15, "clear_of_block"),
+        (0.7, 0.0, 0.3), (0.7, 0.15, 0.3)),
+    "upright-roll": _edge_case(
+        "table_surface", fixtures._ontop("item", "table_surface", "on_table"), (0.7, 0.0, 0.3),
+        (0.3, 0.0, 0.3), roll=0.1),
+    # A tall item dropped into the bowl rests with its center at the rim.
+    "inside-bowl-top": _edge_case(
+        "bowl", fixtures._inside("item", "bowl", "in_bowl"), (0.434, -0.25, 0.2),
+        (0.5, -0.25, 0.2), half=(0.02, 0.02, 0.07), inside=True,
+        block=((0.03, 0.03, 0.05), (0.3, 0.0, 0.0))),
+    "pose-y": _edge_case(
+        "plate", "def left_of_center() -> bool:\n    return item.pose.y < plate.pose.y\n",
+        (0.5, 0.25, 0.03), (0.5, 0.25, 0.2), block=((0.03, 0.03, 0.05), (0.3, 0.0, 0.0))),
+    # Bounds built around the item: the block's center on a face of its near
+    # box; the near box meeting the plate's footprint in a line, after a
+    # first drop whose near box misses it, so the program is false.
+    "near-item-face": _edge_case(
+        "table_surface", "def block_by_item() -> bool:\n    return position_within_bounds("
+        "block.pose, modify_bounds_near(init_bounds, 'item', 0.15))\n", (0.7, 0.0, 0.3),
+        (0.55, 0.0, 0.3)),
+    "empty-bounds": _edge_case(
+        "table_surface", "def off_plate() -> bool:\n    b = modify_bounds_inside("
+        "modify_bounds_near(init_bounds, 'item', 0.05), 'plate')\n"
+        "    return not position_within_bounds(item.pose, b)\n", (0.3, 0.25, 0.3),
+        (0.37, 0.25, 0.3)),
+    # A held container half as tall as its floor is thick: its center is at
+    # its interior's floor.
+    "own-interior-floor": _edge_case(
+        "table_surface", "def open_side_up() -> bool:\n"
+        "    inner = modify_bounds_inside(init_bounds, 'item')\n"
+        "    return position_within_bounds(item.pose, inner)\n",
+        (0.7, 0.0, 0.3), (0.3, 0.0, 0.3), half=(0.03, 0.03, 0.01), kind="container"),
+}
+
+
+@pytest.mark.parametrize("case", EDGE_CASES.values(), ids=EDGE_CASES.keys())
+def test_a_drop_at_a_program_edge_stops_the_screen(case):
+    # The program scores the edge drop within MARGIN, so the screen skips
+    # the first drop and leaves the edge drop to the draw.
+    block_half, block_offset = case["block"]
+    world = _place_world(case["target"] if case["target"] in TARGETS else "plate",
+                         case["half"], case["kind"], block_half, block_offset, None)
+    name, action = _step(world, case["target"], case["inside"])
+    restrictions = RestrictionTable([{"action": name, "roll": (case["roll"], case["roll"]),
+                                      "pitch": (0.0, 0.0), "yaw": (0.0, 0.0)}])
+    fn = parse_constraint(case["program"])
+    box = W.aabb_of(world, case["target"])
+    lo, hi = W.DEFAULT_DROP_BAND
+    spans = [(box.lower[0], box.upper[0] - box.lower[0]),
+             (box.lower[1], box.upper[1] - box.lower[1]), (box.upper[2] + lo, hi - lo)]
+    doubles = [_near(v, *band, 0) if axis < 3 else 0.0
+               for drop in (case["first"], case["edge"])
+               for axis, (v, band) in enumerate(zip((*drop, 0.0, 0.0, 0.0), spans + [None] * 3))]
+    assert None not in doubles
+    first = _scalar(world, name, action.objects, restrictions, (fn,), (), doubles[:6])
+    assert first in ("release-below-rest", "effects-unsatisfied", "constraint-unsatisfied")
+
+    # The programs leave the edge drop, which the skill and the effect pass,
+    # undecided.
+    x, y, z = (band_lo + span * u for (band_lo, span), u in zip(spans, doubles[6:9]))
+    codes, settled = W.PlaceTables(world, "item", case["target"], case["inside"]).judge(
+        np.array([x]), np.array([y]), np.array([z]), np.array([case["roll"]]), np.zeros(1),
+        np.zeros(1))
+    assert codes.tolist() == [W.PLACE_PASSED]
+    assert _scalar(world, name, action.objects, restrictions, (fn,), (), doubles[6:]) in (
+        "accepted", "constraint-unsatisfied")
+    assert eval_constraint_block(fn, world, "item", settled, np.ones(1, bool)) == (
+        [False], [False])
+
+    draws = _stream(doubles)
+    draw, screen = SKILLS[name].prepare(world, name, action.objects, draws, restrictions,
+                                        None, (fn,), ())
+    for _ in range(PLACE_UNSCREENED):
+        assert screen(2) == (0, None)
+    assert screen(2) == (1, first)
+    assert draws.peek(6) == doubles[6:]
+    outcome, _ = draw()
+    assert outcome.success
+
+
+# --- Every benchmark program is judged in blocks -----------------------------------
+
+def _benchmark_programs(task):
+    """(program source, moved object, target) for the programs of every
+    fixture variant of `task`: a place step's against its object, the
+    goal's against every object a place step or a direct goal literal of
+    the task moves."""
+    found = set()
+    for variant in fixtures.VARIANTS.values():
+        fixture = variant[task]
+        places = [objs for action, objs, _ in fixture.steps if action.startswith("place")]
+        places += [objs for _, objs in fixtures.DIRECT_GOALS[task]]
+        for i, sources in fixture.step_constraints.items():
+            action, objs, _ = fixture.steps[i - 1]
+            if action.startswith("place"):
+                found.update((source, *objs) for source in sources)
+        found.update((source, *objs) for source in fixture.goal_constraints
+                     for objs in places)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("task", sorted(fixtures.MANUAL))
+def test_every_benchmark_program_is_decided_in_blocks(task):
+    """Each program of the fixtures, over a block of drops of its moved
+    object from the task's scene, leaves no drop undecided, and agrees with
+    `eval_constraint` on the world of each drop the skill and the effect
+    pass."""
+    spec, scene = load_task(task, 0)
+    restrictions = RestrictionTable(list(spec.sampler_restrictions))
+    rng = np.random.default_rng(0)
+    n = 64
+    for source, o, s in _benchmark_programs(task):
+        fn = parse_constraint(source)
+        world = W.WorldState(scene.scene, {k: v for k, v in scene.poses.items() if k != o},
+                             W.HeldItem(o, scene.pose(o)))
+        inside = scene.scene.model(s).kind == "container"
+        box = W.aabb_of(world, s)
+        spec_ = restrictions.lookup("place_inside" if inside else "place_ontop", o)
+        x = rng.uniform(box.lower[0], box.upper[0], n)
+        y = rng.uniform(box.lower[1], box.upper[1], n)
+        z = box.upper[2] + rng.uniform(*W.DEFAULT_DROP_BAND, n)
+        angles = [rng.uniform(lo, hi, n) for lo, hi in (spec_.roll, spec_.pitch, spec_.yaw)]
+        codes, settled = W.PlaceTables(world, o, s, inside).judge(x, y, z, *wrap_angles(
+            np.array(angles)))
+        holds, fails = eval_constraint_block(fn, world, o, settled, np.ones(n, bool))
+        assert (holds | fails).all(), (task, fn.name, o, s)
+        for j in np.flatnonzero(codes == W.PLACE_PASSED):
+            drop = Pose6(x[j], y[j], z[j], *(a[j] for a in angles))
+            after = W.exec_place(world, o, s, drop).new_world
+            assert eval_constraint(fn, after, step=world) == holds[j], (task, fn.name, o, j)
