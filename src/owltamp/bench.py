@@ -8,6 +8,7 @@ task, so soundness (1 - false positives / trials) falls out of the records.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -16,13 +17,13 @@ from dataclasses import asdict, dataclass, field, replace
 
 from . import detectors, solver, tasks
 from .grounding import (
-    format_action_listing, format_literal_listing, format_state_listing,
-    ground_problem,
+    FRONT_END_CACHE_SIZE, GroundedProblem, format_action_listing, format_literal_listing,
+    format_state_listing, ground_problem, pose_free,
 )
-from .model import ModelError, Value
+from .model import Literal, ModelError, State, Value
 from .oracle import OracleError, OracleParseError, OracleRequest, ScriptedOracle
 from .partial_plan import (
-    PartialPlan, PartialPlanError, transform, verify_subsequence,
+    PartialPlan, PartialPlanError, TransformedProblem, transform, verify_subsequence,
 )
 from .solver import Budgets, RestrictionTable, Solution
 
@@ -113,9 +114,42 @@ def _check_scene_objects(world, *fn_groups) -> None:
                 f"scene: {', '.join(missing)}")
 
 
+@dataclass(frozen=True, eq=False)
+class FrontEnd:
+    """A task shape's problem, grounded over its `pose_free` state (every
+    vector zero), with the literals it adds to that state and its listing."""
+
+    problem: GroundedProblem
+    effects: frozenset[Literal]
+    action_listing: str
+
+
+@functools.lru_cache(maxsize=FRONT_END_CACHE_SIZE)
+def front_end(shape: frozenset, schemas: tuple, objects: tuple) -> FrontEnd:
+    """The front end of a `pose_free` shape, kept per process."""
+    s0 = State(frozenset(Literal(pred, args) for pred, args in shape))
+    problem = ground_problem(s0, list(schemas), list(objects))
+    return FrontEnd(problem, problem.literals - s0.true_literals,
+                    format_action_listing(problem))
+
+
+@functools.lru_cache(maxsize=FRONT_END_CACHE_SIZE)
+def transformed(front: FrontEnd, pp: PartialPlan) -> TransformedProblem:
+    """The front end's problem transformed by the partial plan, kept per
+    process.  Goal literals name objects only (`_direct_goal_literals`), so
+    whether they are reachable does not depend on poses either."""
+    return transform(front.problem, pp)
+
+
 def run_cell(task_id: str, seed: int, mode: str, budgets: Budgets,
              oracle=None) -> RunRecord:
-    """Execute one benchmark cell and judge it independently."""
+    """Execute one benchmark cell and judge it independently.
+
+    Cells share, per process, their task shape's grounding, action listing,
+    transform and A* plan, keyed on s0 with its vectors zeroed, the schemas,
+    the objects and the parsed partial plan (see `grounding` for why poses
+    cannot change a plan).  A cell binds its own s0, and formats the
+    listings that print its poses only for an oracle that reads them."""
     if mode not in MODE_TABLE:
         raise ValueError(f"unknown mode {mode!r}")
     config = MODE_TABLE[mode]
@@ -126,14 +160,15 @@ def run_cell(task_id: str, seed: int, mode: str, budgets: Budgets,
     spec, world0 = tasks.load_task(task_id, seed)
     domain = tasks.default_domain()
     s0 = tasks.initial_state(domain, world0)
-    objects = [*spec.objects, tasks.TABLE]
-    problem = ground_problem(s0, tasks.bench_schemas(domain), objects)
+    front = front_end(pose_free(s0), tuple(tasks.bench_schemas(domain)),
+                      (*spec.objects, tasks.TABLE))
+    problem = replace(front.problem, literals=s0.true_literals | front.effects, s0=s0)
+    literal_listing = functools.cache(lambda: format_literal_listing(problem))
+    scene_summary = functools.cache(lambda: format_state_listing(s0))
 
-    base_req = OracleRequest(
-        kind="", task_id=task_id, goal_text=spec.goal_text,
-        action_listing=format_action_listing(problem),
-        literal_listing=format_literal_listing(problem),
-        scene_summary=format_state_listing(s0))
+    def request(kind: str, **fields) -> OracleRequest:
+        return OracleRequest(kind, task_id, spec.goal_text, front.action_listing,
+                             literal_listing, scene_summary, **fields)
 
     def fail_record(reason: str) -> RunRecord:
         wall = time.perf_counter() - t_start
@@ -146,29 +181,27 @@ def run_cell(task_id: str, seed: int, mode: str, budgets: Budgets,
     step_cons: dict[int, tuple] = {}
     try:
         if config.use_partial_plan:
-            pp = oracle.propose_partial_plan(replace(base_req, kind="partial_plan"))
+            pp = oracle.propose_partial_plan(request("partial_plan"))
         if config.direct_goal:
-            specs_ = oracle.translate_goal_direct(
-                replace(base_req, kind="goal_literals"))
+            specs_ = oracle.translate_goal_direct(request("goal_literals"))
             pp = PartialPlan((), _direct_goal_literals(domain, specs_))
         if config.use_constraints:
-            goal_fns = tuple(oracle.propose_goal_constraints(
-                replace(base_req, kind="goal_constraints")))
+            goal_fns = tuple(oracle.propose_goal_constraints(request("goal_constraints")))
             for i, step in enumerate(pp.steps, start=1):
                 schema = domain.schemas.get(step.action.lower())
                 if schema is None or schema.description_param is None:
                     continue  # steps without language-dependent constraints are skipped
-                fns = oracle.propose_action_constraints(replace(
-                    base_req, kind="action_constraints", step_index=i, step=step,
+                fns = oracle.propose_action_constraints(request(
+                    "action_constraints", step_index=i, step=step,
                     prior_goal_sources=tuple(f.source_text for f in goal_fns)))
                 step_cons[i] = tuple(fns)
             _check_scene_objects(world0, goal_fns, *step_cons.values())
-        transformed = transform(problem, pp)
+        shaped = transformed(front, pp)
     except (OracleError, PartialPlanError) as e:
         return fail_record(f"oracle:{type(e).__name__}:{e}")
 
     restrictions = RestrictionTable(list(spec.sampler_restrictions))
-    result = solver.solve(world0, transformed, domain, step_cons, goal_fns,
+    result = solver.solve(world0, replace(shaped, s0=s0), domain, step_cons, goal_fns,
                           budgets, seed, restrictions)
     wall = time.perf_counter() - t_start
 

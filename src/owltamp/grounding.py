@@ -18,6 +18,14 @@ mask, and the listing shown to the oracle stringifies only s0's literals,
 since the candidate set keeps the rows of the effects.  The action listing
 and `GroundedProblem.find_action` read each candidate's line and the
 case-folded signature lookup that the candidate set keeps as well.
+
+Schemas name no vector and continuous action arguments are placeholders,
+so no match reads a pose's value, and A* pops ties in push order over
+actions sorted by `discrete_signature()`: grounding and search see s0 only
+through its shape (`pose_free`).  Per process, `bench.front_end` keeps a
+grounding and action listing per shape, schemas and objects,
+`bench.transformed` a transformed problem per grounding and partial plan,
+and `solver.solve` an A* plan per transformed problem and object models.
 """
 
 from __future__ import annotations
@@ -28,13 +36,26 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .model import (
-    ActionSchema, GroundAction, Literal, LiteralIndex, SemanticType, State,
+    ActionSchema, GroundAction, Literal, LiteralIndex, SemanticType, State, Value,
     bind_placeholders, literal_holds,
 )
 
 # Candidate sets kept by `candidate_set`.  The benchmark's ten tasks have one
 # each, 2.8 MB together under tracemalloc.
 CANDIDATE_CACHE_SIZE = 16
+# Entries of each front-end cache (the nine-mode grid fills 10, 23 and 23).
+FRONT_END_CACHE_SIZE = 64
+
+
+_zeros = functools.cache(lambda n: Value.vec((0.0,) * n))
+
+
+def pose_free(state: State) -> frozenset[tuple]:
+    """The state's literals as (predicate, arguments) pairs with every
+    vector argument, a scene's AtPose and AtConf values, zeroed."""
+    return frozenset([(lit.predicate, tuple([_zeros(len(a.payload)) if a.kind == "vec" else a
+                                             for a in lit.args]))
+                      for lit in state.true_literals])
 
 
 def signature_key(signature: tuple[str, ...]) -> tuple[str, ...]:

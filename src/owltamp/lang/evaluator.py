@@ -40,7 +40,7 @@ import numpy as np
 from ..geometry import Pose6
 from ..world import (
     CONTACT_TOL, FLOOR_THICKNESS, MARGIN, ObjectHeldError, WorldError, WorldState,
-    aabb_of, interior_box,
+    aabb_of,
 )
 from .ast import (
     POSE_FIELDS, Abs, Arith, BoolLit, BoolOp, Call, Compare, ConstraintFn, Expr,
@@ -420,14 +420,8 @@ class _Block:
         return self.height if name == self.name else _half_height(self.world, name)
 
     def floor(self, name: str):
-        """`modify_bounds_inside`'s floor: the interior's, which is the
-        hull's bottom raised by FLOOR_THICKNESS, as is the fallback."""
-        if name == self.name:
-            return self.lower[Z] + FLOOR_THICKNESS
-        try:
-            return interior_box(self.world, name).lower[Z]
-        except WorldError:
-            return aabb_of(self.world, name).lower[Z] + FLOOR_THICKNESS
+        """`modify_bounds_inside`'s floor."""
+        return self.box(name)[0][Z] + FLOOR_THICKNESS
 
 
 def _footprint(b, lo, up) -> _Bounds:

@@ -9,8 +9,8 @@ Directional convention: +x points away from the robot, so "behind" an object
 means larger x and "in front" smaller x; "left" means smaller y, "right"
 larger y.  Scene files share this convention.
 
-A helper reads nothing of a world but `w.scene` and the `w.pose`, `aabb_of`
-and `interior_box` of the objects it is given: never `w.poses`, the hand,
+A helper reads nothing of a world but `w.scene` and the `w.pose` and
+`aabb_of` of the objects it is given: never `w.poses`, the hand,
 `contents` or a whole-world table.  A skill's new world keeps the step
 world's `Pose6` objects, and inherited hulls, of every object it did not
 move (the placed object and its riders are new or absent, and a held object
@@ -24,9 +24,7 @@ from __future__ import annotations
 import math
 
 from ..geometry import Pose6, rotated_half_extents
-from ..world import (
-    CONTACT_TOL, FLOOR_THICKNESS, WorldError, WorldState, aabb_of, interior_box,
-)
+from ..world import CONTACT_TOL, FLOOR_THICKNESS, WorldError, WorldState, aabb_of
 from .ast import BoundsBox, InfeasibleBoundsError
 
 VERTICAL_BAND = 0.5     # how far above/below counts for the above/below helpers
@@ -141,12 +139,8 @@ def modify_bounds_inside(w: WorldState, b: BoundsBox, *args: str) -> BoundsBox:
     """
     if not args or len(args) > 2:
         raise InfeasibleBoundsError("inside expects one or two object arguments")
-    container = args[-1]
-    box = aabb_of(w, container)
-    try:
-        floor = interior_box(w, container).lower[Z]
-    except WorldError:
-        floor = box.lower[Z] + FLOOR_THICKNESS
+    box = aabb_of(w, args[-1])
+    floor = box.lower[Z] + FLOOR_THICKNESS  # a container's `interior_box` floor
     return _clamp_footprint(b, box).clamp_axis(Z, floor, box.upper[Z])
 
 

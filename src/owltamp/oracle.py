@@ -42,14 +42,31 @@ class OracleServiceError(OracleError):
     pass
 
 
+class _Deferred:
+    """A text field that also takes a function of no arguments, called on
+    each read, so that a listing is formatted only for oracles that read it."""
+
+    def __set_name__(self, owner, name):
+        self.slot = "_" + name
+
+    def __get__(self, req, owner=None):
+        if req is None:
+            return ""  # the field's default
+        text = req.__dict__[self.slot]
+        return text() if callable(text) else text
+
+    def __set__(self, req, text):
+        req.__dict__[self.slot] = text
+
+
 @dataclass(frozen=True)
 class OracleRequest:
     kind: str  # partial_plan | goal_constraints | action_constraints | goal_literals
     task_id: str
     goal_text: str
     action_listing: str = ""
-    literal_listing: str = ""
-    scene_summary: str = ""
+    literal_listing: str = _Deferred()
+    scene_summary: str = _Deferred()
     step_index: int = 0
     step: PlanStep | None = None
     prior_goal_sources: tuple[str, ...] = ()

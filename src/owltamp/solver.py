@@ -44,12 +44,13 @@ import itertools
 import math
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
 from . import world as W
 from .geometry import Pose6, wrap_angle, wrap_angles
+from .grounding import FRONT_END_CACHE_SIZE, pose_free
 from .lang import ConstraintFn, eval_constraint, eval_constraint_block
 from .model import GroundAction, Literal, LiteralIndex, State, Value, bind_placeholders
 # Unused here since A* searches over bitmasks; bound so that the benchmark's
@@ -851,6 +852,27 @@ def planning_set(scene: W.WorldState, problem: TransformedProblem) -> tuple[Grou
     return tuple(out)
 
 
+@lru_cache(maxsize=FRONT_END_CACHE_SIZE)
+def _plan_slot(*key) -> list:
+    """Empty until `_initial_plan` fills it with the actions, held so that
+    their id in the key stays theirs, and the plan or A*'s reason."""
+    return []
+
+
+def _initial_plan(scene: W.WorldState, problem: TransformedProblem) -> tuple | str:
+    """A* over the planning set, or the reason it gave up, kept per actions
+    (by identity), goal, steps, s0 shape and object models."""
+    slot = _plan_slot(id(problem.actions), problem.goal, problem.step_actions, problem.plan,
+                      pose_free(problem.s0), scene.scene.table, *scene.scene.models.values())
+    if not slot:
+        try:
+            found = tuple(plan_task(problem.s0, planning_set(scene, problem), problem.goal))
+        except PlanningError as e:
+            found = e.reason
+        slot += (problem.actions, found)
+    return slot[1]
+
+
 def solve(scene: W.WorldState, problem: TransformedProblem, domain,
           step_constraints: dict[int, tuple[ConstraintFn, ...]],
           goal_fns: tuple[ConstraintFn, ...], budgets: Budgets, seed: int,
@@ -859,10 +881,9 @@ def solve(scene: W.WorldState, problem: TransformedProblem, domain,
     samples_total = 0
     tried = 0
 
-    try:
-        plan = plan_task(problem.s0, planning_set(scene, problem), problem.goal)
-    except PlanningError as e:
-        return Infeasible(e.reason, 0, 0)
+    plan = _initial_plan(scene, problem)
+    if isinstance(plan, str):
+        return Infeasible(plan, 0, 0)
 
     queue: list[Skeleton] = [_skeleton_from_plan(plan, step_constraints)]
     failure_reason = "backtrack-budget-exhausted"

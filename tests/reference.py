@@ -11,6 +11,8 @@ reference:
   search replaced;
 - `reference_candidates` and `reference_ground_actions`, grounding as one
   uncached run;
+- `reference_front_end`, a cell's grounding, listings, transform and A*
+  plan built afresh for the cell, as before the per-shape front-end cache;
 - `rotation_matrix`, the rotation that box hulls are checked against.
 
 `cell` runs one benchmark cell through the shipped solver, or with some of
@@ -24,6 +26,7 @@ import functools
 import heapq
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,7 +34,9 @@ import pytest
 from owltamp import bench, grounding, solver, tasks
 from owltamp.fixtures import MANUAL
 from owltamp.geometry import Pose6
-from owltamp.grounding import ground_problem
+from owltamp.grounding import (
+    format_action_listing, format_literal_listing, format_state_listing, ground_problem,
+)
 from owltamp.lang import EvalError, LangError, UnboundObjectError, parse_constraint
 from owltamp.lang.ast import (
     Abs, Arith, BoolLit, BoolOp, Call, Compare, InfeasibleBoundsError,
@@ -42,8 +47,10 @@ from owltamp.model import (
     LiteralIndex, SemanticType, State, Value, apply, applicable, bind_placeholders,
     instantiate, literal_holds, load_default_domain,
 )
-from owltamp.oracle import parse_constraint_response
-from owltamp.partial_plan import PartialPlan, PlanStep, transform
+from owltamp.oracle import (
+    OracleError, OracleRequest, ScriptedOracle, parse_constraint_response,
+)
+from owltamp.partial_plan import PartialPlan, PartialPlanError, PlanStep, transform
 from owltamp.solver import (
     SKILLS, Budgets, DrawStream, PlanningError, RefinementFailure, RestrictionTable,
     Skeleton, Solution, _constraints_pass,
@@ -330,6 +337,51 @@ def reachable_literals(s0, actions):
     """The initial state's literals and every positive effect of `actions`."""
     return s0.true_literals.union(
         eff for a in actions for eff in a.eff if eff.positive)
+
+
+# --- Front end ---------------------------------------------------------------------
+
+def clear_front_end():
+    """Empty every per-process front-end cache."""
+    bench.front_end.cache_clear()
+    bench.transformed.cache_clear()
+    solver._plan_slot.cache_clear()
+
+
+def reference_front_end(task_id, seed, mode, oracle=None):
+    """A cell's front end built for that cell alone, as `bench.run_cell`
+    built it before the front-end cache: the grounded actions and literals,
+    the three listings, the transformed actions, goal and steps, the
+    planning set, and the outcome: the A* plan, the reason A* gave up, or
+    the cell's `oracle:` failure reason.  Keys a stage never reached are
+    absent."""
+    config = bench.MODE_TABLE[mode]
+    oracle = oracle or ScriptedOracle(config.variant)
+    spec, world, domain, problem = build(task_id, seed)
+    req = OracleRequest(kind="", task_id=task_id, goal_text=spec.goal_text,
+                        action_listing=format_action_listing(problem),
+                        literal_listing=format_literal_listing(problem),
+                        scene_summary=format_state_listing(problem.s0))
+    out = {"actions": problem.actions, "literals": problem.literals,
+           "listings": (req.action_listing, req.literal_listing, req.scene_summary)}
+    pp = PartialPlan(())
+    try:
+        if config.use_partial_plan:
+            pp = oracle.propose_partial_plan(replace(req, kind="partial_plan"))
+        if config.direct_goal:
+            specs = oracle.translate_goal_direct(replace(req, kind="goal_literals"))
+            pp = PartialPlan((), bench._direct_goal_literals(domain, specs))
+        t = transform(problem, pp)
+    except (OracleError, PartialPlanError) as e:
+        out["outcome"] = f"oracle:{type(e).__name__}:{e}"
+        return out
+    out["transformed"] = (t.s0, t.actions, t.goal, t.step_actions)
+    out["planning_set"] = solver.planning_set(world, t)
+    try:
+        out["outcome"] = tuple(reference_plan_task(t.s0, out["planning_set"], t.goal))
+    except PlanningError as e:
+        out["outcome"] = e.reason
+    return out
 
 
 # --- Whole cells -------------------------------------------------------------------

@@ -18,7 +18,9 @@ from owltamp.lang import (
     BoundsBox, InfeasibleBoundsError, default_bounds, sample_pose_uniform,
 )
 from owltamp.lang import helpers as H
-from owltamp.world import FLOOR_THICKNESS, ObjectModel, Scene, WorldState, aabb_of
+from owltamp.world import (
+    FLOOR_THICKNESS, ObjectModel, Scene, WorldState, aabb_of, interior_box,
+)
 
 N_SCENES = 20
 N_SAMPLES = 1000
@@ -344,7 +346,7 @@ def test_emptied_clamp_raises():
         b.with_axis(0, 0.5, 0.4)
 
 
-# --- Fallbacks catch world errors only ---------------------------------------------
+# --- The inside helper's floor -------------------------------------------------------
 
 def _crate_world():
     models = {
@@ -362,10 +364,14 @@ def test_inside_a_non_container_falls_back_to_the_box_floor():
     assert out.lower[2] == aabb_of(w, "crate").lower[2] + FLOOR_THICKNESS
 
 
-def test_a_fault_in_interior_box_escapes_the_inside_helper(monkeypatch):
-    def broken(w, name):
-        raise RuntimeError("table fault")
-    monkeypatch.setattr(H, "interior_box", broken)
-    w = _crate_world()
-    with pytest.raises(RuntimeError):
-        H.modify_bounds_inside(w, default_bounds(w), "crate")
+
+def test_inside_a_container_reaches_down_to_its_interior_floor():
+    models = {
+        "table_surface": ObjectModel("table_surface", (0.5, 0.5, 0.01), "surface"),
+        "mug": ObjectModel("mug", (0.045, 0.045, 0.05), "container"),
+    }
+    w = WorldState(Scene(models, tasks.WORKSPACE),
+                   {"table_surface": Pose6(0.5, 0.0, -0.01),
+                    "mug": Pose6(0.5, 0.1, 0.05, yaw=0.7)})
+    out = H.modify_bounds_inside(w, default_bounds(w), "mug")
+    assert out.lower[2] == interior_box(w, "mug").lower[2]
