@@ -52,10 +52,15 @@ _zeros = functools.cache(lambda n: Value.vec((0.0,) * n))
 
 def pose_free(state: State) -> frozenset[tuple]:
     """The state's literals as (predicate, arguments) pairs with every
-    vector argument, a scene's AtPose and AtConf values, zeroed."""
-    return frozenset([(lit.predicate, tuple([_zeros(len(a.payload)) if a.kind == "vec" else a
-                                             for a in lit.args]))
-                      for lit in state.true_literals])
+    vector argument, a scene's AtPose and AtConf values, zeroed.  Kept on
+    the state, whose front end and initial plan are both keyed on it."""
+    shape = state.__dict__.get("_pose_free")
+    if shape is None:
+        shape = frozenset([(lit.predicate, tuple([_zeros(len(a.payload)) if a.kind == "vec"
+                                                  else a for a in lit.args]))
+                           for lit in state.true_literals])
+        object.__setattr__(state, "_pose_free", shape)
+    return shape
 
 
 def signature_key(signature: tuple[str, ...]) -> tuple[str, ...]:

@@ -20,11 +20,12 @@ many checks over one literal universe (A* search and the relaxed grounding
 fixpoint) compile them to int bitmasks: `LiteralIndex.mask` gives the bits
 of the members that unify with a literal, by the rule `holds` applies.
 `Value`, `Predicate` and `Literal` are hashed on every set and dict
-operation of the search, so each computes its hash once, into a slot, from
-the same field tuple the generated hash would use; slots also keep these
-many small objects smaller than plain dataclass instances.  String hashes
-differ between processes, so these classes pickle by their fields and
-rehash on load.
+operation of the search, and `ActionSchema` in every cell's front-end key,
+so each computes its hash once, from the same field tuple the generated
+hash would use; the first three keep it in a slot, and slots also keep
+these many small objects smaller than plain dataclass instances.  String
+hashes differ between processes, so these classes pickle by their fields
+and rehash on load.
 """
 
 from __future__ import annotations
@@ -323,6 +324,14 @@ class ActionSchema:
     pre: tuple[SchemaLiteral, ...]
     eff: tuple[SchemaLiteral, ...]
     nl_description_template: str = ""
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return ActionSchema, (self.name, self.params, self.con, self.pre, self.eff,
+                              self.nl_description_template)
 
     def __post_init__(self):
         names = [p.name for p in self.params]
@@ -342,6 +351,8 @@ class ActionSchema:
             if uses != 1:
                 raise ModelError(
                     f"{self.name}: description parameter must appear exactly once in con")
+        object.__setattr__(self, "_hash", hash((self.name, self.params, self.con, self.pre,
+                                                self.eff, self.nl_description_template)))
 
     def param_type(self, name: str) -> SemanticType:
         for p in self.params:

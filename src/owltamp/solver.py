@@ -15,22 +15,25 @@ bands, checks its precondition and builds a table of `(lo, hi - lo)` per
 double, and every draw of the step reads a fixed count of doubles from the
 `refine` call's one `DrawStream` and decodes them with `lo + span * u`, in
 one function (`_decode`).  The stream hands out the skeleton generator's own
-doubles from a buffer and rewinds the generator over the unread ones when
-`refine` returns, so the values, the errors and the stream backtracking
-reads next are those of unbuffered `Generator.uniform` calls.
+doubles from a numpy buffer, filled by whole blocks in one read, and rewinds
+the generator over the unread ones when `refine` returns, so the values,
+the errors and the stream backtracking reads next are those of unbuffered
+`Generator.uniform` calls.
 
 A skill may also prepare a screen, which `refine` runs before each draw: it
 peeks at the doubles the next draws would read, decodes them as the draw
 does, and skips those the draw would reject, each counted as one sample
 with the reason the draw would give, so refused draws build no pose and run
-no skill.  Pick's screen runs `world.pick_rejection` on the grasp decoded
-from five of a draw's six doubles.  Place's screen judges blocks of drops in
-numpy: `exec_place`'s checks and the effect (`world.PlaceTables`), then the
-step's programs and, on the last step, the goal's, on the columns of the
-poses and hulls the drops settle at (`lang.eval_constraint_block`).  Each
-comparison within `world.MARGIN` of its threshold leaves its drop
-undecided.  It stops at the first drop it cannot reject, which the draw
-then runs.  The
+no skill.  Screens judge blocks of draws in numpy (`_decode_block` over a
+view of the stream), of DRAW_BLOCK draws and then, after a block that
+rejects every draw, twice as many, up to LAST_BLOCK.  Pick's screen judges
+its first PICK_SCALAR draws one at a time, by `world.pick_refusals`, the
+skill's own exact rule over floats or columns.  Place's screen judges
+`exec_place`'s checks and the effect (`world.PlaceTables`), then the step's
+programs and, on the last step, the goal's, on the columns of the poses and
+hulls the drops settle at (`lang.eval_constraint_block`); a comparison
+within `world.MARGIN` of its threshold leaves its drop undecided.  A screen
+stops at the first draw it cannot reject, which the draw then runs.  The
 screens decline where the draw path must decide (pick with a full hand;
 place with an `avoid_xy` hint, whose loop reads a varying count of doubles,
 or with riders; a band `uniform` would refuse), and everything refine
@@ -260,18 +263,20 @@ class SamplerSpec:
         return SamplerSpec(band("roll"), band("pitch"), band("yaw"))
 
 
-# Doubles a DrawStream reads from its generator at a time.
+# Doubles a DrawStream reads from its generator at a time, in whole
+# multiples; also the draws of each screen call's first block.
 DRAW_BLOCK = 64
 
 
 class DrawStream:
     """The doubles of a PCG64 generator, read in blocks.
 
-    `read(n)` hands out the generator's next n doubles, `peek(n)` shows them
-    without consuming them and `skip(n)` consumes them unused.  `close()`
-    rewinds the generator over the doubles read from it but not handed out;
-    after it the generator is where unbuffered `random()` calls would have
-    left it.  While a stream is open, read the generator through it only.
+    `read(n)` hands out the generator's next n doubles as floats, `peek(n)`
+    shows them as an array view without consuming them and `skip(n)`
+    consumes them unused.  `close()` rewinds the generator over the doubles
+    read from it but not handed out; after it the generator is where
+    unbuffered `random()` calls would have left it.  While a stream is open,
+    read the generator through it only.
     """
 
     def __init__(self, rng: np.random.Generator):
@@ -279,40 +284,43 @@ class DrawStream:
             raise TypeError("DrawStream rewinds with PCG64.advance; got a "
                             f"{type(rng.bit_generator).__name__} generator")
         self._rng = rng
-        self._block: list[float] = []    # unread doubles, the next one last
+        self._doubles = np.empty(0)     # read from the generator
+        self._at = 0                    # index of the next unread one
 
-    def _fill(self, n: int) -> list[float]:
-        """The unread doubles, topped up by whole blocks to at least n."""
-        block = self._block
-        while len(block) < n:
-            block = self._rng.random(DRAW_BLOCK)[::-1].tolist() + block
-        self._block = block
-        return block
+    def _next(self, n: int) -> int:
+        """The index of the next unread double, once at least n are unread:
+        a shortfall is read in one call, rounded up to whole blocks."""
+        at = self._at
+        if len(self._doubles) - at < n:
+            unread = self._doubles[at:]
+            more = -(-(n - len(unread)) // DRAW_BLOCK) * DRAW_BLOCK
+            self._doubles, self._at = np.concatenate((unread, self._rng.random(more))), 0
+            at = 0
+        return at
 
-    def peek(self, n: int) -> list[float]:
-        """The next n doubles, the next one first, without consuming them."""
-        block = self._block if len(self._block) >= n else self._fill(n)
-        return block[:-n - 1:-1]
+    def peek(self, n: int) -> np.ndarray:
+        """The next n doubles, without consuming them."""
+        at = self._next(n)
+        return self._doubles[at:at + n]
 
     def skip(self, n: int) -> None:
         """Consume the next n doubles unused."""
-        block = self._block if len(self._block) >= n else self._fill(n)
-        del block[len(block) - n:]
+        self._at = self._next(n) + n
 
     def read(self, n: int) -> list[float]:
-        """Consume the next n doubles, the next one first."""
-        block = self._block if len(self._block) >= n else self._fill(n)
-        doubles = block[:-n - 1:-1]
-        del block[len(block) - n:]
-        return doubles
+        """Consume the next n doubles."""
+        at = self._next(n)
+        self._at = at + n
+        return self._doubles[at:at + n].tolist()
 
     def close(self) -> None:
         """Step the generator back over the unread doubles, one PCG64 step
         each.  `advance` also drops the generator's buffered uint32, so
         close a stream only where no uint32 draw came before its doubles."""
-        if self._block:
-            self._rng.bit_generator.advance((1 << 128) - len(self._block))
-            self._block = []
+        unread = len(self._doubles) - self._at
+        if unread:
+            self._rng.bit_generator.advance((1 << 128) - unread)
+        self._doubles, self._at = np.empty(0), 0
 
 
 def _band_table(*bands: tuple[float, float]):
@@ -334,6 +342,14 @@ def _decode(spans, doubles) -> list[float]:
     """`lo + span * u` for each `(lo, span)` and double `u`: the value
     `Generator.uniform(lo, lo + span)` computes from `u`."""
     return [lo + span * u for (lo, span), u in zip(spans, doubles)]
+
+
+def _decode_block(spans, doubles: np.ndarray) -> np.ndarray:
+    """`_decode` over a block, in the same float operations: `doubles` is
+    an (n, k) view of n draws' doubles, and each of up to k `(lo, span)`
+    gives one row of n values."""
+    lo, span = np.array(spans).T[..., None]
+    return lo + span * doubles.T[:len(spans)]
 
 
 def _read(draws: DrawStream, table) -> list[float]:
@@ -399,14 +415,44 @@ class RestrictionTable:
 # draws that the skill, the effect or the programs would reject, each with
 # the doubles the draw would have read, and returns how many it skipped and
 # the reason of the last.  Pick's screen checks the skill's own rule; place's
-# checks all three on blocks of up to DRAW_BLOCK drops, once the step's first
-# PLACE_UNSCREENED draws have run, and declines on an `avoid_xy` hint, riders
-# and a refused band.  A re-run executes a bound action again from its
-# parameter values.
+# checks all three, once the step's first PLACE_UNSCREENED draws have run,
+# and declines on an `avoid_xy` hint, riders and a refused band.  A re-run
+# executes a bound action again from its parameter values.
+
+# The most draws a screen judges in one block.
+LAST_BLOCK = 512
+
+
+def _skip_blocks(draws: DrawStream, spans, limit: int, judge,
+                 reasons) -> tuple[int, str | None]:
+    """Skips the leading draws of up to `limit` that `judge` refuses, judged
+    in blocks.  `judge` takes a block's values, decoded by `spans`, and
+    gives each draw's index in `reasons`, or a negative code for a draw
+    that the draw path must run."""
+    skipped, reason, rows = 0, None, DRAW_BLOCK
+    while skipped < limit:
+        n = min(rows, limit - skipped)
+        codes = judge(_decode_block(spans, draws.peek(6 * n).reshape(n, 6)))
+        stops = codes < 0
+        k = int(stops.argmax()) if stops.any() else n
+        if k:
+            draws.skip(6 * k)
+            skipped += k
+            reason = reasons[codes[k - 1]]
+        if k < n:
+            break
+        rows = min(2 * rows, LAST_BLOCK)
+    return skipped, reason
 
 
 def _holding(world: W.WorldState, obj: str) -> bool:
     return world.held is not None and world.held.name == obj
+
+
+# Draws a pick screen judges one at a time before its blocks: most level
+# picks accept within them, and a one-sample step (`no_sample`) judges no
+# block.
+PICK_SCALAR = 4
 
 
 def _prepare_pick(world, name, objs, draws, restrictions, hint, fns, goal_fns):
@@ -432,19 +478,28 @@ def _prepare_pick(world, name, objs, draws, restrictions, hint, fns, goal_fns):
     if world.held is not None or error is not None:
         return draw, None
     spans = spans[:5]
-    peek, skip, rejection = draws.peek, draws.skip, W.pick_rejection
+
+    def judge(values):
+        refused = np.stack(W.pick_refusals(box, world.scene.workspace, *values[:3],
+                                           *wrap_angles(values[3:])))
+        return np.where(refused.any(axis=0), refused.argmax(axis=0), -1)
 
     def screen(limit: int) -> tuple[int, str | None]:
-        """Skips the leading draws `world.pick_rejection` refuses, judged
+        """Skips the leading draws `world.pick_refusals` refuses, judged
         on the grasp position and the wrapped roll and pitch decoded from
-        the first five of each draw's six doubles."""
+        the first five of each draw's six doubles: the first PICK_SCALAR
+        through `world.pick_rejection`, the rest in blocks."""
         skipped, reason = 0, None
         while skipped < limit:
-            x, y, z, roll, pitch = _decode(spans, peek(5))
-            why = rejection(world, box, x, y, z, wrap_angle(roll), wrap_angle(pitch))
+            if skipped == PICK_SCALAR:
+                more, why = _skip_blocks(draws, spans, limit - skipped, judge,
+                                         W.PICK_REJECTIONS)
+                return skipped + more, why if more else reason
+            x, y, z, roll, pitch = _decode(spans, draws.peek(5).tolist())
+            why = W.pick_rejection(world, box, x, y, z, wrap_angle(roll), wrap_angle(pitch))
             if why is None:
                 break
-            skip(6)
+            draws.skip(6)
             skipped += 1
             reason = why
         return skipped, reason
@@ -492,9 +547,14 @@ def _prepare_place(world, name, objs, draws, restrictions, hint, fns, goal_fns, 
     if avoid is not None or world.held.riders or xy[1] is not None or rest[1] is not None:
         return draw, None
     spans = xy[0] + rest[0]
-    peek, skip = draws.peek, draws.skip
-    tables = columns = None
+    tables = None
     unscreened = PLACE_UNSCREENED
+
+    def judge(values):
+        codes, settled = tables.judge(*values[:3], *wrap_angles(values[3:]))
+        _judge_programs(codes, fns, goal_fns, world, o, settled)
+        codes[codes == W.PLACE_PASSED] = W.PLACE_UNDECIDED
+        return codes
 
     def screen(limit: int) -> tuple[int, str | None]:
         """Skips the leading drops that `world.exec_place`, the effect or
@@ -503,11 +563,10 @@ def _prepare_place(world, name, objs, draws, restrictions, hint, fns, goal_fns, 
         `eval_constraint_block` on the settled columns.  Stops at the first
         drop that is undecided or passes them all.  The step's first
         PLACE_UNSCREENED calls skip nothing."""
-        nonlocal tables, columns, unscreened
-        skipped, reason = 0, None
+        nonlocal tables, unscreened
         if unscreened:
             unscreened -= 1
-            return skipped, reason
+            return 0, None
         if tables is None:
             try:
                 tables = W.PlaceTables(world, o, s, inside)
@@ -515,25 +574,8 @@ def _prepare_place(world, name, objs, draws, restrictions, hint, fns, goal_fns, 
                 # A container's interior has collapsed: the draw path raises
                 # on it when a drop reaches it, if one does.
                 unscreened = math.inf
-                return skipped, reason
-            # The whole table as one (lo, span) pair of columns, one row per
-            # double of a drop.
-            columns = ((np.array([[lo] for lo, _ in spans]),
-                        np.array([[span] for _, span in spans])),)
-        while skipped < limit:
-            n = min(DRAW_BLOCK, limit - skipped)
-            (values,) = _decode(columns, (np.reshape(peek(6 * n), (n, 6)).T,))
-            codes, settled = tables.judge(*values[:3], *wrap_angles(values[3:]))
-            _judge_programs(codes, fns, goal_fns, world, o, settled)
-            stops = (codes == W.PLACE_UNDECIDED) | (codes == W.PLACE_PASSED)
-            k = int(stops.argmax()) if stops.any() else n
-            if k:
-                skip(6 * k)
-                skipped += k
-                reason = _PLACE_REASONS[codes[k - 1]]
-            if k < n:
-                break
-        return skipped, reason
+                return 0, None
+        return _skip_blocks(draws, spans, limit, judge, _PLACE_REASONS)
     return draw, screen
 
 

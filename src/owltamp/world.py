@@ -361,23 +361,39 @@ def _settle(w: WorldState, name: str, drop: Pose6) -> Pose6 | None:
     return drop.moved(z=height + ext[2])
 
 
-def grasp_level(angle: float) -> float:
-    """Distance of a grasp roll/pitch from a level hand (0 or pi)."""
-    return min(abs(angle), math.pi - abs(angle))
+# Why `exec_pick` refuses a grasp before it looks at any other object, in
+# the order it checks.
+PICK_REJECTIONS = ("grasp-outside-object", "unreachable", "grasp-not-level")
+
+
+def _outside(box: Aabb, x, y, z, slack: float = 0.0):
+    """Not `box.contains_point((x, y, z), slack)`, over floats or columns."""
+    (l0, l1, l2), (u0, u1, u2) = box.lower, box.upper
+    return ((x < l0 - slack) | (x > u0 + slack) | (y < l1 - slack) | (y > u1 + slack)
+            | (z < l2 - slack) | (z > u2 + slack))
+
+
+def pick_refusals(box: Aabb, workspace: Aabb, x, y, z, roll, pitch) -> tuple:
+    """Whether each check of PICK_REJECTIONS refuses a grasp at (x, y, z)
+    with wrapped `roll` and `pitch` of an object whose hull is `box`: the
+    grasp within GRASP_MARGIN of the hull, in the workspace, and roll and
+    pitch within GRASP_TILT_TOL of level (0 or pi).  Takes floats, or
+    columns of grasps in numpy.  The values are finite, so `a < b` is
+    exactly `not b <= a`, and the columns get the floats' verdicts."""
+    tol = GRASP_TILT_TOL
+    return (_outside(box, x, y, z, GRASP_MARGIN), _outside(workspace, x, y, z),
+            ((abs(roll) > tol) & (math.pi - abs(roll) > tol))
+            | ((abs(pitch) > tol) & (math.pi - abs(pitch) > tol)))
 
 
 def pick_rejection(w: WorldState, box: Aabb, x: float, y: float, z: float,
                    roll: float, pitch: float) -> str | None:
-    """Why `exec_pick` refuses a grasp at (x, y, z) with wrapped `roll` and
-    `pitch` of an object whose hull is `box`, judged before any other
-    object is looked at; None when these checks pass."""
-    p = (x, y, z)
-    if not box.contains_point(p, slack=GRASP_MARGIN):
-        return "grasp-outside-object"
-    if not w.scene.workspace.contains_point(p):
-        return "unreachable"
-    if grasp_level(roll) > GRASP_TILT_TOL or grasp_level(pitch) > GRASP_TILT_TOL:
-        return "grasp-not-level"
+    """The first of PICK_REJECTIONS that `pick_refusals` finds for a grasp;
+    None when these checks pass."""
+    for reason, refused in zip(PICK_REJECTIONS,
+                               pick_refusals(box, w.scene.workspace, x, y, z, roll, pitch)):
+        if refused:
+            return reason
     return None
 
 

@@ -13,7 +13,9 @@ reference:
   uncached run;
 - `reference_front_end`, a cell's grounding, listings, transform and A*
   plan built afresh for the cell, as before the per-shape front-end cache;
-- `rotation_matrix`, the rotation that box hulls are checked against.
+- `rotation_matrix`, the rotation that box hulls are checked against;
+- `ref_pick_rejection`, the pick rule as short-circuit checks on one grasp,
+  before it was written once for floats and columns.
 
 `cell` runs one benchmark cell through the shipped solver, or with some of
 its functions replaced by their references; `assert_cells_agree` compares
@@ -56,7 +58,9 @@ from owltamp.solver import (
     Skeleton, Solution, _constraints_pass,
 )
 from owltamp.tasks import TABLE, WORKSPACE, bench_schemas, initial_state, load_task
-from owltamp.world import ObjectHeldError, ObjectModel, Scene, WorldState
+from owltamp.world import (
+    GRASP_MARGIN, GRASP_TILT_TOL, ObjectHeldError, ObjectModel, Scene, WorldState,
+)
 
 BUDGETS = Budgets(500, 5)
 DOMAIN = load_default_domain()
@@ -75,6 +79,20 @@ def rotation_matrix(roll: float, pitch: float, yaw: float) -> np.ndarray:
     ry = np.array([[cp, 0, sp], [0, 1, 0], [-sp, 0, cp]])
     rz = np.array([[cy, -sy, 0], [sy, cy, 0], [0, 0, 1]])
     return rz @ ry @ rx
+
+
+def ref_pick_rejection(workspace, box, x, y, z, roll, pitch):
+    """Why `exec_pick` refuses a grasp at (x, y, z) with wrapped `roll` and
+    `pitch` of an object whose hull is `box`, before it looks at any other
+    object; None when these checks pass."""
+    p = (x, y, z)
+    if not box.contains_point(p, slack=GRASP_MARGIN):
+        return "grasp-outside-object"
+    if not workspace.contains_point(p):
+        return "unreachable"
+    if max(min(abs(a), math.pi - abs(a)) for a in (roll, pitch)) > GRASP_TILT_TOL:
+        return "grasp-not-level"
+    return None
 
 
 # --- Refinement ----------------------------------------------------------------
@@ -144,6 +162,19 @@ def refine_outcome(loop, sk, world, budget, seed, restrictions, goal_fns=()):
     except Exception as err:  # noqa: BLE001 - the type is compared
         result = type(err)
     return result, rng.bit_generator.state
+
+
+def block_edges(start, budget=500):
+    """The draw counts a row either side of where each of a screen's blocks
+    starts, up to `budget`, for a screen whose first block starts at draw
+    `start`: limits and runs of refused draws that end there cross the
+    screen's scalar lead-in and each growth of its blocks."""
+    edges, rows, at = [], solver.DRAW_BLOCK, start
+    while at < budget:
+        edges += [at - 1, at, at + 1]
+        at += rows
+        rows = min(2 * rows, solver.LAST_BLOCK)
+    return edges
 
 
 # --- Constraint programs ---------------------------------------------------------

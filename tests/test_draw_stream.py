@@ -71,9 +71,12 @@ def test_stream_equals_the_generator(seed, segments):
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
-# Reads, peeks and skips, with counts that cross the block boundary.
-OPS = st.lists(st.tuples(st.sampled_from(["read", "peek", "skip"]),
-                         st.integers(0, 2 * solver.DRAW_BLOCK + 3)), max_size=40)
+# Reads, peeks and skips, with counts that cross the block boundary, and
+# peeks as large as a screen's largest block of six-double draws.
+OPS = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["read", "peek", "skip"]),
+              st.integers(0, 2 * solver.DRAW_BLOCK + 3)),
+    st.tuples(st.just("peek"), st.integers(0, 6 * solver.LAST_BLOCK))), max_size=40)
 
 
 @settings(max_examples=150, deadline=None)
@@ -84,17 +87,34 @@ def test_peek_and_skip_follow_the_generator(seed, segments):
     for ops in segments:
         for op, n in ops:
             if op == "read":
-                assert draws.read(n) == ref.random(n).tolist()
+                got = draws.read(n)
+                assert got == ref.random(n).tolist()
+                # `Pose6` and `Value` see the types of unbuffered draws.
+                assert all(type(v) is float for v in got)
             elif op == "peek":
                 state = ref.bit_generator.state
                 want = ref.random(n).tolist()
                 ref.bit_generator.state = state
-                assert draws.peek(n) == want
+                assert draws.peek(n).tolist() == want
             else:
                 draws.skip(n)
                 ref.random(n)
         draws.close()
         assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_close_rewinds_after_the_largest_fill():
+    # A screen's largest block reads whole blocks past what it skips.
+    largest = 6 * solver.LAST_BLOCK
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    draws = DrawStream(rng)
+    draws.read(7)
+    assert draws.peek(largest).tolist() == ref.random(7 + largest)[7:].tolist()
+    draws.skip(largest - 1)
+    draws.close()
+    ref = np.random.default_rng(5)
+    ref.random(largest + 6)
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 @pytest.mark.parametrize("bitgen", [np.random.MT19937, np.random.Philox,

@@ -29,12 +29,12 @@ from owltamp.lang import (
 )
 from owltamp.lang.ast import Arith, Num, PoseAttr
 from owltamp.solver import (
-    PLACE_UNSCREENED, SKILLS, Budgets, DrawStream, RestrictionTable, Skeleton,
+    PLACE_UNSCREENED, SKILLS, Budgets, DrawStream, RestrictionTable, Skeleton, Solution,
     _constraints_pass, refine,
 )
 from owltamp.tasks import WORKSPACE, load_task
 
-from reference import LEVEL, program, ref_refine, refine_outcome, skeleton
+from reference import LEVEL, block_edges, program, ref_refine, refine_outcome, skeleton
 
 TARGETS = {"table_surface": (0.5, 0.0), "plate": (0.5, 0.25), "bowl": (0.5, -0.25)}
 REJECTIONS = {*W.PLACE_REJECTIONS, "constraint-unsatisfied", "goal-constraint-unsatisfied"}
@@ -74,7 +74,7 @@ def _step(world, target, inside):
 def _stream(doubles, seed=0):
     """A stream whose next doubles are `doubles`, then the generator's."""
     draws = DrawStream(np.random.default_rng(seed))
-    draws._block = list(reversed(doubles))
+    draws._doubles = np.array(doubles, dtype=float)
     return draws
 
 
@@ -301,14 +301,19 @@ def test_every_skipped_drop_is_one_the_scalar_path_rejects(case):
         assert reason == (verdicts[start + skipped - 1] if skipped else None)
         # The screen consumed the skipped drops' doubles and no others, so
         # the draw reads the next drop's.
-        assert draws.peek(len(rest) - 6 * skipped) == rest[6 * skipped:]
+        assert draws.peek(len(rest) - 6 * skipped).tolist() == rest[6 * skipped:]
         if skipped < limit:
             draw()
-            assert draws.peek(len(rest) - 6 * skipped - 6) == rest[6 * skipped + 6:]
+            assert draws.peek(len(rest) - 6 * skipped - 6).tolist() == rest[6 * skipped + 6:]
+
+
+# Runs of drops the screen refuses that end either side of where each of its
+# blocks starts, after the step's unscreened draws.
+PLACE_RUNS = block_edges(PLACE_UNSCREENED)
 
 
 @settings(max_examples=150, deadline=None)
-@given(place_cases(), st.sampled_from([1, 4, 30, 500]), st.integers(0, 2**32 - 1))
+@given(place_cases(), st.sampled_from([1, 4, 30, 500, *PLACE_RUNS]), st.integers(0, 2**32 - 1))
 def test_a_place_step_gives_what_the_unscreened_loop_gives(case, budget, seed):
     world, target, inside, bands, fns, goal_fns, _ = case
     name, action = _step(world, target, inside)
@@ -316,6 +321,32 @@ def test_a_place_step_gives_what_the_unscreened_loop_gives(case, budget, seed):
     restrictions = RestrictionTable([{"action": name, **bands}])
     got = refine_outcome(refine, sk, world, budget, seed, restrictions, goal_fns)
     assert got == refine_outcome(ref_refine, sk, world, budget, seed, restrictions, goal_fns)
+
+
+@pytest.mark.parametrize("run", PLACE_RUNS)
+def test_place_runs_across_the_blocks_give_what_the_unscreened_loop_gives(run):
+    # Every drop of the small item onto the bare table is placed and rests on
+    # it; the program passes only the x of drop `run`, between the nearest x
+    # of the drops before it.
+    seed = 29 + run
+    world = _bare_world((0.005, 0.005, 0.005))
+    name, action = _step(world, "table_surface", False)
+    table = W.aabb_of(world, "table_surface")
+    lo, span = table.lower[0], table.upper[0] - table.lower[0]
+    x = lo + span * np.random.default_rng(seed).random(6 * run + 6)[::6]
+    below, above = x[:-1][x[:-1] < x[-1]], x[:-1][x[:-1] > x[-1]]
+    a = float((below.max() + x[-1]) / 2) if below.size else lo - 1.0
+    b = float((above.min() + x[-1]) / 2) if above.size else lo + span + 1.0
+    sk = Skeleton((action,), ((program(f"item.pose.x > {a!r} and item.pose.x < {b!r}"),),),
+                  (None,))
+    restrictions = RestrictionTable()
+    want = refine_outcome(ref_refine, sk, world, 500, seed, restrictions)[0]
+    assert isinstance(want, Solution) and want.samples_used == run + 1
+    for budget in sorted({*PLACE_RUNS, run, run + 1, 500}):
+        got = refine_outcome(refine, sk, world, budget, seed, restrictions)
+        assert got == refine_outcome(ref_refine, sk, world, budget, seed, restrictions), budget
+        if budget <= run:
+            assert (got[0].reason, got[0].samples_used) == ("constraint-unsatisfied", budget)
 
 
 # --- Where the screen declines ---------------------------------------------------
@@ -513,7 +544,7 @@ def test_a_drop_at_a_program_edge_stops_the_screen(case):
     for _ in range(PLACE_UNSCREENED):
         assert screen(2) == (0, None)
     assert screen(2) == (1, first)
-    assert draws.peek(6) == doubles[6:]
+    assert draws.peek(6).tolist() == doubles[6:]
     outcome, _ = draw()
     assert outcome.success
 

@@ -3,14 +3,17 @@
 `refine` lets a skill's screen skip the draws the draw path would reject:
 each skipped draw consumes its doubles and counts as one sample, and the
 reason of the last becomes the step's reason.  `reference.ref_refine` is the
-loop without screens: a lone pick step over any bands, budget and object box
+loop without screens: a lone pick step over any bands, budget and object box,
+and runs of refused draws that end where the pick screen's blocks start,
 must give the same result and generator state through either.  The pick
-screen judges the values `sample_grasp` would build from the same doubles;
-`test_place_screen.py` holds the place screen's cases.  Whole cells must
-give the same record, and every refine call the same result and generator
-state, through either loop.
+screen judges the values `sample_grasp` would build from the same doubles,
+one at a time and then in blocks, by one rule that must give every row of a
+block the code it gives that row alone; `test_place_screen.py` holds the
+place screen's cases.  Whole cells must give the same record, and every
+refine call the same result and generator state, through either loop.
 """
 
+import itertools
 import math
 import sys
 
@@ -20,12 +23,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from owltamp import world as W
-from owltamp.geometry import Pose6
+from owltamp.geometry import Pose6, wrap_angle, wrap_angles
 from owltamp.lang import parse_constraint
-from owltamp.solver import SKILLS, DrawStream, RefinementFailure, RestrictionTable, refine
+from owltamp.solver import (
+    PICK_SCALAR, SKILLS, DrawStream, RefinementFailure, RestrictionTable, Solution, refine,
+)
 from owltamp.tasks import WORKSPACE
 
-from reference import assert_cells_agree, ref_refine, refine_outcome, skeleton
+from reference import (
+    assert_cells_agree, block_edges, ref_pick_rejection, ref_refine, refine_outcome, skeleton,
+)
 
 
 # --- Whole cells through both loops ------------------------------------------------
@@ -84,7 +91,8 @@ def _outcome(loop, sk, world, budget, seed, bands):
 
 
 @settings(max_examples=300, deadline=None)
-@given(BAND, BAND, BAND, st.sampled_from([0, 1, 3, 500]), st.tuples(HALF, HALF, HALF),
+@given(BAND, BAND, BAND, st.sampled_from([0, 1, 3, 500, *block_edges(PICK_SCALAR)]),
+       st.tuples(HALF, HALF, HALF),
        CENTER, st.tuples(*[st.floats(-0.1, 0.1)] * 3),
        st.sampled_from(["free", "free", "hand-full", "unplaced"]), st.booleans(),
        st.integers(0, 2**32 - 1))
@@ -103,15 +111,102 @@ def test_pick_step_gives_what_the_unscreened_loop_gives(roll, pitch, yaw, budget
 
 def test_screened_picks_count_as_samples_with_their_reason():
     # Level grasps are rare under full bands: the screen skips the rest and
-    # an impossible constraint exhausts the budget on mixed reasons.
-    world = _pick_world((0.05, 0.05, 0.05), (0.5, 0.0, 0.05), (0.3, 0.3, 0.0), "free")
-    sk = skeleton(world, [("pick", {"o": "item"})], ((NEVER,),))
-    for budget in (1, 3, 500):
-        for seed in range(5):
+    # an impossible constraint exhausts the budget on mixed reasons; an item
+    # across the workspace's face is unreachable on half of its grasps.
+    budgets = sorted({1, 3, 500, *block_edges(PICK_SCALAR)})
+    for center in [(0.5, 0.0, 0.05), (1.1, 0.0, 0.05)]:
+        world = _pick_world((0.05, 0.05, 0.05), center, (0.3, 0.3, 0.0), "free")
+        sk = skeleton(world, [("pick", {"o": "item"})], ((NEVER,),))
+        for budget, seed in itertools.product(budgets, range(5)):
             got = _outcome(refine, sk, world, budget, seed, {})
             assert got == _outcome(ref_refine, sk, world, budget, seed, {})
             assert got[0].samples_used == budget
-            assert got[0].reason in ("grasp-not-level", "constraint-unsatisfied")
+            assert got[0].reason in ("grasp-not-level", "constraint-unsatisfied", "unreachable")
+
+
+# Runs of draws the pick rule refuses that end either side of where the
+# screen's lead-in ends and each of its blocks starts.
+PICK_RUNS = block_edges(PICK_SCALAR)
+
+
+def _run_world(seed, run):
+    """A world in which a pick step's draws from `seed` under level bands are
+    unreachable up to draw `run`, which is picked: the item is far taller
+    than the workspace, and only that draw's z falls inside it."""
+    z = np.random.default_rng(seed).random(6 * run + 6)[2::6]
+    span = 2.0 / min(abs(z[:-1] - z[-1]), default=1.0)
+    bottom = (WORKSPACE.lower[2] + WORKSPACE.upper[2]) / 2 - span * z[-1]
+    models = {"table_surface": W.ObjectModel("table_surface", (0.6, 0.6, 0.01), "surface"),
+              "item": W.ObjectModel("item", (0.05, 0.05, span / 2))}
+    poses = {"table_surface": Pose6(0.5, 0.0, -0.01), "item": Pose6(0.5, 0.0, bottom + span / 2)}
+    return W.WorldState(W.Scene(models, WORKSPACE), poses)
+
+
+@pytest.mark.parametrize("run", PICK_RUNS)
+def test_pick_runs_across_the_blocks_give_what_the_unscreened_loop_gives(run):
+    seed = 17 + run
+    world = _run_world(seed, run)
+    sk = skeleton(world, [("pick", {"o": "item"})], ((),))
+    level = {"roll": (0.0, 0.0), "pitch": (0.0, 0.0)}
+    want = _outcome(ref_refine, sk, world, 500, seed, level)[0]
+    assert isinstance(want, Solution) and want.samples_used == run + 1
+    for budget in sorted({*PICK_RUNS, run, run + 1, 500}):
+        got = _outcome(refine, sk, world, budget, seed, level)
+        want = _outcome(ref_refine, sk, world, budget, seed, level)
+        assert got == want, budget
+        if budget <= run:
+            assert (got[0].reason, got[0].samples_used) == ("unreachable", budget)
+
+
+# --- The pick rule over floats and over columns --------------------------------------
+
+def _ulps(value, n):
+    """`value` moved `n` ulps."""
+    for _ in range(abs(n)):
+        value = math.nextafter(value, math.copysign(math.inf, n))
+    return value
+
+
+@st.composite
+def grasp_rows(draw):
+    """An object and rows of (x, y, z, roll, pitch) at the pick rule's
+    edges, a few ulps either side: each coordinate at a face of the hull
+    ± GRASP_MARGIN or of the workspace, and roll and pitch at
+    GRASP_TILT_TOL from 0 and from ±pi, maybe turned a whole turn; or
+    anywhere."""
+    world = _pick_world(draw(st.tuples(HALF, HALF, HALF)), draw(CENTER), (0.3, 0.3, 0.0), "free")
+    box = W.aabb_of(world, "item")
+    margin, tol = W.GRASP_MARGIN, W.GRASP_TILT_TOL
+    rows = []
+    for _ in range(draw(st.integers(1, 16))):
+        row = []
+        for lo, up, wlo, wup in zip(box.lower, box.upper, WORKSPACE.lower, WORKSPACE.upper):
+            edge = draw(st.sampled_from([lo - margin, lo + margin, up - margin, up + margin,
+                                         wlo, wup, None]))
+            row.append(draw(st.floats(-1.0, 2.0)) if edge is None
+                       else _ulps(edge, draw(st.integers(-3, 3))))
+        for _ in range(2):
+            edge = draw(st.sampled_from([tol, -tol, math.pi - tol, tol - math.pi, None]))
+            row.append(draw(ANGLE) if edge is None else _ulps(edge, draw(st.integers(-3, 3)))
+                       + draw(st.sampled_from([0.0, 0.0, 2 * math.pi, -2 * math.pi])))
+        rows.append(row)
+    return world, box, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(grasp_rows())
+def test_the_pick_rule_gives_every_row_of_a_block_its_own_code(case):
+    # The angles as drawn, at the edges themselves, and wrapped as the
+    # screen and `Pose6` wrap them.
+    world, box, rows = case
+    x, y, z, *angles = np.array(rows).T
+    for wrap, wrap_column in ((lambda a: a, lambda a: a), (wrap_angle, wrap_angles)):
+        columns = W.pick_refusals(box, WORKSPACE, x, y, z, *wrap_column(np.array(angles)))
+        for i, row in enumerate(rows):
+            grasp = (*row[:3], *map(wrap, row[3:]))
+            assert tuple(bool(c[i]) for c in columns) == W.pick_refusals(box, WORKSPACE, *grasp)
+            assert W.pick_rejection(world, box, *grasp) == ref_pick_rejection(WORKSPACE, box,
+                                                                              *grasp)
 
 
 # Ordered bands whose width is not -0.0, which `uniform` accepts.
