@@ -52,8 +52,7 @@ _zeros = functools.cache(lambda n: Value.vec((0.0,) * n))
 
 def pose_free(state: State) -> frozenset[tuple]:
     """The state's literals as (predicate, arguments) pairs with every
-    vector argument, a scene's AtPose and AtConf values, zeroed.  Kept on
-    the state, whose front end and initial plan are both keyed on it."""
+    vector argument (AtPose and AtConf values) zeroed, kept on the state."""
     shape = state.__dict__.get("_pose_free")
     if shape is None:
         shape = frozenset([(lit.predicate, tuple([_zeros(len(a.payload)) if a.kind == "vec"

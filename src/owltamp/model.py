@@ -20,12 +20,11 @@ many checks over one literal universe (A* search and the relaxed grounding
 fixpoint) compile them to int bitmasks: `LiteralIndex.mask` gives the bits
 of the members that unify with a literal, by the rule `holds` applies.
 `Value`, `Predicate` and `Literal` are hashed on every set and dict
-operation of the search, and `ActionSchema` in every cell's front-end key,
-so each computes its hash once, from the same field tuple the generated
-hash would use; the first three keep it in a slot, and slots also keep
-these many small objects smaller than plain dataclass instances.  String
-hashes differ between processes, so these classes pickle by their fields
-and rehash on load.
+operation of the search, and `ActionSchema` in every cell's cache keys, so
+each computes its hash once, from the same field tuple the generated hash
+would use; slots also keep the first three small.  String hashes differ
+between processes, so these classes pickle by their fields and rehash on
+load.
 """
 
 from __future__ import annotations

@@ -15,25 +15,17 @@ bands, checks its precondition and builds a table of `(lo, hi - lo)` per
 double, and every draw of the step reads a fixed count of doubles from the
 `refine` call's one `DrawStream` and decodes them with `lo + span * u`, in
 one function (`_decode`).  The stream hands out the skeleton generator's own
-doubles from a numpy buffer, filled by whole blocks in one read, and rewinds
-the generator over the unread ones when `refine` returns, so the values,
-the errors and the stream backtracking reads next are those of unbuffered
-`Generator.uniform` calls.
+doubles from a buffer and rewinds the generator over the unread ones when
+`refine` returns, so the values, the errors and the stream backtracking
+reads next are those of unbuffered `Generator.uniform` calls.
 
 A skill may also prepare a screen, which `refine` runs before each draw: it
-peeks at the doubles the next draws would read, decodes them as the draw
-does, and skips those the draw would reject, each counted as one sample
-with the reason the draw would give, so refused draws build no pose and run
-no skill.  Screens judge blocks of draws in numpy (`_decode_block` over a
-view of the stream), of DRAW_BLOCK draws and then, after a block that
-rejects every draw, twice as many, up to LAST_BLOCK.  Pick's screen judges
-its first PICK_SCALAR draws one at a time, by `world.pick_refusals`, the
-skill's own exact rule over floats or columns.  Place's screen judges
-`exec_place`'s checks and the effect (`world.PlaceTables`), then the step's
-programs and, on the last step, the goal's, on the columns of the poses and
-hulls the drops settle at (`lang.eval_constraint_block`); a comparison
-within `world.MARGIN` of its threshold leaves its drop undecided.  A screen
-stops at the first draw it cannot reject, which the draw then runs.  The
+peeks at the doubles the next draws would read and skips, judged in numpy
+blocks (`_skip_blocks`), those the draw would reject, each counted as one
+sample with the reason the draw would give, so refused draws build no pose
+and run no skill.  Pick's screen applies the skill's own rule
+(`world.pick_refusals`); place's judges `exec_place`, the effect and the
+programs (`world.PlaceTables`, `lang.eval_constraint_block`).  The
 screens decline where the draw path must decide (pick with a full hand;
 place with an `avoid_xy` hint, whose loop reads a varying count of doubles,
 or with riders; a band `uniform` would refuse), and everything refine
@@ -263,20 +255,18 @@ class SamplerSpec:
         return SamplerSpec(band("roll"), band("pitch"), band("yaw"))
 
 
-# Doubles a DrawStream reads from its generator at a time, in whole
-# multiples; also the draws of each screen call's first block.
+# The unit of a DrawStream's reads, and a screen call's first block of draws.
 DRAW_BLOCK = 64
 
 
 class DrawStream:
     """The doubles of a PCG64 generator, read in blocks.
 
-    `read(n)` hands out the generator's next n doubles as floats, `peek(n)`
-    shows them as an array view without consuming them and `skip(n)`
-    consumes them unused.  `close()` rewinds the generator over the doubles
-    read from it but not handed out; after it the generator is where
-    unbuffered `random()` calls would have left it.  While a stream is open,
-    read the generator through it only.
+    `read(n)` hands out the generator's next n doubles, `peek(n)` shows them
+    without consuming them and `skip(n)` consumes them unused.  `close()`
+    rewinds the generator over the doubles read from it but not handed out;
+    after it the generator is where unbuffered `random()` calls would have
+    left it.  While a stream is open, read the generator through it only.
     """
 
     def __init__(self, rng: np.random.Generator):
@@ -288,15 +278,13 @@ class DrawStream:
         self._at = 0                    # index of the next unread one
 
     def _next(self, n: int) -> int:
-        """The index of the next unread double, once at least n are unread:
-        a shortfall is read in one call, rounded up to whole blocks."""
-        at = self._at
-        if len(self._doubles) - at < n:
-            unread = self._doubles[at:]
+        """The index of the next unread double, once n are unread: a
+        shortfall is read in one call of whole blocks."""
+        if len(self._doubles) - self._at < n:
+            unread = self._doubles[self._at:]
             more = -(-(n - len(unread)) // DRAW_BLOCK) * DRAW_BLOCK
             self._doubles, self._at = np.concatenate((unread, self._rng.random(more))), 0
-            at = 0
-        return at
+        return self._at
 
     def peek(self, n: int) -> np.ndarray:
         """The next n doubles, without consuming them."""
@@ -345,9 +333,8 @@ def _decode(spans, doubles) -> list[float]:
 
 
 def _decode_block(spans, doubles: np.ndarray) -> np.ndarray:
-    """`_decode` over a block, in the same float operations: `doubles` is
-    an (n, k) view of n draws' doubles, and each of up to k `(lo, span)`
-    gives one row of n values."""
+    """`_decode` over an (n, k) view of n draws' doubles, one row of n
+    values per `(lo, span)`."""
     lo, span = np.array(spans).T[..., None]
     return lo + span * doubles.T[:len(spans)]
 
@@ -425,10 +412,9 @@ LAST_BLOCK = 512
 
 def _skip_blocks(draws: DrawStream, spans, limit: int, judge,
                  reasons) -> tuple[int, str | None]:
-    """Skips the leading draws of up to `limit` that `judge` refuses, judged
-    in blocks.  `judge` takes a block's values, decoded by `spans`, and
-    gives each draw's index in `reasons`, or a negative code for a draw
-    that the draw path must run."""
+    """Skips the leading draws of up to `limit` that `judge` refuses, in
+    blocks: `judge` gives each draw's index in `reasons`, or a negative code
+    for one the draw path must run."""
     skipped, reason, rows = 0, None, DRAW_BLOCK
     while skipped < limit:
         n = min(rows, limit - skipped)
@@ -449,9 +435,8 @@ def _holding(world: W.WorldState, obj: str) -> bool:
     return world.held is not None and world.held.name == obj
 
 
-# Draws a pick screen judges one at a time before its blocks: most level
-# picks accept within them, and a one-sample step (`no_sample`) judges no
-# block.
+# Draws a pick screen judges one at a time before its blocks, so that a
+# one-sample step builds no block.
 PICK_SCALAR = 4
 
 
@@ -485,10 +470,9 @@ def _prepare_pick(world, name, objs, draws, restrictions, hint, fns, goal_fns):
         return np.where(refused.any(axis=0), refused.argmax(axis=0), -1)
 
     def screen(limit: int) -> tuple[int, str | None]:
-        """Skips the leading draws `world.pick_refusals` refuses, judged
-        on the grasp position and the wrapped roll and pitch decoded from
-        the first five of each draw's six doubles: the first PICK_SCALAR
-        through `world.pick_rejection`, the rest in blocks."""
+        """Skips the leading draws `world.pick_refusals` refuses, decoded
+        from five of each draw's six doubles: PICK_SCALAR one at a time, then
+        in blocks."""
         skipped, reason = 0, None
         while skipped < limit:
             if skipped == PICK_SCALAR:

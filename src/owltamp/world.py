@@ -361,8 +361,7 @@ def _settle(w: WorldState, name: str, drop: Pose6) -> Pose6 | None:
     return drop.moved(z=height + ext[2])
 
 
-# Why `exec_pick` refuses a grasp before it looks at any other object, in
-# the order it checks.
+# Why `exec_pick` refuses a grasp before it looks at other objects, in order.
 PICK_REJECTIONS = ("grasp-outside-object", "unreachable", "grasp-not-level")
 
 
@@ -374,12 +373,9 @@ def _outside(box: Aabb, x, y, z, slack: float = 0.0):
 
 
 def pick_refusals(box: Aabb, workspace: Aabb, x, y, z, roll, pitch) -> tuple:
-    """Whether each check of PICK_REJECTIONS refuses a grasp at (x, y, z)
-    with wrapped `roll` and `pitch` of an object whose hull is `box`: the
-    grasp within GRASP_MARGIN of the hull, in the workspace, and roll and
-    pitch within GRASP_TILT_TOL of level (0 or pi).  Takes floats, or
-    columns of grasps in numpy.  The values are finite, so `a < b` is
-    exactly `not b <= a`, and the columns get the floats' verdicts."""
+    """Whether each check of PICK_REJECTIONS refuses a grasp with wrapped
+    `roll` and `pitch` on the hull `box`, over floats or numpy columns; for
+    finite values `a < b` is exactly `not b <= a`, so both agree."""
     tol = GRASP_TILT_TOL
     return (_outside(box, x, y, z, GRASP_MARGIN), _outside(workspace, x, y, z),
             ((abs(roll) > tol) & (math.pi - abs(roll) > tol))
@@ -388,8 +384,7 @@ def pick_refusals(box: Aabb, workspace: Aabb, x, y, z, roll, pitch) -> tuple:
 
 def pick_rejection(w: WorldState, box: Aabb, x: float, y: float, z: float,
                    roll: float, pitch: float) -> str | None:
-    """The first of PICK_REJECTIONS that `pick_refusals` finds for a grasp;
-    None when these checks pass."""
+    """The first of PICK_REJECTIONS that `pick_refusals` finds, or None."""
     for reason, refused in zip(PICK_REJECTIONS,
                                pick_refusals(box, w.scene.workspace, x, y, z, roll, pitch)):
         if refused:

@@ -14,6 +14,7 @@ from owltamp.model import (
     ActionSchema, GroundAction, Literal, LiteralIndex, Predicate, SemanticType,
     State, Value, apply, literal_holds, load_default_domain, parse_domain,
 )
+from owltamp.tasks import bench_schemas
 
 OBJ, POSE = SemanticType.OBJ, SemanticType.POSE
 PREDICATES = (
@@ -145,10 +146,13 @@ def test_pickled_literals_rehash_in_another_process():
     # String hashes are salted per process, so a cached hash must not travel.
     d = load_default_domain()
     lit = d.predicate("AtPose")(Value.sym("apple"), Value.opt(7, "p"))
-    code = ("import pickle, sys; lit = pickle.loads(sys.stdin.buffer.read()); "
+    code = ("import pickle, sys; lit, schemas = pickle.loads(sys.stdin.buffer.read()); "
             "want = hash((lit.predicate, lit.args, lit.positive)); "
-            "assert hash(lit) == want and hash(lit.args[0]) == hash(('sym', 'apple'))")
+            "assert hash(lit) == want and hash(lit.args[0]) == hash(('sym', 'apple')); "
+            "assert all(hash(s) == hash((s.name, s.params, s.con, s.pre, s.eff, "
+            "s.nl_description_template)) for s in schemas)")
+    payload = pickle.dumps((lit, bench_schemas(d)))
     for seed in ("1", "2"):
-        subprocess.run([sys.executable, "-c", code], input=pickle.dumps(lit), check=True,
+        subprocess.run([sys.executable, "-c", code], input=payload, check=True,
                        env={**os.environ, "PYTHONHASHSEED": seed,
                             "PYTHONPATH": os.pathsep.join(sys.path)})

@@ -112,16 +112,19 @@ def test_pick_step_gives_what_the_unscreened_loop_gives(roll, pitch, yaw, budget
 def test_screened_picks_count_as_samples_with_their_reason():
     # Level grasps are rare under full bands: the screen skips the rest and
     # an impossible constraint exhausts the budget on mixed reasons; an item
-    # across the workspace's face is unreachable on half of its grasps.
+    # across the workspace's face is unreachable on half of its grasps, and
+    # one inside it never.
     budgets = sorted({1, 3, 500, *block_edges(PICK_SCALAR)})
-    for center in [(0.5, 0.0, 0.05), (1.1, 0.0, 0.05)]:
+    reasons = ("grasp-not-level", "constraint-unsatisfied")
+    for center, allowed in [((0.5, 0.0, 0.05), reasons),
+                            ((1.1, 0.0, 0.05), (*reasons, "unreachable"))]:
         world = _pick_world((0.05, 0.05, 0.05), center, (0.3, 0.3, 0.0), "free")
         sk = skeleton(world, [("pick", {"o": "item"})], ((NEVER,),))
         for budget, seed in itertools.product(budgets, range(5)):
             got = _outcome(refine, sk, world, budget, seed, {})
             assert got == _outcome(ref_refine, sk, world, budget, seed, {})
             assert got[0].samples_used == budget
-            assert got[0].reason in ("grasp-not-level", "constraint-unsatisfied", "unreachable")
+            assert got[0].reason in allowed
 
 
 # Runs of draws the pick rule refuses that end either side of where the
