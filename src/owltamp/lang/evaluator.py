@@ -333,11 +333,13 @@ def eval_constraint(fn: ConstraintFn, w: WorldState, step: WorldState | None = N
 #
 # The place screen judges a block of drops of the held object at once.  The
 # world each drop leaves differs from the step world only in that object,
-# which is placed: `world.Settled` gives its pose and hull as columns over
-# the drops.  A node that does not read the moved object is row-invariant:
-# it runs once per block, through its scalar closure on the step world, so
-# an invariant helper call fills and reuses its step memo entry.  A node
-# that reads it (its pose, or a helper call given its name) gives a column.
+# which is placed, and its riders, which are seated: `world.Settled` gives
+# the object's pose and hull as columns over the drops.  A node that reads
+# neither is row-invariant: it runs once per block, through its scalar
+# closure on the step world, so an invariant helper call fills and reuses
+# its step memo entry.  A node that reads the object (its pose, or a helper
+# call given its name) gives a column; one that names a rider leaves the
+# rows that reach it undecided.
 # Comparisons and `position_within_bounds` are scored as signed distances
 # from their thresholds, and so is the emptiness of bounds a helper builds;
 # a score within `world.MARGIN` of zero leaves its row undecided, as in
@@ -538,10 +540,18 @@ def _guarded(closure, env, blk: _Block, reach):
     return None
 
 
-def _compile_block(fn: ConstraintFn, program: _Program, scene, moved: str):
+def _seated_rider(env, blk, reach):
+    """A read of a rider, which has no pose in the step world: the draw
+    decides the rows that reach it on the world it builds."""
+    raise EvalError("a rider is seated only in the world a drop leaves")
+
+
+def _compile_block(fn: ConstraintFn, program: _Program, scene, moved: str, riders):
     """The program as a closure `blk -> None` over a block of drops of
-    `moved` in `scene`, which leaves its verdicts on `blk`.  A program that
-    does not type-check leaves every row undecided."""
+    `moved`, carrying the objects `riders`, in `scene`, which leaves its
+    verdicts on `blk`.  A program that does not type-check leaves every row
+    undecided, and so does a node that names a rider on the rows that reach
+    it."""
     try:
         check_types(fn)
     except LangError:
@@ -550,12 +560,17 @@ def _compile_block(fn: ConstraintFn, program: _Program, scene, moved: str):
     def compile_(e: Expr, slots):
         """`e` as a closure `(env, blk, reach) -> value`, whether its value
         varies over the rows, and whether it is the moved object's name."""
+        pose = isinstance(e, (PoseRef, PoseAttr))
+        name = (_resolved(scene, e.name) if isinstance(e, ObjectRef)
+                else _resolved(scene, e.obj) if pose else None)
+        if name in riders:
+            return _seated_rider, True, False
         if isinstance(e, ObjectRef):
-            return invariant(e), False, _resolved(scene, e.name) == moved
+            return invariant(e), False, name == moved
         if isinstance(e, VarRef):
             slot, varies, names = slots[e.name]
             return (lambda env, blk, reach: env[slot]), varies, names
-        if isinstance(e, (PoseRef, PoseAttr)) and _resolved(scene, e.obj) == moved:
+        if pose and name == moved:
             if isinstance(e, PoseRef):
                 return (lambda env, blk, reach: blk.pose), True, False
             k = POSE_FIELDS.index(e.attr)
@@ -662,17 +677,17 @@ def _block_call(fn: str, args):
 def eval_constraint_block(fn: ConstraintFn, step: WorldState, name: str, settled,
                           rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The program on the worlds that a block of drops of the held `name`
-    would leave, placed as `settled` (`world.Settled`) with no riders, from
-    the step world `step`: masks of the rows of `rows` where it surely holds
-    and where it surely does not.  A row in neither is undecided: a score
-    within MARGIN of its threshold, or an error `eval_constraint` would
-    raise.  Evaluating binds the program to `step`, as `eval_constraint`
-    with `step` does."""
+    would leave, placed as `settled` (`world.Settled`), from the step world
+    `step`: masks of the rows of `rows` where it surely holds and where it
+    surely does not.  A row in neither is undecided: a score within MARGIN
+    of its threshold, a read of one of `name`'s riders, or an error
+    `eval_constraint` would raise.  Evaluating binds the program to `step`,
+    as `eval_constraint` with `step` does."""
     program = _bound(fn, step)
-    key = program.block_key
-    if key is None or key[0] is not step.scene or key[1] != name:
-        program.block = _compile_block(fn, program, step.scene, name)
-        program.block_key = step.scene, name
+    key, riders = program.block_key, frozenset(r for r, _, _ in step.held.riders)
+    if key is None or key[0] is not step.scene or key[1:] != (name, riders):
+        program.block = _compile_block(fn, program, step.scene, name, riders)
+        program.block_key = step.scene, name, riders
     blk = _Block(step, name, settled, rows)
     program.block(blk)
     return blk.holds, blk.false | (blk.live & ~blk.holds)

@@ -19,17 +19,9 @@ doubles from a buffer and rewinds the generator over the unread ones when
 `refine` returns, so the values, the errors and the stream backtracking
 reads next are those of unbuffered `Generator.uniform` calls.
 
-A skill may also prepare a screen, which `refine` runs before each draw: it
-peeks at the doubles the next draws would read and skips, judged in numpy
-blocks (`_skip_blocks`), those the draw would reject, each counted as one
-sample with the reason the draw would give, so refused draws build no pose
-and run no skill.  Pick's screen applies the skill's own rule
-(`world.pick_refusals`); place's judges `exec_place`, the effect and the
-programs (`world.PlaceTables`, `lang.eval_constraint_block`).  The
-screens decline where the draw path must decide (pick with a full hand;
-place with an `avoid_xy` hint, whose loop reads a varying count of doubles,
-or with riders; a band `uniform` would refuse), and everything refine
-returns or leaves in the generator is what it was without screens.
+A skill may also prepare a screen, which skips the next draws that the
+draw would reject, as samples with the draw's reasons and results (see
+`_skip_blocks`, `_prepare_place` and `world.PlaceTables`).
 """
 
 from __future__ import annotations
@@ -402,9 +394,10 @@ class RestrictionTable:
 # draws that the skill, the effect or the programs would reject, each with
 # the doubles the draw would have read, and returns how many it skipped and
 # the reason of the last.  Pick's screen checks the skill's own rule; place's
-# checks all three, once the step's first PLACE_UNSCREENED draws have run,
-# and declines on an `avoid_xy` hint, riders and a refused band.  A re-run
-# executes a bound action again from its parameter values.
+# checks all three, riders included, once the step's first PLACE_UNSCREENED
+# draws have run, and declines on an `avoid_xy` hint, a rider that is a
+# container and a refused band.  A re-run executes a bound action again from
+# its parameter values.
 
 # The most draws a screen judges in one block.
 LAST_BLOCK = 512
@@ -526,9 +519,11 @@ def _prepare_place(world, name, objs, draws, restrictions, hint, fns, goal_fns, 
                          "p": outcome.new_world.pose(o).as_tuple()}
 
     # The screen leaves to the draw a hint (its loop reads a varying count
-    # of doubles), riders and a refused band.  Bands that `uniform` accepts
-    # are finite, so `Pose6` would accept every drop it skips.
-    if avoid is not None or world.held.riders or xy[1] is not None or rest[1] is not None:
+    # of doubles), a rider that is a container and a refused band.  Bands
+    # that `uniform` accepts are finite, so `Pose6` would accept every drop
+    # it skips.
+    if (avoid is not None or xy[1] is not None or rest[1] is not None
+            or any(world.scene.model(r).kind == "container" for r, _, _ in world.held.riders)):
         return draw, None
     spans = xy[0] + rest[0]
     tables = None

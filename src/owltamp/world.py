@@ -447,32 +447,35 @@ def exec_pick(w: WorldState, name: str, grasp: Pose6) -> SkillOutcome:
     return SkillOutcome(lifted, True)
 
 
-def _restore_riders(w: WorldState, held: HeldItem, poses: dict[str, Pose6]):
-    """Re-seat riders inside a just-placed container.
+def _seats(scene: Scene, held: HeldItem, x, y, z, yaw, cos=math.cos, sin=math.sin,
+           maximum=max, minimum=min):
+    """Where each rider of `held` comes to rest once its container is set
+    down at (x, y, z) with `yaw`: (name, center, rotated half extents, rpy),
+    in name order, over floats or, given numpy's functions, columns.
 
     Relative xy offsets follow the container's yaw change and are clamped to
     the interior so contents never end up embedded in a wall.
     """
-    container = held.name
-    base = poses[container]
-    model = w.scene.model(container)
-    dyaw = base.yaw - held.base_rpy[2]
-    cd, sd = math.cos(dyaw), math.sin(dyaw)
-    inner_half = (model.half_extents[0] - WALL_THICKNESS,
-                  model.half_extents[1] - WALL_THICKNESS)
-    inner_floor = base.z - model.half_extents[2] + FLOOR_THICKNESS
+    h0, h1, h2 = scene.model(held.name).half_extents
+    dyaw = yaw - held.base_rpy[2]
+    cd, sd = cos(dyaw), sin(dyaw)
+    inner_floor = z - h2 + FLOOR_THICKNESS
     for name, offset, rpy in sorted(held.riders, key=lambda r: r[0]):
-        new_rpy = (rpy[0], rpy[1], rpy[2] + dyaw)
-        ext = rotated_half_extents(w.scene.model(name).half_extents, *new_rpy)
+        rpy = (rpy[0], rpy[1], rpy[2] + dyaw)
+        ext = rotated_half_extents(scene.model(name).half_extents, *rpy, cos, sin)
         ox = offset[0] * cd - offset[1] * sd
         oy = offset[0] * sd + offset[1] * cd
-        for axis, o in ((0, ox), (1, oy)):
-            limit = max(0.0, inner_half[axis] - ext[axis])
-            if axis == 0:
-                ox = min(max(o, -limit), limit)
-            else:
-                oy = min(max(o, -limit), limit)
-        poses[name] = Pose6(base.x + ox, base.y + oy, inner_floor + ext[2], *new_rpy)
+        lx = maximum(0.0, (h0 - WALL_THICKNESS) - ext[0])
+        ly = maximum(0.0, (h1 - WALL_THICKNESS) - ext[1])
+        yield (name, (x + minimum(maximum(ox, -lx), lx), y + minimum(maximum(oy, -ly), ly),
+                      inner_floor + ext[2]), ext, rpy)
+
+
+def _restore_riders(w: WorldState, held: HeldItem, poses: dict[str, Pose6]):
+    """Re-seat riders inside a just-placed container."""
+    base = poses[held.name]
+    for name, center, _, rpy in _seats(w.scene, held, base.x, base.y, base.z, base.yaw):
+        poses[name] = Pose6(*center, *rpy)
 
 
 def exec_place(w: WorldState, name: str, target: str, drop: Pose6) -> SkillOutcome:
@@ -539,7 +542,7 @@ def exec_place(w: WorldState, name: str, target: str, drop: Pose6) -> SkillOutco
 MARGIN = 1e-9
 # What the codes of `PlaceTables.judge` name, in the order of the checks.
 PLACE_REJECTIONS = ("unreachable", "does-not-fit", "no-support", "release-below-rest",
-                    "collision", "effects-unsatisfied")
+                    "collision", "contents-collision", "effects-unsatisfied")
 PLACE_UNDECIDED, PLACE_PASSED = -1, len(PLACE_REJECTIONS)
 
 
@@ -574,15 +577,45 @@ def _inside_open_score(lo, up, clo, cup):
     return np.minimum(score, lo[2] - (clo[2] + FLOOR_THICKNESS - CONTACT_TOL))
 
 
+def _overlap_score(lo, up, olo, oup):
+    """Score of `Aabb.overlaps` with CONTACT_TOL."""
+    score = np.minimum(np.minimum(up[0], oup[0]) - np.maximum(lo[0], olo[0]),
+                       np.minimum(up[1], oup[1]) - np.maximum(lo[1], olo[1]))
+    return np.minimum(score, np.minimum(up[2], oup[2]) - np.maximum(lo[2], olo[2])) - CONTACT_TOL
+
+
+def _obstacle_rows(w: WorldState, skip: tuple[str, ...]):
+    """The corners of the obstacles not in `skip` as `_columns`, containers
+    first, and the slice of the containers: a body inside one's open
+    interior does not collide with it."""
+    obstacles = sorted(((kind != "container", box) for other, kind, box in _obstacles(w)
+                        if other not in skip), key=lambda o: o[0])
+    walls = sum(not plain for plain, _ in obstacles)
+    return _columns(box for _, box in obstacles), slice(0, walls)
+
+
+def _hit_score(lo, up, obstacles, walls):
+    """Score of `collision` of the box `lo`..`up` with each row of
+    `obstacles`, but for the exception a container box makes."""
+    olo, oup = obstacles
+    hit = _overlap_score(lo, up, olo, oup)
+    if walls.stop:
+        hit[walls] = np.minimum(hit[walls], -_inside_open_score(
+            lo, up, olo[:, walls], oup[:, walls]))
+    return hit
+
+
 class PlaceTables:
-    """The step world's tables for judging drops of the held `name`, which
-    carries no riders, onto `target`: every hull, every container's
-    interior, the workspace and the obstacles.
+    """The step world's tables for judging drops of the held `name` onto
+    `target`: every hull, every container's interior, the workspace and the
+    obstacles, and for riders, which must not be containers, the obstacles
+    they may hit.
     `inside` picks the effect: `name` among the target's `contents`, else
     the target as what `supported_by` finds under it."""
 
     def __init__(self, w: WorldState, name: str, target: str, inside: bool):
         model = w.scene.model
+        self.scene, self.held = w.scene, w.held
         self.half = model(name).half_extents
         self.container = model(name).kind == "container"
         self.inside = inside
@@ -605,12 +638,10 @@ class PlaceTables:
             inner = interiors[self.interior]
             self.opening = inner.upper[0] - inner.lower[0], inner.upper[1] - inner.lower[1]
             self.floor = inner.lower[2]
-        # The obstacles, containers first: a body inside one's open
-        # interior does not collide with it.
-        obstacles = sorted(((kind != "container", box) for other, kind, box in _obstacles(w)
-                            if other != name and other != target), key=lambda o: o[0])
-        self.obstacles = _columns(box for _, box in obstacles)
-        self.walls = slice(0, sum(not plain for plain, _ in obstacles))
+        self.obstacles, self.walls = _obstacle_rows(w, (name, target))
+        # `exec_place` excludes only the container from its riders' checks.
+        if w.held.riders:
+            self.rider_obstacles = _obstacle_rows(w, (name,))
 
     def judge(self, x, y, z, roll, pitch, yaw) -> tuple[np.ndarray, Settled]:
         """For each drop, given as arrays of decoded x, y, z and wrapped
@@ -653,18 +684,26 @@ class PlaceTables:
 
         # `collision` of the settled hull with every obstacle but the target.
         blo, bup = (x - e0, y - e1, pz - e2), (x + e0, y + e1, pz + e2)
-        olo, oup = self.obstacles
-        hit = np.minimum(np.minimum(bup[0], oup[0]) - np.maximum(blo[0], olo[0]),
-                         np.minimum(bup[1], oup[1]) - np.maximum(blo[1], olo[1]))
-        hit = np.minimum(hit, np.minimum(bup[2], oup[2]) - np.maximum(blo[2], olo[2]))
-        hit -= CONTACT_TOL
-        walls = self.walls
-        if walls.stop:
-            hit[walls] = np.minimum(hit[walls], -_inside_open_score(
-                blo, bup, olo[:, walls], oup[:, walls]))
+        hit = _hit_score(blo, bup, self.obstacles, self.walls)
         if self.container:
+            olo, oup = self.obstacles
             hit = np.minimum(hit, -_inside_open_score(olo, oup, blo, bup))
         hit = np.max(hit, axis=0, initial=-np.inf)
+
+        # The riders, re-seated: their `collision` with every obstacle but
+        # the container, and with each other.
+        angles = wrap_angles(np.array((roll, pitch, yaw)))
+        riders, knock = [], np.full(n, -np.inf)
+        if self.held.riders:
+            for _, (cx, cy, cz), (r0, r1, r2), _ in _seats(
+                    self.scene, self.held, x, y, pz, angles[2], np.cos, np.sin,
+                    np.maximum, np.minimum):
+                rlo, rup = (cx - r0, cy - r1, cz - r2), (cx + r0, cy + r1, cz + r2)
+                knock = np.maximum(knock, np.max(_hit_score(rlo, rup, *self.rider_obstacles),
+                                                 axis=0, initial=-np.inf))
+                for olo, oup in riders:
+                    knock = np.maximum(knock, _overlap_score(rlo, rup, olo, oup))
+                riders.append((rlo, rup))
 
         # `contents`: the settled position within an interior, with slack;
         # `xy` is scored at the drop's x and y, which the hull's center
@@ -674,25 +713,30 @@ class PlaceTables:
         if self.inside:
             miss = -held[self.interior] if self.interior >= 0 else np.full(n, np.inf)
         else:
-            miss = self._misses_support(xy[self.hulls], held, blo[2])
+            miss = self._misses_support(xy[self.hulls], held, blo[2], x, y, riders)
 
         # The first check each drop does not surely pass decides its code.
-        fails = np.stack((-reach, misfit, unsupported, below, hit, miss))
+        fails = np.stack((-reach, misfit, unsupported, below, hit, knock, miss))
         open_ = fails >= -MARGIN
         stage = open_.argmax(axis=0)
         failed = fails[stage, np.arange(n)] > MARGIN
         codes = np.where(open_.any(axis=0), np.where(failed, stage, PLACE_UNDECIDED),
                          PLACE_PASSED)
-        angles = wrap_angles(np.array((roll, pitch, yaw)))
         return codes, Settled((x, y, pz, *angles), blo, bup, e2)
 
-    def _misses_support(self, under, held, bottom):
+    def _misses_support(self, under, held, bottom, x, y, riders):
         """Score of `supported_by` not finding the target: it takes the
         first container holding the object, else the first of the highest
-        hulls under the center whose top meets the bottom."""
+        hulls under the center whose top meets the bottom.  A drop where a
+        rider's hull may be one of those is left undecided."""
         n = len(bottom)
         rests = np.minimum(under + CONTACT_TOL, (0.02 + CONTACT_TOL) - np.abs(self.tops - bottom))
         unsure = (np.abs(rests) <= MARGIN).any(axis=0)
+        for lo, up in riders:
+            under_rider = np.minimum(np.minimum(x - lo[0], up[0] - x),
+                                     np.minimum(y - lo[1], up[1] - y))
+            unsure |= np.minimum(under_rider + CONTACT_TOL,
+                                 (0.02 + CONTACT_TOL) - np.abs(up[2] - bottom)) >= -MARGIN
         top = np.where(rests > MARGIN, self.tops, -np.inf)
         best_top = top.max(axis=0)
         found = (best_top > -np.inf) & (np.argmax(top == best_top, axis=0) == self.target)
