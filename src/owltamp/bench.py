@@ -141,11 +141,18 @@ def transformed(front: FrontEnd, pp: PartialPlan) -> TransformedProblem:
     return transform(front.problem, pp)
 
 
+@functools.lru_cache(maxsize=None)
+def _restrictions(task_id: str) -> RestrictionTable:
+    """The sampler restrictions of a task, built once per process."""
+    return RestrictionTable(list(tasks.load_task_spec(task_id).sampler_restrictions))
+
+
 def run_cell(task_id: str, seed: int, mode: str, budgets: Budgets,
              oracle=None) -> RunRecord:
     """Execute one benchmark cell and judge it independently.
 
-    Cells share, per process, their task shape's grounding, action listing,
+    Cells share, per process, their task's `Scene` (`tasks.load_task`) and
+    sampler restrictions, and their task shape's grounding, action listing,
     transform and A* plan, keyed on s0 with its vectors zeroed, the schemas,
     the objects and the parsed partial plan (see `grounding` for why poses
     cannot change a plan).  A cell binds its own s0, and formats the
@@ -200,9 +207,8 @@ def run_cell(task_id: str, seed: int, mode: str, budgets: Budgets,
     except (OracleError, PartialPlanError) as e:
         return fail_record(f"oracle:{type(e).__name__}:{e}")
 
-    restrictions = RestrictionTable(list(spec.sampler_restrictions))
     result = solver.solve(world0, replace(shaped, s0=s0), domain, step_cons, goal_fns,
-                          budgets, seed, restrictions)
+                          budgets, seed, _restrictions(task_id))
     wall = time.perf_counter() - t_start
 
     claimed = isinstance(result, Solution)

@@ -894,11 +894,47 @@ def _initial_plan(scene: W.WorldState, problem: TransformedProblem) -> tuple | s
     return slot[1]
 
 
+# The most (seed, skeleton) generator states kept: the benchmark's largest
+# grid reads 50 seeds times 5 skeletons, in every task.
+SKELETON_STATE_CACHE_SIZE = 512
+
+
+@lru_cache(maxsize=SKELETON_STATE_CACHE_SIZE)
+def _skeleton_state(seed: int, k: int) -> tuple[int, int]:
+    """The PCG64 (state, inc) of the k-th `default_rng(seed).spawn(1)`, whose
+    seed sequence is `SeedSequence(seed, spawn_key=(k,))`.  Kept as ints, so
+    no caller can draw from a stored generator."""
+    state = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(k,))).state["state"]
+    return state["state"], state["inc"]
+
+
+@lru_cache(maxsize=1)
+def _zero_seed():
+    """A seed sequence of zeros, for a bit generator whose state is set
+    next: a `SeedSequence` would cost more than the generator it seeds.
+    Made on first use, as its class loads `numpy.random`, which importing
+    the package does not."""
+
+    class ZeroSeed(np.random.bit_generator.ISeedSequence):
+        def generate_state(self, n_words, dtype=np.uint32):
+            return np.zeros(n_words, dtype)
+    return ZeroSeed()
+
+
+def _seed_skeleton(rng: np.random.Generator, seed: int, k: int) -> None:
+    """Set `rng`, a PCG64 generator, to the state of skeleton k of `seed`."""
+    state, inc = _skeleton_state(seed, k)
+    rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+
+
 def solve(scene: W.WorldState, problem: TransformedProblem, domain,
           step_constraints: dict[int, tuple[ConstraintFn, ...]],
           goal_fns: tuple[ConstraintFn, ...], budgets: Budgets, seed: int,
           restrictions: RestrictionTable | None = None) -> Solution | Infeasible:
-    """Plan, refine, and backtrack until a solution or the budgets run out."""
+    """Plan, refine, and backtrack until a solution or the budgets run out.
+    Skeleton k draws from the stream of the k-th `default_rng(seed).spawn(1)`,
+    set into the call's one generator (`_seed_skeleton`)."""
     samples_total = 0
     tried = 0
 
@@ -908,12 +944,12 @@ def solve(scene: W.WorldState, problem: TransformedProblem, domain,
 
     queue: list[Skeleton] = [_skeleton_from_plan(plan, step_constraints)]
     failure_reason = "backtrack-budget-exhausted"
-    master = np.random.default_rng(seed)
+    rng = np.random.Generator(np.random.PCG64(_zero_seed()))
     insert_ids = itertools.count(10_000_000)
 
     while queue and tried < budgets.skeleton_attempts:
         sk = queue.pop(0)
-        rng = master.spawn(1)[0]
+        _seed_skeleton(rng, seed, tried)
         tried += 1
         result = refine(sk, scene, goal_fns, budgets, rng, restrictions)
         if isinstance(result, Solution):

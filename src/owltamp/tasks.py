@@ -128,12 +128,21 @@ def _build_scene(spec: TaskSpec) -> W.Scene:
     return W.Scene(models, WORKSPACE, TABLE)
 
 
+@functools.lru_cache(maxsize=None)
+def _task_scene(task_id: str) -> W.Scene:
+    """The scene of a task, built once per process and shared by every world
+    `load_task` gives for it, so caches keyed on scene identity hold across
+    cells."""
+    return _build_scene(load_task_spec(task_id))
+
+
 def load_task(task_id: str, seed: int) -> tuple[TaskSpec, W.WorldState]:
     """Deterministic scene for (task, seed); randomized poses are upright with
     random yaw, rejection-sampled free of collisions (`world.collision`) and
-    clear of avoid regions."""
+    clear of avoid regions.  Every seed's world shares the task's one
+    `Scene`."""
     spec = load_task_spec(task_id)
-    scene = _build_scene(spec)
+    scene = _task_scene(task_id)
     rng = np.random.default_rng([seed, zlib.crc32(task_id.encode("utf-8"))])
 
     poses: dict[str, Pose6] = {TABLE: TABLE_POSE}

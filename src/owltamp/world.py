@@ -60,9 +60,10 @@ class ObjectModel:
 
 @dataclass(frozen=True)
 class Scene:
-    """Immutable scene description shared by every WorldState of a task."""
+    """Immutable scene description shared by every WorldState of a task.
+    `models` is a read-only copy of the mapping given."""
 
-    models: dict[str, ObjectModel]
+    models: Mapping[str, ObjectModel]
     workspace: Aabb
     table: str = "table_surface"
     aliases: tuple[tuple[str, str], ...] = (("table", "table_surface"),)
@@ -73,6 +74,7 @@ class Scene:
                     if m.kind == "surface" and m.name == self.table]
         if len(surfaces) != 1:
             raise WorldError(f"scene needs exactly one surface named {self.table!r}")
+        object.__setattr__(self, "models", MappingProxyType(dict(self.models)))
         # Reversed so that the first entry for an alias wins.
         object.__setattr__(self, "_alias_map", dict(reversed(self.aliases)))
 

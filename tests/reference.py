@@ -518,8 +518,9 @@ def skeleton(world, steps, fns):
     return Skeleton(actions, fns, (None,) * len(actions))
 
 
-def manual_solve(task_id, seed, budgets=BUDGETS):
-    """`solve` on a task's ground-truth partial plan and programs."""
+def manual_solve(task_id, seed, budgets=BUDGETS, solve_seed=None):
+    """`solve` on a task's ground-truth partial plan and programs, seeded
+    with `solve_seed` if given, else with the scene's seed."""
     spec, w0, domain, problem = build(task_id, seed)
     fx = MANUAL[task_id]
     pp = PartialPlan(tuple(PlanStep(a, o, d) for a, o, d in fx.steps))
@@ -528,7 +529,7 @@ def manual_solve(task_id, seed, budgets=BUDGETS):
                  for i, srcs in fx.step_constraints.items()}
     goal_fns = tuple(parse_constraint_response("\n".join(fx.goal_constraints)))
     return spec, w0, solver.solve(
-        w0, t, domain, step_cons, goal_fns, budgets, seed,
+        w0, t, domain, step_cons, goal_fns, budgets, seed if solve_seed is None else solve_seed,
         RestrictionTable(list(spec.sampler_restrictions)))
 
 

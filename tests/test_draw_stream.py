@@ -234,16 +234,61 @@ def test_refine_rewinds_when_a_skill_raises_after_screened_draws(drawn, monkeypa
 
 @pytest.mark.parametrize("attempts", [1, 2, 3, 4, 5])
 def test_solve_spawns_the_streams_of_one_spawn_call(monkeypatch, attempts):
+    """A second solve reads the same streams, though every skeleton draws
+    from its generator: the memo of their states is never advanced."""
     seed, states = 3, []
 
     def failing_refine(sk, scene, goal_fns, budgets, rng, restrictions=None):
         states.append(rng.bit_generator.state)
+        rng.random(8)
         return RefinementFailure(-1, "goal-constraint-unsatisfied", 0)
 
     monkeypatch.setattr(solver, "refine", failing_refine)
-    manual_solve("berry1", seed, Budgets(500, attempts))
-    want = np.random.default_rng(seed).spawn(attempts)
-    assert states == [g.bit_generator.state for g in want]
+    want = [g.bit_generator.state for g in np.random.default_rng(seed).spawn(attempts)]
+    for _ in range(2):
+        states.clear()
+        manual_solve("berry1", seed, Budgets(500, attempts))
+        assert states == want
+
+
+# --- Skeleton generators come from a memo of spawned states -------------------
+
+MEMO_SEEDS = [0, 1, 49, 2**63 + 5]
+
+
+def _memo_generator(seed, k):
+    rng = np.random.Generator(np.random.PCG64(0))
+    solver._seed_skeleton(rng, seed, k)
+    return rng
+
+
+@pytest.mark.parametrize("seed", MEMO_SEEDS)
+def test_memoised_skeleton_streams_are_the_spawned_streams(seed):
+    for k, want in enumerate(np.random.default_rng(seed).spawn(5)):
+        got = _memo_generator(seed, k)
+        assert got.bit_generator.state == want.bit_generator.state
+        assert got.random(64).tobytes() == want.random(64).tobytes()
+        # Through a stream that is read past a block and closed mid-block.
+        got, want = _memo_generator(seed, k), np.random.default_rng(seed).spawn(k + 1)[k]
+        draws = DrawStream(got)
+        assert draws.read(solver.DRAW_BLOCK + 3) == want.random(solver.DRAW_BLOCK + 3).tolist()
+        draws.close()
+        assert got.bit_generator.state == want.bit_generator.state
+        # Drawing from a seeded generator never advances the memo.
+        assert _memo_generator(seed, k).bit_generator.state == \
+            np.random.default_rng(seed).spawn(k + 1)[k].bit_generator.state
+
+
+def test_solves_in_a_row_give_equal_results():
+    assert manual_solve("berry2", 4)[2] == manual_solve("berry2", 4)[2]
+
+
+def test_a_negative_seed_raises_what_default_rng_raises():
+    with pytest.raises(ValueError) as want:
+        np.random.default_rng(-1)
+    with pytest.raises(ValueError) as got:
+        manual_solve("berry1", 0, solve_seed=-1)
+    assert str(got.value) == str(want.value)
 
 
 # --- Samplers read the generator through the stream only -----------------------

@@ -1,10 +1,12 @@
 import math
+from collections import Counter
 
 import pytest
 
 from owltamp import bench, detectors, tasks
 from owltamp import world as W
 from owltamp.geometry import Pose6
+from owltamp.lang import evaluator
 from owltamp.oracle import ScriptedOracle, parse_constraint_response
 from owltamp.partial_plan import PartialPlan, PlanStep
 from owltamp.solver import Budgets
@@ -27,6 +29,33 @@ def test_task_specs_are_parsed_once_per_process():
         spec = tasks.load_task_spec(task_id)
         assert tasks.load_task(task_id, 0)[0] is spec
         assert tasks.load_task(task_id, 1)[0] is spec
+
+
+def test_every_seed_of_a_task_shares_one_scene():
+    for task_id in tasks.task_ids():
+        scene = tasks.load_task(task_id, 0)[1].scene
+        assert tasks.load_task(task_id, 3)[1].scene is scene
+        assert scene == tasks._build_scene(tasks.load_task_spec(task_id))
+
+
+def test_block_programs_compile_once_per_task_moved_object_and_riders(monkeypatch):
+    """Over a two-seed manual grid, each program compiles its block closure
+    once per (task, moved object, riders): the second seed's cells reuse the
+    first's, as they share the task's scene.  A goal program equal to a
+    step program is a program of its own."""
+    compiled = []
+    original = evaluator._compile_block
+
+    def counting(fn, program, scene, moved, riders):
+        compiled.append((program, moved, riders))
+        return original(fn, program, scene, moved, riders)
+
+    monkeypatch.setattr(evaluator, "_compile_block", counting)
+    for task_id in tasks.task_ids():
+        compiled.clear()
+        result = bench.run_suite([task_id], [0, 1], ["manual"], Budgets(500, 5))
+        assert result.errors == 0
+        assert all(n == 1 for n in Counter(compiled).values()), task_id
 
 
 def test_scene_determinism():

@@ -51,6 +51,16 @@ def level_grasp(w, name, dz=0.0):
     return Pose6(c[0], c[1], c[2] + dz)
 
 
+def test_scene_models_are_a_read_only_copy():
+    models = {"table_surface": ObjectModel("table_surface", (0.5, 0.5, 0.01), "surface")}
+    scene = Scene(models, WORKSPACE)
+    models["cube"] = ObjectModel("cube", (0.5, 0.5, 0.5))
+    assert list(scene.models) == ["table_surface"]
+    with pytest.raises(TypeError):
+        scene.models["cube"] = models["cube"]
+    assert scene == Scene(dict(scene.models), WORKSPACE)
+
+
 # --- aabb_of -------------------------------------------------------------------
 
 def test_aabb_unit_cube_at_origin():
