@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, replace
 from . import detectors, solver, tasks
 from .grounding import (
     FRONT_END_CACHE_SIZE, GroundedProblem, format_action_listing, format_literal_listing,
-    format_state_listing, ground_problem, pose_free,
+    format_state_listing, ground_problem,
 )
 from .model import Literal, ModelError, State, Value
 from .oracle import OracleError, OracleParseError, OracleRequest, ScriptedOracle
@@ -147,16 +147,40 @@ def _restrictions(task_id: str) -> RestrictionTable:
     return RestrictionTable(list(tasks.load_task_spec(task_id).sampler_restrictions))
 
 
+class _Listings:
+    """The listings of a cell that print its poses, each built on an oracle's
+    first read of it, over the cell's s0 (`tasks.initial_state`), which is
+    built on the first read of either."""
+
+    def __init__(self, domain, world, front: FrontEnd):
+        self.domain, self.world, self.front = domain, world, front
+
+    @functools.cached_property
+    def s0(self) -> State:
+        return tasks.initial_state(self.domain, self.world)
+
+    @functools.cached_property
+    def literals(self) -> str:
+        return format_literal_listing(replace(
+            self.front.problem, literals=self.s0.true_literals | self.front.effects, s0=self.s0))
+
+    @functools.cached_property
+    def state(self) -> str:
+        return format_state_listing(self.s0)
+
+
 def run_cell(task_id: str, seed: int, mode: str, budgets: Budgets,
              oracle=None) -> RunRecord:
     """Execute one benchmark cell and judge it independently.
 
-    Cells share, per process, their task's `Scene` (`tasks.load_task`) and
-    sampler restrictions, and their task shape's grounding, action listing,
-    transform and A* plan, keyed on s0 with its vectors zeroed, the schemas,
-    the objects and the parsed partial plan (see `grounding` for why poses
-    cannot change a plan).  A cell binds its own s0, and formats the
-    listings that print its poses only for an oracle that reads them."""
+    Cells share, per process, their task's fixed world and `Scene`
+    (`tasks.load_task`) and sampler restrictions, and their task shape's
+    grounding, action listing, transform and A* plan, keyed on the shape of
+    s0 (`tasks.initial_shape`: s0 with its vectors zeroed), the schemas, the
+    objects and the parsed partial plan (see `grounding` for why poses cannot
+    change a plan).  `solve` gets the shared transformed problem, whose s0 is
+    the shape's; a cell builds its real-valued s0, and the listings that
+    print it, only for an oracle that reads them (`_Listings`)."""
     if mode not in MODE_TABLE:
         raise ValueError(f"unknown mode {mode!r}")
     config = MODE_TABLE[mode]
@@ -166,16 +190,13 @@ def run_cell(task_id: str, seed: int, mode: str, budgets: Budgets,
     t_start = time.perf_counter()
     spec, world0 = tasks.load_task(task_id, seed)
     domain = tasks.default_domain()
-    s0 = tasks.initial_state(domain, world0)
-    front = front_end(pose_free(s0), tuple(tasks.bench_schemas(domain)),
+    front = front_end(tasks.initial_shape(domain, world0), tuple(tasks.bench_schemas(domain)),
                       (*spec.objects, tasks.TABLE))
-    problem = replace(front.problem, literals=s0.true_literals | front.effects, s0=s0)
-    literal_listing = functools.cache(lambda: format_literal_listing(problem))
-    scene_summary = functools.cache(lambda: format_state_listing(s0))
+    listings = _Listings(domain, world0, front)
 
     def request(kind: str, **fields) -> OracleRequest:
         return OracleRequest(kind, task_id, spec.goal_text, front.action_listing,
-                             literal_listing, scene_summary, **fields)
+                             lambda: listings.literals, lambda: listings.state, **fields)
 
     def fail_record(reason: str) -> RunRecord:
         wall = time.perf_counter() - t_start
@@ -207,7 +228,7 @@ def run_cell(task_id: str, seed: int, mode: str, budgets: Budgets,
     except (OracleError, PartialPlanError) as e:
         return fail_record(f"oracle:{type(e).__name__}:{e}")
 
-    result = solver.solve(world0, replace(shaped, s0=s0), domain, step_cons, goal_fns,
+    result = solver.solve(world0, shaped, domain, step_cons, goal_fns,
                           budgets, seed, _restrictions(task_id))
     wall = time.perf_counter() - t_start
 

@@ -26,6 +26,10 @@ through its shape (`pose_free`).  Per process, `bench.front_end` keeps a
 grounding and action listing per shape, schemas and objects,
 `bench.transformed` a transformed problem per grounding and partial plan,
 and `solver.solve` an A* plan per transformed problem and object models.
+A benchmark cell takes its shape from its world (`tasks.initial_shape`)
+and hands `solve` the shared transformed problem, whose s0 is the shape's
+state, every vector zero; it builds its real-valued s0 only for the
+listings that print it.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import zlib
+from collections.abc import Iterator
 from dataclasses import dataclass
 from importlib import resources
 
@@ -18,7 +19,8 @@ import numpy as np
 
 from . import world as W
 from .geometry import Aabb, Pose6, rotated_half_extents
-from .model import Domain, State, Value, load_default_domain
+from .model import Domain, Predicate, State, Value, load_default_domain
+from .solver import DrawStream, _band_table, _read
 
 TABLE = "table_surface"
 
@@ -54,6 +56,7 @@ OBJECT_LIBRARY = {
 
 WORKSPACE = Aabb((-0.1, -0.6, -0.05), (1.1, 0.6, 0.8))
 TABLE_POSE = Pose6(0.5, 0.0, -0.01)  # top face at z = 0
+POSE_VALUES = len(TABLE_POSE.as_tuple())  # the length of an AtPose vector
 
 
 class TaskError(Exception):
@@ -136,20 +139,32 @@ def _task_scene(task_id: str) -> W.Scene:
     return _build_scene(load_task_spec(task_id))
 
 
+@functools.lru_cache(maxsize=None)
+def _fixed_world(task_id: str) -> W.WorldState:
+    """The world of a task's table and fixed poses, with their hulls filled,
+    built once per process: every seed's world places its randomized objects
+    onto it, and so keeps those hulls."""
+    spec = load_task_spec(task_id)
+    poses = {TABLE: TABLE_POSE}
+    for name, vals in spec.fixed_poses.items():
+        poses[name] = Pose6.from_sequence(vals)
+    world = W.WorldState(_task_scene(task_id), poses)
+    for name in poses:
+        W.aabb_of(world, name)
+    return world
+
+
 def load_task(task_id: str, seed: int) -> tuple[TaskSpec, W.WorldState]:
     """Deterministic scene for (task, seed); randomized poses are upright with
     random yaw, rejection-sampled free of collisions (`world.collision`) and
-    clear of avoid regions.  Every seed's world shares the task's one
-    `Scene`."""
+    clear of avoid regions.  Every seed's world is the task's shared fixed
+    world (`_fixed_world`, on the task's one `Scene`) with the randomized
+    objects placed onto it.  The draws are the generator's doubles read in
+    blocks (`solver.DrawStream`), each decoded as `Generator.uniform` would
+    decode it, so the poses are those of one `uniform` call per value."""
     spec = load_task_spec(task_id)
-    scene = _task_scene(task_id)
-    rng = np.random.default_rng([seed, zlib.crc32(task_id.encode("utf-8"))])
-
-    poses: dict[str, Pose6] = {TABLE: TABLE_POSE}
-    for name, vals in spec.fixed_poses.items():
-        poses[name] = Pose6.from_sequence(vals)
-
-    world = W.WorldState(scene, poses)
+    world = _fixed_world(task_id)
+    draws = DrawStream(np.random.default_rng([seed, zlib.crc32(task_id.encode("utf-8"))]))
     margin = 0.08
     for name in spec.randomized:
         half, _ = OBJECT_LIBRARY[name]
@@ -160,12 +175,15 @@ def load_task(task_id: str, seed: int) -> tuple[TaskSpec, W.WorldState]:
         else:
             (xlo, ylo), (xhi, yhi) = region
         roll, pitch, fixed_yaw = spec.initial_rpy.get(name, (0.0, 0.0, None))
+        bands = [(xlo, xhi), (ylo, yhi)]
+        if fixed_yaw is None:
+            bands.append((-np.pi, np.pi))
+        table = _band_table(*bands)
+        rest_z = rotated_half_extents(half, roll, pitch, 0.0)[2]  # the same at every yaw
         placed = False
         for _ in range(500):
-            x = rng.uniform(xlo, xhi)
-            y = rng.uniform(ylo, yhi)
-            yaw = fixed_yaw if fixed_yaw is not None else rng.uniform(-np.pi, np.pi)
-            rest_z = rotated_half_extents(half, roll, pitch, yaw)[2]
+            x, y, *drawn_yaw = _read(draws, table)
+            yaw = fixed_yaw if fixed_yaw is not None else drawn_yaw[0]
             pose = Pose6(x, y, rest_z, roll, pitch, yaw)
             box = W.box_at_pose(pose, half)
             clear = True
@@ -185,6 +203,14 @@ def load_task(task_id: str, seed: int) -> tuple[TaskSpec, W.WorldState]:
 # --- Symbolic bridging -----------------------------------------------------------
 
 
+def _supports(w: W.WorldState) -> Iterator[tuple[str, str | None]]:
+    """(name, support) of each placed object, by name: the object
+    `world.supported_by` finds under it, or None (always for the table)."""
+    table = w.scene.table
+    for name in w.placed_objects():
+        yield name, None if name == table else W.supported_by(w, name)
+
+
 def initial_state(domain: Domain, w: W.WorldState) -> State:
     """Symbolic snapshot of a world: poses, support relations, free hand."""
     at_conf = domain.predicate("AtConf")
@@ -194,14 +220,36 @@ def initial_state(domain: Domain, w: W.WorldState) -> State:
     literals = {at_conf(Value.vec(w.robot_conf))}
     if w.held is None:
         literals.add(hand_empty())
-    for name in w.placed_objects():
+    for name, support in _supports(w):
         literals.add(at_pose(Value.sym(name), Value.vec(w.pose(name).as_tuple())))
-        if name == w.scene.table:
-            continue
-        support = W.supported_by(w, name)
         if support is not None:
             literals.add(supporting(Value.sym(name), Value.sym(support)))
     return State(frozenset(literals))
+
+
+@functools.lru_cache(maxsize=None)
+def _shape_row(predicate: Predicate, *args: str | int) -> tuple:
+    """The `grounding.pose_free` row of a literal of `predicate` whose
+    arguments are object names and, given by its length, a vector (a pose or
+    a configuration), which the row holds as zeros.  Kept per process: a
+    catalog has a few rows per object name and per (object, support) pair."""
+    lit = predicate(*[Value.sym(a) if isinstance(a, str) else Value.vec((0.0,) * a)
+                      for a in args])
+    return lit.predicate, lit.args
+
+
+def initial_shape(domain: Domain, w: W.WorldState) -> frozenset[tuple]:
+    """`grounding.pose_free(initial_state(domain, w))`, without the state:
+    the rows come from `_shape_row`, so only the supports are computed."""
+    at_pose, supporting = domain.predicate("AtPose"), domain.predicate("Supporting")
+    rows = [_shape_row(domain.predicate("AtConf"), len(w.robot_conf))]
+    if w.held is None:
+        rows.append(_shape_row(domain.predicate("HandEmpty")))
+    for name, support in _supports(w):
+        rows.append(_shape_row(at_pose, name, POSE_VALUES))
+        if support is not None:
+            rows.append(_shape_row(supporting, name, support))
+    return frozenset(rows)
 
 
 def default_domain() -> Domain:

@@ -15,7 +15,9 @@ reference:
   plan built afresh for the cell, as before the per-shape front-end cache;
 - `rotation_matrix`, the rotation that box hulls are checked against;
 - `ref_pick_rejection`, the pick rule as short-circuit checks on one grasp,
-  before it was written once for floats and columns.
+  before it was written once for floats and columns;
+- `ref_load_task`, a scene built afresh with one `Generator.uniform` call
+  per drawn value, before the shared fixed world and block reads.
 
 `cell` runs one benchmark cell through the shipped solver, or with some of
 its functions replaced by their references; `assert_cells_agree` compares
@@ -28,14 +30,16 @@ import functools
 import heapq
 import itertools
 import math
+import zlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from owltamp import bench, grounding, solver, tasks
+from owltamp import world as W
 from owltamp.fixtures import MANUAL
-from owltamp.geometry import Pose6
+from owltamp.geometry import Pose6, rotated_half_extents
 from owltamp.grounding import (
     format_action_listing, format_literal_listing, format_state_listing, ground_problem,
 )
@@ -453,6 +457,46 @@ def assert_cells_agree(mode, **references):
             assert got == cell(task_id, seed, mode, **references), (task_id, seed)
             refined += len(got[1])
     assert refined
+
+
+# --- Scenes ------------------------------------------------------------------------
+
+def ref_load_task(task_id, seed):
+    """`tasks.load_task` as one loop: the table, the fixed poses and every
+    hull built for this seed, and each value drawn by its own
+    `rng.uniform` call."""
+    spec = tasks.load_task_spec(task_id)
+    scene = tasks._build_scene(spec)
+    rng = np.random.default_rng([seed, zlib.crc32(task_id.encode("utf-8"))])
+    poses = {TABLE: tasks.TABLE_POSE}
+    for name, vals in spec.fixed_poses.items():
+        poses[name] = Pose6.from_sequence(vals)
+    world = WorldState(scene, poses)
+    margin = 0.08
+    for name in spec.randomized:
+        half, _ = tasks.OBJECT_LIBRARY[name]
+        region = spec.random_regions.get(name)
+        if region is None:
+            xlo, xhi = margin, 1.0 - margin
+            ylo, yhi = -0.5 + margin, 0.5 - margin
+        else:
+            (xlo, ylo), (xhi, yhi) = region
+        roll, pitch, fixed_yaw = spec.initial_rpy.get(name, (0.0, 0.0, None))
+        for _ in range(500):
+            x = rng.uniform(xlo, xhi)
+            y = rng.uniform(ylo, yhi)
+            yaw = fixed_yaw if fixed_yaw is not None else rng.uniform(-np.pi, np.pi)
+            rest_z = rotated_half_extents(half, roll, pitch, yaw)[2]
+            pose = Pose6(x, y, rest_z, roll, pitch, yaw)
+            box = W.box_at_pose(pose, half)
+            if (not any(avoided in world.poses and box.overlaps_xy(W.aabb_of(world, avoided))
+                        for avoided in spec.avoid_regions.get(name, ()))
+                    and not W.collision(world, name, pose)):
+                world = WorldState(scene, {**world.poses, name: pose})
+                break
+        else:
+            raise tasks.TaskError(f"{spec.id}: could not place {name!r} (seed {seed})")
+    return spec, world
 
 
 # --- Problems, skeletons and skill chains ----------------------------------------

@@ -3,6 +3,7 @@ tables decode them into the values of `Generator.uniform`, and closing the
 stream leaves the generator exactly where unbuffered calls would."""
 
 import ast
+import functools
 import math
 import sys
 from pathlib import Path
@@ -127,10 +128,18 @@ def test_stream_refuses_generators_it_cannot_rewind(bitgen):
 # --- refine leaves the generator where its draws left it -----------------------
 
 
+@functools.cache
+def _berry1():
+    """berry1's scene and problem, built once: `load_task` reads its scene
+    draws through a `DrawStream` too."""
+    return build("berry1")
+
+
 @pytest.fixture
 def drawn(monkeypatch):
     """Counts the doubles refine's draws take from their stream, and the
-    doubles the pick screen skips."""
+    doubles the pick screen skips, once the scene is built."""
+    _berry1()
     count = [0]
     read, skip = DrawStream.read, DrawStream.skip
 
@@ -154,7 +163,7 @@ def assert_read_exactly(rng, seed, n):
 
 
 def _berry1_skeleton(steps, constraints=None):
-    spec, w0, domain, problem = build("berry1")
+    spec, w0, domain, problem = _berry1()
     return spec, w0, skeleton_for(problem, steps, constraints)
 
 
