@@ -133,14 +133,6 @@ class Aabb:
         return Aabb.trusted((float(c0 - h0), float(c1 - h1), float(c2 - h2)),
                             (float(c0 + h0), float(c1 + h1), float(c2 + h2)))
 
-    @property
-    def center(self) -> tuple[float, float, float]:
-        return tuple((l + u) / 2.0 for l, u in zip(self.lower, self.upper))
-
-    @property
-    def half_extents(self) -> tuple[float, float, float]:
-        return tuple((u - l) / 2.0 for l, u in zip(self.lower, self.upper))
-
     def contains_point(self, p, slack: float = 0.0) -> bool:
         lo, up = self.lower, self.upper
         return (lo[0] - slack <= p[0] <= up[0] + slack

@@ -27,30 +27,25 @@ to `_resolve_object`, which raises at the evaluation that reads it.
 Block evaluation.  `eval_constraint_block` judges a program on the worlds a
 block of place drops would leave, in numpy, from the columns of the settled
 poses and hulls (see the section below); a row it cannot decide is left to
-`eval_constraint` on the world the draw builds.
+`eval_constraint` on the world the draw builds.  It calls the helpers of
+`helpers` themselves, with the block as their reader (`_Block`): one helper
+library, read through a world or a block reader.
 """
 
 from __future__ import annotations
 
-import math
 from operator import attrgetter
 
 import numpy as np
 
-from ..geometry import Pose6
-from ..world import (
-    CONTACT_TOL, FLOOR_THICKNESS, MARGIN, ObjectHeldError, WorldError, WorldState,
-    aabb_of,
-)
+from ..geometry import Aabb, Pose6
+from ..world import MARGIN, ObjectHeldError, WorldError, WorldState, aabb_of
 from .ast import (
-    POSE_FIELDS, Abs, Arith, BoolLit, BoolOp, Call, Compare, ConstraintFn, Expr,
+    POSE_FIELDS, Abs, Arith, BoolLit, BoolOp, BoundsBox, Call, Compare, ConstraintFn, Expr,
     InfeasibleBoundsError, InitBounds, LangError, Num, ObjectRef, PoseAttr,
     PoseRef, VarRef,
 )
-from .helpers import (
-    _ANGLES_LOWER, _ANGLES_UPPER, ANYWHERE_DROP_BAND, HELPER_IMPLS, ONTOP_SLACK,
-    VERTICAL_BAND, X, Y, Z, _half_height, default_bounds,
-)
+from .helpers import _ANGLES_LOWER, _ANGLES_UPPER, HELPER_IMPLS, WORLD, X, Y, Z, default_bounds
 from .parser import check_types
 
 
@@ -339,7 +334,8 @@ def eval_constraint(fn: ConstraintFn, w: WorldState, step: WorldState | None = N
 # closure on the step world, so an invariant helper call fills and reuses
 # its step memo entry.  A node that reads the object (its pose, or a helper
 # call given its name) gives a column; one that names a rider leaves the
-# rows that reach it undecided.
+# rows that reach it undecided.  A helper call runs the helper itself with
+# the block as its reader, so every rule is written once.
 # Comparisons and `position_within_bounds` are scored as signed distances
 # from their thresholds, and so is the emptiness of bounds a helper builds;
 # a score within `world.MARGIN` of zero leaves its row undecided, as in
@@ -366,22 +362,22 @@ class _Bounds:
         return _Bounds(lower, upper)
 
 
-def _bounds(b) -> _Bounds:
-    return b if isinstance(b, _Bounds) else _Bounds(b.lower, b.upper)
-
-
 class _Block:
     """A program's evaluation over a block of drops of `name` from the step
     world `world`.  `live` marks the rows still being evaluated; a row
     leaves it for `false` (the program raised what makes it false), for
-    `holds` at the end, or undecided."""
+    `holds` at the end, or undecided.
 
-    __slots__ = ("world", "name", "pose", "lower", "upper", "height",
-                 "live", "false", "holds")
+    It is also the helpers' reader (`helpers.WorldReader`) of the worlds the
+    drops leave: the moved object's hull, pose and half height are columns,
+    and bounds are `_Bounds`.  Every other object reads as in the step world."""
+
+    __slots__ = ("world", "name", "settled_pose", "hull", "height", "live", "false", "holds")
 
     def __init__(self, world: WorldState, name: str, settled, rows: np.ndarray):
         self.world, self.name = world, name
-        self.pose, self.lower, self.upper, self.height = settled
+        self.settled_pose, self.height = settled.pose, settled.height
+        self.hull = Aabb.trusted(settled.lower, settled.upper)
         self.live = rows
         self.false = self.holds = np.zeros_like(rows)
 
@@ -407,85 +403,21 @@ class _Block:
         self.doubt(reach & (np.abs(gap) <= MARGIN))
         self.abort(reach & (gap < 0.0))
 
-    # What the helpers read of an object in the world a drop leaves.
+    def box(self, w: WorldState, name: str):
+        return self.hull if name == self.name else aabb_of(w, name)
 
-    def box(self, name: str):
-        if name == self.name:
-            return self.lower, self.upper
-        box = aabb_of(self.world, name)
-        return box.lower, box.upper
+    def pose(self, w: WorldState, name: str):
+        return self.settled_pose if name == self.name else w.pose(name)
 
-    def pose_of(self, name: str):
-        return self.pose if name == self.name else self.world.pose(name)
+    def half_height(self, w: WorldState, name: str):
+        return self.height if name == self.name else WORLD.half_height(w, name)
 
-    def half_height(self, name: str):
-        return self.height if name == self.name else _half_height(self.world, name)
-
-    def floor(self, name: str):
-        """`modify_bounds_inside`'s floor."""
-        return self.box(name)[0][Z] + FLOOR_THICKNESS
+    @staticmethod
+    def bounds(lower, upper) -> _Bounds:
+        return _Bounds((*lower, *_ANGLES_LOWER), (*upper, *_ANGLES_UPPER))
 
 
-def _footprint(b, lo, up) -> _Bounds:
-    return _bounds(b).clamp_axis(X, lo[X], up[X]).clamp_axis(Y, lo[Y], up[Y])
-
-
-def _b_aabb_bounds(blk, name):
-    lo, up = blk.box(name)
-    return _Bounds((*lo, *_ANGLES_LOWER), (*up, *_ANGLES_UPPER))
-
-
-def _b_behind(blk, b, name):
-    return _bounds(b).clamp_axis(X, blk.box(name)[1][X] + CONTACT_TOL, math.inf)
-
-
-def _b_in_front_of(blk, b, name):
-    return _bounds(b).clamp_axis(X, -math.inf, blk.box(name)[0][X] - CONTACT_TOL)
-
-
-def _b_left_of(blk, b, name):
-    return _bounds(b).clamp_axis(Y, -math.inf, blk.box(name)[0][Y] - CONTACT_TOL)
-
-
-def _b_right_of(blk, b, name):
-    return _bounds(b).clamp_axis(Y, blk.box(name)[1][Y] + CONTACT_TOL, math.inf)
-
-
-def _b_above(blk, b, name):
-    lo, up = blk.box(name)
-    return _footprint(b, lo, up).clamp_axis(Z, up[Z], up[Z] + VERTICAL_BAND)
-
-
-def _b_below(blk, b, name):
-    lo, up = blk.box(name)
-    return _footprint(b, lo, up).clamp_axis(Z, lo[Z] - VERTICAL_BAND, lo[Z])
-
-
-def _b_near(blk, b, name, closeness):
-    lo, up = blk.box(name)
-    out = _bounds(b)
-    for axis in (X, Y, Z):
-        center = (lo[axis] + up[axis]) / 2.0
-        out = out.clamp_axis(axis, center - closeness, center + closeness)
-    return out
-
-
-def _b_ontop(blk, b, obj1, obj2):
-    lo, up = blk.box(obj2)
-    hz = blk.half_height(obj1)
-    return _footprint(b, lo, up).clamp_axis(
-        Z, up[Z] - CONTACT_TOL, up[Z] + 2.0 * hz + ONTOP_SLACK)
-
-
-def _b_inside(blk, b, *args):
-    if not args or len(args) > 2:
-        raise InfeasibleBoundsError("inside expects one or two object arguments")
-    lo, up = blk.box(args[-1])
-    floor = blk.floor(args[-1])
-    return _footprint(b, lo, up).clamp_axis(Z, floor, up[Z])
-
-
-def _b_within(blk, pose, b):
+def _within(pose, b):
     """The score of `position_within_bounds`."""
     position = pose.position if isinstance(pose, Pose6) else pose
     lo, up = b.lower, b.upper
@@ -495,29 +427,6 @@ def _b_within(blk, pose, b):
                                              up[axis] - position[axis]))
     return score
 
-
-def _b_anywhere(blk, name):
-    lo, up = blk.box(name)
-    return _Bounds((lo[X], lo[Y], up[Z], *_ANGLES_LOWER),
-                   (up[X], up[Y], up[Z] + ANYWHERE_DROP_BAND, *_ANGLES_UPPER))
-
-
-# The helpers over a block, each as `helpers` computes it, in the same order.
-_BLOCK_HELPERS = {
-    "get_aabb_bounds": _b_aabb_bounds,
-    "get_obj_center": lambda blk, name: blk.pose_of(name),
-    "modify_bounds_behind": _b_behind,
-    "modify_bounds_in_front_of": _b_in_front_of,
-    "modify_bounds_left_of": _b_left_of,
-    "modify_bounds_right_of": _b_right_of,
-    "modify_bounds_above": _b_above,
-    "modify_bounds_below": _b_below,
-    "modify_bounds_near": _b_near,
-    "modify_bounds_ontop": _b_ontop,
-    "modify_bounds_inside": _b_inside,
-    "position_within_bounds": _b_within,
-    "initialize_bounds_anywhere_on_object": _b_anywhere,
-}
 
 # Each arithmetic operator's value, and each comparison's score.
 _BINARY = {
@@ -572,9 +481,9 @@ def _compile_block(fn: ConstraintFn, program: _Program, scene, moved: str, rider
             return (lambda env, blk, reach: env[slot]), varies, names
         if pose and name == moved:
             if isinstance(e, PoseRef):
-                return (lambda env, blk, reach: blk.pose), True, False
+                return (lambda env, blk, reach: blk.settled_pose), True, False
             k = POSE_FIELDS.index(e.attr)
-            return (lambda env, blk, reach: blk.pose[k]), True, False
+            return (lambda env, blk, reach: blk.settled_pose[k]), True, False
         if isinstance(e, Abs):
             children = [e.operand]
         elif isinstance(e, (Arith, Compare)):
@@ -638,16 +547,16 @@ def _block_bool(op: str, operands):
         (operand,) = operands
         return lambda env, blk, reach: np.logical_not(operand(env, blk, reach))
     if op == "and":
-        def run(env, blk, reach):
+        def and_(env, blk, reach):
             for operand in operands:
                 if not reach.any():
                     break
                 value = _guarded(operand, env, blk, reach)
                 reach = reach & (False if value is None else value)
             return reach
-        return run
+        return and_
 
-    def run(env, blk, reach):
+    def or_(env, blk, reach):
         held = np.zeros_like(reach)
         for operand in operands:
             if not reach.any():
@@ -658,16 +567,22 @@ def _block_bool(op: str, operands):
             held = held | (reach & value)
             reach = reach & np.logical_not(value)
         return held
-    return run
+    return or_
 
 
 def _block_call(fn: str, args):
-    impl = _BLOCK_HELPERS[fn]
+    """The helper `fn` over the block, as its reader; invariant bounds given
+    to it become `_Bounds`, so that it may narrow them with columns."""
+    if fn == "position_within_bounds":
+        pose, bounds = args
+        return lambda env, blk, reach: blk.decide(
+            _within(pose(env, blk, reach), bounds(env, blk, reach)), reach)
+    impl = HELPER_IMPLS[fn]
 
     def run(env, blk, reach):
-        value = impl(blk, *[a(env, blk, reach) for a in args])
-        if fn == "position_within_bounds":
-            return blk.decide(value, reach)
+        values = [a(env, blk, reach) for a in args]
+        value = impl(blk.world, *[_Bounds(v.lower, v.upper) if isinstance(v, BoundsBox) else v
+                                  for v in values], read=blk)
         if isinstance(value, _Bounds):
             blk.bound(value, reach)
         return value

@@ -9,14 +9,15 @@ Directional convention: +x points away from the robot, so "behind" an object
 means larger x and "in front" smaller x; "left" means smaller y, "right"
 larger y.  Scene files share this convention.
 
-A helper reads nothing of a world but `w.scene` and the `w.pose` and
-`aabb_of` of the objects it is given: never `w.poses`, the hand,
-`contents` or a whole-world table.  A skill's new world keeps the step
-world's `Pose6` objects, and inherited hulls, of every object it did not
-move (the placed object and its riders are new or absent, and a held object
-has no pose), so a call over objects at the very same `Pose6` objects gives
-the same result on both worlds.  The evaluator's step binding relies on this;
-`tests/test_helper_reads.py` checks it.
+A helper reads nothing of a world but `w.scene` and, through its reader,
+the pose, hull and half height of the objects it is given: never
+`w.poses`, the hand, `contents` or a whole-world table.  A skill's new
+world keeps the step world's `Pose6` objects, and inherited hulls, of
+every object it did not move (the placed object and its riders are new or
+absent, and a held object has no pose), so a call over objects at the very
+same `Pose6` objects gives the same result on both worlds.  The
+evaluator's step binding relies on this; `tests/test_helper_reads.py`
+checks it.
 """
 
 from __future__ import annotations
@@ -36,62 +37,81 @@ _ANGLES_LOWER = (-math.pi,) * 3
 _ANGLES_UPPER = (math.pi,) * 3
 
 
-def _any_orientation(lower: tuple[float, float, float],
-                     upper: tuple[float, float, float]) -> BoundsBox:
-    """Bounds over ordered float corners, such as an `Aabb`'s, all orientations."""
-    return BoundsBox.trusted(lower + _ANGLES_LOWER, upper + _ANGLES_UPPER)
+class WorldReader:
+    """What a helper reads of an object of the world `w` it is given: its
+    hull (`box`, whose `lower` and `upper` are its corners), its pose and
+    its vertical half extent; and how it builds bounds over xyz corners,
+    any orientation (`bounds`).  Every helper reads through `read`, this
+    reader by default; the place screen passes its block of drops
+    (`evaluator._Block`), which answers with columns for the object it
+    moves, so that one spelling of each rule serves floats and columns.
+    A rule narrows bounds only through `clamp_axis`."""
+
+    __slots__ = ()
+
+    box = staticmethod(aabb_of)
+
+    @staticmethod
+    def pose(w: WorldState, name: str) -> Pose6:
+        return w.pose(name)
+
+    @staticmethod
+    def half_height(w: WorldState, name: str) -> float:
+        """Vertical half extent of an object at its current rotation, or the
+        conservative box bound when it is held or riding."""
+        model = w.scene.model(name)
+        try:
+            pose = w.pose(name)
+        except WorldError:
+            return max(model.half_extents)
+        return rotated_half_extents(model.half_extents, *pose.rpy)[2]
+
+    @staticmethod
+    def bounds(lower: tuple[float, float, float],
+               upper: tuple[float, float, float]) -> BoundsBox:
+        """Bounds over ordered float corners, such as an `Aabb`'s."""
+        return BoundsBox.trusted(lower + _ANGLES_LOWER, upper + _ANGLES_UPPER)
+
+
+WORLD = WorldReader()
 
 
 def default_bounds(w: WorldState) -> BoundsBox:
     """Broad starting bounds: the workspace box, all orientations."""
     ws = w.scene.workspace
-    return _any_orientation(ws.lower, ws.upper)
+    return WORLD.bounds(ws.lower, ws.upper)
 
 
-def get_aabb_bounds(w: WorldState, name: str) -> BoundsBox:
+def get_aabb_bounds(w: WorldState, name: str, *, read=WORLD) -> BoundsBox:
     """The object's axis-aligned box as pose bounds (orientation unconstrained)."""
-    box = aabb_of(w, name)
-    return _any_orientation(box.lower, box.upper)
+    box = read.box(w, name)
+    return read.bounds(box.lower, box.upper)
 
 
-def get_obj_center(w: WorldState, name: str) -> Pose6:
+def get_obj_center(w: WorldState, name: str, *, read=WORLD) -> Pose6:
     """Current pose of the named object."""
-    return w.pose(name)
+    return read.pose(w, name)
 
 
-def _half_height(w: WorldState, name: str) -> float:
-    """Vertical half extent of an object at its current rotation, or the
-    conservative box bound when it is held or riding."""
-    model = w.scene.model(name)
-    try:
-        pose = w.pose(name)
-    except WorldError:
-        return max(model.half_extents)
-    return rotated_half_extents(model.half_extents, *pose.rpy)[2]
-
-
-def modify_bounds_behind(w: WorldState, b: BoundsBox, name: str) -> BoundsBox:
+def modify_bounds_behind(w: WorldState, b: BoundsBox, name: str, *, read=WORLD) -> BoundsBox:
     """Restrict x to lie strictly beyond the object's far side (larger x)."""
-    box = aabb_of(w, name)
-    return b.clamp_axis(X, box.upper[X] + CONTACT_TOL, math.inf)
+    return b.clamp_axis(X, read.box(w, name).upper[X] + CONTACT_TOL, math.inf)
 
 
-def modify_bounds_in_front_of(w: WorldState, b: BoundsBox, name: str) -> BoundsBox:
+def modify_bounds_in_front_of(w: WorldState, b: BoundsBox, name: str, *,
+                              read=WORLD) -> BoundsBox:
     """Restrict x to lie strictly between the robot and the object (smaller x)."""
-    box = aabb_of(w, name)
-    return b.clamp_axis(X, -math.inf, box.lower[X] - CONTACT_TOL)
+    return b.clamp_axis(X, -math.inf, read.box(w, name).lower[X] - CONTACT_TOL)
 
 
-def modify_bounds_left_of(w: WorldState, b: BoundsBox, name: str) -> BoundsBox:
+def modify_bounds_left_of(w: WorldState, b: BoundsBox, name: str, *, read=WORLD) -> BoundsBox:
     """Restrict y strictly below the object's minimum y."""
-    box = aabb_of(w, name)
-    return b.clamp_axis(Y, -math.inf, box.lower[Y] - CONTACT_TOL)
+    return b.clamp_axis(Y, -math.inf, read.box(w, name).lower[Y] - CONTACT_TOL)
 
 
-def modify_bounds_right_of(w: WorldState, b: BoundsBox, name: str) -> BoundsBox:
+def modify_bounds_right_of(w: WorldState, b: BoundsBox, name: str, *, read=WORLD) -> BoundsBox:
     """Restrict y strictly above the object's maximum y."""
-    box = aabb_of(w, name)
-    return b.clamp_axis(Y, box.upper[Y] + CONTACT_TOL, math.inf)
+    return b.clamp_axis(Y, read.box(w, name).upper[Y] + CONTACT_TOL, math.inf)
 
 
 def _clamp_footprint(b: BoundsBox, box) -> BoundsBox:
@@ -99,47 +119,49 @@ def _clamp_footprint(b: BoundsBox, box) -> BoundsBox:
         Y, box.lower[Y], box.upper[Y])
 
 
-def modify_bounds_above(w: WorldState, b: BoundsBox, name: str) -> BoundsBox:
+def modify_bounds_above(w: WorldState, b: BoundsBox, name: str, *, read=WORLD) -> BoundsBox:
     """Directly over the object's footprint, in a band above its top face."""
-    box = aabb_of(w, name)
+    box = read.box(w, name)
     return _clamp_footprint(b, box).clamp_axis(
         Z, box.upper[Z], box.upper[Z] + VERTICAL_BAND)
 
 
-def modify_bounds_below(w: WorldState, b: BoundsBox, name: str) -> BoundsBox:
+def modify_bounds_below(w: WorldState, b: BoundsBox, name: str, *, read=WORLD) -> BoundsBox:
     """Directly under the object's footprint, in a band below its bottom face."""
-    box = aabb_of(w, name)
+    box = read.box(w, name)
     return _clamp_footprint(b, box).clamp_axis(
         Z, box.lower[Z] - VERTICAL_BAND, box.lower[Z])
 
 
-def modify_bounds_near(w: WorldState, b: BoundsBox, name: str,
-                       closeness: float) -> BoundsBox:
+def modify_bounds_near(w: WorldState, b: BoundsBox, name: str, closeness: float, *,
+                       read=WORLD) -> BoundsBox:
     """Within `closeness` of the object's center along each of x, y, z."""
-    center = aabb_of(w, name).center
+    box = read.box(w, name)
     out = b
     for axis in (X, Y, Z):
-        out = out.clamp_axis(axis, center[axis] - closeness, center[axis] + closeness)
+        center = (box.lower[axis] + box.upper[axis]) / 2.0
+        out = out.clamp_axis(axis, center - closeness, center + closeness)
     return out
 
 
-def modify_bounds_ontop(w: WorldState, b: BoundsBox, obj1: str, obj2: str) -> BoundsBox:
+def modify_bounds_ontop(w: WorldState, b: BoundsBox, obj1: str, obj2: str, *,
+                        read=WORLD) -> BoundsBox:
     """Resting on obj2's top face: xy within its footprint, z pinned to the
     top plus obj1's half height (a narrow band)."""
-    support = aabb_of(w, obj2)
-    hz = _half_height(w, obj1)
+    support = read.box(w, obj2)
+    hz = read.half_height(w, obj1)
     return _clamp_footprint(b, support).clamp_axis(
         Z, support.upper[Z] - CONTACT_TOL, support.upper[Z] + 2.0 * hz + ONTOP_SLACK)
 
 
-def modify_bounds_inside(w: WorldState, b: BoundsBox, *args: str) -> BoundsBox:
+def modify_bounds_inside(w: WorldState, b: BoundsBox, *args: str, read=WORLD) -> BoundsBox:
     """Within a container: xy inside its footprint, z within its interior.
 
     Callable with just the container, or with (placed_object, container).
     """
     if not args or len(args) > 2:
         raise InfeasibleBoundsError("inside expects one or two object arguments")
-    box = aabb_of(w, args[-1])
+    box = read.box(w, args[-1])
     floor = box.lower[Z] + FLOOR_THICKNESS  # a container's `interior_box` floor
     return _clamp_footprint(b, box).clamp_axis(Z, floor, box.upper[Z])
 
@@ -149,13 +171,13 @@ def position_within_bounds(p: Pose6, b: BoundsBox) -> bool:
     return b.contains_position(p.position if isinstance(p, Pose6) else p)
 
 
-def initialize_bounds_anywhere_on_object(w: WorldState, name: str) -> BoundsBox:
+def initialize_bounds_anywhere_on_object(w: WorldState, name: str, *,
+                                         read=WORLD) -> BoundsBox:
     """Positions over the object's footprint in a drop band above its top,
     any orientation."""
-    box = aabb_of(w, name)
-    return _any_orientation(
-        (box.lower[X], box.lower[Y], box.upper[Z]),
-        (box.upper[X], box.upper[Y], box.upper[Z] + ANYWHERE_DROP_BAND))
+    box = read.box(w, name)
+    lo, up = box.lower, box.upper
+    return read.bounds((lo[X], lo[Y], up[Z]), (up[X], up[Y], up[Z] + ANYWHERE_DROP_BAND))
 
 
 def sample_pose_uniform(b: BoundsBox, rng) -> Pose6:

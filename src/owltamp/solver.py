@@ -40,8 +40,10 @@ from .geometry import Pose6, wrap_angle, wrap_angles
 from .grounding import FRONT_END_CACHE_SIZE, pose_free
 from .lang import ConstraintFn, eval_constraint, eval_constraint_block
 from .model import GroundAction, Literal, LiteralIndex, State, Value, bind_placeholders
-# Unused here since A* searches over bitmasks; bound so that the benchmark's
-# tracer (perfbench/tracer.py) still finds its wrap sites.
+# Unused here since A* searches over bitmasks.  The benchmark's tracer
+# (`perfbench/tracer.py`, `COUNT_SITES`) reads each wrap site from this
+# module's `__dict__`, so without these names every `--trace 1` run raises
+# KeyError.
 from .model import apply, applicable, literal_holds  # noqa: F401
 from .partial_plan import TransformedProblem
 

@@ -74,6 +74,11 @@ LEVEL = RestrictionTable([{"roll": [0, 0], "pitch": [0, 0]}])
 
 # --- Geometry ------------------------------------------------------------------
 
+def center(box) -> tuple[float, float, float]:
+    """The center of an `Aabb`."""
+    return tuple((lo + up) / 2.0 for lo, up in zip(box.lower, box.upper))
+
+
 def rotation_matrix(roll: float, pitch: float, yaw: float) -> np.ndarray:
     """Numpy reference rotation R = Rz(yaw) @ Ry(pitch) @ Rx(roll)."""
     cr, sr = math.cos(roll), math.sin(roll)
@@ -621,3 +626,85 @@ def skill_world(w, choice, rng):
     finally:
         draws.close()
     return w
+
+
+# --- Functions the benchmark never runs --------------------------------------------
+
+_DSL = "a documented constraint-language helper that no benchmark program calls"
+_BLOCK_READ = "the block reader's read for a DSL helper no benchmark program gives the moved object"
+_PRINTER = "the documented program printer (`ConstraintFn.pretty`), which demos/02 calls"
+_EXTERNAL = "the external and replayed oracles, which the scripted benchmark never builds"
+_ERROR = "an error path for untrusted input, which benchmark fixtures never take"
+_PICKLE = "a pickling hook: the benchmark runs in one process"
+_PROTOCOL = "a container or text protocol of a public type, which tests read"
+_TRACER = ("`perfbench/tracer.py` `COUNT_SITES` wraps `solver.apply`/`applicable`; "
+           "they go with ROADMAP item 1 step 2")
+
+# `path:qualname` under `src/owltamp` -> why no benchmark path enters it
+# (`test_reachability`).
+UNREACHED = {
+    "cli.py:_cmd_run.<locals>.oracle_factory": _EXTERNAL,
+    "lang/ast.py:BoundsBox.__post_init__":
+        "the validating constructor for bounds built outside the helpers",
+    "lang/ast.py:ConstraintFn.__reduce__": _PICKLE,
+    "lang/ast.py:ConstraintFn.pretty": _PRINTER,
+    "lang/ast.py:_child": _PRINTER,
+    "lang/ast.py:_fmt_num": _PRINTER,
+    "lang/ast.py:_prec": _PRINTER,
+    "lang/ast.py:print_expr": _PRINTER,
+    "lang/evaluator.py:_Block.bounds": _BLOCK_READ,
+    "lang/evaluator.py:_Block.pose": _BLOCK_READ,
+    "lang/evaluator.py:_block_bool.<locals>.or_":
+        "the block form of `or`, which no benchmark program judged in blocks has",
+    "lang/evaluator.py:_resolve_object": _ERROR,
+    "lang/helpers.py:WorldReader.pose": "the read of `get_obj_center`, " + _DSL,
+    "lang/helpers.py:get_aabb_bounds": _DSL,
+    "lang/helpers.py:get_obj_center": _DSL,
+    "lang/helpers.py:initialize_bounds_anywhere_on_object": _DSL,
+    "lang/helpers.py:modify_bounds_above": _DSL,
+    "lang/helpers.py:modify_bounds_behind": _DSL,
+    "lang/helpers.py:modify_bounds_below": _DSL,
+    "lang/helpers.py:modify_bounds_in_front_of": _DSL,
+    "lang/helpers.py:modify_bounds_right_of": _DSL,
+    "lang/helpers.py:sample_pose_uniform": "documented library API for sampling within bounds",
+    "model.py:ActionSchema.__reduce__": _PICKLE,
+    "model.py:DomainParseError.__init__": _ERROR,
+    "model.py:GroundAction.__getstate__": _PICKLE,
+    "model.py:Literal.__reduce__": _PICKLE,
+    "model.py:Literal.__str__": _PROTOCOL,
+    "model.py:LiteralIndex.matches": _TRACER,
+    "model.py:PreconditionError.__init__": _TRACER,
+    "model.py:Predicate.__reduce__": _PICKLE,
+    "model.py:State.__contains__": _PROTOCOL,
+    "model.py:State.__iter__": _PROTOCOL,
+    "model.py:State.__len__": _PROTOCOL,
+    "model.py:State.holds": "reached only through `State.__contains__`, `apply` and `applicable`",
+    "model.py:Value.__reduce__": _PICKLE,
+    "model.py:applicable": _TRACER,
+    "model.py:apply": _TRACER,
+    "oracle.py:ExternalOracle.__init__": _EXTERNAL,
+    "oracle.py:ExternalOracle._complete": _EXTERNAL,
+    "oracle.py:ExternalOracle._default_post": _EXTERNAL,
+    "oracle.py:ExternalOracle._record": _EXTERNAL,
+    "oracle.py:ExternalOracle.propose_action_constraints": _EXTERNAL,
+    "oracle.py:ExternalOracle.propose_goal_constraints": _EXTERNAL,
+    "oracle.py:ExternalOracle.propose_partial_plan": _EXTERNAL,
+    "oracle.py:ExternalOracle.translate_goal_direct": _EXTERNAL,
+    "oracle.py:OracleParseError.__init__": _ERROR,
+    "oracle.py:ReplayOracle.__init__": _EXTERNAL,
+    "oracle.py:ReplayOracle._next": _EXTERNAL,
+    "oracle.py:ReplayOracle.propose_action_constraints": _EXTERNAL,
+    "oracle.py:ReplayOracle.propose_goal_constraints": _EXTERNAL,
+    "oracle.py:ReplayOracle.propose_partial_plan": _EXTERNAL,
+    "oracle.py:ReplayOracle.translate_goal_direct": _EXTERNAL,
+    "oracle.py:_load_prompt": _EXTERNAL,
+    "oracle.py:_transcript_entry": _EXTERNAL,
+    "oracle.py:parse_goal_literals": _EXTERNAL,
+    "oracle.py:render_action_constraint_prompt": _EXTERNAL,
+    "oracle.py:render_discrete_prompt": _EXTERNAL,
+    "oracle.py:render_goal_constraint_prompt": _EXTERNAL,
+    "partial_plan.py:PartialPlan.__len__": _PROTOCOL,
+    "partial_plan.py:UnmatchedStepError.__init__": _ERROR,
+    "solver.py:PlanningError.__init__": "a search failure that no benchmark cell meets",
+    "solver.py:Skeleton.__len__": _PROTOCOL,
+}

@@ -127,8 +127,8 @@ def test_aabb_overlap_convention():
 
 def test_box_at_pose_translates():
     box = box_at_pose(Pose6(1, 2, 3), (0.1, 0.2, 0.3))
-    assert np.allclose(box.center, (1, 2, 3))
-    assert np.allclose(box.half_extents, (0.1, 0.2, 0.3))
+    assert np.allclose(box.lower, (0.9, 1.8, 2.7))
+    assert np.allclose(box.upper, (1.1, 2.2, 3.3))
 
 
 @settings(max_examples=500, deadline=None)

@@ -133,17 +133,23 @@ WORLD_TABLES = {"contents", "_contents_of", "_contents", "_hulls", "_obstacles",
 
 
 def whole_world_reads(source: str) -> list[str]:
-    """`function:line` of every read in `source` of a world's poses, hand,
-    contents or whole-world tables."""
+    """`scope:line` of every read in `source`, in a function or in a class
+    (a method, as `Class.method`, or the class body, as `Class`), of a
+    world's poses, hand, contents or whole-world tables."""
+    scopes = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef):
+            scopes.append((node.name, node))
+        elif isinstance(node, ast.ClassDef):
+            scopes += [(f"{node.name}.{item.name}" if isinstance(item, ast.FunctionDef)
+                        else node.name, item) for item in node.body]
     found = []
-    for fn in ast.parse(source).body:
-        if not isinstance(fn, ast.FunctionDef):
-            continue
-        for node in ast.walk(fn):
+    for name, scope in scopes:
+        for node in ast.walk(scope):
             if ((isinstance(node, ast.Attribute)
                  and node.attr in WORLD_ATTRS | WORLD_TABLES)
                     or (isinstance(node, ast.Name) and node.id in WORLD_TABLES)):
-                found.append(f"{fn.name}:{node.lineno}")
+                found.append(f"{name}:{node.lineno}")
     return found
 
 
@@ -159,4 +165,6 @@ def test_helpers_never_read_the_whole_world():
         "def c(w, name):\n    return contents(w, name)\n"
         "def d(w, name):\n    return W._hulls(w)\n"
         "def e(w, name):\n    return w._geometry\n"
-    ) == ["a:2", "b:4", "c:6", "d:8", "e:10"]
+        "class Reader:\n    box = staticmethod(_hulls)\n"
+        "    def pose(self, w, name):\n        return w.poses[name]\n"
+    ) == ["a:2", "b:4", "c:6", "d:8", "e:10", "Reader:12", "Reader.pose:14"]

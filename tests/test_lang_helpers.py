@@ -17,9 +17,12 @@ from owltamp.geometry import Pose6
 from owltamp.lang import (
     BoundsBox, InfeasibleBoundsError, default_bounds, sample_pose_uniform,
 )
+from owltamp.geometry import box_at_pose
 from owltamp.lang import helpers as H
+from owltamp.lang.evaluator import _Block, _block_call, _Bounds, _guarded
 from owltamp.world import (
-    FLOOR_THICKNESS, ObjectModel, Scene, WorldState, aabb_of, interior_box,
+    CONTACT_TOL, FLOOR_THICKNESS, MARGIN, ObjectModel, Scene, Settled, WorldState, aabb_of,
+    interior_box, with_placed,
 )
 
 N_SCENES = 20
@@ -365,6 +368,14 @@ def test_inside_a_non_container_falls_back_to_the_box_floor():
 
 
 
+def test_ontop_band_runs_from_the_contact_tolerance_to_the_slack():
+    # The upright crate's half height is exactly 0.1, and the table's top is at 0.
+    w = _crate_world()
+    out = H.modify_bounds_ontop(w, default_bounds(w), "crate", "table_surface")
+    assert out.lower[2] == pytest.approx(-CONTACT_TOL, abs=1e-12)
+    assert out.upper[2] == pytest.approx(0.2 + H.ONTOP_SLACK, abs=1e-12)
+
+
 def test_inside_a_container_reaches_down_to_its_interior_floor():
     models = {
         "table_surface": ObjectModel("table_surface", (0.5, 0.5, 0.01), "surface"),
@@ -375,3 +386,130 @@ def test_inside_a_container_reaches_down_to_its_interior_floor():
                     "mug": Pose6(0.5, 0.1, 0.05, yaw=0.7)})
     out = H.modify_bounds_inside(w, default_bounds(w), "mug")
     assert out.lower[2] == interior_box(w, "mug").lower[2]
+
+
+# --- One rule for floats and for columns ---------------------------------------------
+#
+# The place screen calls the same helpers through a block of drops
+# (`evaluator._Block`), whose reads of the moved object are columns.  A block
+# whose rows hold the floats of scalar worlds must give each row the scalar
+# call's bounds corners bit for bit (or, for `position_within_bounds`, a
+# score of the same sign), and mark false exactly the rows where the scalar
+# call raises InfeasibleBoundsError; a row within MARGIN of either edge may
+# instead be left undecided.
+
+ROWS = 8
+MOVED = "obj1"
+SCENE_OBJECTS = ("table_surface", "obj0", "obj1", "obj2", "obj3", "obj4")
+# Every signature row, and `inside` with no object or with three.
+BLOCK_CALLS = [(name, kinds) for name, rows in H.HELPER_SIGNATURES.items()
+               for kinds, _ in rows]
+BLOCK_CALLS += [("modify_bounds_inside", ("bounds",)),
+                ("modify_bounds_inside", ("bounds", "object", "object", "object"))]
+
+
+def _bounds_box(rng, point=None) -> BoundsBox:
+    """Bounds around the objects, some open to -inf below or +inf above; half
+    of them with a face through `point`, when given."""
+    lo, up = np.sort(rng.uniform(-0.5, 1.0, (2, 6)), axis=0)
+    lo[rng.random(6) < 0.2], up[rng.random(6) < 0.2] = -math.inf, math.inf
+    if point is not None and rng.random() < 0.5:
+        k = rng.integers(3)
+        if rng.random() < 0.5:
+            lo[k], up[k] = point[k], max(up[k], point[k])
+        else:
+            lo[k], up[k] = min(lo[k], point[k]), point[k]
+    return BoundsBox(tuple(lo.tolist()), tuple(up.tolist()))
+
+
+def _scalar_worlds(base, rng):
+    """ROWS worlds that differ from `base` only in MOVED's pose."""
+    half = base.scene.model(MOVED).half_extents
+    poses = [Pose6(*rng.uniform((0.0, -0.5, 0.0, -4.0, -4.0, -4.0), (1.0, 0.5, 0.4, 4.0, 4.0, 4.0)))
+             for _ in range(ROWS)]
+    return [with_placed(base, MOVED, pose, box_at_pose(pose, half)) for pose in poses]
+
+
+def _column(values):
+    return np.array([float(v) for v in values])
+
+
+def _stacked(boxes) -> _Bounds:
+    return _Bounds(tuple(_column(b.lower[k] for b in boxes) for k in range(6)),
+                   tuple(_column(b.upper[k] for b in boxes) for k in range(6)))
+
+
+def _row(value, i):
+    return float(np.broadcast_to(value, (ROWS,))[i])
+
+
+def _same_float(a, b):
+    return float(a).hex() == float(b).hex()
+
+
+@pytest.mark.parametrize("name, kinds", BLOCK_CALLS,
+                         ids=[f"{name}({','.join(kinds)})" for name, kinds in BLOCK_CALLS])
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, N_SCENES - 1), st.integers(0, 2**32 - 1), st.data())
+def test_a_block_of_scalar_worlds_gives_each_row_the_scalar_result(name, kinds, scene, seed,
+                                                                  data):
+    rng = np.random.default_rng(seed)
+    base = SCENES[scene]
+    worlds = _scalar_worlds(base, rng)
+    settled = Settled(tuple(_column(w.pose(MOVED).as_tuple()[k] for w in worlds)
+                            for k in range(6)),
+                      tuple(_column(aabb_of(w, MOVED).lower[k] for w in worlds)
+                            for k in range(3)),
+                      tuple(_column(aabb_of(w, MOVED).upper[k] for w in worlds)
+                            for k in range(3)),
+                      _column(H.WORLD.half_height(w, MOVED) for w in worlds))
+    scalar_args, block_args = [[] for _ in worlds], []
+    for kind in kinds:
+        if kind in ("object", "pose"):
+            obj = data.draw(st.sampled_from(SCENE_OBJECTS))
+            if kind == "object":
+                per_row, column = [obj] * ROWS, obj
+            else:
+                per_row = [w.pose(obj) for w in worlds]
+                column = settled.pose if obj == MOVED else base.pose(obj)
+        elif kind == "bounds":
+            if data.draw(st.booleans()):
+                box = _bounds_box(rng)
+                per_row, column = [box] * ROWS, box
+            else:
+                per_row = [_bounds_box(rng, w.pose(MOVED).position) for w in worlds]
+                column = _stacked(per_row)
+        else:
+            number = float(rng.uniform(-0.1, 0.5))
+            per_row, column = [number] * ROWS, number
+        for args, value in zip(scalar_args, per_row):
+            args.append(value)
+        block_args.append(lambda env, blk, reach, value=column: value)
+
+    blk = _Block(base, MOVED, settled, np.ones(ROWS, bool))
+    got = _guarded(_block_call(name, tuple(block_args)), [], blk, blk.live)
+    for i, (w, args) in enumerate(zip(worlds, scalar_args)):
+        undecided = not (blk.live[i] or blk.false[i])
+        try:
+            want = (H.position_within_bounds(*args) if name == "position_within_bounds"
+                    else H.HELPER_IMPLS[name](w, *args))
+        except InfeasibleBoundsError:
+            assert blk.false[i] or undecided, i
+            want = None
+        else:
+            assert not blk.false[i], i
+        if isinstance(want, bool):
+            position, b = args[0].position, args[1]
+            score = min(min(position[k] - b.lower[k], b.upper[k] - position[k])
+                        for k in range(3))
+            assert undecided == (abs(score) <= MARGIN), i
+            assert undecided or _row(got, i) == want, i
+        elif isinstance(want, Pose6):
+            values = got.as_tuple() if isinstance(got, Pose6) else got
+            assert all(_same_float(_row(g, i), v) for g, v in zip(values, want.as_tuple()))
+        elif want is not None:
+            corners = (*zip(got.lower, want.lower), *zip(got.upper, want.upper))
+            assert all(_same_float(_row(g, i), v) for g, v in corners), i
+        if undecided and not isinstance(want, bool):
+            gap = min(_row(got.upper[k], i) - _row(got.lower[k], i) for k in range(3))
+            assert abs(gap) <= MARGIN, i

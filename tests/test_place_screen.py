@@ -278,7 +278,8 @@ def place_cases(draw):
                                                          0.0, yaw)]
     cx, cy = TARGETS[target]
     # The near box's faces, where a drop on the table rests at one in z.
-    bx, by, bz = W.aabb_of(world, "block").center
+    block = W.aabb_of(world, "block")
+    bx, by, bz = ((lo + up) / 2.0 for lo, up in zip(block.lower, block.upper))
     near = draw(st.sampled_from([0.13, 0.18, 0.25, abs(bz - ext[2]) or 0.1]))
     shapes = st.sampled_from(_programs(target, held_kind, near, riders))
     fns = tuple(draw(st.lists(shapes, max_size=3)))
@@ -309,8 +310,8 @@ def place_cases(draw):
         if scenario != "anywhere":
             # Over the box, or beside it.
             reach = draw(st.sampled_from([1.0, 1.0, 2.5]))
-            aim[0], aim[1] = (c + h * draw(st.floats(-reach, reach))
-                              for c, h in zip(focus.center[:2], focus.half_extents[:2]))
+            aim[0], aim[1] = ((lo + up) / 2.0 + (up - lo) / 2.0 * draw(st.floats(-reach, reach))
+                              for lo, up in zip(focus.lower[:2], focus.upper[:2]))
             ulps = draw(st.integers(-3, 3))
             if scenario == "edge":
                 axis = draw(st.integers(0, 1))
@@ -608,6 +609,12 @@ EDGE_CASES = {
     "ontop-band-top-outside": _edge_case(
         "block", fixtures._ontop("item", "plate", "on_plate"), (0.5, 0.25, 0.061),
         (0.5, 0.25, 0.2), block=((0.03, 0.03, 0.01), (0.0, 0.0, 0.03 + 2e-12))),
+    # The same edge for a flat item, whose half height is not its x extent,
+    # after a first drop on the block's overhang, beyond the plate.
+    "ontop-band-top-flat-item": _edge_case(
+        "block", fixtures._ontop("item", "plate", "on_plate"), (0.59, 0.25, 0.2),
+        (0.5, 0.25, 0.2), half=(0.04, 0.04, 0.01),
+        block=((0.1, 0.03, 0.01), (0.0, 0.0, 0.02 - 2e-12))),
     # The first drop lands on the block, beside which the edge drop rests on
     # the table on a face of the near box.
     "near-box-face": _edge_case(

@@ -19,7 +19,7 @@ from owltamp.solver import (
 )
 from owltamp.tasks import TABLE, load_task, bench_schemas, task_ids
 
-from reference import build, manual_solve, skeleton_for
+from reference import build, center, manual_solve, skeleton_for
 
 
 @pytest.fixture(scope="module")
@@ -111,13 +111,13 @@ def test_refine_empirical_acceptance_of_region_placement(domain):
     within 50 draws essentially always (analytic acceptance ~0.25/draw)."""
     spec, w0, domain, problem = build("berry1")
     region_box = W.aabb_of(w0, "light_grey_region")
-    cx, cy = region_box.center[0], region_box.center[1]
+    cx, cy = center(region_box)[:2]
     fn = parse_constraint(
         "def quadrant() -> bool:\n"
         f"    return strawberry.pose.x < {cx} and strawberry.pose.y < {cy}\n")
     # start from the object already in hand so the measurement covers only
     # the constrained placement
-    grasp = Pose6(*W.aabb_of(w0, "strawberry").center)
+    grasp = Pose6(*center(W.aabb_of(w0, "strawberry")))
     held = W.exec_pick(w0, "strawberry", grasp).new_world
     trials, hits = 100, 0
     for t in range(trials):
@@ -182,7 +182,7 @@ def test_sampled_grasps_hold_python_floats(sampled):
 def test_sampled_places_and_pours_hold_python_floats(sampled):
     spec, w0 = load_task("mug2", 0)
     draws = solver.DrawStream(np.random.default_rng(5))
-    held = W.exec_pick(w0, "mug", Pose6(*W.aabb_of(w0, "mug").center)).new_world
+    held = W.exec_pick(w0, "mug", Pose6(*center(W.aabb_of(w0, "mug")))).new_world
     objs = {"o": "mug", "s": TABLE}
     place, _ = SKILLS["place_ontop"].prepare(held, "place_ontop", objs, draws,
                                              RestrictionTable(), None, (), ())

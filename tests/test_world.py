@@ -12,6 +12,8 @@ from owltamp.world import (
 )
 from owltamp.tasks import WORKSPACE
 
+from reference import center
+
 
 def make_world(extra=None, poses=None):
     models = {
@@ -46,8 +48,7 @@ def tabletop(*objs):
 
 
 def level_grasp(w, name, dz=0.0):
-    box = aabb_of(w, name)
-    c = box.center
+    c = center(aabb_of(w, name))
     return Pose6(c[0], c[1], c[2] + dz)
 
 
