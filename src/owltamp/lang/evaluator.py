@@ -6,23 +6,7 @@ that checks it against thousands of sampled worlds dispatches on node types
 only once.  Helper functions, pose attributes and operators are bound when
 compiling; the closures keep the interpreter's left-to-right evaluation and
 short-circuit order.  No program text ever reaches the host interpreter.
-
-Step binding.  Refinement checks a step's programs against every world its
-draws produce, and those worlds share the step world's `Pose6` objects for
-every object the skill did not move.  A helper call (other than
-`position_within_bounds`) whose arguments are numbers, object names,
-`init_bounds`, other such calls or names bound to them is step-invariant:
-its result depends only on the scene and on the poses of the objects it
-names (see `helpers`).  The compiler marks these calls with their read sets
-once.  `eval_constraint(fn, w, step=world)` keeps one step's results per
-program: a call's entry fills the first time a world of the step whose scene
-is the step's and whose read-set poses are the step world's very objects
-evaluates it without raising, and every later world that passes the same
-identity check reuses it.  Any other world runs the call itself, and a
-call that raises leaves its entry empty.  Without `step`, a world is its own
-step.  Binding a step also resolves the program's object names for the step
-world's scene, once per scene; a name that is not an object of it is left
-to `_resolve_object`, which raises at the evaluation that reads it.
+A program's object names are resolved once per scene.
 
 Block evaluation.  `eval_constraint_block` judges a program on the worlds a
 block of place drops would leave, in numpy, from the columns of the settled
@@ -63,66 +47,42 @@ def _resolved(scene, name: str) -> str | None:
     return resolved if resolved in scene.models else None
 
 
-def _resolve_object(w: WorldState, name: str, node: Expr) -> str:
-    resolved = _resolved(w.scene, name)
-    if resolved is None:
-        raise UnboundObjectError(f"unknown object {name!r}", node.line, node.column)
-    return resolved
+def _compile_expr(e: Expr, slots: dict[str, int], program: _Program):
+    """`e` as a closure `(env, w) -> value`.  `slots` maps each name assigned
+    so far to its position in `env`.  Every node's closure is kept in
+    `program.closures`, for block evaluation."""
+    closure = program.closures[id(e)] = _compile_node(e, slots, program)
+    return closure
 
 
-def _compile_expr(e: Expr, slots: dict[str, tuple[int, frozenset | None]],
-                  memo: _Program):
-    """`e` as a closure `(env, w) -> value`, with its read set.
-
-    `slots` maps each name assigned so far to its position in `env` and the
-    read set of its value.  A read set is the frozenset of object names a
-    step-invariant value reaches, or None for a value that may depend on
-    anything else of the world.  Each invariant helper call is wrapped to
-    reuse its step's result (`memo.memoised`).  Every node's closure is kept
-    in `memo.closures`, for block evaluation.
-    """
-    closure, reads = _compile_node(e, slots, memo)
-    memo.closures[id(e)] = closure
-    return closure, reads
-
-
-def _compile_node(e: Expr, slots, memo: _Program):
-    if isinstance(e, Num):
+def _compile_node(e: Expr, slots, program: _Program):
+    if isinstance(e, (Num, BoolLit)):
         value = e.value
-        return (lambda env, w: value), _NO_OBJECTS
-    if isinstance(e, BoolLit):
-        value = e.value
-        return (lambda env, w: value), None
+        return lambda env, w: value
     if isinstance(e, ObjectRef):
-        return memo.resolver(e.name, e), frozenset((e.name,))
+        return program.resolver(e.name, e)
     if isinstance(e, InitBounds):
-        return (lambda env, w: default_bounds(w)), _NO_OBJECTS
+        return lambda env, w: default_bounds(w)
     if isinstance(e, VarRef):
-        slot, reads = slots[e.name]
-        return (lambda env, w: env[slot]), reads
+        slot = slots[e.name]
+        return lambda env, w: env[slot]
     if isinstance(e, PoseRef):
-        resolve = memo.resolver(e.obj, e)
-        return (lambda env, w: w.pose(resolve(env, w))), None
+        resolve = program.resolver(e.obj, e)
+        return lambda env, w: w.pose(resolve(env, w))
     if isinstance(e, PoseAttr):
-        resolve, get = memo.resolver(e.obj, e), attrgetter(e.attr)
-        return (lambda env, w: get(w.pose(resolve(env, w)))), None
+        resolve, get = program.resolver(e.obj, e), attrgetter(e.attr)
+        return lambda env, w: get(w.pose(resolve(env, w)))
     if isinstance(e, Abs):
-        operand, _ = _compile_expr(e.operand, slots, memo)
-        return (lambda env, w: abs(operand(env, w))), None
+        operand = _compile_expr(e.operand, slots, program)
+        return lambda env, w: abs(operand(env, w))
     if isinstance(e, (Arith, Compare)):
-        lhs, _ = _compile_expr(e.lhs, slots, memo)
-        rhs, _ = _compile_expr(e.rhs, slots, memo)
-        return _binary(e, lhs, rhs), None
+        lhs = _compile_expr(e.lhs, slots, program)
+        rhs = _compile_expr(e.rhs, slots, program)
+        return _binary(e, lhs, rhs)
     if isinstance(e, BoolOp):
-        operands = tuple(_compile_expr(x, slots, memo)[0] for x in e.operands)
-        return _bool_op(e.op, operands), None
+        return _bool_op(e.op, tuple(_compile_expr(x, slots, program) for x in e.operands))
     if isinstance(e, Call):
-        args = [_compile_expr(a, slots, memo) for a in e.args]
-        call = _call(e.fn, tuple(closure for closure, _ in args))
-        if e.fn == "position_within_bounds" or any(reads is None for _, reads in args):
-            return call, None
-        reads = _NO_OBJECTS.union(*(reads for _, reads in args))
-        return memo.memoised(call, reads), reads
+        return _call(e.fn, tuple(_compile_expr(a, slots, program) for a in e.args))
     raise EvalError(f"cannot evaluate {type(e).__name__}", e.line, e.column)
 
 
@@ -178,17 +138,16 @@ def _call(fn: str, args):
     return lambda env, w: impl(w, *[a(env, w) for a in args])
 
 
-def _compile(fn: ConstraintFn, memo: _Program):
+def _compile(fn: ConstraintFn, program: _Program):
     """The program as a closure `w -> result`.  Assignment i fills `env[i]`;
     a name refers to its latest earlier assignment, since names may be
     reassigned."""
-    slots: dict[str, tuple[int, frozenset | None]] = {}
+    slots: dict[str, int] = {}
     steps = []
     for i, a in enumerate(fn.assigns):
-        step, reads = _compile_expr(a.value, slots, memo)
-        steps.append(step)
-        slots[a.name] = i, reads
-    result, _ = _compile_expr(fn.result, slots, memo)
+        steps.append(_compile_expr(a.value, slots, program))
+        slots[a.name] = i
+    result = _compile_expr(fn.result, slots, program)
 
     def run(w: WorldState):
         env: list = []
@@ -198,125 +157,58 @@ def _compile(fn: ConstraintFn, memo: _Program):
     return run
 
 
-_NO_OBJECTS: frozenset = frozenset()
-_NEVER = object()     # an entry whose read set has no pose in its step world
-_UNFILLED = object()  # an entry no draw has filled yet
-
-
 class _Program:
-    """A compiled program: `run(w)` evaluates it with each invariant call's
-    result kept for the step world `step` and reused on every world that
-    leaves the call's read set at the step world's very poses.  Its object
-    names are resolved once for the step world's scene."""
+    """A compiled program: `run(w)` evaluates it on a world of the scene its
+    object names were last resolved for (`_program`).  `block` judges it over
+    a block of drops (`eval_constraint_block`); `invariants` keeps the values
+    of its row-invariant block nodes for the step world `step`."""
 
-    __slots__ = ("run", "step", "entries", "_empty", "scene", "names", "_refs",
-                 "closures", "block_key", "block")
+    __slots__ = ("run", "scene", "names", "_refs", "closures", "block_key", "block",
+                 "step", "invariants")
 
     def __init__(self, fn: ConstraintFn):
-        self.entries = []
         self.names, self._refs = [], []
         self.closures = {}
         self.run = _compile(fn, self)
-        self._empty = (None,) * len(self.entries)
-        self.step = self.scene = None
-        self.block_key = self.block = None
-
-    def bind(self, step: WorldState) -> None:
-        """Drop the previous step's entries; they fill again as draws reach
-        them.  Resolve the names again for a new scene."""
-        self.step = step
-        self.entries[:] = self._empty
-        scene = step.scene
-        if scene is not self.scene:
-            self.scene = scene
-            self.names[:] = [_resolved(scene, name) for name in self._refs]
+        self.scene = self.block_key = self.block = self.step = None
+        self.invariants = {}
 
     def resolver(self, name: str, node: Expr):
-        """`(env, w) -> _resolve_object(w, name, node)`, which reads the
-        name's resolution in the bound scene: None, for a name that is not
-        an object of it, raises through `_resolve_object`."""
+        """A closure `(env, w)` that gives the canonical name of the object
+        `name` in the bound scene, or raises UnboundObjectError where it
+        names none."""
         k = len(self._refs)
         self._refs.append(name)
         self.names.append(None)
         names = self.names
 
         def resolve(env, w):
-            if w.scene is self.scene:
-                resolved = names[k]
-                if resolved is not None:
-                    return resolved
-            return _resolve_object(w, name, node)
+            resolved = names[k]
+            if resolved is None:
+                raise UnboundObjectError(f"unknown object {name!r}", node.line, node.column)
+            return resolved
         return resolve
 
-    def memoised(self, call, names: frozenset):
-        """`call`, whose result depends only on the scene and the poses of
-        the objects `names` names, reusing its step's result.
 
-        An entry is None until a draw first reaches the call in a step; then
-        `_NEVER`, or (scene, ((canonical name, step pose), ...), value) with
-        value `_UNFILLED` until a world that passes the identity check
-        evaluates the call without raising.
-        """
-        k = len(self.entries)
-        self.entries.append(None)
-        entries, names = self.entries, tuple(sorted(names))
-
-        def memo(env, w):
-            entry = entries[k]
-            if entry is None:
-                entry = entries[k] = self._key(names)
-            if entry is _NEVER:
-                return call(env, w)
-            scene, pairs, value = entry
-            if w.scene is not scene:
-                return call(env, w)
-            poses = w.poses
-            for name, pose in pairs:
-                if poses.get(name) is not pose:
-                    return call(env, w)
-            if value is _UNFILLED:
-                value = call(env, w)
-                entries[k] = scene, pairs, value
-            return value
-        return memo
-
-    def _key(self, names: tuple[str, ...]):
-        step = self.step
-        scene, poses = step.scene, step.poses
-        pairs = {}
-        for name in names:
-            canonical = scene.resolve(name)
-            pose = poses.get(canonical)
-            if pose is None:
-                return _NEVER
-            pairs[canonical] = pose
-        return scene, tuple(pairs.items()), _UNFILLED
-
-
-def _bound(fn: ConstraintFn, step: WorldState) -> _Program:
-    """The program compiled, on its first use, and bound to `step`."""
+def _program(fn: ConstraintFn, scene) -> _Program:
+    """The program compiled, on its first use, with its object names resolved
+    for `scene`, again only when the scene changes."""
     program = fn._compiled
     if program is None:
         program = _Program(fn)
         object.__setattr__(fn, "_compiled", program)
-    if program.step is not step:
-        program.bind(step)
+    if program.scene is not scene:
+        program.scene = scene
+        program.names[:] = [_resolved(scene, name) for name in program._refs]
     return program
 
 
-def eval_constraint(fn: ConstraintFn, w: WorldState, step: WorldState | None = None) -> bool:
+def eval_constraint(fn: ConstraintFn, w: WorldState) -> bool:
     """Run a constraint program.  Infeasible intermediate bounds make it
     false, and so does reading the pose or hull of an object that has no pose
-    in `w` (held, or riding in a held container).
-
-    `step` is the world a skill was applied to in order to get `w`, and `w`
-    itself when not given: the program's step-invariant calls are evaluated
-    once for every world of that step that leaves their objects unmoved.
-    The verdict and any error do not depend on `step`.
-    """
-    program = _bound(fn, w if step is None else step)
+    in `w` (held, or riding in a held container)."""
     try:
-        result = program.run(w)
+        result = _program(fn, w.scene).run(w)
     except (InfeasibleBoundsError, ObjectHeldError):
         return False
     if not isinstance(result, bool):
@@ -330,11 +222,12 @@ def eval_constraint(fn: ConstraintFn, w: WorldState, step: WorldState | None = N
 # world each drop leaves differs from the step world only in that object,
 # which is placed, and its riders, which are seated: `world.Settled` gives
 # the object's pose and hull as columns over the drops.  A node that reads
-# neither is row-invariant: it runs once per block, through its scalar
-# closure on the step world, so an invariant helper call fills and reuses
-# its step memo entry.  A node that reads the object (its pose, or a helper
-# call given its name) gives a column; one that names a rider leaves the
-# rows that reach it undecided.  A helper call runs the helper itself with
+# neither is row-invariant: its value is the step world's, through its
+# scalar closure, and the program keeps it (`_Program.invariants`) for every
+# block of the step until it judges a block from another step world; a node
+# that raises keeps nothing.  A node that reads the object (its pose, or a
+# helper call given its name) gives a column; one that names a rider leaves
+# the rows that reach it undecided.  A helper call runs the helper itself with
 # the block as its reader, so every rule is written once.
 # Comparisons and `position_within_bounds` are scored as signed distances
 # from their thresholds, and so is the emptiness of bounds a helper builds;
@@ -355,10 +248,11 @@ class _Bounds:
         self.lower, self.upper = lower, upper
 
     def clamp_axis(self, axis: int, lo, up) -> _Bounds:
-        """`BoundsBox.clamp_axis`, leaving the emptiness check to `_Block.bound`."""
+        """`BoundsBox.clamp_axis`, leaving the emptiness check to `_Block.bound`.
+        A NaN limit keeps the current corner, as `max` and `min` do there."""
         lower, upper = list(self.lower), list(self.upper)
-        lower[axis] = np.maximum(lower[axis], lo)
-        upper[axis] = np.minimum(upper[axis], up)
+        lower[axis] = np.fmax(lower[axis], lo)
+        upper[axis] = np.fmin(upper[axis], up)
         return _Bounds(lower, upper)
 
 
@@ -504,9 +398,17 @@ def _compile_block(fn: ConstraintFn, program: _Program, scene, moved: str, rider
             return _block_bool(e.op, parts), True, False
         return _block_call(e.fn, parts), True, False
 
+    invariants = program.invariants
+
     def invariant(e: Expr):
-        closure = program.closures[id(e)]
-        return lambda env, blk, reach: closure(env, blk.world)
+        closure, key = program.closures[id(e)], id(e)
+
+        def kept(env, blk, reach):
+            if key in invariants:
+                return invariants[key]
+            value = invariants[key] = closure(env, blk.world)
+            return value
+        return kept
 
     slots: dict[str, tuple[int, bool, bool]] = {}
     steps = []
@@ -596,9 +498,11 @@ def eval_constraint_block(fn: ConstraintFn, step: WorldState, name: str, settled
     `step`: masks of the rows of `rows` where it surely holds and where it
     surely does not.  A row in neither is undecided: a score within MARGIN
     of its threshold, a read of one of `name`'s riders, or an error
-    `eval_constraint` would raise.  Evaluating binds the program to `step`,
-    as `eval_constraint` with `step` does."""
-    program = _bound(fn, step)
+    `eval_constraint` would raise."""
+    program = _program(fn, step.scene)
+    if program.step is not step:
+        program.step = step
+        program.invariants.clear()
     key, riders = program.block_key, frozenset(r for r, _, _ in step.held.riders)
     if key is None or key[0] is not step.scene or key[1:] != (name, riders):
         program.block = _compile_block(fn, program, step.scene, name, riders)

@@ -16,8 +16,9 @@ world keeps the step world's `Pose6` objects, and inherited hulls, of
 every object it did not move (the placed object and its riders are new or
 absent, and a held object has no pose), so a call over objects at the very
 same `Pose6` objects gives the same result on both worlds.  The
-evaluator's step binding relies on this; `tests/test_helper_reads.py`
-checks it.
+evaluator's block path relies on this: it evaluates a call that names
+neither the placed object nor a rider once per step, on the step world, for
+the worlds of all the step's drops.  `tests/test_helper_reads.py` checks it.
 """
 
 from __future__ import annotations

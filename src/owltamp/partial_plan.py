@@ -51,9 +51,6 @@ class PartialPlan:
     goal_objects: tuple[str, ...] = ()
     goal_description: str = ""
 
-    def __len__(self):
-        return len(self.steps)
-
 
 @dataclass(frozen=True)
 class TransformedProblem:

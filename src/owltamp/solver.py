@@ -81,9 +81,6 @@ class Skeleton:
         if not (len(self.actions) == len(self.constraints) == len(self.hints)):
             raise ValueError("skeleton slot lists must align")
 
-    def __len__(self):
-        return len(self.actions)
-
 
 @dataclass(frozen=True)
 class RefinementFailure:
@@ -665,8 +662,8 @@ SKILLS: dict[str, Skill] = {
 }
 
 
-def _constraints_pass(fns, w2: W.WorldState, step: W.WorldState | None = None) -> bool:
-    return all(eval_constraint(fn, w2, step=step) for fn in fns)
+def _constraints_pass(fns, w2: W.WorldState) -> bool:
+    return all(eval_constraint(fn, w2) for fn in fns)
 
 
 def refine(sk: Skeleton, scene: W.WorldState, goal_fns: tuple[ConstraintFn, ...],
@@ -730,10 +727,10 @@ def refine(sk: Skeleton, scene: W.WorldState, goal_fns: tuple[ConstraintFn, ...]
                 if skill.effect is not None and not skill.effect(outcome.new_world, objs):
                     reason = "effects-unsatisfied"
                     continue
-                if not _constraints_pass(fns, outcome.new_world, world):
+                if not _constraints_pass(fns, outcome.new_world):
                     reason = "constraint-unsatisfied"
                     continue
-                if i == last and not _constraints_pass(goal_fns, outcome.new_world, world):
+                if i == last and not _constraints_pass(goal_fns, outcome.new_world):
                     reason = "goal-constraint-unsatisfied"
                     continue
                 accepted = outcome.new_world

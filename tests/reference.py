@@ -5,7 +5,7 @@ reference:
 
 - `ref_refine`, the refine loop without screens: every sample goes through
   its skill's draw;
-- `ref_eval_constraint`, the tree-walking interpreter that compiled, step-bound
+- `ref_eval_constraint`, the tree-walking interpreter that compiled
   constraint evaluation replaced;
 - `reference_plan_task`, the A* search over literal sets that the bitmask
   search replaced;
@@ -234,9 +234,8 @@ def ref_eval(e, env, w):
     raise EvalError(f"cannot evaluate {type(e).__name__}", e.line, e.column)
 
 
-def ref_eval_constraint(fn, w, step=None):
-    """The program interpreted on `w` alone; `step` is taken, as
-    `eval_constraint` takes it, and ignored."""
+def ref_eval_constraint(fn, w):
+    """The program interpreted on `w`, node by node."""
     env = {}
     try:
         for a in fn.assigns:
@@ -249,11 +248,11 @@ def ref_eval_constraint(fn, w, step=None):
     return result
 
 
-def verdict(evaluate, fn, w, step=None):
+def verdict(evaluate, fn, w):
     """The verdict, or the type, line, column and message of the language
     error raised instead."""
     try:
-        return evaluate(fn, w, step=step)
+        return evaluate(fn, w)
     except LangError as err:
         return type(err), err.line, err.column, str(err)
 
@@ -656,7 +655,6 @@ UNREACHED = {
     "lang/evaluator.py:_Block.pose": _BLOCK_READ,
     "lang/evaluator.py:_block_bool.<locals>.or_":
         "the block form of `or`, which no benchmark program judged in blocks has",
-    "lang/evaluator.py:_resolve_object": _ERROR,
     "lang/helpers.py:WorldReader.pose": "the read of `get_obj_center`, " + _DSL,
     "lang/helpers.py:get_aabb_bounds": _DSL,
     "lang/helpers.py:get_obj_center": _DSL,
@@ -703,8 +701,6 @@ UNREACHED = {
     "oracle.py:render_action_constraint_prompt": _EXTERNAL,
     "oracle.py:render_discrete_prompt": _EXTERNAL,
     "oracle.py:render_goal_constraint_prompt": _EXTERNAL,
-    "partial_plan.py:PartialPlan.__len__": _PROTOCOL,
     "partial_plan.py:UnmatchedStepError.__init__": _ERROR,
     "solver.py:PlanningError.__init__": "a search failure that no benchmark cell meets",
-    "solver.py:Skeleton.__len__": _PROTOCOL,
 }

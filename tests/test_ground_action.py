@@ -110,7 +110,7 @@ def test_backtracking_inserts_actions_with_the_parents_placeholders(task_id, ste
     all_objects = tuple(world.all_objects())
     inserted = 0
     for cand in candidates[:-1]:
-        for a in cand.actions[:len(cand) - len(sk)]:
+        for a in cand.actions[:len(cand.actions) - len(sk.actions)]:
             ref = reference_make_ground(domain, a.name, a.objects, counter, all_objects)
             # The same ids; only the conf hint now reads 'q', as in grounding.
             confs = {k: Value.opt(v.payload[0], "q") for k, v in ref.binding
@@ -118,5 +118,5 @@ def test_backtracking_inserts_actions_with_the_parents_placeholders(task_id, ste
             assert str(a.value("q")).startswith("#q")
             assert a == ref.with_values(confs)
             inserted += 1
-        assert cand.actions[len(cand) - len(sk):] == sk.actions
+        assert cand.actions[len(cand.actions) - len(sk.actions):] == sk.actions
     assert inserted >= 2

@@ -1,8 +1,9 @@
 """What a constraint helper may read of a world.
 
-Step binding in `lang.evaluator` reuses a helper call's result on every
-world of a refinement step that leaves the call's objects at the step
-world's very `Pose6` objects.  That is sound only while each helper reads
+The block path of `lang.evaluator` evaluates a helper call that names
+neither the placed object nor one of its riders once per step, on the step
+world, and uses that result for the world of every drop of the step.  That
+is sound only while each helper reads
 nothing of a world but its scene and the pose, hull and interior of the
 objects it is given.  The property test below checks that on pairs of worlds
 that share the poses of some objects and differ in everything else; the

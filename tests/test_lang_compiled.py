@@ -4,6 +4,12 @@
 `reference.ref_eval_constraint` is the interpreter it replaced: on task
 worlds and on worlds reached by skill draws (picks among them), both must
 give the same verdict, or raise the same error at the same line and column.
+Targeted cases draw one skill many times from one step world, over calls
+about fixed objects, the held object, a rider, an alias and a stacked
+object; they, a program shared by a step and the goal, and whole benchmark
+cells must give the same verdicts, refine results and generator states
+through either.  The block path keeps each row-invariant node's value for
+its step world, which the last test counts.
 """
 
 import ast
@@ -14,15 +20,24 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from owltamp import lang, tasks
+import pytest
+
+from owltamp import lang, solver, tasks
+from owltamp import world as W
 from owltamp.fixtures import VARIANTS
 from owltamp.lang import (
-    EvalError, UnboundObjectError, eval_constraint, parse_constraint, parse_constraint_block,
+    EvalError, UnboundObjectError, eval_constraint, eval_constraint_block, parse_constraint,
+    parse_constraint_block,
 )
+from owltamp.lang.helpers import HELPER_IMPLS
 from owltamp.geometry import Pose6
+from owltamp.solver import Budgets, DrawStream
 from owltamp.world import WorldState
 
-from reference import ref_eval_constraint, skill_world, verdict
+from reference import (
+    LEVEL, assert_cells_agree, bowl_scene, program, ref_eval_constraint, skeleton, skill_world,
+    verdict,
+)
 
 TASK_IDS = tasks.task_ids()
 LANG_DIR = pathlib.Path(lang.__file__).parent
@@ -115,6 +130,223 @@ def test_compiled_program_matches_reference_along_skill_chains(fn, task_id, scen
     for choice in choices:
         w = skill_world(w, choice, rng)
         assert_same(fn, w)
+
+
+# --- Whole cells through both interpreters -----------------------------------------
+
+@pytest.mark.parametrize("mode", ["manual", "full", "no_disc", "no_back",
+                                  "flawed-continuous"])
+def test_cells_give_what_the_reference_interpreter_gives(mode):
+    assert_cells_agree(mode, eval_constraint=ref_eval_constraint)
+
+
+# --- The draws of one step -----------------------------------------------------------
+
+def _stacked_scene():
+    """`bowl_scene` with the plum resting on an apple instead of the table."""
+    w = bowl_scene()
+    return WorldState(w.scene, {**w.poses, "plum": Pose6(0.3, 0.2, 0.09)})
+
+
+def _draw_worlds(step, name, objs, n, seed=0):
+    """The worlds of up to `n` successful draws of one skill from `step`."""
+    draws = DrawStream(np.random.default_rng(seed))
+    draw, _ = solver.SKILLS[name].prepare(step, name, objs, draws, LEVEL, None, (), ())
+    out = []
+    for _ in range(20 * n):
+        outcome, _ = draw()
+        if outcome.success:
+            out.append(outcome.new_world)
+            if len(out) == n:
+                break
+    assert len(out) == n
+    return out
+
+
+def _same_verdicts(fn, worlds):
+    """Compiled and reference verdicts over `worlds`, which must agree."""
+    got = [verdict(eval_constraint, fn, w) for w in worlds]
+    assert got == [verdict(ref_eval_constraint, fn, w) for w in worlds]
+    return got
+
+
+def test_a_call_over_unmoved_objects_on_every_draw_of_a_step():
+    fn = program("b = modify_bounds_above(get_aabb_bounds('plate'), 'plate')",
+                 "b = modify_bounds_near(b, 'bowl', 0.5)",
+                 "not position_within_bounds(bowl.pose, b)")
+    worlds = _draw_worlds(bowl_scene(), "pick", {"o": "apple"}, 5)
+    assert _same_verdicts(fn, worlds) == [True] * 5
+
+
+def test_a_call_over_unmoved_objects_on_the_draws_of_two_steps():
+    fn = program("position_within_bounds(plate.pose, get_aabb_bounds('plate'))")
+    first = bowl_scene()
+    assert _same_verdicts(fn, _draw_worlds(first, "pick", {"o": "apple"}, 3)) == [True] * 3
+    second = _draw_worlds(first, "pick", {"o": "apple"}, 1)[0]
+    places = _draw_worlds(second, "place_ontop", {"o": "apple", "s": "table_surface"}, 3)
+    assert _same_verdicts(fn, places) == [True] * 3
+
+
+def test_a_call_that_reads_the_held_object():
+    reads_held = program("b = modify_bounds_ontop(init_bounds, 'apple', 'plate')",
+                         "position_within_bounds(apple.pose, b)")
+    picks = _draw_worlds(bowl_scene(), "pick", {"o": "apple"}, 3)
+    # After the pick the apple has no pose: reading it makes the program false.
+    assert _same_verdicts(reads_held, picks) == [False] * 3
+    places = _draw_worlds(picks[0], "place_ontop", {"o": "apple", "s": "plate"}, 6)
+    assert True in _same_verdicts(reads_held, places)
+
+
+def test_a_call_that_reads_a_rider():
+    fn = program("b = modify_bounds_near(init_bounds, 'golf_ball', 0.2)",
+                 "position_within_bounds(bowl.pose, b)")
+    picks = _draw_worlds(bowl_scene(), "pick", {"o": "bowl"}, 3)
+    assert all(w.held.riders for w in picks)
+    assert _same_verdicts(fn, picks) == [False] * 3
+    places = _draw_worlds(picks[0], "place_ontop", {"o": "bowl", "s": "table_surface"}, 4)
+    assert _same_verdicts(fn, places) == [True] * 4
+
+
+def test_an_alias_reads_its_canonical_object():
+    fn = program("b = modify_bounds_ontop(init_bounds, 'plum', 'table')",
+                 "position_within_bounds(plum.pose, b)")
+    picks = _draw_worlds(bowl_scene(), "pick", {"o": "apple"}, 4)
+    assert _same_verdicts(fn, picks) == [True] * 4
+    # A world that moves the table under the same name reads the moved table.
+    moved = WorldState(picks[0].scene, {**picks[0].poses,
+                                        "table_surface": Pose6(0.5, 0.0, 0.2)},
+                       picks[0].held, picks[0].robot_conf)
+    assert _same_verdicts(fn, [moved]) == [False]
+
+
+def test_a_call_over_unmoved_objects_that_raises():
+    fn = program("b = modify_bounds_in_front_of(init_bounds, 'bowl')",
+                 "b = modify_bounds_behind(b, 'bowl')",
+                 "position_within_bounds(apple.pose, b)")
+    picks = _draw_worlds(bowl_scene(), "pick", {"o": "plum"}, 4)
+    assert _same_verdicts(fn, picks) == [False] * 4
+
+
+def test_an_unknown_object_raises_on_every_draw():
+    fn = program("position_within_bounds(apple.pose, get_aabb_bounds('ghost'))")
+    picks = _draw_worlds(bowl_scene(), "pick", {"o": "plum"}, 3)
+    assert {v[0].__name__ for v in _same_verdicts(fn, picks)} == {"UnboundObjectError"}
+
+
+def test_a_pick_cascade_moves_the_stacked_object():
+    fn = program("b = modify_bounds_above(init_bounds, 'table')",
+                 "b = modify_bounds_near(b, 'plum', 0.03)",
+                 "position_within_bounds(plum.pose, b)")
+    world = _stacked_scene()
+    picks = _draw_worlds(world, "pick", {"o": "apple"}, 4)
+    assert all(w.pose("plum") is not world.pose("plum") for w in picks)
+    assert _same_verdicts(fn, picks) == [True] * 4
+
+
+def _refine(evaluate, sk, world, goal_fns, seed):
+    rng = np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "eval_constraint", evaluate)
+        result = solver.refine(sk, world, goal_fns, Budgets(60, 1), rng, LEVEL)
+    return result, rng.bit_generator.state
+
+
+def test_a_program_shared_by_a_step_and_the_goal():
+    shared = program("b = modify_bounds_inside(init_bounds, 'bowl')",
+                     "b = modify_bounds_near(b, 'golf_ball', 0.2)",
+                     "position_within_bounds(golf_ball.pose, b)")
+    world = bowl_scene()
+    sk = skeleton(world, [("pick", {"o": "apple"}),
+                           ("place_ontop", {"o": "apple", "s": "plate"})],
+                   ((shared,), (shared,)))
+    for seed in range(4):
+        got = _refine(eval_constraint, sk, world, (shared,), seed)
+        assert got == _refine(ref_eval_constraint, sk, world, (shared,), seed)
+        assert isinstance(got[0], solver.Solution)
+
+
+# --- The block path's invariant values -----------------------------------------------
+
+@pytest.fixture
+def helper_calls(monkeypatch):
+    """How often each helper runs, for programs compiled from now on."""
+    counts = dict.fromkeys(HELPER_IMPLS, 0)
+    for name, impl in HELPER_IMPLS.items():
+        def counting(*args, _name=name, _impl=impl, **kwargs):
+            counts[_name] += 1
+            return _impl(*args, **kwargs)
+        monkeypatch.setitem(HELPER_IMPLS, name, counting)
+    return counts
+
+
+def _judge_block(fn, step, rng, n=16):
+    """`eval_constraint_block` on n upright drops of the held object onto
+    the table from `step`: masks of the rows that surely hold and fail."""
+    name = step.held.name
+    box = W.aabb_of(step, "table_surface")
+    x, y = (rng.uniform(box.lower[a], box.upper[a], n) for a in (0, 1))
+    z = box.upper[2] + rng.uniform(*W.DEFAULT_DROP_BAND, n)
+    _, settled = W.PlaceTables(step, name, "table_surface", False).judge(
+        x, y, z, np.zeros(n), np.zeros(n), rng.uniform(-np.pi, np.pi, n))
+    return eval_constraint_block(fn, step, name, settled, np.ones(n, bool))
+
+
+def test_a_block_keeps_its_invariant_values_for_its_step(helper_calls):
+    fn = program("b = modify_bounds_near(init_bounds, 'plate', 0.3)",
+                 "position_within_bounds(apple.pose, b)")
+    first, second = _draw_worlds(bowl_scene(), "pick", {"o": "apple"}, 2)
+    rng = np.random.default_rng(0)
+    holds, fails = _judge_block(fn, first, rng)
+    assert holds.any() and fails.any()
+    assert helper_calls["modify_bounds_near"] == 1
+    # A draw between two blocks of the step runs the call itself and keeps
+    # nothing; the second block reuses the first one's value.
+    places = _draw_worlds(first, "place_ontop", {"o": "apple", "s": "table_surface"}, 1)
+    _same_verdicts(fn, places)  # the compiled program and the reference
+    assert helper_calls["modify_bounds_near"] == 1 + 2
+    _judge_block(fn, first, rng)
+    assert helper_calls["modify_bounds_near"] == 1 + 2
+    # A new step world runs it again, once for all its blocks.
+    for _ in range(2):
+        _judge_block(fn, second, rng)
+    assert helper_calls["modify_bounds_near"] == 1 + 2 + 1
+
+
+def test_a_block_from_a_new_step_world_reads_that_world():
+    fn = program("b = modify_bounds_near(init_bounds, 'plate', 0.3)",
+                 "position_within_bounds(apple.pose, b)")
+    first = _draw_worlds(bowl_scene(), "pick", {"o": "apple"}, 1)[0]
+    moved = WorldState(first.scene, {**first.poses, "plate": Pose6(0.2, 0.3, 0.012)},
+                       first.held, first.robot_conf)
+    rng = np.random.default_rng(1)
+    n = 32
+    x, y = rng.uniform(0.05, 0.95, n), rng.uniform(-0.45, 0.45, n)
+    z, yaw = rng.uniform(0.04, 0.06, n), rng.uniform(-np.pi, np.pi, n)
+    verdicts = []
+    for step in (first, moved):
+        codes, settled = W.PlaceTables(step, "apple", "table_surface", False).judge(
+            x, y, z, np.zeros(n), np.zeros(n), yaw)
+        holds, fails = eval_constraint_block(fn, step, "apple", settled, np.ones(n, bool))
+        passed = np.flatnonzero((codes == W.PLACE_PASSED) & (holds | fails))
+        for j in passed:
+            drop = Pose6(x[j], y[j], z[j], 0.0, 0.0, yaw[j])
+            after = W.exec_place(step, "apple", "table_surface", drop).new_world
+            assert ref_eval_constraint(fn, after) == holds[j], j
+        verdicts.append(holds[passed])
+    assert len(verdicts[1]) and verdicts[1].any() and not verdicts[1].all()
+
+
+def test_a_block_keeps_no_value_of_an_invariant_call_that_raises(helper_calls):
+    fn = program("b = modify_bounds_in_front_of(init_bounds, 'bowl')",
+                 "b = modify_bounds_behind(b, 'bowl')",
+                 "position_within_bounds(apple.pose, b)")
+    step = _draw_worlds(bowl_scene(), "pick", {"o": "apple"}, 1)[0]
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        holds, fails = _judge_block(fn, step, rng)
+        assert not holds.any() and fails.all()
+    assert helper_calls["modify_bounds_in_front_of"] == 1
+    assert helper_calls["modify_bounds_behind"] == 3
 
 
 # --- Pickling ------------------------------------------------------------------------

@@ -149,10 +149,9 @@ def test_names_resolve_once_per_scene(monkeypatch):
                         or resolve(scene, name))
     assert eval_constraint(fn, with_ghost) is False
     assert lookups == ["mug", "ghost"]
-    step = with_ghost
     for z in (0.1, 0.2, 0.3):
-        moved = WorldState(step.scene, {**step.poses, "ghost": Pose6(0.3, -0.3, z)})
-        assert eval_constraint(fn, moved, step=step) is True
+        moved = WorldState(with_ghost.scene, {**with_ghost.poses, "ghost": Pose6(0.3, -0.3, z)})
+        assert eval_constraint(fn, moved) is True
     assert lookups == ["mug", "ghost"]
     assert eval_constraint(fn, aliased) is True
     assert lookups == ["mug", "ghost"] * 2
@@ -162,7 +161,8 @@ def test_names_resolve_once_per_scene(monkeypatch):
         eval_constraint(parse_constraint(text), base)
     assert (err.value.line, err.value.column) == (fresh.value.line, fresh.value.column)
     assert str(err.value) == str(fresh.value)
-    # A world of another scene than the bound step's resolves by itself.
-    with pytest.raises(UnboundObjectError):
-        eval_constraint(fn, base, step=with_ghost)
-    assert eval_constraint(fn, aliased, step=with_ghost) is True
+    # Each change of scene resolves the names again.
+    lookups.clear()
+    assert eval_constraint(fn, with_ghost) is False
+    assert eval_constraint(fn, aliased) is True
+    assert lookups == ["mug", "ghost"] * 2

@@ -98,9 +98,9 @@ def _scalar(world, name, objs, restrictions, fns, goal_fns, doubles):
     if not SKILLS[name].effect(outcome.new_world, objs):
         return "effects-unsatisfied"
     try:
-        if not _constraints_pass(fns, outcome.new_world, world):
+        if not _constraints_pass(fns, outcome.new_world):
             return "constraint-unsatisfied"
-        if not _constraints_pass(goal_fns, outcome.new_world, world):
+        if not _constraints_pass(goal_fns, outcome.new_world):
             return "goal-constraint-unsatisfied"
     except Exception as err:  # noqa: BLE001 - the type is compared
         return type(err)
@@ -530,7 +530,7 @@ def test_a_program_that_reads_a_rider_leaves_its_drops_to_the_draw(source):
     after = [W.exec_place(world, "item", "table_surface", Pose6(x[j], y[j], z[j], 0.0, 0.0,
                                                                   yaw[j])).new_world
              for j in np.flatnonzero(passed)]
-    assert sum(eval_constraint(fn, w, step=world) for w in after) > n // 2
+    assert sum(eval_constraint(fn, w) for w in after) > n // 2
     sk = Skeleton((action,), ((fn,),), (None,))
     for budget, seed in itertools.product((1, 5, 200), range(3)):
         got = refine_outcome(refine, sk, world, budget, seed, LEVEL, (fn,))
@@ -754,7 +754,7 @@ def _judge_block(fn, world, o, s, restrictions, rng, n=64):
     for j in np.flatnonzero((codes == W.PLACE_PASSED) & (holds | fails)):
         drop = Pose6(x[j], y[j], z[j], *(a[j] for a in angles))
         after = W.exec_place(world, o, s, drop).new_world
-        assert eval_constraint(fn, after, step=world) == holds[j], (fn.name, o, j)
+        assert eval_constraint(fn, after) == holds[j], (fn.name, o, j)
     return holds, fails
 
 

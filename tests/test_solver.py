@@ -140,7 +140,7 @@ def test_refine_budget_accounting(domain):
     budgets = Budgets(40, 5)
     result = refine(sk, w0, (), budgets, np.random.default_rng(2))
     used = result.samples_used if isinstance(result, Solution) else result.samples_used
-    assert used <= len(sk) * budgets.samples_per_action
+    assert used <= len(sk.actions) * budgets.samples_per_action
 
 
 @pytest.fixture
@@ -221,7 +221,7 @@ def test_backtrack_inserts_blocker_clearing(domain):
     sigs = [a.discrete_signature() for a in cleared.actions]
     assert sigs[:2] == [("pick", "potted_meat_can"),
                         ("place_ontop", "potted_meat_can", "table_surface")]
-    assert len(cleared) == len(sk) + 2
+    assert len(cleared.actions) == len(sk.actions) + 2
 
 
 def test_backtrack_contained_blocker_gets_poured_out(domain):

@@ -76,6 +76,16 @@ def ref_supported_by(w, name):
     return best
 
 
+def ref_in_open_interior(box, container_box):
+    """Whether `box` sits in the container's open interior: its footprint
+    within the walls and its bottom above the floor, each within CONTACT_TOL."""
+    lo, up, t = container_box.lower, container_box.upper, W.CONTACT_TOL
+    floor = (lo[0] + W.WALL_THICKNESS, lo[1] + W.WALL_THICKNESS, lo[2] + W.FLOOR_THICKNESS)
+    walls = (up[0] - W.WALL_THICKNESS, up[1] - W.WALL_THICKNESS)
+    return (all(box.lower[k] >= floor[k] - t for k in range(3))
+            and all(box.upper[k] <= walls[k] + t for k in range(2)))
+
+
 def ref_collision(w, name, pose, exclude=()):
     model = w.scene.model(name)
     h = rotated_half_extents(model.half_extents, *pose.rpy)
@@ -90,9 +100,9 @@ def ref_collision(w, name, pose, exclude=()):
         other_box = ref_aabb_of(w, other)
         if not box.overlaps(other_box, W.CONTACT_TOL):
             continue
-        if other_model.kind == "container" and W._inside_open_interior(box, other_box):
+        if other_model.kind == "container" and ref_in_open_interior(box, other_box):
             continue
-        if model.kind == "container" and W._inside_open_interior(other_box, box):
+        if model.kind == "container" and ref_in_open_interior(other_box, box):
             continue
         return True
     return False
