@@ -290,15 +290,6 @@ class State:
     def holds(self, lit: Literal) -> bool:
         return literal_holds(self, lit)
 
-    def __contains__(self, lit: Literal) -> bool:
-        return self.holds(lit)
-
-    def __iter__(self):
-        return iter(self.true_literals)
-
-    def __len__(self):
-        return len(self.true_literals)
-
 
 @dataclass(frozen=True)
 class Param:
@@ -367,17 +358,51 @@ class ActionSchema:
         return None
 
 
+class _Literals:
+    """`GroundAction.pre` or `.eff`.  An action built with its literals holds
+    them in its own `__dict__`, which this non-data descriptor leaves to
+    plain attribute lookup (a `__getattr__` hook would instead slow every
+    attribute read of every action).  An action `with_values` bound holds
+    its source action and the old-to-new value map instead, and reaches
+    `__get__` on its first read, which builds both lists from the source's."""
+
+    def __set_name__(self, owner, name: str):
+        self.name = name
+
+    def __get__(self, action, owner=None):
+        if action is None:
+            return ()  # the field's default
+        fields = action.__dict__
+        if "_rebind" not in fields:
+            raise AttributeError(self.name)
+        source, value_map = fields["_rebind"]
+
+        def sub(literals: tuple[Literal, ...]) -> tuple[Literal, ...]:
+            return tuple(Literal(lit.predicate, tuple(value_map.get(a, a) for a in lit.args),
+                                 lit.positive) for lit in literals)
+
+        fields["pre"], fields["eff"] = sub(source.pre), sub(source.eff)
+        del fields["_rebind"]
+        return fields[self.name]
+
+
 @dataclass(frozen=True)
 class GroundAction:
     """An action schema with every parameter bound to a Value; the schema's
     static constraints are not instantiated.  `pre` and `eff` are the whole
     precondition and effect lists, including literals a problem
-    transformation appended (`with_extras`)."""
+    transformation appended (`with_extras`).
+
+    `with_values` checks and stores a bound action's new binding at once,
+    but the bound action builds `pre` and `eff` on first read (`_Literals`):
+    refinement binds every accepted draw, and only the transform's
+    description binding reads them.  Equality, hashing, printing and pickling read the fields, so a
+    bound action is indistinguishable from one built with its literals."""
 
     schema: ActionSchema
     binding: tuple[tuple[str, Value], ...]
-    pre: tuple[Literal, ...] = ()
-    eff: tuple[Literal, ...] = ()
+    pre: tuple[Literal, ...] = _Literals()
+    eff: tuple[Literal, ...] = _Literals()
 
     @property
     def name(self) -> str:
@@ -406,29 +431,26 @@ class GroundAction:
         return self._signature
 
     def __getstate__(self):
-        # The fields only: the cached mapping proxy does not pickle.
+        # The fields only, built if need be: the cached mapping proxy does
+        # not pickle, and a source action and value map are not fields.
         return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
     def with_values(self, updates: dict[str, Value]) -> "GroundAction":
         """Rebind parameters, substituting the old values wherever they occur.
 
         Safe for optimistic placeholders (unique identities); preserves
-        appended literals and expanded wildcard effects.
+        appended literals and expanded wildcard effects.  Each update is
+        type-checked here; `pre` and `eff` are built on first read.
         """
         old = dict(self.binding)
         for k, v in updates.items():
             if not v.check_type(self.schema.param_type(k)):
                 raise ModelError(f"{self.name}: bad rebinding for {k!r}: {v}")
-        value_map = {old[k]: v for k, v in updates.items()}
-
-        def sub(lit: Literal) -> Literal:
-            return Literal(lit.predicate,
-                           tuple(value_map.get(a, a) for a in lit.args), lit.positive)
-
-        new_binding = tuple((k, updates.get(k, v)) for k, v in self.binding)
-        return GroundAction(self.schema, new_binding,
-                            tuple(sub(l) for l in self.pre),
-                            tuple(sub(l) for l in self.eff))
+        bound = GroundAction.__new__(GroundAction)
+        bound.__dict__.update(schema=self.schema,
+                              binding=tuple((k, updates.get(k, v)) for k, v in self.binding),
+                              _rebind=(self, {old[k]: v for k, v in updates.items()}))
+        return bound
 
     def with_extras(self, pre: tuple[Literal, ...] = (),
                     eff: tuple[Literal, ...] = ()) -> "GroundAction":

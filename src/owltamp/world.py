@@ -107,10 +107,14 @@ class WorldState:
     given, so a world never changes once built.
 
     `_geometry` is the world's own table of derived geometry, filled on first
-    use by `aabb_of`, `interior_box` and `contents` and keyed by (kind, name),
-    plus two whole-world entries keyed by (kind, None): every placed object's
-    hull (`_hulls`) and the non-surface obstacles (`_obstacles`).
-    Immutability makes every entry valid for the world's lifetime.
+    use by `aabb_of`, `interior_box`, `contents` and `supported_by` and keyed
+    by (kind, name), plus two whole-world entries keyed by (kind, None):
+    every placed object's hull (`_hulls`) and the non-surface obstacles
+    (`_obstacles`).  Immutability makes every entry valid for the world's
+    lifetime.  A world a skill builds inherits only the hulls and interiors
+    of objects it left in place (`_inherit_geometry`): an object's contents
+    and support depend on every pose, so those entries are never inherited,
+    and a support found once serves every later read of the same world.
     """
 
     scene: Scene
@@ -155,15 +159,15 @@ def _fail(w: WorldState, reason: str) -> SkillOutcome:
     return SkillOutcome(w, False, reason)
 
 
-_HULL, _INTERIOR, _CONTENTS = "hull", "interior", "contents"
+_HULL, _INTERIOR, _CONTENTS, _SUPPORT = "hull", "interior", "contents", "support"
 _HULLS, _OBSTACLES = ("hulls", None), ("obstacles", None)
 
 
 def _inherit_geometry(child: WorldState, parent: WorldState) -> WorldState:
     """Give `child`, a world a skill built from `parent` in the same scene,
     the parent's hulls and interiors of every object it left at the very same
-    pose.  Contents and the whole-world entries depend on every pose and are
-    never inherited."""
+    pose.  Contents, supports and the whole-world entries depend on every
+    pose and are never inherited."""
     table, poses, parent_poses = child._geometry, child.poses, parent.poses
     for key, value in parent._geometry.items():
         kind, name = key
@@ -306,7 +310,15 @@ def reachable(w: WorldState, pose: Pose6) -> bool:
 
 def supported_by(w: WorldState, name: str) -> str | None:
     """The object directly supporting `name`: the containing container, or the
-    body whose top face its bottom rests on at its center."""
+    body whose top face its bottom rests on at its center.  Found once per
+    world and kept in its table."""
+    key = (_SUPPORT, name)
+    if key not in w._geometry:
+        w._geometry[key] = _supported_by(w, name)
+    return w._geometry[key]
+
+
+def _supported_by(w: WorldState, name: str) -> str | None:
     box = aabb_of(w, name)
     cx, cy = (box.lower[0] + box.upper[0]) / 2, (box.lower[1] + box.upper[1]) / 2
     bottom = box.lower[2]
@@ -320,9 +332,14 @@ def supported_by(w: WorldState, name: str) -> str | None:
         if not obox.contains_xy(cx, cy, slack=CONTACT_TOL):
             continue
         top = obox.upper[2]
-        if abs(top - bottom) <= 0.02 + CONTACT_TOL and top > best_top:
+        if _rests_on(bottom, top) and top > best_top:
             best, best_top = other, top
     return best
+
+
+def _rests_on(bottom: float, top: float) -> bool:
+    """Whether a bottom face at height `bottom` rests on a top face at `top`."""
+    return abs(top - bottom) <= 0.02 + CONTACT_TOL
 
 
 def _support_height(w: WorldState, name: str, x: float, y: float,
@@ -436,9 +453,12 @@ def exec_pick(w: WorldState, name: str, grasp: Pose6) -> SkillOutcome:
     lifted = _inherit_geometry(WorldState(w.scene, new_poses, held, grasp.position), w)
 
     # Objects that rested on the picked body drop straight down, one at a
-    # time: each settles onto the world the earlier ones left.
+    # time: each settles onto the world the earlier ones left.  Its contents
+    # ride along, so what it supports must rest on its top face.
+    top = aabb_of(w, name).upper[2]
     stacked = sorted(o for o in w.poses
-                     if o not in rider_names and o != name and supported_by(w, o) == name)
+                     if o not in rider_names and o != name
+                     and _rests_on(aabb_of(w, o).lower[2], top) and supported_by(w, o) == name)
     for obj in stacked:
         settled = _settle(lifted, obj, lifted.pose(obj))
         if settled is None:

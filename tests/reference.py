@@ -17,7 +17,12 @@ reference:
 - `ref_pick_rejection`, the pick rule as short-circuit checks on one grasp,
   before it was written once for floats and columns;
 - `ref_load_task`, a scene built afresh with one `Generator.uniform` call
-  per drawn value, before the shared fixed world and block reads.
+  per drawn value, before the shared fixed world and block reads;
+- `ref_aabb_of`, `ref_interior_box`, `ref_contents` and `ref_supported_by`,
+  the world's geometry queries recomputed from the poses on every call,
+  before the per-world table;
+- `ref_with_values`, binding that builds `pre` and `eff` at once, before
+  they were built on first read.
 
 `cell` runs one benchmark cell through the shipped solver, or with some of
 its functions replaced by their references; `assert_cells_agree` compares
@@ -39,7 +44,7 @@ import pytest
 from owltamp import bench, grounding, solver, tasks
 from owltamp import world as W
 from owltamp.fixtures import MANUAL
-from owltamp.geometry import Pose6, rotated_half_extents
+from owltamp.geometry import Aabb, Pose6, rotated_half_extents
 from owltamp.grounding import (
     format_action_listing, format_literal_listing, format_state_listing, ground_problem,
 )
@@ -50,8 +55,8 @@ from owltamp.lang.ast import (
 )
 from owltamp.lang.helpers import HELPER_IMPLS, default_bounds
 from owltamp.model import (
-    LiteralIndex, SemanticType, State, Value, apply, applicable, bind_placeholders,
-    instantiate, literal_holds, load_default_domain,
+    GroundAction, Literal, LiteralIndex, ModelError, SemanticType, State, Value, apply,
+    applicable, bind_placeholders, instantiate, literal_holds, load_default_domain,
 )
 from owltamp.oracle import (
     OracleError, OracleRequest, ScriptedOracle, parse_constraint_response,
@@ -503,6 +508,77 @@ def ref_load_task(task_id, seed):
     return spec, world
 
 
+# --- World queries ----------------------------------------------------------------
+#
+# Each query of the world's geometry table, recomputed from the poses on
+# every call with the validating `Aabb` constructor.
+
+def ref_aabb_of(w, name):
+    half = w.scene.model(name).half_extents
+    pose = w.pose(name)
+    h = rotated_half_extents(half, pose.roll, pose.pitch, pose.yaw)
+    return Aabb(tuple(c - e for c, e in zip(pose.position, h)),
+                tuple(c + e for c, e in zip(pose.position, h)))
+
+
+def ref_interior_box(w, name):
+    if w.scene.model(name).kind != "container":
+        raise W.WorldError(f"{name!r} is not a container")
+    outer = ref_aabb_of(w, name)
+    lo, up = outer.lower, outer.upper
+    inner_lo = (lo[0] + W.WALL_THICKNESS, lo[1] + W.WALL_THICKNESS, lo[2] + W.FLOOR_THICKNESS)
+    inner_up = (up[0] - W.WALL_THICKNESS, up[1] - W.WALL_THICKNESS, up[2])
+    if any(l >= u for l, u in zip(inner_lo[:2], inner_up[:2])):
+        raise W.WorldError(f"{name!r} interior collapsed; walls too thick")
+    return Aabb(inner_lo, inner_up)
+
+
+def ref_contents(w, container):
+    if w.scene.model(container).kind != "container":
+        return []
+    if w.held is not None and w.held.name == container:
+        return [name for name, _, _ in w.held.riders]
+    inner = ref_interior_box(w, container)
+    return sorted(name for name in w.poses if name != container
+                  and inner.contains_point(w.pose(name).position, slack=W.CONTACT_TOL))
+
+
+def ref_supported_by(w, name):
+    """`world.supported_by` as a scan of every placed object on each call."""
+    box = ref_aabb_of(w, name)
+    cx, cy = (box.lower[0] + box.upper[0]) / 2, (box.lower[1] + box.upper[1]) / 2
+    for other in w.poses:
+        if other != name and name in ref_contents(w, other):
+            return other
+    best, best_top = None, -math.inf
+    for other in w.poses:
+        if other == name:
+            continue
+        obox = ref_aabb_of(w, other)
+        if not obox.contains_xy(cx, cy, slack=W.CONTACT_TOL):
+            continue
+        top = obox.upper[2]
+        if abs(top - box.lower[2]) <= 0.02 + W.CONTACT_TOL and top > best_top:
+            best, best_top = other, top
+    return best
+
+
+def ref_with_values(action, updates):
+    """`GroundAction.with_values` as it built `pre` and `eff` at once."""
+    old = dict(action.binding)
+    for k, v in updates.items():
+        if not v.check_type(action.schema.param_type(k)):
+            raise ModelError(f"{action.name}: bad rebinding for {k!r}: {v}")
+    value_map = {old[k]: v for k, v in updates.items()}
+
+    def sub(lit):
+        return Literal(lit.predicate, tuple(value_map.get(a, a) for a in lit.args),
+                       lit.positive)
+
+    return GroundAction(action.schema, tuple((k, updates.get(k, v)) for k, v in action.binding),
+                        tuple(sub(l) for l in action.pre), tuple(sub(l) for l in action.eff))
+
+
 # --- Problems, skeletons and skill chains ----------------------------------------
 
 def build(task_id, seed=0):
@@ -673,10 +749,7 @@ UNREACHED = {
     "model.py:LiteralIndex.matches": _TRACER,
     "model.py:PreconditionError.__init__": _TRACER,
     "model.py:Predicate.__reduce__": _PICKLE,
-    "model.py:State.__contains__": _PROTOCOL,
-    "model.py:State.__iter__": _PROTOCOL,
-    "model.py:State.__len__": _PROTOCOL,
-    "model.py:State.holds": "reached only through `State.__contains__`, `apply` and `applicable`",
+    "model.py:State.holds": "reached only through `apply` and `applicable`",
     "model.py:Value.__reduce__": _PICKLE,
     "model.py:applicable": _TRACER,
     "model.py:apply": _TRACER,

@@ -207,7 +207,7 @@ def test_criterion_5_grounding_superset():
                     if not applicable(state, a):
                         continue
                     s2 = apply(state, a)
-                    for lit in s2:
+                    for lit in s2.true_literals:
                         checked_literals += 1
                         assert canonical(lit) in relaxed
                     if s2.true_literals not in seen:

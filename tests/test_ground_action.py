@@ -1,6 +1,6 @@
 """One ground-action record: cached object arguments, the transform's
-literals in `pre`/`eff`, and one placeholder binder, each checked against
-the spelling it replaced."""
+literals in `pre`/`eff`, one placeholder binder and binding whose `pre`/`eff`
+are built on first read, each checked against the spelling it replaced."""
 
 import itertools
 import pickle
@@ -8,13 +8,13 @@ import pickle
 import numpy as np
 import pytest
 
-from owltamp import tasks
+from owltamp import bench, tasks
 from owltamp.grounding import candidate_set, format_action_listing
-from owltamp.model import SemanticType, Value, instantiate
+from owltamp.model import GroundAction, ModelError, SemanticType, Value, instantiate
 from owltamp.partial_plan import PartialPlan, PlanStep, verify_subsequence
-from owltamp.solver import RefinementFailure, Skeleton, backtrack_strategy
+from owltamp.solver import Budgets, RefinementFailure, Skeleton, backtrack_strategy
 
-from reference import build
+from reference import build, clear_front_end, ref_with_values
 
 
 def reference_action_objects(action):
@@ -120,3 +120,72 @@ def test_backtracking_inserts_actions_with_the_parents_placeholders(task_id, ste
             inserted += 1
         assert cand.actions[len(cand.actions) - len(sk.actions):] == sk.actions
     assert inserted >= 2
+
+
+# --- Binding accepted draws -------------------------------------------------------
+
+FIELDS = {"schema", "binding", "pre", "eff"}
+
+
+@pytest.fixture(scope="module")
+def bindings():
+    """(action, updates) of every `with_values` call of the 9-mode grid at
+    scene seeds 0-2, from cells with an empty front-end cache, so that the
+    transform's description bindings are among them."""
+    calls = []
+    real = GroundAction.with_values
+
+    def recording(action, updates):
+        calls.append((action, dict(updates)))
+        return real(action, updates)
+
+    clear_front_end()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(GroundAction, "with_values", recording)
+        bench.run_suite(tasks.task_ids(), range(3), list(bench.MODE_TABLE), Budgets(500, 5))
+    clear_front_end()
+    return calls
+
+
+def test_a_bound_action_equals_the_eager_binding_on_the_grid(bindings):
+    """Each check reads a freshly bound action, whose `pre` and `eff` are not
+    built yet."""
+    assert any(k == "d" for _, updates in bindings for k in updates)
+    assert sum(k == "p" for _, updates in bindings for k in updates) > 100
+    for action, updates in bindings:
+        want = ref_with_values(action, updates)
+        assert "pre" not in action.with_values(updates).__dict__
+        assert action.with_values(updates) == want
+        assert want == action.with_values(updates)
+        assert hash(action.with_values(updates)) == hash(want)
+        assert str(action.with_values(updates)) == str(want)
+        assert repr(action.with_values(updates)) == repr(want)
+        copy = pickle.loads(pickle.dumps(action.with_values(updates)))
+        assert copy == want and hash(copy) == hash(want)
+        bound = action.with_values(updates)
+        assert (bound.pre, bound.eff) == (want.pre, want.eff)
+        assert bound.pre is bound.pre and bound.eff is bound.eff
+
+
+def test_a_pickled_bound_action_carries_its_fields_only(bindings):
+    for action, updates in bindings[::50]:
+        bound = action.with_values(updates)
+        bound.objects, bound.discrete_signature()
+        assert set(bound.__getstate__()) == FIELDS
+        assert set(vars(pickle.loads(pickle.dumps(bound)))) == FIELDS
+        assert set(vars(pickle.loads(pickle.dumps(action.with_values(updates))))) == FIELDS
+        assert set(vars(bound)) >= FIELDS and "_rebind" not in vars(bound)
+
+
+def test_a_bad_value_raises_at_the_binding_call():
+    problem = build("berry1")[3]
+    place = next(a for a in problem.actions if a.name == "place_ontop")
+    for updates in ({"p": Value.vec((0.5, 0.0, 0.1))}, {"g": Value.vec((0.0,) * 7)},
+                    {"p": Value.text("on the plate")}, {"o": Value.vec((0.0,) * 6)},
+                    {"nowhere": Value.opt(1)}):
+        with pytest.raises(ModelError):
+            ref_with_values(place, updates)
+        with pytest.raises(ModelError):
+            place.with_values(updates)
+    with pytest.raises(AttributeError):
+        place.with_values({"p": Value.vec((0.0,) * 6)}).nowhere

@@ -116,7 +116,7 @@ def exhaustive_superset_check(domain, objects, max_len=5):
                 if not applicable(state, a):
                     continue
                 s2 = apply(state, a)
-                for lit in s2:
+                for lit in s2.true_literals:
                     assert _canonical(lit) in reachable, (
                         f"literal {lit} escapes the relaxed set")
                 if s2.true_literals not in seen_states:

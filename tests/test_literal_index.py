@@ -78,7 +78,6 @@ def test_lookups_match_the_linear_scan(state_literals, queries):
         want = scan_holds(state_literals, lit)
         assert literal_holds(state, lit) == want
         assert state.holds(lit) == want
-        assert (lit in state) == want
         assert literal_holds(grown, lit) == want
         # Bit i of a mask stands for the i-th literal added.
         unifying = {sl for sl in state_literals if scan_holds({sl}, Literal(

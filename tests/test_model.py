@@ -81,7 +81,7 @@ def test_description_binding_flows_into_constraint(domain):
 def test_applicable_missing_precondition(domain):
     s0 = make_s0(domain)
     action = ground_pick(domain, "apple")
-    no_hand = State(frozenset(l for l in s0 if l.predicate.name != "HandEmpty"))
+    no_hand = State(frozenset(l for l in s0.true_literals if l.predicate.name != "HandEmpty"))
     assert applicable(s0, action)
     assert not applicable(no_hand, action)
 
@@ -106,12 +106,12 @@ def test_apply_pick_effects(domain):
     s0 = make_s0(domain)
     action = ground_pick(domain, "apple")
     s1 = apply(s0, action)
-    names = sorted(l.predicate.name for l in s1)
+    names = sorted(l.predicate.name for l in s1.true_literals)
     assert "AtGrasp" in names
     assert "HandEmpty" not in names
     assert "AtPose" not in names
     # input state unmodified
-    assert domain.predicate("HandEmpty")() in s0
+    assert s0.holds(domain.predicate("HandEmpty")())
 
 
 def test_apply_empty_effects_identity():
@@ -132,7 +132,7 @@ def test_apply_move_swaps_conf():
     action = instantiate(d.schema("move"),
                          {"q1": q1, "q2": q2, "t": Value.opt(9, "t")})
     s1 = apply(s0, action)
-    assert at_conf(q2) in s1
+    assert s1.holds(at_conf(q2))
     assert not s1.holds(at_conf(q1))
 
 
@@ -167,9 +167,9 @@ def test_state_invariants_over_all_short_executions(domain):
                     continue
                 seen.add(s2.true_literals)
                 nxt.append(s2)
-                confs = [l for l in s2 if l.predicate.name == "AtConf"]
-                grasps = [l for l in s2 if l.predicate.name == "AtGrasp"]
-                empty = any(l.predicate.name == "HandEmpty" for l in s2)
+                confs = [l for l in s2.true_literals if l.predicate.name == "AtConf"]
+                grasps = [l for l in s2.true_literals if l.predicate.name == "AtGrasp"]
+                empty = any(l.predicate.name == "HandEmpty" for l in s2.true_literals)
                 assert len(confs) == 1
                 assert len(grasps) <= 1
                 assert empty == (len(grasps) == 0)

@@ -108,12 +108,12 @@ def test_initial_state_invariants():
     domain = tasks.default_domain()
     spec, w = tasks.load_task("mug2", 0)
     s0 = tasks.initial_state(domain, w)
-    names = [l.predicate.name for l in s0]
+    names = [l.predicate.name for l in s0.true_literals]
     assert names.count("AtConf") == 1
     assert names.count("HandEmpty") == 1
     # the orange is supported by the mug, not the table
     supports = {str(l.args[0]): str(l.args[1])
-                for l in s0 if l.predicate.name == "Supporting"}
+                for l in s0.true_literals if l.predicate.name == "Supporting"}
     assert supports["orange"] == "mug"
     assert supports["fork"] == "table_surface"
 

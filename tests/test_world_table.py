@@ -1,80 +1,36 @@
 """The per-world geometry table against uncached reference copies.
 
-`aabb_of`, `interior_box` and `contents` fill a table on each frozen
-`WorldState`, and worlds a skill builds inherit the parent's hulls and
-interiors of the objects it did not move.  The reference functions below
-recompute everything from the poses on every call, with the validating
-`Aabb` constructor, and must agree with the cached ones on task scenes and on
-worlds reached by chains of skill draws.
+`aabb_of`, `interior_box`, `contents` and `supported_by` fill a table on
+each frozen `WorldState`, and worlds a skill builds inherit the parent's
+hulls and interiors of the objects it did not move.  The reference
+functions (`reference.ref_*` and the ones below) recompute everything from
+the poses on every call, with the validating `Aabb` constructor, and must
+agree with the cached ones on task scenes, on worlds reached by chains of
+skill draws and on the worlds the benchmark's replays pass through.
 """
 
 import math
 import zlib
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from owltamp import tasks
+from owltamp import bench, solver, tasks
 from owltamp import world as W
 from owltamp.geometry import Aabb, Pose6, rotated_half_extents
+from owltamp.solver import Budgets
 
-from reference import bowl_scene, skill_world
+from reference import (
+    bowl_scene, ref_aabb_of, ref_contents, ref_interior_box, ref_supported_by, skill_world,
+)
 
 TASK_IDS = tasks.task_ids()
 
 
 # --- Uncached reference copies ---------------------------------------------------
-
-def ref_aabb_of(w, name):
-    half = w.scene.model(name).half_extents
-    pose = w.pose(name)
-    h = rotated_half_extents(half, pose.roll, pose.pitch, pose.yaw)
-    return Aabb(tuple(c - e for c, e in zip(pose.position, h)),
-                tuple(c + e for c, e in zip(pose.position, h)))
-
-
-def ref_interior_box(w, name):
-    if w.scene.model(name).kind != "container":
-        raise W.WorldError(f"{name!r} is not a container")
-    outer = ref_aabb_of(w, name)
-    lo, up = outer.lower, outer.upper
-    inner_lo = (lo[0] + W.WALL_THICKNESS, lo[1] + W.WALL_THICKNESS, lo[2] + W.FLOOR_THICKNESS)
-    inner_up = (up[0] - W.WALL_THICKNESS, up[1] - W.WALL_THICKNESS, up[2])
-    if any(l >= u for l, u in zip(inner_lo[:2], inner_up[:2])):
-        raise W.WorldError(f"{name!r} interior collapsed; walls too thick")
-    return Aabb(inner_lo, inner_up)
-
-
-def ref_contents(w, container):
-    if w.scene.model(container).kind != "container":
-        return []
-    if w.held is not None and w.held.name == container:
-        return [name for name, _, _ in w.held.riders]
-    inner = ref_interior_box(w, container)
-    return sorted(name for name in w.poses if name != container
-                  and inner.contains_point(w.pose(name).position, slack=W.CONTACT_TOL))
-
-
-def ref_supported_by(w, name):
-    box = ref_aabb_of(w, name)
-    cx, cy = (box.lower[0] + box.upper[0]) / 2, (box.lower[1] + box.upper[1]) / 2
-    for other in w.poses:
-        if other != name and name in ref_contents(w, other):
-            return other
-    best, best_top = None, -math.inf
-    for other in w.poses:
-        if other == name:
-            continue
-        obox = ref_aabb_of(w, other)
-        if not obox.contains_xy(cx, cy, slack=W.CONTACT_TOL):
-            continue
-        top = obox.upper[2]
-        if abs(top - box.lower[2]) <= 0.02 + W.CONTACT_TOL and top > best_top:
-            best, best_top = other, top
-    return best
-
 
 def ref_in_open_interior(box, container_box):
     """Whether `box` sits in the container's open interior: its footprint
@@ -193,6 +149,8 @@ def _ref_entry(w, key):
         return ref_interior_box(w, name)
     if kind == "contents":
         return tuple(ref_contents(w, name))
+    if kind == "support":
+        return ref_supported_by(w, name)
     if kind == "hulls":
         return tuple((o, ref_aabb_of(w, o)) for o in w.poses)
     assert kind == "obstacles"
@@ -293,6 +251,22 @@ def test_contents_are_never_inherited():
     assert W.contents(w, "bowl") == ["golf_ball"]
 
 
+def test_supports_are_never_inherited():
+    w = bowl_scene()
+    _fill(w)
+    held = W.exec_pick(w, "apple", Pose6(0.3, 0.2, 0.035)).new_world
+    # The apple lands on the plum, which keeps its pose and its support.
+    placed = W.exec_place(held, "apple", "plum", Pose6(0.8, 0.25, 0.2))
+    assert placed.success
+    after = placed.new_world
+    for child in (held, after):
+        assert not any(kind == "support" for kind, _ in child._geometry)
+        for name in child.placed_objects():
+            assert W.supported_by(child, name) == ref_supported_by(child, name)
+    assert after.pose("plum") is w.pose("plum")
+    assert W.supported_by(after, "apple") == "plum"
+
+
 def test_contents_returns_a_fresh_list_each_call():
     w = bowl_scene()
     first = W.contents(w, "bowl")
@@ -330,5 +304,98 @@ def test_errors_are_never_cached():
             W.aabb_of(held, "ghost")
         with pytest.raises(W.WorldError):
             W.interior_box(held, "plate")
-    for key in (("hull", "apple"), ("hull", "ghost"), ("interior", "plate")):
+        with pytest.raises(W.ObjectHeldError):
+            W.supported_by(held, "apple")
+    for key in (("hull", "apple"), ("hull", "ghost"), ("interior", "plate"),
+                ("support", "apple")):
         assert key not in held._geometry
+
+
+# --- Supports ---------------------------------------------------------------------
+
+def test_supports_along_the_manual_replays_match_the_reference(monkeypatch):
+    """On every world the `manual` grid's replays pass through, scene seeds
+    0-4, each placed object's support equals the reference's: in the
+    benchmark's world with its table filled first by `tasks._supports`, and
+    in a copy with an empty table.  No cell finds one world's support of an
+    object twice."""
+    traces, found, kept = [], Counter(), []
+    replay, scan = solver.replay, W._supported_by
+
+    def recording_replay(scene, actions):
+        ok, trace = replay(scene, actions)
+        traces.append(trace)
+        return ok, trace
+
+    def counting_scan(w, name):
+        kept.append(w)  # so that no id is reused
+        found[id(w), name] += 1
+        return scan(w, name)
+
+    monkeypatch.setattr(solver, "replay", recording_replay)
+    monkeypatch.setattr(W, "_supported_by", counting_scan)
+    for task_id in TASK_IDS:
+        for seed in range(5):
+            assert bench.run_cell(task_id, seed, "manual", Budgets(500, 5)).success
+    assert found and max(found.values()) == 1
+    riders = 0
+    for trace in traces:
+        for w in trace:
+            riders += w.held is not None and bool(w.held.riders)
+            supports = dict(tasks._supports(w))
+            cold = W.WorldState(w.scene, w.poses, w.held, w.robot_conf)
+            for name in w.placed_objects():
+                want = ref_supported_by(w, name)
+                assert W.supported_by(w, name) == want
+                assert W.supported_by(cold, name) == want
+                assert supports[name] == (None if name == w.scene.table else want)
+    assert riders
+
+
+def _stacked_tray(heights):
+    """A tray on the table, with a cube at each of four spots over it, at
+    `heights`."""
+    tray = W.ObjectModel("tray", (0.15, 0.1, 0.01))
+    cubes = [W.ObjectModel(name, (0.02, 0.02, 0.02)) for name in "abcd"]
+    models = {m.name: m for m in (W.ObjectModel("table_surface", (0.5, 0.5, 0.01), "surface"),
+                                  tray, *cubes)}
+    poses = {"table_surface": Pose6(0.5, 0.0, -0.01), "tray": Pose6(0.5, 0.0, 0.01)}
+    for name, (x, y), z in zip("abcd", ((0.4, 0.05), (0.4, -0.05), (0.6, 0.05), (0.6, -0.05)),
+                               heights):
+        poses[name] = Pose6(x, y, z)
+    return W.WorldState(W.Scene(models, tasks.WORKSPACE), poses)
+
+
+def _band_edge(sign):
+    """The cube height farthest from the tray's top, above it for `sign`
+    +1 and below for -1, at which the reference still finds the cube on the
+    tray, and the next float beyond it."""
+    def on_tray(z):
+        return ref_supported_by(_stacked_tray((z, 0.5, 0.5, 0.5)), "a") == "tray"
+
+    beyond = math.inf * sign
+    z = 0.02 + sign * (0.02 + W.CONTACT_TOL) + 0.02
+    while not on_tray(z):
+        z = math.nextafter(z, -beyond)
+    while on_tray(math.nextafter(z, beyond)):
+        z = math.nextafter(z, beyond)
+    return z, math.nextafter(z, beyond)
+
+
+def test_a_pick_cascades_what_the_full_scan_finds_at_the_band_edges():
+    """Cubes whose bottoms lie at the edge of `supported_by`'s band from the
+    picked tray's top, above and below it, and one float beyond: the pick
+    moves exactly the cubes the reference finds on the tray."""
+    (above, past_above), (below, past_below) = _band_edge(1), _band_edge(-1)
+    w = _stacked_tray((above, past_above, below, past_below))
+    top = W.aabb_of(w, "tray").upper[2]
+    assert W.aabb_of(w, "a").lower[2] - top > 0.02
+    assert top - W.aabb_of(w, "c").lower[2] > 0.02
+    stacked = sorted(o for o in w.poses if o != "tray" and ref_supported_by(w, o) == "tray")
+    assert stacked == ["a", "c"]
+    out = W.exec_pick(w, "tray", Pose6(0.5, 0.0, 0.02))
+    assert out.success
+    moved = sorted(o for o in out.new_world.poses if out.new_world.poses[o] != w.poses[o])
+    assert moved == stacked
+    for name in stacked:
+        assert out.new_world.pose(name).z == 0.02
