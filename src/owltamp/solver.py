@@ -29,6 +29,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import numbers
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -60,6 +61,13 @@ class Budgets:
     backtracks: int = 5
 
     def __post_init__(self):
+        # `refine` counts samples down to exactly zero, and `DrawStream.close`
+        # rewinds by Python int arithmetic, so each budget is kept as an int.
+        for name in ("samples_per_action", "backtracks"):
+            budget = getattr(self, name)
+            if not isinstance(budget, numbers.Integral) or isinstance(budget, bool):
+                raise ValueError(f"budgets must be integers; got {budget!r}")
+            object.__setattr__(self, name, int(budget))
         if self.samples_per_action < 0 or self.backtracks < 0:
             raise ValueError("budgets must be nonnegative")
 
@@ -398,15 +406,18 @@ class RestrictionTable:
 # container and a refused band.  A re-run executes a bound action again from
 # its parameter values.
 
-# The most draws a screen judges in one block.
+# The most draws a screen judges in one block, after its first.
 LAST_BLOCK = 512
 
 
 def _skip_blocks(draws: DrawStream, spans, limit: int, judge,
                  reasons) -> tuple[int, str | None]:
     """Skips the leading draws of up to `limit` that `judge` refuses, in
-    blocks: `judge` gives each draw's index in `reasons`, or a negative code
-    for one the draw path must run."""
+    blocks: the first DRAW_BLOCK draws, then, once a block refuses them all,
+    all that is left in blocks of up to LAST_BLOCK.  A block's cost is mostly
+    fixed, and most calls either stop within their first block or refuse
+    their whole limit.  `judge` gives each draw's index in `reasons`, or a
+    negative code for one the draw path must run."""
     skipped, reason, rows = 0, None, DRAW_BLOCK
     while skipped < limit:
         n = min(rows, limit - skipped)
@@ -419,7 +430,7 @@ def _skip_blocks(draws: DrawStream, spans, limit: int, judge,
             reason = reasons[codes[k - 1]]
         if k < n:
             break
-        rows = min(2 * rows, LAST_BLOCK)
+        rows = LAST_BLOCK
     return skipped, reason
 
 

@@ -182,13 +182,23 @@ def block_edges(start, budget=500):
     """The draw counts a row either side of where each of a screen's blocks
     starts, up to `budget`, for a screen whose first block starts at draw
     `start`: limits and runs of refused draws that end there cross the
-    screen's scalar lead-in and each growth of its blocks."""
-    edges, rows, at = [], solver.DRAW_BLOCK, start
+    screen's scalar lead-in, the end of its first block of DRAW_BLOCK draws
+    and each LAST_BLOCK after it."""
+    edges, at = [], start
     while at < budget:
         edges += [at - 1, at, at + 1]
-        at += rows
-        rows = min(2 * rows, solver.LAST_BLOCK)
+        at += solver.DRAW_BLOCK if at == start else solver.LAST_BLOCK
     return edges
+
+
+def block_runs(start, budget=500):
+    """`block_edges`, and the draw counts a row either side of a quarter and
+    three quarters into the block after the first: runs of refused draws
+    that end there make a call stop deep inside a long block."""
+    second = start + solver.DRAW_BLOCK
+    inside = [second + solver.LAST_BLOCK * quarters // 4 + d
+              for quarters in (1, 3) for d in (-1, 0, 1)]
+    return sorted(block_edges(start, budget) + [run for run in inside if run < budget])
 
 
 # --- Constraint programs ---------------------------------------------------------

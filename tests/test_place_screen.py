@@ -38,7 +38,7 @@ from owltamp.solver import (
 from owltamp.tasks import WORKSPACE, load_task
 
 from reference import (
-    LEVEL, block_edges, manual_solve, program, ref_refine, refine_outcome, skeleton,
+    LEVEL, block_runs, manual_solve, program, ref_refine, refine_outcome, skeleton,
 )
 
 TARGETS = {"table_surface": (0.5, 0.0), "plate": (0.5, 0.25), "bowl": (0.5, -0.25)}
@@ -382,8 +382,9 @@ def test_every_skipped_drop_is_one_the_scalar_path_rejects(case):
 
 
 # Runs of drops the screen refuses that end either side of where each of its
-# blocks starts, after the step's unscreened draws.
-PLACE_RUNS = block_edges(PLACE_UNSCREENED)
+# blocks starts, after the step's unscreened draws, or deep inside its
+# second block.
+PLACE_RUNS = block_runs(PLACE_UNSCREENED)
 
 
 @settings(max_examples=150, deadline=None)

@@ -9,8 +9,10 @@ must give the same result and generator state through either.  The pick
 screen judges the values `sample_grasp` would build from the same doubles,
 one at a time and then in blocks, by one rule that must give every row of a
 block the code it gives that row alone; `test_place_screen.py` holds the
-place screen's cases.  Whole cells must give the same record, and every
-refine call the same result and generator state, through either loop.
+place screen's cases.  Both screens judge a call's first DRAW_BLOCK draws,
+then, once a block refuses them all, all that is left in blocks of up to
+LAST_BLOCK.  Whole cells must give the same record, and every refine call
+the same result and generator state, through either loop.
 """
 
 import itertools
@@ -22,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from owltamp import solver
 from owltamp import world as W
 from owltamp.geometry import Pose6, wrap_angle, wrap_angles
 from owltamp.lang import parse_constraint
@@ -31,7 +34,8 @@ from owltamp.solver import (
 from owltamp.tasks import WORKSPACE
 
 from reference import (
-    assert_cells_agree, block_edges, ref_pick_rejection, ref_refine, refine_outcome, skeleton,
+    assert_cells_agree, block_edges, block_runs, ref_pick_rejection, ref_refine, refine_outcome,
+    skeleton,
 )
 
 
@@ -128,8 +132,9 @@ def test_screened_picks_count_as_samples_with_their_reason():
 
 
 # Runs of draws the pick rule refuses that end either side of where the
-# screen's lead-in ends and each of its blocks starts.
-PICK_RUNS = block_edges(PICK_SCALAR)
+# screen's lead-in ends and each of its blocks starts, or deep inside its
+# second block.
+PICK_RUNS = block_runs(PICK_SCALAR)
 
 
 def _run_world(seed, run):
@@ -159,6 +164,69 @@ def test_pick_runs_across_the_blocks_give_what_the_unscreened_loop_gives(run):
         assert got == want, budget
         if budget <= run:
             assert (got[0].reason, got[0].samples_used) == ("unreachable", budget)
+
+
+# --- The block schedule ------------------------------------------------------------
+
+def _blocks_judged(monkeypatch):
+    """The rows of each block the screens judge from now on, in order."""
+    rows = []
+    skip_blocks = solver._skip_blocks
+
+    def recording(draws, spans, limit, judge, reasons):
+        def counted(values):
+            rows.append(len(values[0]))
+            return judge(values)
+        return skip_blocks(draws, spans, limit, counted, reasons)
+    monkeypatch.setattr(solver, "_skip_blocks", recording)
+    return rows
+
+
+def _schedule_case(step):
+    """A one-step skeleton over its world, a seed and restrictions: a place
+    of a small item onto the bare table under a program no drop meets; a
+    pick of an item beyond the workspace, whose grasps are all unreachable;
+    or a pick whose level grasps are unreachable up to draw 20, which is
+    picked."""
+    if step == "place":
+        models = {"table_surface": W.ObjectModel("table_surface", (0.6, 0.6, 0.01), "surface"),
+                  "item": W.ObjectModel("item", (0.005, 0.005, 0.005))}
+        world = W.WorldState(W.Scene(models, WORKSPACE),
+                             {"table_surface": Pose6(0.5, 0.0, -0.01)},
+                             W.HeldItem("item", Pose6(0.3, 0.0, 0.4)))
+        sk = skeleton(world, [("place_ontop", {"o": "item", "s": "table_surface"})], ((NEVER,),))
+        return sk, world, 3, RestrictionTable()
+    if step == "pick":
+        world = _pick_world((0.05, 0.05, 0.05), (3.0, 0.0, 0.05), (0.3, 0.3, 0.0), "free")
+        return skeleton(world, [("pick", {"o": "item"})], ((),)), world, 3, RestrictionTable()
+    world = _run_world(37, 20)
+    level = RestrictionTable([{"action": "pick", "roll": (0.0, 0.0), "pitch": (0.0, 0.0)}])
+    return skeleton(world, [("pick", {"o": "item"})], ((),)), world, 37, level
+
+
+@pytest.mark.parametrize("step, budget, blocks", [
+    # After the place step's PLACE_UNSCREENED draws and the pick step's
+    # PICK_SCALAR lead-in, a call that refuses its first block judges all
+    # that is left of its limit in blocks of up to LAST_BLOCK.
+    ("place", 500, [64, 433]),
+    ("place", 1200, [64, 512, 512, 109]),
+    ("pick", 500, [64, 432]),
+    ("pick", 1200, [64, 512, 512, 108]),
+    ("picked", 500, [64]),
+    ("picked", 1200, [64]),
+])
+def test_a_screen_judges_its_first_block_then_all_that_is_left(monkeypatch, step, budget,
+                                                               blocks):
+    sk, world, seed, restrictions = _schedule_case(step)
+    want = refine_outcome(ref_refine, sk, world, budget, seed, restrictions)
+    rows = _blocks_judged(monkeypatch)
+    got = refine_outcome(refine, sk, world, budget, seed, restrictions)
+    assert rows == blocks
+    assert got == want
+    if step == "picked":
+        assert isinstance(got[0], Solution) and got[0].samples_used == 21
+    else:
+        assert got[0].samples_used == budget
 
 
 # --- The pick rule over floats and over columns --------------------------------------

@@ -143,6 +143,25 @@ def test_refine_budget_accounting(domain):
     assert used <= len(sk.actions) * budgets.samples_per_action
 
 
+@pytest.mark.parametrize("samples, backtracks", [
+    (2.5, 1), (500, 2.5), (500.0, 5), (True, 5), (500, False), (-1, 5), (500, -1),
+])
+def test_budgets_must_be_nonnegative_integers(samples, backtracks):
+    # A fractional sample budget would never count down to zero in refine.
+    with pytest.raises(ValueError):
+        Budgets(samples, backtracks)
+
+
+def test_budgets_accept_numpy_integers():
+    budgets = Budgets(np.int64(40), np.uint8(1))
+    assert budgets == Budgets(40, 1)
+    assert type(budgets.samples_per_action) is type(budgets.backtracks) is int
+    spec, w0, domain, problem = build("berry1")
+    sk = skeleton_for(problem, [("pick", "strawberry")])
+    result = refine(sk, w0, (), budgets, np.random.default_rng(2))
+    assert result.samples_used <= 40
+
+
 @pytest.fixture
 def sampled(monkeypatch):
     """Every value the samplers return, in order."""
