@@ -116,7 +116,7 @@ def _check_scene_objects(world, *fn_groups) -> None:
 
 @dataclass(frozen=True, eq=False)
 class FrontEnd:
-    """A task shape's problem, grounded over its `pose_free` state (every
+    """A task shape's problem, grounded over its shape's state (every
     vector zero), with the literals it adds to that state and its listing."""
 
     problem: GroundedProblem
@@ -126,7 +126,7 @@ class FrontEnd:
 
 @functools.lru_cache(maxsize=FRONT_END_CACHE_SIZE)
 def front_end(shape: frozenset, schemas: tuple, objects: tuple) -> FrontEnd:
-    """The front end of a `pose_free` shape, kept per process."""
+    """The front end of a task shape (`tasks.initial_shape`), kept per process."""
     s0 = State(frozenset(Literal(pred, args) for pred, args in shape))
     problem = ground_problem(s0, list(schemas), list(objects))
     return FrontEnd(problem, problem.literals - s0.true_literals,

@@ -150,13 +150,6 @@ class Aabb:
         return (min(su[0], ou[0]) - max(sl[0], ol[0]) > 0
                 and min(su[1], ou[1]) - max(sl[1], ol[1]) > 0)
 
-    def overlaps(self, other: "Aabb", tol: float = 0.0) -> bool:
-        """True when boxes interpenetrate strictly more than tol on every axis."""
-        sl, su, ol, ou = self.lower, self.upper, other.lower, other.upper
-        return (min(su[0], ou[0]) - max(sl[0], ol[0]) > tol
-                and min(su[1], ou[1]) - max(sl[1], ol[1]) > tol
-                and min(su[2], ou[2]) - max(sl[2], ol[2]) > tol)
-
 
 def box_at_pose(pose: Pose6, half_extents) -> Aabb:
     """Axis-aligned hull of a box with canonical half extents at a pose.

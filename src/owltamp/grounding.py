@@ -8,24 +8,26 @@ reachable literal set.
 
 Grounding runs in two parts.  The candidate actions and their placeholders
 depend only on the schemas and the objects, never on the scene, so
-`candidate_set` builds them once per distinct input, compiles them to
-bitmasks over their numbered positive effects (see `CandidateSet`) and keeps
-the result in a small LRU cache shared by every problem of the process;
-candidates are frozen, so sharing them is safe.  Each call then checks the
-few precondition patterns against its initial state and runs the relaxed
-fixpoint over ints; the reachable literals are s0 plus the decoded effect
-mask, and the listing shown to the oracle stringifies only s0's literals,
-since the candidate set keeps the rows of the effects.  The action listing
-and `GroundedProblem.find_action` read each candidate's line and the
-case-folded signature lookup that the candidate set keeps as well.
+`candidate_set` builds them and compiles them to bitmasks over their
+numbered positive effects (see `CandidateSet`); a task has one initial
+shape, so `bench.front_end` grounds each task once per process.  Each call
+then checks the few precondition patterns against its initial state and
+runs the relaxed fixpoint over ints; the reachable literals are s0 plus
+the decoded effect mask, and the listing shown to the oracle stringifies
+only s0's literals, since the candidate set keeps the rows of the effects.
+The action listing and `GroundedProblem.find_action` read each candidate's
+line and the case-folded signature lookup that the candidate set keeps as
+well.
 
 Schemas name no vector and continuous action arguments are placeholders,
 so no match reads a pose's value, and A* pops ties in push order over
 actions sorted by `discrete_signature()`: grounding and search see s0 only
-through its shape (`pose_free`).  Per process, `bench.front_end` keeps a
-grounding and action listing per shape, schemas and objects,
-`bench.transformed` a transformed problem per grounding and partial plan,
-and `solver.solve` an A* plan per transformed problem and object models.
+through its shape: its literals as (predicate, arguments) pairs with
+every vector argument (AtPose and AtConf values) zeroed.  Per process,
+`bench.front_end` keeps a grounding and action listing per shape, schemas
+and objects, `bench.transformed` a transformed problem per grounding and
+partial plan, and `solver.solve` an A* plan per transformed problem and
+object models.
 A benchmark cell takes its shape from its world (`tasks.initial_shape`)
 and hands `solve` the shared transformed problem, whose s0 is the shape's
 state, every vector zero; it builds its real-valued s0 only for the
@@ -34,36 +36,17 @@ listings that print it.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .model import (
-    ActionSchema, GroundAction, Literal, LiteralIndex, SemanticType, State, Value,
-    bind_placeholders, literal_holds,
+    ActionSchema, GroundAction, Literal, LiteralIndex, SemanticType, State, bind_placeholders,
+    literal_holds,
 )
 
-# Candidate sets kept by `candidate_set`.  The benchmark's ten tasks have one
-# each, 2.8 MB together under tracemalloc.
-CANDIDATE_CACHE_SIZE = 16
 # Entries of each front-end cache (the nine-mode grid fills 10, 23 and 23).
 FRONT_END_CACHE_SIZE = 64
-
-
-_zeros = functools.cache(lambda n: Value.vec((0.0,) * n))
-
-
-def pose_free(state: State) -> frozenset[tuple]:
-    """The state's literals as (predicate, arguments) pairs with every
-    vector argument (AtPose and AtConf values) zeroed, kept on the state."""
-    shape = state.__dict__.get("_pose_free")
-    if shape is None:
-        shape = frozenset([(lit.predicate, tuple([_zeros(len(a.payload)) if a.kind == "vec"
-                                                  else a for a in lit.args]))
-                           for lit in state.true_literals])
-        object.__setattr__(state, "_pose_free", shape)
-    return shape
 
 
 def signature_key(signature: tuple[str, ...]) -> tuple[str, ...]:
@@ -152,17 +135,15 @@ class CandidateSet:
         return self.table.actions
 
 
-@functools.lru_cache(maxsize=CANDIDATE_CACHE_SIZE)
 def candidate_set(schemas: tuple[ActionSchema, ...],
                   objects: tuple[str, ...]) -> CandidateSet:
     """Every instantiation of the schemas over distinct objects, compiled.
 
     Pass the schemas sorted by name and the objects sorted, as
-    `ground_problem` does: the arguments are the cache key, and the
-    placeholders are numbered from 1 in that order.  The candidates then
-    come out sorted by `discrete_signature`, which is unique per candidate:
-    schema name first, then the product of the sorted objects in parameter
-    order.
+    `ground_problem` does: the placeholders are numbered from 1 in that
+    order.  The candidates then come out sorted by `discrete_signature`,
+    which is unique per candidate: schema name first, then the product of
+    the sorted objects in parameter order.
     """
     ids = itertools.count(1)
     actions = tuple(bind_placeholders(schema, discrete, ids, objects)

@@ -71,12 +71,6 @@ class BoundsBox:
         """Intersect one axis with [lo, up]; raises when the result is empty."""
         return self.with_axis(axis, max(self.lower[axis], lo), min(self.upper[axis], up))
 
-    def contains_position(self, position) -> bool:
-        # A bool even for numpy coordinates: programs must return a bool.
-        lo, up = self.lower, self.upper
-        return True if (lo[0] <= position[0] <= up[0] and lo[1] <= position[1] <= up[1]
-                        and lo[2] <= position[2] <= up[2]) else False
-
 
 # --- Expression nodes ---------------------------------------------------------
 

@@ -22,14 +22,16 @@ from operator import attrgetter
 
 import numpy as np
 
-from ..geometry import Aabb, Pose6
+from ..geometry import Aabb
 from ..world import MARGIN, ObjectHeldError, WorldError, WorldState, aabb_of
 from .ast import (
     POSE_FIELDS, Abs, Arith, BoolLit, BoolOp, BoundsBox, Call, Compare, ConstraintFn, Expr,
     InfeasibleBoundsError, InitBounds, LangError, Num, ObjectRef, PoseAttr,
     PoseRef, VarRef,
 )
-from .helpers import _ANGLES_LOWER, _ANGLES_UPPER, HELPER_IMPLS, WORLD, X, Y, Z, default_bounds
+from .helpers import (
+    _ANGLES_LOWER, _ANGLES_UPPER, HELPER_IMPLS, WORLD, X, Y, Z, default_bounds, within_score,
+)
 from .parser import check_types
 
 
@@ -311,17 +313,6 @@ class _Block:
         return _Bounds((*lower, *_ANGLES_LOWER), (*upper, *_ANGLES_UPPER))
 
 
-def _within(pose, b):
-    """The score of `position_within_bounds`."""
-    position = pose.position if isinstance(pose, Pose6) else pose
-    lo, up = b.lower, b.upper
-    score = np.minimum(position[X] - lo[X], up[X] - position[X])
-    for axis in (Y, Z):
-        score = np.minimum(score, np.minimum(position[axis] - lo[axis],
-                                             up[axis] - position[axis]))
-    return score
-
-
 # Each arithmetic operator's value, and each comparison's score.
 _BINARY = {
     "+": lambda a, b: a + b, "-": lambda a, b: a - b,
@@ -478,7 +469,7 @@ def _block_call(fn: str, args):
     if fn == "position_within_bounds":
         pose, bounds = args
         return lambda env, blk, reach: blk.decide(
-            _within(pose(env, blk, reach), bounds(env, blk, reach)), reach)
+            within_score(pose(env, blk, reach), bounds(env, blk, reach), np.minimum), reach)
     impl = HELPER_IMPLS[fn]
 
     def run(env, blk, reach):

@@ -167,9 +167,22 @@ def modify_bounds_inside(w: WorldState, b: BoundsBox, *args: str, read=WORLD) ->
     return _clamp_footprint(b, box).clamp_axis(Z, floor, box.upper[Z])
 
 
+def within_score(p, b, minimum=min):
+    """Score of `position_within_bounds`: how far the xyz position of `p`
+    lies inside `b`, over floats or, given `np.minimum`, columns.  Positions
+    are finite, so for finite or infinite bounds `lo <= v` holds exactly
+    when `v - lo >= 0`."""
+    v = p.position if isinstance(p, Pose6) else p
+    lo, up = b.lower, b.upper
+    return minimum(minimum(minimum(v[X] - lo[X], up[X] - v[X]),
+                           minimum(v[Y] - lo[Y], up[Y] - v[Y])),
+                   minimum(v[Z] - lo[Z], up[Z] - v[Z]))
+
+
 def position_within_bounds(p: Pose6, b: BoundsBox) -> bool:
     """Checks the xyz position of a pose against the bounds (inclusive)."""
-    return b.contains_position(p.position if isinstance(p, Pose6) else p)
+    # A bool even for numpy coordinates: programs must return a bool.
+    return bool(within_score(p, b) >= 0)
 
 
 def initialize_bounds_anywhere_on_object(w: WorldState, name: str, *,

@@ -38,7 +38,6 @@ import numpy as np
 
 from . import world as W
 from .geometry import Pose6, wrap_angle, wrap_angles
-from .grounding import FRONT_END_CACHE_SIZE, pose_free
 from .lang import ConstraintFn, eval_constraint, eval_constraint_block
 from .model import GroundAction, Literal, LiteralIndex, State, Value, bind_placeholders
 # Unused here since A* searches over bitmasks.  The benchmark's tracer
@@ -507,7 +506,7 @@ PLACE_UNSCREENED = 3
 def _prepare_place(world, name, objs, draws, restrictions, hint, fns, goal_fns, *, inside):
     o, s = objs["o"], objs["s"]
     spec = restrictions.lookup(name, o)
-    if not _holding(world, o):
+    if not _holding(world, o) or s not in world.poses:
         return None
     box = W.aabb_of(world, s)
     (x0, y0, _), (x1, y1, top) = box.lower, box.upper
@@ -599,7 +598,7 @@ def _rerun_place(world, action, objs):
 
 def _prepare_pour(world, name, objs, draws, restrictions, hint, fns, goal_fns):
     o, s = objs["o"], objs["s"]
-    if not _holding(world, o):
+    if not _holding(world, o) or s not in world.poses:
         return None
     box = W.aabb_of(world, s)
     (x0, y0, _), (x1, y1, top) = box.lower, box.upper
@@ -883,25 +882,21 @@ def planning_set(scene: W.WorldState, problem: TransformedProblem) -> tuple[Grou
     return tuple(out)
 
 
-@lru_cache(maxsize=FRONT_END_CACHE_SIZE)
-def _plan_slot(*key) -> list:
-    """Empty until `_initial_plan` fills it with the actions, held so that
-    their id in the key stays theirs, and the plan or A*'s reason."""
-    return []
-
-
 def _initial_plan(scene: W.WorldState, problem: TransformedProblem) -> tuple | str:
-    """A* over the planning set, or the reason it gave up, kept per actions
-    (by identity), goal, steps, s0 shape and object models."""
-    slot = _plan_slot(id(problem.actions), problem.goal, problem.step_actions, problem.plan,
-                      pose_free(problem.s0), scene.scene.table, *scene.scene.models.values())
-    if not slot:
+    """A* over the planning set, or the reason it gave up, kept on the
+    problem per scene table and object models, which are all the planning
+    set reads of the scene."""
+    plans = problem.__dict__.get("_plans")
+    if plans is None:
+        plans = {}
+        object.__setattr__(problem, "_plans", plans)
+    key = (scene.scene.table, *scene.scene.models.values())
+    if key not in plans:
         try:
-            found = tuple(plan_task(problem.s0, planning_set(scene, problem), problem.goal))
+            plans[key] = tuple(plan_task(problem.s0, planning_set(scene, problem), problem.goal))
         except PlanningError as e:
-            found = e.reason
-        slot += (problem.actions, found)
-    return slot[1]
+            plans[key] = e.reason
+    return plans[key]
 
 
 # The most (seed, skeleton) generator states kept: the benchmark's largest

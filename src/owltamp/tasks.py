@@ -229,7 +229,7 @@ def initial_state(domain: Domain, w: W.WorldState) -> State:
 
 @functools.lru_cache(maxsize=None)
 def _shape_row(predicate: Predicate, *args: str | int) -> tuple:
-    """The `grounding.pose_free` row of a literal of `predicate` whose
+    """The shape row (`initial_shape`) of a literal of `predicate` whose
     arguments are object names and, given by its length, a vector (a pose or
     a configuration), which the row holds as zeros.  Kept per process: a
     catalog has a few rows per object name and per (object, support) pair."""
@@ -239,8 +239,10 @@ def _shape_row(predicate: Predicate, *args: str | int) -> tuple:
 
 
 def initial_shape(domain: Domain, w: W.WorldState) -> frozenset[tuple]:
-    """`grounding.pose_free(initial_state(domain, w))`, without the state:
-    the rows come from `_shape_row`, so only the supports are computed."""
+    """The shape of `initial_state(domain, w)`: its literals as (predicate,
+    arguments) pairs with every vector argument (AtPose and AtConf values)
+    zeroed, built without the state.  The rows come from `_shape_row`, so
+    only the supports are computed."""
     at_pose, supporting = domain.predicate("AtPose"), domain.predicate("Supporting")
     rows = [_shape_row(domain.predicate("AtConf"), len(w.robot_conf))]
     if w.held is None:

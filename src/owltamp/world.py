@@ -269,13 +269,56 @@ def _contents(w: WorldState, container: str) -> tuple[str, ...]:
                         and inner.contains_point(pose.position, slack=CONTACT_TOL)))
 
 
-def _inside_open_interior(box: Aabb, container_box: Aabb) -> bool:
-    lo, up = container_box.lower, container_box.upper
-    return (box.lower[0] >= lo[0] + WALL_THICKNESS - CONTACT_TOL
-            and box.upper[0] <= up[0] - WALL_THICKNESS + CONTACT_TOL
-            and box.lower[1] >= lo[1] + WALL_THICKNESS - CONTACT_TOL
-            and box.upper[1] <= up[1] - WALL_THICKNESS + CONTACT_TOL
-            and box.lower[2] >= lo[2] + FLOOR_THICKNESS - CONTACT_TOL)
+# --- Rules over floats or columns ----------------------------------------------
+#
+# Each placement rule is written once.  Given Python floats it is the skills'
+# own check; given numpy columns and numpy's `minimum` and `maximum`, it
+# judges a block of drops for `PlaceTables`.  A rule that a column path may
+# need to doubt is a score, a signed distance from its threshold: it holds
+# where the score is >= 0 (`_overlap`: > CONTACT_TOL).  For finite doubles
+# `a <= b` holds exactly when `b - a >= 0`, since rounding never flips the
+# sign of a difference, so a float call compared with 0 gives the verdict
+# of the comparison it replaces.
+
+def _outside(box: Aabb, x, y, z, slack: float = 0.0):
+    """Not `box.contains_point((x, y, z), slack)`, over floats or columns."""
+    (l0, l1, l2), (u0, u1, u2) = box.lower, box.upper
+    return ((x < l0 - slack) | (x > u0 + slack) | (y < l1 - slack) | (y > u1 + slack)
+            | (z < l2 - slack) | (z > u2 + slack))
+
+
+def _overlap(a, b, minimum=min, maximum=max):
+    """How far the boxes `a` and `b` interpenetrate on their shallowest
+    axis, negative when they lie apart; they collide beyond CONTACT_TOL."""
+    (a0, a1, a2), (A0, A1, A2) = a.lower, a.upper
+    (b0, b1, b2), (B0, B1, B2) = b.lower, b.upper
+    return minimum(minimum(minimum(A0, B0) - maximum(a0, b0), minimum(A1, B1) - maximum(a1, b1)),
+                   minimum(A2, B2) - maximum(a2, b2))
+
+
+def _inside_open(box, container, minimum=min):
+    """Score of `box` sitting in the open interior of the container whose
+    hull is `container`: its footprint within the walls and its bottom
+    above the floor, each within CONTACT_TOL."""
+    (l0, l1, l2), (u0, u1, _) = box.lower, box.upper
+    (c0, c1, c2), (C0, C1, _) = container.lower, container.upper
+    return minimum(minimum(minimum(l0 - (c0 + WALL_THICKNESS - CONTACT_TOL),
+                                   (C0 - WALL_THICKNESS + CONTACT_TOL) - u0),
+                           minimum(l1 - (c1 + WALL_THICKNESS - CONTACT_TOL),
+                                   (C1 - WALL_THICKNESS + CONTACT_TOL) - u1)),
+                   l2 - (c2 + FLOOR_THICKNESS - CONTACT_TOL))
+
+
+def _rest_gap(bottom, top):
+    """Score of a bottom face at height `bottom` resting on a top face at `top`."""
+    return (0.02 + CONTACT_TOL) - abs(top - bottom)
+
+
+def _opening_fit(inner, e0, e1, minimum=min):
+    """Score of a footprint of half extents `e0` by `e1` passing through the
+    opening of the container interior `inner`."""
+    return minimum((inner.upper[0] - inner.lower[0]) - 2 * e0,
+                   (inner.upper[1] - inner.lower[1]) - 2 * e1)
 
 
 def collision(w: WorldState, name: str, pose: Pose6, exclude: tuple[str, ...] = (),
@@ -291,13 +334,11 @@ def collision(w: WorldState, name: str, pose: Pose6, exclude: tuple[str, ...] = 
         box = box_at_pose(pose, model.half_extents)
     container = model.kind == "container"
     for other, kind, other_box in _obstacles(w):
-        if other == name or other in exclude:
+        if other == name or other in exclude or _overlap(box, other_box) <= CONTACT_TOL:
             continue
-        if not box.overlaps(other_box, CONTACT_TOL):
+        if kind == "container" and _inside_open(box, other_box) >= 0:
             continue
-        if kind == "container" and _inside_open_interior(box, other_box):
-            continue
-        if container and _inside_open_interior(other_box, box):
+        if container and _inside_open(other_box, box) >= 0:
             continue
         return True
     return False
@@ -305,7 +346,7 @@ def collision(w: WorldState, name: str, pose: Pose6, exclude: tuple[str, ...] = 
 
 def reachable(w: WorldState, pose: Pose6) -> bool:
     """Workspace-box feasibility test standing in for kinematics and motion."""
-    return w.scene.workspace.contains_point(pose.position)
+    return not _outside(w.scene.workspace, pose.x, pose.y, pose.z)
 
 
 def supported_by(w: WorldState, name: str) -> str | None:
@@ -332,14 +373,9 @@ def _supported_by(w: WorldState, name: str) -> str | None:
         if not obox.contains_xy(cx, cy, slack=CONTACT_TOL):
             continue
         top = obox.upper[2]
-        if _rests_on(bottom, top) and top > best_top:
+        if _rest_gap(bottom, top) >= 0 and top > best_top:
             best, best_top = other, top
     return best
-
-
-def _rests_on(bottom: float, top: float) -> bool:
-    """Whether a bottom face at height `bottom` rests on a top face at `top`."""
-    return abs(top - bottom) <= 0.02 + CONTACT_TOL
 
 
 def _support_height(w: WorldState, name: str, x: float, y: float,
@@ -384,13 +420,6 @@ def _settle(w: WorldState, name: str, drop: Pose6) -> Pose6 | None:
 PICK_REJECTIONS = ("grasp-outside-object", "unreachable", "grasp-not-level")
 
 
-def _outside(box: Aabb, x, y, z, slack: float = 0.0):
-    """Not `box.contains_point((x, y, z), slack)`, over floats or columns."""
-    (l0, l1, l2), (u0, u1, u2) = box.lower, box.upper
-    return ((x < l0 - slack) | (x > u0 + slack) | (y < l1 - slack) | (y > u1 + slack)
-            | (z < l2 - slack) | (z > u2 + slack))
-
-
 def pick_refusals(box: Aabb, workspace: Aabb, x, y, z, roll, pitch) -> tuple:
     """Whether each check of PICK_REJECTIONS refuses a grasp with wrapped
     `roll` and `pitch` on the hull `box`, over floats or numpy columns; for
@@ -432,8 +461,9 @@ def exec_pick(w: WorldState, name: str, grasp: Pose6) -> SkillOutcome:
             # Reaching into an open container is fine when the opening admits
             # the gripper; narrow ones make their contents unreachable.
             inner = interior_box(w, other)
-            width = min(inner.upper[0] - inner.lower[0], inner.upper[1] - inner.lower[1])
-            if width >= GRIPPER_CLEARANCE and inner.contains_point(grasp.position):
+            gripper = GRIPPER_CLEARANCE / 2
+            if (_opening_fit(inner, gripper, gripper) >= 0
+                    and inner.contains_point(grasp.position)):
                 continue
         return _fail(w, "grasp-obstructed")
 
@@ -458,7 +488,8 @@ def exec_pick(w: WorldState, name: str, grasp: Pose6) -> SkillOutcome:
     top = aabb_of(w, name).upper[2]
     stacked = sorted(o for o in w.poses
                      if o not in rider_names and o != name
-                     and _rests_on(aabb_of(w, o).lower[2], top) and supported_by(w, o) == name)
+                     and _rest_gap(aabb_of(w, o).lower[2], top) >= 0
+                     and supported_by(w, o) == name)
     for obj in stacked:
         settled = _settle(lifted, obj, lifted.pose(obj))
         if settled is None:
@@ -522,10 +553,8 @@ def exec_place(w: WorldState, name: str, target: str, drop: Pose6) -> SkillOutco
     descend = None
     if target_kind == "container" and target in w.poses:
         inner = interior_box(w, target)
-        fits = (2 * ext[0] <= inner.upper[0] - inner.lower[0]
-                and 2 * ext[1] <= inner.upper[1] - inner.lower[1])
         if inner.contains_xy(drop.x, drop.y):
-            if not fits:
+            if _opening_fit(inner, ext[0], ext[1]) < 0:
                 return _fail(w, "does-not-fit")
             descend = target
 
@@ -554,12 +583,15 @@ def exec_place(w: WorldState, name: str, target: str, drop: Pose6) -> SkillOutco
 # --- Place drops in blocks ----------------------------------------------------
 #
 # `PlaceTables` judges a block of drops at once, in numpy, as `exec_place`
-# and then the place effect would judge each.  Each test is scored as a
-# signed distance from its threshold (positive: it holds; `min` is and,
-# `max` is or), in float operations close to the scalar code's.  Scores
-# stray from the scalar values by rounding, and numpy's cosine and sine may
-# differ from `math`'s in the last bit, so a score within MARGIN of zero
-# leaves its drop undecided.
+# and then the place effect would judge each, through the rules above.  A
+# drop's x, y and z are the draw's own floats (`lo + span * u`) in both
+# paths, so the tests of them alone are exact booleans: the workspace, each
+# footprint under the drop, the target's opening and each interior's
+# footprint for `contents`.  The rotated extents and the riders' seats use
+# numpy's cosine and sine, which may differ from `math`'s in the last bit,
+# so every test that reads them (the opening fit, the release height,
+# collision, the settled height within an interior and support) is a
+# score, and a score within MARGIN of zero leaves its drop undecided.
 
 MARGIN = 1e-9
 # What the codes of `PlaceTables.judge` name, in the order of the checks.
@@ -580,58 +612,50 @@ class Settled(NamedTuple):
     height: np.ndarray
 
 
-def _columns(boxes):
-    """Each coordinate of the boxes' corners as a column over the boxes:
-    two arrays of shape (3, boxes, 1)."""
+def _columns(boxes) -> Aabb:
+    """The boxes as one box whose corner coordinates are columns over the
+    boxes, each of shape (boxes, 1)."""
     boxes = list(boxes)
     lower = np.array([b.lower for b in boxes], dtype=float).reshape(-1, 3)
     upper = np.array([b.upper for b in boxes], dtype=float).reshape(-1, 3)
-    return lower.T[:, :, None], upper.T[:, :, None]
+    return Aabb.trusted(lower.T[:, :, None], upper.T[:, :, None])
 
 
-def _inside_open_score(lo, up, clo, cup):
-    """Score of `_inside_open_interior` for the box `lo`..`up` in the
-    container box `clo`..`cup`."""
-    score = np.minimum(lo[0] - (clo[0] + WALL_THICKNESS - CONTACT_TOL),
-                       (cup[0] - WALL_THICKNESS + CONTACT_TOL) - up[0])
-    score = np.minimum(score, lo[1] - (clo[1] + WALL_THICKNESS - CONTACT_TOL))
-    score = np.minimum(score, (cup[1] - WALL_THICKNESS + CONTACT_TOL) - up[1])
-    return np.minimum(score, lo[2] - (clo[2] + FLOOR_THICKNESS - CONTACT_TOL))
-
-
-def _overlap_score(lo, up, olo, oup):
-    """Score of `Aabb.overlaps` with CONTACT_TOL."""
-    score = np.minimum(np.minimum(up[0], oup[0]) - np.maximum(lo[0], olo[0]),
-                       np.minimum(up[1], oup[1]) - np.maximum(lo[1], olo[1]))
-    return np.minimum(score, np.minimum(up[2], oup[2]) - np.maximum(lo[2], olo[2])) - CONTACT_TOL
-
-
-def _obstacle_rows(w: WorldState, skip: tuple[str, ...]):
-    """The corners of the obstacles not in `skip` as `_columns`, containers
-    first, and the slice of the containers: a body inside one's open
-    interior does not collide with it."""
+def _obstacle_rows(w: WorldState, skip: tuple[str, ...]) -> tuple[Aabb, Aabb]:
+    """The hulls of the obstacles not in `skip` as `_columns`, containers
+    first, and the containers alone: a body inside one's open interior does
+    not collide with it."""
     obstacles = sorted(((kind != "container", box) for other, kind, box in _obstacles(w)
                         if other not in skip), key=lambda o: o[0])
-    walls = sum(not plain for plain, _ in obstacles)
-    return _columns(box for _, box in obstacles), slice(0, walls)
+    return (_columns(box for _, box in obstacles),
+            _columns(box for plain, box in obstacles if not plain))
 
 
-def _hit_score(lo, up, obstacles, walls):
-    """Score of `collision` of the box `lo`..`up` with each row of
-    `obstacles`, but for the exception a container box makes."""
-    olo, oup = obstacles
-    hit = _overlap_score(lo, up, olo, oup)
-    if walls.stop:
-        hit[walls] = np.minimum(hit[walls], -_inside_open_score(
-            lo, up, olo[:, walls], oup[:, walls]))
-    return hit
+def _hit(box: Aabb, obstacles: tuple[Aabb, Aabb], container: bool = False):
+    """Score of `collision` of the column box `box`, a container's or not,
+    with the obstacles of `_obstacle_rows`."""
+    rows, walls = obstacles
+    hit = _overlap(box, rows, np.minimum, np.maximum) - CONTACT_TOL
+    k = len(walls.lower[0])
+    if k:
+        hit[:k] = np.minimum(hit[:k], -_inside_open(box, walls, np.minimum))
+    if container:
+        hit = np.minimum(hit, -_inside_open(rows, box, np.minimum))
+    return hit.max(axis=0, initial=-np.inf)
+
+
+def _xy_gap(box: Aabb, x, y):
+    """The score of `box.contains_xy(x, y)` for each column of `box`: for
+    finite doubles it is >= 0 exactly where `contains_xy` holds."""
+    (l0, l1, _), (u0, u1, _) = box.lower, box.upper
+    return np.minimum(np.minimum(x - l0, u0 - x), np.minimum(y - l1, u1 - y))
 
 
 class PlaceTables:
     """The step world's tables for judging drops of the held `name` onto
-    `target`: every hull, every container's interior, the workspace and the
-    obstacles, and for riders, which must not be containers, the obstacles
-    they may hit.
+    `target`: every hull, every container's interior and the obstacles,
+    and for riders, which must not be containers, the obstacles they may
+    hit.
     `inside` picks the effect: `name` among the target's `contents`, else
     the target as what `supported_by` finds under it."""
 
@@ -642,25 +666,20 @@ class PlaceTables:
         self.container = model(name).kind == "container"
         self.inside = inside
         hulls = _hulls(w)
-        names = [other for other, _ in hulls]
-        self.target = names.index(target)
+        self.target = [other for other, _ in hulls].index(target)
         containers = [other for other, kind, _ in _obstacles(w) if kind == "container"]
         self.interior = containers.index(target) if target in containers else -1
-        # Rows: the hulls, in `_hulls` order, the containers' interiors, in
-        # `_obstacles` order, then the workspace.
+        # Rows: the hulls, in `_hulls` order, then the containers'
+        # interiors, in `_obstacles` order.
         interiors = [interior_box(w, other) for other in containers]
-        lo, up = _columns([box for _, box in hulls] + interiors + [w.scene.workspace])
-        self.rows_lo, self.rows_up = lo[:2], up[:2]
-        k, c = len(hulls), len(containers)
-        self.hulls, self.interiors = slice(0, k), slice(k, k + c)
-        self.tops = up[2, :k]
-        self.floors, self.roofs = lo[2, k:k + c] - CONTACT_TOL, up[2, k:k + c] + CONTACT_TOL
-        self.reach_z = lo[2, -1], up[2, -1]
+        self.rows = _columns([box for _, box in hulls] + interiors)
+        self.tops = self.rows.upper[2][:len(hulls)]
         if self.interior >= 0:
-            inner = interiors[self.interior]
-            self.opening = inner.upper[0] - inner.lower[0], inner.upper[1] - inner.lower[1]
-            self.floor = inner.lower[2]
-        self.obstacles, self.walls = _obstacle_rows(w, (name, target))
+            self.inner = interiors[self.interior]
+        # `contents` takes an interior with CONTACT_TOL of slack.
+        inner = _columns(interiors)
+        self.holds = Aabb.trusted(inner.lower - CONTACT_TOL, inner.upper + CONTACT_TOL)
+        self.obstacles = _obstacle_rows(w, (name, target))
         # `exec_place` excludes only the container from its riders' checks.
         if w.held.riders:
             self.rider_obstacles = _obstacle_rows(w, (name,))
@@ -674,43 +693,29 @@ class PlaceTables:
         wraps them."""
         n = len(x)
         e0, e1, e2 = rotated_half_extents(self.half, roll, pitch, yaw, np.cos, np.sin)
-        lo, up = self.rows_lo, self.rows_up
-        # `contains_xy` of every row at the drop's x and y.
-        xy = np.minimum(np.minimum(x - lo[0], up[0] - x), np.minimum(y - lo[1], up[1] - y))
-        reach = np.minimum(xy[-1], np.minimum(z - self.reach_z[0], self.reach_z[1] - z))
+        far = _outside(self.scene.workspace, x, y, z)
 
         # `_support_height`: the highest top under the drop, where the
         # target's floor stands in for its rim when the drop is over its
-        # opening and fits through it.  Contents offer their own hull tops,
-        # as every placed object does.
-        under, heights = xy[self.hulls], self.tops
-        unsure = (np.abs(under) <= MARGIN).any(axis=0)
+        # opening, which lies within its hull, and fits through it.
+        # Contents offer their own hull tops, as every placed object does.
+        gap = _xy_gap(self.rows, x, y)
+        k = len(self.tops)
+        tops = np.where(gap[:k] >= 0, self.tops, -np.inf)
         misfit = np.full(n, -np.inf)
         if self.interior >= 0:
-            into = xy[self.interiors][self.interior]
-            misfit = np.minimum(into, np.maximum(2 * e0 - self.opening[0],
-                                                 2 * e1 - self.opening[1]))
-            unsure |= np.abs(into) <= MARGIN
-            descend = into > MARGIN
-            if descend.any():
-                t = self.target
-                under, heights = under.copy(), np.broadcast_to(heights, under.shape).copy()
-                under[t] = np.where(descend, into, under[t])
-                heights[t] = np.where(descend, self.floor, heights[t])
-        supported = under > MARGIN
-        unsupported = np.where(unsure, 0.0, -under.max(axis=0))
-        height = np.max(np.where(supported, heights, -np.inf), axis=0)
-        height[height == -np.inf] = 0.0
+            over = gap[k + self.interior] >= 0
+            misfit = np.where(over, -_opening_fit(self.inner, e0, e1, np.minimum), -np.inf)
+            tops[self.target] = np.where(over, self.inner.lower[2], tops[self.target])
+        height = tops.max(axis=0)
+        bare = height == -np.inf
+        height[bare] = 0.0
         pz = height + e2
         below = (pz - CONTACT_TOL) - z
 
         # `collision` of the settled hull with every obstacle but the target.
-        blo, bup = (x - e0, y - e1, pz - e2), (x + e0, y + e1, pz + e2)
-        hit = _hit_score(blo, bup, self.obstacles, self.walls)
-        if self.container:
-            olo, oup = self.obstacles
-            hit = np.minimum(hit, -_inside_open_score(olo, oup, blo, bup))
-        hit = np.max(hit, axis=0, initial=-np.inf)
+        box = Aabb.trusted((x - e0, y - e1, pz - e2), (x + e0, y + e1, pz + e2))
+        hit = _hit(box, self.obstacles, self.container)
 
         # The riders, re-seated: their `collision` with every obstacle but
         # the container, and with each other.
@@ -720,46 +725,48 @@ class PlaceTables:
             for _, (cx, cy, cz), (r0, r1, r2), _ in _seats(
                     self.scene, self.held, x, y, pz, angles[2], np.cos, np.sin,
                     np.maximum, np.minimum):
-                rlo, rup = (cx - r0, cy - r1, cz - r2), (cx + r0, cy + r1, cz + r2)
-                knock = np.maximum(knock, np.max(_hit_score(rlo, rup, *self.rider_obstacles),
-                                                 axis=0, initial=-np.inf))
-                for olo, oup in riders:
-                    knock = np.maximum(knock, _overlap_score(rlo, rup, olo, oup))
-                riders.append((rlo, rup))
+                rider = Aabb.trusted((cx - r0, cy - r1, cz - r2), (cx + r0, cy + r1, cz + r2))
+                knock = np.maximum(knock, _hit(rider, self.rider_obstacles))
+                for other in riders:
+                    knock = np.maximum(knock, _overlap(rider, other, np.minimum, np.maximum)
+                                       - CONTACT_TOL)
+                riders.append(rider)
 
         # `contents`: the settled position within an interior, with slack;
-        # `xy` is scored at the drop's x and y, which the hull's center
-        # matches to rounding.
-        held = np.minimum(xy[self.interiors] + CONTACT_TOL,
-                          np.minimum(pz - self.floors, self.roofs - pz))
+        # its x and y are the drop's, so only its height is scored.
+        holds = self.holds
+        held = np.where(_xy_gap(holds, x, y) >= 0,
+                        np.minimum(pz - holds.lower[2], holds.upper[2] - pz), -np.inf)
         if self.inside:
             miss = -held[self.interior] if self.interior >= 0 else np.full(n, np.inf)
         else:
-            miss = self._misses_support(xy[self.hulls], held, blo[2], x, y, riders)
+            miss = self._misses_support(gap[:k], held, box.lower[2], x, y, riders)
 
-        # The first check each drop does not surely pass decides its code.
-        fails = np.stack((-reach, misfit, unsupported, below, hit, knock, miss))
+        # The first check each drop does not surely pass decides its code;
+        # an exact test refuses a drop surely or passes it surely.
+        far, bare = np.where((far, bare), np.inf, -np.inf)
+        fails = np.stack((far, misfit, bare, below, hit, knock, miss))
         open_ = fails >= -MARGIN
         stage = open_.argmax(axis=0)
         failed = fails[stage, np.arange(n)] > MARGIN
         codes = np.where(open_.any(axis=0), np.where(failed, stage, PLACE_UNDECIDED),
                          PLACE_PASSED)
-        return codes, Settled((x, y, pz, *angles), blo, bup, e2)
+        return codes, Settled((x, y, pz, *angles), box.lower, box.upper, e2)
 
     def _misses_support(self, under, held, bottom, x, y, riders):
         """Score of `supported_by` not finding the target: it takes the
         first container holding the object, else the first of the highest
-        hulls under the center whose top meets the bottom.  A drop where a
+        hulls under the center whose top meets the bottom.  The center is
+        (x, y), whose `_xy_gap`s are `under`, to rounding.  A drop where a
         rider's hull may be one of those is left undecided."""
         n = len(bottom)
-        rests = np.minimum(under + CONTACT_TOL, (0.02 + CONTACT_TOL) - np.abs(self.tops - bottom))
+        tops = self.tops
+        rests = np.minimum(under + CONTACT_TOL, _rest_gap(bottom, tops))
         unsure = (np.abs(rests) <= MARGIN).any(axis=0)
-        for lo, up in riders:
-            under_rider = np.minimum(np.minimum(x - lo[0], up[0] - x),
-                                     np.minimum(y - lo[1], up[1] - y))
-            unsure |= np.minimum(under_rider + CONTACT_TOL,
-                                 (0.02 + CONTACT_TOL) - np.abs(up[2] - bottom)) >= -MARGIN
-        top = np.where(rests > MARGIN, self.tops, -np.inf)
+        for rider in riders:
+            unsure |= np.minimum(_xy_gap(rider, x, y) + CONTACT_TOL,
+                                 _rest_gap(bottom, rider.upper[2])) >= -MARGIN
+        top = np.where(rests > MARGIN, tops, -np.inf)
         best_top = top.max(axis=0)
         found = (best_top > -np.inf) & (np.argmax(top == best_top, axis=0) == self.target)
         if len(held):
@@ -785,7 +792,7 @@ def exec_pour(w: WorldState, name: str, target: str, params) -> SkillOutcome:
     if len(params) != 4:
         raise WorldError(f"pour expects 4 parameters, got {len(params)}")
     x, y, z, tilt = params
-    if not w.scene.workspace.contains_point((x, y, z)):
+    if _outside(w.scene.workspace, x, y, z):
         return _fail(w, "unreachable")
     tbox = aabb_of(w, target)
     if not tbox.contains_xy(x, y):

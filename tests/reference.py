@@ -12,10 +12,15 @@ reference:
 - `reference_candidates` and `reference_ground_actions`, grounding as one
   uncached run;
 - `reference_front_end`, a cell's grounding, listings, transform and A*
-  plan built afresh for the cell, as before the per-shape front-end cache;
+  plan built afresh for the cell, as before the per-shape front-end cache,
+  and `pose_free`, the shape of a state that the front end is keyed on;
 - `rotation_matrix`, the rotation that box hulls are checked against;
 - `ref_pick_rejection`, the pick rule as short-circuit checks on one grasp,
   before it was written once for floats and columns;
+- `overlaps`, `inside_open_interior`, `rests_on`, `fits_opening`,
+  `admits_gripper` and `contains_position`, the world's placement rules
+  and the bounds test as chained comparisons, before each was written once
+  as a score for floats and columns;
 - `ref_load_task`, a scene built afresh with one `Generator.uniform` call
   per drawn value, before the shared fixed world and block reads;
 - `ref_aabb_of`, `ref_interior_box`, `ref_contents` and `ref_supported_by`,
@@ -107,6 +112,55 @@ def ref_pick_rejection(workspace, box, x, y, z, roll, pitch):
     if max(min(abs(a), math.pi - abs(a)) for a in (roll, pitch)) > GRASP_TILT_TOL:
         return "grasp-not-level"
     return None
+
+
+# --- Retired float spellings of the world's rules ------------------------------
+
+def overlaps(a, b, tol=0.0):
+    """`Aabb.overlaps`: whether the boxes interpenetrate strictly more than
+    `tol` on every axis."""
+    sl, su, ol, ou = a.lower, a.upper, b.lower, b.upper
+    return (min(su[0], ou[0]) - max(sl[0], ol[0]) > tol
+            and min(su[1], ou[1]) - max(sl[1], ol[1]) > tol
+            and min(su[2], ou[2]) - max(sl[2], ol[2]) > tol)
+
+
+def inside_open_interior(box, container_box):
+    """`world._inside_open_interior`: whether `box` sits in the open
+    interior of the container whose hull is `container_box`."""
+    lo, up = container_box.lower, container_box.upper
+    return (box.lower[0] >= lo[0] + W.WALL_THICKNESS - W.CONTACT_TOL
+            and box.upper[0] <= up[0] - W.WALL_THICKNESS + W.CONTACT_TOL
+            and box.lower[1] >= lo[1] + W.WALL_THICKNESS - W.CONTACT_TOL
+            and box.upper[1] <= up[1] - W.WALL_THICKNESS + W.CONTACT_TOL
+            and box.lower[2] >= lo[2] + W.FLOOR_THICKNESS - W.CONTACT_TOL)
+
+
+def rests_on(bottom, top):
+    """`world._rests_on`: whether a bottom face at `bottom` rests on a top
+    face at `top`."""
+    return abs(top - bottom) <= 0.02 + W.CONTACT_TOL
+
+
+def fits_opening(inner, e0, e1):
+    """`exec_place`'s test that a footprint of half extents `e0` by `e1`
+    passes through the opening of the interior `inner`."""
+    return (2 * e0 <= inner.upper[0] - inner.lower[0]
+            and 2 * e1 <= inner.upper[1] - inner.lower[1])
+
+
+def admits_gripper(inner):
+    """`exec_pick`'s test that the opening of the interior `inner` admits
+    the gripper."""
+    return min(inner.upper[0] - inner.lower[0], inner.upper[1] - inner.lower[1]) \
+        >= W.GRIPPER_CLEARANCE
+
+
+def contains_position(b, position):
+    """`BoundsBox.contains_position`, the test of `position_within_bounds`."""
+    lo, up = b.lower, b.upper
+    return (lo[0] <= position[0] <= up[0] and lo[1] <= position[1] <= up[1]
+            and lo[2] <= position[2] <= up[2])
 
 
 # --- Refinement ----------------------------------------------------------------
@@ -395,11 +449,19 @@ def reachable_literals(s0, actions):
 
 # --- Front end ---------------------------------------------------------------------
 
+def pose_free(state):
+    """The shape of a state: its literals as (predicate, arguments) pairs
+    with every vector argument (AtPose and AtConf values) zeroed, as
+    `tasks.initial_shape` builds it from a world."""
+    return frozenset((lit.predicate, tuple(Value.vec((0.0,) * len(a.payload))
+                                           if a.kind == "vec" else a for a in lit.args))
+                     for lit in state.true_literals)
+
+
 def clear_front_end():
     """Empty every per-process front-end cache."""
     bench.front_end.cache_clear()
     bench.transformed.cache_clear()
-    solver._plan_slot.cache_clear()
 
 
 def reference_front_end(task_id, seed, mode, oracle=None):

@@ -11,11 +11,10 @@ import pytest
 
 from owltamp import bench, solver, tasks
 from owltamp import world as W
-from owltamp.grounding import pose_free
 from owltamp.oracle import ScriptedOracle
 from owltamp.solver import Budgets
 
-from reference import DOMAIN, manual_solve, ref_load_task
+from reference import DOMAIN, manual_solve, pose_free, ref_load_task
 
 TASK_IDS = tasks.task_ids()
 

@@ -20,16 +20,14 @@ import pytest
 
 from owltamp import bench, solver, tasks
 from owltamp.fixtures import FLAWED_DISCRETE, RECORDED
-from owltamp.grounding import (
-    format_literal_listing, format_state_listing, ground_problem, pose_free,
-)
+from owltamp.grounding import format_literal_listing, format_state_listing, ground_problem
 from owltamp.model import State, Value
 from owltamp.oracle import ExternalOracle, ReplayOracle, ScriptedOracle
 from owltamp.partial_plan import PartialPlan, PlanStep, executed, transform
 from owltamp.solver import Budgets, Infeasible
 
 from reference import (
-    BUDGETS, DOMAIN, build, clear_front_end, make_s0, reference_front_end,
+    BUDGETS, DOMAIN, build, clear_front_end, make_s0, pose_free, reference_front_end,
 )
 
 SEEDS = range(10)
@@ -125,13 +123,17 @@ def test_transform_errors_reach_every_cell():
                 bench.transformed(front, pp)
 
 
-def test_planning_errors_are_kept_per_goal():
-    clear_front_end()
+def test_planning_errors_are_kept_per_goal(monkeypatch):
     _, world, _, problem = build("citrus", 0)
     t = transform(problem, PartialPlan(()))
+    unreachable = replace(t, goal=(executed(1),))
+    calls = []
+    plan_task = solver.plan_task
+    monkeypatch.setattr(solver, "plan_task", lambda *args: calls.append(args) or plan_task(*args))
     for _ in range(2):
-        assert solver._initial_plan(world, replace(t, goal=(executed(1),))) == "unreachable-goal"
-    assert solver._plan_slot.cache_info()[:2] == (1, 1)
+        assert solver._initial_plan(world, unreachable) == "unreachable-goal"
+        assert isinstance(solver._initial_plan(world, t), tuple)
+    assert len(calls) == 2
 
 
 # --- Nothing leaks between cells ---------------------------------------------------

@@ -316,7 +316,7 @@ def test_unrolled_contains_position_equals_the_genexpr(b, position, as_numpy):
     if as_numpy:
         position = np.array(position)
     want = all(l <= v <= u for v, l, u in zip(position[:3], b.lower[:3], b.upper[:3]))
-    assert b.contains_position(position) is want
+    assert H.position_within_bounds(position, b) is want
 
 
 def _validated(lower, upper):

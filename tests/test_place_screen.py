@@ -591,6 +591,59 @@ def test_a_drop_at_the_release_height_is_undecided():
     assert W.PLACE_REJECTIONS[3] == "release-below-rest"
 
 
+def test_a_drop_on_the_workspace_face_is_reachable():
+    # The table's edge lies on the workspace's face, so a drop there rests.
+    world = _bare_world((0.02, 0.02, 0.02))
+    face = WORKSPACE.upper[0]
+    x = [face, math.nextafter(face, 2.0)]
+    assert W.exec_place(world, "item", "table_surface", Pose6(x[0], 0.0, 0.5)).success
+    outcome = W.exec_place(world, "item", "table_surface", Pose6(x[1], 0.0, 0.5))
+    assert outcome.failure_reason == "unreachable"
+    tables = W.PlaceTables(world, "item", "table_surface", False)
+    zero = np.zeros(2)
+    codes, _ = tables.judge(np.array(x), zero, np.full(2, 0.5), zero, zero, zero)
+    assert codes.tolist() == [W.PLACE_PASSED, W.PLACE_REJECTIONS.index("unreachable")]
+
+
+# Drops that `exec_place` and the effect accept at an exemption or a slack:
+# (world changes, target, inside, drop).
+PASSING_DROPS = {
+    # The block floats 0.02 above the table, 0.03 off the drop's center:
+    # once the container rests on the table, the block lies in its open
+    # interior, which `collision` exempts.
+    "container-around-block": (
+        dict(target="table_surface", held_half=(0.06, 0.06, 0.04), held_kind="container",
+             block_half=(0.01, 0.01, 0.01), block_offset=(0.03, 0.0, 0.02)),
+        "table_surface", False, (0.5, 0.0, 0.05)),
+    # The container goes down into the bowl, and its rider then lies in the
+    # bowl's open interior, which `collision` exempts.
+    "rider-in-the-bowl": (
+        dict(target="bowl", held_half=(0.04, 0.04, 0.02), held_kind="container",
+             riders=(((0.006, 0.006, 0.01), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),)),
+        "bowl", True, (0.5, -0.25, 0.1)),
+    # Set onto the bowl, the item goes down to its floor: `supported_by`
+    # takes the bowl, as the container that holds it.
+    "onto-the-bowl-floor": (dict(target="bowl"), "bowl", False, (0.5, -0.25, 0.1)),
+    # The center lies off the plate, so the item settles on the table; the
+    # plate's top is then 0.02 above its bottom, within the rest band, and
+    # its footprint within CONTACT_TOL of the center: `supported_by` finds
+    # the plate.
+    "beside-the-plate": (dict(), "plate", False, (0.5, 0.25 + 0.08 + W.CONTACT_TOL / 2, 0.05)),
+}
+
+
+@pytest.mark.parametrize("changes, target, inside, drop", PASSING_DROPS.values(),
+                         ids=PASSING_DROPS.keys())
+def test_a_drop_the_skill_and_effect_accept_passes(changes, target, inside, drop):
+    world, drop = _plain_world(**changes), Pose6(*drop)
+    name = "place_inside" if inside else "place_ontop"
+    outcome = W.exec_place(world, "item", target, drop)
+    assert outcome.success and SKILLS[name].effect(outcome.new_world, {"o": "item", "s": target})
+    tables = W.PlaceTables(world, "item", target, inside)
+    codes, _ = tables.judge(*(np.array([v]) for v in drop.as_tuple()))
+    assert codes.tolist() == [W.PLACE_PASSED]
+
+
 def _edge_case(target, program_source, first, edge, half=(0.02, 0.02, 0.02), kind="item",
                block=((0.03, 0.03, 0.05), (0.2, 0.0, 0.0)), inside=False, roll=0.0):
     """A step placing `item` onto `target`, with a block beside it, and a

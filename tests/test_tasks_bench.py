@@ -7,7 +7,7 @@ from owltamp import bench, detectors, tasks
 from owltamp import world as W
 from owltamp.geometry import Pose6
 from owltamp.lang import evaluator
-from owltamp.oracle import ScriptedOracle, parse_constraint_response
+from owltamp.oracle import ScriptedOracle, parse_constraint_response, validate_steps
 from owltamp.partial_plan import PartialPlan, PlanStep
 from owltamp.solver import Budgets
 
@@ -289,6 +289,34 @@ def test_goal_program_reading_a_held_object_is_a_planning_failure():
     record = result.records[0]
     assert not record.success and not record.claimed
     assert not record.reason.startswith("internal-error") and record.samples > 0
+
+
+class _RiderTargetOracle(ScriptedOracle):
+    """Mug fixtures, but the plan picks the mug and then releases it onto or
+    pours it into the golf ball, which rides in the mug and so has no pose."""
+
+    def __init__(self, steps):
+        super().__init__("manual")
+        self.steps = steps
+
+    def propose_partial_plan(self, req):
+        self.calls += 1
+        steps = tuple(PlanStep(a, o, "") for a, o in self.steps)
+        validate_steps(steps, req.action_listing)
+        return PartialPlan(steps)
+
+
+@pytest.mark.parametrize("steps", [
+    (("pick", ("mug",)), ("place_ontop", ("mug", "golf_ball"))),
+    (("pick", ("mug",)), ("pour", ("mug", "golf_ball"))),
+], ids=["place", "pour"])
+def test_a_release_onto_a_rider_is_a_planning_failure(steps):
+    result = bench.run_suite(["mug3"], range(5), ["no_cont"], Budgets(500, 5),
+                             oracle_factory=lambda m, t, s: _RiderTargetOracle(steps))
+    assert result.errors == 0
+    for record in result.records:
+        assert not record.success and not record.claimed
+        assert record.reason == "precondition"
 
 
 class _UpperCaseOracle(ScriptedOracle):

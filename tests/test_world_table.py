@@ -24,7 +24,8 @@ from owltamp.geometry import Aabb, Pose6, rotated_half_extents
 from owltamp.solver import Budgets
 
 from reference import (
-    bowl_scene, ref_aabb_of, ref_contents, ref_interior_box, ref_supported_by, skill_world,
+    bowl_scene, overlaps, ref_aabb_of, ref_contents, ref_interior_box, ref_supported_by,
+    skill_world,
 )
 
 TASK_IDS = tasks.task_ids()
@@ -54,7 +55,7 @@ def ref_collision(w, name, pose, exclude=()):
         if other_model.kind == "surface":
             continue
         other_box = ref_aabb_of(w, other)
-        if not box.overlaps(other_box, W.CONTACT_TOL):
+        if not overlaps(box, other_box, W.CONTACT_TOL):
             continue
         if other_model.kind == "container" and ref_in_open_interior(box, other_box):
             continue
