@@ -627,8 +627,8 @@ def _obstacle_rows(w: WorldState, skip: tuple[str, ...]) -> tuple[Aabb, Aabb]:
     not collide with it."""
     obstacles = sorted(((kind != "container", box) for other, kind, box in _obstacles(w)
                         if other not in skip), key=lambda o: o[0])
-    return (_columns(box for _, box in obstacles),
-            _columns(box for plain, box in obstacles if not plain))
+    rows, k = _columns(box for _, box in obstacles), sum(not plain for plain, _ in obstacles)
+    return rows, Aabb.trusted(rows.lower[:, :k], rows.upper[:, :k])
 
 
 def _hit(box: Aabb, obstacles: tuple[Aabb, Aabb], container: bool = False):
@@ -672,13 +672,12 @@ class PlaceTables:
         # Rows: the hulls, in `_hulls` order, then the containers'
         # interiors, in `_obstacles` order.
         interiors = [interior_box(w, other) for other in containers]
-        self.rows = _columns([box for _, box in hulls] + interiors)
-        self.tops = self.rows.upper[2][:len(hulls)]
+        rows, k = _columns([box for _, box in hulls] + interiors), len(hulls)
+        self.rows, self.tops = rows, rows.upper[2][:k]
         if self.interior >= 0:
             self.inner = interiors[self.interior]
         # `contents` takes an interior with CONTACT_TOL of slack.
-        inner = _columns(interiors)
-        self.holds = Aabb.trusted(inner.lower - CONTACT_TOL, inner.upper + CONTACT_TOL)
+        self.holds = Aabb.trusted(rows.lower[:, k:] - CONTACT_TOL, rows.upper[:, k:] + CONTACT_TOL)
         self.obstacles = _obstacle_rows(w, (name, target))
         # `exec_place` excludes only the container from its riders' checks.
         if w.held.riders:
