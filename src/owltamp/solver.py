@@ -10,18 +10,18 @@ skeletons, never by intra-skeleton backjumping.
 refinement, replay, backtracking and the planning-set filter read that table
 and never dispatch on action names themselves.
 
-Each refinement step is prepared once: its skill looks up the step's
-bands, checks its precondition and builds a table of `(lo, hi - lo)` per
-double, and every draw of the step reads a fixed count of doubles from the
+Each refinement step is prepared once into a `Step`: its skill looks up the
+step's bands, checks its precondition and builds a table of `(lo, hi - lo)`
+per double.  Every draw of the step reads a fixed count of doubles from the
 `refine` call's one `DrawStream` and decodes them with `lo + span * u`, in
 one function (`_decode`).  The stream hands out the skeleton generator's own
 doubles from a buffer and rewinds the generator over the unread ones when
 `refine` returns, so the values, the errors and the stream backtracking
 reads next are those of unbuffered `Generator.uniform` calls.
 
-A skill may also prepare a screen, which skips the next draws that the
-draw would reject, as samples with the draw's reasons and results (see
-`_skip_blocks`, `_prepare_place` and `world.PlaceTables`).
+`refine` drives every step in one loop, which skips the draws the draw would
+reject, as samples with the draw's reasons and results: a step's first draws
+one at a time, the rest in blocks (see `_skip_blocks` and `Step`).
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import numbers
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -389,24 +390,30 @@ class RestrictionTable:
 # --- Skills ------------------------------------------------------------------------
 #
 # A skill prepares one refinement step from the step's world, action name,
-# objects, stream, restrictions, hint, programs and goal programs (those of
-# the goal on the last step only): it looks up the orientation bands, then
-# checks its precondition (None when the world fails it), then builds the
-# step's band tables and returns (draw, screen).  `draw()` samples
-# parameters, runs the skill and returns (outcome, parameter updates as float
-# tuples; None unless the outcome succeeded).  Samplers and skills are called
-# by their module-level names so that they can be wrapped.  A screen, where a
-# skill has one (else None), takes the step's samples left, skips the leading
-# draws that the skill, the effect or the programs would reject, each with
-# the doubles the draw would have read, and returns how many it skipped and
-# the reason of the last.  Pick's screen checks the skill's own rule; place's
-# checks all three, riders included, once the step's first PLACE_UNSCREENED
-# draws have run, and declines on an `avoid_xy` hint, a rider that is a
-# container and a refused band.  A re-run executes a bound action again from
-# its parameter values.
+# objects, restrictions, hint, programs and goal programs (those of the goal
+# on the last step only): it looks up the orientation bands, then checks its
+# precondition (None when the world fails it), then builds the step's band
+# tables and returns a `Step`.  Samplers and skills are called by their
+# module-level names so that they can be wrapped.  `refine` judges a step's
+# first `lead` draws one at a time by its `check`, where it has one, and
+# skips the later draws that the skill, the effect or the programs would
+# reject in blocks, by its screen.  Pick's check and screen judge the skill's
+# own rule; place has no check, and its screen judges all three, riders
+# included, but declines on an `avoid_xy` hint, a rider that is a container
+# and a refused band.  `run` executes a skill on sampled or bound parameters.
 
 # The most draws a screen judges in one block, after its first.
 LAST_BLOCK = 512
+
+
+class Step(NamedTuple):
+    """One prepared refinement step: what `refine` draws, runs and judges."""
+
+    sample: Callable     # (draws) -> parameters
+    bind: Callable       # (parameters, outcome) -> parameter updates as float tuples
+    lead: int = 0        # the step's first draws, judged one at a time
+    check: Callable | None = None    # (a draw's doubles) -> the reason it is refused, or None
+    screen: Callable | None = None   # () -> (spans, judge, reasons) for `_skip_blocks`, or None
 
 
 def _skip_blocks(draws: DrawStream, spans, limit: int, judge,
@@ -437,12 +444,12 @@ def _holding(world: W.WorldState, obj: str) -> bool:
     return world.held is not None and world.held.name == obj
 
 
-# Draws a pick screen judges one at a time before its blocks, so that a
+# Draws of a pick step judged one at a time before its blocks, so that a
 # one-sample step builds no block.
 PICK_SCALAR = 4
 
 
-def _prepare_pick(world, name, objs, draws, restrictions, hint, fns, goal_fns):
+def _prepare_pick(world, name, objs, restrictions, hint, fns, goal_fns):
     o = objs["o"]
     spec = restrictions.lookup(name, o)
     if o not in world.poses:
@@ -450,51 +457,30 @@ def _prepare_pick(world, name, objs, draws, restrictions, hint, fns, goal_fns):
     box = W.aabb_of(world, o)
     table = _band_table(*zip(box.lower, box.upper), spec.roll, spec.pitch, spec.yaw)
 
-    def draw():
-        grasp = sample_grasp(table, draws)
-        outcome = W.exec_pick(world, o, grasp)
-        if not outcome.success:
-            return outcome, None
-        return outcome, {"g": grasp.as_tuple(), "p": world.pose(o).as_tuple(),
-                         "q": grasp.position}
+    def sample(draws):
+        return sample_grasp(table, draws)
+
+    def bind(grasp, outcome):
+        return {"g": grasp.as_tuple(), "p": world.pose(o).as_tuple(), "q": grasp.position}
 
     # The screen leaves a full hand and a refused band to the draw.  Bands
     # that `uniform` accepts are finite, and `lo + span * u` for `u < 1`
     # does not overflow, so `Pose6` would accept every draw it skips.
     spans, error = table
     if world.held is not None or error is not None:
-        return draw, None
+        return Step(sample, bind)
     spans = spans[:5]
+
+    def check(doubles):
+        """Why the pick rule refuses the grasp of a draw's doubles, or None."""
+        x, y, z, roll, pitch = _decode(spans, doubles.tolist())
+        return W.pick_rejection(world, box, x, y, z, wrap_angle(roll), wrap_angle(pitch))
 
     def judge(values):
         refused = np.stack(W.pick_refusals(box, world.scene.workspace, *values[:3],
                                            *wrap_angles(values[3:])))
         return np.where(refused.any(axis=0), refused.argmax(axis=0), -1)
-
-    def screen(limit: int) -> tuple[int, str | None]:
-        """Skips the leading draws `world.pick_refusals` refuses, decoded
-        from five of each draw's six doubles: PICK_SCALAR one at a time, then
-        in blocks."""
-        skipped, reason = 0, None
-        while skipped < limit:
-            if skipped == PICK_SCALAR:
-                more, why = _skip_blocks(draws, spans, limit - skipped, judge,
-                                         W.PICK_REJECTIONS)
-                return skipped + more, why if more else reason
-            x, y, z, roll, pitch = _decode(spans, draws.peek(5).tolist())
-            why = W.pick_rejection(world, box, x, y, z, wrap_angle(roll), wrap_angle(pitch))
-            if why is None:
-                break
-            draws.skip(6)
-            skipped += 1
-            reason = why
-        return skipped, reason
-    return draw, screen
-
-
-def _rerun_pick(world, action, objs):
-    grasp = Pose6.from_sequence(action.value("g").payload)
-    return W.exec_pick(world, objs["o"], grasp)
+    return Step(sample, bind, PICK_SCALAR, check, lambda: (spans, judge, W.PICK_REJECTIONS))
 
 
 # Draws of a place step that run before its screen starts.  Most place steps
@@ -503,7 +489,7 @@ def _rerun_pick(world, action, objs):
 PLACE_UNSCREENED = 3
 
 
-def _prepare_place(world, name, objs, draws, restrictions, hint, fns, goal_fns, *, inside):
+def _prepare_place(world, name, objs, restrictions, hint, fns, goal_fns, *, inside):
     o, s = objs["o"], objs["s"]
     spec = restrictions.lookup(name, o)
     if not _holding(world, o) or s not in world.poses:
@@ -519,13 +505,12 @@ def _prepare_place(world, name, objs, draws, restrictions, hint, fns, goal_fns, 
         avoid = (avoid[0][0] - reach, avoid[0][1] - reach,
                  avoid[1][0] + reach, avoid[1][1] + reach)
 
-    def draw():
-        drop = sample_place(xy, rest, draws, avoid)
-        outcome = W.exec_place(world, o, s, drop)
-        if not outcome.success:
-            return outcome, None
-        return outcome, {"g": world.held.grasp.as_tuple(), "q": drop.position,
-                         "p": outcome.new_world.pose(o).as_tuple()}
+    def sample(draws):
+        return sample_place(xy, rest, draws, avoid)
+
+    def bind(drop, outcome):
+        return {"g": world.held.grasp.as_tuple(), "q": drop.position,
+                "p": outcome.new_world.pose(o).as_tuple()}
 
     # The screen leaves to the draw a hint (its loop reads a varying count
     # of doubles), a rider that is a container and a refused band.  Bands
@@ -533,38 +518,25 @@ def _prepare_place(world, name, objs, draws, restrictions, hint, fns, goal_fns, 
     # it skips.
     if (avoid is not None or xy[1] is not None or rest[1] is not None
             or any(world.scene.model(r).kind == "container" for r, _, _ in world.held.riders)):
-        return draw, None
-    spans = xy[0] + rest[0]
-    tables = None
-    unscreened = PLACE_UNSCREENED
+        return Step(sample, bind)
 
-    def judge(values):
-        codes, settled = tables.judge(*values[:3], *wrap_angles(values[3:]))
-        _judge_programs(codes, fns, goal_fns, world, o, settled)
-        codes[codes == W.PLACE_PASSED] = W.PLACE_UNDECIDED
-        return codes
+    def screen():
+        """Judges blocks of drops: the skill and the effect by `PlaceTables`,
+        the programs by `eval_constraint_block` on the settled columns."""
+        try:
+            tables = W.PlaceTables(world, o, s, inside)
+        except W.WorldError:
+            # A container's interior has collapsed: the draw path raises
+            # on it when a drop reaches it, if one does.
+            return None
 
-    def screen(limit: int) -> tuple[int, str | None]:
-        """Skips the leading drops that `world.exec_place`, the effect or
-        the programs refuse, judged in blocks in numpy: the skill and the
-        effect by `world.PlaceTables`, the programs by
-        `eval_constraint_block` on the settled columns.  Stops at the first
-        drop that is undecided or passes them all.  The step's first
-        PLACE_UNSCREENED calls skip nothing."""
-        nonlocal tables, unscreened
-        if unscreened:
-            unscreened -= 1
-            return 0, None
-        if tables is None:
-            try:
-                tables = W.PlaceTables(world, o, s, inside)
-            except W.WorldError:
-                # A container's interior has collapsed: the draw path raises
-                # on it when a drop reaches it, if one does.
-                unscreened = math.inf
-                return 0, None
-        return _skip_blocks(draws, spans, limit, judge, _PLACE_REASONS)
-    return draw, screen
+        def judge(values):
+            codes, settled = tables.judge(*values[:3], *wrap_angles(values[3:]))
+            _judge_programs(codes, fns, goal_fns, world, o, settled)
+            codes[codes == W.PLACE_PASSED] = W.PLACE_UNDECIDED
+            return codes
+        return xy[0] + rest[0], judge, _PLACE_REASONS
+    return Step(sample, bind, PLACE_UNSCREENED, None, screen)
 
 
 # The reason of each code `_judge_programs` leaves on a rejected drop.
@@ -591,12 +563,7 @@ def _judge_programs(codes, fns, goal_fns, world, o, settled) -> None:
             rows = holds
 
 
-def _rerun_place(world, action, objs):
-    drop = Pose6.from_sequence(action.value("p").payload)
-    return W.exec_place(world, objs["o"], objs["s"], drop)
-
-
-def _prepare_pour(world, name, objs, draws, restrictions, hint, fns, goal_fns):
+def _prepare_pour(world, name, objs, restrictions, hint, fns, goal_fns):
     o, s = objs["o"], objs["s"]
     if not _holding(world, o) or s not in world.poses:
         return None
@@ -605,18 +572,30 @@ def _prepare_pour(world, name, objs, draws, restrictions, hint, fns, goal_fns):
     height = 2.0 * world.scene.model(o).half_extents[2]
     table = _band_table((x0, x1), (y0, y1), (top + height, top + 2.0 * height), FULL_ANGLE)
 
-    def draw():
-        params = sample_pour(table, draws)
-        outcome = W.exec_pour(world, o, s, params)
-        if not outcome.success:
-            return outcome, None
-        return outcome, {"g": world.held.grasp.as_tuple(), "t": params, "q": params[:3],
-                         "p": outcome.new_world.pose(o).as_tuple()}
-    return draw, None
+    def sample(draws):
+        return sample_pour(table, draws)
+
+    def bind(params, outcome):
+        return {"g": world.held.grasp.as_tuple(), "t": params, "q": params[:3],
+                "p": outcome.new_world.pose(o).as_tuple()}
+    return Step(sample, bind)
 
 
-def _rerun_pour(world, action, objs):
-    return W.exec_pour(world, objs["o"], objs["s"], action.value("t").payload)
+def _run_pick(world, objs, grasp):
+    return W.exec_pick(world, objs["o"], grasp)
+
+
+def _run_place(world, objs, drop):
+    return W.exec_place(world, objs["o"], objs["s"], drop)
+
+
+def _run_pour(world, objs, params):
+    return W.exec_pour(world, objs["o"], objs["s"], params)
+
+
+def _bound(key: str, build: Callable, action: GroundAction):
+    """The parameters to run a bound action on again: `build` of a value."""
+    return build(action.value(key).payload)
 
 
 def _rests_on_target(world: W.WorldState, objs: Mapping[str, str]) -> bool:
@@ -653,22 +632,25 @@ def _place_inside_fills(scene: W.WorldState, objs: Mapping[str, str], goal_pairs
 class Skill:
     """How one action schema runs through the world model."""
 
-    prepare: Callable    # (world, action name, objects, draws, restrictions, hint,
-                         # programs, goal programs) -> (draw, screen or None), or None
-    rerun: Callable      # (world, bound action, objects) -> SkillOutcome
+    prepare: Callable    # (world, action name, objects, restrictions, hint, programs,
+                         # goal programs) -> Step, or None
+    run: Callable        # (world, objects, parameters) -> SkillOutcome
+    bound: Callable      # bound action -> the parameters `run` takes again
     effect: Callable | None  # (world after, objects) -> symbolic effect holds
     holds_after: bool    # the hand holds the object once the skill is done
     fills: Callable | None   # (scene, objects, goal pairs) -> kept off the plan;
                              # None: only as a partial-plan step
 
 
+_BOUND_GRASP = partial(_bound, "g", Pose6.from_sequence)
+_BOUND_REST = partial(_bound, "p", Pose6.from_sequence)
 SKILLS: dict[str, Skill] = {
-    "pick": Skill(_prepare_pick, _rerun_pick, None, True, _pick_fills),
-    "place_ontop": Skill(partial(_prepare_place, inside=False), _rerun_place,
+    "pick": Skill(_prepare_pick, _run_pick, _BOUND_GRASP, None, True, _pick_fills),
+    "place_ontop": Skill(partial(_prepare_place, inside=False), _run_place, _BOUND_REST,
                          _rests_on_target, False, _place_ontop_fills),
-    "place_inside": Skill(partial(_prepare_place, inside=True), _rerun_place,
+    "place_inside": Skill(partial(_prepare_place, inside=True), _run_place, _BOUND_REST,
                           _inside_target, False, _place_inside_fills),
-    "pour": Skill(_prepare_pour, _rerun_pour, None, False, None),
+    "pour": Skill(_prepare_pour, _run_pour, partial(_bound, "t", tuple), None, False, None),
 }
 
 
@@ -712,25 +694,42 @@ def refine(sk: Skeleton, scene: W.WorldState, goal_fns: tuple[ConstraintFn, ...]
             left = budgets.samples_per_action
             if not left:
                 return RefinementFailure(i, "sampling-exhausted", samples_used)
-            prepared = skill.prepare(world, action.name, objs, draws, restrictions,
-                                     sk.hints[i], fns, goal_fns if i == last else ())
-            if prepared is None:
+            step = skill.prepare(world, action.name, objs, restrictions, sk.hints[i], fns,
+                                 goal_fns if i == last else ())
+            if step is None:
                 return RefinementFailure(i, "precondition", samples_used + 1)
-            draw, screen = prepared
+            lead, blocks = step.lead, None
             accepted = None
             reason = "sampling-exhausted"
             while left:
-                if screen is not None:
-                    skipped, why = screen(left)
-                    if skipped:
-                        samples_used += skipped
-                        left -= skipped
+                if lead:
+                    # One of the step's first draws: skipped if its check
+                    # refuses it, else run.
+                    lead -= 1
+                    why = step.check and step.check(draws.peek(6))
+                    if why is not None:
+                        draws.skip(6)
+                        samples_used += 1
+                        left -= 1
                         reason = why
-                        if not left:
-                            break
+                        continue
+                elif step.screen is not None:
+                    # Built once the lead-in is over, as most steps accept within it.
+                    if blocks is None:
+                        blocks = step.screen() or ()
+                    if blocks:
+                        spans, judge, reasons = blocks
+                        skipped, why = _skip_blocks(draws, spans, left, judge, reasons)
+                        if skipped:
+                            samples_used += skipped
+                            left -= skipped
+                            reason = why
+                            if not left:
+                                break
                 left -= 1
                 samples_used += 1
-                outcome, updates = draw()
+                params = step.sample(draws)
+                outcome = skill.run(world, objs, params)
                 if not outcome.success:
                     reason = outcome.failure_reason
                     continue
@@ -745,7 +744,7 @@ def refine(sk: Skeleton, scene: W.WorldState, goal_fns: tuple[ConstraintFn, ...]
                     continue
                 accepted = outcome.new_world
                 bound.append(action.with_values(
-                    {k: Value.vec(v) for k, v in updates.items()}))
+                    {k: Value.vec(v) for k, v in step.bind(params, outcome).items()}))
                 break
             if accepted is None:
                 return RefinementFailure(i, reason, samples_used)
@@ -983,7 +982,7 @@ def replay(scene: W.WorldState, actions: tuple[GroundAction, ...]):
         skill = SKILLS.get(action.name)
         if skill is None:
             return False, trace
-        outcome = skill.rerun(world, action, action.objects)
+        outcome = skill.run(world, action.objects, skill.bound(action))
         if not outcome.success:
             return False, trace
         world = outcome.new_world

@@ -166,8 +166,9 @@ def contains_position(b, position):
 # --- Refinement ----------------------------------------------------------------
 
 def ref_refine(sk, scene, goal_fns, budgets, rng, restrictions=None):
-    """`refine` as it was before screens: each step is prepared and every
-    sample goes through its skill's draw."""
+    """`refine` as it was before screens: each step is prepared, and every
+    sample is drawn by the step's `sample` and run by its skill's `run`,
+    with no lead-in check and no screen."""
     restrictions = restrictions or RestrictionTable()
     if not sk.actions:
         if _constraints_pass(goal_fns, scene):
@@ -189,14 +190,14 @@ def ref_refine(sk, scene, goal_fns, budgets, rng, restrictions=None):
             accepted = None
             reason = "sampling-exhausted"
             if budgets.samples_per_action:
-                prepared = skill.prepare(world, action.name, objs, draws, restrictions,
-                                         sk.hints[i], fns, goal_fns if i == last else ())
-                if prepared is None:
+                step = skill.prepare(world, action.name, objs, restrictions, sk.hints[i],
+                                     fns, goal_fns if i == last else ())
+                if step is None:
                     return RefinementFailure(i, "precondition", samples_used + 1)
-                draw = prepared[0]
             for _ in range(budgets.samples_per_action):
                 samples_used += 1
-                outcome, updates = draw()
+                params = step.sample(draws)
+                outcome = skill.run(world, objs, params)
                 if not outcome.success:
                     reason = outcome.failure_reason
                     continue
@@ -211,7 +212,7 @@ def ref_refine(sk, scene, goal_fns, budgets, rng, restrictions=None):
                     continue
                 accepted = outcome.new_world
                 bound.append(action.with_values(
-                    {k: Value.vec(v) for k, v in updates.items()}))
+                    {k: Value.vec(v) for k, v in step.bind(params, outcome).items()}))
                 break
             if accepted is None:
                 return RefinementFailure(i, reason, samples_used)
@@ -763,11 +764,11 @@ def skill_world(w, choice, rng):
         objs = {"o": w.held.name, "s": targets[(choice // 3) % len(targets)]}
     draws = DrawStream(rng)
     try:
-        prepared = SKILLS[name].prepare(w, name, objs, draws, LEVEL, None, (), ())
-        if prepared is None:
+        step = SKILLS[name].prepare(w, name, objs, LEVEL, None, (), ())
+        if step is None:
             return w
         for _ in range(20):
-            outcome, _ = prepared[0]()
+            outcome = SKILLS[name].run(w, objs, step.sample(draws))
             if outcome.success:
                 return outcome.new_world
     finally:

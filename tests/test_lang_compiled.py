@@ -151,10 +151,11 @@ def _stacked_scene():
 def _draw_worlds(step, name, objs, n, seed=0):
     """The worlds of up to `n` successful draws of one skill from `step`."""
     draws = DrawStream(np.random.default_rng(seed))
-    draw, _ = solver.SKILLS[name].prepare(step, name, objs, draws, LEVEL, None, (), ())
+    skill = solver.SKILLS[name]
+    prepared = skill.prepare(step, name, objs, LEVEL, None, (), ())
     out = []
     for _ in range(20 * n):
-        outcome, _ = draw()
+        outcome = skill.run(step, objs, prepared.sample(draws))
         if outcome.success:
             out.append(outcome.new_world)
             if len(out) == n:

@@ -33,7 +33,7 @@ from owltamp.lang import (
 from owltamp.lang.ast import Arith, Num, PoseAttr
 from owltamp.solver import (
     PLACE_UNSCREENED, SKILLS, Budgets, DrawStream, RestrictionTable, Skeleton, Solution,
-    _constraints_pass, refine, replay,
+    _constraints_pass, _decode_block, _judge_programs, _skip_blocks, refine, replay,
 )
 from owltamp.tasks import WORKSPACE, load_task
 
@@ -90,9 +90,8 @@ def _stream(doubles, seed=0):
 def _scalar(world, name, objs, restrictions, fns, goal_fns, doubles):
     """What the draw, the effect and the programs make of one drop's
     doubles: a rejection reason, "accepted" or the error type raised."""
-    draws = _stream(doubles)
-    draw, _ = SKILLS[name].prepare(world, name, objs, draws, restrictions, None, fns, goal_fns)
-    outcome, _ = draw()
+    step = SKILLS[name].prepare(world, name, objs, restrictions, None, fns, goal_fns)
+    outcome = SKILLS[name].run(world, objs, step.sample(_stream(doubles)))
     if not outcome.success:
         return outcome.failure_reason
     if not SKILLS[name].effect(outcome.new_world, objs):
@@ -105,6 +104,16 @@ def _scalar(world, name, objs, restrictions, fns, goal_fns, doubles):
     except Exception as err:  # noqa: BLE001 - the type is compared
         return type(err)
     return "accepted"
+
+
+def _skipped(screen, draws, limit):
+    """How many of the next `limit` drops a step's screen skips, and the
+    reason of the last: none when it builds no blocks."""
+    blocks = screen()
+    if blocks is None:
+        return 0, None
+    spans, judge, reasons = blocks
+    return _skip_blocks(draws, spans, limit, judge, reasons)
 
 
 def _edges(box, axis, e):
@@ -365,11 +374,8 @@ def test_every_skipped_drop_is_one_the_scalar_path_rejects(case):
         limit = min(limit, count - start)
         rest = doubles[6 * start:]
         draws = _stream(rest)
-        draw, screen = SKILLS[name].prepare(world, name, objs, draws, restrictions, None,
-                                            fns, goal_fns)
-        for _ in range(PLACE_UNSCREENED):
-            assert screen(limit) == (0, None)
-        skipped, reason = screen(limit)
+        step = SKILLS[name].prepare(world, name, objs, restrictions, None, fns, goal_fns)
+        skipped, reason = _skipped(step.screen, draws, limit)
         assert skipped <= limit
         assert all(verdicts[start + i] in REJECTIONS for i in range(skipped))
         assert reason == (verdicts[start + skipped - 1] if skipped else None)
@@ -377,8 +383,41 @@ def test_every_skipped_drop_is_one_the_scalar_path_rejects(case):
         # the draw reads the next drop's.
         assert draws.peek(len(rest) - 6 * skipped).tolist() == rest[6 * skipped:]
         if skipped < limit:
-            draw()
+            step.sample(draws)
             assert draws.peek(len(rest) - 6 * skipped - 6).tolist() == rest[6 * skipped + 6:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(place_cases())
+def test_every_passed_drop_is_one_the_scalar_path_accepts(case):
+    # The screen's tables and programs, before its judge turns a passed drop
+    # into an undecided one, over blocks from each drop on: every drop they
+    # pass before the block's first undecided one is one that `exec_place`,
+    # the effect and every program accept.
+    world, target, inside, bands, fns, goal_fns, doubles = case
+    name, action = _step(world, target, inside)
+    objs = action.objects
+    restrictions = RestrictionTable([{"action": name, **bands}])
+    try:
+        tables = W.PlaceTables(world, "item", target, inside)
+    except W.WorldError:
+        return
+    spans = SKILLS[name].prepare(world, name, objs, restrictions, None, fns,
+                                 goal_fns).screen()[0]
+    count = len(doubles) // 6
+    verdicts = {}
+    for start in range(count):
+        values = _decode_block(spans, np.array(doubles[6 * start:6 * count]).reshape(-1, 6))
+        codes, settled = tables.judge(*values[:3], *wrap_angles(values[3:]))
+        undecided = np.flatnonzero(codes == W.PLACE_UNDECIDED)
+        judged = undecided[0] if len(undecided) else len(codes)
+        _judge_programs(codes, fns, goal_fns, world, "item", settled)
+        for i in np.flatnonzero(codes[:judged] == W.PLACE_PASSED):
+            drop = start + i
+            if drop not in verdicts:
+                verdicts[drop] = _scalar(world, name, objs, restrictions, fns, goal_fns,
+                                         doubles[6 * drop:6 * drop + 6])
+            assert verdicts[drop] == "accepted", drop
 
 
 # Runs of drops the screen refuses that end either side of where each of its
@@ -446,9 +485,8 @@ def _declining(world, name, action, restrictions, hints=None, fns=()):
     for budget, seed in itertools.product((1, 5, 200), range(3)):
         got = refine_outcome(refine, sk, world, budget, seed, restrictions)
         assert got == refine_outcome(ref_refine, sk, world, budget, seed, restrictions)
-    draws = DrawStream(np.random.default_rng(0))
-    return SKILLS[name].prepare(world, name, action.objects, draws, restrictions, hints,
-                                fns, ())[1]
+    return SKILLS[name].prepare(world, name, action.objects, restrictions, hints, fns,
+                                ()).screen
 
 
 def _plain_world(**changes):
@@ -553,9 +591,7 @@ def test_a_program_that_raises_on_every_drop_stops_the_screen():
     name, action = _step(world, "table_surface", False)
     ghost = program("position_within_bounds(item.pose, get_aabb_bounds('ghost'))")
     screen = _declining(world, name, action, RestrictionTable(), fns=(ghost,))
-    for _ in range(PLACE_UNSCREENED):
-        assert screen(500) == (0, None)
-    assert screen(500) == (0, None)
+    assert _skipped(screen, DrawStream(np.random.default_rng(0)), 500) == (0, None)
     rng = np.random.default_rng(0)
     with pytest.raises(UnboundObjectError):
         refine(Skeleton((action,), ((ghost,),), (None,)), world, (), Budgets(500, 1), rng)
@@ -569,11 +605,53 @@ def test_a_program_that_does_not_type_check_stops_the_screen():
     number = ConstraintFn("number", (), Arith(op="+", lhs=PoseAttr(obj="item", attr="x"),
                                               rhs=Num(value=1.0)), frozenset({"item"}))
     screen = _declining(world, name, action, RestrictionTable(), fns=(number,))
-    for _ in range(PLACE_UNSCREENED + 1):
-        assert screen(500) == (0, None)
+    assert _skipped(screen, DrawStream(np.random.default_rng(0)), 500) == (0, None)
     rng = np.random.default_rng(0)
     with pytest.raises(EvalError):
         refine(Skeleton((action,), ((number,),), (None,)), world, (), Budgets(500, 1), rng)
+
+
+# --- Two containers that may hold the drop ---------------------------------------
+
+def _cup_in_tray_world(cup_first):
+    """A cup standing on the floor of a tray, its rim level with the tray's,
+    and the hand holding a sheet thinner than CONTACT_TOL: set down over the
+    cup's opening, the sheet rests across both rims with its center inside
+    both interiors.  `cup_first` lists the cup before the tray in `poses`,
+    whose order `supported_by` reads the containers in."""
+    models = {"table_surface": W.ObjectModel("table_surface", (0.6, 0.6, 0.01), "surface"),
+              "tray": W.ObjectModel("tray", (0.1, 0.1, 0.03), "container"),
+              "cup": W.ObjectModel("cup", (0.04, 0.04, 0.025), "container"),
+              "item": W.ObjectModel("item", (0.01, 0.01, 5e-5))}
+    pair = [("cup", Pose6(0.5, 0.0, 0.035)), ("tray", Pose6(0.5, 0.0, 0.03))]
+    poses = {"table_surface": Pose6(0.5, 0.0, -0.01), **dict(pair if cup_first else pair[::-1])}
+    return W.WorldState(W.Scene(models, WORKSPACE), poses, W.HeldItem("item", Pose6(0.3, 0.0, 0.4)))
+
+
+@pytest.mark.parametrize("cup_first", [True, False], ids=["cup-first", "tray-first"])
+def test_a_drop_inside_two_containers_rests_on_the_first(cup_first):
+    world = _cup_in_tray_world(cup_first)
+    # Over the cup's opening, over its wall, over the tray's floor beside
+    # it, and on the table.
+    drops = [(0.5, 0.0, 0.07), (0.52, 0.01, 0.061), (0.535, 0.0, 0.07), (0.45, 0.0, 0.07),
+             (0.7, 0.0, 0.07)]
+    over_cup = W.exec_place(world, "item", "cup", Pose6(*drops[0])).new_world
+    assert {c for c in ("cup", "tray") if "item" in W.contents(over_cup, c)} == {"cup", "tray"}
+    assert W.supported_by(over_cup, "item") == ("cup" if cup_first else "tray")
+    effect = W.PLACE_REJECTIONS.index("effects-unsatisfied")
+    for target in ("cup", "tray"):
+        name, action = _step(world, target, False)
+        codes, _ = W.PlaceTables(world, "item", target, False).judge(
+            *(np.array(column) for column in zip(*(drop + (0.0,) * 3 for drop in drops))))
+        for drop, code in zip(drops, codes.tolist()):
+            outcome = W.exec_place(world, "item", target, Pose6(*drop))
+            assert outcome.success
+            rests = SKILLS[name].effect(outcome.new_world, action.objects)
+            assert code == (W.PLACE_PASSED if rests else effect), (target, drop)
+        sk = Skeleton((action,), ((),), (None,))
+        for budget, seed in itertools.product((1, 5, 200), range(3)):
+            got = refine_outcome(refine, sk, world, budget, seed, LEVEL)
+            assert got == refine_outcome(ref_refine, sk, world, budget, seed, LEVEL)
 
 
 # --- A drop at a threshold is left to the draw ----------------------------------
@@ -745,13 +823,10 @@ def test_a_drop_at_a_program_edge_stops_the_screen(case):
         [False], [False])
 
     draws = _stream(doubles)
-    draw, screen = SKILLS[name].prepare(world, name, action.objects, draws, restrictions,
-                                        None, (fn,), ())
-    for _ in range(PLACE_UNSCREENED):
-        assert screen(2) == (0, None)
-    assert screen(2) == (1, first)
+    step = SKILLS[name].prepare(world, name, action.objects, restrictions, None, (fn,), ())
+    assert _skipped(step.screen, draws, 2) == (1, first)
     assert draws.peek(6).tolist() == doubles[6:]
-    outcome, _ = draw()
+    outcome = SKILLS[name].run(world, action.objects, step.sample(draws))
     assert outcome.success
 
 

@@ -5,14 +5,15 @@ each skipped draw consumes its doubles and counts as one sample, and the
 reason of the last becomes the step's reason.  `reference.ref_refine` is the
 loop without screens: a lone pick step over any bands, budget and object box,
 and runs of refused draws that end where the pick screen's blocks start,
-must give the same result and generator state through either.  The pick
-screen judges the values `sample_grasp` would build from the same doubles,
-one at a time and then in blocks, by one rule that must give every row of a
-block the code it gives that row alone; `test_place_screen.py` holds the
-place screen's cases.  Both screens judge a call's first DRAW_BLOCK draws,
-then, once a block refuses them all, all that is left in blocks of up to
-LAST_BLOCK.  Whole cells must give the same record, and every refine call
-the same result and generator state, through either loop.
+must give the same result and generator state through either.  A pick step
+judges the values `sample_grasp` would build from the same doubles, its
+first PICK_SCALAR draws one at a time and the rest in blocks, by one rule
+that must give every row of a block the code it gives that row alone;
+`test_place_screen.py` holds the place screen's cases.  Both screens judge
+a call's first DRAW_BLOCK draws, then, once a block refuses them all, all
+that is left in blocks of up to LAST_BLOCK.  Whole cells must give the
+same record, and every refine call the same result and generator state,
+through either loop.
 """
 
 import itertools
@@ -182,12 +183,31 @@ def _blocks_judged(monkeypatch):
     return rows
 
 
+def _obstructed_world(seed, budget):
+    """A world in which a pick step's first draw from `seed` under level
+    bands passes the pick rule but is obstructed by a lid around its grasp,
+    and its next `budget - 1` draws are unreachable: the item is far taller
+    than the workspace, and only the first draw's z falls inside it."""
+    doubles = np.random.default_rng(seed).random(6 * budget)
+    z = doubles[2::6]
+    span = 2.0 / abs(z[1:] - z[0]).min()
+    bottom = (WORKSPACE.lower[2] + WORKSPACE.upper[2]) / 2 - span * z[0]
+    models = {"table_surface": W.ObjectModel("table_surface", (0.6, 0.6, 0.01), "surface"),
+              "item": W.ObjectModel("item", (0.05, 0.05, span / 2)),
+              "lid": W.ObjectModel("lid", (0.02, 0.02, 0.02))}
+    grasp = (0.45 + 0.1 * doubles[0], -0.05 + 0.1 * doubles[1], bottom + span * z[0])
+    poses = {"table_surface": Pose6(0.5, 0.0, -0.01), "item": Pose6(0.5, 0.0, bottom + span / 2),
+             "lid": Pose6(*grasp)}
+    return W.WorldState(W.Scene(models, WORKSPACE), poses)
+
+
 def _schedule_case(step):
     """A one-step skeleton over its world, a seed and restrictions: a place
     of a small item onto the bare table under a program no drop meets; a
     pick of an item beyond the workspace, whose grasps are all unreachable;
-    or a pick whose level grasps are unreachable up to draw 20, which is
-    picked."""
+    a pick whose level grasps are unreachable up to draw 20, which is
+    picked; or a pick whose first draw is obstructed and all later ones
+    unreachable."""
     if step == "place":
         models = {"table_surface": W.ObjectModel("table_surface", (0.6, 0.6, 0.01), "surface"),
                   "item": W.ObjectModel("item", (0.005, 0.005, 0.005))}
@@ -199,21 +219,26 @@ def _schedule_case(step):
     if step == "pick":
         world = _pick_world((0.05, 0.05, 0.05), (3.0, 0.0, 0.05), (0.3, 0.3, 0.0), "free")
         return skeleton(world, [("pick", {"o": "item"})], ((),)), world, 3, RestrictionTable()
-    world = _run_world(37, 20)
+    seed = 37 if step == "picked" else 41
+    world = _run_world(seed, 20) if step == "picked" else _obstructed_world(seed, 1200)
     level = RestrictionTable([{"action": "pick", "roll": (0.0, 0.0), "pitch": (0.0, 0.0)}])
-    return skeleton(world, [("pick", {"o": "item"})], ((),)), world, 37, level
+    return skeleton(world, [("pick", {"o": "item"})], ((),)), world, seed, level
 
 
 @pytest.mark.parametrize("step, budget, blocks", [
     # After the place step's PLACE_UNSCREENED draws and the pick step's
     # PICK_SCALAR lead-in, a call that refuses its first block judges all
-    # that is left of its limit in blocks of up to LAST_BLOCK.
+    # that is left of its limit in blocks of up to LAST_BLOCK.  The lead-in
+    # is the step's, not each call's: after an obstructed first draw, the
+    # pick rule alone judges the next three draws, then the blocks.
     ("place", 500, [64, 433]),
     ("place", 1200, [64, 512, 512, 109]),
     ("pick", 500, [64, 432]),
     ("pick", 1200, [64, 512, 512, 108]),
     ("picked", 500, [64]),
     ("picked", 1200, [64]),
+    ("obstructed", 500, [64, 432]),
+    ("obstructed", 1200, [64, 512, 512, 108]),
 ])
 def test_a_screen_judges_its_first_block_then_all_that_is_left(monkeypatch, step, budget,
                                                                blocks):
@@ -227,6 +252,9 @@ def test_a_screen_judges_its_first_block_then_all_that_is_left(monkeypatch, step
         assert isinstance(got[0], Solution) and got[0].samples_used == 21
     else:
         assert got[0].samples_used == budget
+    if step == "obstructed":
+        first = refine_outcome(ref_refine, sk, world, 1, seed, restrictions)[0]
+        assert (first.reason, got[0].reason) == ("grasp-obstructed", "unreachable")
 
 
 # --- The pick rule over floats and over columns --------------------------------------
@@ -306,9 +334,8 @@ def test_the_screen_judges_the_grasp_sample_grasp_builds(roll, pitch, yaw, half,
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(W, "pick_rejection", passing)
         mp.setattr(W, "exec_pick", picking)
-        draw, screen = SKILLS["pick"].prepare(world, "pick", {"o": "item"}, draws,
-                                              restrictions, None, (), ())
-        assert screen(1) == (0, None)
-        draw()
+        step = SKILLS["pick"].prepare(world, "pick", {"o": "item"}, restrictions, None, (), ())
+        assert step.check(draws.peek(6)) is None
+        SKILLS["pick"].run(world, {"o": "item"}, step.sample(draws))
     g = grasps[0]
     assert [v.hex() for v in judged[0]] == [v.hex() for v in (g.x, g.y, g.z, g.roll, g.pitch)]

@@ -181,9 +181,8 @@ def test_sampled_grasps_hold_python_floats(sampled):
     picked = 0
     for _ in range(200):
         obj = spec.objects[picked % len(spec.objects)]
-        draw, _ = SKILLS["pick"].prepare(w0, "pick", {"o": obj}, draws,
-                                         RestrictionTable(), None, (), ())
-        outcome, _ = draw()
+        step = SKILLS["pick"].prepare(w0, "pick", {"o": obj}, RestrictionTable(), None, (), ())
+        outcome = SKILLS["pick"].run(w0, {"o": obj}, step.sample(draws))
         grasp = sampled[-1]
         assert all(type(v) is float for v in grasp.as_tuple())
         # The draw is Generator.uniform's over the object's box and full angles.
@@ -203,18 +202,17 @@ def test_sampled_places_and_pours_hold_python_floats(sampled):
     draws = solver.DrawStream(np.random.default_rng(5))
     held = W.exec_pick(w0, "mug", Pose6(*center(W.aabb_of(w0, "mug")))).new_world
     objs = {"o": "mug", "s": TABLE}
-    place, _ = SKILLS["place_ontop"].prepare(held, "place_ontop", objs, draws,
-                                             RestrictionTable(), None, (), ())
-    pour, _ = SKILLS["pour"].prepare(held, "pour", objs, draws, RestrictionTable(), None,
-                                     (), ())
+    place = SKILLS["place_ontop"].prepare(held, "place_ontop", objs, RestrictionTable(), None,
+                                          (), ())
+    pour = SKILLS["pour"].prepare(held, "pour", objs, RestrictionTable(), None, (), ())
     placed = poured = 0
     for _ in range(200):
-        outcome, _ = place()
+        outcome = SKILLS["place_ontop"].run(held, objs, place.sample(draws))
         assert all(type(v) is float for v in sampled[-1].as_tuple())
         if outcome.success:
             assert all(type(v) is float for v in outcome.new_world.pose("mug").as_tuple())
             placed += 1
-        outcome, _ = pour()
+        outcome = SKILLS["pour"].run(held, objs, pour.sample(draws))
         assert all(type(v) is float for v in sampled[-1])
         if outcome.success:
             assert all(type(v) is float for v in outcome.new_world.pose("mug").as_tuple())
