@@ -165,8 +165,9 @@ class ConstraintFn:
     result: Expr
     referenced_objects: frozenset[str]
     source_text: str = field(default="", compare=False)
-    # The program compiled to closures, set by `lang.evaluator` on first use.
-    _compiled: object = field(default=None, init=False, compare=False, repr=False)
+    # The program's block state (`lang.evaluator._Program`), set by
+    # `eval_constraint_block` on first use.
+    _block_state: object = field(default=None, init=False, compare=False, repr=False)
 
     def __reduce__(self):
         return ConstraintFn, (self.name, self.assigns, self.result,

@@ -1,12 +1,10 @@
 """Deterministic evaluation of constraint programs against a world state.
 
-A program is compiled once, on its first evaluation, into nested Python
-closures over its AST nodes (closure compilation), so that a refinement loop
-that checks it against thousands of sampled worlds dispatches on node types
-only once.  Helper functions, pose attributes and operators are bound when
-compiling; the closures keep the interpreter's left-to-right evaluation and
-short-circuit order.  No program text ever reaches the host interpreter.
-A program's object names are resolved once per scene.
+`eval_constraint` walks a program's syntax tree node by node (`_eval`),
+evaluating operands left to right and `and`/`or` with short circuits.  A
+name reads its latest earlier binding, and an object name is resolved in
+the world's scene on each read.  No program text ever reaches the host
+interpreter.
 
 Block evaluation.  `eval_constraint_block` judges a program on the worlds a
 block of place drops would leave, in numpy, from the columns of the settled
@@ -18,7 +16,7 @@ library, read through a world or a block reader.
 
 from __future__ import annotations
 
-from operator import attrgetter
+import operator
 
 import numpy as np
 
@@ -49,168 +47,78 @@ def _resolved(scene, name: str) -> str | None:
     return resolved if resolved in scene.models else None
 
 
-def _compile_expr(e: Expr, slots: dict[str, int], program: _Program):
-    """`e` as a closure `(env, w) -> value`.  `slots` maps each name assigned
-    so far to its position in `env`.  Every node's closure is kept in
-    `program.closures`, for block evaluation."""
-    closure = program.closures[id(e)] = _compile_node(e, slots, program)
-    return closure
+def _object(w: WorldState, name: str, node: Expr) -> str:
+    """The canonical name of the object `name` of `w`'s scene; a name of no
+    object raises UnboundObjectError at `node`."""
+    resolved = _resolved(w.scene, name)
+    if resolved is None:
+        raise UnboundObjectError(f"unknown object {name!r}", node.line, node.column)
+    return resolved
 
 
-def _compile_node(e: Expr, slots, program: _Program):
-    if isinstance(e, (Num, BoolLit)):
-        value = e.value
-        return lambda env, w: value
-    if isinstance(e, ObjectRef):
-        return program.resolver(e.name, e)
-    if isinstance(e, InitBounds):
-        return lambda env, w: default_bounds(w)
-    if isinstance(e, VarRef):
-        slot = slots[e.name]
-        return lambda env, w: env[slot]
-    if isinstance(e, PoseRef):
-        resolve = program.resolver(e.obj, e)
-        return lambda env, w: w.pose(resolve(env, w))
-    if isinstance(e, PoseAttr):
-        resolve, get = program.resolver(e.obj, e), attrgetter(e.attr)
-        return lambda env, w: get(w.pose(resolve(env, w)))
-    if isinstance(e, Abs):
-        operand = _compile_expr(e.operand, slots, program)
-        return lambda env, w: abs(operand(env, w))
-    if isinstance(e, (Arith, Compare)):
-        lhs = _compile_expr(e.lhs, slots, program)
-        rhs = _compile_expr(e.rhs, slots, program)
-        return _binary(e, lhs, rhs)
-    if isinstance(e, BoolOp):
-        return _bool_op(e.op, tuple(_compile_expr(x, slots, program) for x in e.operands))
-    if isinstance(e, Call):
-        return _call(e.fn, tuple(_compile_expr(a, slots, program) for a in e.args))
-    raise EvalError(f"cannot evaluate {type(e).__name__}", e.line, e.column)
+# Each arithmetic operator and comparison, as Python gives it.
+_OPERATORS = {
+    "+": operator.add, "-": operator.sub, "<": operator.lt, "<=": operator.le,
+    ">": operator.gt, ">=": operator.ge, "==": operator.eq,
+}
 
 
-def _binary(e: Arith | Compare, lhs, rhs):
-    op = e.op
-    if op == "+":
-        return lambda env, w: lhs(env, w) + rhs(env, w)
-    if op == "-":
-        return lambda env, w: lhs(env, w) - rhs(env, w)
-    if op == "<":
-        return lambda env, w: lhs(env, w) < rhs(env, w)
-    if op == "<=":
-        return lambda env, w: lhs(env, w) <= rhs(env, w)
-    if op == ">":
-        return lambda env, w: lhs(env, w) > rhs(env, w)
-    if op == ">=":
-        return lambda env, w: lhs(env, w) >= rhs(env, w)
-    if op == "==":
-        return lambda env, w: lhs(env, w) == rhs(env, w)
-    raise EvalError(f"unknown operator {op!r}", e.line, e.column)
-
-
-def _bool_op(op: str, operands):
-    # Each form tests every operand's truth at most once, in order, and
-    # returns a bool, as all() and any() do.
-    if op == "not":
-        (operand,) = operands
-        return lambda env, w: not operand(env, w)
-    if len(operands) == 2:
-        a, b = operands
-        if op == "and":
-            return lambda env, w: not (not a(env, w) or not b(env, w))
-        return lambda env, w: not (not a(env, w) and not b(env, w))
-    if op == "and":
-        return lambda env, w: all(x(env, w) for x in operands)
-    return lambda env, w: any(x(env, w) for x in operands)
-
-
-def _call(fn: str, args):
-    impl = HELPER_IMPLS[fn]
-    if fn == "position_within_bounds":  # the one helper that takes no world
-        pose, bounds = args
-        return lambda env, w: impl(pose(env, w), bounds(env, w))
-    if len(args) == 1:
-        (a,) = args
-        return lambda env, w: impl(w, a(env, w))
-    if len(args) == 2:
-        a, b = args
-        return lambda env, w: impl(w, a(env, w), b(env, w))
-    if len(args) == 3:
-        a, b, c = args
-        return lambda env, w: impl(w, a(env, w), b(env, w), c(env, w))
-    return lambda env, w: impl(w, *[a(env, w) for a in args])
-
-
-def _compile(fn: ConstraintFn, program: _Program):
-    """The program as a closure `w -> result`.  Assignment i fills `env[i]`;
-    a name refers to its latest earlier assignment, since names may be
-    reassigned."""
-    slots: dict[str, int] = {}
-    steps = []
-    for i, a in enumerate(fn.assigns):
-        steps.append(_compile_expr(a.value, slots, program))
-        slots[a.name] = i
-    result = _compile_expr(fn.result, slots, program)
-
-    def run(w: WorldState):
-        env: list = []
-        for step in steps:
-            env.append(step(env, w))
-        return result(env, w)
-    return run
+def _eval(e: Expr, env: dict, w: WorldState):
+    """The value of `e` on `w`, where `env` maps each name bound so far to
+    its latest value."""
+    kind = type(e)  # compared by identity: cheaper than isinstance
+    if kind is Call:
+        args = [_eval(a, env, w) for a in e.args]
+        if e.fn == "position_within_bounds":  # the one helper that takes no world
+            return HELPER_IMPLS[e.fn](*args)
+        return HELPER_IMPLS[e.fn](w, *args)
+    if kind is VarRef:
+        return env[e.name]
+    if kind is ObjectRef:
+        return _object(w, e.name, e)
+    if kind is Num or kind is BoolLit:
+        return e.value
+    if kind is BoolOp:
+        if e.op == "not":
+            return not _eval(e.operands[0], env, w)
+        if e.op == "and":
+            return all(_eval(x, env, w) for x in e.operands)
+        return any(_eval(x, env, w) for x in e.operands)
+    if kind is PoseAttr:
+        return getattr(w.pose(_object(w, e.obj, e)), e.attr)
+    if kind is Compare or kind is Arith:
+        return _OPERATORS[e.op](_eval(e.lhs, env, w), _eval(e.rhs, env, w))
+    if kind is Abs:
+        return abs(_eval(e.operand, env, w))
+    if kind is InitBounds:
+        return default_bounds(w)
+    if kind is PoseRef:
+        return w.pose(_object(w, e.obj, e))
+    raise EvalError(f"cannot evaluate {kind.__name__}", e.line, e.column)
 
 
 class _Program:
-    """A compiled program: `run(w)` evaluates it on a world of the scene its
-    object names were last resolved for (`_program`).  `block` judges it over
-    a block of drops (`eval_constraint_block`); `invariants` keeps the values
-    of its row-invariant block nodes for the step world `step`."""
+    """A program's block state: `block` judges it over a block of drops
+    (`eval_constraint_block`) for the scene, moved object and riders of
+    `block_key`; `invariants` keeps the values of its row-invariant block
+    nodes for the step world `step`."""
 
-    __slots__ = ("run", "scene", "names", "_refs", "closures", "block_key", "block",
-                 "step", "invariants")
+    __slots__ = ("block_key", "block", "step", "invariants")
 
-    def __init__(self, fn: ConstraintFn):
-        self.names, self._refs = [], []
-        self.closures = {}
-        self.run = _compile(fn, self)
-        self.scene = self.block_key = self.block = self.step = None
+    def __init__(self):
+        self.block_key = self.block = self.step = None
         self.invariants = {}
-
-    def resolver(self, name: str, node: Expr):
-        """A closure `(env, w)` that gives the canonical name of the object
-        `name` in the bound scene, or raises UnboundObjectError where it
-        names none."""
-        k = len(self._refs)
-        self._refs.append(name)
-        self.names.append(None)
-        names = self.names
-
-        def resolve(env, w):
-            resolved = names[k]
-            if resolved is None:
-                raise UnboundObjectError(f"unknown object {name!r}", node.line, node.column)
-            return resolved
-        return resolve
-
-
-def _program(fn: ConstraintFn, scene) -> _Program:
-    """The program compiled, on its first use, with its object names resolved
-    for `scene`, again only when the scene changes."""
-    program = fn._compiled
-    if program is None:
-        program = _Program(fn)
-        object.__setattr__(fn, "_compiled", program)
-    if program.scene is not scene:
-        program.scene = scene
-        program.names[:] = [_resolved(scene, name) for name in program._refs]
-    return program
 
 
 def eval_constraint(fn: ConstraintFn, w: WorldState) -> bool:
     """Run a constraint program.  Infeasible intermediate bounds make it
     false, and so does reading the pose or hull of an object that has no pose
     in `w` (held, or riding in a held container)."""
+    env = {}
     try:
-        result = _program(fn, w.scene).run(w)
+        for a in fn.assigns:
+            env[a.name] = _eval(a.value, env, w)
+        result = _eval(fn.result, env, w)
     except (InfeasibleBoundsError, ObjectHeldError):
         return False
     if not isinstance(result, bool):
@@ -224,17 +132,17 @@ def eval_constraint(fn: ConstraintFn, w: WorldState) -> bool:
 # world each drop leaves differs from the step world only in that object,
 # which is placed, and its riders, which are seated: `world.Settled` gives
 # the object's pose and hull as columns over the drops.  A node that reads
-# neither is row-invariant: its value is the step world's, through its
-# scalar closure, and the program keeps it (`_Program.invariants`) for every
-# block of the step until it judges a block from another step world; a node
-# that raises keeps nothing.  A node that reads the object (its pose, or a
+# neither is row-invariant: its value is the step world's, through `_eval`,
+# and the program keeps it (`_Program.invariants`) for every block of the
+# step until it judges a block from another step world; a node that raises
+# keeps nothing.  A node that reads the object (its pose, or a
 # helper call given its name) gives a column; one that names a rider leaves
 # the rows that reach it undecided.  A helper call runs the helper itself with
 # the block as its reader, so every rule is written once.
 # Comparisons and `position_within_bounds` are scored as signed distances
 # from their thresholds, and so is the emptiness of bounds a helper builds;
 # a score within `world.MARGIN` of zero leaves its row undecided, as in
-# `world.PlaceTables`.  `and` and `or` evaluate an operand only on the rows
+# `world.PlaceTables`, and so does a NaN score.  `and` and `or` evaluate an operand only on the rows
 # that reach it, and an error raised on some rows takes effect on those
 # rows where the scalar evaluation would raise it: infeasible bounds or a
 # read of a held object make a row false, and any other error leaves it
@@ -286,8 +194,9 @@ class _Block:
 
     def decide(self, score, reach):
         """`score >= 0` on the rows that reach it, doubting the rows within
-        MARGIN of the threshold."""
-        self.doubt(reach & (np.abs(score) <= MARGIN))
+        MARGIN of the threshold and those where it is NaN, as it is for a
+        comparison of two equal infinities."""
+        self.doubt(reach & ~(np.abs(score) > MARGIN))
         return score > MARGIN
 
     def bound(self, b: _Bounds, reach) -> None:
@@ -353,7 +262,8 @@ def _compile_block(fn: ConstraintFn, program: _Program, scene, moved: str, rider
 
     def compile_(e: Expr, slots):
         """`e` as a closure `(env, blk, reach) -> value`, whether its value
-        varies over the rows, and whether it is the moved object's name."""
+        varies over the rows, and whether it is the moved object's name.
+        `slots` maps each name bound so far to its last two."""
         pose = isinstance(e, (PoseRef, PoseAttr))
         name = (_resolved(scene, e.name) if isinstance(e, ObjectRef)
                 else _resolved(scene, e.obj) if pose else None)
@@ -362,8 +272,8 @@ def _compile_block(fn: ConstraintFn, program: _Program, scene, moved: str, rider
         if isinstance(e, ObjectRef):
             return invariant(e), False, name == moved
         if isinstance(e, VarRef):
-            slot, varies, names = slots[e.name]
-            return (lambda env, blk, reach: env[slot]), varies, names
+            key = e.name
+            return (lambda env, blk, reach: env[key]), *slots[key]
         if pose and name == moved:
             if isinstance(e, PoseRef):
                 return (lambda env, blk, reach: blk.settled_pose), True, False
@@ -392,27 +302,27 @@ def _compile_block(fn: ConstraintFn, program: _Program, scene, moved: str, rider
     invariants = program.invariants
 
     def invariant(e: Expr):
-        closure, key = program.closures[id(e)], id(e)
+        key = id(e)
 
         def kept(env, blk, reach):
             if key in invariants:
                 return invariants[key]
-            value = invariants[key] = closure(env, blk.world)
+            value = invariants[key] = _eval(e, env, blk.world)
             return value
         return kept
 
-    slots: dict[str, tuple[int, bool, bool]] = {}
+    slots: dict[str, tuple[bool, bool]] = {}
     steps = []
-    for i, a in enumerate(fn.assigns):
+    for a in fn.assigns:
         step, varies, names = compile_(a.value, slots)
-        steps.append(step)
-        slots[a.name] = i, varies, names
+        steps.append((a.name, step))
+        slots[a.name] = varies, names
     result = compile_(fn.result, slots)[0]
 
     def run(blk: _Block) -> None:
-        env: list = []
-        for step in steps:
-            env.append(_guarded(step, env, blk, blk.live))
+        env = {}
+        for name, step in steps:
+            env[name] = _guarded(step, env, blk, blk.live)
             if not blk.live.any():
                 return
         value = _guarded(result, env, blk, blk.live)
@@ -490,7 +400,10 @@ def eval_constraint_block(fn: ConstraintFn, step: WorldState, name: str, settled
     surely does not.  A row in neither is undecided: a score within MARGIN
     of its threshold, a read of one of `name`'s riders, or an error
     `eval_constraint` would raise."""
-    program = _program(fn, step.scene)
+    program = fn._block_state
+    if program is None:
+        program = _Program()
+        object.__setattr__(fn, "_block_state", program)
     if program.step is not step:
         program.step = step
         program.invariants.clear()

@@ -5,8 +5,8 @@ reference:
 
 - `ref_refine`, the refine loop without screens: every sample goes through
   its skill's draw;
-- `ref_eval_constraint`, the tree-walking interpreter that compiled
-  constraint evaluation replaced;
+- `ref_eval_constraint`, the interpreter as first written, which the
+  shipped tree walk (`evaluator._eval`) must match verdict for verdict;
 - `reference_plan_task`, the A* search over literal sets that the bitmask
   search replaced;
 - `reference_candidates` and `reference_ground_actions`, grounding as one

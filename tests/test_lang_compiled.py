@@ -1,9 +1,10 @@
-"""Compiled constraint programs against the reference tree-walking interpreter.
+"""The shipped constraint evaluator against the reference interpreter.
 
-`eval_constraint` compiles each program once into closures.
-`reference.ref_eval_constraint` is the interpreter it replaced: on task
-worlds and on worlds reached by skill draws (picks among them), both must
-give the same verdict, or raise the same error at the same line and column.
+`eval_constraint` walks each program's tree (`evaluator._eval`), and
+`reference.ref_eval_constraint` is the plain interpreter it is checked
+against: on task worlds and on worlds reached by skill draws (picks among
+them), both must give the same verdict, or raise the same error at the same
+line and column.
 Targeted cases draw one skill many times from one step world, over calls
 about fixed objects, the held object, a rider, an alias and a stacked
 object; they, a program shared by a step and the goal, and whole benchmark
@@ -68,7 +69,10 @@ def _fixture_programs():
     return [fn for text in sorted(sources) for fn in parse_constraint_block(text)]
 
 
-# Corner cases: reassigned names, an unknown object, constant arithmetic.
+# Corner cases: reassigned names, an unknown object, constant arithmetic,
+# and non-finite constants: NaN (`1e999 - 1e999`) under each comparison,
+# equal infinities, and both before an `and` or `or` that reads the unknown
+# `ghost` only if it does not short-circuit.
 EXTRA = [parse_constraint(s) for s in (
     "def again() -> bool:\n"
     "    b = get_aabb_bounds('table')\n"
@@ -82,13 +86,21 @@ EXTRA = [parse_constraint(s) for s in (
     "def ties() -> bool:\n"
     "    return table.pose.z <= table.pose.z and 2 >= 2 and not 1 < 1 and not 1 > 1\n",
     "return table.pose.x > 0",
+    *(f"return 1e999 - 1e999 {op} 0" for op in ("<", "<=", ">", ">=", "==")),
+    "return 1e999 <= 1e999",
+    "return -1e999 < 1e999",
+    "return abs(-1e999) == 1e999",
+    "return 1e999 - 1e999 < 1 and ghost.pose.x > 0",
+    "return 1e999 - 1e999 == 0 or ghost.pose.x > 0",
+    "return 1e999 >= 1e999 or ghost.pose.x > 0",
+    "return not 1e999 - 1e999 >= 0 and table.pose.z <= 1e999",
 )]
 PROGRAMS = _corpus_programs() + _fixture_programs() + EXTRA
 
 
 def assert_same(fn, w):
     want = verdict(ref_eval_constraint, fn, w)
-    for _ in range(2):  # compiling, then the compiled program
+    for _ in range(2):  # a program's first evaluation, then a later one
         assert verdict(eval_constraint, fn, w) == want, fn.pretty()
     return want
 
@@ -165,7 +177,7 @@ def _draw_worlds(step, name, objs, n, seed=0):
 
 
 def _same_verdicts(fn, worlds):
-    """Compiled and reference verdicts over `worlds`, which must agree."""
+    """Shipped and reference verdicts over `worlds`, which must agree."""
     got = [verdict(eval_constraint, fn, w) for w in worlds]
     assert got == [verdict(ref_eval_constraint, fn, w) for w in worlds]
     return got
@@ -270,7 +282,8 @@ def test_a_program_shared_by_a_step_and_the_goal():
 
 @pytest.fixture
 def helper_calls(monkeypatch):
-    """How often each helper runs, for programs compiled from now on."""
+    """How often each helper runs, in evaluations and block programs
+    compiled from now on."""
     counts = dict.fromkeys(HELPER_IMPLS, 0)
     for name, impl in HELPER_IMPLS.items():
         def counting(*args, _name=name, _impl=impl, **kwargs):
@@ -303,7 +316,7 @@ def test_a_block_keeps_its_invariant_values_for_its_step(helper_calls):
     # A draw between two blocks of the step runs the call itself and keeps
     # nothing; the second block reuses the first one's value.
     places = _draw_worlds(first, "place_ontop", {"o": "apple", "s": "table_surface"}, 1)
-    _same_verdicts(fn, places)  # the compiled program and the reference
+    _same_verdicts(fn, places)  # the shipped walk and the reference
     assert helper_calls["modify_bounds_near"] == 1 + 2
     _judge_block(fn, first, rng)
     assert helper_calls["modify_bounds_near"] == 1 + 2

@@ -12,7 +12,8 @@ pitch), a few ulps either side, where a comparison made in numpy could fall
 the other way.  Some held containers carry riders, seated at the interior's
 clamp limit or touching each other within CONTACT_TOL, and some drops put a
 rider's hull at a box's edge.  The programs are the benchmark fixtures'
-shapes, and two that read a rider.
+shapes, two that read a rider, and a goal that compares two equal
+infinities.
 """
 
 import itertools
@@ -574,6 +575,27 @@ def test_a_program_that_reads_a_rider_leaves_its_drops_to_the_draw(source):
     for budget, seed in itertools.product((1, 5, 200), range(3)):
         got = refine_outcome(refine, sk, world, budget, seed, LEVEL, (fn,))
         assert got == refine_outcome(ref_refine, sk, world, budget, seed, LEVEL, (fn,))
+
+
+# A comparison of two equal infinities holds, though its score in a block
+# (`inf - inf`) is NaN; the control reads the same coordinate finitely.
+INFINITE_EDGES = {
+    "equal-infinities": "return strawberry.pose.x > 0.7 and strawberry.pose.z + 1e999 <= 1e999",
+    "finite-control": "return strawberry.pose.x > 0.7 and strawberry.pose.z < 1",
+}
+
+
+@pytest.mark.parametrize("source", INFINITE_EDGES.values(), ids=INFINITE_EDGES.keys())
+def test_a_goal_that_compares_equal_infinities_gives_what_the_unscreened_loop_gives(source):
+    _, world = load_task("berry1", 0)
+    sk = skeleton(world, [("pick", {"o": "strawberry"}),
+                          ("place_ontop", {"o": "strawberry", "s": "table_surface"})], ((), ()))
+    goal_fns = (parse_constraint(source),)
+    for seed in range(2):
+        got = refine_outcome(refine, sk, world, 500, seed, RestrictionTable(), goal_fns)
+        assert got == refine_outcome(ref_refine, sk, world, 500, seed, RestrictionTable(),
+                                     goal_fns)
+        assert isinstance(got[0], Solution)
 
 
 @pytest.mark.parametrize("band", [(1.0, 0.0), (0.0, math.inf), (0.0, -0.0)])
