@@ -1,7 +1,9 @@
 """Constraint expression language: parser, bounds helpers, evaluator."""
 
 from .ast import BoundsBox, ConstraintFn, InfeasibleBoundsError, LangError, print_expr
-from .evaluator import EvalError, UnboundObjectError, eval_constraint, eval_constraint_block
+from .evaluator import (
+    EvalError, UnboundObjectError, eval_constraint, eval_constraint_block, named_objects,
+)
 from .helpers import (
     HELPER_ALIASES,
     HELPER_IMPLS,
@@ -22,7 +24,7 @@ from .parser import (
 __all__ = [
     "BoundsBox", "ConstraintFn", "InfeasibleBoundsError", "LangError",
     "print_expr", "EvalError", "UnboundObjectError", "eval_constraint",
-    "eval_constraint_block",
+    "eval_constraint_block", "named_objects",
     "HELPER_ALIASES", "HELPER_IMPLS", "HELPER_SIGNATURES", "default_bounds",
     "sample_pose_uniform", "LexError", "ParseError", "TypeError_",
     "UnknownHelperError", "check_types", "parse_constraint",

@@ -9,6 +9,7 @@ nothing escapes into the host interpreter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
@@ -202,6 +203,8 @@ def _child(e: Expr, parent_prec: int) -> str:
 
 
 def _fmt_num(v: float) -> str:
+    if math.isinf(v):  # the literal the parser reads as infinite
+        return "1e999" if v > 0 else "-1e999"
     if v == int(v) and abs(v) < 1e12:
         return repr(int(v)) if float(int(v)) == v and "e" not in repr(v) else repr(v)
     return repr(v)

@@ -47,6 +47,29 @@ def _resolved(scene, name: str) -> str | None:
     return resolved if resolved in scene.models else None
 
 
+def named_objects(fn: ConstraintFn, scene) -> frozenset[str] | None:
+    """The canonical names of the objects `fn` names anywhere, in its
+    bindings as well as its result, or None when one names no object of
+    `scene`.  For a program that type-checks.  Read from the tree, as a
+    program built without the parser may carry any `referenced_objects`."""
+    found, todo = set(), [a.value for a in fn.assigns] + [fn.result]
+    while todo:
+        e = todo.pop()
+        kind = type(e)
+        if kind is ObjectRef or kind is PoseRef or kind is PoseAttr:
+            name = _resolved(scene, e.name if kind is ObjectRef else e.obj)
+            if name is None:
+                return None
+            found.add(name)
+        elif kind is Abs:
+            todo.append(e.operand)
+        elif kind is Arith or kind is Compare:
+            todo += (e.lhs, e.rhs)
+        elif kind is BoolOp or kind is Call:
+            todo += e.operands if kind is BoolOp else e.args
+    return frozenset(found)
+
+
 def _object(w: WorldState, name: str, node: Expr) -> str:
     """The canonical name of the object `name` of `w`'s scene; a name of no
     object raises UnboundObjectError at `node`."""
@@ -412,5 +435,9 @@ def eval_constraint_block(fn: ConstraintFn, step: WorldState, name: str, settled
         program.block = _compile_block(fn, program, step.scene, name, riders)
         program.block_key = step.scene, name, riders
     blk = _Block(step, name, settled, rows)
-    program.block(blk)
+    # A sum may overflow to infinity, as Python's does, and a score of two
+    # equal infinities is NaN, which `decide` leaves undecided: numpy need
+    # not warn of either.
+    with np.errstate(invalid="ignore", over="ignore"):
+        program.block(blk)
     return blk.holds, blk.false | (blk.live & ~blk.holds)

@@ -39,7 +39,9 @@ import numpy as np
 
 from . import world as W
 from .geometry import Pose6, wrap_angle, wrap_angles
-from .lang import ConstraintFn, eval_constraint, eval_constraint_block
+from .lang import (
+    ConstraintFn, LangError, check_types, eval_constraint, eval_constraint_block, named_objects,
+)
 from .model import GroundAction, Literal, LiteralIndex, State, Value, bind_placeholders
 # Unused here since A* searches over bitmasks.  The benchmark's tracer
 # (`perfbench/tracer.py`, `COUNT_SITES`) reads each wrap site from this
@@ -401,6 +403,26 @@ class RestrictionTable:
 # own rule; place has no check, and its screen judges all three, riders
 # included, but declines on an `avoid_xy` hint, a rider that is a container
 # and a refused band.  `run` executes a skill on sampled or bound parameters.
+#
+# Before a screened place step's first draw, with more than one draw left,
+# `refine` asks the step whether it is doomed: whether a program that names
+# neither the held object nor its riders is false on the step world
+# (`_fixed_false`), with the step's tables built.  A doomed step skips all
+# its draws but the last at once, as samples, and the last runs through the
+# draw path.  That gives what drawing each would give, because:
+# - every draw is refused, so the step uses its whole limit, and only the
+#   last draw's reason reaches the record;
+# - a screened place draw reads exactly 6 doubles, so the stream ends where
+#   the draws would have left it;
+# - a place skill's after-world holds the hand empty and changes only the
+#   moved objects, and a helper reads only the objects it is given
+#   (`tests/test_helper_reads.py`), so a program over other objects reads
+#   on every after-world as on the step world;
+# - no skipped draw would have raised: on a world with an empty hand, a
+#   program that type-checks and names only objects of the scene raises
+#   only `InfeasibleBoundsError` or `ObjectHeldError`, which
+#   `eval_constraint` makes false, and `exec_place` raises only on a
+#   collapsed interior, which the built tables rule out.
 
 # The most draws a screen judges in one block, after its first.
 LAST_BLOCK = 512
@@ -414,6 +436,7 @@ class Step(NamedTuple):
     lead: int = 0        # the step's first draws, judged one at a time
     check: Callable | None = None    # (a draw's doubles) -> the reason it is refused, or None
     screen: Callable | None = None   # () -> (spans, judge, reasons) for `_skip_blocks`, or None
+    doomed: Callable | None = None   # () -> every draw of the step is refused
 
 
 def _skip_blocks(draws: DrawStream, spans, limit: int, judge,
@@ -520,14 +543,20 @@ def _prepare_place(world, name, objs, restrictions, hint, fns, goal_fns, *, insi
             or any(world.scene.model(r).kind == "container" for r, _, _ in world.held.riders)):
         return Step(sample, bind)
 
+    def place_tables():
+        """The step's `PlaceTables`, or None where a container's interior
+        has collapsed: the draw path raises on it when a drop reaches it,
+        if one does."""
+        try:
+            return W.PlaceTables(world, o, s, inside)
+        except W.WorldError:
+            return None
+
     def screen():
         """Judges blocks of drops: the skill and the effect by `PlaceTables`,
         the programs by `eval_constraint_block` on the settled columns."""
-        try:
-            tables = W.PlaceTables(world, o, s, inside)
-        except W.WorldError:
-            # A container's interior has collapsed: the draw path raises
-            # on it when a drop reaches it, if one does.
+        tables = place_tables()
+        if tables is None:
             return None
 
         def judge(values):
@@ -536,7 +565,44 @@ def _prepare_place(world, name, objs, restrictions, hint, fns, goal_fns, *, insi
             codes[codes == W.PLACE_PASSED] = W.PLACE_UNDECIDED
             return codes
         return xy[0] + rest[0], judge, _PLACE_REASONS
-    return Step(sample, bind, PLACE_UNSCREENED, None, screen)
+
+    def doomed():
+        """Whether a program no drop can change is false (`_fixed_false`),
+        and the tables build, so that no drop raises in `exec_place`.  A
+        doomed step's one draw left runs in the lead-in, so the tables
+        built here are not kept for a screen."""
+        moved = {o, *(r for r, _, _ in world.held.riders)}
+        return (_fixed_false(world, moved, (*fns, *goal_fns))
+                and place_tables() is not None)
+    return Step(sample, bind, PLACE_UNSCREENED, None, screen, doomed)
+
+
+def _fixed_false(world, moved, programs) -> bool:
+    """Whether one of `programs`, walked in `refine`'s order, names none of
+    the objects `moved` and is false on the step world `world`.  A program
+    that names one of `moved` is passed over.  The walk ends, with False, at
+    a program the draw path might raise on: one that does not type-check,
+    names an object the scene lacks or raises on `world`.  The comment above
+    LAST_BLOCK says why True dooms a screened place step.  The whole program
+    is read, not just its result: an unused binding that reads the held
+    object raises `ObjectHeldError` on `world`, which makes the program
+    false there, though it may hold after every drop."""
+    for fn in programs:
+        try:
+            check_types(fn)
+        except LangError:
+            return False
+        names = named_objects(fn, world.scene)
+        if names is None:
+            return False
+        if names & moved:
+            continue
+        try:
+            if not eval_constraint(fn, world):
+                return True
+        except (LangError, W.WorldError):
+            return False
+    return False
 
 
 # The reason of each code `_judge_programs` leaves on a rejected drop.
@@ -701,6 +767,13 @@ def refine(sk: Skeleton, scene: W.WorldState, goal_fns: tuple[ConstraintFn, ...]
             lead, blocks = step.lead, None
             accepted = None
             reason = "sampling-exhausted"
+            if left > 1 and step.doomed is not None and step.doomed():
+                # Every draw is refused: all but the last are skipped at
+                # once, and the last runs through the draw path for its
+                # reason.
+                draws.skip(6 * (left - 1))
+                samples_used += left - 1
+                left = 1
             while left:
                 if lead:
                     # One of the step's first draws: skipped if its check

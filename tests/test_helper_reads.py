@@ -8,20 +8,27 @@ nothing of a world but its scene and the pose, hull and interior of the
 objects it is given.  The property test below checks that on pairs of worlds
 that share the poses of some objects and differ in everything else; the
 guards fail when a helper has no row in it, or when `lang/helpers.py` reads
-a part of a world that depends on other objects or on the hand.
+a part of a world that depends on other objects or on the hand.  Last, on a
+world with an empty hand, as a place leaves it, every helper given objects
+of the scene and any of a set of extreme constants raises nothing but
+`InfeasibleBoundsError`.
 """
 
 import ast
+import itertools
+import math
 import pathlib
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from owltamp import lang, tasks
 from owltamp import world as W
 from owltamp.geometry import Pose6
-from owltamp.lang import BoundsBox
-from owltamp.lang.helpers import HELPER_IMPLS, default_bounds
+from owltamp.lang import BoundsBox, ConstraintFn, LangError, check_types, eval_constraint
+from owltamp.lang.ast import Call, InitBounds, Num, ObjectRef, PoseRef
+from owltamp.lang.helpers import HELPER_IMPLS, HELPER_SIGNATURES, default_bounds
 
 TASK_IDS = tasks.task_ids()
 HELPERS_PY = pathlib.Path(lang.__file__).parent / "helpers.py"
@@ -169,3 +176,68 @@ def test_helpers_never_read_the_whole_world():
         "class Reader:\n    box = staticmethod(_hulls)\n"
         "    def pose(self, w, name):\n        return w.poses[name]\n"
     ) == ["a:2", "b:4", "c:6", "d:8", "e:10", "Reader:12", "Reader.pose:14"]
+
+
+# --- What a helper may raise --------------------------------------------------------
+
+# The constants a program may give a helper, where it takes a number or as
+# the corners of point bounds: zero, a small negative, a tiny, a huge and
+# both infinite ones.
+CONSTANTS = (0.0, -0.1, 1e-12, 1e300, math.inf, -math.inf)
+
+
+def _calls(w, objects):
+    """Each helper of ROWS with every choice of arguments of its kinds: the
+    objects, and for bounds the workspace's, point bounds at each constant
+    and the hull of each object."""
+    boxes = [default_bounds(w), *(BoundsBox((c,) * 6, (c,) * 6) for c in CONSTANTS),
+             *(HELPER_IMPLS["get_aabb_bounds"](w, o) for o in objects)]
+    choices = {OBJ: objects, POSE: [w.pose(o) for o in objects], BOUNDS: boxes,
+               NUM: CONSTANTS}
+    for name, variants in ROWS.items():
+        for kinds in variants:
+            for args in itertools.product(*(choices[k] for k in kinds)):
+                yield name, (list(args) if name in WORLDLESS else [w, *args])
+
+
+def _programs(names):
+    """A program around each helper call over the object names `names`, as
+    written in a program, and the constants: a bounds helper's result is
+    tested against the first object's pose, and a pose against the
+    workspace bounds."""
+    refs = [ObjectRef(name=n) for n in names]
+    choices = {OBJ: refs, NUM: [Num(value=c) for c in CONSTANTS],
+               POSE: [PoseRef(obj=n) for n in names],
+               BOUNDS: [InitBounds(), *(Call(fn="get_aabb_bounds", args=(r,)) for r in refs)]}
+    for name, variants in ROWS.items():
+        for kinds in variants:
+            for args in itertools.product(*(choices[k] for k in kinds)):
+                call = Call(fn=name, args=args)
+                returns = HELPER_SIGNATURES[name][0][1]
+                if returns == "bounds":
+                    call = Call(fn="position_within_bounds", args=(PoseRef(obj=names[0]), call))
+                elif returns == "pose":
+                    call = Call(fn="position_within_bounds", args=(call, InitBounds()))
+                fn = ConstraintFn(name, (), call, frozenset(names))
+                try:
+                    check_types(fn)
+                except LangError:
+                    continue
+                yield fn
+
+
+@pytest.mark.parametrize("task", TASK_IDS)
+def test_on_a_world_with_an_empty_hand_helpers_raise_only_infeasible_bounds(task):
+    # The doomed-step skip of `solver.refine` relies on it: on the world a
+    # place leaves, a program that type-checks and names only objects of
+    # the scene raises nothing that `eval_constraint` does not make false.
+    _, w = tasks.load_task(task, 0)
+    assert w.held is None
+    objects = w.placed_objects()
+    for name, args in _calls(w, objects):
+        try:
+            HELPER_IMPLS[name](*args)
+        except lang.InfeasibleBoundsError:
+            pass
+    for fn in _programs([*objects, "table"]):
+        assert isinstance(eval_constraint(fn, w), bool)

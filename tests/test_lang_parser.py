@@ -44,6 +44,19 @@ def test_corpus_round_trip(idx):
     assert fn2.pretty() == fn.pretty()
 
 
+@pytest.mark.parametrize("source", [
+    "def f() -> bool:\n    return 1e999 <= 1e999",
+    "def f() -> bool:\n    return -1e999 < mug.pose.x - -1e999",
+    "def f() -> bool:\n    b = modify_bounds_near(init_bounds, 'mug', 1e999)\n"
+    "    return position_within_bounds(mug.pose, b) and mug.pose.z + 1e999 > -1e999",
+], ids=["equal", "negative", "bounds-and-sum"])
+def test_an_infinite_constant_prints_as_a_literal_that_parses_back(source):
+    fn = parse_constraint(source)
+    printed = fn.pretty()
+    assert "1e999" in printed
+    assert parse_constraint(printed) == fn
+
+
 def test_coffee_listing_parses_to_conjunction_of_three():
     fn = parse_constraint(
         "def test_poses() -> bool:\n"

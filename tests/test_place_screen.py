@@ -13,7 +13,10 @@ the other way.  Some held containers carry riders, seated at the interior's
 clamp limit or touching each other within CONTACT_TOL, and some drops put a
 rider's hull at a box's edge.  The programs are the benchmark fixtures'
 shapes, two that read a rider, and a goal that compares two equal
-infinities.
+infinities.  Last, a step whose program over other objects is false on the
+step world is doomed, and `refine` skips all its draws but the last at
+once: such steps, and steps the doom check must leave alone, give what the
+unscreened loop gives.
 """
 
 import itertools
@@ -24,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from owltamp import fixtures
+from owltamp import fixtures, solver
 from owltamp import world as W
 from owltamp.geometry import Pose6, rotated_half_extents, wrap_angle, wrap_angles
 from owltamp.lang import (
@@ -578,13 +581,18 @@ def test_a_program_that_reads_a_rider_leaves_its_drops_to_the_draw(source):
 
 
 # A comparison of two equal infinities holds, though its score in a block
-# (`inf - inf`) is NaN; the control reads the same coordinate finitely.
+# (`inf - inf`) is NaN; a sum that overflows is infinite, as it is in
+# Python; the control reads the same coordinate finitely.  Neither makes
+# numpy warn.
 INFINITE_EDGES = {
     "equal-infinities": "return strawberry.pose.x > 0.7 and strawberry.pose.z + 1e999 <= 1e999",
+    "overflowing-sum": "return strawberry.pose.x > 0.7 "
+                       "and strawberry.pose.z + 1e308 + 1e308 > 1e308",
     "finite-control": "return strawberry.pose.x > 0.7 and strawberry.pose.z < 1",
 }
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("source", INFINITE_EDGES.values(), ids=INFINITE_EDGES.keys())
 def test_a_goal_that_compares_equal_infinities_gives_what_the_unscreened_loop_gives(source):
     _, world = load_task("berry1", 0)
@@ -935,3 +943,169 @@ def test_every_benchmark_program_is_decided_in_blocks(task):
                 assert (holds | fails).all(), (task, fn.name, o, s)
                 decided.append(fn.name)
         assert "mug_by_mustard" in decided
+
+
+# --- A step that no drop can pass ----------------------------------------------------
+
+def _counted(monkeypatch):
+    """From now on, the count of `exec_place` calls and of the blocks the
+    screens judge."""
+    counts = {"exec_place": 0, "blocks": 0}
+    exec_place, skip_blocks = W.exec_place, solver._skip_blocks
+
+    def placing(*args):
+        counts["exec_place"] += 1
+        return exec_place(*args)
+
+    def skipping(draws, spans, limit, judge, reasons):
+        def judged(values):
+            counts["blocks"] += 1
+            return judge(values)
+        return skip_blocks(draws, spans, limit, judged, reasons)
+    monkeypatch.setattr(W, "exec_place", placing)
+    monkeypatch.setattr(solver, "_skip_blocks", skipping)
+    return counts
+
+
+def _aliased_world():
+    """The plain world, whose scene also names the plate `Plate`."""
+    world = _plain_world()
+    scene = W.Scene(world.scene.models, WORKSPACE,
+                    aliases=(("table", "table_surface"), ("Plate", "plate")))
+    return W.WorldState(scene, world.poses, world.held)
+
+
+def _collapsed_world():
+    """The hand holding a small item over a cup whose walls leave it no
+    interior, so that `exec_place` raises WorldError on a drop onto it."""
+    models = {"table_surface": W.ObjectModel("table_surface", (0.6, 0.6, 0.01), "surface"),
+              "cup": W.ObjectModel("cup", (0.006, 0.006, 0.03), "container"),
+              "item": W.ObjectModel("item", (0.005, 0.005, 0.005))}
+    poses = {"table_surface": Pose6(0.5, 0.0, -0.01), "cup": Pose6(0.5, 0.0, 0.03)}
+    return W.WorldState(W.Scene(models, WORKSPACE), poses, W.HeldItem("item", Pose6(0.3, 0.0, 0.4)))
+
+
+OVER_ITEM = "item.pose.x < 0.5"
+GHOST = "position_within_bounds(plate.pose, get_aabb_bounds('ghost'))"
+# A program built without the parser's type check: it returns a number.
+UNTYPED = ConstraintFn("number", (), Arith(op="+", lhs=PoseAttr(obj="item", attr="x"),
+                                           rhs=Num(value=1.0)), frozenset({"item"}))
+
+# name -> (world, target, step programs, goal programs, whether the step is
+# doomed).  A program is a source line, a tuple of lines (the last one
+# returned) or a built program.
+DOOMED_CASES = {
+    # The `no_disc` shape: a goal program over the item, then one over the
+    # plate that is false, though not yet reached.
+    "false-after-one-over-the-item": (_plain_world, "plate", (), (OVER_ITEM, "plate.pose.y > 0.3"),
+                                      True),
+    "true-after-one-over-the-item": (_plain_world, "plate", (), (OVER_ITEM, "plate.pose.y > 0.2"),
+                                     False),
+    "false-step-program-then-goal": (_plain_world, "plate", ("block.pose.z > 1",), (OVER_ITEM,),
+                                     True),
+    "alias-of-the-table": (_plain_world, "plate", (), ("table.pose.z > 0",), True),
+    "alias-in-another-case": (_aliased_world, "plate", (), ("Plate.pose.y > 0.3",), True),
+    # Without the alias, `Plate` names no object: the draw raises on it.
+    "unknown-letter-case": (_plain_world, "plate", (), ("Plate.pose.y > 0.3", "table.pose.z > 0"),
+                            False),
+    "reads-a-rider": (_rider_world, "table_surface", ("rider0.pose.z > 1",), (), False),
+    "false-after-a-rider": (_rider_world, "table_surface",
+                            ("rider0.pose.z > 1", "table.pose.z > 0"), (), True),
+    # False on the step world, where the held item has no hull, but true
+    # after every drop.
+    "item-in-an-unused-binding": (lambda: _bare_world((0.005, 0.005, 0.005)), "table_surface",
+                                  (("b = get_aabb_bounds('item')", "table.pose.z < 0"),), (),
+                                  False),
+    "false-after-a-ghost": (lambda: _bare_world((0.005, 0.005, 0.005)), "table_surface",
+                            (GHOST, "table.pose.z > 0"), (), False),
+    "false-after-an-untyped-program": (lambda: _bare_world((0.005, 0.005, 0.005)),
+                                       "table_surface", (UNTYPED, "table.pose.z > 0"), (), False),
+    "false-over-a-collapsed-interior": (_collapsed_world, "cup", ("table.pose.z > 0",), (),
+                                        False),
+}
+
+
+def _built(fn):
+    if isinstance(fn, ConstraintFn):
+        return fn
+    return program(*fn) if isinstance(fn, tuple) else program(fn)
+
+
+def _doomed_case(case):
+    make, target, fns, goal_fns, doomed = DOOMED_CASES[case]
+    world = make()
+    name, action = _step(world, target, False)
+    fns, goal_fns = tuple(map(_built, fns)), tuple(map(_built, goal_fns))
+    return world, name, action, fns, goal_fns, doomed
+
+
+@pytest.mark.parametrize("case", DOOMED_CASES, ids=DOOMED_CASES)
+def test_a_doomed_step_gives_what_the_unscreened_loop_gives(monkeypatch, case):
+    world, name, action, fns, goal_fns, doomed = _doomed_case(case)
+    step = SKILLS[name].prepare(world, name, action.objects, LEVEL, None, fns, goal_fns)
+    assert step.doomed() == doomed
+    sk = Skeleton((action,), (fns,), (None,))
+    for budget, seed in itertools.product((1, 2, 5, 500), range(2)):
+        want = refine_outcome(ref_refine, sk, world, budget, seed, LEVEL, goal_fns)
+        counts = _counted(monkeypatch)
+        assert refine_outcome(refine, sk, world, budget, seed, LEVEL, goal_fns) == want
+        monkeypatch.undo()
+        if doomed:
+            # One draw runs, for the step's reason, and no block is judged.
+            assert counts == {"exec_place": 1, "blocks": 0}, budget
+            assert want[0].samples_used == budget
+    if case == "item-in-an-unused-binding":
+        assert isinstance(want[0], Solution) and want[0].samples_used == 1
+    if case in RAISES:
+        assert want[0] is RAISES[case]
+
+
+# The error a draw raises in the cases whose walk ends before a false program.
+RAISES = {"unknown-letter-case": UnboundObjectError, "false-after-a-ghost": UnboundObjectError,
+          "false-after-an-untyped-program": EvalError,
+          "false-over-a-collapsed-interior": W.WorldError}
+
+
+def test_a_one_sample_step_is_not_judged_doomed(monkeypatch):
+    world, name, action, fns, goal_fns, doomed = _doomed_case("false-after-one-over-the-item")
+    sk = Skeleton((action,), (fns,), (None,))
+    want = refine_outcome(ref_refine, sk, world, 1, 0, LEVEL, goal_fns)
+    calls = []
+    fixed_false = solver._fixed_false
+    monkeypatch.setattr(solver, "_fixed_false", lambda *args: calls.append(args) or
+                        fixed_false(*args))
+    assert refine_outcome(refine, sk, world, 1, 0, LEVEL, goal_fns) == want
+    assert doomed and calls == []
+
+
+# Programs over the place worlds that no drop changes, one that reads the
+# item only in a binding it does not use, and one that reads a rider (in
+# worlds without riders it names no object).
+FIXED = [program("block.pose.z > 0.03"), program("plate.pose.y > 0.3"),
+         program("table.pose.z < 0"), program("berry.pose.z > 0"),
+         program("b = get_aabb_bounds('item')", "plate.pose.x > 0"),
+         program("position_within_bounds(block.pose, modify_bounds_near(init_bounds, 'plate',"
+                 " 0.15))"),
+         program("rider0.pose.z > 1")]
+
+
+@settings(max_examples=100, deadline=None)
+@given(place_cases(), st.lists(st.sampled_from(FIXED), min_size=1, max_size=2), st.data(),
+       st.sampled_from([2, 4, 30, 500]), st.integers(0, 2**32 - 1))
+def test_a_step_with_programs_no_drop_changes_gives_what_the_unscreened_loop_gives(
+        case, fixed, data, budget, seed):
+    world, target, inside, bands, fns, goal_fns, _ = case
+    # Each goes among the step's programs or the goal's, anywhere.
+    for fn in fixed:
+        step = data.draw(st.booleans())
+        programs = list(fns if step else goal_fns)
+        programs.insert(data.draw(st.integers(0, len(programs))), fn)
+        if step:
+            fns = tuple(programs)
+        else:
+            goal_fns = tuple(programs)
+    name, action = _step(world, target, inside)
+    sk = Skeleton((action,), (fns,), (None,))
+    restrictions = RestrictionTable([{"action": name, **bands}])
+    got = refine_outcome(refine, sk, world, budget, seed, restrictions, goal_fns)
+    assert got == refine_outcome(ref_refine, sk, world, budget, seed, restrictions, goal_fns)
