@@ -2,7 +2,7 @@
 
 from .ast import BoundsBox, ConstraintFn, InfeasibleBoundsError, LangError, print_expr
 from .evaluator import (
-    EvalError, UnboundObjectError, eval_constraint, eval_constraint_block, named_objects,
+    EvalError, UnboundObjectError, eval_constraint, eval_constraint_block, reads_fixed,
 )
 from .helpers import (
     HELPER_ALIASES,
@@ -24,7 +24,7 @@ from .parser import (
 __all__ = [
     "BoundsBox", "ConstraintFn", "InfeasibleBoundsError", "LangError",
     "print_expr", "EvalError", "UnboundObjectError", "eval_constraint",
-    "eval_constraint_block", "named_objects",
+    "eval_constraint_block", "reads_fixed",
     "HELPER_ALIASES", "HELPER_IMPLS", "HELPER_SIGNATURES", "default_bounds",
     "sample_pose_uniform", "LexError", "ParseError", "TypeError_",
     "UnknownHelperError", "check_types", "parse_constraint",

@@ -11,7 +11,8 @@ block of place drops would leave, in numpy, from the columns of the settled
 poses and hulls (see the section below); a row it cannot decide is left to
 `eval_constraint` on the world the draw builds.  It calls the helpers of
 `helpers` themselves, with the block as their reader (`_Block`): one helper
-library, read through a world or a block reader.
+library, read through a world or a block reader.  The same compile tells
+`reads_fixed` whether a program reads the moved object or a rider at all.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from ..geometry import Aabb
 from ..world import MARGIN, ObjectHeldError, WorldError, WorldState, aabb_of
 from .ast import (
     POSE_FIELDS, Abs, Arith, BoolLit, BoolOp, BoundsBox, Call, Compare, ConstraintFn, Expr,
-    InfeasibleBoundsError, InitBounds, LangError, Num, ObjectRef, PoseAttr,
-    PoseRef, VarRef,
+    InfeasibleBoundsError, InitBounds, LangError, Num, ObjectRef, PoseAttr, PoseRef, VarRef,
 )
 from .helpers import (
     _ANGLES_LOWER, _ANGLES_UPPER, HELPER_IMPLS, WORLD, X, Y, Z, default_bounds, within_score,
@@ -45,29 +45,6 @@ def _resolved(scene, name: str) -> str | None:
     """The canonical name of an object of `scene`, else None."""
     resolved = scene.resolve(name)
     return resolved if resolved in scene.models else None
-
-
-def named_objects(fn: ConstraintFn, scene) -> frozenset[str] | None:
-    """The canonical names of the objects `fn` names anywhere, in its
-    bindings as well as its result, or None when one names no object of
-    `scene`.  For a program that type-checks.  Read from the tree, as a
-    program built without the parser may carry any `referenced_objects`."""
-    found, todo = set(), [a.value for a in fn.assigns] + [fn.result]
-    while todo:
-        e = todo.pop()
-        kind = type(e)
-        if kind is ObjectRef or kind is PoseRef or kind is PoseAttr:
-            name = _resolved(scene, e.name if kind is ObjectRef else e.obj)
-            if name is None:
-                return None
-            found.add(name)
-        elif kind is Abs:
-            todo.append(e.operand)
-        elif kind is Arith or kind is Compare:
-            todo += (e.lhs, e.rhs)
-        elif kind is BoolOp or kind is Call:
-            todo += e.operands if kind is BoolOp else e.args
-    return frozenset(found)
 
 
 def _object(w: WorldState, name: str, node: Expr) -> str:
@@ -121,15 +98,16 @@ def _eval(e: Expr, env: dict, w: WorldState):
 
 
 class _Program:
-    """A program's block state: `block` judges it over a block of drops
-    (`eval_constraint_block`) for the scene, moved object and riders of
-    `block_key`; `invariants` keeps the values of its row-invariant block
-    nodes for the step world `step`."""
+    """A program's block state for the scene, moved object and riders of
+    `block_key`: `block` judges it over a block of drops
+    (`eval_constraint_block`) and `fixed` is what `reads_fixed` gives;
+    `invariants` keeps the values of its row-invariant block nodes for the
+    step world `step`."""
 
-    __slots__ = ("block_key", "block", "step", "invariants")
+    __slots__ = ("block_key", "block", "fixed", "step", "invariants")
 
     def __init__(self):
-        self.block_key = self.block = self.step = None
+        self.block_key = self.block = self.fixed = self.step = None
         self.invariants = {}
 
 
@@ -275,21 +253,24 @@ def _seated_rider(env, blk, reach):
 def _compile_block(fn: ConstraintFn, program: _Program, scene, moved: str, riders):
     """The program as a closure `blk -> None` over a block of drops of
     `moved`, carrying the objects `riders`, in `scene`, which leaves its
-    verdicts on `blk`.  A program that does not type-check leaves every row
-    undecided, and so does a node that names a rider on the rows that reach
-    it."""
+    verdicts on `blk`, and its `reads_fixed` flag.  A program that does not
+    type-check leaves every row undecided, and so does a node that names a
+    rider on the rows that reach it."""
     try:
         check_types(fn)
     except LangError:
-        return lambda blk: blk.doubt(blk.live)
+        return (lambda blk: blk.doubt(blk.live)), None
+    unknown = False  # whether the program names an object the scene lacks
 
     def compile_(e: Expr, slots):
         """`e` as a closure `(env, blk, reach) -> value`, whether its value
         varies over the rows, and whether it is the moved object's name.
         `slots` maps each name bound so far to its last two."""
+        nonlocal unknown
         pose = isinstance(e, (PoseRef, PoseAttr))
-        name = (_resolved(scene, e.name) if isinstance(e, ObjectRef)
-                else _resolved(scene, e.obj) if pose else None)
+        ref = e.name if isinstance(e, ObjectRef) else e.obj if pose else None
+        name = None if ref is None else _resolved(scene, ref)
+        unknown = unknown or (ref is not None and name is None)
         if name in riders:
             return _seated_rider, True, False
         if isinstance(e, ObjectRef):
@@ -335,12 +316,14 @@ def _compile_block(fn: ConstraintFn, program: _Program, scene, moved: str, rider
         return kept
 
     slots: dict[str, tuple[bool, bool]] = {}
-    steps = []
+    steps, reads = [], False
     for a in fn.assigns:
         step, varies, names = compile_(a.value, slots)
         steps.append((a.name, step))
         slots[a.name] = varies, names
-    result = compile_(fn.result, slots)[0]
+        reads = reads or varies or names
+    result, varies, names = compile_(fn.result, slots)
+    reads = reads or varies or names
 
     def run(blk: _Block) -> None:
         env = {}
@@ -353,7 +336,7 @@ def _compile_block(fn: ConstraintFn, program: _Program, scene, moved: str, rider
             blk.holds = blk.live & value
         elif value is not None:  # a non-bool result raises EvalError
             blk.doubt(blk.live)
-    return run
+    return run, None if reads and unknown else not reads
 
 
 def _block_abs(operand):
@@ -423,6 +406,29 @@ def eval_constraint_block(fn: ConstraintFn, step: WorldState, name: str, settled
     surely does not.  A row in neither is undecided: a score within MARGIN
     of its threshold, a read of one of `name`'s riders, or an error
     `eval_constraint` would raise."""
+    blk = _Block(step, name, settled, rows)
+    # A sum may overflow to infinity, as Python's does, and a score of two
+    # equal infinities is NaN, which `decide` leaves undecided: numpy need
+    # not warn of either.
+    with np.errstate(invalid="ignore", over="ignore"):
+        _program(fn, step, name).block(blk)
+    return blk.holds, blk.false | (blk.live & ~blk.holds)
+
+
+def reads_fixed(fn: ConstraintFn, step: WorldState, name: str) -> bool | None:
+    """Whether `fn` reads neither the held `name` nor one of its riders, in
+    a binding or in its result, so that it reads on every world a drop from
+    `step` leaves as on `step`.  None when it does not type-check, or when
+    it does read them and names an object the scene lacks: the draw might
+    raise on it.  A binding the result does not use counts: one that reads
+    the held object raises `ObjectHeldError` on `step`, which makes the
+    program false there, though it may hold after every drop."""
+    return _program(fn, step, name).fixed
+
+
+def _program(fn: ConstraintFn, step: WorldState, name: str) -> _Program:
+    """`fn`'s block state, compiled for drops of the held `name` from the
+    step world `step`, and keeping that world's invariants."""
     program = fn._block_state
     if program is None:
         program = _Program()
@@ -432,12 +438,6 @@ def eval_constraint_block(fn: ConstraintFn, step: WorldState, name: str, settled
         program.invariants.clear()
     key, riders = program.block_key, frozenset(r for r, _, _ in step.held.riders)
     if key is None or key[0] is not step.scene or key[1:] != (name, riders):
-        program.block = _compile_block(fn, program, step.scene, name, riders)
+        program.block, program.fixed = _compile_block(fn, program, step.scene, name, riders)
         program.block_key = step.scene, name, riders
-    blk = _Block(step, name, settled, rows)
-    # A sum may overflow to infinity, as Python's does, and a score of two
-    # equal infinities is NaN, which `decide` leaves undecided: numpy need
-    # not warn of either.
-    with np.errstate(invalid="ignore", over="ignore"):
-        program.block(blk)
-    return blk.holds, blk.false | (blk.live & ~blk.holds)
+    return program

@@ -39,9 +39,7 @@ import numpy as np
 
 from . import world as W
 from .geometry import Pose6, wrap_angle, wrap_angles
-from .lang import (
-    ConstraintFn, LangError, check_types, eval_constraint, eval_constraint_block, named_objects,
-)
+from .lang import ConstraintFn, LangError, eval_constraint, eval_constraint_block, reads_fixed
 from .model import GroundAction, Literal, LiteralIndex, State, Value, bind_placeholders
 # Unused here since A* searches over bitmasks.  The benchmark's tracer
 # (`perfbench/tracer.py`, `COUNT_SITES`) reads each wrap site from this
@@ -405,11 +403,12 @@ class RestrictionTable:
 # and a refused band.  `run` executes a skill on sampled or bound parameters.
 #
 # Before a screened place step's first draw, with more than one draw left,
-# `refine` asks the step whether it is doomed: whether a program that names
-# neither the held object nor its riders is false on the step world
-# (`_fixed_false`), with the step's tables built.  A doomed step skips all
-# its draws but the last at once, as samples, and the last runs through the
-# draw path.  That gives what drawing each would give, because:
+# `refine` asks the step whether it is doomed: whether a program that reads
+# neither the held object nor its riders, as the block compiler tells
+# (`lang.reads_fixed`), is false on the step world (`_fixed_false`), with
+# the step's tables built.  A doomed step skips all its draws but the last
+# at once, as samples, and the last runs through the draw path.  That gives
+# what drawing each would give, because:
 # - every draw is refused, so the step uses its whole limit, and only the
 #   last draw's reason reaches the record;
 # - a screened place draw reads exactly 6 doubles, so the stream ends where
@@ -417,10 +416,11 @@ class RestrictionTable:
 # - a place skill's after-world holds the hand empty and changes only the
 #   moved objects, and a helper reads only the objects it is given
 #   (`tests/test_helper_reads.py`), so a program over other objects reads
-#   on every after-world as on the step world;
-# - no skipped draw would have raised: on a world with an empty hand, a
-#   program that type-checks and names only objects of the scene raises
-#   only `InfeasibleBoundsError` or `ObjectHeldError`, which
+#   on every after-world as on the step world, and raises there only where
+#   it raises on the step world, which ends the walk;
+# - no skipped draw would have raised otherwise: on a world with an empty
+#   hand, a program that type-checks and names only objects of the scene
+#   raises only `InfeasibleBoundsError` or `ObjectHeldError`, which
 #   `eval_constraint` makes false, and `exec_place` raises only on a
 #   collapsed interior, which the built tables rule out.
 
@@ -571,31 +571,23 @@ def _prepare_place(world, name, objs, restrictions, hint, fns, goal_fns, *, insi
         and the tables build, so that no drop raises in `exec_place`.  A
         doomed step's one draw left runs in the lead-in, so the tables
         built here are not kept for a screen."""
-        moved = {o, *(r for r, _, _ in world.held.riders)}
-        return (_fixed_false(world, moved, (*fns, *goal_fns))
-                and place_tables() is not None)
+        return _fixed_false(world, o, (*fns, *goal_fns)) and place_tables() is not None
     return Step(sample, bind, PLACE_UNSCREENED, None, screen, doomed)
 
 
-def _fixed_false(world, moved, programs) -> bool:
-    """Whether one of `programs`, walked in `refine`'s order, names none of
-    the objects `moved` and is false on the step world `world`.  A program
-    that names one of `moved` is passed over.  The walk ends, with False, at
-    a program the draw path might raise on: one that does not type-check,
-    names an object the scene lacks or raises on `world`.  The comment above
-    LAST_BLOCK says why True dooms a screened place step.  The whole program
-    is read, not just its result: an unused binding that reads the held
-    object raises `ObjectHeldError` on `world`, which makes the program
-    false there, though it may hold after every drop."""
+def _fixed_false(world, o, programs) -> bool:
+    """Whether one of `programs`, walked in `refine`'s order, reads neither
+    the held `o` nor its riders and is false on the step world `world`, as
+    the block compiler tells (`lang.reads_fixed`).  A program that reads
+    them is passed over.  The walk ends, with False, at a program the draw
+    path might raise on: one `reads_fixed` gives None for, or one that
+    raises on `world`.  The comment above LAST_BLOCK says why True dooms a
+    screened place step."""
     for fn in programs:
-        try:
-            check_types(fn)
-        except LangError:
+        fixed = reads_fixed(fn, world, o)
+        if fixed is None:
             return False
-        names = named_objects(fn, world.scene)
-        if names is None:
-            return False
-        if names & moved:
+        if not fixed:
             continue
         try:
             if not eval_constraint(fn, world):

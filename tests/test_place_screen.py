@@ -16,7 +16,8 @@ shapes, two that read a rider, and a goal that compares two equal
 infinities.  Last, a step whose program over other objects is false on the
 step world is doomed, and `refine` skips all its draws but the last at
 once: such steps, and steps the doom check must leave alone, give what the
-unscreened loop gives.
+unscreened loop gives, and a program the doom check judges on the step
+world gets that verdict on every row of a block.
 """
 
 import itertools
@@ -31,8 +32,8 @@ from owltamp import fixtures, solver
 from owltamp import world as W
 from owltamp.geometry import Pose6, rotated_half_extents, wrap_angle, wrap_angles
 from owltamp.lang import (
-    ConstraintFn, EvalError, UnboundObjectError, eval_constraint, eval_constraint_block,
-    parse_constraint,
+    ConstraintFn, EvalError, LangError, UnboundObjectError, eval_constraint,
+    eval_constraint_block, parse_constraint, reads_fixed,
 )
 from owltamp.lang.ast import Arith, Num, PoseAttr
 from owltamp.solver import (
@@ -1008,6 +1009,13 @@ DOOMED_CASES = {
     # Without the alias, `Plate` names no object: the draw raises on it.
     "unknown-letter-case": (_plain_world, "plate", (), ("Plate.pose.y > 0.3", "table.pose.z > 0"),
                             False),
+    # No draw reaches `Plate`, on the step world or after any drop.
+    "false-after-a-short-circuited-unknown-name": (
+        _plain_world, "plate", (), ("True or Plate.pose.y > 0.3", "plate.pose.y > 0.3"), True),
+    # A program over the item is judged only after each drop, where it
+    # reaches `Plate`: the draw raises on it.
+    "false-after-an-unknown-name-beside-the-item": (
+        _plain_world, "plate", (), ("Plate.pose.y > item.pose.y", "plate.pose.y > 0.3"), False),
     "reads-a-rider": (_rider_world, "table_surface", ("rider0.pose.z > 1",), (), False),
     "false-after-a-rider": (_rider_world, "table_surface",
                             ("rider0.pose.z > 1", "table.pose.z > 0"), (), True),
@@ -1062,6 +1070,7 @@ def test_a_doomed_step_gives_what_the_unscreened_loop_gives(monkeypatch, case):
 
 # The error a draw raises in the cases whose walk ends before a false program.
 RAISES = {"unknown-letter-case": UnboundObjectError, "false-after-a-ghost": UnboundObjectError,
+          "false-after-an-unknown-name-beside-the-item": UnboundObjectError,
           "false-after-an-untyped-program": EvalError,
           "false-over-a-collapsed-interior": W.WorldError}
 
@@ -1109,3 +1118,56 @@ def test_a_step_with_programs_no_drop_changes_gives_what_the_unscreened_loop_giv
     restrictions = RestrictionTable([{"action": name, **bands}])
     got = refine_outcome(refine, sk, world, budget, seed, restrictions, goal_fns)
     assert got == refine_outcome(ref_refine, sk, world, budget, seed, restrictions, goal_fns)
+
+
+# --- The doom check and the block screen read one flag -----------------------------
+
+def _fixed_verdict(fn, world, o, s, restrictions, rng):
+    """Where `reads_fixed` says `fn` reads neither `o` nor its riders, the
+    verdict `eval_constraint` gives on the step world `world`, which every
+    row of a block of drops gets too, or "raises", where it raises there and
+    the block leaves every row undecided; else "varies"."""
+    if not reads_fixed(fn, world, o):
+        return "varies"
+    holds, fails = _judge_block(fn, world, o, s, restrictions, rng)
+    try:
+        verdict = eval_constraint(fn, world)
+    except (LangError, W.WorldError):
+        assert not (holds | fails).any(), fn.name
+        return "raises"
+    assert (holds if verdict else fails).all(), fn.name
+    return verdict
+
+
+def test_a_fixed_benchmark_program_reads_on_every_drop_as_on_the_step_world():
+    """Each program of the fixtures, from its task's scene with its moved
+    object held, and each on the last step of mug2 and mug3, where the mug
+    carries cutlery."""
+    rng = np.random.default_rng(0)
+    seen = set()
+    for task in sorted(fixtures.MANUAL):
+        spec, scene = load_task(task, 0)
+        restrictions = RestrictionTable(list(spec.sampler_restrictions))
+        for source, o, s in _benchmark_programs(task):
+            world = W.WorldState(scene.scene, {k: v for k, v in scene.poses.items() if k != o},
+                                 W.HeldItem(o, scene.pose(o)))
+            seen.add(_fixed_verdict(parse_constraint(source), world, o, s, restrictions, rng))
+        if task in ("mug2", "mug3"):
+            world, o, s, sources = _rider_step(task)
+            for fn in map(parse_constraint, sources):
+                seen.add(_fixed_verdict(fn, world, o, s, restrictions, rng))
+    assert seen >= {True, False, "varies"}
+
+
+def test_a_fixed_program_reads_on_every_drop_as_on_the_step_world():
+    """Each of FIXED, in worlds with and without the berry, and with riders.
+    A flag read from the result alone would judge the program whose unused
+    binding reads the item by its result, which holds on every drop, though
+    `eval_constraint` makes it false on the step world."""
+    rng = np.random.default_rng(0)
+    seen = set()
+    for world, target in ((_plain_world(), "plate"), (_plain_world(berry=(0.0, 0.0)), "bowl"),
+                          (_rider_world(), "table_surface")):
+        for fn in FIXED:
+            seen.add(_fixed_verdict(fn, world, "item", target, LEVEL, rng))
+    assert seen == {True, False, "raises", "varies"}
