@@ -15,10 +15,10 @@ by real values during refinement.
 Truth checks look literals up in a `LiteralIndex` instead of scanning a
 state: literals are bucketed by predicate and first argument, and also sit
 in a dict for exact hits.  A `State` builds its index on first use and keeps
-it.  The index also numbers its literals, so the symbolic layers that run
-many checks over one literal universe (A* search and the relaxed grounding
-fixpoint) compile them to int bitmasks: `LiteralIndex.mask` gives the bits
-of the members that unify with a literal, by the rule `holds` applies.
+it.  The index also numbers its literals, so A* search, which runs many
+checks over one literal universe, compiles them to int bitmasks:
+`LiteralIndex.mask` gives the bits of the members that unify with a
+literal, by the rule `holds` applies.
 `Value`, `Predicate` and `Literal` are hashed on every set and dict
 operation of the search, and `ActionSchema` in every cell's cache keys, so
 each computes its hash once, from the same field tuple the generated hash

@@ -823,6 +823,7 @@ UNREACHED = {
     "model.py:PreconditionError.__init__": _TRACER,
     "model.py:Predicate.__reduce__": _PICKLE,
     "model.py:State.holds": "reached only through `apply` and `applicable`",
+    "model.py:State.index": _TRACER,
     "model.py:Value.__reduce__": _PICKLE,
     "model.py:applicable": _TRACER,
     "model.py:apply": _TRACER,

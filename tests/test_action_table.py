@@ -1,5 +1,5 @@
-"""The signature lookup and the action listing kept per candidate set, against
-the per-problem table and the per-cell stringification they replaced."""
+"""The signature lookup and the action listing against a per-problem table
+and the stringified actions."""
 
 import pytest
 
@@ -7,7 +7,7 @@ from owltamp import tasks
 from owltamp.grounding import format_action_listing, ground_problem, signature_key
 from owltamp.model import State, Value, load_default_domain
 
-from reference import build
+from reference import build, reference_candidates
 
 SEEDS = range(5)
 
@@ -20,11 +20,15 @@ def ref_find_action(problem, name, objs):
     return table.get(signature_key((name, *objs)))
 
 
-def queries(problem):
+def task_candidates(spec, domain):
+    return reference_candidates(tasks.bench_schemas(domain), sorted([*spec.objects, tasks.TABLE]))
+
+
+def queries(candidates):
     """Every candidate's signature as spelled, upper-cased and case-swapped,
     plus signatures no candidate has."""
     out = [("pick", "nothing"), ("pick",), ("place_ontop", "a", "b", "c"), ("fly", "apple")]
-    for a in problem.table.actions:
+    for a in candidates:
         sig = a.discrete_signature()
         out += [sig, tuple(s.upper() for s in sig), tuple(s.swapcase() for s in sig)]
     return out
@@ -33,8 +37,8 @@ def queries(problem):
 @pytest.mark.parametrize("task_id", tasks.task_ids())
 def test_find_action_equals_the_per_problem_table(task_id):
     for seed in SEEDS:
-        problem = build(task_id, seed)[3]
-        for sig in queries(problem):
+        spec, _, domain, problem = build(task_id, seed)
+        for sig in queries(task_candidates(spec, domain)):
             assert problem.find_action(sig[0], sig[1:]) is ref_find_action(
                 problem, sig[0], sig[1:])
 
@@ -46,7 +50,10 @@ def test_action_listing_equals_the_stringified_actions(task_id):
         assert format_action_listing(problem) == "\n".join(str(a) for a in problem.actions)
 
 
-def _case_twins_problem():
+CASE_TWINS = ["Apple", "apple", "table_surface"]
+
+
+def _case_twins_problem(schemas):
     """Objects "Apple" and "apple": both are candidates, but only "apple"
     has a pose, so only its pick is grounded."""
     domain = load_default_domain()
@@ -56,18 +63,20 @@ def _case_twins_problem():
         at_pose(Value.sym("apple"), Value.vec((0.3, 0, 0, 0, 0, 0))),
         at_pose(Value.sym("table_surface"), Value.vec((0.5, 0, 0, 0, 0, 0))),
     }))
-    schemas = [domain.schema(n) for n in ("pick", "place_ontop")]
-    return ground_problem(s0, schemas, ["Apple", "apple", "table_surface"])
+    return ground_problem(s0, schemas, CASE_TWINS)
 
 
 def test_first_grounded_case_twin_wins():
-    problem = _case_twins_problem()
-    twins = [a for a in problem.table.actions
-             if signature_key(a.discrete_signature()) == ("pick", "apple")]
+    domain = load_default_domain()
+    schemas = [domain.schema(n) for n in ("pick", "place_ontop")]
+    problem = _case_twins_problem(schemas)
+    candidates = reference_candidates(schemas, sorted(CASE_TWINS))
+    twins = [a for a in candidates if signature_key(a.discrete_signature()) == ("pick", "apple")]
     assert [str(a) for a in twins] == ["pick(Apple)", "pick(apple)"]
     assert twins[0] not in problem.actions and twins[1] in problem.actions
+    grounded = problem.actions[problem.actions.index(twins[1])]
     for spelling in ("Apple", "apple", "APPLE"):
-        assert problem.find_action("PICK", (spelling,)) is twins[1]
-    for sig in queries(problem):
+        assert problem.find_action("PICK", (spelling,)) is grounded
+    for sig in queries(candidates):
         assert problem.find_action(sig[0], sig[1:]) is ref_find_action(problem, sig[0], sig[1:])
     assert format_action_listing(problem) == "\n".join(str(a) for a in problem.actions)

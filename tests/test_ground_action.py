@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 from owltamp import bench, tasks
-from owltamp.grounding import candidate_set, format_action_listing
+from owltamp.grounding import format_action_listing
 from owltamp.model import GroundAction, ModelError, SemanticType, Value, instantiate
 from owltamp.partial_plan import PartialPlan, PlanStep, verify_subsequence
 from owltamp.solver import Budgets, RefinementFailure, Skeleton, backtrack_strategy
 
-from reference import build, clear_front_end, ref_with_values
+from reference import build, clear_front_end, ref_with_values, reference_candidates
 
 
 def reference_action_objects(action):
@@ -43,9 +43,8 @@ def reference_make_ground(domain, name, objs, counter, all_objects):
 
 def task_candidates(task_id):
     spec, _, domain, _ = build(task_id)
-    return candidate_set(
-        tuple(sorted(tasks.bench_schemas(domain), key=lambda s: s.name)),
-        tuple(sorted([*spec.objects, tasks.TABLE]))).actions
+    return tuple(reference_candidates(tasks.bench_schemas(domain),
+                                      sorted([*spec.objects, tasks.TABLE])))
 
 
 @pytest.mark.parametrize("task_id", tasks.task_ids())

@@ -4,7 +4,7 @@ import pytest
 
 from owltamp import tasks
 from owltamp.grounding import (
-    ActionTable, GroundedProblem, _literal_listing, format_action_listing,
+    GroundedProblem, _literal_listing, format_action_listing,
     format_literal_listing, format_state_listing, ground_problem,
 )
 from owltamp.model import Literal, State, Value, applicable, apply, load_default_domain
@@ -83,6 +83,16 @@ def test_reachable_literals_empty_actions(domain):
     assert ground_problem(s0, [], ["apple"]).literals == s0.true_literals
 
 
+def test_grounding_leaves_its_initial_state_as_it_is(domain):
+    """The fixpoint grows an index of its own, not the one s0 keeps."""
+    objects = ["apple", "bowl", "table_surface"]
+    s0 = make_s0(domain, objects)
+    literals, size = s0.true_literals, len(s0.index)
+    problem = ground_problem(s0, [domain.schema(n) for n in ("pick", "place_ontop")], objects)
+    assert len(problem.literals) > size
+    assert s0.true_literals == literals and len(s0.index) == size
+
+
 def test_grounding_is_order_independent(domain):
     objects = ["apple", "bowl", "table_surface"]
     s0 = make_s0(domain, objects)
@@ -146,8 +156,7 @@ def test_find_action_is_case_insensitive_and_first_match_wins(domain):
     pick = next(a for a in actions if a.name == "pick" and str(a.value("o")) == "Apple")
     twin = pick.with_values({"g": Value.vec((0,) * 6)})
     twins = (*actions, twin)
-    problem = GroundedProblem(twins, frozenset(), s0, (), ActionTable.of(twins),
-                              (1 << len(twins)) - 1)
+    problem = GroundedProblem(twins, frozenset(), s0)
     assert problem.find_action("PICK", ("apple",)) is pick
     assert problem.find_action("place_ontop", ("APPLE", "Table_Surface")) is not None
     assert problem.find_action("pick", ("pear",)) is None

@@ -1,5 +1,5 @@
-"""Grounding's compiled candidate sets against a fresh build of the
-placeholder loop."""
+"""Grounding against a fresh build of the placeholder loop and the relaxed
+fixpoint."""
 
 import pytest
 
@@ -17,13 +17,20 @@ def task_problem(task_id, seed):
     return problem.s0, tasks.bench_schemas(domain), [*spec.objects, tasks.TABLE]
 
 
+def every_candidate(schemas, objects):
+    """The actions grounded from an s0 that holds every candidate's positive
+    preconditions, so that each candidate is grounded."""
+    candidates = reference_candidates(schemas, sorted(objects))
+    s0 = State(frozenset(lit for a in candidates for lit in a.pre if lit.positive))
+    return grounding.ground_problem(s0, schemas, objects).actions
+
+
 @pytest.mark.parametrize("task_id", tasks.task_ids())
 def test_candidates_equal_the_placeholder_loop(task_id):
     # Equality covers every candidate's bindings, so each placeholder's id
     # and hint.
     _, schemas, objects = task_problem(task_id, 0)
-    got = grounding.candidate_set(
-        tuple(sorted(schemas, key=lambda s: s.name)), tuple(sorted(objects))).actions
+    got = every_candidate(schemas, objects[::-1])
     assert got == tuple(reference_candidates(schemas, sorted(objects)))
 
 
@@ -91,8 +98,7 @@ def test_reversed_schema_and_object_order_hit_one_entry():
 @pytest.mark.parametrize("task_id", tasks.task_ids())
 def test_candidate_signatures_are_unique_and_ordered(task_id):
     _, schemas, objects = task_problem(task_id, 0)
-    candidates = grounding.candidate_set(
-        tuple(sorted(schemas, key=lambda s: s.name)), tuple(sorted(objects))).actions
+    candidates = every_candidate(schemas[::-1], objects)
     signatures = [a.discrete_signature() for a in candidates]
     assert len(set(signatures)) == len(signatures)
     assert signatures == sorted(signatures)

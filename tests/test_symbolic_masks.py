@@ -1,8 +1,9 @@
-"""The bitmask A* search and relaxed fixpoint against their literal-set
-references in `reference.py`: the search over frozensets of literals with
-`State`, `applicable` and `apply`, and the fixpoint that grows a
-`LiteralIndex`.  Searches are compared push by push, so a heuristic value
-that differs fails even where the plan comes out the same."""
+"""The bitmask A* search against its literal-set reference in `reference.py`,
+the search over frozensets of literals with `State`, `applicable` and
+`apply`, and grounding's relaxed fixpoint against the reference that grows a
+`LiteralIndex` and sorts what it reaches.  Searches are compared push by
+push, so a heuristic value that differs fails even where the plan comes out
+the same."""
 
 import heapq
 from dataclasses import replace
@@ -182,7 +183,7 @@ def test_random_problems_give_the_same_plan_or_reason(problem, cap):
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(["berry1", "mug1", "souppour"]), st.data())
 def test_random_initial_states_ground_as_the_index_fixpoint(task_id, data):
-    # Dropping and adding literals changes which precondition patterns the
+    # Dropping and adding literals changes which preconditions the
     # initial state meets, and so which candidates the fixpoint reaches.
     domain = tasks.default_domain()
     spec, world = tasks.load_task(task_id, 0)
