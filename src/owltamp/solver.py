@@ -40,12 +40,10 @@ import numpy as np
 from . import world as W
 from .geometry import Pose6, wrap_angle, wrap_angles
 from .lang import ConstraintFn, LangError, eval_constraint, eval_constraint_block, reads_fixed
-from .model import GroundAction, Literal, LiteralIndex, State, Value, bind_placeholders
-# Unused here since A* searches over bitmasks.  The benchmark's tracer
-# (`perfbench/tracer.py`, `COUNT_SITES`) reads each wrap site from this
-# module's `__dict__`, so without these names every `--trace 1` run raises
-# KeyError.
-from .model import apply, applicable, literal_holds  # noqa: F401
+from .model import (
+    GroundAction, Literal, LiteralIndex, State, Value, applicable, apply, bind_placeholders,
+    literal_holds,
+)
 from .partial_plan import TransformedProblem
 
 
@@ -125,78 +123,55 @@ def _executed_level(literals) -> int:
     return level
 
 
-def _executed_levels(universe: LiteralIndex) -> list[tuple[int, int]]:
-    """(level, mask of its Executed literals) for every level above 0 in the
-    universe, highest first: a state's chain level is the first level
-    whose mask it meets, else 0, as `_executed_level` reads a literal set."""
-    levels: dict[int, int] = {}
-    for lit in universe:
-        if lit.predicate.name == "Executed":
-            level = int(str(lit.args[0]))
-            if level > 0:
-                levels[level] = levels.get(level, 0) | universe.bit(lit)
-    return sorted(levels.items(), reverse=True)
-
-
 def plan_task(s0: State, actions: tuple[GroundAction, ...],
               goal: tuple[Literal, ...]) -> list[GroundAction]:
     """Minimum-length applicable sequence reaching the goal; static
-    constraints are left to refinement.  Unit costs; admissible heuristic
-    combining the remaining bookkeeping-chain depth with the count of unmet
-    goal literals.
+    constraints are left to refinement.  A* over states as frozensets of
+    literals, with unit costs and the larger of two lower bounds as its
+    heuristic: the remaining depth of the bookkeeping chain, and the count
+    of unmet goal literals divided by the most goal literals one action
+    can meet, rounded up.
 
-    Every literal of a reachable state is in s0 or is a positive effect, so
-    that universe is numbered once and a state is the int mask of its
-    literals (the STRIPS bitset encoding).  A literal holds in a state iff
-    the state meets the mask of the universe's literals that unify with it,
-    and `apply`'s delete-then-add is `(state & keep) | add`."""
+    An action meets a positive goal literal with a positive effect that
+    unifies with it, and a negative one with a negative effect that deletes
+    a reachable literal unifying with it.  Every literal of a reachable
+    state is in s0 or is a positive effect, so each goal literal's possible
+    matches are collected once.  A step meets at most the divisor's count
+    of goal literals, and a transformed problem's chain rises by at most
+    one level per step, so the heuristic never overestimates and the plan
+    found is a shortest one."""
     ordered = sorted(actions, key=lambda a: a.discrete_signature())
-    universe = LiteralIndex(s0.true_literals)
-    start = (1 << len(universe)) - 1
-    for a in ordered:
-        for eff in a.eff:
-            if eff.positive:
-                universe.add(eff)
-    # Per action: the mask of each positive precondition, the OR of its
-    # negative preconditions' masks, a keep mask that clears every literal a
-    # negative effect matches, and the add mask.
-    compiled = []
-    for a in ordered:
-        pos = tuple(universe.mask(lit) for lit in a.pre if lit.positive)
-        neg = dels = add = 0
-        for lit in a.pre:
-            if not lit.positive:
-                neg |= universe.mask(lit)
-        for lit in a.eff:
-            if lit.positive:
-                add |= universe.bit(lit)
-            else:
-                dels |= universe.mask(lit)
-        compiled.append((a, pos, neg, ~dels, add))
-
     chain_target = _executed_level(goal)
-    levels = _executed_levels(universe)
-    goal_masks = tuple((g.positive, universe.mask(g)) for g in goal)
-    goal_matches = tuple((g.positive, universe.mask(g)) for g in goal
-                         if g.predicate.name != "Executed")
+    plain_goals = tuple(g for g in goal if g.predicate.name != "Executed")
+    goal_preds = {g.predicate for g in plain_goals}
+    possible = LiteralIndex(
+        lit for lit in itertools.chain(
+            s0.true_literals,
+            (eff for a in ordered for eff in a.eff if eff.positive))
+        if lit.predicate in goal_preds)
+    goal_matches = tuple((g.positive, frozenset(possible.matches(g))) for g in plain_goals)
 
-    def h(node: int) -> int:
-        level = 0
-        for lv, m in levels:
-            if node & m:
-                level = lv
-                break
-        unmet = sum(1 for positive, m in goal_matches if positive == (not node & m))
-        return max(chain_target - level, unmet)
+    def met_by(action: GroundAction) -> int:
+        adds = {eff for eff in action.eff if eff.positive}
+        dels = {lit for eff in action.eff if not eff.positive for lit in possible.matches(eff)}
+        return sum(1 for positive, matches in goal_matches
+                   if not matches.isdisjoint(adds if positive else dels))
 
-    def satisfied(node: int) -> bool:
-        return all(positive == bool(node & m) for positive, m in goal_masks)
+    per_step = max([1, *map(met_by, ordered)])
 
-    if satisfied(start):
+    def h(literals: frozenset[Literal]) -> int:
+        unmet = sum(1 for positive, matches in goal_matches
+                    if positive == literals.isdisjoint(matches))
+        return max(chain_target - _executed_level(literals), -(-unmet // per_step))
+
+    def satisfied(state: State) -> bool:
+        return all(literal_holds(state, g) for g in goal)
+
+    if satisfied(s0):
         return []
-
+    start = s0.true_literals
     tie = itertools.count()
-    # Entries are (f, tie, g, node, path), where path is a nested
+    # Entries are (f, tie, g, literals, path), where path is a nested
     # (parent path, action) pair and None at the start; ties pop in push
     # order.
     frontier = [(h(start), next(tie), 0, start, None)]
@@ -204,10 +179,11 @@ def plan_task(s0: State, actions: tuple[GroundAction, ...],
     expansions = 0
 
     while frontier:
-        _, _, g, node, path = heapq.heappop(frontier)
-        if g > best_g.get(node, math.inf):
+        _, _, g, literals, path = heapq.heappop(frontier)
+        if g > best_g.get(literals, math.inf):
             continue
-        if satisfied(node):
+        state = State(literals)
+        if satisfied(state):
             plan = []
             while path is not None:
                 path, action = path
@@ -217,18 +193,14 @@ def plan_task(s0: State, actions: tuple[GroundAction, ...],
         if expansions > NODE_CAP:
             raise PlanningError("node-cap-exceeded")
         ng = g + 1
-        for action, pos, neg, keep, add in compiled:
-            if node & neg:
+        for action in ordered:
+            if not applicable(state, action):
                 continue
-            for m in pos:
-                if not node & m:
-                    break
-            else:
-                nxt = (node & keep) | add
-                if ng >= best_g.get(nxt, math.inf):
-                    continue
-                best_g[nxt] = ng
-                heapq.heappush(frontier, (ng + h(nxt), next(tie), ng, nxt, (path, action)))
+            nxt = apply(state, action).true_literals
+            if ng >= best_g.get(nxt, math.inf):
+                continue
+            best_g[nxt] = ng
+            heapq.heappush(frontier, (ng + h(nxt), next(tie), ng, nxt, (path, action)))
 
     raise PlanningError("unreachable-goal")
 

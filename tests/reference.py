@@ -7,8 +7,8 @@ reference:
   its skill's draw;
 - `ref_eval_constraint`, the interpreter as first written, which the
   shipped tree walk (`evaluator._eval`) must match verdict for verdict;
-- `reference_plan_task`, the A* search over literal sets that the bitmask
-  search replaced;
+- `bfs_plan_length`, breadth-first search over literal sets, whose depth
+  every A* plan (`solver.plan_task`) must match;
 - `reference_candidates` and `reference_ground_actions`, grounding as one
   uncached run;
 - `reference_front_end`, a cell's grounding, listings, transform and A*
@@ -37,7 +37,6 @@ of skill draws, and recording what a refine call gives.
 """
 
 import functools
-import heapq
 import itertools
 import math
 import zlib
@@ -337,60 +336,29 @@ def program(*lines):
 
 # --- Skeleton search -------------------------------------------------------------
 
-def reference_plan_task(s0, actions, goal):
-    """A* over literal sets: the search `plan_task` ran before states were
-    bitmasks.  Reads `solver.NODE_CAP` at call time, as `plan_task` does."""
-    ordered = sorted(actions, key=lambda a: a.discrete_signature())
-    chain_target = solver._executed_level(goal)
-    plain_goals = tuple(g for g in goal if g.predicate.name != "Executed")
-    goal_preds = {g.predicate for g in plain_goals}
-    possible = LiteralIndex(
-        lit for lit in itertools.chain(
-            s0.true_literals,
-            (eff for a in ordered for eff in a.eff if eff.positive))
-        if lit.predicate in goal_preds)
-    goal_matches = tuple((g.positive, frozenset(possible.matches(g))) for g in plain_goals)
-
-    def h(literals):
-        chain = max(0, chain_target - solver._executed_level(literals))
-        unmet = sum(1 for positive, matches in goal_matches
-                    if positive == literals.isdisjoint(matches))
-        return max(chain, unmet)
-
-    def satisfied(state):
+def bfs_plan_length(s0, actions, goal):
+    """The length of a shortest applicable action sequence from `s0` that
+    reaches the goal, by breadth-first search over literal sets; None when
+    no sequence does."""
+    def satisfied(literals):
+        state = State(literals)
         return all(literal_holds(state, g) for g in goal)
 
-    if satisfied(s0):
-        return []
-    start = s0.true_literals
-    tie = itertools.count()
-    frontier = [(h(start), next(tie), 0, start, None)]
-    best_g = {start: 0}
-    expansions = 0
-    while frontier:
-        _, _, g, literals, path = heapq.heappop(frontier)
-        if g > best_g.get(literals, math.inf):
-            continue
-        state = State(literals)
-        if satisfied(state):
-            plan = []
-            while path is not None:
-                path, action = path
-                plan.append(action)
-            return plan[::-1]
-        expansions += 1
-        if expansions > solver.NODE_CAP:
-            raise PlanningError("node-cap-exceeded")
-        for action in ordered:
-            if not applicable(state, action):
-                continue
-            nxt = apply(state, action).true_literals
-            ng = g + 1
-            if ng >= best_g.get(nxt, math.inf):
-                continue
-            best_g[nxt] = ng
-            heapq.heappush(frontier, (ng + h(nxt), next(tie), ng, nxt, (path, action)))
-    raise PlanningError("unreachable-goal")
+    layer, seen, depth = [s0.true_literals], {s0.true_literals}, 0
+    while layer:
+        if any(satisfied(literals) for literals in layer):
+            return depth
+        successors = []
+        for literals in layer:
+            state = State(literals)
+            for action in actions:
+                if applicable(state, action):
+                    nxt = apply(state, action).true_literals
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        successors.append(nxt)
+        layer, depth = successors, depth + 1
+    return None
 
 
 # --- Grounding ---------------------------------------------------------------------
@@ -495,7 +463,7 @@ def reference_front_end(task_id, seed, mode, oracle=None):
     out["transformed"] = (t.s0, t.actions, t.goal, t.step_actions)
     out["planning_set"] = solver.planning_set(world, t)
     try:
-        out["outcome"] = tuple(reference_plan_task(t.s0, out["planning_set"], t.goal))
+        out["outcome"] = tuple(solver.plan_task(t.s0, out["planning_set"], t.goal))
     except PlanningError as e:
         out["outcome"] = e.reason
     return out
@@ -785,8 +753,6 @@ _EXTERNAL = "the external and replayed oracles, which the scripted benchmark nev
 _ERROR = "an error path for untrusted input, which benchmark fixtures never take"
 _PICKLE = "a pickling hook: the benchmark runs in one process"
 _PROTOCOL = "a container or text protocol of a public type, which tests read"
-_TRACER = ("`perfbench/tracer.py` `COUNT_SITES` wraps `solver.apply`/`applicable`; "
-           "they go with ROADMAP item 1 step 2")
 
 # `path:qualname` under `src/owltamp` -> why no benchmark path enters it
 # (`test_reachability`).
@@ -819,14 +785,9 @@ UNREACHED = {
     "model.py:GroundAction.__getstate__": _PICKLE,
     "model.py:Literal.__reduce__": _PICKLE,
     "model.py:Literal.__str__": _PROTOCOL,
-    "model.py:LiteralIndex.matches": _TRACER,
-    "model.py:PreconditionError.__init__": _TRACER,
+    "model.py:PreconditionError.__init__": "A* applies only actions that `applicable` passed",
     "model.py:Predicate.__reduce__": _PICKLE,
-    "model.py:State.holds": "reached only through `apply` and `applicable`",
-    "model.py:State.index": _TRACER,
     "model.py:Value.__reduce__": _PICKLE,
-    "model.py:applicable": _TRACER,
-    "model.py:apply": _TRACER,
     "oracle.py:ExternalOracle.__init__": _EXTERNAL,
     "oracle.py:ExternalOracle._complete": _EXTERNAL,
     "oracle.py:ExternalOracle._default_post": _EXTERNAL,

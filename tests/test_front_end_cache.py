@@ -136,6 +136,30 @@ def test_planning_errors_are_kept_per_goal(monkeypatch):
     assert len(calls) == 2
 
 
+def test_a_repeated_grid_neither_grounds_nor_searches(monkeypatch):
+    # The warm-up of a benchmark run fills the caches, so its timed passes
+    # run grounding and A* not at all.
+    calls = {"plan_task": 0, "ground_problem": 0}
+
+    def counted(owner, name):
+        function = getattr(owner, name)
+
+        def counting(*args):
+            calls[name] += 1
+            return function(*args)
+        monkeypatch.setattr(owner, name, counting)
+
+    counted(solver, "plan_task")
+    counted(bench, "ground_problem")
+    clear_front_end()
+    grid = (("citrus", "mug2"), (0, 1), ("manual", "no_disc", "no_sample"))
+    assert bench.run_suite(*grid, BUDGETS).errors == 0
+    assert calls["plan_task"] > 0 and calls["ground_problem"] > 0
+    calls.update(plan_task=0, ground_problem=0)
+    assert bench.run_suite(*grid, BUDGETS).errors == 0
+    assert calls == {"plan_task": 0, "ground_problem": 0}
+
+
 # --- Nothing leaks between cells ---------------------------------------------------
 
 def _plan_text(fixture):

@@ -88,7 +88,7 @@ def test_schemas_alike_in_name_only_do_not_share_an_entry():
     assert got_blessed == ()
 
 
-def test_reversed_schema_and_object_order_hit_one_entry():
+def test_reversed_schema_and_object_order_ground_the_same_actions():
     s0, schemas, objects = task_problem("mug2", 0)
     forward = grounding.ground_problem(s0, schemas, objects).actions
     backward = grounding.ground_problem(s0, schemas[::-1], objects[::-1]).actions
