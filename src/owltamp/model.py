@@ -13,8 +13,8 @@ which act as unification wildcards during symbolic search and are replaced
 by real values during refinement.
 
 Truth checks look literals up in a `LiteralIndex` instead of scanning a
-state: literals are bucketed by predicate and first argument, and also sit
-in a set for exact hits.  A `State` builds its index on first use and keeps
+state: literals sit in a set for exact hits and in one list per predicate
+for unifying scans.  A `State` builds its index on first use and keeps
 it; A* search (`solver.plan_task`) checks and applies actions on `State`s
 through `applicable` and `apply`.
 `Value`, `Predicate` and `Literal` are hashed on every set and dict
@@ -171,60 +171,42 @@ def args_unify(xs: tuple[Value, ...], ys: tuple[Value, ...]) -> bool:
     return all(x == y or x.kind == "opt" or y.kind == "opt" for x, y in zip(xs, ys))
 
 
-_WILD = object()  # bucket key of literals whose first argument is optimistic
-
-
 class LiteralIndex:
-    """Positive literals, bucketed for lookups that unify optimistic
-    arguments.
+    """Positive literals, grouped by predicate for lookups that unify
+    optimistic arguments.
 
     Every literal sits in a set, which answers exact hits and drops
-    duplicates, and in a bucket keyed by (predicate, first argument), or by
-    (predicate, _WILD) when its first argument is optimistic.  A query
-    with a concrete first argument scans only its own bucket and the
-    wildcard bucket; a query with an optimistic first argument scans every
-    literal of its predicate.  Matches are exactly those of `args_unify`
-    applied to the argument tuples.
+    duplicates, and in its predicate's list, which a query scans.  Matches
+    are exactly those of `args_unify` applied to the argument tuples.
     """
 
-    __slots__ = ("_members", "_buckets", "_by_pred")
+    __slots__ = ("_members", "_by_pred")
 
     def __init__(self, literals=()):
         self._members: set[Literal] = set()
-        self._buckets: dict[tuple, list[Literal]] = {}
         self._by_pred: dict[Predicate, list[Literal]] = {}
         for lit in literals:
             self.add(lit)
 
     def add(self, lit: Literal) -> None:
         """Index `lit` unless it is a member already."""
-        if lit in self._members:
-            return
-        self._members.add(lit)
-        first = lit.args[0] if lit.args else None
-        key = (lit.predicate, _WILD if first is not None and first.kind == "opt" else first)
-        self._buckets.setdefault(key, []).append(lit)
-        self._by_pred.setdefault(lit.predicate, []).append(lit)
+        if lit not in self._members:
+            self._members.add(lit)
+            self._by_pred.setdefault(lit.predicate, []).append(lit)
 
     def __iter__(self) -> Iterator[Literal]:
         return iter(self._members)
 
-    def _pool(self, lit: Literal):
-        """The indexed literals that can unify with `lit`'s first argument."""
-        pred, args = lit.predicate, lit.args
-        if args and args[0].kind == "opt":
-            return self._by_pred.get(pred, ())
-        return (*self._buckets.get((pred, args[0] if args else None), ()),
-                *self._buckets.get((pred, _WILD), ()))
-
     def matches(self, lit: Literal) -> list[Literal]:
         """Every indexed literal that unifies with `lit`, whatever its sign."""
-        return [sl for sl in self._pool(lit) if args_unify(sl.args, lit.args)]
+        return [sl for sl in self._by_pred.get(lit.predicate, ())
+                if args_unify(sl.args, lit.args)]
 
     def holds(self, lit: Literal) -> bool:
         # A negative literal is never a member, so its check is the scan alone.
         found = (lit in self._members
-                 or any(args_unify(sl.args, lit.args) for sl in self._pool(lit)))
+                 or any(args_unify(sl.args, lit.args)
+                        for sl in self._by_pred.get(lit.predicate, ())))
         return found if lit.positive else not found
 
 
@@ -234,9 +216,8 @@ def literal_holds(state: "State | LiteralIndex", lit: Literal) -> bool:
     A state literal matches when it has the same predicate and every argument
     pair unifies (`args_unify`).  The check is a `LiteralIndex` lookup: an
     exact set hit for a literal the state holds verbatim, otherwise a scan of
-    the few literals that share its predicate and first argument (or carry
-    an optimistic first argument).  Pass a `State`, whose index is built on
-    first use and kept, or an index being grown in place.
+    the literals that share its predicate.  Pass a `State`, whose index is
+    built on first use and kept, or an index being grown in place.
     """
     index = state.index if isinstance(state, State) else state
     return index.holds(lit)
@@ -253,14 +234,10 @@ class State:
             if not lit.positive:
                 raise ModelError(f"state may only contain positive literals: {lit}")
 
-    @property
+    @functools.cached_property
     def index(self) -> LiteralIndex:
         """The state's literal index, built on first use and cached."""
-        index = self.__dict__.get("_index")
-        if index is None:
-            index = LiteralIndex(self.true_literals)
-            object.__setattr__(self, "_index", index)
-        return index
+        return LiteralIndex(self.true_literals)
 
     def holds(self, lit: Literal) -> bool:
         return literal_holds(self, lit)
@@ -552,147 +529,115 @@ class Domain:
         return self.schemas[name]
 
 
-_LIT_RE = re.compile(r"^(!?)\s*([A-Za-z_][A-Za-z0-9_]*)\s*\(([^)]*)\)$")
-_FORALL_RE = re.compile(r"^forall\s+([a-z]+)\s*:\s*(!?)([A-Za-z_][A-Za-z0-9_]*)"
-                        r"\s*\(([^)]*)\)$")
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_PREDICATE_RE = re.compile(rf"^(fluent|static)\s+({_NAME})\s*\(([^)]*)\)$")
+_ACTION_RE = re.compile(rf"^action\s+({_NAME})\s*\(([^)]*)\)$")
+_FIELD_RE = re.compile(r"^(con|pre|eff|desc):\s*(.*)$")
+# `[forall <type>:] [!]Name(args)`; a space may follow the `!` only when
+# there is no `forall` prefix.
+_LITERAL_RE = re.compile(rf"^(?:forall\s+([a-z]+)\s*:\s*)?(!?)(?(1)|\s*)({_NAME})\s*\(([^)]*)\)$")
 
 
-def _parse_literal_spec(text: str, predicates: dict[str, Predicate],
-                        lineno: int) -> SchemaLiteral:
-    text = text.strip()
-    forall = _FORALL_RE.match(text)
-    if forall:
-        star_type, neg, pname, argtext = forall.groups()
-        if pname not in predicates:
-            raise DomainParseError(f"unknown predicate {pname!r}", lineno)
-        args = tuple(a.strip() for a in argtext.split(",") if a.strip())
-        return SchemaLiteral(predicates[pname], args, positive=not neg)
-    m = _LIT_RE.match(text)
+def _blocks(text: str) -> list[tuple[int, str, list[tuple[int, str]]]]:
+    """Each header line with the indented lines under it, numbered, stripped
+    and without comments; an indented line before any header is a header."""
+    blocks = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].rstrip()
+        if line.startswith((" ", "\t")) and blocks:
+            blocks[-1][2].append((lineno, line.strip()))
+        elif line:
+            blocks.append((lineno, line.strip(), []))
+    return blocks
+
+
+def _groups(pattern: re.Pattern, text: str, refusal: str, lineno: int) -> tuple:
+    """The groups of `pattern` matched on `text`, or a refusal quoting it."""
+    m = pattern.match(text)
     if not m:
-        raise DomainParseError(f"cannot parse literal {text!r}", lineno)
-    neg, pname, argtext = m.groups()
-    if pname not in predicates:
-        raise DomainParseError(f"unknown predicate {pname!r}", lineno)
-    args = tuple(a.strip() for a in argtext.split(",") if a.strip())
-    pred = predicates[pname]
+        raise DomainParseError(f"{refusal} {text!r}", lineno)
+    return m.groups()
+
+
+def _names(text: str) -> list[str]:
+    """The non-empty items of a comma-separated list, stripped."""
+    return [item for item in map(str.strip, text.split(",")) if item]
+
+
+def _literal_items(text: str) -> list[str]:
+    """The items of a `con`, `pre` or `eff` line: split at commas outside
+    parentheses, with a blank last item dropped."""
+    items, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
+        if ch == "," and depth == 0:
+            items.append(text[start:i])
+            start = i + 1
+    return items + [text[start:]] if text[start:].strip() else items
+
+
+def _type(name: str, lineno: int) -> SemanticType:
+    try:
+        return SemanticType(name)
+    except ValueError:
+        raise DomainParseError(f"unknown type {name!r}", lineno) from None
+
+
+def _literal(text: str, kind: str, predicates: dict[str, Predicate],
+             lineno: int) -> SchemaLiteral:
+    star_type, neg, name, argtext = _groups(_LITERAL_RE, text.strip(),
+                                            "cannot parse literal", lineno)
+    if star_type:
+        _type(star_type, lineno)
+    if name not in predicates:
+        raise DomainParseError(f"unknown predicate {name!r}", lineno)
+    pred = predicates[name]
+    args = tuple(_names(argtext))
     if len(args) != len(pred.param_types):
-        raise DomainParseError(f"{pname} expects {len(pred.param_types)} args", lineno)
+        raise DomainParseError(f"{name} expects {len(pred.param_types)} args", lineno)
+    if pred.kind != kind:
+        raise DomainParseError(f"{name} is not {kind}", lineno)
     return SchemaLiteral(pred, args, positive=not neg)
 
 
 def parse_domain(text: str) -> Domain:
-    """Parse the declarative domain format: predicate block plus action blocks."""
+    """Parse the declarative domain format: a `predicates:` block and
+    `action` blocks.  A `DomainParseError` names the offending line, or an
+    action's header for a fault of the whole schema."""
     predicates: dict[str, Predicate] = {}
     schemas: dict[str, ActionSchema] = {}
-    lines = text.splitlines()
-    i = 0
-
-    def typed_params(spec: str, lineno: int) -> tuple[Param, ...]:
-        params = []
-        for piece in spec.split(","):
-            piece = piece.strip()
-            if not piece:
-                continue
-            if ":" not in piece:
-                raise DomainParseError(f"parameter {piece!r} missing type", lineno)
-            name, tname = (s.strip() for s in piece.split(":", 1))
-            try:
-                params.append(Param(name, SemanticType(tname)))
-            except ValueError:
-                raise DomainParseError(f"unknown type {tname!r}", lineno) from None
-        return tuple(params)
-
-    while i < len(lines):
-        raw = lines[i]
-        line = raw.split("#", 1)[0].rstrip()
-        stripped = line.strip()
-        if not stripped:
-            i += 1
-            continue
-        if stripped == "predicates:":
-            i += 1
-            while i < len(lines):
-                sub = lines[i].split("#", 1)[0].rstrip()
-                if not sub.strip():
-                    i += 1
-                    continue
-                if not sub.startswith((" ", "\t")):
-                    break
-                m = re.match(r"^(fluent|static)\s+([A-Za-z_][A-Za-z0-9_]*)\s*\(([^)]*)\)$",
-                             sub.strip())
-                if not m:
-                    raise DomainParseError(f"bad predicate line {sub.strip()!r}", i + 1)
-                kind, name, argtext = m.groups()
+    for lineno, header, body in _blocks(text):
+        if header == "predicates:":
+            for n, line in body:
+                kind, name, argtext = _groups(_PREDICATE_RE, line, "bad predicate line", n)
                 if name in predicates:
-                    raise DomainParseError(f"duplicate predicate {name!r}", i + 1)
-                types = []
-                for t in (a.strip() for a in argtext.split(",") if a.strip()):
-                    try:
-                        types.append(SemanticType(t))
-                    except ValueError:
-                        raise DomainParseError(f"unknown type {t!r}", i + 1) from None
-                predicates[name] = Predicate(name, tuple(types), kind)
-                i += 1
+                    raise DomainParseError(f"duplicate predicate {name!r}", n)
+                types = tuple(_type(t, n) for t in _names(argtext))
+                predicates[name] = Predicate(name, types, kind)
             continue
-        m = re.match(r"^action\s+([A-Za-z_][A-Za-z0-9_]*)\s*\(([^)]*)\)$", stripped)
-        if m:
-            name, param_spec = m.groups()
-            header_line = i + 1
-            if name in schemas:
-                raise DomainParseError(f"duplicate action {name!r}", header_line)
-            params = typed_params(param_spec, header_line)
-            fields: dict[str, list] = {"con": [], "pre": [], "eff": []}
-            desc = ""
-            i += 1
-            while i < len(lines):
-                sub = lines[i].split("#", 1)[0].rstrip()
-                if not sub.strip():
-                    i += 1
-                    continue
-                if not sub.startswith((" ", "\t")):
-                    break
-                body = sub.strip()
-                fm = re.match(r"^(con|pre|eff|desc):\s*(.*)$", body)
-                if not fm:
-                    raise DomainParseError(f"bad action field {body!r}", i + 1)
-                key, rest = fm.groups()
-                if key == "desc":
-                    desc = rest.strip().strip('"')
-                else:
-                    depth = 0
-                    piece = ""
-                    pieces = []
-                    for ch in rest:
-                        if ch == "(":
-                            depth += 1
-                        elif ch == ")":
-                            depth -= 1
-                        if ch == "," and depth == 0:
-                            pieces.append(piece)
-                            piece = ""
-                        else:
-                            piece += ch
-                    if piece.strip():
-                        pieces.append(piece)
-                    for piece in pieces:
-                        item = _parse_literal_spec(piece, predicates, i + 1)
-                        if key == "con" and item.predicate.kind != "static":
-                            raise DomainParseError(
-                                f"{item.predicate.name} is not static", i + 1)
-                        if key in ("pre", "eff") and item.predicate.kind != "fluent":
-                            raise DomainParseError(
-                                f"{item.predicate.name} is not fluent", i + 1)
-                        fields[key].append(item)
-                i += 1
-            try:
-                schemas[name] = ActionSchema(
-                    name, params, tuple(fields["con"]), tuple(fields["pre"]),
-                    tuple(fields["eff"]), desc)
-            except ModelError as e:
-                raise DomainParseError(str(e), header_line) from None
-            continue
-        raise DomainParseError(f"unexpected line {stripped!r}", i + 1)
-
+        name, param_spec = _groups(_ACTION_RE, header, "unexpected line", lineno)
+        if name in schemas:
+            raise DomainParseError(f"duplicate action {name!r}", lineno)
+        params = []
+        for piece in _names(param_spec):
+            pname, colon, tname = piece.partition(":")
+            if not colon:
+                raise DomainParseError(f"parameter {piece!r} missing type", lineno)
+            params.append(Param(pname.strip(), _type(tname.strip(), lineno)))
+        fields: dict[str, list] = {"con": [], "pre": [], "eff": []}
+        desc = ""
+        for n, line in body:
+            key, rest = _groups(_FIELD_RE, line, "bad action field", n)
+            if key == "desc":
+                desc = rest.strip().strip('"')
+            else:
+                kind = "static" if key == "con" else "fluent"
+                fields[key] += (_literal(item, kind, predicates, n)
+                                for item in _literal_items(rest))
+        try:
+            schemas[name] = ActionSchema(name, tuple(params), *map(tuple, fields.values()), desc)
+        except ModelError as e:
+            raise DomainParseError(str(e), lineno) from None
     return Domain(predicates, schemas)
 
 

@@ -60,6 +60,9 @@ class TransformedProblem:
     # Index in `actions` of the enhanced copy of partial-plan step i.
     step_actions: tuple[int, ...] = ()
     plan: PartialPlan = field(default_factory=lambda: PartialPlan(()))
+    # `solver._initial_plan`'s memo; a copy made with `dataclasses.replace`
+    # starts with its own.
+    plans: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 def executed(i: int) -> Literal:

@@ -922,10 +922,7 @@ def _initial_plan(scene: W.WorldState, problem: TransformedProblem) -> tuple | s
     """A* over the planning set, or the reason it gave up, kept on the
     problem per scene table and object models, which are all the planning
     set reads of the scene."""
-    plans = problem.__dict__.get("_plans")
-    if plans is None:
-        plans = {}
-        object.__setattr__(problem, "_plans", plans)
+    plans = problem.plans
     key = (scene.scene.table, *scene.scene.models.values())
     if key not in plans:
         try:

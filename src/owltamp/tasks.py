@@ -20,7 +20,7 @@ import numpy as np
 from . import world as W
 from .geometry import Aabb, Pose6, rotated_half_extents
 from .model import Domain, Predicate, State, Value, load_default_domain
-from .solver import DrawStream, _band_table, _read
+from .solver import SKILLS, DrawStream, _band_table, _read
 
 TABLE = "table_surface"
 
@@ -260,4 +260,4 @@ def default_domain() -> Domain:
 
 def bench_schemas(domain: Domain) -> list:
     """The schemas the benchmark grounds over, one per entry of `solver.SKILLS`."""
-    return [domain.schema(n) for n in ("pick", "place_ontop", "place_inside", "pour")]
+    return [domain.schema(n) for n in SKILLS]

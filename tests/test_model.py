@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from owltamp.model import (
-    DomainParseError, ModelError, PreconditionError, State, Value, applicable,
-    apply, instantiate, literal_holds, load_default_domain, parse_domain,
+    ActionSchema, DomainParseError, ModelError, Param, Predicate, PreconditionError,
+    SchemaLiteral, SemanticType, State, Value, applicable, apply, instantiate,
+    literal_holds, load_default_domain, parse_domain,
 )
 
 
@@ -178,17 +181,146 @@ def test_state_invariants_over_all_short_executions(domain):
     assert seen  # the walk explored something
 
 
-def test_domain_parse_error_reports_position():
+HEAD = "predicates:\n  fluent A(obj)\n  fluent B(obj, obj)\n  static S(obj)\n\n"
+ACTION = HEAD + "action a(o: obj)\n"
+# Each refusal of `parse_domain`: text, message fragment, line.
+MALFORMED = {
+    "unexpected-line": ("bogus\n", "unexpected line 'bogus'", 1),
+    "indented-line-without-header": ("  fluent A(obj)\n", "unexpected line 'fluent A(obj)'", 1),
+    "bad-predicate-line": ("predicates:\n  fluent A obj\n",
+                           "bad predicate line 'fluent A obj'", 2),
+    "unclosed-predicate": ("predicates:\n  fluent Foo(\n", "bad predicate line 'fluent Foo('", 2),
+    "duplicate-predicate": ("predicates:\n  fluent A(obj)\n  static A(obj)\n",
+                            "duplicate predicate 'A'", 3),
+    "duplicate-action": (ACTION + "  pre: A(o)\naction a(o: obj)\n", "duplicate action 'a'", 8),
+    "untyped-parameter": (HEAD + "action a(o)\n", "parameter 'o' missing type", 6),
+    "unknown-parameter-type": (HEAD + "action a(o: banana)\n", "unknown type 'banana'", 6),
+    "unknown-predicate-type": ("predicates:\n  fluent A(obj, banana)\n",
+                               "unknown type 'banana'", 2),
+    "bad-action-field": (ACTION + "  post: A(o)\n", "bad action field 'post: A(o)'", 7),
+    "static-in-pre": (ACTION + "  pre: S(o)\n", "S is not fluent", 7),
+    "static-in-eff": (ACTION + "  eff: A(o), !S(o)\n", "S is not fluent", 7),
+    "fluent-in-con": (ACTION + "  con: A(o)\n", "A is not static", 7),
+    "unknown-predicate": (ACTION + "  pre: C(o)\n", "unknown predicate 'C'", 7),
+    "arity": (ACTION + "  pre: B(o)\n", "B expects 2 args", 7),
+    "unbound-variable": ("predicates:\n  fluent Flag(obj)\n\n"
+                         "action bad(o: obj)\n  pre: Flag(x)\n  eff: Flag(o)\n",
+                         "bad: unbound variable 'x'", 4),
+    "duplicate-parameter": (HEAD + "action a(o: obj, o: obj)\n",
+                            "a: duplicate parameter names", 6),
+    "empty-item": (ACTION + "  pre: A(o), , A(o)\n", "cannot parse literal ''", 7),
+    "forall-spaced-negation": (ACTION + "  eff: forall obj: ! B(o, *)\n",
+                               "cannot parse literal 'forall obj: ! B(o, *)'", 7),
+    "unclosed-parenthesis": (ACTION + "  pre: A(o, B(o, o\n",
+                             "cannot parse literal 'A(o, B(o, o'", 7),
+    "extra-parenthesis": (ACTION + "  pre: A(o)), B(o)\n",
+                          "cannot parse literal 'A(o)), B(o)'", 7),
+    # A `forall` literal gets the arity check, and its type must be a type.
+    "forall-arity": (ACTION + "  eff: forall obj: !B(o)\n", "B expects 2 args", 7),
+    "forall-unknown-type": (ACTION + "  eff: forall banana: !B(o, *)\n",
+                            "unknown type 'banana'", 7),
+}
+
+
+@pytest.mark.parametrize("text, fragment, line", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_domains_are_refused_at_their_line(text, fragment, line):
     with pytest.raises(DomainParseError) as err:
-        parse_domain("predicates:\n  fluent Foo(\n")
-    assert err.value.line == 2
+        parse_domain(text)
+    assert fragment in str(err.value)
+    assert err.value.line == line
 
 
-def test_domain_rejects_unbound_variables():
-    with pytest.raises(DomainParseError):
-        parse_domain(
-            "predicates:\n  fluent Flag(obj)\n\n"
-            "action bad(o: obj)\n  pre: Flag(x)\n  eff: Flag(o)\n")
+NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True)
+# A description parameter must appear exactly once in `con`, which the
+# drawn literals do not arrange.
+PARAM_TYPES = [t for t in SemanticType if t is not SemanticType.DESCRIPTION]
+SPACE = st.sampled_from(["", " ", "  ", "\t"])
+
+
+@st.composite
+def domains(draw):
+    """Predicates and schemas as `parse_domain` should return them, with at
+    least one fluent predicate that has an argument, for the forall delete."""
+    names = draw(st.lists(NAMES, min_size=3, max_size=8, unique=True))
+    predicates = [Predicate(names[0], (SemanticType.OBJ, SemanticType.OBJ), "fluent")]
+    for name in names[1:draw(st.integers(1, len(names) - 1)) + 1]:
+        types = tuple(draw(st.lists(st.sampled_from(list(SemanticType)), max_size=3)))
+        predicates.append(Predicate(name, types, draw(st.sampled_from(["fluent", "static"]))))
+    schemas = []
+    for name in draw(st.lists(NAMES, min_size=1, max_size=3, unique=True)):
+        pnames = draw(st.lists(NAMES, min_size=1, max_size=4, unique=True))
+        params = tuple(Param(p, draw(st.sampled_from(PARAM_TYPES))) for p in pnames)
+
+        def group(kind):
+            preds = [p for p in predicates if p.kind == kind]
+            chosen = draw(st.lists(st.sampled_from(preds), max_size=3)) if preds else []
+            return [SchemaLiteral(pred, tuple(draw(st.sampled_from(pnames))
+                                              for _ in pred.param_types), draw(st.booleans()))
+                    for pred in chosen]
+
+        eff = group("fluent")
+        if draw(st.booleans()):
+            pred = draw(st.sampled_from([p for p in predicates
+                                         if p.kind == "fluent" and p.param_types]))
+            args = [draw(st.sampled_from(pnames)) for _ in pred.param_types]
+            args[draw(st.integers(0, len(args) - 1))] = "*"
+            eff.append(SchemaLiteral(pred, tuple(args), False))
+        desc = draw(st.from_regex(r"[a-z{}]([a-z{} ]{0,20}[a-z{}])?", fullmatch=True)
+                    | st.just(""))
+        schemas.append(ActionSchema(name, params, tuple(group("static")),
+                                    tuple(group("fluent")), tuple(eff), desc))
+    return predicates, schemas
+
+
+@st.composite
+def renders(draw, predicates, schemas):
+    """The domain text, with blank lines, comments, tab or space indents and
+    free spacing around `!`, commas and colons."""
+    lines = []
+
+    def emit(text, indent):
+        for _ in range(draw(st.integers(0, 2))):
+            lines.append(draw(st.sampled_from(["", "   ", "# note", "  # indented note"])))
+        lead = draw(st.sampled_from([" ", "  ", "    ", "\t"])) if indent else ""
+        lines.append(lead + text + draw(st.sampled_from(["", " ", "  # trailing (, note"])))
+
+    def join(items):
+        return "".join(item if i == 0 else draw(SPACE) + "," + draw(SPACE) + item
+                       for i, item in enumerate(items))
+
+    def literal(lit):
+        forall = "*" in lit.args
+        sign = "" if lit.positive else "!" + ("" if forall else draw(SPACE))
+        text = f"{sign}{lit.predicate.name}{draw(SPACE)}({join(lit.args)})"
+        return f"forall obj{draw(SPACE)}:{draw(SPACE)}{text}" if forall else text
+
+    emit("predicates:", False)
+    for p in predicates:
+        emit(f"{p.kind} {p.name}({join([t.value for t in p.param_types])})", True)
+    for s in schemas:
+        params = join([f"{p.name}{draw(SPACE)}:{draw(SPACE)}{p.type.value}" for p in s.params])
+        emit(f"action {s.name}({params})", False)
+        for key in draw(st.permutations(["con", "pre", "eff", "desc"])):
+            if key == "desc":
+                if s.nl_description_template or draw(st.booleans()):
+                    emit(f'desc: "{s.nl_description_template}"', True)
+                continue
+            group = list(getattr(s, key))
+            # A group may be spread over several lines of the same field.
+            cut = draw(st.integers(0, len(group)))
+            for part in (group[:cut], group[cut:]):
+                if part or draw(st.booleans()):
+                    emit(f"{key}:{draw(SPACE)}{join([literal(lit) for lit in part])}", True)
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_rendered_domains_parse_back_to_what_was_drawn(data):
+    predicates, schemas = data.draw(domains())
+    parsed = parse_domain(data.draw(renders(predicates, schemas)))
+    assert list(parsed.predicates.items()) == [(p.name, p) for p in predicates]
+    assert list(parsed.schemas.items()) == [(s.name, s) for s in schemas]
 
 
 def test_literal_holds_wildcards():
