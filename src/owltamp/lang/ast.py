@@ -166,8 +166,8 @@ class ConstraintFn:
     result: Expr
     referenced_objects: frozenset[str]
     source_text: str = field(default="", compare=False)
-    # The program's block state (`lang.evaluator._Program`), set by
-    # `eval_constraint_block` on first use.
+    # The program's block compile (`lang.evaluator._program`): scene, moved
+    # object, riders, block judge and `reads_fixed` flag, set on first use.
     _block_state: object = field(default=None, init=False, compare=False, repr=False)
 
     def __reduce__(self):

@@ -97,20 +97,6 @@ def _eval(e: Expr, env: dict, w: WorldState):
     raise EvalError(f"cannot evaluate {kind.__name__}", e.line, e.column)
 
 
-class _Program:
-    """A program's block state for the scene, moved object and riders of
-    `block_key`: `block` judges it over a block of drops
-    (`eval_constraint_block`) and `fixed` is what `reads_fixed` gives;
-    `invariants` keeps the values of its row-invariant block nodes for the
-    step world `step`."""
-
-    __slots__ = ("block_key", "block", "fixed", "step", "invariants")
-
-    def __init__(self):
-        self.block_key = self.block = self.fixed = self.step = None
-        self.invariants = {}
-
-
 def eval_constraint(fn: ConstraintFn, w: WorldState) -> bool:
     """Run a constraint program.  Infeasible intermediate bounds make it
     false, and so does reading the pose or hull of an object that has no pose
@@ -133,10 +119,8 @@ def eval_constraint(fn: ConstraintFn, w: WorldState) -> bool:
 # world each drop leaves differs from the step world only in that object,
 # which is placed, and its riders, which are seated: `world.Settled` gives
 # the object's pose and hull as columns over the drops.  A node that reads
-# neither is row-invariant: its value is the step world's, through `_eval`,
-# and the program keeps it (`_Program.invariants`) for every block of the
-# step until it judges a block from another step world; a node that raises
-# keeps nothing.  A node that reads the object (its pose, or a
+# neither is row-invariant: `_eval` gives its value on the step world, once
+# per block that reaches it.  A node that reads the object (its pose, or a
 # helper call given its name) gives a column; one that names a rider leaves
 # the rows that reach it undecided.  A helper call runs the helper itself with
 # the block as its reader, so every rule is written once.
@@ -250,12 +234,13 @@ def _seated_rider(env, blk, reach):
     raise EvalError("a rider is seated only in the world a drop leaves")
 
 
-def _compile_block(fn: ConstraintFn, program: _Program, scene, moved: str, riders):
+def _compile_block(fn: ConstraintFn, scene, moved: str, riders):
     """The program as a closure `blk -> None` over a block of drops of
     `moved`, carrying the objects `riders`, in `scene`, which leaves its
-    verdicts on `blk`, and its `reads_fixed` flag.  A program that does not
-    type-check leaves every row undecided, and so does a node that names a
-    rider on the rows that reach it."""
+    verdicts on `blk`, and its `reads_fixed` flag.  A row-invariant node runs
+    on the step world once for each block that reaches it.  A program that
+    does not type-check leaves every row undecided, and so does a node that
+    names a rider on the rows that reach it."""
     try:
         check_types(fn)
     except LangError:
@@ -274,7 +259,7 @@ def _compile_block(fn: ConstraintFn, program: _Program, scene, moved: str, rider
         if name in riders:
             return _seated_rider, True, False
         if isinstance(e, ObjectRef):
-            return invariant(e), False, name == moved
+            return _block_invariant(e), False, name == moved
         if isinstance(e, VarRef):
             key = e.name
             return (lambda env, blk, reach: env[key]), *slots[key]
@@ -290,10 +275,10 @@ def _compile_block(fn: ConstraintFn, program: _Program, scene, moved: str, rider
         elif isinstance(e, (BoolOp, Call)):
             children = list(e.operands if isinstance(e, BoolOp) else e.args)
         else:
-            return invariant(e), False, False
+            return _block_invariant(e), False, False
         compiled = [compile_(child, slots) for child in children]
         if not any(varies or names for _, varies, names in compiled):
-            return invariant(e), False, False
+            return _block_invariant(e), False, False
         parts = tuple(closure for closure, _, _ in compiled)
         if isinstance(e, Abs):
             return _block_abs(*parts), True, False
@@ -302,18 +287,6 @@ def _compile_block(fn: ConstraintFn, program: _Program, scene, moved: str, rider
         if isinstance(e, BoolOp):
             return _block_bool(e.op, parts), True, False
         return _block_call(e.fn, parts), True, False
-
-    invariants = program.invariants
-
-    def invariant(e: Expr):
-        key = id(e)
-
-        def kept(env, blk, reach):
-            if key in invariants:
-                return invariants[key]
-            value = invariants[key] = _eval(e, env, blk.world)
-            return value
-        return kept
 
     slots: dict[str, tuple[bool, bool]] = {}
     steps, reads = [], False
@@ -337,6 +310,10 @@ def _compile_block(fn: ConstraintFn, program: _Program, scene, moved: str, rider
         elif value is not None:  # a non-bool result raises EvalError
             blk.doubt(blk.live)
     return run, None if reads and unknown else not reads
+
+
+def _block_invariant(e: Expr):
+    return lambda env, blk, reach: _eval(e, env, blk.world)
 
 
 def _block_abs(operand):
@@ -411,7 +388,7 @@ def eval_constraint_block(fn: ConstraintFn, step: WorldState, name: str, settled
     # equal infinities is NaN, which `decide` leaves undecided: numpy need
     # not warn of either.
     with np.errstate(invalid="ignore", over="ignore"):
-        _program(fn, step, name).block(blk)
+        _program(fn, step, name)[0](blk)
     return blk.holds, blk.false | (blk.live & ~blk.holds)
 
 
@@ -423,21 +400,15 @@ def reads_fixed(fn: ConstraintFn, step: WorldState, name: str) -> bool | None:
     raise on it.  A binding the result does not use counts: one that reads
     the held object raises `ObjectHeldError` on `step`, which makes the
     program false there, though it may hold after every drop."""
-    return _program(fn, step, name).fixed
+    return _program(fn, step, name)[1]
 
 
-def _program(fn: ConstraintFn, step: WorldState, name: str) -> _Program:
-    """`fn`'s block state, compiled for drops of the held `name` from the
-    step world `step`, and keeping that world's invariants."""
-    program = fn._block_state
-    if program is None:
-        program = _Program()
-        object.__setattr__(fn, "_block_state", program)
-    if program.step is not step:
-        program.step = step
-        program.invariants.clear()
-    key, riders = program.block_key, frozenset(r for r, _, _ in step.held.riders)
-    if key is None or key[0] is not step.scene or key[1:] != (name, riders):
-        program.block, program.fixed = _compile_block(fn, program, step.scene, name, riders)
-        program.block_key = step.scene, name, riders
-    return program
+def _program(fn: ConstraintFn, step: WorldState, name: str):
+    """`fn`'s block judge and `reads_fixed` flag for drops of the held `name`
+    from `step`, compiled again for a new scene, moved object or rider set."""
+    riders = frozenset(r for r, _, _ in step.held.riders)
+    state = fn._block_state
+    if state is None or state[0] is not step.scene or state[1:3] != (name, riders):
+        state = (step.scene, name, riders, *_compile_block(fn, step.scene, name, riders))
+        object.__setattr__(fn, "_block_state", state)
+    return state[3:]

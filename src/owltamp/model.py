@@ -279,12 +279,15 @@ class ActionSchema:
         names = [p.name for p in self.params]
         if len(set(names)) != len(names):
             raise ModelError(f"{self.name}: duplicate parameter names")
-        known = set(names)
+        types = {p.name: p.type for p in self.params}
         for group in (self.con, self.pre, self.eff):
             for lit in group:
-                for a in lit.args:
-                    if a != "*" and a not in known:
+                for a, want in zip(lit.args, lit.predicate.param_types):
+                    if a != "*" and a not in types:
                         raise ModelError(f"{self.name}: unbound variable {a!r}")
+                    if a != "*" and types[a] is not want:
+                        raise ModelError(f"{self.name}: {a!r} is {types[a].value}, "
+                                         f"{lit.predicate.name} wants {want.value}")
         d_params = [p for p in self.params if p.type is SemanticType.DESCRIPTION]
         if len(d_params) > 1:
             raise ModelError(f"{self.name}: at most one description parameter allowed")
@@ -534,7 +537,7 @@ _PREDICATE_RE = re.compile(rf"^(fluent|static)\s+({_NAME})\s*\(([^)]*)\)$")
 _ACTION_RE = re.compile(rf"^action\s+({_NAME})\s*\(([^)]*)\)$")
 _FIELD_RE = re.compile(r"^(con|pre|eff|desc):\s*(.*)$")
 # `[forall <type>:] [!]Name(args)`; a space may follow the `!` only when
-# there is no `forall` prefix.
+# there is no `forall` prefix, and `_literal` accepts only `forall obj:`.
 _LITERAL_RE = re.compile(rf"^(?:forall\s+([a-z]+)\s*:\s*)?(!?)(?(1)|\s*)({_NAME})\s*\(([^)]*)\)$")
 
 
@@ -587,8 +590,7 @@ def _literal(text: str, kind: str, predicates: dict[str, Predicate],
              lineno: int) -> SchemaLiteral:
     star_type, neg, name, argtext = _groups(_LITERAL_RE, text.strip(),
                                             "cannot parse literal", lineno)
-    if star_type:
-        _type(star_type, lineno)
+    star_type = star_type and _type(star_type, lineno)
     if name not in predicates:
         raise DomainParseError(f"unknown predicate {name!r}", lineno)
     pred = predicates[name]
@@ -597,6 +599,14 @@ def _literal(text: str, kind: str, predicates: dict[str, Predicate],
         raise DomainParseError(f"{name} expects {len(pred.param_types)} args", lineno)
     if pred.kind != kind:
         raise DomainParseError(f"{name} is not {kind}", lineno)
+    # `_substitute` expands the one `*` of a `forall obj:` literal over the
+    # scene's objects, so the prefix, the `*` and an obj position go together.
+    if args.count("*") != bool(star_type):
+        raise DomainParseError(f"{name} needs one '*' with forall and none without", lineno)
+    if star_type and star_type is not SemanticType.OBJ:
+        raise DomainParseError(f"forall {star_type.value}: only forall obj expands", lineno)
+    if star_type and (at := pred.param_types[args.index("*")]) is not SemanticType.OBJ:
+        raise DomainParseError(f"{name}'s '*' takes {at.value}, not obj", lineno)
     return SchemaLiteral(pred, args, positive=not neg)
 
 
@@ -620,10 +630,12 @@ def parse_domain(text: str) -> Domain:
             raise DomainParseError(f"duplicate action {name!r}", lineno)
         params = []
         for piece in _names(param_spec):
-            pname, colon, tname = piece.partition(":")
+            pname, colon, tname = map(str.strip, piece.partition(":"))
             if not colon:
                 raise DomainParseError(f"parameter {piece!r} missing type", lineno)
-            params.append(Param(pname.strip(), _type(tname.strip(), lineno)))
+            if not re.fullmatch(_NAME, pname):
+                raise DomainParseError(f"bad parameter name {pname!r}", lineno)
+            params.append(Param(pname, _type(tname, lineno)))
         fields: dict[str, list] = {"con": [], "pre": [], "eff": []}
         desc = ""
         for n, line in body:

@@ -9,8 +9,8 @@ Targeted cases draw one skill many times from one step world, over calls
 about fixed objects, the held object, a rider, an alias and a stacked
 object; they, a program shared by a step and the goal, and whole benchmark
 cells must give the same verdicts, refine results and generator states
-through either.  The block path keeps each row-invariant node's value for
-its step world, which the last test counts.
+through either.  The block path runs each row-invariant node once per
+block, which two tests count.
 """
 
 import ast
@@ -305,7 +305,7 @@ def _judge_block(fn, step, rng, n=16):
     return eval_constraint_block(fn, step, name, settled, np.ones(n, bool))
 
 
-def test_a_block_keeps_its_invariant_values_for_its_step(helper_calls):
+def test_each_block_runs_each_invariant_call_once(helper_calls):
     fn = program("b = modify_bounds_near(init_bounds, 'plate', 0.3)",
                  "position_within_bounds(apple.pose, b)")
     first, second = _draw_worlds(bowl_scene(), "pick", {"o": "apple"}, 2)
@@ -313,17 +313,13 @@ def test_a_block_keeps_its_invariant_values_for_its_step(helper_calls):
     holds, fails = _judge_block(fn, first, rng)
     assert holds.any() and fails.any()
     assert helper_calls["modify_bounds_near"] == 1
-    # A draw between two blocks of the step runs the call itself and keeps
-    # nothing; the second block reuses the first one's value.
-    places = _draw_worlds(first, "place_ontop", {"o": "apple", "s": "table_surface"}, 1)
-    _same_verdicts(fn, places)  # the shipped walk and the reference
-    assert helper_calls["modify_bounds_near"] == 1 + 2
-    _judge_block(fn, first, rng)
-    assert helper_calls["modify_bounds_near"] == 1 + 2
-    # A new step world runs it again, once for all its blocks.
-    for _ in range(2):
-        _judge_block(fn, second, rng)
-    assert helper_calls["modify_bounds_near"] == 1 + 2 + 1
+    # Every later block runs it again, from the same step world or another:
+    # no block keeps a value for the next.
+    for step in (first, first, second, second):
+        _judge_block(fn, step, rng)
+    assert helper_calls["modify_bounds_near"] == 5
+    # The call that reads the moved object gives a column, not a helper run.
+    assert helper_calls["position_within_bounds"] == 0
 
 
 def test_a_block_from_a_new_step_world_reads_that_world():
@@ -350,17 +346,27 @@ def test_a_block_from_a_new_step_world_reads_that_world():
     assert len(verdicts[1]) and verdicts[1].any() and not verdicts[1].all()
 
 
-def test_a_block_keeps_no_value_of_an_invariant_call_that_raises(helper_calls):
-    fn = program("b = modify_bounds_in_front_of(init_bounds, 'bowl')",
-                 "b = modify_bounds_behind(b, 'bowl')",
-                 "position_within_bounds(apple.pose, b)")
+def test_an_invariant_call_that_raises_makes_the_rows_reaching_it_false(helper_calls):
+    empty = "modify_bounds_behind(modify_bounds_in_front_of(init_bounds, 'bowl'), 'bowl')"
     step = _draw_worlds(bowl_scene(), "pick", {"o": "apple"}, 1)[0]
     rng = np.random.default_rng(0)
+    # Raised in a binding, the empty bounds make every row false; raised in
+    # an `or`, only the rows that reach it.
+    bound = program(f"b = {empty}", "position_within_bounds(apple.pose, b)")
+    either = program(f"apple.pose.x > 0.5 or position_within_bounds(bowl.pose, {empty})")
     for _ in range(3):
-        holds, fails = _judge_block(fn, step, rng)
+        holds, fails = _judge_block(bound, step, rng)
         assert not holds.any() and fails.all()
-    assert helper_calls["modify_bounds_in_front_of"] == 1
-    assert helper_calls["modify_bounds_behind"] == 3
+        holds, fails = _judge_block(either, step, rng)
+        assert holds.any() and fails.any() and (holds | fails).all()
+    # Each block runs the raising call again.
+    assert helper_calls["modify_bounds_in_front_of"] == 6
+    assert helper_calls["modify_bounds_behind"] == 6
+    # Any other error leaves the rows that reach it to the draw, and only them.
+    ghost = program("apple.pose.x > 0.5 and "
+                    "position_within_bounds(bowl.pose, get_aabb_bounds('ghost'))")
+    holds, fails = _judge_block(ghost, step, rng)
+    assert not holds.any() and fails.any() and not fails.all()
 
 
 # --- Pickling ------------------------------------------------------------------------

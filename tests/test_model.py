@@ -1,11 +1,14 @@
+import itertools
+from importlib import resources
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from owltamp.model import (
     ActionSchema, DomainParseError, ModelError, Param, Predicate, PreconditionError,
-    SchemaLiteral, SemanticType, State, Value, applicable, apply, instantiate,
-    literal_holds, load_default_domain, parse_domain,
+    SchemaLiteral, SemanticType, State, Value, applicable, apply, bind_placeholders,
+    instantiate, literal_holds, load_default_domain, parse_domain,
 )
 
 
@@ -219,6 +222,21 @@ MALFORMED = {
     "forall-arity": (ACTION + "  eff: forall obj: !B(o)\n", "B expects 2 args", 7),
     "forall-unknown-type": (ACTION + "  eff: forall banana: !B(o, *)\n",
                             "unknown type 'banana'", 7),
+    "bad-parameter-name": (HEAD + "action f(a(: obj)\n  pre: A(a()\n",
+                           "bad parameter name 'a('", 6),
+    "argument-type": ("predicates:\n  fluent P(obj, pose)\n\naction a(o: obj, p: pose)\n"
+                      "  pre: P(o, o)\n", "a: 'o' is obj, P wants pose", 4),
+    # A `*` goes with a `forall obj:` prefix, once, where an object goes.
+    "star-without-forall": (ACTION + "  eff: !B(o, *)\n",
+                            "B needs one '*' with forall and none without", 7),
+    "forall-without-star": (ACTION + "  eff: forall obj: !A(o)\n",
+                            "A needs one '*' with forall and none without", 7),
+    "forall-two-stars": (ACTION + "  eff: forall obj: !B(*, *)\n",
+                         "B needs one '*' with forall and none without", 7),
+    "forall-not-obj": (ACTION + "  eff: forall conf: !B(o, *)\n",
+                       "forall conf: only forall obj expands", 7),
+    "forall-over-a-conf": ("predicates:\n  fluent AtConf(conf)\n\naction a(o: obj)\n"
+                           "  eff: forall obj: !AtConf(*)\n", "AtConf's '*' takes conf, not obj", 5),
 }
 
 
@@ -240,7 +258,9 @@ SPACE = st.sampled_from(["", " ", "  ", "\t"])
 @st.composite
 def domains(draw):
     """Predicates and schemas as `parse_domain` should return them, with at
-    least one fluent predicate that has an argument, for the forall delete."""
+    least one fluent predicate over objects, for the forall delete.  Each
+    literal argument is a parameter of the type its predicate declares
+    there, and a `*` stands only where it declares an object."""
     names = draw(st.lists(NAMES, min_size=3, max_size=8, unique=True))
     predicates = [Predicate(names[0], (SemanticType.OBJ, SemanticType.OBJ), "fluent")]
     for name in names[1:draw(st.integers(1, len(names) - 1)) + 1]:
@@ -251,20 +271,27 @@ def domains(draw):
         pnames = draw(st.lists(NAMES, min_size=1, max_size=4, unique=True))
         params = tuple(Param(p, draw(st.sampled_from(PARAM_TYPES))) for p in pnames)
 
+        def args(pred, star=None):
+            """Arguments for `pred`, `*` at `star`; None when a parameter of
+            some type it takes is missing."""
+            pools = [["*"] if i == star else [p.name for p in params if p.type is t]
+                     for i, t in enumerate(pred.param_types)]
+            return tuple(draw(st.sampled_from(pool)) for pool in pools) if all(pools) else None
+
         def group(kind):
             preds = [p for p in predicates if p.kind == kind]
             chosen = draw(st.lists(st.sampled_from(preds), max_size=3)) if preds else []
-            return [SchemaLiteral(pred, tuple(draw(st.sampled_from(pnames))
-                                              for _ in pred.param_types), draw(st.booleans()))
-                    for pred in chosen]
+            return [SchemaLiteral(pred, a, draw(st.booleans()))
+                    for pred in chosen if (a := args(pred)) is not None]
 
         eff = group("fluent")
         if draw(st.booleans()):
-            pred = draw(st.sampled_from([p for p in predicates
-                                         if p.kind == "fluent" and p.param_types]))
-            args = [draw(st.sampled_from(pnames)) for _ in pred.param_types]
-            args[draw(st.integers(0, len(args) - 1))] = "*"
-            eff.append(SchemaLiteral(pred, tuple(args), False))
+            pred = draw(st.sampled_from([p for p in predicates if p.kind == "fluent"
+                                         and SemanticType.OBJ in p.param_types]))
+            star = draw(st.sampled_from([i for i, t in enumerate(pred.param_types)
+                                         if t is SemanticType.OBJ]))
+            if (a := args(pred, star)) is not None:
+                eff.append(SchemaLiteral(pred, a, False))
         desc = draw(st.from_regex(r"[a-z{}]([a-z{} ]{0,20}[a-z{}])?", fullmatch=True)
                     | st.just(""))
         schemas.append(ActionSchema(name, params, tuple(group("static")),
@@ -321,6 +348,39 @@ def test_rendered_domains_parse_back_to_what_was_drawn(data):
     parsed = parse_domain(data.draw(renders(predicates, schemas)))
     assert list(parsed.predicates.items()) == [(p.name, p) for p in predicates]
     assert list(parsed.schemas.items()) == [(s.name, s) for s in schemas]
+
+
+DOMAIN_TEXT = resources.files("owltamp.data").joinpath("domain.txt").read_text(encoding="utf-8")
+
+
+def _declarations(text: str) -> list[int]:
+    """The offset of every character of `text` outside its comments and
+    `desc:` lines, where a one-character edit is most likely to parse."""
+    offsets, start = [], 0
+    for line in text.splitlines(keepends=True):
+        if not line.lstrip().startswith(("#", "desc:")):
+            offsets += range(start, start + len(line))
+        start += len(line)
+    return offsets
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.sampled_from(_declarations(DOMAIN_TEXT)), st.sampled_from("*(),:!o g\t"),
+       st.permutations(["apple", "bowl", "plate", "tray"]))
+def test_every_domain_that_parses_instantiates(offset, char, objects):
+    """A one-character edit of the shipped domain either is refused, or
+    gives schemas that bind over any three objects: every literal argument
+    has its parameter's type, and each `*` expands over objects."""
+    text = DOMAIN_TEXT[:offset] + char + DOMAIN_TEXT[offset + 1:]
+    try:
+        domain = parse_domain(text)
+    except DomainParseError:
+        return
+    objects = tuple(objects[:3])
+    for schema in domain.schemas.values():
+        objs = dict(zip([p.name for p in schema.params if p.type is SemanticType.OBJ],
+                        itertools.cycle(objects)))
+        bind_placeholders(schema, objs, itertools.count(), objects)
 
 
 def test_literal_holds_wildcards():

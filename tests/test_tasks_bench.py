@@ -43,12 +43,13 @@ def test_block_programs_compile_once_per_task_moved_object_and_riders(monkeypatc
     once per (task, moved object, riders): the second seed's cells reuse the
     first's, as they share the task's scene.  A goal program equal to a
     step program is a program of its own."""
-    compiled = []
+    compiled, programs = [], []
     original = evaluator._compile_block
 
-    def counting(fn, program, scene, moved, riders):
-        compiled.append((program, moved, riders))
-        return original(fn, program, scene, moved, riders)
+    def counting(fn, scene, moved, riders):
+        programs.append(fn)  # keeps each program, and so its id, alive
+        compiled.append((id(fn), moved, riders))
+        return original(fn, scene, moved, riders)
 
     monkeypatch.setattr(evaluator, "_compile_block", counting)
     for task_id in tasks.task_ids():
