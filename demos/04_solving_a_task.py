@@ -50,7 +50,7 @@ print("detector verdict:", success_detector("berry1", trace[-1], trace, sol.acti
 # The scripted oracle carries the ground-truth version of the same task,
 # clearing the can explicitly.
 oracle = ScriptedOracle("manual")
-req = OracleRequest(kind="partial_plan", task_id="berry2", goal_text=spec.goal_text,
+req = OracleRequest(task_id="berry2", goal_text=spec.goal_text,
                     action_listing=format_action_listing(problem))
 manual_pp = oracle.propose_partial_plan(req)
 print("\nground-truth partial plan:")

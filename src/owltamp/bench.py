@@ -194,8 +194,8 @@ def run_cell(task_id: str, seed: int, mode: str, budgets: Budgets,
                       (*spec.objects, tasks.TABLE))
     listings = _Listings(domain, world0, front)
 
-    def request(kind: str, **fields) -> OracleRequest:
-        return OracleRequest(kind, task_id, spec.goal_text, front.action_listing,
+    def request(**fields) -> OracleRequest:
+        return OracleRequest(task_id, spec.goal_text, front.action_listing,
                              lambda: listings.literals, lambda: listings.state, **fields)
 
     def fail_record(reason: str) -> RunRecord:
@@ -209,18 +209,18 @@ def run_cell(task_id: str, seed: int, mode: str, budgets: Budgets,
     step_cons: dict[int, tuple] = {}
     try:
         if config.use_partial_plan:
-            pp = oracle.propose_partial_plan(request("partial_plan"))
+            pp = oracle.propose_partial_plan(request())
         if config.direct_goal:
-            specs_ = oracle.translate_goal_direct(request("goal_literals"))
+            specs_ = oracle.translate_goal_direct(request())
             pp = PartialPlan((), _direct_goal_literals(domain, specs_))
         if config.use_constraints:
-            goal_fns = tuple(oracle.propose_goal_constraints(request("goal_constraints")))
+            goal_fns = tuple(oracle.propose_goal_constraints(request()))
             for i, step in enumerate(pp.steps, start=1):
                 schema = domain.schemas.get(step.action.lower())
                 if schema is None or schema.description_param is None:
                     continue  # steps without language-dependent constraints are skipped
                 fns = oracle.propose_action_constraints(request(
-                    "action_constraints", step_index=i, step=step,
+                    step_index=i, step=step,
                     prior_goal_sources=tuple(f.source_text for f in goal_fns)))
                 step_cons[i] = tuple(fns)
             _check_scene_objects(world0, goal_fns, *step_cons.values())

@@ -1,10 +1,12 @@
-"""Constraint providers: scripted fixtures and an external text-completion client.
+"""Constraint providers: one reply path over three sources of reply text.
 
-Both backends speak the same interface; the solver only ever sees parsed
-replies, so a recorded external transcript replayed through the parser is
-indistinguishable from the scripted backend loaded with the same content.
-Generated constraint code is parsed into the closed expression language,
-never executed by the host interpreter.
+Every oracle answers a request with text, and `parse_reply` turns that text
+into a partial plan, constraint programs or goal literals.  The text comes
+from the scripted fixtures rendered as a live reply (`fixture_reply`), from
+a chat-completion service (`ExternalOracle`) or from a saved transcript
+(`ReplayOracle`), so a transcript of the scripted backend replays its
+answers exactly.  Generated constraint code is parsed into the closed
+expression language, never executed by the host interpreter.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import time
 from dataclasses import dataclass
 from importlib import resources
 
-from .fixtures import VARIANTS, DIRECT_GOALS, Fixture
+from .fixtures import VARIANTS, DIRECT_GOALS
 from .lang import ConstraintFn, LangError, parse_constraint_block
 from .partial_plan import PartialPlan, PartialPlanError, PlanStep, parse_partial_plan_text
 
@@ -61,7 +63,6 @@ class _Deferred:
 
 @dataclass(frozen=True)
 class OracleRequest:
-    kind: str  # partial_plan | goal_constraints | action_constraints | goal_literals
     task_id: str
     goal_text: str
     action_listing: str = ""
@@ -137,16 +138,48 @@ def parse_goal_literals(raw: str) -> tuple[tuple[str, tuple[str, ...]], ...]:
     return tuple(out)
 
 
+def parse_reply(kind: str, raw: str, action_listing: str = ""):
+    """The answer a reply of this kind gives: a `PartialPlan`, goal literal
+    specs, or a tuple of programs for either kind of constraint request."""
+    if kind == "partial_plan":
+        return parse_plan_response(raw, action_listing)
+    if kind == "goal_literals":
+        return parse_goal_literals(raw)
+    return tuple(parse_constraint_response(raw))
+
+
+# Fixture replies are constant and a finite set, and every answer is frozen,
+# so each is parsed once per process.  Replies from a live or replayed
+# oracle are untrusted and are parsed on every call instead.
+_parse_fixture_reply = functools.lru_cache(maxsize=None)(parse_reply)
+
+
 @functools.lru_cache(maxsize=None)
-def _parse_fixture_constraints(text: str) -> tuple[ConstraintFn, ...]:
-    """Fixture constraint text parsed once per process: fixtures are constant
-    and a finite set, and `ConstraintFn` is frozen.  Replies from a live or
-    replayed oracle are untrusted and are parsed on every call instead."""
-    return tuple(parse_constraint_response(text))
+def fixture_reply(variant: str, task_id: str, kind: str, step_index: int = 0) -> str:
+    """The fixture's answer as a live reply gives it: a `Plan:` block of
+    `operator(args); description` lines, fenced programs or goal literals."""
+    if kind == "goal_literals":
+        if task_id not in DIRECT_GOALS:
+            raise OracleError(f"no direct-goal fixture for task {task_id!r}")
+        return "".join(f"{pred}({', '.join(args)})\n" for pred, args in DIRECT_GOALS[task_id])
+    fx = VARIANTS[variant].get(task_id)
+    if fx is None:
+        raise OracleError(f"no {variant} fixture for task {task_id!r}")
+    if kind == "partial_plan":
+        if fx.raw_plan_override is not None:
+            return fx.raw_plan_override
+        return "Plan:\n" + "".join(f"{a}({', '.join(o)}); {d}\n" for a, o, d in fx.steps)
+    sources = (fx.goal_constraints if kind == "goal_constraints"
+               else fx.step_constraints.get(step_index, ()))
+    return "".join(f"```python\n{source}```\n" for source in sources)
 
 
 class ScriptedOracle:
-    """Fixture-backed oracle; deterministic and instantaneous."""
+    """The fixture-backed oracle, deterministic and instantaneous, and the
+    reply path every oracle shares: each request counts one call, and its
+    reply text (`_reply`) goes through `parse_reply`."""
+
+    _parse = staticmethod(_parse_fixture_reply)
 
     def __init__(self, variant: str = "manual"):
         if variant not in VARIANTS:
@@ -155,37 +188,26 @@ class ScriptedOracle:
         self.calls = 0
         self.time_spent = 0.0
 
-    def _fixture(self, task_id: str) -> Fixture:
-        table = VARIANTS[self.variant]
-        if task_id not in table:
-            raise OracleError(f"no {self.variant} fixture for task {task_id!r}")
-        return table[task_id]
+    def _reply(self, kind: str, req: OracleRequest) -> str:
+        return fixture_reply(self.variant, req.task_id, kind, req.step_index)
+
+    def _answer(self, kind: str, req: OracleRequest):
+        self.calls += 1
+        # Only a plan reads the listing, so a program's memo key is its text.
+        listing = req.action_listing if kind == "partial_plan" else ""
+        return self._parse(kind, self._reply(kind, req), listing)
 
     def propose_partial_plan(self, req: OracleRequest) -> PartialPlan:
-        self.calls += 1
-        fx = self._fixture(req.task_id)
-        if fx.raw_plan_override is not None:
-            return parse_plan_response(fx.raw_plan_override, req.action_listing)
-        steps = tuple(PlanStep(a, o, d) for a, o, d in fx.steps)
-        validate_steps(steps, req.action_listing)
-        return PartialPlan(steps)
+        return self._answer("partial_plan", req)
 
     def propose_goal_constraints(self, req: OracleRequest) -> list[ConstraintFn]:
-        self.calls += 1
-        fx = self._fixture(req.task_id)
-        return list(_parse_fixture_constraints("\n".join(fx.goal_constraints)))
+        return list(self._answer("goal_constraints", req))
 
     def propose_action_constraints(self, req: OracleRequest) -> list[ConstraintFn]:
-        self.calls += 1
-        fx = self._fixture(req.task_id)
-        sources = fx.step_constraints.get(req.step_index, ())
-        return list(_parse_fixture_constraints("\n".join(sources)))
+        return list(self._answer("action_constraints", req))
 
     def translate_goal_direct(self, req: OracleRequest) -> tuple[tuple[str, tuple[str, ...]], ...]:
-        self.calls += 1
-        if req.task_id not in DIRECT_GOALS:
-            raise OracleError(f"no direct-goal fixture for task {req.task_id!r}")
-        return DIRECT_GOALS[req.task_id]
+        return self._answer("goal_literals", req)
 
 
 def _load_prompt(name: str) -> str:
@@ -212,7 +234,17 @@ def render_action_constraint_prompt(req: OracleRequest) -> str:
         goal_constraints="\n".join(req.prior_goal_sources))
 
 
-class ExternalOracle:
+_PROMPTS = {
+    "partial_plan": render_discrete_prompt,
+    "goal_constraints": render_goal_constraint_prompt,
+    "action_constraints": render_action_constraint_prompt,
+    "goal_literals": lambda req: (
+        "Which of these reachable literals must hold to satisfy the goal "
+        f"{req.goal_text!r}?  Answer one literal per line.\n{req.literal_listing}"),
+}
+
+
+class ExternalOracle(ScriptedOracle):
     """Chat-completion client over JSON/HTTP with transcript persistence.
 
     Configuration comes from OWLTAMP_ORACLE_URL / _KEY / _MODEL environment
@@ -221,6 +253,7 @@ class ExternalOracle:
     """
 
     MAX_ATTEMPTS = 3
+    _parse = staticmethod(parse_reply)
 
     def __init__(self, url: str | None = None, api_key: str | None = None,
                  model: str | None = None, transcript_path: str | None = None,
@@ -239,36 +272,30 @@ class ExternalOracle:
         resp = requests.post(url, headers=headers, json=payload, timeout=120)
         if resp.status_code != 200:
             raise OracleServiceError(f"status {resp.status_code}: {resp.text[:300]}")
-        data = resp.json()
-        return data["choices"][0]["message"]["content"]
+        return resp.json()["choices"][0]["message"]["content"]
 
     def _complete(self, prompt: str, kind: str) -> str:
         if not self.url:
-            raise OracleServiceError("no oracle endpoint configured "
-                                     "(set OWLTAMP_ORACLE_URL)")
+            raise OracleServiceError("no oracle endpoint configured (set OWLTAMP_ORACLE_URL)")
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         payload = {"model": self.model,
                    "messages": [{"role": "user", "content": prompt}]}
         start = time.perf_counter()
-        last_err: Exception | None = None
-        raw = None
+        raw = last_err = None
         for attempt in range(self.MAX_ATTEMPTS):
             try:
                 reply = self._post(self.url, headers, payload)
                 if not isinstance(reply, str):
-                    raise OracleServiceError(
-                        f"reply is {type(reply).__name__}, not text")
+                    raise OracleServiceError(f"reply is {type(reply).__name__}, not text")
                 raw = reply
                 break
             except Exception as e:  # noqa: BLE001 - network layer is opaque
                 last_err = e
                 if attempt + 1 < self.MAX_ATTEMPTS:
                     time.sleep(self._backoff * (2 ** attempt))
-        elapsed = time.perf_counter() - start
-        self.calls += 1
-        self.time_spent += elapsed
+        self.time_spent += time.perf_counter() - start
         if raw is None:
             self._record(kind, prompt, "", error=str(last_err))
             raise OracleServiceError(f"service failed after "
@@ -284,24 +311,8 @@ class ExternalOracle:
         with open(self.transcript_path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
 
-    def propose_partial_plan(self, req: OracleRequest) -> PartialPlan:
-        raw = self._complete(render_discrete_prompt(req), "partial_plan")
-        return parse_plan_response(raw, req.action_listing)
-
-    def propose_goal_constraints(self, req: OracleRequest) -> list[ConstraintFn]:
-        raw = self._complete(render_goal_constraint_prompt(req), "goal_constraints")
-        return parse_constraint_response(raw)
-
-    def propose_action_constraints(self, req: OracleRequest) -> list[ConstraintFn]:
-        raw = self._complete(render_action_constraint_prompt(req), "action_constraints")
-        return parse_constraint_response(raw)
-
-    def translate_goal_direct(self, req: OracleRequest):
-        raw = self._complete(
-            "Which of these reachable literals must hold to satisfy the goal "
-            f"{req.goal_text!r}?  Answer one literal per line.\n{req.literal_listing}",
-            "goal_literals")
-        return parse_goal_literals(raw)
+    def _reply(self, kind: str, req: OracleRequest) -> str:
+        return self._complete(_PROMPTS[kind](req), kind)
 
 
 def _transcript_entry(line: str, lineno: int) -> dict:
@@ -319,8 +330,10 @@ def _transcript_entry(line: str, lineno: int) -> dict:
     return entry
 
 
-class ReplayOracle:
+class ReplayOracle(ScriptedOracle):
     """Replays a persisted transcript through the same parsers."""
+
+    _parse = staticmethod(parse_reply)
 
     def __init__(self, transcript_path: str):
         self._entries: list[dict] = []
@@ -332,7 +345,8 @@ class ReplayOracle:
         self.calls = 0
         self.time_spent = 0.0
 
-    def _next(self, kind: str) -> str:
+    def _reply(self, kind: str, req: OracleRequest) -> str:
+        """The response of the transcript's next entry of this kind."""
         while self._cursor < len(self._entries):
             entry = self._entries[self._cursor]
             self._cursor += 1
@@ -341,19 +355,3 @@ class ReplayOracle:
                     raise OracleServiceError(entry["error"])
                 return entry["response"]
         raise OracleError(f"transcript exhausted looking for {kind!r}")
-
-    def propose_partial_plan(self, req: OracleRequest) -> PartialPlan:
-        self.calls += 1
-        return parse_plan_response(self._next("partial_plan"), req.action_listing)
-
-    def propose_goal_constraints(self, req: OracleRequest) -> list[ConstraintFn]:
-        self.calls += 1
-        return parse_constraint_response(self._next("goal_constraints"))
-
-    def propose_action_constraints(self, req: OracleRequest) -> list[ConstraintFn]:
-        self.calls += 1
-        return parse_constraint_response(self._next("action_constraints"))
-
-    def translate_goal_direct(self, req: OracleRequest):
-        self.calls += 1
-        return parse_goal_literals(self._next("goal_literals"))

@@ -40,7 +40,6 @@ import functools
 import itertools
 import math
 import zlib
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -443,7 +442,7 @@ def reference_front_end(task_id, seed, mode, oracle=None):
     config = bench.MODE_TABLE[mode]
     oracle = oracle or ScriptedOracle(config.variant)
     spec, world, domain, problem = build(task_id, seed)
-    req = OracleRequest(kind="", task_id=task_id, goal_text=spec.goal_text,
+    req = OracleRequest(task_id=task_id, goal_text=spec.goal_text,
                         action_listing=format_action_listing(problem),
                         literal_listing=format_literal_listing(problem),
                         scene_summary=format_state_listing(problem.s0))
@@ -452,9 +451,9 @@ def reference_front_end(task_id, seed, mode, oracle=None):
     pp = PartialPlan(())
     try:
         if config.use_partial_plan:
-            pp = oracle.propose_partial_plan(replace(req, kind="partial_plan"))
+            pp = oracle.propose_partial_plan(req)
         if config.direct_goal:
-            specs = oracle.translate_goal_direct(replace(req, kind="goal_literals"))
+            specs = oracle.translate_goal_direct(req)
             pp = PartialPlan((), bench._direct_goal_literals(domain, specs))
         t = transform(problem, pp)
     except (OracleError, PartialPlanError) as e:
@@ -792,20 +791,12 @@ UNREACHED = {
     "oracle.py:ExternalOracle._complete": _EXTERNAL,
     "oracle.py:ExternalOracle._default_post": _EXTERNAL,
     "oracle.py:ExternalOracle._record": _EXTERNAL,
-    "oracle.py:ExternalOracle.propose_action_constraints": _EXTERNAL,
-    "oracle.py:ExternalOracle.propose_goal_constraints": _EXTERNAL,
-    "oracle.py:ExternalOracle.propose_partial_plan": _EXTERNAL,
-    "oracle.py:ExternalOracle.translate_goal_direct": _EXTERNAL,
+    "oracle.py:ExternalOracle._reply": _EXTERNAL,
     "oracle.py:OracleParseError.__init__": _ERROR,
     "oracle.py:ReplayOracle.__init__": _EXTERNAL,
-    "oracle.py:ReplayOracle._next": _EXTERNAL,
-    "oracle.py:ReplayOracle.propose_action_constraints": _EXTERNAL,
-    "oracle.py:ReplayOracle.propose_goal_constraints": _EXTERNAL,
-    "oracle.py:ReplayOracle.propose_partial_plan": _EXTERNAL,
-    "oracle.py:ReplayOracle.translate_goal_direct": _EXTERNAL,
+    "oracle.py:ReplayOracle._reply": _EXTERNAL,
     "oracle.py:_load_prompt": _EXTERNAL,
     "oracle.py:_transcript_entry": _EXTERNAL,
-    "oracle.py:parse_goal_literals": _EXTERNAL,
     "oracle.py:render_action_constraint_prompt": _EXTERNAL,
     "oracle.py:render_discrete_prompt": _EXTERNAL,
     "oracle.py:render_goal_constraint_prompt": _EXTERNAL,

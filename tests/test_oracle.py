@@ -1,24 +1,29 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from owltamp import bench
 from owltamp import oracle as oracle_module
-from owltamp.fixtures import VARIANTS
-from owltamp.partial_plan import PlanStep
+from owltamp.fixtures import DIRECT_GOALS, VARIANTS
+from owltamp.grounding import format_action_listing
+from owltamp.partial_plan import PartialPlan, PlanStep
 from owltamp.oracle import (
     ExternalOracle, OracleError, OracleParseError, OracleRequest, OracleServiceError,
     ReplayOracle, ScriptedOracle, UnknownOperatorError, parse_constraint_response,
     parse_goal_literals, parse_plan_response, render_discrete_prompt,
     render_goal_constraint_prompt, validate_steps,
 )
+from owltamp.solver import Budgets
 from owltamp.tasks import task_ids
 
+from reference import build
 
-def req(kind, task="mug1", listing=""):
-    return OracleRequest(kind=kind, task_id=task, goal_text="goal",
-                         action_listing=listing)
+
+def req(task="mug1", listing=""):
+    return OracleRequest(task_id=task, goal_text="goal", action_listing=listing)
 
 
 MUG1_LISTING = "\n".join([
@@ -31,7 +36,7 @@ MUG1_LISTING = "\n".join([
 def test_scripted_partial_plan_matches_fixture():
     # the four-step shape: pick, upright placement, pick, insertion
     oracle = ScriptedOracle("manual")
-    pp = oracle.propose_partial_plan(req("partial_plan", listing=MUG1_LISTING))
+    pp = oracle.propose_partial_plan(req(listing=MUG1_LISTING))
     assert [s.action for s in pp.steps] == [
         "pick", "place_ontop", "pick", "place_inside"]
     assert all(s.description for s in pp.steps)
@@ -42,18 +47,17 @@ def test_every_fixture_parses_and_type_checks():
         oracle = ScriptedOracle(variant)
         for task in task_ids():
             fx = table[task]
-            fns = oracle.propose_goal_constraints(req("goal_constraints", task))
+            fns = oracle.propose_goal_constraints(req(task))
             assert all(f.result is not None for f in fns)
             for i in range(1, len(fx.steps) + 1):
                 oracle.propose_action_constraints(
-                    OracleRequest(kind="action_constraints", task_id=task,
-                                  goal_text="", step_index=i))
+                    OracleRequest(task_id=task, goal_text="", step_index=i))
 
 
 def test_scripted_unknown_operator_rejected():
     oracle = ScriptedOracle("manual")
     with pytest.raises(UnknownOperatorError):
-        oracle.propose_partial_plan(req("partial_plan", listing="pick(mug)"))
+        oracle.propose_partial_plan(req(listing="pick(mug)"))
 
 
 def test_every_step_is_checked_when_the_signature_set_is_cached():
@@ -81,7 +85,7 @@ def test_an_empty_listing_accepts_any_step_on_every_call():
 
 def test_direct_goal_translation():
     oracle = ScriptedOracle("manual")
-    specs = oracle.translate_goal_direct(req("goal_literals", "berrycook"))
+    specs = oracle.translate_goal_direct(req("berrycook"))
     assert specs == (("Supporting", ("strawberry", "bowl")),)
 
 
@@ -157,8 +161,8 @@ def test_external_oracle_round_trip(tmp_path):
     oracle = ExternalOracle(url="http://oracle.test/v1", api_key="k",
                             model="test-model", transcript_path=str(transcript),
                             post_fn=transport, backoff=0.0)
-    pp = oracle.propose_partial_plan(req("partial_plan", listing=MUG1_LISTING))
-    fns = oracle.propose_goal_constraints(req("goal_constraints"))
+    pp = oracle.propose_partial_plan(req(listing=MUG1_LISTING))
+    fns = oracle.propose_goal_constraints(req())
     assert len(pp.steps) == 2 and len(fns) == 1
     assert transport.payloads[0]["model"] == "test-model"
     lines = [json.loads(l) for l in transcript.read_text().splitlines()]
@@ -170,7 +174,7 @@ def test_external_oracle_retries_then_succeeds(tmp_path):
     transport = FakeTransport([PLAN_REPLY], failures=2)
     oracle = ExternalOracle(url="http://oracle.test/v1", post_fn=transport,
                             backoff=0.0)
-    pp = oracle.propose_partial_plan(req("partial_plan", listing=MUG1_LISTING))
+    pp = oracle.propose_partial_plan(req(listing=MUG1_LISTING))
     assert transport.calls == 3 and len(pp.steps) == 2
 
 
@@ -180,7 +184,8 @@ def test_external_oracle_gives_up_after_attempts(tmp_path):
                             backoff=0.0,
                             transcript_path=str(tmp_path / "t.jsonl"))
     with pytest.raises(OracleServiceError, match="3 attempts"):
-        oracle.propose_partial_plan(req("partial_plan"))
+        oracle.propose_partial_plan(req())
+    assert transport.calls == 3 and oracle.calls == 1
     entry = json.loads((tmp_path / "t.jsonl").read_text().splitlines()[0])
     assert entry["error"]
 
@@ -188,11 +193,12 @@ def test_external_oracle_gives_up_after_attempts(tmp_path):
 def test_external_oracle_requires_endpoint():
     oracle = ExternalOracle(url="", post_fn=lambda *a: "")
     with pytest.raises(OracleServiceError, match="endpoint"):
-        oracle.propose_partial_plan(req("partial_plan"))
+        oracle.propose_partial_plan(req())
+    assert oracle.calls == 1
 
 
 def test_prompt_templates_render_with_placeholders():
-    r = OracleRequest(kind="partial_plan", task_id="mug1",
+    r = OracleRequest(task_id="mug1",
                       goal_text="set up the mug",
                       action_listing="pick(mug)", literal_listing="HandEmpty()",
                       scene_summary="AtConf((0.2, 0, 0.3))")
@@ -211,12 +217,12 @@ def test_replay_matches_scripted_payloads(tmp_path):
     transport = FakeTransport([PLAN_REPLY, CONSTRAINT_REPLY])
     live = ExternalOracle(url="http://oracle.test/v1", post_fn=transport,
                           transcript_path=str(transcript), backoff=0.0)
-    live_pp = live.propose_partial_plan(req("partial_plan", listing=MUG1_LISTING))
-    live_fns = live.propose_goal_constraints(req("goal_constraints"))
+    live_pp = live.propose_partial_plan(req(listing=MUG1_LISTING))
+    live_fns = live.propose_goal_constraints(req())
 
     replay = ReplayOracle(str(transcript))
-    replay_pp = replay.propose_partial_plan(req("partial_plan", listing=MUG1_LISTING))
-    replay_fns = replay.propose_goal_constraints(req("goal_constraints"))
+    replay_pp = replay.propose_partial_plan(req(listing=MUG1_LISTING))
+    replay_fns = replay.propose_goal_constraints(req())
     assert replay_pp == live_pp
     assert [(f.name, f.assigns, f.result) for f in replay_fns] == \
         [(f.name, f.assigns, f.result) for f in live_fns]
@@ -226,9 +232,9 @@ def test_external_oracle_malformed_reply_raises_parse_error():
     transport = FakeTransport([PLAN_REPLY, "Plan:\nnothing useful here\n"])
     oracle = ExternalOracle(url="http://oracle.test/v1", post_fn=transport,
                             backoff=0.0)
-    oracle.propose_partial_plan(req("partial_plan", listing=MUG1_LISTING))
+    oracle.propose_partial_plan(req(listing=MUG1_LISTING))
     with pytest.raises(OracleParseError):
-        oracle.propose_partial_plan(req("partial_plan", listing=MUG1_LISTING))
+        oracle.propose_partial_plan(req(listing=MUG1_LISTING))
 
 
 @pytest.mark.parametrize("raw", [
@@ -248,12 +254,12 @@ def test_replay_translates_direct_goals_like_the_external_path(tmp_path):
     live = ExternalOracle(url="http://oracle.test/v1",
                           post_fn=FakeTransport([GOAL_LITERALS_REPLY]),
                           transcript_path=str(transcript), backoff=0.0)
-    live_specs = live.translate_goal_direct(req("goal_literals", "berrycook"))
+    live_specs = live.translate_goal_direct(req("berrycook"))
     assert live_specs == parse_goal_literals(GOAL_LITERALS_REPLY) == (
         ("Supporting", ("strawberry", "bowl")), ("HandEmpty", ()))
 
     replay = ReplayOracle(str(transcript))
-    assert replay.translate_goal_direct(req("goal_literals", "berrycook")) == live_specs
+    assert replay.translate_goal_direct(req("berrycook")) == live_specs
     assert replay.calls == 1
 
 
@@ -278,7 +284,7 @@ def test_non_text_replies_are_failed_attempts(tmp_path):
                             post_fn=lambda *a: calls.append(a) or 5,
                             transcript_path=str(tmp_path / "t.jsonl"))
     with pytest.raises(OracleServiceError, match="3 attempts.*int, not text"):
-        oracle.propose_partial_plan(req("partial_plan"))
+        oracle.propose_partial_plan(req())
     assert len(calls) == ExternalOracle.MAX_ATTEMPTS
 
 
@@ -318,11 +324,11 @@ def test_fixture_constraints_parse_once_and_replies_every_time(tmp_path, monkeyp
     real = oracle_module.parse_constraint_block
     monkeypatch.setattr(oracle_module, "parse_constraint_block",
                         lambda text: parses.append(text) or real(text))
-    oracle_module._parse_fixture_constraints.cache_clear()
+    oracle_module._parse_fixture_reply.cache_clear()
     scripted = ScriptedOracle("manual")
-    first = scripted.propose_goal_constraints(req("goal_constraints"))
+    first = scripted.propose_goal_constraints(req())
     first.clear()  # each call hands out its own list
-    second = scripted.propose_goal_constraints(req("goal_constraints"))
+    second = scripted.propose_goal_constraints(req())
     assert second and len(parses) == 1
     assert second == parse_constraint_response(
         "\n".join(VARIANTS["manual"]["mug1"].goal_constraints))
@@ -334,6 +340,77 @@ def test_fixture_constraints_parse_once_and_replies_every_time(tmp_path, monkeyp
                                  "response": CONSTRAINT_REPLY}) + "\n")
     replay = ReplayOracle(str(transcript))
     parses.clear()
-    replay.propose_goal_constraints(req("goal_constraints"))
-    replay.propose_goal_constraints(req("goal_constraints"))
+    replay.propose_goal_constraints(req())
+    replay.propose_goal_constraints(req())
     assert len(parses) == 2
+
+
+# --- fixtures served as reply text ------------------------------------------------------
+
+@pytest.mark.parametrize("task", task_ids())
+def test_fixture_replies_parse_back_to_the_fixtures(task):
+    """Every scripted answer, rendered as reply text and parsed, is the
+    fixture's own data, under the task's real action listing."""
+    listing = format_action_listing(build(task)[3])
+    for variant, table in VARIANTS.items():
+        oracle, fx = ScriptedOracle(variant), table[task]
+        request = OracleRequest(task, "goal", listing)
+        if fx.raw_plan_override is None:
+            # The text path refuses a plan without steps.
+            assert fx.steps
+            assert oracle.propose_partial_plan(request) == PartialPlan(
+                tuple(PlanStep(a, o, d) for a, o, d in fx.steps))
+        else:
+            named = re.escape("'pour(tomato_soup_can, red_container)'")
+            with pytest.raises(UnknownOperatorError, match=named):
+                oracle.propose_partial_plan(request)
+        answers = [(fx.goal_constraints, oracle.propose_goal_constraints(request))]
+        for i in sorted({*range(1, len(fx.steps) + 1), *fx.step_constraints}):
+            answers.append((fx.step_constraints.get(i, ()), oracle.propose_action_constraints(
+                OracleRequest(task, "goal", listing, step_index=i))))
+        for sources, fns in answers:
+            # `ConstraintFn.__eq__` skips `source_text`, so compare it alone;
+            # the last program of a reply keeps no trailing newline.
+            assert [f.source_text.rstrip("\n") for f in fns] == \
+                [source.rstrip("\n") for source in sources]
+            assert fns == parse_constraint_response("\n".join(sources))
+        assert oracle.translate_goal_direct(request) == DIRECT_GOALS[task]
+
+
+def test_each_request_counts_one_call_when_no_reply_comes(tmp_path):
+    scripted = ScriptedOracle("manual")
+    with pytest.raises(OracleError, match="no manual fixture"):
+        scripted.propose_partial_plan(req("no_such_task"))
+    transcript = tmp_path / "t.jsonl"
+    transcript.write_text(json.dumps({"kind": "partial_plan", "response": PLAN_REPLY}) + "\n")
+    replay = ReplayOracle(str(transcript))
+    with pytest.raises(OracleError, match="exhausted"):
+        replay.propose_goal_constraints(req())
+    assert scripted.calls == replay.calls == 1
+
+
+class TapingOracle(ScriptedOracle):
+    """The scripted oracle, writing each reply it serves to a transcript."""
+
+    def __init__(self, variant, transcript_path):
+        super().__init__(variant)
+        self.recorder = ExternalOracle(transcript_path=transcript_path)
+
+    def _reply(self, kind, req):
+        raw = super()._reply(kind, req)
+        self.recorder._record(kind, "", raw)
+        return raw
+
+
+@pytest.mark.parametrize("mode", list(bench.MODE_TABLE))
+def test_a_scripted_grid_replays_exactly_cell_by_cell(mode, tmp_path):
+    """A transcript of the scripted backend's replies, replayed through
+    `ReplayOracle`, gives each cell's record byte for byte, with its
+    reason and oracle call count."""
+    config = bench.MODE_TABLE[mode]
+    for task in task_ids():
+        transcript = str(tmp_path / f"{task}.jsonl")
+        scripted = bench.run_cell(task, 0, mode, Budgets(500, 5),
+                                  TapingOracle(config.variant, transcript))
+        replayed = bench.run_cell(task, 0, mode, Budgets(500, 5), ReplayOracle(transcript))
+        assert replayed.stable_json() == scripted.stable_json(), (mode, task)

@@ -4,8 +4,6 @@ grows a `LiteralIndex` and sorts what it reaches.  A plan must be as long as
 the shortest one breadth-first search finds, or both must find none, so a
 heuristic that overestimates fails even where A* still finds a plan."""
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,14 +44,14 @@ def transformed_problem(mode, task_id, seed):
     config = bench.MODE_TABLE[mode]
     spec, world, domain, problem = build(task_id, seed)
     oracle = ScriptedOracle(config.variant)
-    req = OracleRequest(kind="", task_id=task_id, goal_text=spec.goal_text,
+    req = OracleRequest(task_id=task_id, goal_text=spec.goal_text,
                         action_listing=format_action_listing(problem))
     pp = PartialPlan(())
     try:
         if config.use_partial_plan:
-            pp = oracle.propose_partial_plan(replace(req, kind="partial_plan"))
+            pp = oracle.propose_partial_plan(req)
         if config.direct_goal:
-            specs = oracle.translate_goal_direct(replace(req, kind="goal_literals"))
+            specs = oracle.translate_goal_direct(req)
             pp = PartialPlan((), bench._direct_goal_literals(domain, specs))
         return world, transform(problem, pp)
     except (OracleError, PartialPlanError):
