@@ -356,7 +356,8 @@ def parse_constraint(source: str) -> ConstraintFn:
 
 
 def parse_constraint_block(source: str) -> list[ConstraintFn]:
-    """Parse a file or oracle reply containing several def blocks."""
+    """Parse a file or oracle reply containing several def blocks; each
+    program's `source_text` ends in one newline, wherever it stands."""
     _check_length(source)
     chunks: list[list[str]] = []
     current: list[str] = []
@@ -369,7 +370,7 @@ def parse_constraint_block(source: str) -> list[ConstraintFn]:
             current.append(raw)
     if current and any(s.strip() for s in current):
         chunks.append(current)
-    return [parse_constraint("\n".join(chunk)) for chunk in chunks]
+    return [parse_constraint("\n".join(chunk).rstrip() + "\n") for chunk in chunks]
 
 
 # --- Type checking ------------------------------------------------------------

@@ -140,7 +140,7 @@ def parse_goal_literals(raw: str) -> tuple[tuple[str, tuple[str, ...]], ...]:
 
 def parse_reply(kind: str, raw: str, action_listing: str = ""):
     """The answer a reply of this kind gives: a `PartialPlan`, goal literal
-    specs, or a tuple of programs for either kind of constraint request."""
+    specs, or, for any other kind, a tuple of programs."""
     if kind == "partial_plan":
         return parse_plan_response(raw, action_listing)
     if kind == "goal_literals":
@@ -193,9 +193,10 @@ class ScriptedOracle:
 
     def _answer(self, kind: str, req: OracleRequest):
         self.calls += 1
-        # Only a plan reads the listing, so a program's memo key is its text.
+        # Only a plan reads the listing, and both program kinds parse alike.
         listing = req.action_listing if kind == "partial_plan" else ""
-        return self._parse(kind, self._reply(kind, req), listing)
+        parse_as = "constraints" if kind.endswith("_constraints") else kind
+        return self._parse(parse_as, self._reply(kind, req), listing)
 
     def propose_partial_plan(self, req: OracleRequest) -> PartialPlan:
         return self._answer("partial_plan", req)

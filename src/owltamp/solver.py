@@ -231,7 +231,8 @@ DRAW_BLOCK = 64
 
 
 class DrawStream:
-    """The doubles of a PCG64 generator, read in blocks.
+    """The doubles of a PCG64 generator, read ahead: an empty stream reads
+    exactly what its first read asks for, a later shortfall whole blocks.
 
     `read(n)` hands out the generator's next n doubles, `peek(n)` shows them
     without consuming them and `skip(n)` consumes them unused.  `close()`
@@ -249,9 +250,11 @@ class DrawStream:
         self._at = 0                    # index of the next unread one
 
     def _next(self, n: int) -> int:
-        """The index of the next unread double, once n are unread: a
-        shortfall is read in one call of whole blocks."""
-        if len(self._doubles) - self._at < n:
+        """The index of the next unread double, once n are unread: an empty
+        stream reads n, and a shortfall is read in one call of whole blocks."""
+        if not len(self._doubles):
+            self._doubles = self._rng.random(n)
+        elif len(self._doubles) - self._at < n:
             unread = self._doubles[self._at:]
             more = -(-(n - len(unread)) // DRAW_BLOCK) * DRAW_BLOCK
             self._doubles, self._at = np.concatenate((unread, self._rng.random(more))), 0
@@ -365,14 +368,16 @@ class RestrictionTable:
 # objects, restrictions, hint, programs and goal programs (those of the goal
 # on the last step only): it looks up the orientation bands, then checks its
 # precondition (None when the world fails it), then builds the step's band
-# tables and returns a `Step`.  Samplers and skills are called by their
-# module-level names so that they can be wrapped.  `refine` judges a step's
-# first `lead` draws one at a time by its `check`, where it has one, and
-# skips the later draws that the skill, the effect or the programs would
-# reject in blocks, by its screen.  Pick's check and screen judge the skill's
-# own rule; place has no check, and its screen judges all three, riders
-# included, but declines on an `avoid_xy` hint, a rider that is a container
-# and a refused band.  `run` executes a skill on sampled or bound parameters.
+# tables and returns a `Step`, a pure function of those, so `solve` prepares
+# the step 0 on the scene world once per solve (`refine`'s `prepared`).
+# Samplers and skills are called by their module-level names so that they
+# can be wrapped.  `refine` judges a step's first `lead` draws one at a time
+# by its `check`, where it has one, and skips the later draws that the
+# skill, the effect or the programs would reject in blocks, by its screen.
+# Pick's check and screen judge the skill's own rule; place has no check,
+# and its screen judges all three, riders included, but declines on an
+# `avoid_xy` hint, a rider that is a container and a refused band.  `run`
+# executes a skill on sampled or bound parameters.
 #
 # Before a screened place step's first draw, with more than one draw left,
 # `refine` asks the step whether it is doomed: whether a program that reads
@@ -690,15 +695,17 @@ def _constraints_pass(fns, w2: W.WorldState) -> bool:
 
 def refine(sk: Skeleton, scene: W.WorldState, goal_fns: tuple[ConstraintFn, ...],
            budgets: Budgets, rng: np.random.Generator,
-           restrictions: RestrictionTable | None = None):
+           restrictions: RestrictionTable | None = None, prepared: dict | None = None):
     """Sample continuous parameters for each action in order.
 
     Returns a Solution with the bound actions or a RefinementFailure naming
     the index that exhausted its samples.  Goal constraint programs are
     checked as part of accepting the final action.  Only the accepted draw's
-    parameters are bound as Values.
+    parameters are bound as Values.  `prepared` memoises step 0's `Step` (or
+    None) for calls with the same scene, goal programs and restrictions.
     """
     restrictions = restrictions or RestrictionTable()
+    prepared = {} if prepared is None else prepared
     if not sk.actions:
         if _constraints_pass(goal_fns, scene):
             return Solution((), 0, 1)
@@ -724,8 +731,14 @@ def refine(sk: Skeleton, scene: W.WorldState, goal_fns: tuple[ConstraintFn, ...]
             left = budgets.samples_per_action
             if not left:
                 return RefinementFailure(i, "sampling-exhausted", samples_used)
-            step = skill.prepare(world, action.name, objs, restrictions, sk.hints[i], fns,
-                                 goal_fns if i == last else ())
+            key = i == 0 and (id(action), id(sk.hints[0]), id(fns), last == 0)
+            if key in prepared:
+                step = prepared[key][-1]
+            else:
+                step = skill.prepare(world, action.name, objs, restrictions, sk.hints[i], fns,
+                                     goal_fns if i == last else ())
+                if key:  # the keyed objects are kept, so that no id is reused
+                    prepared[key] = (action, sk.hints[0], fns, step)
             if step is None:
                 return RefinementFailure(i, "precondition", samples_used + 1)
             lead, blocks = step.lead, None
@@ -984,12 +997,13 @@ def solve(scene: W.WorldState, problem: TransformedProblem, domain,
     failure_reason = "backtrack-budget-exhausted"
     rng = np.random.Generator(np.random.PCG64(_zero_seed()))
     insert_ids = itertools.count(10_000_000)
+    prepared: dict = {}
 
     while queue and tried < budgets.skeleton_attempts:
         sk = queue.pop(0)
         _seed_skeleton(rng, seed, tried)
         tried += 1
-        result = refine(sk, scene, goal_fns, budgets, rng, restrictions)
+        result = refine(sk, scene, goal_fns, budgets, rng, restrictions, prepared)
         if isinstance(result, Solution):
             return Solution(result.actions, samples_total + result.samples_used, tried)
         samples_total += result.samples_used

@@ -154,50 +154,54 @@ def _fixed_world(task_id: str) -> W.WorldState:
     return world
 
 
-def load_task(task_id: str, seed: int) -> tuple[TaskSpec, W.WorldState]:
-    """Deterministic scene for (task, seed); randomized poses are upright with
-    random yaw, rejection-sampled free of collisions (`world.collision`) and
-    clear of avoid regions.  Every seed's world is the task's shared fixed
-    world (`_fixed_world`, on the task's one `Scene`) with the randomized
-    objects placed onto it.  The draws are the generator's doubles read in
-    blocks (`solver.DrawStream`), each decoded as `Generator.uniform` would
-    decode it, so the poses are those of one `uniform` call per value."""
+@functools.lru_cache(maxsize=None)
+def _placements(task_id: str) -> tuple:
+    """Per randomized object of a task, in placing order, built once: name,
+    half extents, kind, band table, rest height, roll, pitch, fixed yaw (None:
+    drawn) and the names to stay off."""
     spec = load_task_spec(task_id)
-    world = _fixed_world(task_id)
-    draws = DrawStream(np.random.default_rng([seed, zlib.crc32(task_id.encode("utf-8"))]))
     margin = 0.08
+    anywhere = ((margin, -0.5 + margin), (1.0 - margin, 0.5 - margin))
+    out = []
     for name in spec.randomized:
-        half, _ = OBJECT_LIBRARY[name]
-        region = spec.random_regions.get(name)
-        if region is None:
-            xlo, xhi = margin, 1.0 - margin
-            ylo, yhi = -0.5 + margin, 0.5 - margin
-        else:
-            (xlo, ylo), (xhi, yhi) = region
+        half, kind = OBJECT_LIBRARY[name]
+        (xlo, ylo), (xhi, yhi) = spec.random_regions.get(name, anywhere)
         roll, pitch, fixed_yaw = spec.initial_rpy.get(name, (0.0, 0.0, None))
         bands = [(xlo, xhi), (ylo, yhi)]
         if fixed_yaw is None:
             bands.append((-np.pi, np.pi))
-        table = _band_table(*bands)
         rest_z = rotated_half_extents(half, roll, pitch, 0.0)[2]  # the same at every yaw
-        placed = False
+        out.append((name, half, kind, _band_table(*bands), rest_z, roll, pitch, fixed_yaw,
+                    spec.avoid_regions.get(name, ())))
+    return tuple(out)
+
+
+def load_task(task_id: str, seed: int) -> tuple[TaskSpec, W.WorldState]:
+    """Deterministic scene for (task, seed); randomized poses are upright with
+    random yaw, rejection-sampled free of collisions (`world.collides`) and
+    clear of avoid regions.  Every seed's world is the task's shared fixed
+    world (`_fixed_world`, on the task's one `Scene`) with the randomized
+    objects placed onto it, built once with every hull filled.  The draws
+    are the generator's doubles read through a `solver.DrawStream`, each
+    decoded as `Generator.uniform` would, one `uniform` call per value."""
+    spec = load_task_spec(task_id)
+    fixed = _fixed_world(task_id)
+    poses, hulls, obstacles = dict(fixed.poses), dict(W._hulls(fixed)), list(W._obstacles(fixed))
+    draws = DrawStream(np.random.default_rng([seed, zlib.crc32(task_id.encode("utf-8"))]))
+    for name, half, kind, table, rest_z, roll, pitch, fixed_yaw, avoided in _placements(task_id):
         for _ in range(500):
             x, y, *drawn_yaw = _read(draws, table)
-            yaw = fixed_yaw if fixed_yaw is not None else drawn_yaw[0]
-            pose = Pose6(x, y, rest_z, roll, pitch, yaw)
+            pose = Pose6(x, y, rest_z, roll, pitch, drawn_yaw[0] if drawn_yaw else fixed_yaw)
             box = W.box_at_pose(pose, half)
-            clear = True
-            for avoided in spec.avoid_regions.get(name, ()):
-                if avoided in world.poses and box.overlaps_xy(W.aabb_of(world, avoided)):
-                    clear = False
-                    break
-            if clear and not W.collision(world, name, pose, box=box):
-                world = W.with_placed(world, name, pose, box)
-                placed = True
+            if (not any(other in hulls and box.overlaps_xy(hulls[other]) for other in avoided)
+                    and not W.collides(obstacles, name, box, kind == "container")):
+                poses[name], hulls[name] = pose, box
+                if kind != "surface":
+                    obstacles.append((name, kind, box))
                 break
-        if not placed:
+        else:
             raise TaskError(f"{spec.id}: could not place {name!r} (seed {seed})")
-    return spec, world
+    return spec, W._placed(fixed, poses, hulls, fixed.held, fixed.robot_conf)
 
 
 # --- Symbolic bridging -----------------------------------------------------------

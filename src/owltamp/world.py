@@ -176,20 +176,14 @@ def _inherit_geometry(child: WorldState, parent: WorldState) -> WorldState:
     return child
 
 
-def _placed(w: WorldState, poses: Mapping[str, Pose6], name: str, box: Aabb,
+def _placed(w: WorldState, poses: Mapping[str, Pose6], hulls: Mapping[str, Aabb],
             held: HeldItem | None, robot_conf) -> WorldState:
-    """A world with `poses`, where `name`'s hull is `box`, that keeps `w`'s
-    hulls and interiors of every object it leaves at the same pose."""
+    """A world with `poses` and the given `hulls`, that keeps `w`'s hulls and
+    interiors of every object it leaves at the same pose."""
     placed = _inherit_geometry(WorldState(w.scene, poses, held, robot_conf), w)
-    placed._geometry[_HULL, name] = box
+    for name, box in hulls.items():
+        placed._geometry[_HULL, name] = box
     return placed
-
-
-def with_placed(w: WorldState, name: str, pose: Pose6, box: Aabb) -> WorldState:
-    """`w` with `name` set down at `pose`, whose hull is `box`; it keeps
-    `w`'s hulls and interiors of every other object, as a skill's world
-    does."""
-    return _placed(w, {**w.poses, name: pose}, name, box, w.held, w.robot_conf)
 
 
 def aabb_of(w: WorldState, name: str) -> Aabb:
@@ -332,8 +326,14 @@ def collision(w: WorldState, name: str, pose: Pose6, exclude: tuple[str, ...] = 
     model = w.scene.model(name)
     if box is None:
         box = box_at_pose(pose, model.half_extents)
-    container = model.kind == "container"
-    for other, kind, other_box in _obstacles(w):
+    return collides(_obstacles(w), name, box, model.kind == "container", exclude)
+
+
+def collides(obstacles, name: str, box: Aabb, container: bool,
+             exclude: tuple[str, ...] = ()) -> bool:
+    """`collision`'s test of the hull `box` of `name`, a container or not,
+    against `obstacles`, (name, kind, hull) rows as `_obstacles` gives them."""
+    for other, kind, other_box in obstacles:
         if other == name or other in exclude or _overlap(box, other_box) <= CONTACT_TOL:
             continue
         if kind == "container" and _inside_open(box, other_box) >= 0:
@@ -573,7 +573,7 @@ def exec_place(w: WorldState, name: str, target: str, drop: Pose6) -> SkillOutco
     poses = {**w.poses, name: pose}
     if w.held.riders:
         _restore_riders(w, w.held, poses)
-    after = _placed(w, poses, name, box, None, drop.position)
+    after = _placed(w, poses, {name: box}, None, drop.position)
     for rider, _, _ in w.held.riders:
         if collision(after, rider, after.pose(rider), exclude=(name,)):
             return _fail(w, "contents-collision")

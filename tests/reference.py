@@ -163,10 +163,11 @@ def contains_position(b, position):
 
 # --- Refinement ----------------------------------------------------------------
 
-def ref_refine(sk, scene, goal_fns, budgets, rng, restrictions=None):
-    """`refine` as it was before screens: each step is prepared, and every
-    sample is drawn by the step's `sample` and run by its skill's `run`,
-    with no lead-in check and no screen."""
+def ref_refine(sk, scene, goal_fns, budgets, rng, restrictions=None, prepared=None):
+    """`refine` as it was before screens and the step 0 memo: each step is
+    prepared, `prepared` is ignored, and every sample is drawn by the step's
+    `sample` and run by its skill's `run`, with no lead-in check and no
+    screen."""
     restrictions = restrictions or RestrictionTable()
     if not sk.actions:
         if _constraints_pass(goal_fns, scene):
@@ -477,8 +478,8 @@ def cell(task_id, seed, mode, **references):
     calls = []
     refine = references.get("refine", solver.refine)
 
-    def recording(sk, scene, goal_fns, budgets, rng, restrictions=None):
-        result = refine(sk, scene, goal_fns, budgets, rng, restrictions)
+    def recording(sk, scene, goal_fns, budgets, rng, restrictions=None, prepared=None):
+        result = refine(sk, scene, goal_fns, budgets, rng, restrictions, prepared)
         calls.append((sk.actions, sk.provenance, result, rng.bit_generator.state))
         return result
 

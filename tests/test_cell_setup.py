@@ -1,10 +1,10 @@
 """A cell's set-up against the per-cell build it replaced.
 
 `tasks.load_task` places each seed's objects onto its task's shared fixed
-world and reads its draws in blocks; `tasks.initial_shape` gives the
-`pose_free` shape of a world's initial state without building the state;
-and `bench.run_cell` builds the real-valued s0 only for an oracle that
-reads the listings printing it.
+world, every hull filled, and reads its draws through a `DrawStream`;
+`tasks.initial_shape` gives the `pose_free` shape of a world's initial
+state without building the state; and `bench.run_cell` builds the
+real-valued s0 only for an oracle that reads the listings printing it.
 """
 
 import pytest
@@ -33,6 +33,10 @@ def test_load_task_gives_the_reference_poses():
             want_spec, want = ref_load_task(task_id, seed)
             assert spec is want_spec
             assert pose_rows(world) == pose_rows(want), (task_id, seed)
+            # Every hull is filled at load, and is the one the pose gives.
+            assert all((W._HULL, name) in world._geometry for name in world.poses)
+            assert [W.aabb_of(world, name) for name in world.poses] == \
+                [W.aabb_of(want, name) for name in want.poses], (task_id, seed)
 
 
 def test_an_object_that_cannot_be_placed_raises_the_reference_error(monkeypatch):

@@ -104,6 +104,29 @@ def test_peek_and_skip_follow_the_generator(seed, segments):
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
+@pytest.mark.parametrize("op", ["read", "peek", "skip"])
+@pytest.mark.parametrize("first", [1, 6, solver.DRAW_BLOCK, solver.DRAW_BLOCK + 1])
+def test_an_empty_stream_reads_exactly_its_first_request(op, first):
+    rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+    draws = DrawStream(rng)
+    want = ref.random(first).tolist()
+    if op == "read":
+        assert draws.read(first) == want
+    elif op == "peek":
+        assert draws.peek(first).tolist() == want
+        draws.skip(first)
+    else:
+        draws.skip(first)
+    # The generator gave exactly those doubles: none is left to rewind.
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert draws.read(7) == ref.random(7).tolist()
+    draws.close()
+    assert rng.bit_generator.state == ref.bit_generator.state
+    # A closed stream is empty again.
+    assert draws.read(first) == ref.random(first).tolist()
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_close_rewinds_after_the_largest_fill():
     # A screen's largest block reads whole blocks past what it skips.
     largest = 6 * solver.LAST_BLOCK
@@ -247,7 +270,8 @@ def test_solve_spawns_the_streams_of_one_spawn_call(monkeypatch, attempts):
     from its generator: the memo of their states is never advanced."""
     seed, states = 3, []
 
-    def failing_refine(sk, scene, goal_fns, budgets, rng, restrictions=None):
+    def failing_refine(sk, scene, goal_fns, budgets, rng, restrictions=None,
+                       prepared=None):
         states.append(rng.bit_generator.state)
         rng.random(8)
         return RefinementFailure(-1, "goal-constraint-unsatisfied", 0)

@@ -12,3 +12,11 @@ def test_every_mode_at_every_seed_fingerprint_is_pinned():
                              Budgets(500, 5))
     assert result.errors == 0
     assert result.fingerprint() == "db2df642b8324513"
+
+
+def test_the_benchmark_no_sample_grid_fingerprint_is_pinned():
+    # The benchmark's `no_sample` grid: scene seeds 0-49, so that every
+    # seed's scene set-up runs (about 0.25 s).
+    result = bench.run_suite(tasks.task_ids(), range(50), ["no_sample"], Budgets(500, 5))
+    assert result.errors == 0
+    assert result.fingerprint() == "363460575225365a"

@@ -17,12 +17,11 @@ from owltamp.geometry import Pose6
 from owltamp.lang import (
     BoundsBox, InfeasibleBoundsError, default_bounds, sample_pose_uniform,
 )
-from owltamp.geometry import box_at_pose
 from owltamp.lang import helpers as H
 from owltamp.lang.evaluator import _Block, _block_call, _Bounds, _guarded
 from owltamp.world import (
     CONTACT_TOL, FLOOR_THICKNESS, MARGIN, ObjectModel, Scene, Settled, WorldState, aabb_of,
-    interior_box, with_placed,
+    interior_box,
 )
 
 N_SCENES = 20
@@ -424,10 +423,10 @@ def _bounds_box(rng, point=None) -> BoundsBox:
 
 def _scalar_worlds(base, rng):
     """ROWS worlds that differ from `base` only in MOVED's pose."""
-    half = base.scene.model(MOVED).half_extents
     poses = [Pose6(*rng.uniform((0.0, -0.5, 0.0, -4.0, -4.0, -4.0), (1.0, 0.5, 0.4, 4.0, 4.0, 4.0)))
              for _ in range(ROWS)]
-    return [with_placed(base, MOVED, pose, box_at_pose(pose, half)) for pose in poses]
+    return [WorldState(base.scene, {**base.poses, MOVED: pose}, base.held, base.robot_conf)
+            for pose in poses]
 
 
 def _column(values):

@@ -162,6 +162,15 @@ def test_multi_function_block_parsing():
     assert [f.name for f in fns] == ["goal_check0", "goal_check1"]
 
 
+def test_a_program_text_ends_in_one_newline_at_any_position():
+    first = "def goal_check0() -> bool:\n    return True\n"
+    second = "def goal_check1() -> bool:\n    return abs(mug.pose.roll) < 0.1\n"
+    for programs in ((first, second), (second, first)):
+        for separator in ("", "\n", "\n  \n\n"):
+            fns = parse_constraint_block(separator.join(programs) + separator)
+            assert [f.source_text for f in fns] == list(programs)
+
+
 def test_pose_field_validation():
     with pytest.raises(ParseError, match="pose field"):
         parse_constraint("return mug.pose.wobble < 1")

@@ -345,6 +345,21 @@ def test_fixture_constraints_parse_once_and_replies_every_time(tmp_path, monkeyp
     assert len(parses) == 2
 
 
+def test_a_program_text_served_for_goal_and_step_is_parsed_once(monkeypatch):
+    # coffee's `mug_ready_for_coffee` is both its goal and its step-1 program.
+    parses = []
+    real = oracle_module.parse_constraint_block
+    monkeypatch.setattr(oracle_module, "parse_constraint_block",
+                        lambda text: parses.append(text) or real(text))
+    oracle_module._parse_fixture_reply.cache_clear()
+    scripted = ScriptedOracle("manual")
+    goal = scripted.propose_goal_constraints(req("coffee"))
+    step = scripted.propose_action_constraints(
+        OracleRequest(task_id="coffee", goal_text="goal", step_index=1))
+    assert goal and len(parses) == 1
+    assert len(goal) == len(step) and all(g is s for g, s in zip(goal, step))
+
+
 # --- fixtures served as reply text ------------------------------------------------------
 
 @pytest.mark.parametrize("task", task_ids())
@@ -369,10 +384,8 @@ def test_fixture_replies_parse_back_to_the_fixtures(task):
             answers.append((fx.step_constraints.get(i, ()), oracle.propose_action_constraints(
                 OracleRequest(task, "goal", listing, step_index=i))))
         for sources, fns in answers:
-            # `ConstraintFn.__eq__` skips `source_text`, so compare it alone;
-            # the last program of a reply keeps no trailing newline.
-            assert [f.source_text.rstrip("\n") for f in fns] == \
-                [source.rstrip("\n") for source in sources]
+            # `ConstraintFn.__eq__` skips `source_text`, so compare it alone.
+            assert [f.source_text for f in fns] == list(sources)
             assert fns == parse_constraint_response("\n".join(sources))
         assert oracle.translate_goal_direct(request) == DIRECT_GOALS[task]
 

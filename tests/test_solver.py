@@ -1,10 +1,11 @@
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from owltamp import solver
+from owltamp import bench, solver
 from owltamp import world as W
 from owltamp.fixtures import DIRECT_GOALS, MANUAL
 from owltamp.geometry import Pose6
@@ -322,6 +323,47 @@ def test_solution_determinism(domain):
     assert sa.samples_used == sb.samples_used
     assert sa.skeletons_tried == sb.skeletons_tried
     assert [x.binding for x in sa.actions] == [y.binding for y in sb.actions]
+
+
+def test_a_solve_prepares_each_step_0_once(monkeypatch):
+    """Every attempt's step 0 runs on the scene world, so a `no_sample`
+    cell, which tries several skeletons, prepares each step 0 it tries (an
+    action, hint and program list, and whether it is the last step) once."""
+    prepared, firsts = [], []
+
+    def counting(skill):
+        def prepare(world, *args):
+            prepared.append(world)
+            return skill.prepare(world, *args)
+        return dataclasses.replace(skill, prepare=prepare)
+
+    shipped = solver.refine
+
+    def recording(sk, scene, *args):
+        # The step 0 objects are kept, so that no id below is reused.
+        firsts.append((scene, sk.actions[0], sk.hints[0], sk.constraints[0],
+                       len(sk.actions) == 1))
+        return shipped(sk, scene, *args)
+
+    monkeypatch.setattr(solver, "SKILLS", {n: counting(s) for n, s in SKILLS.items()})
+    monkeypatch.setattr(solver, "refine", recording)
+    attempts = distinct = 0
+    for task_id in task_ids():
+        for seed in range(3):
+            prepared.clear()
+            firsts.clear()
+            bench.run_cell(task_id, seed, "no_sample", Budgets(500, 5))
+            if not firsts:
+                assert not prepared
+                continue
+            scene = firsts[0][0]
+            assert all(first[0] is scene for first in firsts)
+            on_scene = sum(w is scene for w in prepared)
+            steps = {(id(a), id(h), id(c), last) for _, a, h, c, last in firsts}
+            assert on_scene == len(steps), (task_id, seed)
+            attempts += len(firsts)
+            distinct += len(steps)
+    assert attempts > distinct
 
 
 def test_replay_matches_solver_final_world(domain):
