@@ -13,7 +13,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 from . import detectors, solver, tasks
 from .grounding import (
@@ -25,7 +25,7 @@ from .oracle import OracleError, OracleParseError, OracleRequest, ScriptedOracle
 from .partial_plan import (
     PartialPlan, PartialPlanError, TransformedProblem, transform, verify_subsequence,
 )
-from .solver import Budgets, RestrictionTable, Solution
+from .solver import Budgets, Solution
 
 # Fields that vary run-to-run on the same inputs (timing only).
 VOLATILE_FIELDS = ("wall_time", "oracle_time_fraction")
@@ -116,8 +116,8 @@ def _check_scene_objects(world, *fn_groups) -> None:
 
 @dataclass(frozen=True, eq=False)
 class FrontEnd:
-    """A task shape's problem, grounded over its shape's state (every
-    vector zero), with the literals it adds to that state and its listing."""
+    """A task shape's problem, grounded over its shape (every vector zero),
+    with the literals it adds to that state and its listing."""
 
     problem: GroundedProblem
     effects: frozenset[Literal]
@@ -125,11 +125,10 @@ class FrontEnd:
 
 
 @functools.lru_cache(maxsize=FRONT_END_CACHE_SIZE)
-def front_end(shape: frozenset, schemas: tuple, objects: tuple) -> FrontEnd:
+def front_end(shape: State, schemas: tuple, objects: tuple) -> FrontEnd:
     """The front end of a task shape (`tasks.initial_shape`), kept per process."""
-    s0 = State(frozenset(Literal(pred, args) for pred, args in shape))
-    problem = ground_problem(s0, list(schemas), list(objects))
-    return FrontEnd(problem, problem.literals - s0.true_literals,
+    problem = ground_problem(shape, list(schemas), list(objects))
+    return FrontEnd(problem, problem.literals - shape.true_literals,
                     format_action_listing(problem))
 
 
@@ -139,12 +138,6 @@ def transformed(front: FrontEnd, pp: PartialPlan) -> TransformedProblem:
     process.  Goal literals name objects only (`_direct_goal_literals`), so
     whether they are reachable does not depend on poses either."""
     return transform(front.problem, pp)
-
-
-@functools.lru_cache(maxsize=None)
-def _restrictions(task_id: str) -> RestrictionTable:
-    """The sampler restrictions of a task, built once per process."""
-    return RestrictionTable(list(tasks.load_task_spec(task_id).sampler_restrictions))
 
 
 class _Listings:
@@ -161,8 +154,7 @@ class _Listings:
 
     @functools.cached_property
     def literals(self) -> str:
-        return format_literal_listing(replace(
-            self.front.problem, literals=self.s0.true_literals | self.front.effects, s0=self.s0))
+        return format_literal_listing(self.s0.true_literals | self.front.effects)
 
     @functools.cached_property
     def state(self) -> str:
@@ -173,14 +165,16 @@ def run_cell(task_id: str, seed: int, mode: str, budgets: Budgets,
              oracle=None) -> RunRecord:
     """Execute one benchmark cell and judge it independently.
 
-    Cells share, per process, their task's fixed world and `Scene`
-    (`tasks.load_task`) and sampler restrictions, and their task shape's
-    grounding, action listing, transform and A* plan, keyed on the shape of
-    s0 (`tasks.initial_shape`: s0 with its vectors zeroed), the schemas, the
-    objects and the parsed partial plan (see `grounding` for why poses cannot
-    change a plan).  `solve` gets the shared transformed problem, whose s0 is
-    the shape's; a cell builds its real-valued s0, and the listings that
-    print it, only for an oracle that reads them (`_Listings`)."""
+    Cells share, per process, their task's table (`tasks.task_table`: the
+    fixed world on the task's one `Scene`, the placements and the sampler
+    restrictions), and their task shape's grounding, action listing,
+    transform and A* plan, keyed on the shape of s0 (`tasks.initial_shape`:
+    the pose-free `State`, s0 with its vectors zeroed, which `front_end`
+    grounds), the schemas, the objects and the parsed partial plan (see
+    `grounding` for why poses cannot change a plan).  `solve` gets the
+    shared transformed problem, whose s0 is the shape; a cell builds its
+    real-valued s0, and the listings that print it, only for an oracle that
+    reads them (`_Listings`)."""
     if mode not in MODE_TABLE:
         raise ValueError(f"unknown mode {mode!r}")
     config = MODE_TABLE[mode]
@@ -229,7 +223,7 @@ def run_cell(task_id: str, seed: int, mode: str, budgets: Budgets,
         return fail_record(f"oracle:{type(e).__name__}:{e}")
 
     result = solver.solve(world0, shaped, domain, step_cons, goal_fns,
-                          budgets, seed, _restrictions(task_id))
+                          budgets, seed, tasks.task_table(task_id).restrictions)
     wall = time.perf_counter() - t_start
 
     claimed = isinstance(result, Solution)

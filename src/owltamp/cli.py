@@ -89,7 +89,7 @@ def _cmd_ground_dump(args) -> int:
     print("## actions")
     print(format_action_listing(problem))
     print("## literals")
-    print(format_literal_listing(problem))
+    print(format_literal_listing(problem.literals))
     return 0
 
 

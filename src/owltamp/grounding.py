@@ -14,16 +14,15 @@ its own index are left as they are.  A task has one initial shape, so
 Schemas name no vector and continuous action arguments are placeholders,
 so no match reads a pose's value, and A* pops ties in push order over
 actions sorted by `discrete_signature()`: grounding and search see s0 only
-through its shape: its literals as (predicate, arguments) pairs with
-every vector argument (AtPose and AtConf values) zeroed.  Per process,
-`bench.front_end` keeps a grounding and action listing per shape, schemas
-and objects, `bench.transformed` a transformed problem per grounding and
-partial plan, and `solver.solve` an A* plan per transformed problem and
-object models.
-A benchmark cell takes its shape from its world (`tasks.initial_shape`)
-and hands `solve` the shared transformed problem, whose s0 is the shape's
-state, every vector zero; it builds its real-valued s0 only for the
-listings that print it.
+through its shape, the pose-free `State` whose every vector argument
+(AtPose and AtConf values) is zeroed.  Per process, `bench.front_end`
+keeps a grounding and action listing per shape, schemas and objects,
+`bench.transformed` a transformed problem per grounding and partial plan,
+and `solver.solve` an A* plan per transformed problem and object models.
+A benchmark cell takes its shape from its world (`tasks.initial_shape`),
+grounds over it and hands `solve` the shared transformed problem, whose s0
+is the shape; it builds its real-valued s0 only for the listings that
+print it, which are formatted from literal sets.
 """
 
 from __future__ import annotations
@@ -107,10 +106,10 @@ def format_action_listing(problem: GroundedProblem) -> str:
     return "\n".join([str(a) for a in problem.actions])
 
 
-def _literal_listing(literals) -> str:
-    """Literals in a stable, readable order, one per line: sorted by predicate
-    name and argument strings, each line `str(lit)`.  Every argument is
-    stringified once, for both."""
+def format_literal_listing(literals) -> str:
+    """Literals in a stable, readable order, one per line, as shown to the
+    oracle: sorted by predicate name and argument strings, each line
+    `str(lit)`.  Every argument is stringified once, for both."""
     rows = []
     for lit in literals:
         name, args = lit.predicate.name, tuple([str(a) for a in lit.args])
@@ -120,11 +119,6 @@ def _literal_listing(literals) -> str:
     return "\n".join([line for _, line in rows])
 
 
-def format_literal_listing(problem: GroundedProblem) -> str:
-    """The reachable literals, as shown to the oracle."""
-    return _literal_listing(problem.literals)
-
-
 def format_state_listing(state: State) -> str:
     """The literals true in a state, as shown to the oracle."""
-    return _literal_listing(state.true_literals)
+    return format_literal_listing(state.true_literals)

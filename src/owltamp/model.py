@@ -480,21 +480,10 @@ def applicable(state: State, action: GroundAction) -> bool:
     return all(state.holds(lit) for lit in action.pre)
 
 
-class PreconditionError(ModelError):
-    def __init__(self, action: GroundAction, unmet: list[Literal]):
-        self.action = action
-        self.unmet = unmet
-        super().__init__(f"{action}: unmet preconditions {[str(u) for u in unmet]}")
-
-
 def apply(state: State, action: GroundAction) -> State:
-    """Apply effects to a state, returning a new state; the input is unmodified.
-
-    Raises PreconditionError when a fluent precondition does not hold.
-    """
-    unmet = [lit for lit in action.pre if not state.holds(lit)]
-    if unmet:
-        raise PreconditionError(action, unmet)
+    """Apply effects to a state, returning a new state; the input is
+    unmodified.  The caller checks `applicable` first: preconditions are
+    not read here."""
     result = set(state.true_literals)
     for lit in action.eff:
         if not lit.positive:

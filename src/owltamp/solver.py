@@ -169,20 +169,18 @@ def plan_task(s0: State, actions: tuple[GroundAction, ...],
 
     if satisfied(s0):
         return []
-    start = s0.true_literals
     tie = itertools.count()
-    # Entries are (f, tie, g, literals, path), where path is a nested
-    # (parent path, action) pair and None at the start; ties pop in push
-    # order.
-    frontier = [(h(start), next(tie), 0, start, None)]
-    best_g = {start: 0}
+    # Entries are (f, tie, g, state, path), where path is a nested (parent
+    # path, action) pair and None at the start; ties pop in push order.
+    # `best_g` is keyed by a state's literals.
+    frontier = [(h(s0.true_literals), next(tie), 0, s0, None)]
+    best_g = {s0.true_literals: 0}
     expansions = 0
 
     while frontier:
-        _, _, g, literals, path = heapq.heappop(frontier)
-        if g > best_g.get(literals, math.inf):
+        _, _, g, state, path = heapq.heappop(frontier)
+        if g > best_g.get(state.true_literals, math.inf):
             continue
-        state = State(literals)
         if satisfied(state):
             plan = []
             while path is not None:
@@ -196,11 +194,12 @@ def plan_task(s0: State, actions: tuple[GroundAction, ...],
         for action in ordered:
             if not applicable(state, action):
                 continue
-            nxt = apply(state, action).true_literals
-            if ng >= best_g.get(nxt, math.inf):
+            nxt = apply(state, action)
+            literals = nxt.true_literals
+            if ng >= best_g.get(literals, math.inf):
                 continue
-            best_g[nxt] = ng
-            heapq.heappush(frontier, (ng + h(nxt), next(tie), ng, nxt, (path, action)))
+            best_g[literals] = ng
+            heapq.heappush(frontier, (ng + h(literals), next(tie), ng, nxt, (path, action)))
 
     raise PlanningError("unreachable-goal")
 

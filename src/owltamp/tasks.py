@@ -3,7 +3,10 @@
 Each task file defines the objects, which poses are fixed versus randomized,
 the obstruction setup, sampler orientation restrictions, the success detector
 id, and the optimal skill count.  Scenes are rejection-sampled until no two
-objects collide, and are deterministic in (task, seed).
+objects collide, and are deterministic in (task, seed).  What a task alone
+decides is built once per process, in one table (`task_table`).  A world's
+initial state has a shape (`initial_shape`): the pose-free `State` that the
+benchmark's front end is keyed on and grounds.
 """
 
 from __future__ import annotations
@@ -14,13 +17,14 @@ import zlib
 from collections.abc import Iterator
 from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 
 from . import world as W
 from .geometry import Aabb, Pose6, rotated_half_extents
-from .model import Domain, Predicate, State, Value, load_default_domain
-from .solver import SKILLS, DrawStream, _band_table, _read
+from .model import Domain, Literal, Predicate, State, Value, load_default_domain
+from .solver import SKILLS, DrawStream, RestrictionTable, _band_table, _read
 
 TABLE = "table_surface"
 
@@ -131,38 +135,32 @@ def _build_scene(spec: TaskSpec) -> W.Scene:
     return W.Scene(models, WORKSPACE, TABLE)
 
 
-@functools.lru_cache(maxsize=None)
-def _task_scene(task_id: str) -> W.Scene:
-    """The scene of a task, built once per process and shared by every world
-    `load_task` gives for it, so caches keyed on scene identity hold across
-    cells."""
-    return _build_scene(load_task_spec(task_id))
+class TaskTable(NamedTuple):
+    """What a task alone decides, shared by every cell of the task."""
+
+    fixed: W.WorldState  # the table and fixed poses, every hull filled
+    # Per randomized object, in placing order: name, half extents, kind, band
+    # table, rest height, roll, pitch, fixed yaw (None: drawn), names to stay off.
+    placements: tuple
+    restrictions: RestrictionTable
 
 
 @functools.lru_cache(maxsize=None)
-def _fixed_world(task_id: str) -> W.WorldState:
-    """The world of a task's table and fixed poses, with their hulls filled,
-    built once per process: every seed's world places its randomized objects
-    onto it, and so keeps those hulls."""
+def task_table(task_id: str) -> TaskTable:
+    """A task's table, built on first use and kept per process: every seed's
+    world places its randomized objects onto the one fixed world, on the
+    task's one `Scene`, so it keeps those hulls, and caches keyed on scene
+    identity hold across cells."""
     spec = load_task_spec(task_id)
     poses = {TABLE: TABLE_POSE}
     for name, vals in spec.fixed_poses.items():
         poses[name] = Pose6.from_sequence(vals)
-    world = W.WorldState(_task_scene(task_id), poses)
+    fixed = W.WorldState(_build_scene(spec), poses)
     for name in poses:
-        W.aabb_of(world, name)
-    return world
-
-
-@functools.lru_cache(maxsize=None)
-def _placements(task_id: str) -> tuple:
-    """Per randomized object of a task, in placing order, built once: name,
-    half extents, kind, band table, rest height, roll, pitch, fixed yaw (None:
-    drawn) and the names to stay off."""
-    spec = load_task_spec(task_id)
+        W.aabb_of(fixed, name)
     margin = 0.08
     anywhere = ((margin, -0.5 + margin), (1.0 - margin, 0.5 - margin))
-    out = []
+    placements = []
     for name in spec.randomized:
         half, kind = OBJECT_LIBRARY[name]
         (xlo, ylo), (xhi, yhi) = spec.random_regions.get(name, anywhere)
@@ -171,24 +169,25 @@ def _placements(task_id: str) -> tuple:
         if fixed_yaw is None:
             bands.append((-np.pi, np.pi))
         rest_z = rotated_half_extents(half, roll, pitch, 0.0)[2]  # the same at every yaw
-        out.append((name, half, kind, _band_table(*bands), rest_z, roll, pitch, fixed_yaw,
-                    spec.avoid_regions.get(name, ())))
-    return tuple(out)
+        placements.append((name, half, kind, _band_table(*bands), rest_z, roll, pitch,
+                           fixed_yaw, spec.avoid_regions.get(name, ())))
+    return TaskTable(fixed, tuple(placements),
+                     RestrictionTable(list(spec.sampler_restrictions)))
 
 
 def load_task(task_id: str, seed: int) -> tuple[TaskSpec, W.WorldState]:
     """Deterministic scene for (task, seed); randomized poses are upright with
     random yaw, rejection-sampled free of collisions (`world.collides`) and
-    clear of avoid regions.  Every seed's world is the task's shared fixed
-    world (`_fixed_world`, on the task's one `Scene`) with the randomized
-    objects placed onto it, built once with every hull filled.  The draws
-    are the generator's doubles read through a `solver.DrawStream`, each
-    decoded as `Generator.uniform` would, one `uniform` call per value."""
+    clear of avoid regions.  Every seed's world is its task's fixed world
+    (`task_table`) with the randomized objects placed onto it, built once
+    with every hull filled.  The draws are the generator's doubles read
+    through a `solver.DrawStream`, each decoded as `Generator.uniform`
+    would, one `uniform` call per value."""
     spec = load_task_spec(task_id)
-    fixed = _fixed_world(task_id)
+    fixed, placements, _ = task_table(task_id)
     poses, hulls, obstacles = dict(fixed.poses), dict(W._hulls(fixed)), list(W._obstacles(fixed))
     draws = DrawStream(np.random.default_rng([seed, zlib.crc32(task_id.encode("utf-8"))]))
-    for name, half, kind, table, rest_z, roll, pitch, fixed_yaw, avoided in _placements(task_id):
+    for name, half, kind, table, rest_z, roll, pitch, fixed_yaw, avoided in placements:
         for _ in range(500):
             x, y, *drawn_yaw = _read(draws, table)
             pose = Pose6(x, y, rest_z, roll, pitch, drawn_yaw[0] if drawn_yaw else fixed_yaw)
@@ -232,30 +231,28 @@ def initial_state(domain: Domain, w: W.WorldState) -> State:
 
 
 @functools.lru_cache(maxsize=None)
-def _shape_row(predicate: Predicate, *args: str | int) -> tuple:
-    """The shape row (`initial_shape`) of a literal of `predicate` whose
-    arguments are object names and, given by its length, a vector (a pose or
-    a configuration), which the row holds as zeros.  Kept per process: a
-    catalog has a few rows per object name and per (object, support) pair."""
-    lit = predicate(*[Value.sym(a) if isinstance(a, str) else Value.vec((0.0,) * a)
-                      for a in args])
-    return lit.predicate, lit.args
+def _shape_literal(predicate: Predicate, *args: str | int) -> Literal:
+    """The shape literal (`initial_shape`) of `predicate` whose arguments
+    are object names and, given by its length, a vector (a pose or a
+    configuration), which it holds as zeros.  Kept per process: a catalog
+    has a few per object name and per (object, support) pair."""
+    return predicate(*[Value.sym(a) if isinstance(a, str) else Value.vec((0.0,) * a)
+                       for a in args])
 
 
-def initial_shape(domain: Domain, w: W.WorldState) -> frozenset[tuple]:
-    """The shape of `initial_state(domain, w)`: its literals as (predicate,
-    arguments) pairs with every vector argument (AtPose and AtConf values)
-    zeroed, built without the state.  The rows come from `_shape_row`, so
-    only the supports are computed."""
+def initial_shape(domain: Domain, w: W.WorldState) -> State:
+    """The shape of `initial_state(domain, w)`: that state with every vector
+    argument (AtPose and AtConf values) zeroed, built without it.  The
+    literals come from `_shape_literal`, so only the supports are computed."""
     at_pose, supporting = domain.predicate("AtPose"), domain.predicate("Supporting")
-    rows = [_shape_row(domain.predicate("AtConf"), len(w.robot_conf))]
+    lits = [_shape_literal(domain.predicate("AtConf"), len(w.robot_conf))]
     if w.held is None:
-        rows.append(_shape_row(domain.predicate("HandEmpty")))
+        lits.append(_shape_literal(domain.predicate("HandEmpty")))
     for name, support in _supports(w):
-        rows.append(_shape_row(at_pose, name, POSE_VALUES))
+        lits.append(_shape_literal(at_pose, name, POSE_VALUES))
         if support is not None:
-            rows.append(_shape_row(supporting, name, support))
-    return frozenset(rows)
+            lits.append(_shape_literal(supporting, name, support))
+    return State(frozenset(lits))
 
 
 def default_domain() -> Domain:

@@ -419,12 +419,13 @@ def reachable_literals(s0, actions):
 # --- Front end ---------------------------------------------------------------------
 
 def pose_free(state):
-    """The shape of a state: its literals as (predicate, arguments) pairs
-    with every vector argument (AtPose and AtConf values) zeroed, as
-    `tasks.initial_shape` builds it from a world."""
-    return frozenset((lit.predicate, tuple(Value.vec((0.0,) * len(a.payload))
-                                           if a.kind == "vec" else a for a in lit.args))
-                     for lit in state.true_literals)
+    """The shape of a state: the state with every vector argument (AtPose
+    and AtConf values) zeroed, as `tasks.initial_shape` builds it from a
+    world."""
+    return State(frozenset(Literal(lit.predicate, tuple(Value.vec((0.0,) * len(a.payload))
+                                                        if a.kind == "vec" else a
+                                                        for a in lit.args))
+                           for lit in state.true_literals))
 
 
 def clear_front_end():
@@ -445,7 +446,7 @@ def reference_front_end(task_id, seed, mode, oracle=None):
     spec, world, domain, problem = build(task_id, seed)
     req = OracleRequest(task_id=task_id, goal_text=spec.goal_text,
                         action_listing=format_action_listing(problem),
-                        literal_listing=format_literal_listing(problem),
+                        literal_listing=format_literal_listing(problem.literals),
                         scene_summary=format_state_listing(problem.s0))
     out = {"actions": problem.actions, "literals": problem.literals,
            "listings": (req.action_listing, req.literal_listing, req.scene_summary)}
@@ -785,7 +786,6 @@ UNREACHED = {
     "model.py:GroundAction.__getstate__": _PICKLE,
     "model.py:Literal.__reduce__": _PICKLE,
     "model.py:Literal.__str__": _PROTOCOL,
-    "model.py:PreconditionError.__init__": "A* applies only actions that `applicable` passed",
     "model.py:Predicate.__reduce__": _PICKLE,
     "model.py:Value.__reduce__": _PICKLE,
     "oracle.py:ExternalOracle.__init__": _EXTERNAL,

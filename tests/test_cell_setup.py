@@ -1,10 +1,12 @@
 """A cell's set-up against the per-cell build it replaced.
 
-`tasks.load_task` places each seed's objects onto its task's shared fixed
-world, every hull filled, and reads its draws through a `DrawStream`;
-`tasks.initial_shape` gives the `pose_free` shape of a world's initial
-state without building the state; and `bench.run_cell` builds the
-real-valued s0 only for an oracle that reads the listings printing it.
+`tasks.load_task` places each seed's objects onto the fixed world of its
+task's one table (`tasks.task_table`), every hull filled, and reads its
+draws through a `DrawStream`; `bench.run_cell` hands `solve` that table's
+`RestrictionTable`; `tasks.initial_shape` gives the `pose_free` `State` of
+a world's initial state without building the state; and `bench.run_cell`
+builds the real-valued s0 only for an oracle that reads the listings
+printing it.
 """
 
 import pytest
@@ -57,19 +59,33 @@ def test_an_object_that_cannot_be_placed_raises_the_reference_error(monkeypatch)
         assert "'orange'" in str(want.value)
 
 
-def test_every_seed_places_onto_the_one_fixed_world():
+def test_every_seed_places_onto_the_one_fixed_world(monkeypatch):
+    solved = []
+    solve = solver.solve
+
+    def recording(*args):
+        solved.append(args[-1])
+        return solve(*args)
+
+    monkeypatch.setattr(solver, "solve", recording)
     for task_id in TASK_IDS:
-        fixed = tasks._fixed_world(task_id)
+        table = tasks.task_table(task_id)
+        fixed = table.fixed
         poses, hulls = dict(fixed.poses), {name: W.aabb_of(fixed, name) for name in fixed.poses}
         assert list(poses) == [tasks.TABLE, *tasks.load_task_spec(task_id).fixed_poses]
         for seed in range(10):
             _, world = tasks.load_task(task_id, seed)
-            assert tasks._fixed_world(task_id) is fixed
+            assert tasks.task_table(task_id) is table
             for name in poses:
                 assert world.poses[name] is poses[name]
                 assert W.aabb_of(world, name) is hulls[name]
         assert dict(fixed.poses) == poses and fixed.held is None
         assert all(fixed.poses[name] is pose for name, pose in poses.items())
+        # Every cell of the task gets the table's own restrictions.
+        solved.clear()
+        for seed in range(3):
+            bench.run_cell(task_id, seed, "manual", Budgets(500, 5))
+        assert solved and all(r is table.restrictions for r in solved)
 
 
 # --- The shape of s0 ------------------------------------------------------------------
@@ -98,8 +114,8 @@ def test_the_direct_shape_holds_along_manual_solutions():
                 assert_shape_of(world)
                 held += world.held is not None
                 riders += world.held is not None and bool(world.held.riders)
-                supports = dict(row[1] for row in tasks.initial_shape(DOMAIN, world)
-                                if row[0].name == "Supporting")
+                shape = tasks.initial_shape(DOMAIN, world).true_literals
+                supports = dict(lit.args for lit in shape if lit.predicate.name == "Supporting")
                 stacked += any(str(s) != tasks.TABLE for s in supports.values())
     assert held and riders and stacked
 

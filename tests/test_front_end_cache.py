@@ -55,11 +55,16 @@ def front_end_cell(task_id, seed, mode, oracle=None):
     """What `run_cell` builds of one cell before refinement, keyed as
     `reference_front_end` keys it; `solve` stops after the initial plan."""
     out = {}
-    listing = bench.format_literal_listing
+    listing, front_end = bench.format_literal_listing, bench.front_end
 
-    def recording_listing(problem):
-        out["actions"], out["literals"] = problem.actions, problem.literals
-        return listing(problem)
+    def recording_front_end(*key):
+        front = front_end(*key)
+        out["actions"] = front.problem.actions
+        return front
+
+    def recording_listing(literals):
+        out["literals"] = literals
+        return listing(literals)
 
     def front_end_only(scene, problem, *args):
         out["transformed"] = (pose_free(problem.s0), problem.actions, problem.goal,
@@ -70,6 +75,7 @@ def front_end_cell(task_id, seed, mode, oracle=None):
 
     oracle = Recording(oracle or ScriptedOracle(bench.MODE_TABLE[mode].variant))
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bench, "front_end", recording_front_end)
         mp.setattr(bench, "format_literal_listing", recording_listing)
         mp.setattr(solver, "solve", front_end_only)
         record = bench.run_cell(task_id, seed, mode, BUDGETS, oracle)
@@ -214,6 +220,7 @@ def test_an_initial_state_of_another_shape_misses():
     for state, info in ((s0, (0, 1)), (moved, (1, 1)), (stacked, (1, 2))):
         front = bench.front_end(pose_free(state), schemas, objects)
         assert bench.front_end.cache_info()[:2] == info
+        assert front.problem.s0 == pose_free(state)
         want = ground_problem(state, list(schemas), list(objects))
         assert front.problem.actions == want.actions
         assert front.effects | state.true_literals == want.literals
@@ -248,9 +255,10 @@ def test_each_cell_prompts_with_its_own_poses():
         oracle = ExternalOracle(url="http://oracle.invalid", post_fn=transport, backoff=0)
         bench.run_cell("coffee", seed, "full", Budgets(20, 1), oracle)
     problem = build("coffee", 1)[3]
-    literals, state = format_literal_listing(problem), format_state_listing(problem.s0)
+    literals = format_literal_listing(problem.literals)
+    state = format_state_listing(problem.s0)
     seed0 = build("coffee", 0)[3]
-    stale = set(format_literal_listing(seed0).splitlines()) - set(literals.splitlines())
+    stale = set(format_literal_listing(seed0.literals).splitlines()) - set(literals.splitlines())
     assert stale and prompts
     assert literals in prompts[0]
     for prompt in prompts:

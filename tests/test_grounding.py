@@ -4,7 +4,7 @@ import pytest
 
 from owltamp import tasks
 from owltamp.grounding import (
-    GroundedProblem, _literal_listing, format_action_listing,
+    GroundedProblem, format_action_listing,
     format_literal_listing, format_state_listing, ground_problem,
 )
 from owltamp.model import Literal, State, Value, applicable, apply, load_default_domain
@@ -175,7 +175,7 @@ def test_literal_listing_is_byte_identical_to_the_reference(domain, task_id):
         spec, w = tasks.load_task(task_id, seed)
         s0 = tasks.initial_state(domain, w)
         problem = ground_problem(s0, tasks.bench_schemas(domain), [*spec.objects, tasks.TABLE])
-        assert format_literal_listing(problem) == sorted_on_str_listing(problem.literals)
+        assert format_literal_listing(problem.literals) == sorted_on_str_listing(problem.literals)
         assert format_state_listing(s0) == sorted_on_str_listing(s0.true_literals)
         # Literals with equal keys keep their input order: a literal beside
         # its negation, and poses that print alike.
@@ -185,4 +185,4 @@ def test_literal_listing_is_byte_identical_to_the_reference(domain, task_id):
         for order in (1, -1):
             tied = [l for lit in [*problem.literals, *alike]
                     for l in (lit, Literal(lit.predicate, lit.args, False))][::order]
-            assert _literal_listing(tied) == sorted_on_str_listing(tied)
+            assert format_literal_listing(tied) == sorted_on_str_listing(tied)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from owltamp.model import (
-    ActionSchema, DomainParseError, ModelError, Param, Predicate, PreconditionError,
+    ActionSchema, DomainParseError, ModelError, Param, Predicate,
     SchemaLiteral, SemanticType, State, Value, applicable, apply, bind_placeholders,
     instantiate, literal_holds, load_default_domain, parse_domain,
 )
@@ -142,13 +142,15 @@ def test_apply_move_swaps_conf():
     assert not s1.holds(at_conf(q1))
 
 
-def test_apply_raises_on_unmet_precondition(domain):
+def test_applicable_refuses_an_unmet_precondition(domain):
+    # `apply` leaves the preconditions to its caller, which asks `applicable`.
     s0 = make_s0(domain)
     action = ground_pick(domain, "apple")
+    assert applicable(s0, action)
     held = apply(s0, action)
-    with pytest.raises(PreconditionError) as err:
-        apply(held, action)
-    assert any(l.predicate.name == "HandEmpty" for l in err.value.unmet)
+    assert not applicable(held, action)
+    unmet = [lit for lit in action.pre if not held.holds(lit)]
+    assert any(l.predicate.name == "HandEmpty" for l in unmet)
 
 
 def test_state_invariants_over_all_short_executions(domain):
