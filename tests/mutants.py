@@ -18,9 +18,10 @@ mutant that survives is a defect of the suite: give it a targeted test, and
 keep it here.
 
 The catalogue holds the place screen's mutants (the block judge's, the
-place tables' and the pick rule's), the domain parser's, and one per part
-of a cell's set-up.  Dropped because their code is gone: a row-invariant
-program value kept across blocks (the evaluator keeps no per-step state).
+place tables' and the pick rule's), the domain parser's, one per part of
+a cell's set-up, and A* without its applicability check.  Dropped because
+their code is gone: a row-invariant program value kept across blocks (the
+evaluator keeps no per-step state).
 """
 
 import argparse
@@ -141,6 +142,12 @@ MUTANTS = (
            "            result.difference_update(state.index.matches(lit))\n",
            "            pass\n",
            (MODEL + "test_apply_move_swaps_conf",)),
+    # --- A* skeleton search (`solver.py`): `apply` reads no precondition.
+    Mutant("plan-ignores-preconditions", "solver.py",
+           "            if not applicable(state, action):\n                continue\n",
+           "",
+           ("tests/test_symbolic_masks.py::"
+            "test_random_plans_are_as_short_as_breadth_first_search",)),
 )
 
 

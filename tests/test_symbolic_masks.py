@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from owltamp import bench, solver, tasks
 from owltamp.grounding import format_action_listing, ground_problem
 from owltamp.model import (
-    ActionSchema, GroundAction, Literal, Predicate, SemanticType, State, Value, apply,
-    literal_holds,
+    ActionSchema, GroundAction, Literal, Predicate, SemanticType, State, Value, applicable,
+    apply, literal_holds,
 )
 from owltamp.oracle import OracleError, OracleRequest, ScriptedOracle
 from owltamp.partial_plan import PartialPlan, PartialPlanError, executed, transform
@@ -32,6 +32,7 @@ def assert_shortest(s0, actions, goal):
         return
     state = s0
     for action in plan:
+        assert applicable(state, action)
         state = apply(state, action)
     assert all(literal_holds(state, g) for g in goal)
     assert len(plan) == want
