@@ -157,22 +157,48 @@ class Assign:
     value: Expr
 
 
+def _children(e: Expr) -> tuple[Expr, ...]:
+    if isinstance(e, Abs):
+        return (e.operand,)
+    if isinstance(e, (Arith, Compare)):
+        return (e.lhs, e.rhs)
+    if isinstance(e, BoolOp):
+        return e.operands
+    if isinstance(e, Call):
+        return e.args
+    return ()
+
+
+def object_names(e: Expr):
+    """The object names `e` reads, in the order of its tree, with repeats."""
+    if isinstance(e, ObjectRef):
+        yield e.name
+    elif isinstance(e, (PoseRef, PoseAttr)):
+        yield e.obj
+    for child in _children(e):
+        yield from object_names(child)
+
+
 @dataclass(frozen=True)
 class ConstraintFn:
-    """A parsed constraint program: bindings then a boolean result."""
+    """A parsed constraint program: bindings then a boolean result.
+    `referenced_objects` are the object names its tree reads."""
 
     name: str
     assigns: tuple[Assign, ...]
     result: Expr
-    referenced_objects: frozenset[str]
     source_text: str = field(default="", compare=False)
-    # The program's block compile (`lang.evaluator._program`): scene, moved
-    # object, riders, block judge and `reads_fixed` flag, set on first use.
-    _block_state: object = field(default=None, init=False, compare=False, repr=False)
+    referenced_objects: frozenset[str] = field(init=False, compare=False)
+    # Whether it type-checks, found on first need (`lang.evaluator._typed`).
+    _typed: bool | None = field(default=None, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        exprs = (*(a.value for a in self.assigns), self.result)
+        object.__setattr__(self, "referenced_objects",
+                           frozenset(n for e in exprs for n in object_names(e)))
 
     def __reduce__(self):
-        return ConstraintFn, (self.name, self.assigns, self.result,
-                              self.referenced_objects, self.source_text)
+        return ConstraintFn, (self.name, self.assigns, self.result, self.source_text)
 
     def pretty(self) -> str:
         lines = [f"def {self.name}() -> bool:"]

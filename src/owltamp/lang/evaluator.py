@@ -9,10 +9,12 @@ interpreter.
 Block evaluation.  `eval_constraint_block` judges a program on the worlds a
 block of place drops would leave, in numpy, from the columns of the settled
 poses and hulls (see the section below); a row it cannot decide is left to
-`eval_constraint` on the world the draw builds.  It calls the helpers of
-`helpers` themselves, with the block as their reader (`_Block`): one helper
-library, read through a world or a block reader.  The same compile tells
-`reads_fixed` whether a program reads the moved object or a rider at all.
+`eval_constraint` on the world the draw builds.  It walks the tree as
+`_eval` does (`_eval_block`) and calls the helpers of `helpers` themselves,
+with the block as their reader (`_Block`) once they are given the moved
+object: one helper library, read through a world or a block reader.
+`reads_fixed` tells from the object names a program's tree reads whether
+it reads the moved object or a rider at all.
 """
 
 from __future__ import annotations
@@ -119,19 +121,20 @@ def eval_constraint(fn: ConstraintFn, w: WorldState) -> bool:
 # world each drop leaves differs from the step world only in that object,
 # which is placed, and its riders, which are seated: `world.Settled` gives
 # the object's pose and hull as columns over the drops.  A node that reads
-# neither is row-invariant: `_eval` gives its value on the step world, once
-# per block that reaches it.  A node that reads the object (its pose, or a
-# helper call given its name) gives a column; one that names a rider leaves
-# the rows that reach it undecided.  A helper call runs the helper itself with
-# the block as its reader, so every rule is written once.
-# Comparisons and `position_within_bounds` are scored as signed distances
-# from their thresholds, and so is the emptiness of bounds a helper builds;
-# a score within `world.MARGIN` of zero leaves its row undecided, as in
-# `world.PlaceTables`, and so does a NaN score.  `and` and `or` evaluate an operand only on the rows
-# that reach it, and an error raised on some rows takes effect on those
-# rows where the scalar evaluation would raise it: infeasible bounds or a
-# read of a held object make a row false, and any other error leaves it
-# undecided, for the draw to raise again.
+# neither is row-invariant: its value is a plain one on the step world, found
+# once per block that reaches it.  A node that reads the object (its pose, or
+# a helper call given its name) gives a column; one that names a rider leaves
+# the rows that reach it undecided.  A helper call given a column runs the
+# helper itself with the block as its reader, so every rule is written once.
+# Comparisons and `position_within_bounds` of columns are scored as signed
+# distances from their thresholds, and so is the emptiness of bounds a
+# helper builds; a score within `world.MARGIN` of zero leaves its row
+# undecided, as in `world.PlaceTables`, and so does a NaN score.  `and` and
+# `or` evaluate an operand only on the rows that reach it, and an error
+# raised on some rows takes effect on those rows where the scalar evaluation
+# would raise it: infeasible bounds or a read of a held object make a row
+# false, and any other error leaves it undecided, for the draw to raise
+# again.
 
 
 class _Bounds:
@@ -161,10 +164,12 @@ class _Block:
     drops leave: the moved object's hull, pose and half height are columns,
     and bounds are `_Bounds`.  Every other object reads as in the step world."""
 
-    __slots__ = ("world", "name", "settled_pose", "hull", "height", "live", "false", "holds")
+    __slots__ = ("world", "name", "riders", "settled_pose", "hull", "height", "live", "false",
+                 "holds")
 
     def __init__(self, world: WorldState, name: str, settled, rows: np.ndarray):
         self.world, self.name = world, name
+        self.riders = {r for r, _, _ in world.held.riders}
         self.settled_pose, self.height = settled.pose, settled.height
         self.hull = Aabb.trusted(settled.lower, settled.upper)
         self.live = rows
@@ -207,20 +212,90 @@ class _Block:
         return _Bounds((*lower, *_ANGLES_LOWER), (*upper, *_ANGLES_UPPER))
 
 
-# Each arithmetic operator's value, and each comparison's score.
-_BINARY = {
-    "+": lambda a, b: a + b, "-": lambda a, b: a - b,
+# Each comparison's score.
+_SCORES = {
     "<": lambda a, b: b - a, "<=": lambda a, b: b - a,
     ">": lambda a, b: a - b, ">=": lambda a, b: a - b,
     "==": lambda a, b: -np.abs(a - b),
 }
 
 
-def _guarded(closure, env, blk: _Block, reach):
-    """`closure` on the rows `reach`; None when it raises, which it does on
-    every one of them."""
+def _varies(value, blk: _Block) -> bool:
+    """Whether `value` is a column, the settled pose or column bounds, or
+    names the moved object."""
+    return (type(value) is np.ndarray or type(value) is _Bounds or value is blk.settled_pose
+            or (type(value) is str and value == blk.name))
+
+
+def _block_object(blk: _Block, name: str, node: Expr) -> str:
+    """`_object` on the step world; a rider, which has no pose there, raises:
+    the draw decides the rows that reach it on the world it builds."""
+    resolved = _object(blk.world, name, node)
+    if resolved in blk.riders:
+        raise EvalError("a rider is seated only in the world a drop leaves", node.line,
+                        node.column)
+    return resolved
+
+
+def _eval_block(e: Expr, env: dict, blk: _Block, reach):
+    """The value of `e` over the rows `reach` of `blk`, node for node as
+    `_eval`: a plain value on the step world until a read of the moved
+    object makes it a column.  Comparisons of columns are scored, and a
+    helper given a column or the moved object's name reads through the
+    block; its invariant bounds become `_Bounds`, so that it may narrow
+    them with columns."""
+    kind = type(e)
+    if kind is Call:
+        args = [_eval_block(a, env, blk, reach) for a in e.args]
+        if not any(_varies(a, blk) for a in args):
+            if e.fn == "position_within_bounds":
+                return HELPER_IMPLS[e.fn](*args)
+            return HELPER_IMPLS[e.fn](blk.world, *args)
+        if e.fn == "position_within_bounds":
+            return blk.decide(within_score(*args, np.minimum), reach)
+        value = HELPER_IMPLS[e.fn](blk.world, *[
+            _Bounds(a.lower, a.upper) if type(a) is BoundsBox else a for a in args], read=blk)
+        if type(value) is _Bounds:
+            blk.bound(value, reach)
+        return value
+    if kind is VarRef:
+        return env[e.name]
+    if kind is ObjectRef:
+        return _block_object(blk, e.name, e)
+    if kind is Num or kind is BoolLit:
+        return e.value
+    if kind is BoolOp:
+        if e.op == "not":
+            value = _eval_block(e.operands[0], env, blk, reach)
+            return np.logical_not(value) if type(value) is np.ndarray else not value
+        return _connective(e, env, blk, reach)
+    if kind is PoseRef:
+        return blk.pose(blk.world, _block_object(blk, e.obj, e))
+    if kind is PoseAttr:
+        name = _block_object(blk, e.obj, e)
+        if name == blk.name:
+            return blk.settled_pose[POSE_FIELDS.index(e.attr)]
+        return getattr(blk.world.pose(name), e.attr)
+    if kind is Arith:
+        return _OPERATORS[e.op](_eval_block(e.lhs, env, blk, reach),
+                                _eval_block(e.rhs, env, blk, reach))
+    if kind is Compare:
+        lhs, rhs = _eval_block(e.lhs, env, blk, reach), _eval_block(e.rhs, env, blk, reach)
+        if type(lhs) is np.ndarray or type(rhs) is np.ndarray:
+            return blk.decide(_SCORES[e.op](lhs, rhs), reach)
+        return _OPERATORS[e.op](lhs, rhs)
+    if kind is Abs:
+        return abs(_eval_block(e.operand, env, blk, reach))
+    if kind is InitBounds:
+        return default_bounds(blk.world)
+    raise EvalError(f"cannot evaluate {kind.__name__}", e.line, e.column)
+
+
+def _guarded(e: Expr, env, blk: _Block, reach):
+    """`e` on the rows `reach`; None when it raises, which it does on every
+    one of them."""
     try:
-        return closure(env, blk, reach)
+        return _eval_block(e, env, blk, reach)
     except (InfeasibleBoundsError, ObjectHeldError):
         blk.abort(reach)
     except (LangError, WorldError):  # the draw raises it again
@@ -228,151 +303,27 @@ def _guarded(closure, env, blk: _Block, reach):
     return None
 
 
-def _seated_rider(env, blk, reach):
-    """A read of a rider, which has no pose in the step world: the draw
-    decides the rows that reach it on the world it builds."""
-    raise EvalError("a rider is seated only in the world a drop leaves")
-
-
-def _compile_block(fn: ConstraintFn, scene, moved: str, riders):
-    """The program as a closure `blk -> None` over a block of drops of
-    `moved`, carrying the objects `riders`, in `scene`, which leaves its
-    verdicts on `blk`, and its `reads_fixed` flag.  A row-invariant node runs
-    on the step world once for each block that reaches it.  A program that
-    does not type-check leaves every row undecided, and so does a node that
-    names a rider on the rows that reach it."""
-    try:
-        check_types(fn)
-    except LangError:
-        return (lambda blk: blk.doubt(blk.live)), None
-    unknown = False  # whether the program names an object the scene lacks
-
-    def compile_(e: Expr, slots):
-        """`e` as a closure `(env, blk, reach) -> value`, whether its value
-        varies over the rows, and whether it is the moved object's name.
-        `slots` maps each name bound so far to its last two."""
-        nonlocal unknown
-        pose = isinstance(e, (PoseRef, PoseAttr))
-        ref = e.name if isinstance(e, ObjectRef) else e.obj if pose else None
-        name = None if ref is None else _resolved(scene, ref)
-        unknown = unknown or (ref is not None and name is None)
-        if name in riders:
-            return _seated_rider, True, False
-        if isinstance(e, ObjectRef):
-            return _block_invariant(e), False, name == moved
-        if isinstance(e, VarRef):
-            key = e.name
-            return (lambda env, blk, reach: env[key]), *slots[key]
-        if pose and name == moved:
-            if isinstance(e, PoseRef):
-                return (lambda env, blk, reach: blk.settled_pose), True, False
-            k = POSE_FIELDS.index(e.attr)
-            return (lambda env, blk, reach: blk.settled_pose[k]), True, False
-        if isinstance(e, Abs):
-            children = [e.operand]
-        elif isinstance(e, (Arith, Compare)):
-            children = [e.lhs, e.rhs]
-        elif isinstance(e, (BoolOp, Call)):
-            children = list(e.operands if isinstance(e, BoolOp) else e.args)
+def _connective(e: BoolOp, env, blk: _Block, reach):
+    """`and` or `or` over the rows `reach`.  Each operand runs guarded; a
+    plain one short-circuits as in `_eval`, and after a column each runs
+    only on the rows that reach it."""
+    is_or = e.op == "or"
+    value = not is_or  # for `or`, the rows where an operand holds
+    for operand in e.operands:
+        part = _guarded(operand, env, blk, reach)
+        if part is None:  # it raised: its rows have left the block
+            return value if is_or else False
+        if type(part) is not np.ndarray:
+            if part == is_or:
+                return is_or
+            continue
+        if is_or:
+            value, reach = value | (reach & part), reach & ~part
         else:
-            return _block_invariant(e), False, False
-        compiled = [compile_(child, slots) for child in children]
-        if not any(varies or names for _, varies, names in compiled):
-            return _block_invariant(e), False, False
-        parts = tuple(closure for closure, _, _ in compiled)
-        if isinstance(e, Abs):
-            return _block_abs(*parts), True, False
-        if isinstance(e, (Arith, Compare)):
-            return _block_binary(e.op, *parts), True, False
-        if isinstance(e, BoolOp):
-            return _block_bool(e.op, parts), True, False
-        return _block_call(e.fn, parts), True, False
-
-    slots: dict[str, tuple[bool, bool]] = {}
-    steps, reads = [], False
-    for a in fn.assigns:
-        step, varies, names = compile_(a.value, slots)
-        steps.append((a.name, step))
-        slots[a.name] = varies, names
-        reads = reads or varies or names
-    result, varies, names = compile_(fn.result, slots)
-    reads = reads or varies or names
-
-    def run(blk: _Block) -> None:
-        env = {}
-        for name, step in steps:
-            env[name] = _guarded(step, env, blk, blk.live)
-            if not blk.live.any():
-                return
-        value = _guarded(result, env, blk, blk.live)
-        if isinstance(value, bool) or (isinstance(value, np.ndarray) and value.dtype == bool):
-            blk.holds = blk.live & value
-        elif value is not None:  # a non-bool result raises EvalError
-            blk.doubt(blk.live)
-    return run, None if reads and unknown else not reads
-
-
-def _block_invariant(e: Expr):
-    return lambda env, blk, reach: _eval(e, env, blk.world)
-
-
-def _block_abs(operand):
-    return lambda env, blk, reach: np.abs(operand(env, blk, reach))
-
-
-def _block_binary(op: str, lhs, rhs):
-    value = _BINARY[op]
-    if op in ("+", "-"):
-        return lambda env, blk, reach: value(lhs(env, blk, reach), rhs(env, blk, reach))
-    return lambda env, blk, reach: blk.decide(
-        value(lhs(env, blk, reach), rhs(env, blk, reach)), reach)
-
-
-def _block_bool(op: str, operands):
-    if op == "not":
-        (operand,) = operands
-        return lambda env, blk, reach: np.logical_not(operand(env, blk, reach))
-    if op == "and":
-        def and_(env, blk, reach):
-            for operand in operands:
-                if not reach.any():
-                    break
-                value = _guarded(operand, env, blk, reach)
-                reach = reach & (False if value is None else value)
-            return reach
-        return and_
-
-    def or_(env, blk, reach):
-        held = np.zeros_like(reach)
-        for operand in operands:
-            if not reach.any():
-                break
-            value = _guarded(operand, env, blk, reach)
-            if value is None:
-                break
-            held = held | (reach & value)
-            reach = reach & np.logical_not(value)
-        return held
-    return or_
-
-
-def _block_call(fn: str, args):
-    """The helper `fn` over the block, as its reader; invariant bounds given
-    to it become `_Bounds`, so that it may narrow them with columns."""
-    if fn == "position_within_bounds":
-        pose, bounds = args
-        return lambda env, blk, reach: blk.decide(
-            within_score(pose(env, blk, reach), bounds(env, blk, reach), np.minimum), reach)
-    impl = HELPER_IMPLS[fn]
-
-    def run(env, blk, reach):
-        values = [a(env, blk, reach) for a in args]
-        value = impl(blk.world, *[_Bounds(v.lower, v.upper) if isinstance(v, BoundsBox) else v
-                                  for v in values], read=blk)
-        if isinstance(value, _Bounds):
-            blk.bound(value, reach)
-        return value
-    return run
+            value = reach = reach & part
+        if not reach.any():
+            break
+    return value
 
 
 def eval_constraint_block(fn: ConstraintFn, step: WorldState, name: str, settled,
@@ -381,15 +332,39 @@ def eval_constraint_block(fn: ConstraintFn, step: WorldState, name: str, settled
     would leave, placed as `settled` (`world.Settled`), from the step world
     `step`: masks of the rows of `rows` where it surely holds and where it
     surely does not.  A row in neither is undecided: a score within MARGIN
-    of its threshold, a read of one of `name`'s riders, or an error
-    `eval_constraint` would raise."""
+    of its threshold, a read of one of `name`'s riders, an error
+    `eval_constraint` would raise, or a program that does not type-check."""
     blk = _Block(step, name, settled, rows)
+    if not _typed(fn):
+        return blk.holds, blk.false
+    env = {}
     # A sum may overflow to infinity, as Python's does, and a score of two
     # equal infinities is NaN, which `decide` leaves undecided: numpy need
     # not warn of either.
     with np.errstate(invalid="ignore", over="ignore"):
-        _program(fn, step, name)[0](blk)
+        for a in fn.assigns:
+            env[a.name] = _guarded(a.value, env, blk, blk.live)
+            if not blk.live.any():
+                return blk.holds, blk.false
+        value = _guarded(fn.result, env, blk, blk.live)
+    if isinstance(value, bool) or (isinstance(value, np.ndarray) and value.dtype == bool):
+        blk.holds = blk.live & value
+    elif value is not None:  # a non-bool result raises EvalError
+        blk.doubt(blk.live)
     return blk.holds, blk.false | (blk.live & ~blk.holds)
+
+
+def _typed(fn: ConstraintFn) -> bool:
+    """Whether `fn` type-checks, found once per program: the parser checks
+    every program it builds, but a program may be built without it."""
+    if fn._typed is None:
+        try:
+            check_types(fn)
+        except LangError:
+            object.__setattr__(fn, "_typed", False)
+        else:
+            object.__setattr__(fn, "_typed", True)
+    return fn._typed
 
 
 def reads_fixed(fn: ConstraintFn, step: WorldState, name: str) -> bool | None:
@@ -400,15 +375,10 @@ def reads_fixed(fn: ConstraintFn, step: WorldState, name: str) -> bool | None:
     raise on it.  A binding the result does not use counts: one that reads
     the held object raises `ObjectHeldError` on `step`, which makes the
     program false there, though it may hold after every drop."""
-    return _program(fn, step, name)[1]
-
-
-def _program(fn: ConstraintFn, step: WorldState, name: str):
-    """`fn`'s block judge and `reads_fixed` flag for drops of the held `name`
-    from `step`, compiled again for a new scene, moved object or rider set."""
-    riders = frozenset(r for r, _, _ in step.held.riders)
-    state = fn._block_state
-    if state is None or state[0] is not step.scene or state[1:3] != (name, riders):
-        state = (step.scene, name, riders, *_compile_block(fn, step.scene, name, riders))
-        object.__setattr__(fn, "_block_state", state)
-    return state[3:]
+    if not _typed(fn):
+        return None
+    moved = {name, *(r for r, _, _ in step.held.riders)}
+    names = [_resolved(step.scene, o) for o in fn.referenced_objects]
+    if moved.isdisjoint(names):
+        return True
+    return None if None in names else False

@@ -96,7 +96,6 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
         self.assigned = assigned
-        self.objects: set[str] = set()
         self.depth = 0
         self.operands = 0
 
@@ -204,9 +203,7 @@ class _Parser:
             return BoolLit(tok.line, tok.column, tok.text == "True")
         if tok.kind == "str":
             self.advance()
-            name = tok.text[1:-1]
-            self.objects.add(name)
-            return ObjectRef(tok.line, tok.column, name)
+            return ObjectRef(tok.line, tok.column, tok.text[1:-1])
         if tok.kind == "op" and tok.text == "(":
             self.advance()
             inner = self.parse_expr()
@@ -236,19 +233,15 @@ class _Parser:
                     if field.text not in POSE_FIELDS:
                         raise ParseError(f"unknown pose field {field.text!r}",
                                          field.line, field.column)
-                    self.objects.add(tok.text)
                     return PoseAttr(tok.line, tok.column, tok.text, field.text)
-                self.objects.add(tok.text)
                 return PoseRef(tok.line, tok.column, tok.text)
             if attr.text == "category":
-                self.objects.add(tok.text)
                 return ObjectRef(tok.line, tok.column, tok.text)
             raise ParseError(f"unknown attribute {attr.text!r}", attr.line, attr.column)
         if tok.text == "init_bounds" and tok.text not in self.assigned:
             return InitBounds(tok.line, tok.column)
         if tok.text in self.assigned:
             return VarRef(tok.line, tok.column, tok.text)
-        self.objects.add(tok.text)
         return ObjectRef(tok.line, tok.column, tok.text)
 
     def _call(self, name_tok: Token) -> Expr:
@@ -267,7 +260,7 @@ class _Parser:
                 break
         self.expect("op", ")")
         while args and isinstance(args[0], ObjectRef) and args[0].name in _FRAMEWORK_ARGS:
-            self.objects.discard(args.pop(0).name)
+            args.pop(0)
         # Emitted programs sometimes omit the incoming bounds entirely; treat
         # that as starting from the broad default bounds.
         sigs = HELPER_SIGNATURES[fn]
@@ -307,7 +300,6 @@ def parse_constraint(source: str) -> ConstraintFn:
     assigns: list[Assign] = []
     result: Expr | None = None
     assigned: set[str] = set()
-    objects: set[str] = set()
     saw_header = False
 
     lines = source.splitlines()
@@ -332,7 +324,6 @@ def parse_constraint(source: str) -> ConstraintFn:
             tail = parser.peek()
             if tail.kind != "eof":
                 raise ParseError(f"trailing input {tail.text!r}", lineno, tail.column)
-            objects |= parser.objects
             continue
         if (tokens[0].kind == "name" and len(tokens) > 1
                 and tokens[1].kind == "op" and tokens[1].text == "="):
@@ -344,13 +335,12 @@ def parse_constraint(source: str) -> ConstraintFn:
                 raise ParseError(f"trailing input {tail.text!r}", lineno, tail.column)
             assigns.append(Assign(var, value))
             assigned.add(var)
-            objects |= parser.objects
             continue
         raise ParseError(f"expected assignment or return, found {stripped!r}", lineno, 1)
 
     if result is None:
         raise ParseError("program has no return statement", len(lines) or 1, 1)
-    fn = ConstraintFn(name, tuple(assigns), result, frozenset(objects), source)
+    fn = ConstraintFn(name, tuple(assigns), result, source)
     check_types(fn)
     return fn
 

@@ -551,9 +551,13 @@ def _groups(pattern: re.Pattern, text: str, refusal: str, lineno: int) -> tuple:
     return m.groups()
 
 
-def _names(text: str) -> list[str]:
-    """The non-empty items of a comma-separated list, stripped."""
-    return [item for item in map(str.strip, text.split(",")) if item]
+def _names(text: str, lineno: int) -> list[str]:
+    """The items of a comma-separated list, stripped: none for a blank
+    list, and an empty item of any other is refused."""
+    items = [item.strip() for item in text.split(",")] if text.strip() else []
+    if "" in items:
+        raise DomainParseError(f"empty item in {text.strip()!r}", lineno)
+    return items
 
 
 def _literal_items(text: str) -> list[str]:
@@ -583,7 +587,7 @@ def _literal(text: str, kind: str, predicates: dict[str, Predicate],
     if name not in predicates:
         raise DomainParseError(f"unknown predicate {name!r}", lineno)
     pred = predicates[name]
-    args = tuple(_names(argtext))
+    args = tuple(_names(argtext, lineno))
     if len(args) != len(pred.param_types):
         raise DomainParseError(f"{name} expects {len(pred.param_types)} args", lineno)
     if pred.kind != kind:
@@ -611,14 +615,14 @@ def parse_domain(text: str) -> Domain:
                 kind, name, argtext = _groups(_PREDICATE_RE, line, "bad predicate line", n)
                 if name in predicates:
                     raise DomainParseError(f"duplicate predicate {name!r}", n)
-                types = tuple(_type(t, n) for t in _names(argtext))
+                types = tuple(_type(t, n) for t in _names(argtext, n))
                 predicates[name] = Predicate(name, types, kind)
             continue
         name, param_spec = _groups(_ACTION_RE, header, "unexpected line", lineno)
         if name in schemas:
             raise DomainParseError(f"duplicate action {name!r}", lineno)
         params = []
-        for piece in _names(param_spec):
+        for piece in _names(param_spec, lineno):
             pname, colon, tname = map(str.strip, piece.partition(":"))
             if not colon:
                 raise DomainParseError(f"parameter {piece!r} missing type", lineno)

@@ -380,7 +380,7 @@ class RestrictionTable:
 #
 # Before a screened place step's first draw, with more than one draw left,
 # `refine` asks the step whether it is doomed: whether a program that reads
-# neither the held object nor its riders, as the block compiler tells
+# neither the held object nor its riders, as the names in its tree tell
 # (`lang.reads_fixed`), is false on the step world (`_fixed_false`), with
 # the step's tables built.  A doomed step skips all its draws but the last
 # at once, as samples, and the last runs through the draw path.  That gives
@@ -554,7 +554,7 @@ def _prepare_place(world, name, objs, restrictions, hint, fns, goal_fns, *, insi
 def _fixed_false(world, o, programs) -> bool:
     """Whether one of `programs`, walked in `refine`'s order, reads neither
     the held `o` nor its riders and is false on the step world `world`, as
-    the block compiler tells (`lang.reads_fixed`).  A program that reads
+    the names in its tree tell (`lang.reads_fixed`).  A program that reads
     them is passed over.  The walk ends, with False, at a program the draw
     path might raise on: one `reads_fixed` gives None for, or one that
     raises on `world`.  The comment above LAST_BLOCK says why True dooms a

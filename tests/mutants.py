@@ -18,10 +18,11 @@ mutant that survives is a defect of the suite: give it a targeted test, and
 keep it here.
 
 The catalogue holds the place screen's mutants (the block judge's, the
-place tables' and the pick rule's), the domain parser's, one per part of
-a cell's set-up, and A* without its applicability check.  Dropped because
-their code is gone: a row-invariant program value kept across blocks (the
-evaluator keeps no per-step state).
+place tables' and the pick rule's), the walk that lists the object names a
+program reads, the domain parser's, one per part of a cell's set-up, and
+A* without its applicability check.  Dropped because their code is gone: a
+row-invariant program value kept across blocks (the evaluator keeps no
+per-step state).
 """
 
 import argparse
@@ -81,15 +82,24 @@ MUTANTS = (
            "",
            (PLACE + "test_a_drop_at_a_program_edge_stops_the_screen",)),
     Mutant("rider-references-invariant", "lang/evaluator.py",
-           "            return _seated_rider, True, False\n",
-           "            return _block_invariant(e), False, False\n",
+           "    if resolved in blk.riders:\n",
+           "    if False:\n",
            (PLACE + "test_a_program_that_reads_a_rider_leaves_its_drops_to_the_draw",)),
     Mutant("and-over-all-live-rows", "lang/evaluator.py",
-           "                value = _guarded(operand, env, blk, reach)\n"
-           "                reach = reach & (False if value is None else value)\n",
-           "                value = _guarded(operand, env, blk, blk.live)\n"
-           "                reach = reach & (False if value is None else value)\n",
+           "        part = _guarded(operand, env, blk, reach)\n",
+           "        part = _guarded(operand, env, blk, blk.live)\n",
            (RAISES,)),
+    Mutant("reads-fixed-ignores-riders", "lang/evaluator.py",
+           "    moved = {name, *(r for r, _, _ in step.held.riders)}\n",
+           "    moved = {name}\n",
+           (PLACE + "test_a_doomed_step_gives_what_the_unscreened_loop_gives[reads-a-rider]",)),
+    # --- The names a program reads (`lang/ast.py`), which the cell checks
+    # against the scene.
+    Mutant("names-skip-call-arguments", "lang/ast.py",
+           "    if isinstance(e, Call):\n        return e.args\n",
+           "",
+           ("tests/test_tasks_bench.py::"
+            "test_a_framework_name_read_as_an_object_fails_the_cell_as_an_oracle_error",)),
     # --- The place tables and the pick rule (`world.py`).
     Mutant("last-of-two-containers", "world.py",
            "            first = open_.argmax(axis=0)\n",
@@ -118,9 +128,12 @@ MUTANTS = (
            "    if False:\n",
            (MODEL + "test_malformed_domains_are_refused_at_their_line",)),
     Mutant("parser-empty-names-kept", "model.py",
-           'return [item for item in map(str.strip, text.split(",")) if item]',
-           'return [item for item in map(str.strip, text.split(","))]',
-           (MODEL + "test_instantiate_zero_param_identity",)),
+           '    items = [item.strip() for item in text.split(",")] if text.strip() else []\n'
+           '    if "" in items:\n',
+           '    items = [item.strip() for item in text.split(",")]\n'
+           '    if False:\n',
+           (MODEL + "test_instantiate_zero_param_identity",
+            MODEL + "test_malformed_domains_are_refused_at_their_line")),
     Mutant("parser-no-paren-depth", "model.py",
            '        depth += (ch == "(") - (ch == ")")\n',
            "",

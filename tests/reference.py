@@ -768,9 +768,6 @@ UNREACHED = {
     "lang/ast.py:_prec": _PRINTER,
     "lang/ast.py:print_expr": _PRINTER,
     "lang/evaluator.py:_Block.bounds": _BLOCK_READ,
-    "lang/evaluator.py:_Block.pose": _BLOCK_READ,
-    "lang/evaluator.py:_block_bool.<locals>.or_":
-        "the block form of `or`, which no benchmark program judged in blocks has",
     "lang/helpers.py:WorldReader.pose": "the read of `get_obj_center`, " + _DSL,
     "lang/helpers.py:get_aabb_bounds": _DSL,
     "lang/helpers.py:get_obj_center": _DSL,

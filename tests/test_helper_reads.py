@@ -218,7 +218,7 @@ def _programs(names):
                     call = Call(fn="position_within_bounds", args=(PoseRef(obj=names[0]), call))
                 elif returns == "pose":
                     call = Call(fn="position_within_bounds", args=(call, InitBounds()))
-                fn = ConstraintFn(name, (), call, frozenset(names))
+                fn = ConstraintFn(name, (), call)
                 try:
                     check_types(fn)
                 except LangError:

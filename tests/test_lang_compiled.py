@@ -282,8 +282,8 @@ def test_a_program_shared_by_a_step_and_the_goal():
 
 @pytest.fixture
 def helper_calls(monkeypatch):
-    """How often each helper runs, in evaluations and block programs
-    compiled from now on."""
+    """How often each helper runs, in evaluations and block judgments,
+    from now on."""
     counts = dict.fromkeys(HELPER_IMPLS, 0)
     for name, impl in HELPER_IMPLS.items():
         def counting(*args, _name=name, _impl=impl, **kwargs):

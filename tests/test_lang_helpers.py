@@ -18,10 +18,11 @@ from owltamp.lang import (
     BoundsBox, InfeasibleBoundsError, default_bounds, sample_pose_uniform,
 )
 from owltamp.lang import helpers as H
-from owltamp.lang.evaluator import _Block, _block_call, _Bounds, _guarded
+from owltamp.lang.ast import Call, VarRef
+from owltamp.lang.evaluator import _Block, _Bounds, _guarded
 from owltamp.world import (
-    CONTACT_TOL, FLOOR_THICKNESS, MARGIN, ObjectModel, Scene, Settled, WorldState, aabb_of,
-    interior_box,
+    CONTACT_TOL, FLOOR_THICKNESS, MARGIN, HeldItem, ObjectModel, Scene, Settled, WorldState,
+    aabb_of, interior_box,
 )
 
 N_SCENES = 20
@@ -390,12 +391,13 @@ def test_inside_a_container_reaches_down_to_its_interior_floor():
 # --- One rule for floats and for columns ---------------------------------------------
 #
 # The place screen calls the same helpers through a block of drops
-# (`evaluator._Block`), whose reads of the moved object are columns.  A block
-# whose rows hold the floats of scalar worlds must give each row the scalar
-# call's bounds corners bit for bit (or, for `position_within_bounds`, a
-# score of the same sign), and mark false exactly the rows where the scalar
-# call raises InfeasibleBoundsError; a row within MARGIN of either edge may
-# instead be left undecided.
+# (`evaluator._Block`), whose reads of the moved object are columns.  A call
+# over a block whose rows hold the floats of scalar worlds, its arguments
+# bound to names, must give each row the scalar call's bounds corners bit
+# for bit (or, for `position_within_bounds`, a score of the same sign), and
+# mark false exactly the rows where the scalar call raises
+# InfeasibleBoundsError; a row within MARGIN of either edge may instead be
+# left undecided.
 
 ROWS = 8
 MOVED = "obj1"
@@ -462,7 +464,7 @@ def test_a_block_of_scalar_worlds_gives_each_row_the_scalar_result(name, kinds, 
                       tuple(_column(aabb_of(w, MOVED).upper[k] for w in worlds)
                             for k in range(3)),
                       _column(H.WORLD.half_height(w, MOVED) for w in worlds))
-    scalar_args, block_args = [[] for _ in worlds], []
+    scalar_args, block_args = [[] for _ in worlds], {}
     for kind in kinds:
         if kind in ("object", "pose"):
             obj = data.draw(st.sampled_from(SCENE_OBJECTS))
@@ -483,10 +485,14 @@ def test_a_block_of_scalar_worlds_gives_each_row_the_scalar_result(name, kinds, 
             per_row, column = [number] * ROWS, number
         for args, value in zip(scalar_args, per_row):
             args.append(value)
-        block_args.append(lambda env, blk, reach, value=column: value)
+        block_args[f"a{len(block_args)}"] = column
 
-    blk = _Block(base, MOVED, settled, np.ones(ROWS, bool))
-    got = _guarded(_block_call(name, tuple(block_args)), [], blk, blk.live)
+    # The step world holds MOVED, which the block places in each row.
+    step = WorldState(base.scene, {o: p for o, p in base.poses.items() if o != MOVED},
+                      HeldItem(MOVED, Pose6()), base.robot_conf)
+    blk = _Block(step, MOVED, settled, np.ones(ROWS, bool))
+    call = Call(fn=name, args=tuple(VarRef(name=k) for k in block_args))
+    got = _guarded(call, block_args, blk, blk.live)
     for i, (w, args) in enumerate(zip(worlds, scalar_args)):
         undecided = not (blk.live[i] or blk.false[i])
         try:

@@ -1,12 +1,14 @@
+import dataclasses
 import pathlib
 
 import pytest
 
+from owltamp.fixtures import VARIANTS
 from owltamp.lang import (
     ParseError, TypeError_, UnknownHelperError, parse_constraint,
     parse_constraint_block,
 )
-from owltamp.lang.ast import BoolOp, Call, Compare, InitBounds, ObjectRef
+from owltamp.lang.ast import BoolOp, Call, Compare, InitBounds, ObjectRef, PoseAttr, PoseRef
 
 CORPUS = pathlib.Path(__file__).parent / "data" / "constraint_corpus.txt"
 
@@ -112,6 +114,39 @@ def test_referenced_objects_collected():
         "    zone = modify_bounds_ontop(init_bounds, 'apple', 'plate')\n"
         "    return position_within_bounds(apple.pose, zone) and peach.pose.y > 0\n")
     assert fn.referenced_objects == {"apple", "plate", "peach"}
+
+
+def _tree_names(node) -> set[str]:
+    """The object names in a parsed tree, by a walk over every field of
+    every node."""
+    if isinstance(node, ObjectRef):
+        return {node.name}
+    if isinstance(node, (PoseRef, PoseAttr)):
+        return {node.obj}
+    if isinstance(node, tuple):
+        return set().union(*map(_tree_names, node))
+    if dataclasses.is_dataclass(node):
+        return set().union(*(_tree_names(getattr(node, f.name))
+                             for f in dataclasses.fields(node) if f.init))
+    return set()
+
+
+def test_referenced_objects_are_the_names_in_the_tree():
+    # The framework name `env`, dropped where it leads a call's arguments,
+    # is read as an object where it stands later.
+    framework = parse_constraint(
+        "def f() -> bool:\n"
+        "    b = modify_bounds_near(env, init_bounds, env, 0.1)\n"
+        "    return position_within_bounds(strawberry.pose, b)\n")
+    assert framework.referenced_objects == {"env", "strawberry"}
+    fixtures = {text for variant in VARIANTS.values() for fx in variant.values()
+                for text in (*fx.goal_constraints, *(t for step in fx.step_constraints.values()
+                                                     for t in step))}
+    programs = [*map(parse_constraint, corpus_programs()),
+                *(fn for text in sorted(fixtures) for fn in parse_constraint_block(text))]
+    assert len(fixtures) > 30
+    for fn in [framework, *programs]:
+        assert fn.referenced_objects == _tree_names((fn.assigns, fn.result)), fn.pretty()
 
 
 def test_unknown_helper_reports_position():

@@ -214,6 +214,11 @@ MALFORMED = {
     "duplicate-parameter": (HEAD + "action a(o: obj, o: obj)\n",
                             "a: duplicate parameter names", 6),
     "empty-item": (ACTION + "  pre: A(o), , A(o)\n", "cannot parse literal ''", 7),
+    # An empty item of a parameter, type or argument list; `A()` has none.
+    "empty-type": ("predicates:\n  fluent P(obj, , obj)\n", "empty item in 'obj, , obj'", 2),
+    "empty-parameter": (HEAD + "action a(o: obj, , s: obj)\n",
+                        "empty item in 'o: obj, , s: obj'", 6),
+    "empty-argument": (ACTION + "  pre: B(o, , s)\n", "empty item in 'o, , s'", 7),
     "forall-spaced-negation": (ACTION + "  eff: forall obj: ! B(o, *)\n",
                                "cannot parse literal 'forall obj: ! B(o, *)'", 7),
     "unclosed-parenthesis": (ACTION + "  pre: A(o, B(o, o\n",

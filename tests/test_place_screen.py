@@ -634,7 +634,7 @@ def test_a_program_that_does_not_type_check_stops_the_screen():
     world = _bare_world((0.005, 0.005, 0.005))
     name, action = _step(world, "table_surface", False)
     number = ConstraintFn("number", (), Arith(op="+", lhs=PoseAttr(obj="item", attr="x"),
-                                              rhs=Num(value=1.0)), frozenset({"item"}))
+                                              rhs=Num(value=1.0)))
     screen = _declining(world, name, action, RestrictionTable(), fns=(number,))
     assert _skipped(screen, DrawStream(np.random.default_rng(0)), 500) == (0, None)
     rng = np.random.default_rng(0)
@@ -946,6 +946,37 @@ def test_every_benchmark_program_is_decided_in_blocks(task):
         assert "mug_by_mustard" in decided
 
 
+def test_one_program_judges_blocks_for_any_moved_object_riders_and_scene():
+    """One parsed program, judged in turn over blocks of drops of different
+    moved objects, with and without riders, on two tasks' scenes, gives
+    each block the masks a fresh parse of its source gives: it keeps
+    nothing from an earlier block.  mug2's fork-in-mug goal leaves the
+    drops of the mug undecided while the fork rides in it, and decides
+    them while it does not."""
+    source = next(s for s in fixtures.MANUAL["mug2"].goal_constraints if "goal_check0" in s)
+    shared = parse_constraint(source)
+    riding, _, _, _ = _rider_step("mug2")
+    assert "fork" in {name for name, _, _ in riding.held.riders}
+
+    def holding(task, o):
+        _, scene = load_task(task, 0)
+        return W.WorldState(scene.scene, {k: v for k, v in scene.poses.items() if k != o},
+                            W.HeldItem(o, scene.pose(o)))
+
+    steps = [("mug2", riding, "mug", "table_surface"),
+             ("mug2", holding("mug2", "mug"), "mug", "table_surface"),
+             ("mug2", holding("mug2", "fork"), "fork", "mug"),
+             ("mug3", holding("mug3", "mug"), "mug", "table_surface")]
+    for seed, (task, world, o, s) in enumerate(steps + steps[::-1]):
+        restrictions = RestrictionTable(list(load_task(task, 0)[0].sampler_restrictions))
+        got = _judge_block(shared, world, o, s, restrictions, np.random.default_rng(seed))
+        want = _judge_block(parse_constraint(source), world, o, s, restrictions,
+                            np.random.default_rng(seed))
+        assert all((a == b).all() for a, b in zip(got, want)), (task, o, seed)
+        holds, fails = got
+        assert (holds | fails).all() == (world is not riding), (task, o, seed)
+
+
 # --- A step that no drop can pass ----------------------------------------------------
 
 def _counted(monkeypatch):
@@ -990,7 +1021,7 @@ OVER_ITEM = "item.pose.x < 0.5"
 GHOST = "position_within_bounds(plate.pose, get_aabb_bounds('ghost'))"
 # A program built without the parser's type check: it returns a number.
 UNTYPED = ConstraintFn("number", (), Arith(op="+", lhs=PoseAttr(obj="item", attr="x"),
-                                           rhs=Num(value=1.0)), frozenset({"item"}))
+                                           rhs=Num(value=1.0)))
 
 # name -> (world, target, step programs, goal programs, whether the step is
 # doomed).  A program is a source line, a tuple of lines (the last one

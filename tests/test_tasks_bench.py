@@ -1,12 +1,10 @@
 import math
-from collections import Counter
 
 import pytest
 
 from owltamp import bench, detectors, tasks
 from owltamp import world as W
 from owltamp.geometry import Pose6
-from owltamp.lang import evaluator
 from owltamp.oracle import ScriptedOracle, parse_constraint_response, validate_steps
 from owltamp.partial_plan import PartialPlan, PlanStep
 from owltamp.solver import Budgets
@@ -36,27 +34,6 @@ def test_every_seed_of_a_task_shares_one_scene():
         scene = tasks.load_task(task_id, 0)[1].scene
         assert tasks.load_task(task_id, 3)[1].scene is scene
         assert scene == tasks._build_scene(tasks.load_task_spec(task_id))
-
-
-def test_block_programs_compile_once_per_task_moved_object_and_riders(monkeypatch):
-    """Over a two-seed manual grid, each program compiles its block closure
-    once per (task, moved object, riders): the second seed's cells reuse the
-    first's, as they share the task's scene.  A goal program equal to a
-    step program is a program of its own."""
-    compiled, programs = [], []
-    original = evaluator._compile_block
-
-    def counting(fn, scene, moved, riders):
-        programs.append(fn)  # keeps each program, and so its id, alive
-        compiled.append((id(fn), moved, riders))
-        return original(fn, scene, moved, riders)
-
-    monkeypatch.setattr(evaluator, "_compile_block", counting)
-    for task_id in tasks.task_ids():
-        compiled.clear()
-        result = bench.run_suite([task_id], [0, 1], ["manual"], Budgets(500, 5))
-        assert result.errors == 0
-        assert all(n == 1 for n in Counter(compiled).values()), task_id
 
 
 def test_scene_determinism():
@@ -262,6 +239,31 @@ def test_programs_naming_missing_objects_fail_the_cell_as_oracle_errors(where):
     reason = result.records[0].reason
     assert reason.startswith("oracle:OracleParseError:")
     assert "unicorn" in reason
+
+
+class _FrameworkNameOracle(ScriptedOracle):
+    """Manual fixtures, but the goal program passes the framework name `env`
+    first, where the parser drops it, and again as the object to be near."""
+
+    PROGRAM = ("def f() -> bool:\n"
+               "    b = modify_bounds_near(env, init_bounds, env, 0.1)\n"
+               "    return position_within_bounds(strawberry.pose, b)\n")
+
+    def __init__(self):
+        super().__init__("manual")
+
+    def propose_goal_constraints(self, req):
+        self.calls += 1
+        return parse_constraint_response(self.PROGRAM)
+
+
+def test_a_framework_name_read_as_an_object_fails_the_cell_as_an_oracle_error():
+    result = bench.run_suite(["berry1"], [0], ["manual"], Budgets(500, 5),
+                             oracle_factory=lambda m, t, s: _FrameworkNameOracle())
+    assert result.errors == 0
+    assert result.records[0].reason == (
+        "oracle:OracleParseError:constraint program f names objects missing from the "
+        "scene: env")
 
 
 class _HeldMugOracle(ScriptedOracle):
