@@ -78,6 +78,21 @@ class Pose6:
         return Pose6(*vals)
 
 
+def _each(f):
+    """`f` of a float, or of each element of a 1-d column, through `math`."""
+    def each(a):
+        if isinstance(a, float):
+            return f(a)
+        return np.fromiter(map(f, a.tolist()), float, len(a))
+    return each
+
+
+# `math.cos` and `math.sin` over floats or columns, so that a column path
+# rounds each row as the scalar path does: numpy's own may differ from
+# `math`'s in the last bit.
+cosines, sines = _each(math.cos), _each(math.sin)
+
+
 def rotated_half_extents(half_extents, roll: float, pitch: float, yaw: float,
                          cos=math.cos, sin=math.sin) -> tuple[float, float, float]:
     """Half extents of the axis-aligned hull of a rotated box, as a 3-tuple.
@@ -85,9 +100,10 @@ def rotated_half_extents(half_extents, roll: float, pitch: float, yaw: float,
     Equals |R| @ h for R = Rz(yaw) @ Ry(pitch) @ Rx(roll), which matches the
     max over the 8 rotated corners.  Written out in scalar float math; it
     can differ from a numpy matmul of the same matrices in the last bit,
-    where the BLAS fuses multiply-adds.  With `np.cos` and `np.sin` it takes
-    arrays of angles and gives arrays, whose cosines and sines may differ
-    from `math`'s in the last bit.
+    where the BLAS fuses multiply-adds.  Given `cosines` and `sines`, it
+    takes columns of angles (or floats) and gives columns, each row equal
+    to the scalar call's bit for bit: elementwise `*`, `+` and `abs` round
+    in numpy as in Python.
     """
     h0, h1, h2 = half_extents
     cr, sr = cos(roll), sin(roll)

@@ -8,8 +8,9 @@ interpreter.
 
 Block evaluation.  `eval_constraint_block` judges a program on the worlds a
 block of place drops would leave, in numpy, from the columns of the settled
-poses and hulls (see the section below); a row it cannot decide is left to
-`eval_constraint` on the world the draw builds.  It walks the tree as
+poses and hulls (see the section below); a row it leaves undecided, for a
+read of a rider or an error, is left to `eval_constraint` on the world the
+draw builds.  It walks the tree as
 `_eval` does (`_eval_block`) and calls the helpers of `helpers` themselves,
 with the block as their reader (`_Block`) once they are given the moved
 object: one helper library, read through a world or a block reader.
@@ -24,7 +25,7 @@ import operator
 import numpy as np
 
 from ..geometry import Aabb
-from ..world import MARGIN, ObjectHeldError, WorldError, WorldState, aabb_of
+from ..world import ObjectHeldError, WorldError, WorldState, aabb_of
 from .ast import (
     POSE_FIELDS, Abs, Arith, BoolLit, BoolOp, BoundsBox, Call, Compare, ConstraintFn, Expr,
     InfeasibleBoundsError, InitBounds, LangError, Num, ObjectRef, PoseAttr, PoseRef, VarRef,
@@ -126,10 +127,11 @@ def eval_constraint(fn: ConstraintFn, w: WorldState) -> bool:
 # a helper call given its name) gives a column; one that names a rider leaves
 # the rows that reach it undecided.  A helper call given a column runs the
 # helper itself with the block as its reader, so every rule is written once.
-# Comparisons and `position_within_bounds` of columns are scored as signed
-# distances from their thresholds, and so is the emptiness of bounds a
-# helper builds; a score within `world.MARGIN` of zero leaves its row
-# undecided, as in `world.PlaceTables`, and so does a NaN score.  `and` and
+# The settled columns hold, row by row, the floats the draw's world holds
+# (`world.PlaceTables`), and numpy's elementwise arithmetic and comparisons
+# round and compare as Python's do, NaN and infinities included: so a
+# comparison of columns, `position_within_bounds` and the emptiness of
+# bounds a helper builds give each row the scalar verdict.  `and` and
 # `or` evaluate an operand only on the rows that reach it, and an error
 # raised on some rows takes effect on those rows where the scalar evaluation
 # would raise it: infeasible bounds or a read of a held object make a row
@@ -182,21 +184,12 @@ class _Block:
     def doubt(self, rows) -> None:
         self.live = self.live & ~rows
 
-    def decide(self, score, reach):
-        """`score >= 0` on the rows that reach it, doubting the rows within
-        MARGIN of the threshold and those where it is NaN, as it is for a
-        comparison of two equal infinities."""
-        self.doubt(reach & ~(np.abs(score) > MARGIN))
-        return score > MARGIN
-
     def bound(self, b: _Bounds, reach) -> None:
         """The rows that reach `b` raise InfeasibleBoundsError where it is
         empty: its bounds only ever narrow, one axis at a time, so a helper
         raises if and only if its result is empty on some axis."""
         lo, up = b.lower, b.upper
-        gap = np.minimum(np.minimum(up[X] - lo[X], up[Y] - lo[Y]), up[Z] - lo[Z])
-        self.doubt(reach & (np.abs(gap) <= MARGIN))
-        self.abort(reach & (gap < 0.0))
+        self.abort(reach & ((lo[X] > up[X]) | (lo[Y] > up[Y]) | (lo[Z] > up[Z])))
 
     def box(self, w: WorldState, name: str):
         return self.hull if name == self.name else aabb_of(w, name)
@@ -210,14 +203,6 @@ class _Block:
     @staticmethod
     def bounds(lower, upper) -> _Bounds:
         return _Bounds((*lower, *_ANGLES_LOWER), (*upper, *_ANGLES_UPPER))
-
-
-# Each comparison's score.
-_SCORES = {
-    "<": lambda a, b: b - a, "<=": lambda a, b: b - a,
-    ">": lambda a, b: a - b, ">=": lambda a, b: a - b,
-    "==": lambda a, b: -np.abs(a - b),
-}
 
 
 def _varies(value, blk: _Block) -> bool:
@@ -240,10 +225,9 @@ def _block_object(blk: _Block, name: str, node: Expr) -> str:
 def _eval_block(e: Expr, env: dict, blk: _Block, reach):
     """The value of `e` over the rows `reach` of `blk`, node for node as
     `_eval`: a plain value on the step world until a read of the moved
-    object makes it a column.  Comparisons of columns are scored, and a
-    helper given a column or the moved object's name reads through the
-    block; its invariant bounds become `_Bounds`, so that it may narrow
-    them with columns."""
+    object makes it a column.  A helper given a column or the moved
+    object's name reads through the block; its invariant bounds become
+    `_Bounds`, so that it may narrow them with columns."""
     kind = type(e)
     if kind is Call:
         args = [_eval_block(a, env, blk, reach) for a in e.args]
@@ -252,7 +236,7 @@ def _eval_block(e: Expr, env: dict, blk: _Block, reach):
                 return HELPER_IMPLS[e.fn](*args)
             return HELPER_IMPLS[e.fn](blk.world, *args)
         if e.fn == "position_within_bounds":
-            return blk.decide(within_score(*args, np.minimum), reach)
+            return within_score(*args, np.minimum) >= 0
         value = HELPER_IMPLS[e.fn](blk.world, *[
             _Bounds(a.lower, a.upper) if type(a) is BoundsBox else a for a in args], read=blk)
         if type(value) is _Bounds:
@@ -276,14 +260,9 @@ def _eval_block(e: Expr, env: dict, blk: _Block, reach):
         if name == blk.name:
             return blk.settled_pose[POSE_FIELDS.index(e.attr)]
         return getattr(blk.world.pose(name), e.attr)
-    if kind is Arith:
+    if kind is Compare or kind is Arith:
         return _OPERATORS[e.op](_eval_block(e.lhs, env, blk, reach),
                                 _eval_block(e.rhs, env, blk, reach))
-    if kind is Compare:
-        lhs, rhs = _eval_block(e.lhs, env, blk, reach), _eval_block(e.rhs, env, blk, reach)
-        if type(lhs) is np.ndarray or type(rhs) is np.ndarray:
-            return blk.decide(_SCORES[e.op](lhs, rhs), reach)
-        return _OPERATORS[e.op](lhs, rhs)
     if kind is Abs:
         return abs(_eval_block(e.operand, env, blk, reach))
     if kind is InitBounds:
@@ -331,16 +310,15 @@ def eval_constraint_block(fn: ConstraintFn, step: WorldState, name: str, settled
     """The program on the worlds that a block of drops of the held `name`
     would leave, placed as `settled` (`world.Settled`), from the step world
     `step`: masks of the rows of `rows` where it surely holds and where it
-    surely does not.  A row in neither is undecided: a score within MARGIN
-    of its threshold, a read of one of `name`'s riders, an error
-    `eval_constraint` would raise, or a program that does not type-check."""
+    surely does not.  A row in neither is undecided: a read of one of
+    `name`'s riders, an error `eval_constraint` would raise, or a program
+    that does not type-check."""
     blk = _Block(step, name, settled, rows)
     if not _typed(fn):
         return blk.holds, blk.false
     env = {}
-    # A sum may overflow to infinity, as Python's does, and a score of two
-    # equal infinities is NaN, which `decide` leaves undecided: numpy need
-    # not warn of either.
+    # A sum may overflow to infinity, and a difference of two equal
+    # infinities is NaN, as in Python: numpy need not warn of either.
     with np.errstate(invalid="ignore", over="ignore"):
         for a in fn.assigns:
             env[a.name] = _guarded(a.value, env, blk, blk.live)

@@ -96,9 +96,16 @@ def validate_steps(steps, action_listing: str) -> None:
             raise UnknownOperatorError(step.signature())
 
 
+# The most steps a plan reply may have.  A valid plan's search cost grows
+# about sixfold per doubling of its length (385 steps took one cell 43 s);
+# the longest fixture plan has 5 steps.
+MAX_PLAN_STEPS = 64
+
+
 def parse_plan_response(raw: str, action_listing: str = "") -> PartialPlan:
     """Pull the plan out of a free-form reply: everything after the last
-    `Plan:` marker, one `operator; description` line per step."""
+    `Plan:` marker, one `operator; description` line per step, at most
+    MAX_PLAN_STEPS of them."""
     marker = None
     for m in re.finditer(r"^\s*plan\s*:\s*$", raw, flags=re.IGNORECASE | re.MULTILINE):
         marker = m
@@ -109,6 +116,9 @@ def parse_plan_response(raw: str, action_listing: str = "") -> PartialPlan:
         raise OracleParseError(str(e), raw) from None
     if not plan.steps and not plan.goal_objects:
         raise OracleParseError("reply contains no plan steps", raw)
+    if len(plan.steps) > MAX_PLAN_STEPS:
+        raise OracleParseError(f"plan has {len(plan.steps)} steps, more than the limit of "
+                               f"{MAX_PLAN_STEPS}", raw)
     validate_steps(plan.steps, action_listing)
     return plan
 

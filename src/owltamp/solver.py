@@ -580,13 +580,10 @@ _PLACE_REASONS = (*W.PLACE_REJECTIONS, None, "constraint-unsatisfied",
 
 def _judge_programs(codes, fns, goal_fns, world, o, settled) -> None:
     """Judge the programs on the drops of a block that `PlaceTables.judge`
-    passed, up to its first undecided one, in `refine`'s order: the step's,
-    then the goal's.  A drop one of them refuses gets that list's code in
-    `_PLACE_REASONS`; a drop one leaves undecided becomes undecided."""
-    undecided = codes == W.PLACE_UNDECIDED
+    passed, in `refine`'s order: the step's, then the goal's.  A drop one of
+    them refuses gets that list's code in `_PLACE_REASONS`; a drop one
+    leaves undecided becomes undecided."""
     rows = codes == W.PLACE_PASSED
-    if undecided.any():
-        rows[undecided.argmax():] = False
     for code, programs in enumerate((fns, goal_fns), W.PLACE_PASSED + 1):
         for fn in programs:
             if not rows.any():

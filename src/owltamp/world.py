@@ -17,7 +17,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import Aabb, Pose6, box_at_pose, rotated_half_extents, wrap_angles
+from .geometry import (
+    Aabb, Pose6, box_at_pose, cosines, rotated_half_extents, sines, wrap_angle, wrap_angles,
+)
 
 CONTACT_TOL = 1e-4          # boxes collide only when interpenetrating beyond this
 POUR_TILT_MIN = 1.2         # radians of tilt needed for contents to fall out
@@ -267,18 +269,21 @@ def _contents(w: WorldState, container: str) -> tuple[str, ...]:
 #
 # Each placement rule is written once.  Given Python floats it is the skills'
 # own check; given numpy columns and numpy's `minimum` and `maximum`, it
-# judges a block of drops for `PlaceTables`.  A rule that a column path may
-# need to doubt is a score, a signed distance from its threshold: it holds
-# where the score is >= 0 (`_overlap`: > CONTACT_TOL).  For finite doubles
-# `a <= b` holds exactly when `b - a >= 0`, since rounding never flips the
-# sign of a difference, so a float call compared with 0 gives the verdict
-# of the comparison it replaces.
+# judges a block of drops for `PlaceTables`.  Some rules are scores, signed
+# distances from a threshold, that hold where the score is >= 0 (`_overlap`:
+# > CONTACT_TOL).  Both paths compute a score from the same floats in the
+# same operations and compare it the same way, so each row of a column call
+# gets the float call's verdict.
+
+def _beside(box: Aabb, x, y, slack: float = 0.0):
+    """Not `box.contains_xy(x, y, slack)`, over floats or columns."""
+    (l0, l1, _), (u0, u1, _) = box.lower, box.upper
+    return (x < l0 - slack) | (x > u0 + slack) | (y < l1 - slack) | (y > u1 + slack)
+
 
 def _outside(box: Aabb, x, y, z, slack: float = 0.0):
     """Not `box.contains_point((x, y, z), slack)`, over floats or columns."""
-    (l0, l1, l2), (u0, u1, u2) = box.lower, box.upper
-    return ((x < l0 - slack) | (x > u0 + slack) | (y < l1 - slack) | (y > u1 + slack)
-            | (z < l2 - slack) | (z > u2 + slack))
+    return _beside(box, x, y, slack) | (z < box.lower[2] - slack) | (z > box.upper[2] + slack)
 
 
 def _overlap(a, b, minimum=min, maximum=max):
@@ -504,7 +509,8 @@ def _seats(scene: Scene, held: HeldItem, x, y, z, yaw, cos=math.cos, sin=math.si
            maximum=max, minimum=min):
     """Where each rider of `held` comes to rest once its container is set
     down at (x, y, z) with `yaw`: (name, center, rotated half extents, rpy),
-    in name order, over floats or, given numpy's functions, columns.
+    in name order, over floats or, given `cosines`, `sines` and numpy's
+    `maximum` and `minimum`, columns.  The rpy is not wrapped yet.
 
     Relative xy offsets follow the container's yaw change and are clamped to
     the interior so contents never end up embedded in a wall.
@@ -585,16 +591,14 @@ def exec_place(w: WorldState, name: str, target: str, drop: Pose6) -> SkillOutco
 # `PlaceTables` judges a block of drops at once, in numpy, as `exec_place`
 # and then the place effect would judge each, through the rules above.  A
 # drop's x, y and z are the draw's own floats (`lo + span * u`) in both
-# paths, so the tests of them alone are exact booleans: the workspace, each
-# footprint under the drop, the target's opening and each interior's
-# footprint for `contents`.  The rotated extents and the riders' seats use
-# numpy's cosine and sine, which may differ from `math`'s in the last bit,
-# so every test that reads them (the opening fit, the release height,
-# collision, the settled height within an interior and support) is a
-# score, and a score within MARGIN of zero leaves its drop undecided.
+# paths, the rotated extents and the riders' seats take `math`'s cosines and
+# sines (`geometry.cosines`), and every other step is an elementwise `+`,
+# `-`, `*`, `/`, `abs`, `min` or `max`, which rounds in numpy as in Python.
+# So each column holds, row by row, the float `exec_place` computes, and
+# each check is its comparison: every drop gets the scalar path's code.
 
-MARGIN = 1e-9
-# What the codes of `PlaceTables.judge` name, in the order of the checks.
+# What the codes of `PlaceTables.judge` name, in the order of the checks.  A
+# program may still leave a passed drop to the draw (`PLACE_UNDECIDED`).
 PLACE_REJECTIONS = ("unreachable", "does-not-fit", "no-support", "release-below-rest",
                     "collision", "contents-collision", "effects-unsatisfied")
 PLACE_UNDECIDED, PLACE_PASSED = -1, len(PLACE_REJECTIONS)
@@ -603,8 +607,8 @@ PLACE_UNDECIDED, PLACE_PASSED = -1, len(PLACE_REJECTIONS)
 class Settled(NamedTuple):
     """Where each drop of a block comes to rest, as columns over the drops:
     the pose `exec_place` gives it (x, y, z, roll, pitch, yaw), its hull's
-    corners and its rotated half height.  Only a drop judged `PLACE_PASSED`
-    is sure to come to rest there."""
+    corners and its rotated half height, bit for bit.  A drop `exec_place`
+    refuses rests nowhere; its row holds what the checks read."""
 
     pose: tuple
     lower: tuple
@@ -632,23 +636,16 @@ def _obstacle_rows(w: WorldState, skip: tuple[str, ...]) -> tuple[Aabb, Aabb]:
 
 
 def _hit(box: Aabb, obstacles: tuple[Aabb, Aabb], container: bool = False):
-    """Score of `collision` of the column box `box`, a container's or not,
-    with the obstacles of `_obstacle_rows`."""
+    """`collision` of the column box `box`, a container's or not, with the
+    obstacles of `_obstacle_rows`."""
     rows, walls = obstacles
-    hit = _overlap(box, rows, np.minimum, np.maximum) - CONTACT_TOL
+    hit = _overlap(box, rows, np.minimum, np.maximum) > CONTACT_TOL
     k = len(walls.lower[0])
     if k:
-        hit[:k] = np.minimum(hit[:k], -_inside_open(box, walls, np.minimum))
+        hit[:k] &= _inside_open(box, walls, np.minimum) < 0
     if container:
-        hit = np.minimum(hit, -_inside_open(rows, box, np.minimum))
-    return hit.max(axis=0, initial=-np.inf)
-
-
-def _xy_gap(box: Aabb, x, y):
-    """The score of `box.contains_xy(x, y)` for each column of `box`: for
-    finite doubles it is >= 0 exactly where `contains_xy` holds."""
-    (l0, l1, _), (u0, u1, _) = box.lower, box.upper
-    return np.minimum(np.minimum(x - l0, u0 - x), np.minimum(y - l1, u1 - y))
+        hit &= _inside_open(rows, box, np.minimum) < 0
+    return hit.any(axis=0)
 
 
 class PlaceTables:
@@ -669,15 +666,12 @@ class PlaceTables:
         self.target = [other for other, _ in hulls].index(target)
         containers = [other for other, kind, _ in _obstacles(w) if kind == "container"]
         self.interior = containers.index(target) if target in containers else -1
-        # Rows: the hulls, in `_hulls` order, then the containers'
-        # interiors, in `_obstacles` order.
+        # The hulls, in `_hulls` order, and the containers' interiors, in
+        # `_obstacles` order, as columns.
         interiors = [interior_box(w, other) for other in containers]
-        rows, k = _columns([box for _, box in hulls] + interiors), len(hulls)
-        self.rows, self.tops = rows, rows.upper[2][:k]
+        self.hulls, self.interiors = _columns(box for _, box in hulls), _columns(interiors)
         if self.interior >= 0:
             self.inner = interiors[self.interior]
-        # `contents` takes an interior with CONTACT_TOL of slack.
-        self.holds = Aabb.trusted(rows.lower[:, k:] - CONTACT_TOL, rows.upper[:, k:] + CONTACT_TOL)
         self.obstacles = _obstacle_rows(w, (name, target))
         # `exec_place` excludes only the container from its riders' checks.
         if w.held.riders:
@@ -686,97 +680,91 @@ class PlaceTables:
     def judge(self, x, y, z, roll, pitch, yaw) -> tuple[np.ndarray, Settled]:
         """For each drop, given as arrays of decoded x, y, z and wrapped
         roll, pitch and yaw: the index in PLACE_REJECTIONS of the first
-        check that refuses it, PLACE_PASSED when it would be placed with
-        the effect holding, or PLACE_UNDECIDED; and where the drops settle.
-        The settled angles are the drop's wrapped again, as `Pose6.moved`
-        wraps them."""
+        check that refuses it, or PLACE_PASSED when it would be placed with
+        the effect holding; and where the drops settle.  The settled angles
+        are the drop's wrapped again, as `Pose6.moved` wraps them."""
         n = len(x)
-        e0, e1, e2 = rotated_half_extents(self.half, roll, pitch, yaw, np.cos, np.sin)
+        e0, e1, e2 = rotated_half_extents(self.half, roll, pitch, yaw, cosines, sines)
         far = _outside(self.scene.workspace, x, y, z)
 
         # `_support_height`: the highest top under the drop, where the
         # target's floor stands in for its rim when the drop is over its
         # opening, which lies within its hull, and fits through it.
         # Contents offer their own hull tops, as every placed object does.
-        gap = _xy_gap(self.rows, x, y)
-        k = len(self.tops)
-        tops = np.where(gap[:k] >= 0, self.tops, -np.inf)
-        misfit = np.full(n, -np.inf)
+        tops = np.where(_beside(self.hulls, x, y), -np.inf, self.hulls.upper[2])
+        misfit = np.zeros(n, bool)
         if self.interior >= 0:
-            over = gap[k + self.interior] >= 0
-            misfit = np.where(over, -_opening_fit(self.inner, e0, e1, np.minimum), -np.inf)
+            over = ~_beside(self.inner, x, y)
+            misfit = over & (_opening_fit(self.inner, e0, e1, np.minimum) < 0)
             tops[self.target] = np.where(over, self.inner.lower[2], tops[self.target])
         height = tops.max(axis=0)
         bare = height == -np.inf
         height[bare] = 0.0
         pz = height + e2
-        below = (pz - CONTACT_TOL) - z
+        below = z < pz - CONTACT_TOL
 
-        # `collision` of the settled hull with every obstacle but the target.
+        # The settled hull.  Where `Pose6.moved` wraps an angle again to
+        # another float, it takes that angle's extents, as in `exec_place`.
+        angles = wrap_angles(np.array((roll, pitch, yaw)))
+        again = (angles != (roll, pitch, yaw)).any(axis=0)
+        if again.any():
+            e0, e1, e2 = (np.where(again, f, e) for f, e in zip(
+                rotated_half_extents(self.half, *angles, cosines, sines), (e0, e1, e2)))
         box = Aabb.trusted((x - e0, y - e1, pz - e2), (x + e0, y + e1, pz + e2))
+        # `collision` of the settled hull with every obstacle but the target.
         hit = _hit(box, self.obstacles, self.container)
 
         # The riders, re-seated: their `collision` with every obstacle but
-        # the container, and with each other.
-        angles = wrap_angles(np.array((roll, pitch, yaw)))
-        riders, knock = [], np.full(n, -np.inf)
+        # the container, and with each other.  A rider's hull is the one
+        # `box_at_pose` gives on the pose `_restore_riders` builds, which
+        # wraps its angles.
+        riders, knock = [], np.zeros(n, bool)
         if self.held.riders:
-            for _, (cx, cy, cz), (r0, r1, r2), _ in _seats(
-                    self.scene, self.held, x, y, pz, angles[2], np.cos, np.sin,
-                    np.maximum, np.minimum):
+            for name, (cx, cy, cz), _, (rr, rp, ry) in _seats(
+                    self.scene, self.held, x, y, pz, angles[2], cosines, sines, np.maximum,
+                    np.minimum):
+                r0, r1, r2 = rotated_half_extents(
+                    self.scene.model(name).half_extents, wrap_angle(rr), wrap_angle(rp),
+                    wrap_angles(ry), cosines, sines)
                 rider = Aabb.trusted((cx - r0, cy - r1, cz - r2), (cx + r0, cy + r1, cz + r2))
-                knock = np.maximum(knock, _hit(rider, self.rider_obstacles))
+                knock |= _hit(rider, self.rider_obstacles)
                 for other in riders:
-                    knock = np.maximum(knock, _overlap(rider, other, np.minimum, np.maximum)
-                                       - CONTACT_TOL)
+                    knock |= _overlap(rider, other, np.minimum, np.maximum) > CONTACT_TOL
                 riders.append(rider)
 
-        # `contents`: the settled position within an interior, with slack;
-        # its x and y are the drop's, so only its height is scored.
-        holds = self.holds
-        held = np.where(_xy_gap(holds, x, y) >= 0,
-                        np.minimum(pz - holds.lower[2], holds.upper[2] - pz), -np.inf)
+        # `contents`: the settled position within an interior, with slack.
+        held = ~_outside(self.interiors, x, y, pz, CONTACT_TOL)
         if self.inside:
-            miss = -held[self.interior] if self.interior >= 0 else np.full(n, np.inf)
+            miss = ~held[self.interior] if self.interior >= 0 else np.ones(n, bool)
         else:
-            miss = self._misses_support(gap[:k], held, box.lower[2], x, y, riders)
+            # `supported_by` looks under the center of the settled hull,
+            # which can round off the drop's x and y.
+            miss = self._misses_support((box.lower[0] + box.upper[0]) / 2,
+                                        (box.lower[1] + box.upper[1]) / 2, box.lower[2], held,
+                                        riders)
 
-        # The first check each drop does not surely pass decides its code;
-        # an exact test refuses a drop surely or passes it surely.
-        far, bare = np.where((far, bare), np.inf, -np.inf)
+        # The first check that refuses a drop gives its code.
         fails = np.stack((far, misfit, bare, below, hit, knock, miss))
-        open_ = fails >= -MARGIN
-        stage = open_.argmax(axis=0)
-        failed = fails[stage, np.arange(n)] > MARGIN
-        codes = np.where(open_.any(axis=0), np.where(failed, stage, PLACE_UNDECIDED),
-                         PLACE_PASSED)
+        codes = np.where(fails.any(axis=0), fails.argmax(axis=0), PLACE_PASSED)
         return codes, Settled((x, y, pz, *angles), box.lower, box.upper, e2)
 
-    def _misses_support(self, under, held, bottom, x, y, riders):
-        """Score of `supported_by` not finding the target: it takes the
-        first container holding the object, else the first of the highest
-        hulls under the center whose top meets the bottom.  The center is
-        (x, y), whose `_xy_gap`s are `under`, to rounding.  A drop where a
-        rider's hull may be one of those is left undecided."""
-        n = len(bottom)
-        tops = self.tops
-        rests = np.minimum(under + CONTACT_TOL, _rest_gap(bottom, tops))
-        unsure = (np.abs(rests) <= MARGIN).any(axis=0)
+    def _misses_support(self, cx, cy, bottom, held, riders):
+        """Whether `supported_by` misses the target in the world each drop
+        leaves: it takes the first container holding the object, where
+        `held`, else the first of the highest hulls under the center (`cx`,
+        `cy`) of the object's hull whose top meets its `bottom`.  The riders'
+        hulls come last in that world, so one is found only above every
+        other."""
+        def rests(hull):
+            return ~_beside(hull, cx, cy, CONTACT_TOL) & (_rest_gap(bottom, hull.upper[2]) >= 0)
+        tops = np.where(rests(self.hulls), self.hulls.upper[2], -np.inf)
+        best = tops.max(axis=0)
+        found = (best > -np.inf) & (tops.argmax(axis=0) == self.target)
         for rider in riders:
-            unsure |= np.minimum(_xy_gap(rider, x, y) + CONTACT_TOL,
-                                 _rest_gap(bottom, rider.upper[2])) >= -MARGIN
-        top = np.where(rests > MARGIN, tops, -np.inf)
-        best_top = top.max(axis=0)
-        found = (best_top > -np.inf) & (np.argmax(top == best_top, axis=0) == self.target)
+            found &= ~(rests(rider) & (rider.upper[2] > best))
         if len(held):
-            # The first container the object is not surely outside of.
-            open_ = held >= -MARGIN
-            first = open_.argmax(axis=0)
-            free = ~open_.any(axis=0)
-            inside = held[first, np.arange(n)] > MARGIN
-            unsure = np.where(free, unsure, ~inside)
-            found = np.where(free, found, first == self.interior)
-        return np.where(unsure, 0.0, np.where(found, -1.0, 1.0))
+            found = np.where(held.any(axis=0), held.argmax(axis=0) == self.interior, found)
+        return ~found
 
 
 def exec_pour(w: WorldState, name: str, target: str, params) -> SkillOutcome:

@@ -22,7 +22,8 @@ place tables' and the pick rule's), the walk that lists the object names a
 program reads, the domain parser's, one per part of a cell's set-up, and
 A* without its applicability check.  Dropped because their code is gone: a
 row-invariant program value kept across blocks (the evaluator keeps no
-per-step state).
+per-step state), and a block comparison without its margin of doubt (block
+comparisons are exact).
 """
 
 import argparse
@@ -57,12 +58,6 @@ MUTANTS = (
            "codes[rows & ~holds & ~fails] = W.PLACE_UNDECIDED",
            "codes[rows & ~holds & ~fails] = code",
            (PLACE + "test_a_program_that_raises_on_every_drop_stops_the_screen",)),
-    Mutant("no-margin-in-decide", "lang/evaluator.py",
-           "        self.doubt(reach & ~(np.abs(score) > MARGIN))\n"
-           "        return score > MARGIN\n",
-           "        self.doubt(reach & np.isnan(score))\n"
-           "        return score > 0.0\n",
-           (PLACE + "test_a_drop_at_a_program_edge_stops_the_screen",)),
     Mutant("half-height-as-x-extent", "world.py",
            "Settled((x, y, pz, *angles), box.lower, box.upper, e2)",
            "Settled((x, y, pz, *angles), box.lower, box.upper, e0)",
@@ -78,7 +73,7 @@ MUTANTS = (
            "        blk.abort(reach)\n",
            (PLACE + "test_a_program_that_raises_on_every_drop_stops_the_screen", RAISES)),
     Mutant("no-abort-on-empty-bounds", "lang/evaluator.py",
-           "        self.abort(reach & (gap < 0.0))\n",
+           "        self.abort(reach & ((lo[X] > up[X]) | (lo[Y] > up[Y]) | (lo[Z] > up[Z])))\n",
            "",
            (PLACE + "test_a_drop_at_a_program_edge_stops_the_screen",)),
     Mutant("rider-references-invariant", "lang/evaluator.py",
@@ -102,9 +97,32 @@ MUTANTS = (
             "test_a_framework_name_read_as_an_object_fails_the_cell_as_an_oracle_error",)),
     # --- The place tables and the pick rule (`world.py`).
     Mutant("last-of-two-containers", "world.py",
-           "            first = open_.argmax(axis=0)\n",
-           "            first = len(held) - 1 - open_[::-1].argmax(axis=0)\n",
+           "held.argmax(axis=0) == self.interior",
+           "len(held) - 1 - held[::-1].argmax(axis=0) == self.interior",
            (PLACE + "test_a_drop_inside_two_containers_rests_on_the_first",)),
+    Mutant("extent-off-by-one-ulp", "world.py",
+           "        e0, e1, e2 = rotated_half_extents(self.half, roll, pitch, yaw, cosines, sines)\n",
+           "        e0, e1, e2 = rotated_half_extents(self.half, roll, pitch, yaw, cosines, sines)\n"
+           "        e2 = np.nextafter(e2, -np.inf)\n",
+           (PLACE + "test_every_passed_drop_is_one_the_scalar_path_accepts",
+            PLACE + "test_every_drop_gets_the_scalar_verdict_when_no_program_reads_a_rider")),
+    Mutant("hull-ignores-rewrapped-angles", "world.py",
+           "        if again.any():\n",
+           "        if False:\n",
+           (PLACE + "test_a_drop_whose_angle_wraps_again_settles_at_the_hull_exec_place_gives",)),
+    Mutant("rider-hull-of-unwrapped-angles", "world.py",
+           "wrap_angle(rr), wrap_angle(rp),\n                    wrap_angles(ry), cosines",
+           "rr, rp,\n                    ry, cosines",
+           (PLACE + "test_a_rider_at_an_obstacle_edge_is_judged_on_its_wrapped_pose",)),
+    Mutant("riders-never-support", "world.py",
+           "            found &= ~(rests(rider) & (rider.upper[2] > best))\n",
+           "            pass\n",
+           (PLACE + "test_a_thin_rider_under_its_container_center_is_found_as_its_support",)),
+    Mutant("support-center-is-drop-xy", "world.py",
+           "            miss = self._misses_support((box.lower[0] + box.upper[0]) / 2,\n"
+           "                                        (box.lower[1] + box.upper[1]) / 2,",
+           "            miss = self._misses_support(x, y,",
+           (PLACE + "test_support_is_found_under_the_hull_center_not_the_drop",)),
     Mutant("no-contact-tol-in-rest-gap", "world.py",
            "    return (0.02 + CONTACT_TOL) - abs(top - bottom)\n",
            "    return 0.02 - abs(top - bottom)\n",

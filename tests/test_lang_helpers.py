@@ -21,7 +21,7 @@ from owltamp.lang import helpers as H
 from owltamp.lang.ast import Call, VarRef
 from owltamp.lang.evaluator import _Block, _Bounds, _guarded
 from owltamp.world import (
-    CONTACT_TOL, FLOOR_THICKNESS, MARGIN, HeldItem, ObjectModel, Scene, Settled, WorldState,
+    CONTACT_TOL, FLOOR_THICKNESS, HeldItem, ObjectModel, Scene, Settled, WorldState,
     aabb_of, interior_box,
 )
 
@@ -393,11 +393,9 @@ def test_inside_a_container_reaches_down_to_its_interior_floor():
 # The place screen calls the same helpers through a block of drops
 # (`evaluator._Block`), whose reads of the moved object are columns.  A call
 # over a block whose rows hold the floats of scalar worlds, its arguments
-# bound to names, must give each row the scalar call's bounds corners bit
-# for bit (or, for `position_within_bounds`, a score of the same sign), and
-# mark false exactly the rows where the scalar call raises
-# InfeasibleBoundsError; a row within MARGIN of either edge may instead be
-# left undecided.
+# bound to names, must give each row the scalar call's result, bounds
+# corners bit for bit, and mark false exactly the rows where the scalar call
+# raises InfeasibleBoundsError, leaving no row undecided.
 
 ROWS = 8
 MOVED = "obj1"
@@ -494,27 +492,19 @@ def test_a_block_of_scalar_worlds_gives_each_row_the_scalar_result(name, kinds, 
     call = Call(fn=name, args=tuple(VarRef(name=k) for k in block_args))
     got = _guarded(call, block_args, blk, blk.live)
     for i, (w, args) in enumerate(zip(worlds, scalar_args)):
-        undecided = not (blk.live[i] or blk.false[i])
+        assert blk.live[i] or blk.false[i], i
         try:
             want = (H.position_within_bounds(*args) if name == "position_within_bounds"
                     else H.HELPER_IMPLS[name](w, *args))
         except InfeasibleBoundsError:
-            assert blk.false[i] or undecided, i
-            want = None
-        else:
-            assert not blk.false[i], i
+            assert blk.false[i], i
+            continue
+        assert not blk.false[i], i
         if isinstance(want, bool):
-            position, b = args[0].position, args[1]
-            score = min(min(position[k] - b.lower[k], b.upper[k] - position[k])
-                        for k in range(3))
-            assert undecided == (abs(score) <= MARGIN), i
-            assert undecided or _row(got, i) == want, i
+            assert _row(got, i) == want, i
         elif isinstance(want, Pose6):
             values = got.as_tuple() if isinstance(got, Pose6) else got
             assert all(_same_float(_row(g, i), v) for g, v in zip(values, want.as_tuple()))
-        elif want is not None:
+        else:
             corners = (*zip(got.lower, want.lower), *zip(got.upper, want.upper))
             assert all(_same_float(_row(g, i), v) for g, v in corners), i
-        if undecided and not isinstance(want, bool):
-            gap = min(_row(got.upper[k], i) - _row(got.lower[k], i) for k in range(3))
-            assert abs(gap) <= MARGIN, i

@@ -1,5 +1,6 @@
 import json
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -11,10 +12,10 @@ from owltamp.fixtures import DIRECT_GOALS, VARIANTS
 from owltamp.grounding import format_action_listing
 from owltamp.partial_plan import PartialPlan, PlanStep
 from owltamp.oracle import (
-    ExternalOracle, OracleError, OracleParseError, OracleRequest, OracleServiceError,
-    ReplayOracle, ScriptedOracle, UnknownOperatorError, parse_constraint_response,
-    parse_goal_literals, parse_plan_response, render_discrete_prompt,
-    render_goal_constraint_prompt, validate_steps,
+    MAX_PLAN_STEPS, ExternalOracle, OracleError, OracleParseError, OracleRequest,
+    OracleServiceError, ReplayOracle, ScriptedOracle, UnknownOperatorError,
+    parse_constraint_response, parse_goal_literals, parse_plan_response,
+    render_discrete_prompt, render_goal_constraint_prompt, validate_steps,
 )
 from owltamp.solver import Budgets
 from owltamp.tasks import task_ids
@@ -116,6 +117,38 @@ def test_parse_plan_response_unknown_operator():
     with pytest.raises(UnknownOperatorError) as err:
         parse_plan_response(bad, MUG1_LISTING)
     assert "levitate" in str(err.value)
+
+
+class LongPlanOracle(ScriptedOracle):
+    """The manual fixtures, but a plan reply of `steps` steps that pick up
+    the strawberry and set it down in the grey region, over and over."""
+
+    def __init__(self, steps):
+        super().__init__("manual")
+        self.steps = steps
+
+    def _reply(self, kind, req):
+        if kind != "partial_plan":
+            return super()._reply(kind, req)
+        lines = ("pick(strawberry); pick up the strawberry",
+                 "place_ontop(strawberry, light_grey_region); set it down in the grey region")
+        return "Plan:\n" + "".join(f"{lines[i % 2]}\n" for i in range(self.steps))
+
+
+def test_a_plan_reply_over_the_step_limit_fails_its_cell_as_an_oracle_error():
+    rec = bench.run_cell("berry1", 0, "manual", Budgets(500, 5),
+                         LongPlanOracle(MAX_PLAN_STEPS + 1))
+    assert not rec.claimed
+    assert rec.reason.startswith("oracle:OracleParseError:")
+    assert f"limit of {MAX_PLAN_STEPS}" in rec.reason
+
+
+def test_a_plan_reply_at_the_step_limit_is_solved_within_seconds():
+    # 0.12 s on a 2-vCPU Xeon VM; a 385-step plan took the same cell 43 s.
+    start = time.perf_counter()
+    rec = bench.run_cell("berry1", 0, "manual", Budgets(500, 5), LongPlanOracle(MAX_PLAN_STEPS))
+    assert time.perf_counter() - start < 5.0
+    assert rec.success and rec.plan_length == MAX_PLAN_STEPS
 
 
 def test_parse_constraint_response_fenced_blocks():

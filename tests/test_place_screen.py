@@ -37,8 +37,8 @@ from owltamp.lang import (
 )
 from owltamp.lang.ast import Arith, Num, PoseAttr
 from owltamp.solver import (
-    PLACE_UNSCREENED, SKILLS, Budgets, DrawStream, RestrictionTable, Skeleton, Solution,
-    _constraints_pass, _decode_block, _judge_programs, _skip_blocks, refine, replay,
+    _PLACE_REASONS, PLACE_UNSCREENED, SKILLS, Budgets, DrawStream, RestrictionTable, Skeleton,
+    Solution, _constraints_pass, _decode_block, _judge_programs, _skip_blocks, refine, replay,
 )
 from owltamp.tasks import WORKSPACE, load_task
 
@@ -425,6 +425,32 @@ def test_every_passed_drop_is_one_the_scalar_path_accepts(case):
             assert verdicts[drop] == "accepted", drop
 
 
+@settings(max_examples=300, deadline=None)
+@given(place_cases())
+def test_every_drop_gets_the_scalar_verdict_when_no_program_reads_a_rider(case):
+    # The tables and the programs decide every drop of a block, with the
+    # code of the reason the draw, the effect and the programs give it:
+    # a drop at a threshold, a few ulps either side, included.
+    world, target, inside, bands, fns, goal_fns, doubles = case
+    riders = {r for r, _, _ in world.held.riders}
+    fns, goal_fns = ([fn for fn in programs if not fn.referenced_objects & riders]
+                     for programs in (fns, goal_fns))
+    name, action = _step(world, target, inside)
+    objs = action.objects
+    restrictions = RestrictionTable([{"action": name, **bands}])
+    spans = SKILLS[name].prepare(world, name, objs, restrictions, None, fns,
+                                 goal_fns).screen()[0]
+    values = _decode_block(spans, np.array(doubles).reshape(-1, 6))
+    codes, settled = W.PlaceTables(world, "item", target, inside).judge(
+        *values[:3], *wrap_angles(values[3:]))
+    _judge_programs(codes, fns, goal_fns, world, "item", settled)
+    for i, code in enumerate(codes.tolist()):
+        assert code != W.PLACE_UNDECIDED, i
+        verdict = _scalar(world, name, objs, restrictions, fns, goal_fns,
+                          doubles[6 * i:6 * i + 6])
+        assert (_PLACE_REASONS[code] or "accepted") == verdict, i
+
+
 # Runs of drops the screen refuses that end either side of where each of its
 # blocks starts, after the step's unscreened draws, or deep inside its
 # second block.
@@ -544,6 +570,55 @@ def test_a_rider_that_is_a_container_gets_no_screen():
     assert _declining(world, name, action, RestrictionTable()) is None
 
 
+def test_a_rider_at_an_obstacle_edge_is_judged_on_its_wrapped_pose():
+    # The rider of a level container, seated with yaw 3 + the drop's, sticks
+    # out of it into the x edge of a block that floats over the container.
+    # `_restore_riders` builds the rider's pose, which wraps that yaw, so
+    # its hull's x extent can differ from the unwrapped yaw's in the last
+    # bit.  A seeded search picks drops a few ulps either side of where the
+    # two hulls overlap the block by CONTACT_TOL, on either side of it.
+    half = (0.01, 0.02, 0.04)
+    models = {"table_surface": W.ObjectModel("table_surface", (0.6, 0.6, 0.01), "surface"),
+              "item": W.ObjectModel("item", (0.05, 0.05, 0.02), "container"),
+              "rider0": W.ObjectModel("rider0", half),
+              "block": W.ObjectModel("block", (0.03, 0.03, 0.03))}
+    held = W.HeldItem("item", Pose6(0.3, 0.0, 0.4), (("rider0", (0.0, 0.0, 0.0), (0.0, 0.0, 3.0)),))
+    world = W.WorldState(W.Scene(models, WORKSPACE), {"table_surface": Pose6(0.5, 0.0, -0.01),
+                                                      "block": Pose6(0.63, 0.0, 0.09)}, held)
+    edge = W.aabb_of(world, "block").lower[0]
+    rng = np.random.default_rng(0)
+    drops = []
+    while len(drops) < 6:
+        yaw = float(rng.uniform(0.2, 1.0))
+        (_, _, unwrapped, rpy), = W._seats(world.scene, held, 0.0, 0.0, 0.0, yaw)
+        e0 = rotated_half_extents(half, *Pose6(0.0, 0.0, 0.0, *rpy).rpy)[0]
+        drops += [(x, 0.0, 0.1, 0.0, 0.0, yaw)
+                  for x in map(_ulps, [edge + W.CONTACT_TOL - e0] * 13, range(-6, 7))
+                  if (x + e0 - edge > W.CONTACT_TOL) != (x + unwrapped[0] - edge > W.CONTACT_TOL)]
+    codes, _ = W.PlaceTables(world, "item", "table_surface", False).judge(
+        *(np.array(column) for column in zip(*drops)))
+    knock = W.PLACE_REJECTIONS.index("contents-collision")
+    for drop, code in zip(drops, codes.tolist()):
+        outcome = W.exec_place(world, "item", "table_surface", Pose6(*drop))
+        assert code == (W.PLACE_PASSED if outcome.success else knock), drop
+        assert outcome.failure_reason in ("", "contents-collision")
+
+
+def test_a_thin_rider_under_its_container_center_is_found_as_its_support():
+    # A rider 0.008 tall on the floor of a level container has its top
+    # within the rest band of the container's bottom, under its center, and
+    # above the table: `supported_by` finds the rider, so the container set
+    # down on the table misses the effect.
+    riders = (((0.01, 0.01, 0.004), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),)
+    world = _bare_world((0.05, 0.05, 0.02), "container", riders)
+    drop = Pose6(0.5, 0.0, 0.1)
+    outcome = W.exec_place(world, "item", "table_surface", drop)
+    assert outcome.success and W.supported_by(outcome.new_world, "item") == "rider0"
+    codes, _ = W.PlaceTables(world, "item", "table_surface", False).judge(
+        *(np.array([v]) for v in drop.as_tuple()))
+    assert codes.tolist() == [W.PLACE_REJECTIONS.index("effects-unsatisfied")]
+
+
 # Programs that read a rider, which has no pose in the step world: the
 # fixtures' `_inside(fork, mug)` shape, and a read of a rider's hull.
 RIDER_READS = {
@@ -581,10 +656,9 @@ def test_a_program_that_reads_a_rider_leaves_its_drops_to_the_draw(source):
         assert got == refine_outcome(ref_refine, sk, world, budget, seed, LEVEL, (fn,))
 
 
-# A comparison of two equal infinities holds, though its score in a block
-# (`inf - inf`) is NaN; a sum that overflows is infinite, as it is in
-# Python; the control reads the same coordinate finitely.  Neither makes
-# numpy warn.
+# A comparison of two equal infinities holds, in a block as in Python; a
+# sum that overflows is infinite, as it is in Python; the control reads the
+# same coordinate finitely.  Neither makes numpy warn.
 INFINITE_EDGES = {
     "equal-infinities": "return strawberry.pose.x > 0.7 and strawberry.pose.z + 1e999 <= 1e999",
     "overflowing-sum": "return strawberry.pose.x > 0.7 "
@@ -685,9 +759,11 @@ def test_a_drop_inside_two_containers_rests_on_the_first(cup_first):
             assert got == refine_outcome(ref_refine, sk, world, budget, seed, LEVEL)
 
 
-# --- A drop at a threshold is left to the draw ----------------------------------
+# --- A drop at a threshold gets the scalar verdict ------------------------------
 
-def test_a_drop_at_the_release_height_is_undecided():
+def test_a_drop_at_the_release_height_gets_the_scalar_verdict():
+    # The first drop is released exactly CONTACT_TOL below its resting
+    # height, which `exec_place` accepts.
     world = _bare_world((0.02, 0.02, 0.02))
     tables = W.PlaceTables(world, "item", "table_surface", False)
     top = W.aabb_of(world, "table_surface").upper[2]
@@ -695,9 +771,38 @@ def test_a_drop_at_the_release_height_is_undecided():
     z = np.array([rest - W.CONTACT_TOL, rest, rest - 2 * W.CONTACT_TOL, rest + 0.1])
     zero = np.zeros(4)
     codes, settled = tables.judge(np.full(4, 0.5), np.full(4, 0.0), z, zero, zero, zero)
-    assert codes.tolist() == [W.PLACE_UNDECIDED, W.PLACE_PASSED, 3, W.PLACE_PASSED]
-    assert settled.pose[2][1] == settled.pose[2][3] == rest
+    assert codes.tolist() == [W.PLACE_PASSED, W.PLACE_PASSED, 3, W.PLACE_PASSED]
+    assert (settled.pose[2] == rest).all()
     assert W.PLACE_REJECTIONS[3] == "release-below-rest"
+    for drop_z, code in zip(z.tolist(), codes.tolist()):
+        outcome = W.exec_place(world, "item", "table_surface", Pose6(0.5, 0.0, drop_z))
+        assert outcome.failure_reason == ("" if code == W.PLACE_PASSED
+                                          else W.PLACE_REJECTIONS[code])
+
+
+def test_a_drop_whose_angle_wraps_again_settles_at_the_hull_exec_place_gives():
+    # `Pose6` wraps a roll just below -pi to pi, and `Pose6.moved` wraps pi
+    # again, to -pi, whose extents differ from pi's in the last bit at most
+    # pitches and yaws: the settled hull and half height follow the angles
+    # the drop settles at, as `exec_place` and the helpers read them.
+    world = _bare_world((0.02, 0.03, 0.04))
+    rng = np.random.default_rng(0)
+    n = 16
+    x, y, z = rng.uniform(0.3, 0.7, n), rng.uniform(-0.2, 0.2, n), np.full(n, 0.3)
+    roll = np.where(np.arange(n) % 2, math.nextafter(-math.pi, -4.0),
+                    rng.uniform(-math.pi, math.pi, n))
+    drops = [Pose6(*v) for v in zip(x, y, z, roll, *rng.uniform(-math.pi, math.pi, (2, n)))]
+    assert sum(drop.roll == math.pi for drop in drops) == n // 2
+    codes, settled = W.PlaceTables(world, "item", "table_surface", False).judge(
+        x, y, z, *np.array([drop.rpy for drop in drops]).T)
+    assert (codes == W.PLACE_PASSED).all()
+    for i, drop in enumerate(drops):
+        after = W.exec_place(world, "item", "table_surface", drop).new_world
+        pose, box = after.pose("item"), W.aabb_of(after, "item")
+        assert pose.as_tuple() == tuple(column[i] for column in settled.pose), i
+        assert (box.lower, box.upper) == (tuple(c[i] for c in settled.lower),
+                                          tuple(c[i] for c in settled.upper)), i
+        assert rotated_half_extents((0.02, 0.03, 0.04), *pose.rpy)[2] == settled.height[i], i
 
 
 def test_a_drop_on_the_workspace_face_is_reachable():
@@ -738,6 +843,12 @@ PASSING_DROPS = {
     # its footprint within CONTACT_TOL of the center: `supported_by` finds
     # the plate.
     "beside-the-plate": (dict(), "plate", False, (0.5, 0.25 + 0.08 + W.CONTACT_TOL / 2, 0.05)),
+    # The same beside a block whose top stands 0.02005 above the table, so
+    # its top meets the item's bottom only within CONTACT_TOL of the rest
+    # band.
+    "beside-a-block-in-the-rest-slack": (
+        dict(block_half=(0.03, 0.03, 0.01), block_offset=(0.12, 0.0, 5e-5)), "block", False,
+        (0.65 + W.CONTACT_TOL / 2, 0.25, 0.05)),
 }
 
 
@@ -751,6 +862,33 @@ def test_a_drop_the_skill_and_effect_accept_passes(changes, target, inside, drop
     tables = W.PlaceTables(world, "item", target, inside)
     codes, _ = tables.judge(*(np.array([v]) for v in drop.as_tuple()))
     assert codes.tolist() == [W.PLACE_PASSED]
+
+
+def test_support_is_found_under_the_hull_center_not_the_drop():
+    # `supported_by` looks under the center of the settled hull, whose x,
+    # `((x - e0) + (x + e0)) / 2`, can round off the drop's x where
+    # `x + e0` passes 0.5.  A seeded search picks yaws and drops a few ulps
+    # either side of the slack edge of the plate's footprint, at x 0.42,
+    # where the two lie on either side of it: the wide item then rests on
+    # the table beside the plate, which is found as its support or not as
+    # the hull center says.
+    world = _plain_world(held_half=(0.09, 0.09, 0.02))
+    edge = W.aabb_of(world, "plate").lower[0] - W.CONTACT_TOL
+    rng = np.random.default_rng(0)
+    drops = []
+    while len(drops) < 8:
+        yaw = float(rng.uniform(-math.pi, math.pi))
+        e0 = rotated_half_extents((0.09, 0.09, 0.02), 0.0, 0.0, yaw)[0]
+        drops += [(x, 0.25, 0.05, 0.0, 0.0, yaw) for x in map(_ulps, [edge] * 9, range(-4, 5))
+                  if (((x - e0) + (x + e0)) / 2 >= edge) != (x >= edge)]
+    codes, _ = W.PlaceTables(world, "item", "plate", False).judge(
+        *(np.array(column) for column in zip(*drops)))
+    effect = W.PLACE_REJECTIONS.index("effects-unsatisfied")
+    for drop, code in zip(drops, codes.tolist()):
+        outcome = W.exec_place(world, "item", "plate", Pose6(*drop))
+        assert outcome.success
+        found = W.supported_by(outcome.new_world, "item") == "plate"
+        assert code == (W.PLACE_PASSED if found else effect), drop
 
 
 def _edge_case(target, program_source, first, edge, half=(0.02, 0.02, 0.02), kind="item",
@@ -778,6 +916,10 @@ EDGE_CASES = {
         "block", fixtures._ontop("item", "plate", "on_plate"), (0.59, 0.25, 0.2),
         (0.5, 0.25, 0.2), half=(0.04, 0.04, 0.01),
         block=((0.1, 0.03, 0.01), (0.0, 0.0, 0.02 - 2e-12))),
+    "ontop-band-top-flat-item-outside": _edge_case(
+        "block", fixtures._ontop("item", "plate", "on_plate"), (0.59, 0.25, 0.2),
+        (0.5, 0.25, 0.2), half=(0.04, 0.04, 0.01),
+        block=((0.1, 0.03, 0.01), (0.0, 0.0, 0.02 + 2e-12))),
     # The first drop lands on the block, beside which the edge drop rests on
     # the table on a face of the near box.
     "near-box-face": _edge_case(
@@ -821,8 +963,9 @@ EDGE_CASES = {
 
 @pytest.mark.parametrize("case", EDGE_CASES.values(), ids=EDGE_CASES.keys())
 def test_a_drop_at_a_program_edge_stops_the_screen(case):
-    # The program scores the edge drop within MARGIN, so the screen skips
-    # the first drop and leaves the edge drop to the draw.
+    # The program gives the edge drop the draw's verdict, so the screen
+    # skips the first drop and stops at the edge drop exactly when the draw
+    # accepts it.
     block_half, block_offset = case["block"]
     world = _place_world(case["target"] if case["target"] in TARGETS else "plate",
                          case["half"], case["kind"], block_half, block_offset, None)
@@ -841,20 +984,23 @@ def test_a_drop_at_a_program_edge_stops_the_screen(case):
     first = _scalar(world, name, action.objects, restrictions, (fn,), (), doubles[:6])
     assert first in ("release-below-rest", "effects-unsatisfied", "constraint-unsatisfied")
 
-    # The programs leave the edge drop, which the skill and the effect pass,
-    # undecided.
+    # The skill and the effect pass the edge drop, and the program holds on
+    # it exactly when the draw accepts it.
     x, y, z = (band_lo + span * u for (band_lo, span), u in zip(spans, doubles[6:9]))
     codes, settled = W.PlaceTables(world, "item", case["target"], case["inside"]).judge(
         np.array([x]), np.array([y]), np.array([z]), np.array([case["roll"]]), np.zeros(1),
         np.zeros(1))
     assert codes.tolist() == [W.PLACE_PASSED]
-    assert _scalar(world, name, action.objects, restrictions, (fn,), (), doubles[6:]) in (
-        "accepted", "constraint-unsatisfied")
-    assert eval_constraint_block(fn, world, "item", settled, np.ones(1, bool)) == (
-        [False], [False])
+    edge = _scalar(world, name, action.objects, restrictions, (fn,), (), doubles[6:])
+    assert edge in ("accepted", "constraint-unsatisfied")
+    holds, fails = eval_constraint_block(fn, world, "item", settled, np.ones(1, bool))
+    assert (holds.tolist(), fails.tolist()) == ([edge == "accepted"], [edge != "accepted"])
 
     draws = _stream(doubles)
     step = SKILLS[name].prepare(world, name, action.objects, restrictions, None, (fn,), ())
+    if edge != "accepted":
+        assert _skipped(step.screen, draws, 2) == (2, edge)
+        return
     assert _skipped(step.screen, draws, 2) == (1, first)
     assert draws.peek(6).tolist() == doubles[6:]
     outcome = SKILLS[name].run(world, action.objects, step.sample(draws))
