@@ -1,5 +1,8 @@
 """Hybrid discrete-continuous tabletop planning with language-derived constraints."""
 
+import functools
+import sys
+
 from .geometry import Aabb, Pose6
 from .model import (
     ActionSchema, Domain, GroundAction, Literal, Predicate, SemanticType,
@@ -25,3 +28,26 @@ from .bench import RunRecord, run_cell, run_suite
 from .tasks import TaskSpec, initial_state, load_task, task_ids
 
 __version__ = "0.1.0"
+
+
+def caches() -> dict:
+    """Every `functools.lru_cache` bound at module level in a loaded module
+    of the package, keyed `module.name` as its own module binds it
+    (`bench.front_end`): all that one benchmark cell inherits from the cells
+    run before it in the process."""
+    found = {}
+    for module_name, module in list(sys.modules.items()):
+        if module_name.partition(".")[0] != __name__:
+            continue
+        for name, value in vars(module).items():
+            if (isinstance(value, functools._lru_cache_wrapper)
+                    and value.__module__ == module_name):
+                found[f"{module_name.removeprefix(__name__ + '.')}.{name}"] = value
+    return dict(sorted(found.items()))
+
+
+def clear_caches() -> None:
+    """Empty every cache of `caches()`, so that the next cell computes what
+    it shares as a cell of a fresh process would."""
+    for cache in caches().values():
+        cache.cache_clear()

@@ -165,16 +165,15 @@ def run_cell(task_id: str, seed: int, mode: str, budgets: Budgets,
              oracle=None) -> RunRecord:
     """Execute one benchmark cell and judge it independently.
 
-    Cells share, per process, their task's table (`tasks.task_table`: the
-    fixed world on the task's one `Scene`, the placements and the sampler
-    restrictions), and their task shape's grounding, action listing,
-    transform and A* plan, keyed on the shape of s0 (`tasks.initial_shape`:
-    the pose-free `State`, s0 with its vectors zeroed, which `front_end`
-    grounds), the schemas, the objects and the parsed partial plan (see
-    `grounding` for why poses cannot change a plan).  `solve` gets the
-    shared transformed problem, whose s0 is the shape; a cell builds its
-    real-valued s0, and the listings that print it, only for an oracle that
-    reads them (`_Listings`)."""
+    Cells share per process what `owltamp.caches()` lists, among it their
+    task shape's grounding, action listing, transform and A* plan, keyed on
+    the shape of s0 (`tasks.initial_shape`: the pose-free `State`, s0 with
+    its vectors zeroed, which `front_end` grounds), the schemas, the
+    objects and the parsed partial plan (see `grounding` for why poses
+    cannot change a plan).  `solve` gets the shared transformed problem,
+    whose s0 is the shape; a cell builds its real-valued s0, and the
+    listings that print it, only for an oracle that reads them
+    (`_Listings`)."""
     if mode not in MODE_TABLE:
         raise ValueError(f"unknown mode {mode!r}")
     config = MODE_TABLE[mode]

@@ -15,10 +15,9 @@ Schemas name no vector and continuous action arguments are placeholders,
 so no match reads a pose's value, and A* pops ties in push order over
 actions sorted by `discrete_signature()`: grounding and search see s0 only
 through its shape, the pose-free `State` whose every vector argument
-(AtPose and AtConf values) is zeroed.  Per process, `bench.front_end`
-keeps a grounding and action listing per shape, schemas and objects,
-`bench.transformed` a transformed problem per grounding and partial plan,
-and `solver.solve` an A* plan per transformed problem and object models.
+(AtPose and AtConf values) is zeroed.  So the benchmark keeps a grounding
+and action listing per shape, and a transformed problem with its A* plans
+per partial plan, per process (`owltamp.caches()` lists what it keeps).
 A benchmark cell takes its shape from its world (`tasks.initial_shape`),
 grounds over it and hands `solve` the shared transformed problem, whose s0
 is the shape; it builds its real-valued s0 only for the listings that

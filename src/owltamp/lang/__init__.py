@@ -16,7 +16,6 @@ from .parser import (
     ParseError,
     TypeError_,
     UnknownHelperError,
-    check_types,
     parse_constraint,
     parse_constraint_block,
 )
@@ -27,6 +26,6 @@ __all__ = [
     "eval_constraint_block", "reads_fixed",
     "HELPER_ALIASES", "HELPER_IMPLS", "HELPER_SIGNATURES", "default_bounds",
     "sample_pose_uniform", "LexError", "ParseError", "TypeError_",
-    "UnknownHelperError", "check_types", "parse_constraint",
+    "UnknownHelperError", "parse_constraint",
     "parse_constraint_block",
 ]

@@ -181,24 +181,21 @@ def object_names(e: Expr):
 
 @dataclass(frozen=True)
 class ConstraintFn:
-    """A parsed constraint program: bindings then a boolean result.
-    `referenced_objects` are the object names its tree reads."""
+    """A constraint program, type-checked when it is built: bindings then a
+    boolean result.  `referenced_objects` are the object names its tree reads."""
 
     name: str
     assigns: tuple[Assign, ...]
     result: Expr
     source_text: str = field(default="", compare=False)
     referenced_objects: frozenset[str] = field(init=False, compare=False)
-    # Whether it type-checks, found on first need (`lang.evaluator._typed`).
-    _typed: bool | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        from .parser import check_types  # the parser imports this module
+        check_types(self)
         exprs = (*(a.value for a in self.assigns), self.result)
         object.__setattr__(self, "referenced_objects",
                            frozenset(n for e in exprs for n in object_names(e)))
-
-    def __reduce__(self):
-        return ConstraintFn, (self.name, self.assigns, self.result, self.source_text)
 
     def pretty(self) -> str:
         lines = [f"def {self.name}() -> bool:"]

@@ -33,7 +33,6 @@ from .ast import (
 from .helpers import (
     _ANGLES_LOWER, _ANGLES_UPPER, HELPER_IMPLS, WORLD, X, Y, Z, default_bounds, within_score,
 )
-from .parser import check_types
 
 
 class EvalError(LangError):
@@ -311,11 +310,8 @@ def eval_constraint_block(fn: ConstraintFn, step: WorldState, name: str, settled
     would leave, placed as `settled` (`world.Settled`), from the step world
     `step`: masks of the rows of `rows` where it surely holds and where it
     surely does not.  A row in neither is undecided: a read of one of
-    `name`'s riders, an error `eval_constraint` would raise, or a program
-    that does not type-check."""
+    `name`'s riders or an error `eval_constraint` would raise."""
     blk = _Block(step, name, settled, rows)
-    if not _typed(fn):
-        return blk.holds, blk.false
     env = {}
     # A sum may overflow to infinity, and a difference of two equal
     # infinities is NaN, as in Python: numpy need not warn of either.
@@ -332,29 +328,14 @@ def eval_constraint_block(fn: ConstraintFn, step: WorldState, name: str, settled
     return blk.holds, blk.false | (blk.live & ~blk.holds)
 
 
-def _typed(fn: ConstraintFn) -> bool:
-    """Whether `fn` type-checks, found once per program: the parser checks
-    every program it builds, but a program may be built without it."""
-    if fn._typed is None:
-        try:
-            check_types(fn)
-        except LangError:
-            object.__setattr__(fn, "_typed", False)
-        else:
-            object.__setattr__(fn, "_typed", True)
-    return fn._typed
-
-
 def reads_fixed(fn: ConstraintFn, step: WorldState, name: str) -> bool | None:
     """Whether `fn` reads neither the held `name` nor one of its riders, in
     a binding or in its result, so that it reads on every world a drop from
-    `step` leaves as on `step`.  None when it does not type-check, or when
-    it does read them and names an object the scene lacks: the draw might
-    raise on it.  A binding the result does not use counts: one that reads
-    the held object raises `ObjectHeldError` on `step`, which makes the
-    program false there, though it may hold after every drop."""
-    if not _typed(fn):
-        return None
+    `step` leaves as on `step`.  None when it does read them and names an
+    object the scene lacks: the draw might raise on it.  A binding the
+    result does not use counts: one that reads the held object raises
+    `ObjectHeldError` on `step`, which makes the program false there,
+    though it may hold after every drop."""
     moved = {name, *(r for r, _, _ in step.held.riders)}
     names = [_resolved(step.scene, o) for o in fn.referenced_objects]
     if moved.isdisjoint(names):

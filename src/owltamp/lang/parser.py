@@ -340,9 +340,7 @@ def parse_constraint(source: str) -> ConstraintFn:
 
     if result is None:
         raise ParseError("program has no return statement", len(lines) or 1, 1)
-    fn = ConstraintFn(name, tuple(assigns), result, source)
-    check_types(fn)
-    return fn
+    return ConstraintFn(name, tuple(assigns), result, source)
 
 
 def parse_constraint_block(source: str) -> list[ConstraintFn]:

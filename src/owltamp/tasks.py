@@ -149,8 +149,7 @@ class TaskTable(NamedTuple):
 def task_table(task_id: str) -> TaskTable:
     """A task's table, built on first use and kept per process: every seed's
     world places its randomized objects onto the one fixed world, on the
-    task's one `Scene`, so it keeps those hulls, and caches keyed on scene
-    identity hold across cells."""
+    task's one `Scene`, so it keeps those hulls."""
     spec = load_task_spec(task_id)
     poses = {TABLE: TABLE_POSE}
     for name, vals in spec.fixed_poses.items():

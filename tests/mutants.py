@@ -19,11 +19,12 @@ keep it here.
 
 The catalogue holds the place screen's mutants (the block judge's, the
 place tables' and the pick rule's), the walk that lists the object names a
-program reads, the domain parser's, one per part of a cell's set-up, and
-A* without its applicability check.  Dropped because their code is gone: a
-row-invariant program value kept across blocks (the evaluator keeps no
-per-step state), and a block comparison without its margin of doubt (block
-comparisons are exact).
+program reads, a program's type check when it is built, the domain
+parser's, one per part of a cell's set-up, A* without its applicability
+check, and the walk and the clear of the per-process caches.  Dropped
+because their code is gone: a row-invariant program value kept across
+blocks (the evaluator keeps no per-step state), and a block comparison
+without its margin of doubt (block comparisons are exact).
 """
 
 import argparse
@@ -49,6 +50,7 @@ class Mutant(NamedTuple):
 
 PLACE = "tests/test_place_screen.py::"
 MODEL = "tests/test_model.py::"
+CACHES = "tests/test_caches.py::"
 RAISES = ("tests/test_lang_compiled.py::"
           "test_an_invariant_call_that_raises_makes_the_rows_reaching_it_false")
 
@@ -95,6 +97,11 @@ MUTANTS = (
            "",
            ("tests/test_tasks_bench.py::"
             "test_a_framework_name_read_as_an_object_fails_the_cell_as_an_oracle_error",)),
+    # --- A program is type-checked when it is built (`lang/ast.py`).
+    Mutant("program-built-untyped", "lang/ast.py",
+           "        check_types(self)\n",
+           "",
+           (PLACE + "test_a_program_that_does_not_type_check_cannot_be_built",)),
     # --- The place tables and the pick rule (`world.py`).
     Mutant("last-of-two-containers", "world.py",
            "held.argmax(axis=0) == self.interior",
@@ -179,6 +186,18 @@ MUTANTS = (
            "",
            ("tests/test_symbolic_masks.py::"
             "test_random_plans_are_as_short_as_breadth_first_search",)),
+    # --- The per-process caches (`__init__.py`): the walk that finds them
+    # and the call that empties them.
+    Mutant("caches-miss-a-module", "__init__.py",
+           '        if module_name.partition(".")[0] != __name__:\n',
+           '        if module_name.partition(".")[0] != __name__'
+           ' or module_name.endswith("oracle"):\n',
+           (CACHES + "test_the_package_caches_are_the_listed_ones",)),
+    Mutant("clear-skips-private-caches", "__init__.py",
+           "    for cache in caches().values():\n",
+           "    for cache in [cache for name, cache in caches().items()\n"
+           "                  if not name.rpartition(\".\")[2].startswith(\"_\")]:\n",
+           (CACHES + "test_clear_caches_empties_every_cache",)),
 )
 
 

@@ -8,13 +8,13 @@ import pickle
 import numpy as np
 import pytest
 
-from owltamp import bench, tasks
+from owltamp import bench, clear_caches, tasks
 from owltamp.grounding import format_action_listing
 from owltamp.model import GroundAction, ModelError, SemanticType, Value, instantiate
 from owltamp.partial_plan import PartialPlan, PlanStep, verify_subsequence
 from owltamp.solver import Budgets, RefinementFailure, Skeleton, backtrack_strategy
 
-from reference import build, clear_front_end, ref_with_values, reference_candidates
+from reference import build, ref_with_values, reference_candidates
 
 
 def reference_action_objects(action):
@@ -129,8 +129,8 @@ FIELDS = {"schema", "binding", "pre", "eff"}
 @pytest.fixture(scope="module")
 def bindings():
     """(action, updates) of every `with_values` call of the 9-mode grid at
-    scene seeds 0-2, from cells with an empty front-end cache, so that the
-    transform's description bindings are among them."""
+    scene seeds 0-2, from a grid run after `owltamp.clear_caches()`, so that
+    the transform's description bindings are among them."""
     calls = []
     real = GroundAction.with_values
 
@@ -138,11 +138,11 @@ def bindings():
         calls.append((action, dict(updates)))
         return real(action, updates)
 
-    clear_front_end()
+    clear_caches()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(GroundAction, "with_values", recording)
         bench.run_suite(tasks.task_ids(), range(3), list(bench.MODE_TABLE), Budgets(500, 5))
-    clear_front_end()
+    clear_caches()
     return calls
 
 

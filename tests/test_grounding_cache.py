@@ -3,11 +3,11 @@ fixpoint."""
 
 import pytest
 
-from owltamp import bench, grounding, tasks
+from owltamp import bench, clear_caches, grounding, tasks
 from owltamp.model import State, Value, parse_domain
 from owltamp.solver import Budgets
 
-from reference import build, clear_front_end, reference_candidates, reference_ground_actions
+from reference import build, reference_candidates, reference_ground_actions
 
 SEEDS = (0, 3, 7)
 
@@ -107,7 +107,7 @@ def test_candidate_signatures_are_unique_and_ordered(task_id):
 @pytest.mark.parametrize("mode", ["manual", "no_sample"])
 def test_cell_records_do_not_depend_on_the_cache(mode):
     budgets = Budgets(500, 5)
-    clear_front_end()
+    clear_caches()
     cold = bench.run_cell("mug2", 4, mode, budgets).stable_json()
     for task_id in tasks.task_ids():
         bench.run_cell(task_id, 1, mode, budgets)

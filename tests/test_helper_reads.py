@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from owltamp import lang, tasks
 from owltamp import world as W
 from owltamp.geometry import Pose6
-from owltamp.lang import BoundsBox, ConstraintFn, LangError, check_types, eval_constraint
+from owltamp.lang import BoundsBox, ConstraintFn, TypeError_, eval_constraint
 from owltamp.lang.ast import Call, InitBounds, Num, ObjectRef, PoseRef
 from owltamp.lang.helpers import HELPER_IMPLS, HELPER_SIGNATURES, default_bounds
 
@@ -218,10 +218,9 @@ def _programs(names):
                     call = Call(fn="position_within_bounds", args=(PoseRef(obj=names[0]), call))
                 elif returns == "pose":
                     call = Call(fn="position_within_bounds", args=(call, InitBounds()))
-                fn = ConstraintFn(name, (), call)
                 try:
-                    check_types(fn)
-                except LangError:
+                    fn = ConstraintFn(name, (), call)
+                except TypeError_:
                     continue
                 yield fn
 

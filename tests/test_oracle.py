@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from owltamp import bench
+from owltamp import bench, clear_caches
 from owltamp import oracle as oracle_module
 from owltamp.fixtures import DIRECT_GOALS, VARIANTS
 from owltamp.grounding import format_action_listing
@@ -62,7 +62,7 @@ def test_scripted_unknown_operator_rejected():
 
 
 def test_every_step_is_checked_when_the_signature_set_is_cached():
-    oracle_module._known_signatures.cache_clear()
+    clear_caches()
     good = PlanStep("place_inside", ("fork", "mug"))
     validate_steps((good,), MUG1_LISTING)
     for steps in ((PlanStep("levitate", ("mug",)),),
@@ -357,7 +357,7 @@ def test_fixture_constraints_parse_once_and_replies_every_time(tmp_path, monkeyp
     real = oracle_module.parse_constraint_block
     monkeypatch.setattr(oracle_module, "parse_constraint_block",
                         lambda text: parses.append(text) or real(text))
-    oracle_module._parse_fixture_reply.cache_clear()
+    clear_caches()
     scripted = ScriptedOracle("manual")
     first = scripted.propose_goal_constraints(req())
     first.clear()  # each call hands out its own list
@@ -384,7 +384,7 @@ def test_a_program_text_served_for_goal_and_step_is_parsed_once(monkeypatch):
     real = oracle_module.parse_constraint_block
     monkeypatch.setattr(oracle_module, "parse_constraint_block",
                         lambda text: parses.append(text) or real(text))
-    oracle_module._parse_fixture_reply.cache_clear()
+    clear_caches()
     scripted = ScriptedOracle("manual")
     goal = scripted.propose_goal_constraints(req("coffee"))
     step = scripted.propose_action_constraints(

@@ -32,7 +32,7 @@ from owltamp import fixtures, solver
 from owltamp import world as W
 from owltamp.geometry import Pose6, rotated_half_extents, wrap_angle, wrap_angles
 from owltamp.lang import (
-    ConstraintFn, EvalError, LangError, UnboundObjectError, eval_constraint,
+    ConstraintFn, LangError, TypeError_, UnboundObjectError, eval_constraint,
     eval_constraint_block, parse_constraint, reads_fixed,
 )
 from owltamp.lang.ast import Arith, Num, PoseAttr
@@ -702,18 +702,15 @@ def test_a_program_that_raises_on_every_drop_stops_the_screen():
         refine(Skeleton((action,), ((ghost,),), (None,)), world, (), Budgets(500, 1), rng)
 
 
-def test_a_program_that_does_not_type_check_stops_the_screen():
-    # Built without the parser's type check, the program returns a number of
-    # the moved object's pose: the draw raises EvalError on every drop.
-    world = _bare_world((0.005, 0.005, 0.005))
-    name, action = _step(world, "table_surface", False)
-    number = ConstraintFn("number", (), Arith(op="+", lhs=PoseAttr(obj="item", attr="x"),
-                                              rhs=Num(value=1.0)))
-    screen = _declining(world, name, action, RestrictionTable(), fns=(number,))
-    assert _skipped(screen, DrawStream(np.random.default_rng(0)), 500) == (0, None)
-    rng = np.random.default_rng(0)
-    with pytest.raises(EvalError):
-        refine(Skeleton((action,), ((number,),), (None,)), world, (), Budgets(500, 1), rng)
+def test_a_program_that_does_not_type_check_cannot_be_built():
+    # A tree built by hand, without the parser, that returns a number of the
+    # moved object's pose is refused as its text is, so no screen or draw
+    # ever judges an ill-typed program.
+    with pytest.raises(TypeError_, match="return expects bool, got scalar$"):
+        ConstraintFn("number", (), Arith(op="+", lhs=PoseAttr(obj="item", attr="x"),
+                                         rhs=Num(value=1.0)))
+    with pytest.raises(TypeError_, match="return expects bool, got scalar$"):
+        program("item.pose.x + 1.0")
 
 
 # --- Two containers that may hold the drop ---------------------------------------
@@ -1165,13 +1162,10 @@ def _collapsed_world():
 
 OVER_ITEM = "item.pose.x < 0.5"
 GHOST = "position_within_bounds(plate.pose, get_aabb_bounds('ghost'))"
-# A program built without the parser's type check: it returns a number.
-UNTYPED = ConstraintFn("number", (), Arith(op="+", lhs=PoseAttr(obj="item", attr="x"),
-                                           rhs=Num(value=1.0)))
 
 # name -> (world, target, step programs, goal programs, whether the step is
-# doomed).  A program is a source line, a tuple of lines (the last one
-# returned) or a built program.
+# doomed).  A program is a source line or a tuple of lines (the last one
+# returned).
 DOOMED_CASES = {
     # The `no_disc` shape: a goal program over the item, then one over the
     # plate that is false, though not yet reached.
@@ -1203,16 +1197,12 @@ DOOMED_CASES = {
                                   False),
     "false-after-a-ghost": (lambda: _bare_world((0.005, 0.005, 0.005)), "table_surface",
                             (GHOST, "table.pose.z > 0"), (), False),
-    "false-after-an-untyped-program": (lambda: _bare_world((0.005, 0.005, 0.005)),
-                                       "table_surface", (UNTYPED, "table.pose.z > 0"), (), False),
     "false-over-a-collapsed-interior": (_collapsed_world, "cup", ("table.pose.z > 0",), (),
                                         False),
 }
 
 
 def _built(fn):
-    if isinstance(fn, ConstraintFn):
-        return fn
     return program(*fn) if isinstance(fn, tuple) else program(fn)
 
 
@@ -1248,7 +1238,6 @@ def test_a_doomed_step_gives_what_the_unscreened_loop_gives(monkeypatch, case):
 # The error a draw raises in the cases whose walk ends before a false program.
 RAISES = {"unknown-letter-case": UnboundObjectError, "false-after-a-ghost": UnboundObjectError,
           "false-after-an-unknown-name-beside-the-item": UnboundObjectError,
-          "false-after-an-untyped-program": EvalError,
           "false-over-a-collapsed-interior": W.WorldError}
 
 
