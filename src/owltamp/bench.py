@@ -33,17 +33,21 @@ VOLATILE_FIELDS = ("wall_time", "oracle_time_fraction")
 
 @dataclass(frozen=True)
 class ModeConfig:
+    """One ablation: the oracle's replies, what the planner takes from
+    them, and any budget the ablation fixes whatever the run's budgets."""
+
     variant: str
     use_partial_plan: bool
     use_constraints: bool
     direct_goal: bool
+    samples_per_action: int | None = None
+    backtracks: int | None = None
 
-    def adjust_budgets(self, mode: str, budgets: Budgets) -> Budgets:
-        if mode == "no_sample":
-            return Budgets(1, budgets.backtracks)
-        if mode == "no_back":
-            return Budgets(budgets.samples_per_action, 1)
-        return budgets
+    def adjust_budgets(self, budgets: Budgets) -> Budgets:
+        """The run's budgets, with those this row fixes in their place."""
+        return Budgets(budgets.samples_per_action if self.samples_per_action is None
+                       else self.samples_per_action,
+                       budgets.backtracks if self.backtracks is None else self.backtracks)
 
 
 MODE_TABLE = {
@@ -52,8 +56,8 @@ MODE_TABLE = {
     "no_vlm": ModeConfig("recorded", False, False, True),
     "no_disc": ModeConfig("recorded", False, True, True),
     "no_cont": ModeConfig("recorded", True, False, False),
-    "no_back": ModeConfig("recorded", True, True, False),
-    "no_sample": ModeConfig("recorded", True, True, False),
+    "no_back": ModeConfig("recorded", True, True, False, backtracks=1),
+    "no_sample": ModeConfig("recorded", True, True, False, samples_per_action=1),
     "flawed-discrete": ModeConfig("flawed_discrete", True, True, False),
     "flawed-continuous": ModeConfig("flawed_continuous", True, True, False),
 }
@@ -177,7 +181,7 @@ def run_cell(task_id: str, seed: int, mode: str, budgets: Budgets,
     if mode not in MODE_TABLE:
         raise ValueError(f"unknown mode {mode!r}")
     config = MODE_TABLE[mode]
-    budgets = config.adjust_budgets(mode, budgets)
+    budgets = config.adjust_budgets(budgets)
     oracle = oracle or ScriptedOracle(config.variant)
 
     t_start = time.perf_counter()

@@ -2,9 +2,10 @@
 
 Discrete parameters enumerate over scene objects; continuous and description
 parameters receive fresh optimistic placeholders, one per parameter
-occurrence, so constraints never alias across ground actions.  Forward
-chaining ignores delete effects, giving an over-approximation of the
-reachable literal set.
+occurrence, so constraints never alias across ground actions.  The
+objects only enumerate candidates: a `forall obj:` literal stays one
+literal over `model.ANY_OBJECT`.  Forward chaining ignores delete effects,
+giving an over-approximation of the reachable literal set.
 
 Each call builds every candidate action with fresh placeholders and runs
 the relaxed fixpoint over a `LiteralIndex` grown from s0's literals; s0 and
@@ -80,7 +81,7 @@ def ground_problem(s0: State, schemas: list[ActionSchema],
     """
     objects = tuple(sorted(objects))
     ids = itertools.count(1)
-    candidates = [bind_placeholders(schema, discrete, ids, objects)
+    candidates = [bind_placeholders(schema, discrete, ids)
                   for schema in sorted(schemas, key=lambda s: s.name)
                   for discrete in _discrete_bindings(schema, objects)]
     reached = LiteralIndex(s0.true_literals)

@@ -48,11 +48,9 @@ MAX_OPERANDS = 128         # terms in the expression of one statement
 
 _TOKEN_RE = re.compile(
     r"""(?P<ws>[ \t]+)
-      | (?P<comment>\#[^\n]*)
-      | (?P<newline>\n)
       | (?P<num>\d+\.\d*(?:[eE][-+]?\d+)?|\.\d+(?:[eE][-+]?\d+)?|\d+(?:[eE][-+]?\d+)?)
       | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<str>'[^'\n]*'|"[^"\n]*")
+      | (?P<str>'[^']*'|"[^"]*")
       | (?P<op><=|>=|==|->|[<>=+\-*/(),.:])
     """,
     re.VERBOSE,
@@ -67,27 +65,22 @@ class Token:
     column: int
 
 
-def tokenize(source: str, first_line: int = 1) -> list[Token]:
+def tokenize(line_text: str, line: int) -> list[Token]:
+    """The tokens of one program line, its comment already cut, numbered
+    `line` and by column from 1, then an `eof` token."""
     tokens: list[Token] = []
-    line, col, i = first_line, 1, 0
-    while i < len(source):
-        m = _TOKEN_RE.match(source, i)
+    i = 0
+    while i < len(line_text):
+        m = _TOKEN_RE.match(line_text, i)
         if not m:
-            raise LexError(f"unexpected character {source[i]!r}", line, col)
-        kind = m.lastgroup
-        text = m.group()
-        if kind == "newline":
-            tokens.append(Token("newline", text, line, col))
-            line += 1
-            col = 1
-        else:
-            if kind not in ("ws", "comment"):
-                if kind == "name" and text in _KEYWORDS:
-                    kind = "kw"
-                tokens.append(Token(kind, text, line, col))
-            col += len(text)
+            raise LexError(f"unexpected character {line_text[i]!r}", line, i + 1)
+        kind, text = m.lastgroup, m.group()
+        if kind != "ws":
+            if kind == "name" and text in _KEYWORDS:
+                kind = "kw"
+            tokens.append(Token(kind, text, line, i + 1))
         i = m.end()
-    tokens.append(Token("eof", "", line, col))
+    tokens.append(Token("eof", "", line, i + 1))
     return tokens
 
 
@@ -99,8 +92,8 @@ class _Parser:
         self.depth = 0
         self.operands = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        return self.tokens[self.i]
 
     def advance(self) -> Token:
         tok = self.tokens[self.i]
@@ -130,25 +123,23 @@ class _Parser:
 
     def parse_expr(self) -> Expr:
         self._descend(self.peek())
-        expr = self._or()
+        expr = self._chain("or", lambda: self._chain("and", self._not))
         self.depth -= 1
         return expr
 
-    def _or(self) -> Expr:
-        first = self._and()
+    def _chain(self, op: str, operand) -> Expr:
+        """`operand`s joined by the keyword `op`: the one operand, or one
+        `op` over them all, a nested `op` flattened into it."""
+        first = operand()
         parts = [first]
-        while self.peek().kind == "kw" and self.peek().text == "or":
-            tok = self.advance()
-            parts.append(self._and())
-        return first if len(parts) == 1 else _flatten("or", parts, first)
-
-    def _and(self) -> Expr:
-        first = self._not()
-        parts = [first]
-        while self.peek().kind == "kw" and self.peek().text == "and":
+        while self.peek().kind == "kw" and self.peek().text == op:
             self.advance()
-            parts.append(self._not())
-        return first if len(parts) == 1 else _flatten("and", parts, first)
+            parts.append(operand())
+        if len(parts) == 1:
+            return first
+        return BoolOp(first.line, first.column, op, tuple(
+            o for p in parts for o in (p.operands if isinstance(p, BoolOp) and p.op == op
+                                        else (p,))))
 
     def _not(self) -> Expr:
         tok = self.peek()
@@ -271,19 +262,19 @@ class _Parser:
         return Call(name_tok.line, name_tok.column, fn, tuple(args))
 
 
-def _flatten(op: str, parts: list[Expr], first: Expr) -> Expr:
-    flat: list[Expr] = []
-    for p in parts:
-        if isinstance(p, BoolOp) and p.op == op:
-            flat.extend(p.operands)
-        else:
-            flat.append(p)
-    return BoolOp(first.line, first.column, op, tuple(flat))
-
-
 def _check_length(source: str) -> None:
     if len(source) > MAX_SOURCE_CHARS:
         raise ParseError(f"program longer than {MAX_SOURCE_CHARS} characters", 1, 1)
+
+
+def _expression(tokens: list[Token], assigned: set[str], lineno: int) -> Expr:
+    """The expression a statement's `tokens` spell, with nothing after it."""
+    parser = _Parser(tokens, assigned)
+    expr = parser.parse_expr()
+    tail = parser.peek()
+    if tail.kind != "eof":
+        raise ParseError(f"trailing input {tail.text!r}", lineno, tail.column)
+    return expr
 
 
 _DEF_RE = re.compile(r"^def\s+([A-Za-z_][A-Za-z0-9_]*)\s*\(([^)]*)\)\s*(?:->\s*bool\s*)?:\s*$")
@@ -316,27 +307,15 @@ def parse_constraint(source: str) -> ConstraintFn:
             continue
         if result is not None:
             raise ParseError("statements after return", lineno, 1)
-        tokens = [t for t in tokenize(stripped, first_line=lineno)
-                  if t.kind != "newline"]
-        if tokens[0].kind == "kw" and tokens[0].text == "return":
-            parser = _Parser(tokens[1:], assigned)
-            result = parser.parse_expr()
-            tail = parser.peek()
-            if tail.kind != "eof":
-                raise ParseError(f"trailing input {tail.text!r}", lineno, tail.column)
-            continue
-        if (tokens[0].kind == "name" and len(tokens) > 1
-                and tokens[1].kind == "op" and tokens[1].text == "="):
-            var = tokens[0].text
-            parser = _Parser(tokens[2:], assigned)
-            value = parser.parse_expr()
-            tail = parser.peek()
-            if tail.kind != "eof":
-                raise ParseError(f"trailing input {tail.text!r}", lineno, tail.column)
-            assigns.append(Assign(var, value))
-            assigned.add(var)
-            continue
-        raise ParseError(f"expected assignment or return, found {stripped!r}", lineno, 1)
+        tokens = tokenize(stripped, lineno)
+        head, after = tokens[0], tokens[1]  # a line has a token, then `eof`
+        if head.kind == "kw" and head.text == "return":
+            result = _expression(tokens[1:], assigned, lineno)
+        elif head.kind == "name" and after.kind == "op" and after.text == "=":
+            assigns.append(Assign(head.text, _expression(tokens[2:], assigned, lineno)))
+            assigned.add(head.text)
+        else:
+            raise ParseError(f"expected assignment or return, found {stripped!r}", lineno, 1)
 
     if result is None:
         raise ParseError("program has no return statement", len(lines) or 1, 1)

@@ -10,7 +10,9 @@ carries its preconditions and effects only, in one `pre` and one `eff`
 list; problem transformations append to them (`with_extras`).  Continuous
 parameters may be bound to optimistic placeholders (`bind_placeholders`),
 which act as unification wildcards during symbolic search and are replaced
-by real values during refinement.
+by real values during refinement.  The `*` of a `forall obj:` literal
+binds to one fixed placeholder, `ANY_OBJECT`, so one literal stands for
+one per object; only a negated one is accepted.
 
 Truth checks look literals up in a `LiteralIndex` instead of scanning a
 state: literals sit in a set for exact hits and in one list per predicate
@@ -22,7 +24,7 @@ operation of the search, and `ActionSchema` in every cell's cache keys, so
 each computes its hash once, from the same field tuple the generated hash
 would use; slots also keep the first three small.  String hashes differ
 between processes, so these classes pickle by their fields and rehash on
-load.
+load (`_Rehashed`).
 """
 
 from __future__ import annotations
@@ -55,8 +57,19 @@ class ModelError(Exception):
     """Raised for malformed domains, bindings, or state transitions."""
 
 
+class _Rehashed:
+    """Base of the classes that keep their hash in a `_hash` field: they
+    pickle by their init fields, so a load in another process rehashes."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name)
+                                 for name, f in self.__dataclass_fields__.items() if f.init)
+
+
 @dataclass(frozen=True, slots=True)
-class Value:
+class Value(_Rehashed):
     """A parameter value: symbol, numeric vector, description text, or optimistic id."""
 
     kind: str  # "sym" | "vec" | "text" | "opt"
@@ -72,9 +85,6 @@ class Value:
 
     def __hash__(self):
         return self._hash
-
-    def __reduce__(self):
-        return Value, (self.kind, self.payload)
 
     @staticmethod
     def sym(name: str) -> "Value":
@@ -115,8 +125,14 @@ class Value:
         return "(" + ", ".join(f"{v:.4g}" for v in self.payload) + ")"
 
 
+# What the `*` of a `forall obj:` literal binds to.  An optimistic value
+# unifies with any object, so one literal deletes, or refuses, every
+# object's; grounding numbers its placeholders from 1, so id 0 is free.
+ANY_OBJECT = Value.opt(0, "*")
+
+
 @dataclass(frozen=True, slots=True)
-class Predicate:
+class Predicate(_Rehashed):
     name: str
     param_types: tuple[SemanticType, ...]
     kind: str  # "fluent" | "static"
@@ -130,15 +146,12 @@ class Predicate:
     def __hash__(self):
         return self._hash
 
-    def __reduce__(self):
-        return Predicate, (self.name, self.param_types, self.kind)
-
     def __call__(self, *args: Value, positive: bool = True) -> "Literal":
         return Literal(self, tuple(args), positive)
 
 
 @dataclass(frozen=True, slots=True)
-class Literal:
+class Literal(_Rehashed):
     predicate: Predicate
     args: tuple[Value, ...]
     positive: bool = True
@@ -156,9 +169,6 @@ class Literal:
 
     def __hash__(self):
         return self._hash
-
-    def __reduce__(self):
-        return Literal, (self.predicate, self.args, self.positive)
 
     def __str__(self):
         s = f"{self.predicate.name}({', '.join(str(a) for a in self.args)})"
@@ -251,7 +261,8 @@ class Param:
 
 @dataclass(frozen=True)
 class SchemaLiteral:
-    """A literal template over parameter names (plus optional forall wildcard)."""
+    """A literal template over parameter names; a negated one may have one
+    `*`, its `forall obj:` wildcard, where an object goes."""
 
     predicate: Predicate
     args: tuple[str, ...]
@@ -259,7 +270,7 @@ class SchemaLiteral:
 
 
 @dataclass(frozen=True)
-class ActionSchema:
+class ActionSchema(_Rehashed):
     name: str
     params: tuple[Param, ...]
     con: tuple[SchemaLiteral, ...]
@@ -270,10 +281,6 @@ class ActionSchema:
 
     def __hash__(self):
         return self._hash
-
-    def __reduce__(self):
-        return ActionSchema, (self.name, self.params, self.con, self.pre, self.eff,
-                              self.nl_description_template)
 
     def __post_init__(self):
         names = [p.name for p in self.params]
@@ -394,8 +401,8 @@ class GroundAction:
         """Rebind parameters, substituting the old values wherever they occur.
 
         Safe for optimistic placeholders (unique identities); preserves
-        appended literals and expanded wildcard effects.  Each update is
-        type-checked here; `pre` and `eff` are built on first read.
+        appended literals and leaves `ANY_OBJECT` where it stands.  Each
+        update is type-checked here; `pre` and `eff` are built on first read.
         """
         old = dict(self.binding)
         for k, v in updates.items():
@@ -416,27 +423,15 @@ class GroundAction:
         return f"{self.name}({', '.join(self.objects.values())})"
 
 
-def _substitute(lit: SchemaLiteral, binding: dict[str, Value],
-                objects: tuple[str, ...] = ()) -> list[Literal]:
-    """Instantiate a schema literal; a '*' argument expands over all objects."""
-    if "*" in lit.args:
-        out = []
-        star = lit.args.index("*")
-        for obj in objects:
-            args = tuple(Value.sym(obj) if i == star else binding[a]
-                         for i, a in enumerate(lit.args))
-            out.append(Literal(lit.predicate, args, lit.positive))
-        return out
-    return [Literal(lit.predicate, tuple(binding[a] for a in lit.args), lit.positive)]
+def _substitute(lit: SchemaLiteral, binding: dict[str, Value]) -> Literal:
+    """Instantiate a schema literal; its `*`, if any, binds to `ANY_OBJECT`."""
+    return Literal(lit.predicate, tuple(ANY_OBJECT if a == "*" else binding[a]
+                                        for a in lit.args), lit.positive)
 
 
-def instantiate(schema: ActionSchema, binding: dict[str, Value],
-                objects: tuple[str, ...] = ()) -> GroundAction:
-    """Bind all parameters of a schema, substituting pre/eff.
-
-    `objects` supplies the expansion domain for universally-quantified
-    wildcard effects; it may be empty when no schema literal uses '*'.
-    """
+def instantiate(schema: ActionSchema, binding: dict[str, Value]) -> GroundAction:
+    """Bind all parameters of a schema, substituting pre/eff: a `forall
+    obj:` literal stays one literal, over `ANY_OBJECT`."""
     for p in schema.params:
         if p.name not in binding:
             raise ModelError(f"{schema.name}: missing binding for parameter {p.name!r}")
@@ -447,15 +442,9 @@ def instantiate(schema: ActionSchema, binding: dict[str, Value],
     extra = set(binding) - {p.name for p in schema.params}
     if extra:
         raise ModelError(f"{schema.name}: unknown parameters {sorted(extra)}")
-
-    def inst(group):
-        out = []
-        for lit in group:
-            out.extend(_substitute(lit, binding, objects))
-        return tuple(out)
-
     ordered = tuple((p.name, binding[p.name]) for p in schema.params)
-    return GroundAction(schema, ordered, inst(schema.pre), inst(schema.eff))
+    return GroundAction(schema, ordered, tuple(_substitute(lit, binding) for lit in schema.pre),
+                        tuple(_substitute(lit, binding) for lit in schema.eff))
 
 
 # Placeholder print hints per parameter type; any other type prints `#v<id>`.
@@ -464,15 +453,15 @@ _PLACEHOLDER_HINTS = {SemanticType.POSE: "p", SemanticType.GRASP: "g",
                       SemanticType.DESCRIPTION: "d"}
 
 
-def bind_placeholders(schema: ActionSchema, objs: Mapping[str, str], ids: Iterator[int],
-                      objects: tuple[str, ...] = ()) -> GroundAction:
+def bind_placeholders(schema: ActionSchema, objs: Mapping[str, str],
+                      ids: Iterator[int]) -> GroundAction:
     """Instantiate a schema with the parameters in `objs` bound to those
     object names and every other parameter, in parameter order, to a fresh
     optimistic placeholder numbered by `ids`."""
     binding = {p.name: Value.sym(objs[p.name]) if p.name in objs
                else Value.opt(next(ids), _PLACEHOLDER_HINTS.get(p.type, "v"))
                for p in schema.params}
-    return instantiate(schema, binding, objects)
+    return instantiate(schema, binding)
 
 
 def applicable(state: State, action: GroundAction) -> bool:
@@ -592,14 +581,18 @@ def _literal(text: str, kind: str, predicates: dict[str, Predicate],
         raise DomainParseError(f"{name} expects {len(pred.param_types)} args", lineno)
     if pred.kind != kind:
         raise DomainParseError(f"{name} is not {kind}", lineno)
-    # `_substitute` expands the one `*` of a `forall obj:` literal over the
-    # scene's objects, so the prefix, the `*` and an obj position go together.
+    # `_substitute` binds the one `*` of a `forall obj:` literal to
+    # `ANY_OBJECT`, so the prefix, the `*` and an obj position go together.
+    # Through that wildcard a negated literal means what one per object
+    # would; a positive one would add a placeholder, not every object's.
     if args.count("*") != bool(star_type):
         raise DomainParseError(f"{name} needs one '*' with forall and none without", lineno)
     if star_type and star_type is not SemanticType.OBJ:
         raise DomainParseError(f"forall {star_type.value}: only forall obj expands", lineno)
     if star_type and (at := pred.param_types[args.index("*")]) is not SemanticType.OBJ:
         raise DomainParseError(f"{name}'s '*' takes {at.value}, not obj", lineno)
+    if star_type and not neg:
+        raise DomainParseError(f"forall obj: only a negated {name} ranges over objects", lineno)
     return SchemaLiteral(pred, args, positive=not neg)
 
 

@@ -850,10 +850,9 @@ def backtrack_strategy(fail: RefinementFailure, sk: Skeleton, scene: W.WorldStat
             order = list(rng.permutation(len(blockers)))
             table = scene.scene.table
             insert_at = _insertion_point(sk, fail.index)
-            all_objs = tuple(scene.all_objects())
 
             def ground(name: str, given: dict[str, str]) -> GroundAction:
-                return bind_placeholders(domain.schema(name), given, ids, all_objs)
+                return bind_placeholders(domain.schema(name), given, ids)
 
             for k in order:
                 blocker = blockers[k]

@@ -142,9 +142,6 @@ class WorldState:
     def placed_objects(self) -> list[str]:
         return sorted(self.poses)
 
-    def all_objects(self) -> list[str]:
-        return sorted(self.scene.models)
-
 
 @dataclass(frozen=True)
 class SkillOutcome:

@@ -20,11 +20,12 @@ keep it here.
 The catalogue holds the place screen's mutants (the block judge's, the
 place tables' and the pick rule's), the walk that lists the object names a
 program reads, a program's type check when it is built, the domain
-parser's, one per part of a cell's set-up, A* without its applicability
-check, and the walk and the clear of the per-process caches.  Dropped
-because their code is gone: a row-invariant program value kept across
-blocks (the evaluator keeps no per-step state), and a block comparison
-without its margin of doubt (block comparisons are exact).
+parser's, the `forall obj:` wildcard, one per part of a cell's set-up, A*
+without its applicability check, and the walk and the clear of the
+per-process caches.  Dropped because their code is gone: a row-invariant
+program value kept across blocks (the evaluator keeps no per-step state),
+and a block comparison without its margin of doubt (block comparisons are
+exact).
 """
 
 import argparse
@@ -163,6 +164,13 @@ MUTANTS = (
            '        depth += (ch == "(") - (ch == ")")\n',
            "",
            (MODEL + "test_malformed_domains_are_refused_at_their_line",)),
+    # --- A `forall obj:` literal's wildcard (`model.py`): a symbol unifies
+    # with no object but itself.
+    Mutant("wildcard-is-a-symbol", "model.py",
+           'ANY_OBJECT = Value.opt(0, "*")',
+           'ANY_OBJECT = Value.sym("*")',
+           ("tests/test_ground_action.py::"
+            "test_a_wildcard_delete_applies_as_one_delete_per_object",)),
     # --- A cell's set-up (`tasks.py`, `bench.py`, `model.py`).
     Mutant("shape-without-hand-empty", "tasks.py",
            '        lits.append(_shape_literal(domain.predicate("HandEmpty")))\n',

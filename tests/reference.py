@@ -11,6 +11,8 @@ reference:
   every A* plan (`solver.plan_task`) must match;
 - `reference_candidates` and `reference_ground_actions`, grounding as one
   uncached run;
+- `ref_forall_expanded`, an action whose `forall obj:` literals are one
+  literal per object, before the `*` bound one wildcard placeholder;
 - `reference_front_end`, a cell's grounding, listings, transform and A*
   plan built afresh for the cell, as before the per-shape front-end cache,
   and `pose_free`, the shape of a state that the front end is keyed on;
@@ -382,8 +384,23 @@ def reference_candidates(schemas, objects):
                 else:
                     binding[p.name] = Value.opt(next(counter),
                                                 PLACEHOLDER_HINTS.get(p.type, "v"))
-            candidates.append(instantiate(schema, binding, objects=tuple(objects)))
+            candidates.append(instantiate(schema, binding))
     return candidates
+
+
+def ref_forall_expanded(action, objects):
+    """`action`, built by `instantiate`, with each `forall obj:` literal of
+    its schema expanded into one literal per object, the `*` bound to each
+    in turn."""
+    binding = dict(action.binding)
+
+    def expand(group):
+        return tuple(Literal(lit.predicate, tuple(Value.sym(obj) if a == "*" else binding[a]
+                                                  for a in lit.args), lit.positive)
+                     for lit in group for obj in (objects if "*" in lit.args else (None,)))
+
+    return GroundAction(action.schema, action.binding, expand(action.schema.pre),
+                        expand(action.schema.eff))
 
 
 def reference_ground_actions(s0, schemas, objects):
@@ -668,13 +685,11 @@ def skeleton_for(problem, steps, constraints=None):
     return Skeleton(tuple(actions), tuple(cons), tuple(None for _ in actions))
 
 
-def skeleton(world, steps, fns):
-    """A skeleton of the given (schema name, objects) steps over `world`'s
-    objects, with fresh placeholders and the programs `fns` per step."""
+def skeleton(steps, fns):
+    """A skeleton of the given (schema name, objects) steps, with fresh
+    placeholders and the programs `fns` per step."""
     count = itertools.count(1)
-    actions = tuple(bind_placeholders(DOMAIN.schema(name), objs, count,
-                                      tuple(world.all_objects()))
-                    for name, objs in steps)
+    actions = tuple(bind_placeholders(DOMAIN.schema(name), objs, count) for name, objs in steps)
     return Skeleton(actions, fns, (None,) * len(actions))
 
 
@@ -774,13 +789,10 @@ UNREACHED = {
     "lang/helpers.py:modify_bounds_in_front_of": _DSL,
     "lang/helpers.py:modify_bounds_right_of": _DSL,
     "lang/helpers.py:sample_pose_uniform": "documented library API for sampling within bounds",
-    "model.py:ActionSchema.__reduce__": _PICKLE,
     "model.py:DomainParseError.__init__": _ERROR,
     "model.py:GroundAction.__getstate__": _PICKLE,
-    "model.py:Literal.__reduce__": _PICKLE,
     "model.py:Literal.__str__": _PROTOCOL,
-    "model.py:Predicate.__reduce__": _PICKLE,
-    "model.py:Value.__reduce__": _PICKLE,
+    "model.py:_Rehashed.__reduce__": _PICKLE,
     "oracle.py:ExternalOracle.__init__": _EXTERNAL,
     "oracle.py:ExternalOracle._complete": _EXTERNAL,
     "oracle.py:ExternalOracle._default_post": _EXTERNAL,

@@ -1,20 +1,27 @@
 """One ground-action record: cached object arguments, the transform's
-literals in `pre`/`eff`, one placeholder binder and binding whose `pre`/`eff`
-are built on first read, each checked against the spelling it replaced."""
+literals in `pre`/`eff`, one placeholder binder, a `forall obj:` literal
+over one wildcard and binding whose `pre`/`eff` are built on first read,
+each checked against the spelling it replaced."""
 
+import functools
 import itertools
 import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from owltamp import bench, clear_caches, tasks
 from owltamp.grounding import format_action_listing
-from owltamp.model import GroundAction, ModelError, SemanticType, Value, instantiate
+from owltamp.model import (
+    GroundAction, ModelError, SemanticType, State, Value, applicable, apply, instantiate,
+    parse_domain,
+)
 from owltamp.partial_plan import PartialPlan, PlanStep, verify_subsequence
 from owltamp.solver import Budgets, RefinementFailure, Skeleton, backtrack_strategy
 
-from reference import build, ref_with_values, reference_candidates
+from reference import build, ref_forall_expanded, ref_with_values, reference_candidates
 
 
 def reference_action_objects(action):
@@ -27,7 +34,7 @@ def reference_action_objects(action):
     return out
 
 
-def reference_make_ground(domain, name, objs, counter, all_objects):
+def reference_make_ground(domain, name, objs, counter):
     """Backtracking's own binder, which hinted conf placeholders with 'c'."""
     schema = domain.schema(name)
     binding = {}
@@ -38,7 +45,7 @@ def reference_make_ground(domain, name, objs, counter, all_objects):
             binding[p.name] = Value.opt(next(counter), "d")
         else:
             binding[p.name] = Value.opt(next(counter), p.type.value[0])
-    return instantiate(schema, binding, objects=all_objects)
+    return instantiate(schema, binding)
 
 
 def task_candidates(task_id):
@@ -106,11 +113,10 @@ def test_backtracking_inserts_actions_with_the_parents_placeholders(task_id, ste
                                     np.random.default_rng(0), itertools.count(10_000_000))
     assert candidates[-1].provenance == "resample"
     counter = itertools.count(10_000_000)
-    all_objects = tuple(world.all_objects())
     inserted = 0
     for cand in candidates[:-1]:
         for a in cand.actions[:len(cand.actions) - len(sk.actions)]:
-            ref = reference_make_ground(domain, a.name, a.objects, counter, all_objects)
+            ref = reference_make_ground(domain, a.name, a.objects, counter)
             # The same ids; only the conf hint now reads 'q', as in grounding.
             confs = {k: Value.opt(v.payload[0], "q") for k, v in ref.binding
                      if ref.schema.param_type(k) is SemanticType.CONF}
@@ -119,6 +125,56 @@ def test_backtracking_inserts_actions_with_the_parents_placeholders(task_id, ste
             inserted += 1
         assert cand.actions[len(cand.actions) - len(sk.actions):] == sk.actions
     assert inserted >= 2
+
+
+# --- A `forall obj:` literal over one wildcard ---------------------------------------
+
+@functools.cache
+def task_picks(task_id):
+    """A task's grounded picks, its sorted objects, its initial state, and a
+    pool of fluent literals over the objects and some placeholders."""
+    spec, _, domain, problem = build(task_id)
+    objects = sorted([*spec.objects, tasks.TABLE])
+    names = [Value.sym(o) for o in objects] + [Value.opt(k, "v") for k in (1, 7, 10_000_000)]
+    supporting, at_pose, at_grasp = map(domain.predicate, ("Supporting", "AtPose", "AtGrasp"))
+    pool = ([supporting(a, b) for a in names for b in names]
+            + [at_pose(a, Value.opt(2, "p")) for a in names]
+            + [at_grasp(a, Value.opt(3, "g")) for a in names]
+            + [domain.predicate("HandEmpty")()])
+    picks = [a for a in problem.actions if a.name == "pick"]
+    return picks, objects, problem.s0, pool
+
+
+@pytest.mark.parametrize("task_id", tasks.task_ids())
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_a_wildcard_delete_applies_as_one_delete_per_object(task_id, data):
+    """A pick deletes through its one wildcard literal what one delete per
+    object deleted, from the task's initial state and from random states."""
+    picks, objects, s0, pool = task_picks(task_id)
+    state = State(frozenset(data.draw(st.lists(st.sampled_from(pool), max_size=24))))
+    assert picks
+    for pick in picks:
+        expanded = ref_forall_expanded(pick, objects)
+        assert (len(pick.eff), len(expanded.eff)) == (4, 3 + len(objects))
+        for s in (s0, state):
+            assert apply(s, pick) == apply(s, expanded)
+
+
+def test_a_wildcard_precondition_holds_as_one_per_object():
+    domain = parse_domain("predicates:\n  fluent B(obj, obj)\n\naction a(o: obj)\n"
+                          "  pre: forall obj: !B(o, *)\n  eff: B(o, o)\n")
+    objects = ["x", "y", "z"]
+    names = [Value.sym("x"), Value.sym("y"), Value.opt(1, "v")]
+    pool = [domain.predicate("B")(a, b) for a in names for b in names]
+    for o in objects:
+        action = instantiate(domain.schema("a"), {"o": Value.sym(o)})
+        expanded = ref_forall_expanded(action, objects)
+        assert len(action.pre) == 1 and len(expanded.pre) == len(objects)
+        for k in range(len(pool) + 1):
+            for lits in itertools.combinations(pool, k):
+                state = State(frozenset(lits))
+                assert applicable(state, action) == applicable(state, expanded)
 
 
 # --- Binding accepted draws -------------------------------------------------------

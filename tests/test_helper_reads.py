@@ -135,7 +135,7 @@ def test_helpers_read_only_the_poses_of_the_objects_they_name(pair, data):
 # --- Source guard ---------------------------------------------------------------------
 
 # What depends on objects other than a helper's arguments, or on the hand.
-WORLD_ATTRS = {"poses", "held", "robot_conf", "_geometry", "placed_objects", "all_objects"}
+WORLD_ATTRS = {"poses", "held", "robot_conf", "_geometry", "placed_objects"}
 WORLD_TABLES = {"contents", "_contents_of", "_contents", "_hulls", "_obstacles",
                 "supported_by", "collision"}
 

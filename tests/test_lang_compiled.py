@@ -269,9 +269,8 @@ def test_a_program_shared_by_a_step_and_the_goal():
                      "b = modify_bounds_near(b, 'golf_ball', 0.2)",
                      "position_within_bounds(golf_ball.pose, b)")
     world = bowl_scene()
-    sk = skeleton(world, [("pick", {"o": "apple"}),
-                           ("place_ontop", {"o": "apple", "s": "plate"})],
-                   ((shared,), (shared,)))
+    sk = skeleton([("pick", {"o": "apple"}), ("place_ontop", {"o": "apple", "s": "plate"})],
+                  ((shared,), (shared,)))
     for seed in range(4):
         got = _refine(eval_constraint, sk, world, (shared,), seed)
         assert got == _refine(ref_eval_constraint, sk, world, (shared,), seed)

@@ -35,13 +35,13 @@ def make_s0(domain, objects=("apple",)):
     return State(frozenset(lits))
 
 
-def ground_pick(domain, obj, pose=None, objects=("apple",)):
+def ground_pick(domain, obj, pose=None):
     return instantiate(domain.schema("pick"), {
         "o": sym(obj),
         "g": Value.opt(1, "g"),
         "p": pose if pose is not None else Value.opt(2, "p"),
         "q": Value.opt(3, "q"),
-    }, objects=tuple(objects))
+    })
 
 
 def test_instantiate_substitutes_preconditions(domain):
@@ -76,8 +76,7 @@ def test_description_binding_flows_into_constraint(domain):
     schema = domain.schema("place_ontop")
     action = instantiate(schema, {
         "d": Value.text("put on plate"), "o": sym("apple"), "s": sym("plate"),
-        "g": Value.opt(1), "p": Value.opt(2), "q": Value.opt(3)},
-        objects=("apple", "plate"))
+        "g": Value.opt(1), "p": Value.opt(2), "q": Value.opt(3)})
     assert action.value("d") == Value.text("put on plate")
     # The description's constraint literal is declared on the schema.
     vlm = [lit.args for lit in schema.con if lit.predicate.name == "VLMPose"]
@@ -242,6 +241,9 @@ MALFORMED = {
                          "B needs one '*' with forall and none without", 7),
     "forall-not-obj": (ACTION + "  eff: forall conf: !B(o, *)\n",
                        "forall conf: only forall obj expands", 7),
+    # Only a negated literal ranges over objects through the wildcard.
+    "forall-positive": (ACTION + "  eff: forall obj: B(o, *)\n",
+                        "forall obj: only a negated B ranges over objects", 7),
     "forall-over-a-conf": ("predicates:\n  fluent AtConf(conf)\n\naction a(o: obj)\n"
                            "  eff: forall obj: !AtConf(*)\n", "AtConf's '*' takes conf, not obj", 5),
 }
@@ -377,7 +379,7 @@ def _declarations(text: str) -> list[int]:
 def test_every_domain_that_parses_instantiates(offset, char, objects):
     """A one-character edit of the shipped domain either is refused, or
     gives schemas that bind over any three objects: every literal argument
-    has its parameter's type, and each `*` expands over objects."""
+    has its parameter's type, and each `*` stands where an object goes."""
     text = DOMAIN_TEXT[:offset] + char + DOMAIN_TEXT[offset + 1:]
     try:
         domain = parse_domain(text)
@@ -387,7 +389,7 @@ def test_every_domain_that_parses_instantiates(offset, char, objects):
     for schema in domain.schemas.values():
         objs = dict(zip([p.name for p in schema.params if p.type is SemanticType.OBJ],
                         itertools.cycle(objects)))
-        bind_placeholders(schema, objs, itertools.count(), objects)
+        bind_placeholders(schema, objs, itertools.count())
 
 
 def test_literal_holds_wildcards():

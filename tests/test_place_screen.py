@@ -80,9 +80,9 @@ def _place_world(target, held_half, held_kind, block_half, block_offset, berry, 
     return W.WorldState(W.Scene(models, WORKSPACE), poses, held)
 
 
-def _step(world, target, inside):
+def _step(target, inside):
     name = "place_inside" if inside else "place_ontop"
-    return name, skeleton(world, [(name, {"o": "item", "s": target})], ((),)).actions[0]
+    return name, skeleton([(name, {"o": "item", "s": target})], ((),)).actions[0]
 
 
 def _stream(doubles, seed=0):
@@ -368,7 +368,7 @@ def place_cases(draw):
 @given(place_cases())
 def test_every_skipped_drop_is_one_the_scalar_path_rejects(case):
     world, target, inside, bands, fns, goal_fns, doubles = case
-    name, action = _step(world, target, inside)
+    name, action = _step(target, inside)
     objs = action.objects
     restrictions = RestrictionTable([{"action": name, **bands}])
     count = len(doubles) // 6
@@ -400,7 +400,7 @@ def test_every_passed_drop_is_one_the_scalar_path_accepts(case):
     # pass before the block's first undecided one is one that `exec_place`,
     # the effect and every program accept.
     world, target, inside, bands, fns, goal_fns, doubles = case
-    name, action = _step(world, target, inside)
+    name, action = _step(target, inside)
     objs = action.objects
     restrictions = RestrictionTable([{"action": name, **bands}])
     try:
@@ -435,7 +435,7 @@ def test_every_drop_gets_the_scalar_verdict_when_no_program_reads_a_rider(case):
     riders = {r for r, _, _ in world.held.riders}
     fns, goal_fns = ([fn for fn in programs if not fn.referenced_objects & riders]
                      for programs in (fns, goal_fns))
-    name, action = _step(world, target, inside)
+    name, action = _step(target, inside)
     objs = action.objects
     restrictions = RestrictionTable([{"action": name, **bands}])
     spans = SKILLS[name].prepare(world, name, objs, restrictions, None, fns,
@@ -461,7 +461,7 @@ PLACE_RUNS = block_runs(PLACE_UNSCREENED)
 @given(place_cases(), st.sampled_from([1, 4, 30, 500, *PLACE_RUNS]), st.integers(0, 2**32 - 1))
 def test_a_place_step_gives_what_the_unscreened_loop_gives(case, budget, seed):
     world, target, inside, bands, fns, goal_fns, _ = case
-    name, action = _step(world, target, inside)
+    name, action = _step(target, inside)
     sk = Skeleton((action,), (fns,), (None,))
     restrictions = RestrictionTable([{"action": name, **bands}])
     got = refine_outcome(refine, sk, world, budget, seed, restrictions, goal_fns)
@@ -489,7 +489,7 @@ def _assert_runs_agree(world, run, restrictions):
     """The program passes only the x of drop `run`, between the nearest x
     of the drops before it, which the skill and the effect all pass."""
     seed = 29 + run
-    name, action = _step(world, "table_surface", False)
+    name, action = _step("table_surface", False)
     table = W.aabb_of(world, "table_surface")
     lo, span = table.lower[0], table.upper[0] - table.lower[0]
     x = lo + span * np.random.default_rng(seed).random(6 * run + 6)[::6]
@@ -540,7 +540,7 @@ def _bare_world(half, kind="item", riders=()):
 
 def test_an_avoid_hint_gets_no_screen():
     world = _plain_world()
-    name, action = _step(world, "plate", False)
+    name, action = _step("plate", False)
     hints = {"avoid_xy": ((0.45, 0.2, 0.0), (0.55, 0.3, 0.1))}
     assert _declining(world, name, action, RestrictionTable(), hints) is None
 
@@ -558,7 +558,7 @@ def _rider_world():
 
 def test_a_container_with_riders_gets_a_screen():
     world = _rider_world()
-    name, action = _step(world, "table_surface", False)
+    name, action = _step("table_surface", False)
     assert _declining(world, name, action, RestrictionTable()) is not None
 
 
@@ -566,7 +566,7 @@ def test_a_rider_that_is_a_container_gets_no_screen():
     world = _rider_world()
     models = {**world.scene.models, "rider1": W.ObjectModel("rider1", RIDERS[1][0], "container")}
     world = W.WorldState(W.Scene(models, WORKSPACE), world.poses, world.held)
-    name, action = _step(world, "table_surface", False)
+    name, action = _step("table_surface", False)
     assert _declining(world, name, action, RestrictionTable()) is None
 
 
@@ -633,7 +633,7 @@ def test_a_program_that_reads_a_rider_leaves_its_drops_to_the_draw(source):
     # Upright drops of the container onto the table: most are placed, and
     # the program holds on the world each of those builds.
     world = _rider_world()
-    name, action = _step(world, "table_surface", False)
+    name, action = _step("table_surface", False)
     fn = parse_constraint(source)
     rng = np.random.default_rng(5)
     n = 64
@@ -671,8 +671,8 @@ INFINITE_EDGES = {
 @pytest.mark.parametrize("source", INFINITE_EDGES.values(), ids=INFINITE_EDGES.keys())
 def test_a_goal_that_compares_equal_infinities_gives_what_the_unscreened_loop_gives(source):
     _, world = load_task("berry1", 0)
-    sk = skeleton(world, [("pick", {"o": "strawberry"}),
-                          ("place_ontop", {"o": "strawberry", "s": "table_surface"})], ((), ()))
+    sk = skeleton([("pick", {"o": "strawberry"}),
+                   ("place_ontop", {"o": "strawberry", "s": "table_surface"})], ((), ()))
     goal_fns = (parse_constraint(source),)
     for seed in range(2):
         got = refine_outcome(refine, sk, world, 500, seed, RestrictionTable(), goal_fns)
@@ -684,7 +684,7 @@ def test_a_goal_that_compares_equal_infinities_gives_what_the_unscreened_loop_gi
 @pytest.mark.parametrize("band", [(1.0, 0.0), (0.0, math.inf), (0.0, -0.0)])
 def test_a_refused_band_gets_no_screen(band):
     world = _plain_world()
-    name, action = _step(world, "plate", False)
+    name, action = _step("plate", False)
     restrictions = RestrictionTable([{"action": name, "yaw": band}])
     assert _declining(world, name, action, restrictions) is None
 
@@ -693,7 +693,7 @@ def test_a_program_that_raises_on_every_drop_stops_the_screen():
     # Every drop of the small item onto the bare table is placed and rests
     # on it, so the first drop reaches the program, which raises.
     world = _bare_world((0.005, 0.005, 0.005))
-    name, action = _step(world, "table_surface", False)
+    name, action = _step("table_surface", False)
     ghost = program("position_within_bounds(item.pose, get_aabb_bounds('ghost'))")
     screen = _declining(world, name, action, RestrictionTable(), fns=(ghost,))
     assert _skipped(screen, DrawStream(np.random.default_rng(0)), 500) == (0, None)
@@ -742,7 +742,7 @@ def test_a_drop_inside_two_containers_rests_on_the_first(cup_first):
     assert W.supported_by(over_cup, "item") == ("cup" if cup_first else "tray")
     effect = W.PLACE_REJECTIONS.index("effects-unsatisfied")
     for target in ("cup", "tray"):
-        name, action = _step(world, target, False)
+        name, action = _step(target, False)
         codes, _ = W.PlaceTables(world, "item", target, False).judge(
             *(np.array(column) for column in zip(*(drop + (0.0,) * 3 for drop in drops))))
         for drop, code in zip(drops, codes.tolist()):
@@ -966,7 +966,7 @@ def test_a_drop_at_a_program_edge_stops_the_screen(case):
     block_half, block_offset = case["block"]
     world = _place_world(case["target"] if case["target"] in TARGETS else "plate",
                          case["half"], case["kind"], block_half, block_offset, None)
-    name, action = _step(world, case["target"], case["inside"])
+    name, action = _step(case["target"], case["inside"])
     restrictions = RestrictionTable([{"action": name, "roll": (case["roll"], case["roll"]),
                                       "pitch": (0.0, 0.0), "yaw": (0.0, 0.0)}])
     fn = parse_constraint(case["program"])
@@ -1209,7 +1209,7 @@ def _built(fn):
 def _doomed_case(case):
     make, target, fns, goal_fns, doomed = DOOMED_CASES[case]
     world = make()
-    name, action = _step(world, target, False)
+    name, action = _step(target, False)
     fns, goal_fns = tuple(map(_built, fns)), tuple(map(_built, goal_fns))
     return world, name, action, fns, goal_fns, doomed
 
@@ -1279,7 +1279,7 @@ def test_a_step_with_programs_no_drop_changes_gives_what_the_unscreened_loop_giv
             fns = tuple(programs)
         else:
             goal_fns = tuple(programs)
-    name, action = _step(world, target, inside)
+    name, action = _step(target, inside)
     sk = Skeleton((action,), (fns,), (None,))
     restrictions = RestrictionTable([{"action": name, **bands}])
     got = refine_outcome(refine, sk, world, budget, seed, restrictions, goal_fns)

@@ -104,7 +104,7 @@ def _outcome(loop, sk, world, budget, seed, bands):
 def test_pick_step_gives_what_the_unscreened_loop_gives(roll, pitch, yaw, budget, half,
                                                        center, lid_offset, case, never, seed):
     world = _pick_world(half, center, lid_offset, case)
-    sk = skeleton(world, [("pick", {"o": "item"})], ((NEVER,) if never else (),))
+    sk = skeleton([("pick", {"o": "item"})], ((NEVER,) if never else (),))
     bands = {"roll": roll, "pitch": pitch, "yaw": yaw}
     got = _outcome(refine, sk, world, budget, seed, bands)
     want = _outcome(ref_refine, sk, world, budget, seed, bands)
@@ -124,7 +124,7 @@ def test_screened_picks_count_as_samples_with_their_reason():
     for center, allowed in [((0.5, 0.0, 0.05), reasons),
                             ((1.1, 0.0, 0.05), (*reasons, "unreachable"))]:
         world = _pick_world((0.05, 0.05, 0.05), center, (0.3, 0.3, 0.0), "free")
-        sk = skeleton(world, [("pick", {"o": "item"})], ((NEVER,),))
+        sk = skeleton([("pick", {"o": "item"})], ((NEVER,),))
         for budget, seed in itertools.product(budgets, range(5)):
             got = _outcome(refine, sk, world, budget, seed, {})
             assert got == _outcome(ref_refine, sk, world, budget, seed, {})
@@ -155,7 +155,7 @@ def _run_world(seed, run):
 def test_pick_runs_across_the_blocks_give_what_the_unscreened_loop_gives(run):
     seed = 17 + run
     world = _run_world(seed, run)
-    sk = skeleton(world, [("pick", {"o": "item"})], ((),))
+    sk = skeleton([("pick", {"o": "item"})], ((),))
     level = {"roll": (0.0, 0.0), "pitch": (0.0, 0.0)}
     want = _outcome(ref_refine, sk, world, 500, seed, level)[0]
     assert isinstance(want, Solution) and want.samples_used == run + 1
@@ -214,15 +214,15 @@ def _schedule_case(step):
         world = W.WorldState(W.Scene(models, WORKSPACE),
                              {"table_surface": Pose6(0.5, 0.0, -0.01)},
                              W.HeldItem("item", Pose6(0.3, 0.0, 0.4)))
-        sk = skeleton(world, [("place_ontop", {"o": "item", "s": "table_surface"})], ((NEVER,),))
+        sk = skeleton([("place_ontop", {"o": "item", "s": "table_surface"})], ((NEVER,),))
         return sk, world, 3, RestrictionTable()
     if step == "pick":
         world = _pick_world((0.05, 0.05, 0.05), (3.0, 0.0, 0.05), (0.3, 0.3, 0.0), "free")
-        return skeleton(world, [("pick", {"o": "item"})], ((),)), world, 3, RestrictionTable()
+        return skeleton([("pick", {"o": "item"})], ((),)), world, 3, RestrictionTable()
     seed = 37 if step == "picked" else 41
     world = _run_world(seed, 20) if step == "picked" else _obstructed_world(seed, 1200)
     level = RestrictionTable([{"action": "pick", "roll": (0.0, 0.0), "pitch": (0.0, 0.0)}])
-    return skeleton(world, [("pick", {"o": "item"})], ((),)), world, seed, level
+    return skeleton([("pick", {"o": "item"})], ((),)), world, seed, level
 
 
 @pytest.mark.parametrize("step, budget, blocks", [

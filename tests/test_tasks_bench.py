@@ -140,9 +140,12 @@ def test_detector_unknown_id_fails_closed():
 
 def test_mode_budget_adjustments():
     base = Budgets(500, 5)
-    assert bench.MODE_TABLE["no_sample"].adjust_budgets("no_sample", base) == Budgets(1, 5)
-    assert bench.MODE_TABLE["no_back"].adjust_budgets("no_back", base) == Budgets(500, 1)
-    assert bench.MODE_TABLE["manual"].adjust_budgets("manual", base) == base
+    assert bench.MODE_TABLE["no_sample"].adjust_budgets(base) == Budgets(1, 5)
+    assert bench.MODE_TABLE["no_back"].adjust_budgets(base) == Budgets(500, 1)
+    assert bench.MODE_TABLE["manual"].adjust_budgets(base) == base
+    # Each row says what its ablation changes: no two rows are alike.
+    rows = list(bench.MODE_TABLE.values())
+    assert len(set(rows)) == len(rows)
 
 
 def test_run_cell_success_implies_claimed():

@@ -79,7 +79,7 @@ def _same(cached, reference, *args):
 def check_world(w, rng):
     """Every cached query equals its reference, twice: filling, then hitting."""
     for _ in range(2):
-        for name in w.all_objects():
+        for name in sorted(w.scene.models):
             _same(W.aabb_of, ref_aabb_of, w, name)
             _same(W.interior_box, ref_interior_box, w, name)
             _same(W.contents, ref_contents, w, name)
